@@ -114,33 +114,32 @@ def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryCon
 
     for ep in range(cfg.episodes):
         snap = env.reset(seed=episode_seeds[ep])
+        mu = empirical_mean_field_state(snap.states, env.n_states).probs
         explore = _explore_at(cfg, ep)
         ret, disc = 0.0, 1.0
         prev = None
         for t in range(env.horizon):
-            mu = empirical_mean_field_state(snap.states, env.n_states).probs
             victim = victim_policy.action_dists(snap)
             q = model.values(snap.states, mu, model.nu_hat)
             adv = (1 - explore) * softmax_rows(q / cfg.temperature) \
                 + explore / env.n_actions
             behavior = mix_policy_matrix(adv, victim, budgets.eps)
             actions = sample_actions(behavior, act_rng)
-            nu = np.bincount(actions, minlength=env.n_actions) / env.n_agents
+            res = env.step(snap, actions)
 
             if prev is not None:
                 p_states, p_actions, p_reward, p_mu, p_nu = prev
-                q_here = model.values(snap.states, mu, nu)
+                q_here = model.values(snap.states, mu, res.nu.probs)
                 boot = q_here[np.arange(env.n_agents), actions]
                 targets = -p_reward + env.gamma * boot
                 model.td_update(p_states[attacked], p_actions[attacked], p_mu,
                                 p_nu, targets[attacked], cfg.lr, cfg.lr_decay)
 
-            res = env.step(snap, actions)
             prev = (snap.states, actions, res.reward, mu, res.nu.probs)
             model.observe_nu(res.nu.probs)
             ret += disc * (-res.reward)
             disc *= env.gamma
-            snap = res.snapshot
+            snap, mu = res.snapshot, res.mu.probs
         curve[ep] = ret
 
     if policy_checksum(victim_policy) != frozen:

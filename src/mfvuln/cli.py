@@ -9,10 +9,9 @@ from dataclasses import replace
 
 from .envs import make_env
 from .errors import MfvulnError
-from .pipeline import (ResultsLedger, RunPaths, correlate_prediction_vs_attack,
-                       experiment_id, export_heatmap, load_experiment_config,
-                       load_value_model, load_victim, run_pipeline,
-                       sample_attack_subsets, stage_attack, stage_evaluate,
+from .pipeline import (ResultsLedger, RunPaths, experiment_id, export_heatmap,
+                       load_experiment_config, load_value_model, load_victim,
+                       run_pipeline, stage_attack, stage_correlate, stage_evaluate,
                        stage_fit_value, stage_select, stage_train_victim)
 
 COMMANDS = ("train-victim", "fit-value", "select", "attack", "evaluate",
@@ -88,21 +87,7 @@ def main(argv=None) -> int:
                 stage_evaluate(cfg, env, victim, seed, paths, ledger, exp)
                 print(f"evaluation rows appended for seed {seed}")
             elif args.command == "correlate":
-                victim = load_victim(paths, seed)
-                vmodel = load_value_model(paths, seed)
-                subsets = sample_attack_subsets(
-                    env.n_agents, cfg.correlation.n_subsets, seed,
-                    eps=cfg.selection.eps, k_min=cfg.correlation.k_min,
-                    k_max=cfg.correlation.k_max or None)
-                adv_cfg = replace(cfg.adversary.adversary_config(seed),
-                                  episodes=cfg.correlation.adv_episodes)
-                r, _ = correlate_prediction_vs_attack(
-                    vmodel, env, victim, subsets, adv_cfg,
-                    cfg.correlation.episodes, seed,
-                    out_csv=paths.correlation(seed))
-                if not ledger.has(exp, "correlate", seed=seed):
-                    ledger.append(exp, "correlate", "subsets", seed,
-                                  "pearson_r", r)
+                r = stage_correlate(cfg, env, seed, paths, ledger, exp)
                 print(f"seed {seed} pearson r = {r:.6f} "
                       f"({paths.correlation(seed)})")
             elif args.command == "heatmap":

@@ -137,54 +137,64 @@ class ActionDist:
 
 
 @dataclass(frozen=True)
-class MeanFieldState:
-    """Empirical distribution of agent states; entries are multiples of 1/N."""
+class _MeanField:
+    """Empirical distribution of agent states or actions (``kind``); entries
+    are multiples of 1/N.
+
+    The constructor checks everything it is given.  The empirical builders
+    check only their indices: bincount / N is a valid distribution of
+    multiples of 1/N by construction, so they skip the output checks.
+    """
 
     probs: np.ndarray
     n_agents: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _check_prob_vector(self.probs, "mean-field state"))
+        probs = _check_prob_vector(self.probs, f"mean-field {self.kind}")
+        object.__setattr__(self, "probs", probs)
         if self.n_agents:
             counts = self.probs * self.n_agents
             if np.any(np.abs(counts - np.round(counts)) > 1e-6):
                 raise InvalidInputError("mean-field entries are not multiples of 1/N")
+
+    @classmethod
+    def _histogram(cls, indices, size: int):
+        indices = np.asarray(indices, dtype=int)
+        if indices.ndim != 1 or indices.size == 0:
+            raise InvalidInputError(f"{cls.kind}s must be a non-empty 1-d integer array")
+        try:
+            counts = np.bincount(indices, minlength=size)   # raises on negatives
+            if counts.size > size:
+                raise ValueError
+        except ValueError:
+            raise InvalidInputError(f"{cls.kind} index out of range") from None
+        mf = object.__new__(cls)
+        object.__setattr__(mf, "probs", counts / indices.size)
+        object.__setattr__(mf, "n_agents", indices.size)
+        return mf
 
 
 @dataclass(frozen=True)
-class MeanFieldAction:
-    """Empirical distribution of agent actions; entries are multiples of 1/N."""
+class MeanFieldState(_MeanField):
+    """Empirical distribution of agent states."""
 
-    probs: np.ndarray
-    n_agents: int = 0
+    kind = "state"
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _check_prob_vector(self.probs, "mean-field action"))
-        if self.n_agents:
-            counts = self.probs * self.n_agents
-            if np.any(np.abs(counts - np.round(counts)) > 1e-6):
-                raise InvalidInputError("mean-field entries are not multiples of 1/N")
+
+@dataclass(frozen=True)
+class MeanFieldAction(_MeanField):
+    """Empirical distribution of agent actions."""
+
+    kind = "action"
 
 
 def empirical_mean_field_state(states, n_states: int) -> MeanFieldState:
     """Histogram of agent states, normalized by the agent count."""
-    states = np.asarray(states, dtype=int)
-    if states.ndim != 1 or states.size == 0:
-        raise InvalidInputError("states must be a non-empty 1-d integer array")
-    if np.any(states < 0) or np.any(states >= n_states):
-        raise InvalidInputError("state index out of range")
-    counts = np.bincount(states, minlength=n_states)
-    return MeanFieldState(counts / states.size, n_agents=states.size)
+    return MeanFieldState._histogram(states, n_states)
 
 
 def empirical_mean_field_action(actions, n_actions: int) -> MeanFieldAction:
-    actions = np.asarray(actions, dtype=int)
-    if actions.ndim != 1 or actions.size == 0:
-        raise InvalidInputError("actions must be a non-empty 1-d integer array")
-    if np.any(actions < 0) or np.any(actions >= n_actions):
-        raise InvalidInputError("action index out of range")
-    counts = np.bincount(actions, minlength=n_actions)
-    return MeanFieldAction(counts / actions.size, n_agents=actions.size)
+    return MeanFieldAction._histogram(actions, n_actions)
 
 
 def mix_policies(pi_alpha: ActionDist, pi_beta: ActionDist, eps: float) -> ActionDist:

@@ -15,6 +15,8 @@ experiment.
 
 from __future__ import annotations
 
+import numbers
+import typing
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -130,12 +132,47 @@ def wrap_angle(theta):
     return (np.asarray(theta) + np.pi) % (2.0 * np.pi) - np.pi
 
 
+# value types a config annotation accepts: an int is a valid float, a list
+# a valid tuple (yaml has no tuples); bools are never numbers here
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str,
+            list: (list, tuple), tuple: (list, tuple)}
+
+
+def _type_matches(value, annotation) -> bool:
+    if typing.get_origin(annotation) is typing.Union:
+        return any(_type_matches(value, a) for a in typing.get_args(annotation))
+    if annotation is type(None):
+        return value is None
+    accepted = _ACCEPTS.get(annotation)
+    if accepted is None:
+        return True         # left to the dataclass's own validate()
+    if isinstance(value, bool) and annotation is not bool:
+        return False
+    return isinstance(value, accepted)
+
+
+def _type_name(annotation) -> str:
+    if typing.get_origin(annotation) is typing.Union:
+        return " or ".join(_type_name(a) for a in typing.get_args(annotation))
+    return "None" if annotation is type(None) else annotation.__name__
+
+
+def check_field_types(cls, raw: dict, error, where: str):
+    """Raise `error` naming the first value that does not fit its annotation."""
+    hints = typing.get_type_hints(cls)
+    for name, value in raw.items():
+        if name in hints and not _type_matches(value, hints[name]):
+            raise error(f"key '{name}' in {where} must be {_type_name(hints[name])}, "
+                        f"got {value!r}")
+
+
 def build_config(cls, raw: dict):
-    """Strict dataclass construction: unknown keys are config errors."""
+    """Strict dataclass construction: unknown keys and mistyped values are config errors."""
     allowed = {f.name for f in fields(cls)}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise InvalidConfigError(f"unknown config key(s) for {cls.__name__}: {', '.join(unknown)}")
+    check_field_types(cls, raw, InvalidConfigError, cls.__name__)
     cfg = cls(**raw)
     cfg.validate()
     return cfg

@@ -20,7 +20,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field, fields as dc_fields, replace
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import yaml
@@ -28,7 +28,7 @@ import yaml
 from .attack import AdversaryConfig, evaluate_attack, train_adversary
 from .core import BudgetVector, empirical_mean_field_state, seed_rng
 from .envs import make_env
-from .envs.base import agent_layout
+from .envs.base import agent_layout, check_field_types
 from .errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
                      StageDependencyError, UndefinedCorrelationError)
 from .qlearn import (BoltzmannPolicy, TrainConfig, UniformPolicy,
@@ -57,6 +57,7 @@ def _build_section(dc_cls, raw, section: str):
     if unknown:
         raise ConfigParseError(
             f"unknown key '{unknown[0]}' in config section '{section}'")
+    check_field_types(dc_cls, raw, ConfigParseError, f"config section '{section}'")
     try:
         obj = dc_cls(**raw)
     except TypeError as exc:
@@ -68,12 +69,16 @@ def _build_section(dc_cls, raw, section: str):
 
 @dataclass
 class ValueStageConfig(FitConfig):
+    # yaml spells the norm order as .inf / 1 / 2; strings also accepted
+    p: Union[float, str] = np.inf
     rollouts: int = 80
 
     def validate(self):
-        # yaml spells the norm order as .inf / 1 / 2; strings also accepted
         if isinstance(self.p, str):
-            self.p = np.inf if self.p in ("inf", ".inf") else float(self.p)
+            try:
+                self.p = np.inf if self.p in ("inf", ".inf") else float(self.p)
+            except ValueError:
+                raise InvalidConfigError(f"bad norm order: {self.p!r}") from None
         super().validate()
         if self.rollouts < 1:
             raise InvalidConfigError("rollouts must be >= 1")
@@ -181,7 +186,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         raise ConfigParseError("config section 'env' with an env_name is required")
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, (list, tuple)) or not seeds \
-            or not all(isinstance(s, int) for s in seeds):
+            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
         raise ConfigParseError("'seeds' must be a non-empty list of integers")
     cfg = ExperimentConfig(
         raw=raw,
@@ -242,7 +247,9 @@ class ResultsLedger:
         with open(self.path, newline="") as fh:
             return list(csv.DictReader(fh))
 
-    def has(self, experiment: str, stage: str, seed=None, method: Optional[str] = None) -> bool:
+    def find(self, experiment: str, stage: str, seed=None,
+             method: Optional[str] = None) -> Optional[dict]:
+        """First row of a stage, optionally of one seed and method; None if absent."""
         for row in self.rows():
             if row["experiment_id"] != experiment or row["stage"] != stage:
                 continue
@@ -250,8 +257,11 @@ class ResultsLedger:
                 continue
             if method is not None and row["method"] != method:
                 continue
-            return True
-        return False
+            return row
+        return None
+
+    def has(self, experiment: str, stage: str, seed=None, method: Optional[str] = None) -> bool:
+        return self.find(experiment, stage, seed=seed, method=method) is not None
 
 
 # -- analyses --------------------------------------------------------------------
@@ -580,6 +590,32 @@ def stage_evaluate(cfg: ExperimentConfig, env, victim_policy, seed: int,
                       report.std_return)
         ledger.append(exp, "attack", method, seed, "coop_return",
                       report.baseline_mean)
+
+
+def stage_correlate(cfg: ExperimentConfig, env, seed: int, paths: RunPaths,
+                    ledger: ResultsLedger, exp: str) -> float:
+    """Predicted drop vs realized attacked return over random subsets; returns r.
+
+    Skipped when this experiment's ledger row and the scatter CSV both
+    exist: r is read back from the ledger and nothing is trained or written.
+    """
+    row = ledger.find(exp, "correlate", seed=seed)
+    out_csv = paths.correlation(seed)
+    if row is not None and os.path.exists(out_csv):
+        return float(row["value"])
+    victim = load_victim(paths, seed)
+    vmodel = load_value_model(paths, seed)
+    subsets = sample_attack_subsets(
+        env.n_agents, cfg.correlation.n_subsets, seed, eps=cfg.selection.eps,
+        k_min=cfg.correlation.k_min, k_max=cfg.correlation.k_max or None)
+    adv_cfg = replace(cfg.adversary.adversary_config(seed),
+                      episodes=cfg.correlation.adv_episodes)
+    r, _ = correlate_prediction_vs_attack(vmodel, env, victim, subsets, adv_cfg,
+                                          cfg.correlation.episodes, seed,
+                                          out_csv=out_csv)
+    if row is None:
+        ledger.append(exp, "correlate", "subsets", seed, "pearson_r", r)
+    return r
 
 
 def run_pipeline(config, out_dir=None, seeds=None) -> str:

@@ -327,6 +327,7 @@ def rollout(env, victim_policy, seed, horizon=None, adversary_policy=None,
     """
     horizon = env.horizon if horizon is None else horizon
     snap = env.reset(seed=seed)
+    mu = empirical_mean_field_state(snap.states, env.n_states).probs
     act_rng = seed_rng(seed, salt="rollout-actions")
     steps = []
     for t in range(horizon):
@@ -335,13 +336,11 @@ def rollout(env, victim_policy, seed, horizon=None, adversary_policy=None,
             adv = adversary_policy.action_dists(snap)
             dists = mix_policy_matrix(adv, dists, budgets.eps)
         actions = sample_actions(dists, act_rng)
-        mu = empirical_mean_field_state(snap.states, env.n_states).probs
         res = env.step(snap, actions)
         steps.append(TrajectoryStep(t, snap.states.copy(), actions, res.reward,
                                     mu, res.nu.probs))
-        snap = res.snapshot
-    final_mu = empirical_mean_field_state(snap.states, env.n_states).probs
-    return Trajectory(steps, snap.states.copy(), final_mu)
+        snap, mu = res.snapshot, res.mu.probs
+    return Trajectory(steps, snap.states.copy(), mu)
 
 
 def evaluate_policy(env, policy, episodes: int, seed, horizon=None,
@@ -416,10 +415,10 @@ def train_victim(env, cfg: TrainConfig, fixed_policy_table=None):
 
     for ep in range(cfg.episodes):
         snap = env.reset(seed=episode_seeds[ep])
+        mu = empirical_mean_field_state(snap.states, env.n_states).probs
         explore = exploration_eps(cfg, ep)
         ret, disc = 0.0, 1.0
         for t in range(env.horizon):
-            mu = empirical_mean_field_state(snap.states, env.n_states).probs
             if fixed is not None:
                 behavior = fixed[snap.states]
             else:
@@ -441,7 +440,7 @@ def train_victim(env, cfg: TrainConfig, fixed_policy_table=None):
             model.observe_nu(res.nu.probs)
             ret += disc * res.reward
             disc *= env.gamma
-            snap = nxt
+            snap, mu = nxt, mu2
         curve[ep] = ret
 
     policy = BoltzmannPolicy(model, cfg.temperature) if fixed is None else TablePolicy(fixed)

@@ -77,6 +77,12 @@ def test_staged_commands_chain_into_a_full_run(tmp_path, capsys):
     assert "pearson r" in capsys.readouterr().out
 
 
+def test_mistyped_config_value_exits_with_error(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path, victim={"episodes": "800"})
+    assert main(["train-victim", "--config", str(cfg_path)]) == 2
+    assert "'episodes'" in capsys.readouterr().err
+
+
 def experiment_of(ledger) -> str:
     rows = ledger.rows()
     assert rows, "expected ledger rows"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfvuln.core import (ActionDist, BudgetVector, MeanFieldAction, MeanFieldState,
                          NormOrder, aggregate_budget, check_deviation_bounds,
@@ -75,6 +77,37 @@ def test_mean_field_rejects_non_multiples():
         MeanFieldState(np.array([0.5, 0.5]), n_agents=3)
     with pytest.raises(InvalidInputError):
         MeanFieldAction(np.array([0.5, 0.5]), n_agents=3)
+
+
+@st.composite
+def index_arrays(draw):
+    """(indices, size): a non-empty 1-d int array with every entry in range."""
+    size = draw(st.integers(1, 40))
+    indices = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=300))
+    return np.array(indices, dtype=np.int64), size
+
+
+@settings(deadline=None)
+@given(index_arrays())
+def test_builders_equal_normalized_bincount(case):
+    indices, size = case
+    want = np.bincount(indices, minlength=size) / indices.size
+    for builder in (empirical_mean_field_state, empirical_mean_field_action):
+        mf = builder(indices, size)
+        assert mf.probs.dtype == want.dtype
+        assert mf.probs.tobytes() == want.tobytes()
+        assert mf.n_agents == indices.size
+
+
+@settings(deadline=None)
+@given(index_arrays(), st.sampled_from(["empty", "2d", "negative", "too-large"]))
+def test_builders_reject_malformed_indices(case, defect):
+    indices, size = case
+    bad = {"empty": indices[:0], "2d": indices[None, :],
+           "negative": np.append(indices, -1), "too-large": np.append(indices, size)}[defect]
+    for builder in (empirical_mean_field_state, empirical_mean_field_action):
+        with pytest.raises(InvalidInputError):
+            builder(bad, size)
 
 
 def test_prob_vector_validation():

@@ -60,7 +60,7 @@ def test_env_section_is_required():
 
 
 def test_seeds_must_be_integer_list():
-    for bad in (5, [], ["a"]):
+    for bad in (5, [], ["a"], [True]):
         with pytest.raises(ConfigParseError, match="seeds"):
             parse_experiment_config(base_raw(seeds=bad))
 
@@ -79,6 +79,39 @@ def test_section_validation_is_applied():
             base_raw(selection={"methods": ["gredy"], "k": 1}))
 
 
+def test_string_for_int_field_is_named():
+    with pytest.raises(ConfigParseError, match="'episodes'.*section 'victim'.*int"):
+        parse_experiment_config(base_raw(victim={"episodes": "800"}))
+
+
+def test_word_for_int_field_is_named():
+    raw = base_raw(selection={"methods": ["greedy"], "k": "two"})
+    with pytest.raises(ConfigParseError, match="'k'.*section 'selection'.*int"):
+        parse_experiment_config(raw)
+
+
+def test_fractional_agent_count_is_named():
+    raw = base_raw()
+    raw["env"]["n_agents"] = 4.5
+    with pytest.raises(InvalidConfigError, match="'n_agents'.*int.*4.5"):
+        parse_experiment_config(raw)
+
+
+def test_bool_for_int_field_is_rejected():
+    with pytest.raises(ConfigParseError, match="'episodes'.*int.*True"):
+        parse_experiment_config(base_raw(victim={"episodes": True}))
+
+
+def test_int_for_float_field_is_accepted():
+    cfg = parse_experiment_config(base_raw(victim={"episodes": 10, "lr": 1}))
+    assert cfg.victim.lr == 1
+
+
+def test_bad_norm_order_string_is_a_config_error():
+    with pytest.raises(InvalidConfigError, match="norm order"):
+        parse_experiment_config(base_raw(value={"p": "abc"}))
+
+
 def test_norm_order_accepts_yaml_spellings():
     cfg = ValueStageConfig(p="inf")
     cfg.validate()
@@ -86,6 +119,7 @@ def test_norm_order_accepts_yaml_spellings():
     cfg = ValueStageConfig(p="2")
     cfg.validate()
     assert cfg.p == 2.0
+    assert np.isinf(parse_experiment_config(base_raw(value={"p": "inf"})).value.p)
 
 
 def test_experiment_id_is_stable_and_config_sensitive():
