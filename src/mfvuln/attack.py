@@ -19,14 +19,13 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import (BudgetVector, empirical_mean_field_state, mix_policy_matrix,
                    sample_actions, seed_rng)
-from .errors import InvalidConfigError, InvalidInputError
-from .qlearn import (BoltzmannPolicy, MeanFieldBinner, QModel, evaluate_policy,
+from .errors import InvalidInputError
+from .qlearn import (BoltzmannPolicy, LearnerConfig, evaluate_policy, exploration_eps,
                      softmax_rows)
 
 
@@ -36,10 +35,8 @@ def policy_checksum(policy) -> str:
     h.update(type(policy).__name__.encode())
     model = getattr(policy, "model", None)
     if model is not None:
-        for arr in (getattr(model, "table", None), getattr(model, "weights", None),
-                    getattr(model, "nu_hat", None)):
-            if arr is not None:
-                h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+        for arr in (model.table, model.nu_hat):
+            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
     table = getattr(policy, "table", None)
     if table is not None:
         h.update(np.ascontiguousarray(table, dtype=float).tobytes())
@@ -47,7 +44,7 @@ def policy_checksum(policy) -> str:
 
 
 @dataclass
-class AdversaryConfig:
+class AdversaryConfig(LearnerConfig):
     """SARSA schedule of the adversary.
 
     The default step ``lr`` is small because the learner sees only the
@@ -58,34 +55,7 @@ class AdversaryConfig:
     the same realized damage.
     """
 
-    episodes: int = 300
     lr: float = 0.05
-    lr_decay: float = 0.0
-    temperature: float = 0.1
-    eps_start: float = 1.0
-    eps_final: float = 0.05
-    eps_fraction: float = 0.5
-    mu_bins: int = 1
-    nu_bins: int = 1
-    bin_levels: int = 4
-    backend: str = "tabular"
-    seed: int = 0
-
-    def validate(self):
-        if self.episodes < 1:
-            raise InvalidConfigError("episodes must be >= 1")
-        if self.lr <= 0 or self.temperature <= 0:
-            raise InvalidConfigError("lr and temperature must be positive")
-        if not (0 <= self.eps_final <= self.eps_start <= 1):
-            raise InvalidConfigError("exploration schedule must satisfy 0 <= final <= start <= 1")
-        if not (0 < self.eps_fraction <= 1):
-            raise InvalidConfigError("eps_fraction must be in (0, 1]")
-
-
-def _explore_at(cfg: AdversaryConfig, episode: int) -> float:
-    cut = max(1, int(cfg.episodes * cfg.eps_fraction))
-    frac = min(1.0, episode / cut)
-    return cfg.eps_start + frac * (cfg.eps_final - cfg.eps_start)
 
 
 def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryConfig):
@@ -100,9 +70,7 @@ def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryCon
     if budgets.n_agents != env.n_agents:
         raise InvalidInputError("budget vector length does not match the population")
     attacked = budgets.eps > 0
-    model = QModel(env.n_states, env.n_actions, env.gamma, backend=cfg.backend,
-                   mu_binner=MeanFieldBinner(cfg.mu_bins, cfg.bin_levels),
-                   nu_binner=MeanFieldBinner(cfg.nu_bins, cfg.bin_levels))
+    model = cfg.q_model(env.n_states, env.n_actions, env.gamma)
     if not attacked.any():
         warnings.warn("empty attack set: returning a no-op adversary", stacklevel=2)
         return model, BoltzmannPolicy(model, cfg.temperature), np.empty(0)
@@ -115,7 +83,7 @@ def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryCon
     for ep in range(cfg.episodes):
         snap = env.reset(seed=episode_seeds[ep])
         mu = empirical_mean_field_state(snap.states, env.n_states).probs
-        explore = _explore_at(cfg, ep)
+        explore = exploration_eps(cfg, ep)
         ret, disc = 0.0, 1.0
         prev = None
         for t in range(env.horizon):

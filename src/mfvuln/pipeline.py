@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import warnings
@@ -32,7 +33,7 @@ from .envs.base import agent_layout, check_field_types
 from .errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
                      StageDependencyError, UndefinedCorrelationError)
 from .qlearn import (BoltzmannPolicy, TrainConfig, UniformPolicy,
-                     evaluate_policy, rollout, train_victim)
+                     evaluate_policy, rollout, train_victim, write_atomic)
 from .robust import (FitConfig, RobustValueModel, fit_cooperative_q,
                      fit_robust_value)
 from .selection import (AttackSet, SelectorRLConfig, load_attack_set,
@@ -335,11 +336,12 @@ def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
         rows.append((pred, report.mean_return))
     r = pearson([p for p, _ in rows], [m for _, m in rows])
     if out_csv:
-        with open(out_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["predicted_drop", "realized_return"])
-            for p, m in rows:
-                w.writerow([_fmt(p), _fmt(m)])
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["predicted_drop", "realized_return"])
+        for p, m in rows:
+            w.writerow([_fmt(p), _fmt(m)])
+        write_atomic(out_csv, buf.getvalue())
     return r, rows
 
 
@@ -479,7 +481,7 @@ def stage_fit_value(cfg: ExperimentConfig, env, victim_policy, seed: int,
         snap0 = env.reset(seed=seed)
         mu0 = empirical_mean_field_state(snap0.states, env.n_states).probs
         v0 = vmodel.values(snap0.states, mu0, np.zeros(env.n_agents), 0.0)
-        ledger.append(exp, "value", vmodel.backend, seed, "v0_mean",
+        ledger.append(exp, "value", "tabular", seed, "v0_mean",
                       float(v0.mean()))
     return vmodel
 

@@ -14,8 +14,9 @@ against linear-system solutions.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+import contextlib
+import os
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,53 +53,35 @@ class MeanFieldBinner:
 
 
 class QModel:
-    """Action-value model Q(s, a, mu, nu), tabular or linear.
+    """Tabular action-value model Q(s, a, mu, nu).
 
-    tabular: a dense table over (s, a, mu_bin, nu_bin) plus visit counts.
-    linear:  weights over [one-hot(s) x one-hot(a), mu, nu, bias].
-
-    The model also keeps a running estimate of the cooperative mean-field
-    action (nu_hat), used when a policy needs Q values before any actions
-    have been taken this step.
+    A dense table over (s, a, mu_bin, nu_bin) plus visit counts.  The model
+    also keeps a running estimate of the cooperative mean-field action
+    (nu_hat), used when a policy needs Q values before any actions have been
+    taken this step.
     """
 
     def __init__(self, n_states: int, n_actions: int, gamma: float,
-                 backend: str = "tabular",
                  mu_binner: Optional[MeanFieldBinner] = None,
                  nu_binner: Optional[MeanFieldBinner] = None):
-        if backend not in ("tabular", "linear"):
-            raise InvalidConfigError(f"unknown backend: {backend}")
         if not (0.0 <= gamma < 1.0):
             raise InvalidConfigError("gamma must be in [0, 1)")
         self.n_states = n_states
         self.n_actions = n_actions
         self.gamma = gamma
-        self.backend = backend
         self.mu_binner = mu_binner or MeanFieldBinner()
         self.nu_binner = nu_binner or MeanFieldBinner()
         self.nu_hat = np.full(n_actions, 1.0 / n_actions)
-        if backend == "tabular":
-            shape = (n_states, n_actions, self.mu_binner.n_bins, self.nu_binner.n_bins)
-            self.table = np.zeros(shape)
-            self.visits = np.zeros(shape, dtype=np.int64)
-        else:
-            self.weights = np.zeros(n_states * n_actions + n_states + n_actions + 1)
+        shape = (n_states, n_actions, self.mu_binner.n_bins, self.nu_binner.n_bins)
+        self.table = np.zeros(shape)
+        self.visits = np.zeros(shape, dtype=np.int64)
 
     # -- evaluation ---------------------------------------------------------
 
     def values(self, states, mu, nu) -> np.ndarray:
         """(N, A) matrix of Q values for per-agent states under shared mu/nu."""
         states = np.asarray(states, dtype=int)
-        if self.backend == "tabular":
-            mb = self.mu_binner.bin(mu)
-            nb = self.nu_binner.bin(nu)
-            return self.table[states, :, mb, nb].copy()
-        sa = self.weights[:self.n_states * self.n_actions].reshape(self.n_states, self.n_actions)
-        rest = self.weights[self.n_states * self.n_actions:]
-        shared = float(rest[:self.n_states] @ np.asarray(mu)
-                       + rest[self.n_states:self.n_states + self.n_actions] @ np.asarray(nu)
-                       + rest[-1])
-        return sa[states] + shared
+        return self.table[states, :, self.mu_binner.bin(mu), self.nu_binner.bin(nu)]
 
     def value(self, s, a, mu, nu) -> float:
         return float(self.values(np.array([s]), mu, nu)[0, int(a)])
@@ -110,24 +93,13 @@ class QModel:
         states = np.asarray(states, dtype=int)
         actions = np.asarray(actions, dtype=int)
         targets = np.asarray(targets, dtype=float)
-        if self.backend == "tabular":
-            mb = self.mu_binner.bin(mu)
-            nb = self.nu_binner.bin(nu)
-            idx = (states, actions, np.full_like(states, mb), np.full_like(states, nb))
-            np.add.at(self.visits, idx, 1)
-            alpha = lr / (1.0 + lr_decay * self.visits[idx])
-            delta = targets - self.table[idx]
-            np.add.at(self.table, idx, alpha * delta)
-            return delta
-        preds = self.values(states, mu, nu)[np.arange(states.size), actions]
-        delta = targets - preds
-        sa = self.weights[:self.n_states * self.n_actions].reshape(self.n_states, self.n_actions)
-        np.add.at(sa, (states, actions), lr * delta)
-        shared_grad = lr * delta.sum()
-        rest = self.weights[self.n_states * self.n_actions:]
-        rest[:self.n_states] += shared_grad * np.asarray(mu)
-        rest[self.n_states:self.n_states + self.n_actions] += shared_grad * np.asarray(nu)
-        rest[-1] += shared_grad
+        mb = self.mu_binner.bin(mu)
+        nb = self.nu_binner.bin(nu)
+        idx = (states, actions, np.full_like(states, mb), np.full_like(states, nb))
+        np.add.at(self.visits, idx, 1)
+        alpha = lr / (1.0 + lr_decay * self.visits[idx])
+        delta = targets - self.table[idx]
+        np.add.at(self.table, idx, alpha * delta)
         return delta
 
     def observe_nu(self, nu, rate: float = 0.05):
@@ -136,36 +108,69 @@ class QModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path):
-        lines = [CHECKPOINT_MAGIC, "kind qmodel", f"backend {self.backend}",
+        lines = [CHECKPOINT_MAGIC, "kind qmodel", "backend tabular",
                  f"n_states {self.n_states}", f"n_actions {self.n_actions}",
                  f"gamma {self.gamma!r}",
                  f"mu_bins {self.mu_binner.n_bins}", f"mu_levels {self.mu_binner.levels}",
                  f"nu_bins {self.nu_binner.n_bins}", f"nu_levels {self.nu_binner.levels}",
-                 "nu_hat " + " ".join(f"{v:.17g}" for v in self.nu_hat)]
-        flat = self.table.ravel() if self.backend == "tabular" else self.weights
-        lines.append(f"values {flat.size}")
-        lines.extend(f"{v:.17g}" for v in flat)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+                 "nu_hat " + " ".join(f"{v:.17g}" for v in self.nu_hat),
+                 f"values {self.table.size}"]
+        lines.extend(f"{v:.17g}" for v in self.table.ravel())
+        write_atomic(path, "\n".join(lines) + "\n")
 
     @staticmethod
     def load(path) -> "QModel":
         header, flat = _read_checkpoint(path, expected_kind="qmodel")
-        model = QModel(int(header["n_states"]), int(header["n_actions"]),
-                       float(header["gamma"]), backend=header["backend"],
-                       mu_binner=MeanFieldBinner(int(header["mu_bins"]), int(header["mu_levels"])),
-                       nu_binner=MeanFieldBinner(int(header["nu_bins"]), int(header["nu_levels"])))
-        model.nu_hat = np.array([float(x) for x in header["nu_hat"].split()])
-        if model.backend == "tabular":
-            model.table = flat.reshape(model.table.shape)
-        else:
-            model.weights = flat
+        with malformed_artifact(path):
+            mu_binner = MeanFieldBinner(int(header["mu_bins"]), int(header["mu_levels"]))
+            nu_binner = MeanFieldBinner(int(header["nu_bins"]), int(header["nu_levels"]))
+            n_states, n_actions = int(header["n_states"]), int(header["n_actions"])
+            # reshape before allocating, so a bad header cannot size the table
+            table = flat.reshape(n_states, n_actions, mu_binner.n_bins, nu_binner.n_bins)
+            nu_hat = np.array([float(x) for x in header["nu_hat"].split()])
+            if nu_hat.shape != (n_actions,):
+                raise InvalidInputError(f"nu_hat has {nu_hat.size} entries")
+            model = QModel(n_states, n_actions, float(header["gamma"]),
+                           mu_binner=mu_binner, nu_binner=nu_binner)
+        model.table, model.nu_hat = table, nu_hat
         return model
 
 
+def write_atomic(path, text: str):
+    """Write text to path through a temp file beside it and os.replace.
+
+    Each artifact marks its stage as done, so a reader must never find a
+    half-written one: path holds either its old contents or the new ones.
+    This guards against the process dying mid-write; nothing is fsynced.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def malformed_artifact(path):
+    """Re-raise a missing file or a parse, key or shape failure as InvalidInputError."""
+    try:
+        yield
+    except FileNotFoundError as exc:
+        raise InvalidInputError(f"missing artifact file: {path}") from exc
+    except (KeyError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(
+            f"malformed artifact {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _read_checkpoint(path, expected_kind):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    """Header dict and value block of a checkpoint; InvalidInputError if malformed."""
+    with malformed_artifact(path):
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise InvalidInputError(f"not a checkpoint file: {path}")
     header = {}
@@ -180,9 +185,13 @@ def _read_checkpoint(path, expected_kind):
         raise InvalidInputError(f"checkpoint missing values block: {path}")
     if header.get("kind") != expected_kind:
         raise InvalidInputError(
-            f"checkpoint kind {header.get('kind')!r}, expected {expected_kind!r}")
-    count = int(value)
-    flat = np.array([float(x) for x in lines[i:i + count]])
+            f"checkpoint kind {header.get('kind')!r}, expected {expected_kind!r}: {path}")
+    if "backend" in header and header["backend"] != "tabular":
+        raise InvalidInputError(
+            f"checkpoint backend {header['backend']!r}, expected 'tabular': {path}")
+    with malformed_artifact(path):
+        count = int(value)
+        flat = np.array([float(x) for x in lines[i:i + count]])
     if flat.size != count:
         raise InvalidInputError(f"checkpoint truncated: {path}")
     return header, flat
@@ -222,15 +231,16 @@ class BoltzmannPolicy:
 
     def save(self, path):
         self.model.save(path + ".q")
-        with open(path, "w") as fh:
-            fh.write("\n".join([CHECKPOINT_MAGIC, "kind policy", "type boltzmann",
-                                f"temperature {self.temperature!r}",
-                                "values 0"]) + "\n")
+        write_atomic(path, "\n".join([CHECKPOINT_MAGIC, "kind policy", "type boltzmann",
+                                      f"temperature {self.temperature!r}",
+                                      "values 0"]) + "\n")
 
     @staticmethod
     def load(path) -> "BoltzmannPolicy":
         header, _ = _read_checkpoint(path, expected_kind="policy")
-        return BoltzmannPolicy(QModel.load(path + ".q"), float(header["temperature"]))
+        model = QModel.load(path + ".q")
+        with malformed_artifact(path):
+            return BoltzmannPolicy(model, float(header["temperature"]))
 
 
 class UniformPolicy:
@@ -363,7 +373,24 @@ def evaluate_policy(env, policy, episodes: int, seed, horizon=None,
 
 
 @dataclass
-class TrainConfig:
+class BinningConfig:
+    """Mean-field binning of a tabular QModel."""
+
+    mu_bins: int = 1
+    nu_bins: int = 1
+    bin_levels: int = 4
+
+    def q_model(self, n_states: int, n_actions: int, gamma: float) -> QModel:
+        """An untrained QModel with this binning."""
+        return QModel(n_states, n_actions, gamma,
+                      mu_binner=MeanFieldBinner(self.mu_bins, self.bin_levels),
+                      nu_binner=MeanFieldBinner(self.nu_bins, self.bin_levels))
+
+
+@dataclass
+class LearnerConfig(BinningConfig):
+    """Schedule of a tabular mean-field Q-learner (the victim or an adversary)."""
+
     episodes: int = 300
     lr: float = 0.2
     lr_decay: float = 0.0
@@ -371,17 +398,11 @@ class TrainConfig:
     eps_start: float = 1.0
     eps_final: float = 0.05
     eps_fraction: float = 0.5     # share of episodes over which exploration decays
-    mu_bins: int = 1
-    nu_bins: int = 1
-    bin_levels: int = 4
-    backend: str = "tabular"
-    eval_episodes: int = 20
-    min_margin: Optional[float] = 0.2   # relative improvement over uniform; None skips
     seed: int = 0
 
     def validate(self):
-        if self.episodes < 1 or self.eval_episodes < 1:
-            raise InvalidConfigError("episode counts must be >= 1")
+        if self.episodes < 1:
+            raise InvalidConfigError("episodes must be >= 1")
         if self.lr <= 0 or self.temperature <= 0:
             raise InvalidConfigError("lr and temperature must be positive")
         if not (0 <= self.eps_final <= self.eps_start <= 1):
@@ -390,7 +411,20 @@ class TrainConfig:
             raise InvalidConfigError("eps_fraction must be in (0, 1]")
 
 
-def exploration_eps(cfg: TrainConfig, episode: int) -> float:
+@dataclass
+class TrainConfig(LearnerConfig):
+    eval_episodes: int = 20
+    min_margin: Optional[float] = 0.2   # relative improvement over uniform; None skips
+
+    def validate(self):
+        super().validate()
+        if self.eval_episodes < 1:
+            raise InvalidConfigError("eval_episodes must be >= 1")
+
+
+def exploration_eps(cfg, episode: int) -> float:
+    """Exploration rate of an episode: linear from eps_start to eps_final over
+    the first eps_fraction of cfg.episodes, then flat."""
     cut = max(1, int(cfg.episodes * cfg.eps_fraction))
     frac = min(1.0, episode / cut)
     return cfg.eps_start + frac * (cfg.eps_final - cfg.eps_start)
@@ -405,9 +439,7 @@ def train_victim(env, cfg: TrainConfig, fixed_policy_table=None):
     configured margin over a uniform-random baseline.
     """
     cfg.validate()
-    model = QModel(env.n_states, env.n_actions, env.gamma, backend=cfg.backend,
-                   mu_binner=MeanFieldBinner(cfg.mu_bins, cfg.bin_levels),
-                   nu_binner=MeanFieldBinner(cfg.nu_bins, cfg.bin_levels))
+    model = cfg.q_model(env.n_states, env.n_actions, env.gamma)
     fixed = None if fixed_policy_table is None else np.asarray(fixed_policy_table, dtype=float)
     episode_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
     act_rng = seed_rng(cfg.seed, salt="train-actions")

@@ -33,27 +33,21 @@ import numpy as np
 
 from .core import dual_order, lp_norm
 from .errors import InvalidConfigError, InvalidInputError
-from .qlearn import CHECKPOINT_MAGIC, MeanFieldBinner, QModel, _read_checkpoint
+from .qlearn import (CHECKPOINT_MAGIC, BinningConfig, MeanFieldBinner, QModel,
+                     _read_checkpoint, malformed_artifact, write_atomic)
 
 W_MAX = 3.0  # sup of eps + xi + eps*xi over the unit budget square
 
 
 @dataclass
-class FitConfig:
-    backend: str = "tabular"
-    mu_bins: int = 1
-    nu_bins: int = 1
-    bin_levels: int = 4
+class FitConfig(BinningConfig):
     sweeps: int = 300
     tol: float = 1e-11
     p: float = np.inf          # deviation norm order; regularizer uses its dual
     joint_norm: bool = False   # penalize the (a, nu-bin) block instead of one row
-    ridge: float = 1e-8
     seed: int = 0
 
     def validate(self):
-        if self.backend not in ("tabular", "linear"):
-            raise InvalidConfigError(f"unknown backend: {self.backend}")
         if self.sweeps < 1:
             raise InvalidConfigError("sweeps must be >= 1")
         if self.mu_bins < 1 or self.nu_bins < 1:
@@ -67,7 +61,7 @@ class FitConfig:
 
 @dataclass
 class TransitionCorpus:
-    """Flattened (s, a, r, s', a') records plus shared per-step mean fields."""
+    """Flattened (s, a, r, s', a') records plus the shared per-step mean-field actions."""
 
     s: np.ndarray
     a: np.ndarray
@@ -78,10 +72,7 @@ class TransitionCorpus:
     nu_bin: np.ndarray
     mu_bin2: np.ndarray
     nu_bin2: np.ndarray
-    step_mu: np.ndarray     # (n_step_records, S)
     step_nu: np.ndarray     # (n_step_records, A)
-    step_idx: np.ndarray
-    step_idx2: np.ndarray
     n_states: int
     n_actions: int
 
@@ -94,14 +85,10 @@ def build_corpus(trajectories, n_states: int, n_actions: int,
                  mu_binner: MeanFieldBinner, nu_binner: MeanFieldBinner) -> TransitionCorpus:
     """Pairs consecutive steps of each trajectory into per-agent transitions."""
     cols = {k: [] for k in ("s", "a", "r", "s2", "a2", "mu_bin", "nu_bin",
-                            "mu_bin2", "nu_bin2", "step_idx", "step_idx2")}
-    step_mu, step_nu = [], []
+                            "mu_bin2", "nu_bin2")}
+    step_nu = []
     for traj in trajectories:
-        offsets = []
-        for st in traj.steps:
-            offsets.append(len(step_mu))
-            step_mu.append(st.mu)
-            step_nu.append(st.nu)
+        step_nu.extend(st.nu for st in traj.steps)
         for t in range(len(traj.steps) - 1):
             cur, nxt = traj.steps[t], traj.steps[t + 1]
             n = cur.states.size
@@ -114,16 +101,13 @@ def build_corpus(trajectories, n_states: int, n_actions: int,
             cols["nu_bin"].append(np.full(n, nu_binner.bin(cur.nu)))
             cols["mu_bin2"].append(np.full(n, mu_binner.bin(nxt.mu)))
             cols["nu_bin2"].append(np.full(n, nu_binner.bin(nxt.nu)))
-            cols["step_idx"].append(np.full(n, offsets[t]))
-            cols["step_idx2"].append(np.full(n, offsets[t + 1]))
     if not cols["s"]:
         raise InvalidInputError("corpus needs trajectories with at least 2 steps")
     packed = {k: np.concatenate(v) for k, v in cols.items()}
-    for key in ("s", "a", "s2", "a2", "mu_bin", "nu_bin", "mu_bin2", "nu_bin2",
-                "step_idx", "step_idx2"):
+    for key in ("s", "a", "s2", "a2", "mu_bin", "nu_bin", "mu_bin2", "nu_bin2"):
         packed[key] = packed[key].astype(int)
-    return TransitionCorpus(step_mu=np.asarray(step_mu), step_nu=np.asarray(step_nu),
-                            n_states=n_states, n_actions=n_actions, **packed)
+    return TransitionCorpus(step_nu=np.asarray(step_nu), n_states=n_states,
+                            n_actions=n_actions, **packed)
 
 
 # -- cooperative Q fit ----------------------------------------------------------
@@ -139,52 +123,26 @@ def fit_cooperative_q(trajectories, n_states: int, n_actions: int, gamma: float,
     block, so the iteration settles at the corpus' empirical fixed point.
     """
     cfg.validate()
-    model = QModel(n_states, n_actions, gamma, backend=cfg.backend,
-                   mu_binner=MeanFieldBinner(cfg.mu_bins, cfg.bin_levels),
-                   nu_binner=MeanFieldBinner(cfg.nu_bins, cfg.bin_levels))
+    model = cfg.q_model(n_states, n_actions, gamma)
     corpus = build_corpus(trajectories, n_states, n_actions, model.mu_binner, model.nu_binner)
     model.nu_hat = corpus.step_nu.mean(axis=0)
 
-    if cfg.backend == "tabular":
-        shape = model.table.shape
-        idx = np.ravel_multi_index((corpus.s, corpus.a, corpus.mu_bin, corpus.nu_bin), shape)
-        idx2 = np.ravel_multi_index((corpus.s2, corpus.a2, corpus.mu_bin2, corpus.nu_bin2), shape)
-        counts = np.bincount(idx, minlength=model.table.size).astype(float)
-        visited = counts > 0
-        flat = model.table.ravel()
-        for _ in range(cfg.sweeps):
-            targets = corpus.r + gamma * flat[idx2]
-            sums = np.bincount(idx, weights=targets, minlength=flat.size)
-            new = np.where(visited, sums / np.maximum(counts, 1.0), 0.0)
-            delta = np.max(np.abs(new - flat))
-            flat = new
-            if delta < cfg.tol:
-                break
-        model.table = flat.reshape(shape)
-        np.add.at(model.visits.ravel(), idx, 1)
-        return model
-
-    # linear backend: least-squares sweep over the fixed feature design
-    n = corpus.size
-    d = n_states * n_actions + n_states + n_actions + 1
-    rows = np.zeros((n, d))
-    rows[np.arange(n), corpus.s * n_actions + corpus.a] = 1.0
-    rows[:, n_states * n_actions:n_states * n_actions + n_states] = corpus.step_mu[corpus.step_idx]
-    rows[:, n_states * n_actions + n_states:-1] = corpus.step_nu[corpus.step_idx]
-    rows[:, -1] = 1.0
-    gram = rows.T @ rows + cfg.ridge * np.eye(d)
-    nxt_rows = np.zeros((n, d))
-    nxt_rows[np.arange(n), corpus.s2 * n_actions + corpus.a2] = 1.0
-    nxt_rows[:, n_states * n_actions:n_states * n_actions + n_states] = corpus.step_mu[corpus.step_idx2]
-    nxt_rows[:, n_states * n_actions + n_states:-1] = corpus.step_nu[corpus.step_idx2]
-    nxt_rows[:, -1] = 1.0
+    shape = model.table.shape
+    idx = np.ravel_multi_index((corpus.s, corpus.a, corpus.mu_bin, corpus.nu_bin), shape)
+    idx2 = np.ravel_multi_index((corpus.s2, corpus.a2, corpus.mu_bin2, corpus.nu_bin2), shape)
+    counts = np.bincount(idx, minlength=model.table.size).astype(float)
+    visited = counts > 0
+    flat = model.table.ravel()
     for _ in range(cfg.sweeps):
-        targets = corpus.r + gamma * nxt_rows @ model.weights
-        new_w = np.linalg.solve(gram, rows.T @ targets)
-        delta = np.max(np.abs(new_w - model.weights))
-        model.weights = new_w
+        targets = corpus.r + gamma * flat[idx2]
+        sums = np.bincount(idx, weights=targets, minlength=flat.size)
+        new = np.where(visited, sums / np.maximum(counts, 1.0), 0.0)
+        delta = np.max(np.abs(new - flat))
+        flat = new
         if delta < cfg.tol:
             break
+    model.table = flat.reshape(shape)
+    np.add.at(model.visits.ravel(), idx, 1)
     return model
 
 
@@ -219,7 +177,7 @@ def apply_robust_bellman(value_model, q_model: QModel, sample: TransitionSample,
                          eps: float, xi: float) -> float:
     """Sampled pessimistic backup; see the module docstring for the form."""
     q_row = q_model.values(np.array([sample.s]), sample.mu, sample.nu)[0]
-    if value_model.joint_norm and q_model.backend == "tabular":
+    if value_model.joint_norm:
         mb = q_model.mu_binner.bin(sample.mu)
         q_row = q_model.table[int(sample.s), :, mb, :].ravel()
     bootstrap = value_model.value(sample.s_next, sample.mu_next, eps, xi)
@@ -231,27 +189,22 @@ def apply_robust_bellman(value_model, q_model: QModel, sample: TransitionSample,
 
 
 class RobustValueModel:
-    """V(s, mu, eps, xi) = base(s, mu) - (eps + xi + eps*xi) * damp(s, mu)."""
+    """V(s, mu, eps, xi) = base(s, mu) - (eps + xi + eps*xi) * damp(s, mu).
+
+    base and damp are tables over (s, mu_bin).
+    """
 
     def __init__(self, n_states: int, n_actions: int, gamma: float, p=np.inf,
-                 backend: str = "tabular",
                  mu_binner: Optional[MeanFieldBinner] = None,
                  joint_norm: bool = False):
-        if backend not in ("tabular", "linear"):
-            raise InvalidConfigError(f"unknown backend: {backend}")
         self.n_states = n_states
         self.n_actions = n_actions
         self.gamma = gamma
         self.p = p
-        self.backend = backend
         self.joint_norm = joint_norm
         self.mu_binner = mu_binner or MeanFieldBinner()
-        if backend == "tabular":
-            self.base = np.zeros((n_states, self.mu_binner.n_bins))
-            self.damp = np.zeros((n_states, self.mu_binner.n_bins))
-        else:
-            self.base_w = np.zeros(2 * n_states + 1)
-            self.damp_w = np.zeros(2 * n_states + 1)
+        self.base = np.zeros((n_states, self.mu_binner.n_bins))
+        self.damp = np.zeros((n_states, self.mu_binner.n_bins))
 
     @staticmethod
     def budget_weight(eps, xi):
@@ -261,90 +214,60 @@ class RobustValueModel:
             raise InvalidInputError("budgets must lie in [0, 1]")
         return eps + xi + eps * xi
 
-    def _features(self, s, mu):
-        phi = np.zeros(2 * self.n_states + 1)
-        phi[int(s)] = 1.0
-        phi[self.n_states:2 * self.n_states] = np.asarray(mu)
-        phi[-1] = 1.0
-        return phi
-
     def value(self, s, mu, eps: float, xi: float) -> float:
         w = float(self.budget_weight(eps, xi))
-        if self.backend == "tabular":
-            mb = self.mu_binner.bin(mu)
-            return float(self.base[int(s), mb] - w * self.damp[int(s), mb])
-        phi = self._features(s, mu)
-        return float(phi @ self.base_w - w * (phi @ self.damp_w))
+        mb = self.mu_binner.bin(mu)
+        return float(self.base[int(s), mb] - w * self.damp[int(s), mb])
 
     def values(self, states, mu, eps_vec, xi: float) -> np.ndarray:
         """Vectorized per-agent values under a shared mu and xi."""
         states = np.asarray(states, dtype=int)
         w = self.budget_weight(np.asarray(eps_vec, dtype=float), xi)
-        if self.backend == "tabular":
-            mb = self.mu_binner.bin(mu)
-            return self.base[states, mb] - w * self.damp[states, mb]
-        shared = np.asarray(mu) @ self.base_w[self.n_states:2 * self.n_states] + self.base_w[-1]
-        shared_d = np.asarray(mu) @ self.damp_w[self.n_states:2 * self.n_states] + self.damp_w[-1]
-        return (self.base_w[states] + shared) - w * (self.damp_w[states] + shared_d)
+        mb = self.mu_binner.bin(mu)
+        return self.base[states, mb] - w * self.damp[states, mb]
 
     def sup_norm_diff(self, other: "RobustValueModel") -> float:
         """sup over (s, mu-bin, eps, xi) of |V1 - V2|, exact via the w form."""
-        if self.backend != "tabular" or other.backend != "tabular":
-            raise InvalidInputError("sup_norm_diff needs tabular models")
         db = self.base - other.base
         dd = self.damp - other.damp
         return float(np.max(np.maximum(np.abs(db), np.abs(db - W_MAX * dd))))
 
     def save(self, path):
-        lines = [CHECKPOINT_MAGIC, "kind robustvalue", f"backend {self.backend}",
+        flat = np.concatenate([self.base.ravel(), self.damp.ravel()])
+        lines = [CHECKPOINT_MAGIC, "kind robustvalue", "backend tabular",
                  f"n_states {self.n_states}", f"n_actions {self.n_actions}",
                  f"gamma {self.gamma!r}", f"p {self.p!r}",
                  f"joint_norm {int(self.joint_norm)}",
                  f"mu_bins {self.mu_binner.n_bins}", f"mu_levels {self.mu_binner.levels}",
-                 "budget_form base-minus-w-damp w=eps+xi+eps*xi"]
-        if self.backend == "tabular":
-            flat = np.concatenate([self.base.ravel(), self.damp.ravel()])
-        else:
-            flat = np.concatenate([self.base_w, self.damp_w])
-        lines.append(f"values {flat.size}")
+                 "budget_form base-minus-w-damp w=eps+xi+eps*xi",
+                 f"values {flat.size}"]
         lines.extend(f"{v:.17g}" for v in flat)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
     @staticmethod
     def load(path) -> "RobustValueModel":
         header, flat = _read_checkpoint(path, expected_kind="robustvalue")
-        model = RobustValueModel(int(header["n_states"]), int(header["n_actions"]),
-                                 float(header["gamma"]), p=float(header["p"]),
-                                 backend=header["backend"],
-                                 mu_binner=MeanFieldBinner(int(header["mu_bins"]),
-                                                           int(header["mu_levels"])),
-                                 joint_norm=bool(int(header["joint_norm"])))
-        half = flat.size // 2
-        if model.backend == "tabular":
-            model.base = flat[:half].reshape(model.base.shape)
-            model.damp = flat[half:].reshape(model.damp.shape)
-        else:
-            model.base_w, model.damp_w = flat[:half], flat[half:]
+        with malformed_artifact(path):
+            mu_binner = MeanFieldBinner(int(header["mu_bins"]), int(header["mu_levels"]))
+            n_states = int(header["n_states"])
+            # reshape before allocating, so a bad header cannot size the tables
+            base, damp = flat.reshape(2, n_states, mu_binner.n_bins)
+            model = RobustValueModel(n_states, int(header["n_actions"]),
+                                     float(header["gamma"]), p=float(header["p"]),
+                                     mu_binner=mu_binner,
+                                     joint_norm=bool(int(header["joint_norm"])))
+        model.base, model.damp = base, damp
         return model
 
 
 def _q_penalty_rows(q_model: QModel, corpus: TransitionCorpus, qdual: float,
                     joint_norm: bool) -> np.ndarray:
     """||Q(s, ., mu, nu)||_q per transition, own-action row by default."""
-    if q_model.backend == "tabular":
-        if joint_norm:
-            block = q_model.table[corpus.s, :, corpus.mu_bin, :]
-            flatb = block.reshape(block.shape[0], -1)
-        else:
-            flatb = q_model.table[corpus.s, :, corpus.mu_bin, corpus.nu_bin]
+    if joint_norm:
+        block = q_model.table[corpus.s, :, corpus.mu_bin, :]
+        flatb = block.reshape(block.shape[0], -1)
     else:
-        n_s, n_a = q_model.n_states, q_model.n_actions
-        sa = q_model.weights[:n_s * n_a].reshape(n_s, n_a)
-        rest = q_model.weights[n_s * n_a:]
-        shared = (corpus.step_mu @ rest[:n_s] + corpus.step_nu @ rest[n_s:n_s + n_a]
-                  + rest[-1])
-        flatb = sa[corpus.s] + shared[corpus.step_idx][:, None]
+        flatb = q_model.table[corpus.s, :, corpus.mu_bin, corpus.nu_bin]
     if np.isinf(qdual):
         return np.abs(flatb).max(axis=1)
     return (np.abs(flatb) ** qdual).sum(axis=1) ** (1.0 / qdual)
@@ -371,63 +294,35 @@ def fit_robust_value(q_model: QModel, trajectories, cfg: FitConfig) -> RobustVal
     """
     cfg.validate()
     model = RobustValueModel(q_model.n_states, q_model.n_actions, q_model.gamma,
-                             p=cfg.p, backend=cfg.backend, mu_binner=q_model.mu_binner,
+                             p=cfg.p, mu_binner=q_model.mu_binner,
                              joint_norm=cfg.joint_norm)
     corpus = build_corpus(trajectories, q_model.n_states, q_model.n_actions,
                           q_model.mu_binner, q_model.nu_binner)
     penalty = _q_penalty_rows(q_model, corpus, dual_order(cfg.p), cfg.joint_norm)
     gamma = q_model.gamma
 
-    if cfg.backend == "tabular":
-        mb_count = model.mu_binner.n_bins
-        cell = corpus.s * mb_count + corpus.mu_bin
-        cell2 = corpus.s2 * mb_count + corpus.mu_bin2
-        n_cells = q_model.n_states * mb_count
-        cnt = np.bincount(cell, minlength=n_cells).astype(float)
-        visited = cnt > 0
-        denom = np.maximum(cnt, 1.0)
-        base = np.zeros(n_cells)
-        damp = np.zeros(n_cells)
-        for _ in range(cfg.sweeps):
-            base_t = corpus.r + gamma * base[cell2]
-            damp_t = penalty + gamma * damp[cell2]
-            new_base = np.where(visited, np.bincount(cell, weights=base_t,
-                                                     minlength=n_cells) / denom, 0.0)
-            new_damp = np.where(visited, np.bincount(cell, weights=damp_t,
-                                                     minlength=n_cells) / denom, 0.0)
-            delta = max(np.max(np.abs(new_base - base)), np.max(np.abs(new_damp - damp)))
-            base, damp = new_base, new_damp
-            if delta < cfg.tol:
-                break
-        model.base = base.reshape(q_model.n_states, mb_count)
-        model.damp = damp.reshape(q_model.n_states, mb_count)
-        return model
-
-    # linear backend: the same two component systems over shared features
-    n = corpus.size
-    s_dim = q_model.n_states
-    phi = np.zeros((n, 2 * s_dim + 1))
-    phi[np.arange(n), corpus.s] = 1.0
-    phi[:, s_dim:2 * s_dim] = corpus.step_mu[corpus.step_idx]
-    phi[:, -1] = 1.0
-    phi2 = np.zeros((n, 2 * s_dim + 1))
-    phi2[np.arange(n), corpus.s2] = 1.0
-    phi2[:, s_dim:2 * s_dim] = corpus.step_mu[corpus.step_idx2]
-    phi2[:, -1] = 1.0
-    gram = phi.T @ phi + cfg.ridge * np.eye(phi.shape[1])
-    base_w = np.zeros(phi.shape[1])
-    damp_w = np.zeros(phi.shape[1])
+    mb_count = model.mu_binner.n_bins
+    cell = corpus.s * mb_count + corpus.mu_bin
+    cell2 = corpus.s2 * mb_count + corpus.mu_bin2
+    n_cells = q_model.n_states * mb_count
+    cnt = np.bincount(cell, minlength=n_cells).astype(float)
+    visited = cnt > 0
+    denom = np.maximum(cnt, 1.0)
+    base = np.zeros(n_cells)
+    damp = np.zeros(n_cells)
     for _ in range(cfg.sweeps):
-        base_targets = corpus.r + gamma * (phi2 @ base_w)
-        damp_targets = penalty + gamma * (phi2 @ damp_w)
-        new_base = np.linalg.solve(gram, phi.T @ base_targets)
-        new_damp = np.linalg.solve(gram, phi.T @ damp_targets)
-        delta = max(np.max(np.abs(new_base - base_w)), np.max(np.abs(new_damp - damp_w)))
-        base_w, damp_w = new_base, new_damp
+        base_t = corpus.r + gamma * base[cell2]
+        damp_t = penalty + gamma * damp[cell2]
+        new_base = np.where(visited, np.bincount(cell, weights=base_t,
+                                                 minlength=n_cells) / denom, 0.0)
+        new_damp = np.where(visited, np.bincount(cell, weights=damp_t,
+                                                 minlength=n_cells) / denom, 0.0)
+        delta = max(np.max(np.abs(new_base - base)), np.max(np.abs(new_damp - damp)))
+        base, damp = new_base, new_damp
         if delta < cfg.tol:
             break
-    model.base_w = base_w
-    model.damp_w = damp_w
+    model.base = base.reshape(q_model.n_states, mb_count)
+    model.damp = damp.reshape(q_model.n_states, mb_count)
     return model
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import BudgetVector, seed_rng
 from .errors import InvalidConfigError, InvalidInputError
-from .qlearn import ReplayBuffer
+from .qlearn import ReplayBuffer, exploration_eps, malformed_artifact, write_atomic
 
 BRUTE_FORCE_CAP = 3000
 
@@ -79,13 +79,13 @@ def save_attack_set(attack: AttackSet, path, seed=None):
     if attack.pick_rewards is not None:
         lines.append("pick_rewards " + " ".join(repr(float(r))
                                                 for r in attack.pick_rewards))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_attack_set(path) -> AttackSet:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    with malformed_artifact(path):
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != ATTACKSET_MAGIC:
         raise InvalidInputError(f"not an attack-set record: {path}")
     fields = {}
@@ -93,13 +93,14 @@ def load_attack_set(path) -> AttackSet:
         if ln.strip():
             key, _, rest = ln.partition(" ")
             fields[key] = rest
-    ids = np.array([int(x) for x in fields.get("ids", "").split()], dtype=int)
-    drop = fields.get("predicted_drop")
-    picks = fields.get("pick_rewards")
-    return AttackSet(
-        ids, float(fields["eps"]), fields["method"],
-        predicted_drop=None if drop is None else float(drop),
-        pick_rewards=None if picks is None else np.array([float(x) for x in picks.split()]))
+    with malformed_artifact(path):
+        ids = np.array([int(x) for x in fields.get("ids", "").split()], dtype=int)
+        drop = fields.get("predicted_drop")
+        picks = fields.get("pick_rewards")
+        return AttackSet(
+            ids, float(fields["eps"]), fields["method"],
+            predicted_drop=None if drop is None else float(drop),
+            pick_rewards=None if picks is None else np.array([float(x) for x in picks.split()]))
 
 
 def selector_reward(value_model, states0, mu0, budget_prev: BudgetVector,
@@ -268,8 +269,7 @@ def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig,
                 for cand in range(n) if budget.eps[cand] == 0}
 
     for ep in range(cfg.episodes):
-        cut = max(1, int(cfg.episodes * cfg.eps_fraction))
-        explore = cfg.eps_start + min(1.0, ep / cut) * (cfg.eps_final - cfg.eps_start)
+        explore = exploration_eps(cfg, ep)
         budget = BudgetVector.zeros(n)
         total, picks = 0.0, []
         for step in range(k):

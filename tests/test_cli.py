@@ -124,3 +124,21 @@ def test_bad_config_exits_with_error(tmp_path, capsys):
         tmp_path, selection={"methods": ["greedy"], "k": 9})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert "exceeds population" in capsys.readouterr().err
+
+
+def test_damaged_artifact_exits_with_error(tmp_path, capsys):
+    cfg_path, raw = write_config(tmp_path)
+    assert main(["pipeline", "--config", str(cfg_path)]) == 0
+    paths = RunPaths(raw["out_dir"])
+    value = paths.value_model(0)
+    lines = open(value).read().splitlines()
+    lines[-1] = "not-a-number"
+    with open(value, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    os.remove(paths.victim_policy(0) + ".q")
+    capsys.readouterr()
+
+    assert main(["heatmap", "--config", str(cfg_path)]) == 2
+    assert value in capsys.readouterr().err
+    assert main(["attack", "--config", str(cfg_path)]) == 2
+    assert paths.victim_policy(0) + ".q" in capsys.readouterr().err

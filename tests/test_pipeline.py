@@ -48,6 +48,14 @@ def test_unknown_section_key_names_the_section():
     raw = base_raw(victim={"episodes": 10, "learning_rate": 0.5})
     with pytest.raises(ConfigParseError, match="'learning_rate'.*section 'victim'"):
         parse_experiment_config(raw)
+    # the learners are tabular only; their old backend knobs are unknown keys
+    for section, key, value in (("victim", "backend", "tabular"),
+                                ("adversary", "backend", "tabular"),
+                                ("value", "backend", "linear"),
+                                ("value", "ridge", 1e-8)):
+        raw = base_raw(**{section: {key: value}})
+        with pytest.raises(ConfigParseError, match=f"'{key}'.*section '{section}'"):
+            parse_experiment_config(raw)
 
 
 def test_env_section_is_required():

@@ -1,8 +1,16 @@
 """Victim training, Boltzmann policies, rollouts, and checkpoints."""
 
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mfvuln import qlearn
+from mfvuln.attack import AdversaryConfig
 from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import (InvalidConfigError, InvalidInputError,
@@ -10,6 +18,8 @@ from mfvuln.errors import (InvalidConfigError, InvalidInputError,
 from mfvuln.qlearn import (BoltzmannPolicy, MeanFieldBinner, QModel, ReplayBuffer,
                            TablePolicy, TrainConfig, UniformPolicy, evaluate_policy,
                            exploration_eps, rollout, softmax_rows, train_victim)
+from mfvuln.robust import RobustValueModel
+from mfvuln.selection import AttackSet, SelectorRLConfig, load_attack_set, save_attack_set
 
 
 def two_state_env(gamma=0.9, c0=0.25):
@@ -135,11 +145,14 @@ def test_train_config_validation():
 
 
 def test_exploration_schedule():
-    cfg = TrainConfig(episodes=100, eps_start=1.0, eps_final=0.1, eps_fraction=0.5)
-    assert exploration_eps(cfg, 0) == pytest.approx(1.0)
-    assert exploration_eps(cfg, 25) == pytest.approx(0.55)
-    assert exploration_eps(cfg, 50) == pytest.approx(0.1)
-    assert exploration_eps(cfg, 99) == pytest.approx(0.1)
+    # the victim, the adversary and the learned selector share one schedule
+    schedule = dict(episodes=100, eps_start=1.0, eps_final=0.1, eps_fraction=0.5)
+    for cfg in (TrainConfig(**schedule), AdversaryConfig(**schedule),
+                SelectorRLConfig(**schedule)):
+        assert exploration_eps(cfg, 0) == pytest.approx(1.0)
+        assert exploration_eps(cfg, 25) == pytest.approx(0.55)
+        assert exploration_eps(cfg, 50) == pytest.approx(0.1)
+        assert exploration_eps(cfg, 99) == pytest.approx(0.1)
 
 
 # -- rollouts --------------------------------------------------------------------
@@ -198,12 +211,11 @@ def test_evaluate_policy_shape_and_determinism():
 # -- model plumbing -----------------------------------------------------------------
 
 
-def test_qmodel_backends_agree_on_shapes():
-    for backend in ("tabular", "linear"):
-        m = QModel(4, 3, 0.9, backend=backend)
-        vals = m.values(np.array([0, 2, 3]), np.full(4, 0.25), np.full(3, 1 / 3))
-        assert vals.shape == (3, 3)
-        assert np.all(np.isfinite(vals))
+def test_qmodel_values_shape():
+    m = QModel(4, 3, 0.9)
+    vals = m.values(np.array([0, 2, 3]), np.full(4, 0.25), np.full(3, 1 / 3))
+    assert vals.shape == (3, 3)
+    assert np.all(np.isfinite(vals))
 
 
 def test_qmodel_td_update_moves_toward_target():
@@ -218,8 +230,6 @@ def test_qmodel_rejects_bad_config():
     with pytest.raises(InvalidConfigError):
         QModel(2, 2, 1.0)
     with pytest.raises(InvalidConfigError):
-        QModel(2, 2, 0.9, backend="deep")
-    with pytest.raises(InvalidConfigError):
         MeanFieldBinner(0)
 
 
@@ -233,7 +243,7 @@ def test_binner_behaviour():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    m = QModel(3, 2, 0.95, backend="tabular", mu_binner=MeanFieldBinner(4, 3))
+    m = QModel(3, 2, 0.95, mu_binner=MeanFieldBinner(4, 3))
     m.table += seed_rng(0).random(m.table.shape)
     m.nu_hat = np.array([0.25, 0.75])
     path = tmp_path / "model.q"
@@ -266,6 +276,111 @@ def test_checkpoint_kind_mismatch(tmp_path):
     bad.write_text("not a checkpoint\n")
     with pytest.raises(InvalidInputError):
         QModel.load(bad)
+    # only the tabular backend exists; its header line is still checked
+    for name, load in (("model.q", QModel.load), ("value.robust", RobustValueModel.load)):
+        text = ARTIFACTS[name].replace("backend tabular", "backend linear")
+        (tmp_path / name).write_text(text)
+        with pytest.raises(InvalidInputError, match="backend 'linear'"):
+            load(tmp_path / name)
+
+
+def _saved_artifacts():
+    """Text of one saved QModel, BoltzmannPolicy, RobustValueModel and attack set."""
+    q = QModel(2, 3, 0.9, mu_binner=MeanFieldBinner(2, 3))
+    q.table += seed_rng(5).random(q.table.shape)
+    v = RobustValueModel(3, 2, 0.9, mu_binner=MeanFieldBinner(2, 4))
+    v.base += 1.5
+    v.damp += 0.25
+    attack = AttackSet([2, 0], 0.5, "greedy", predicted_drop=0.3,
+                       pick_rewards=np.array([0.2, 0.1]))
+    with tempfile.TemporaryDirectory() as d:
+        q.save(os.path.join(d, "model.q"))
+        BoltzmannPolicy(q, 0.2).save(os.path.join(d, "victim.policy"))
+        v.save(os.path.join(d, "value.robust"))
+        save_attack_set(attack, os.path.join(d, "attack.txt"), seed=0)
+        return {name: Path(d, name).read_text() for name in sorted(os.listdir(d))}
+
+
+ARTIFACTS = _saved_artifacts()
+LOADERS = {"model.q": QModel.load, "victim.policy": BoltzmannPolicy.load,
+           "victim.policy.q": lambda path: BoltzmannPolicy.load(path[:-2]),
+           "value.robust": RobustValueModel.load, "attack.txt": load_attack_set}
+
+
+def _write_artifacts(directory, texts):
+    for name, text in texts.items():
+        Path(directory, name).write_text(text, encoding="utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(ARTIFACTS)), data=st.data())
+def test_damaged_artifact_loads_or_raises_invalid_input(name, data):
+    lines = ARTIFACTS[name].splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    edit = data.draw(st.sampled_from(["delete", "truncate", "rewrite"]), label="edit")
+    if edit == "delete":
+        lines = lines[:i] + lines[i + 1:]
+    elif edit == "truncate":
+        lines = lines[:i] + [lines[i][:data.draw(st.integers(0, len(lines[i])))]]
+    else:
+        key = lines[i].partition(" ")[0]
+        text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+        lines[i] = data.draw(st.one_of(
+            text, text.map(lambda v: f"{key} {v}"),
+            st.integers().map(lambda v: f"{key} {v}"),
+            st.floats().map(lambda v: f"{key} {v!r}")), label="new line")
+    with tempfile.TemporaryDirectory() as d:
+        _write_artifacts(d, {**ARTIFACTS, name: "\n".join(lines)})
+        path = os.path.join(d, name)
+        try:
+            LOADERS[name](path)
+        except InvalidInputError as exc:
+            assert path in str(exc)
+
+
+def test_missing_policy_companion_raises_invalid_input(tmp_path):
+    _write_artifacts(tmp_path, {"victim.policy": ARTIFACTS["victim.policy"]})
+    with pytest.raises(InvalidInputError, match="victim.policy.q"):
+        BoltzmannPolicy.load(str(tmp_path / "victim.policy"))
+
+
+class _DiskFullFile:
+    """Writes the first half of what it is given, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    _write_artifacts(tmp_path, ARTIFACTS)
+    before = {name: Path(tmp_path, name).read_bytes() for name in ARTIFACTS}
+    savers = {
+        "model.q": QModel(2, 2, 0.5).save,
+        "victim.policy": BoltzmannPolicy(QModel(2, 2, 0.5), 0.3).save,
+        "value.robust": RobustValueModel(3, 2, 0.5).save,
+        "attack.txt": lambda path: save_attack_set(AttackSet([1], 0.5, "dc"), path),
+        "new.q": QModel(2, 2, 0.5).save,
+    }
+    real_open = open
+    monkeypatch.setattr(qlearn, "open",
+                        lambda path, *a, **kw: _DiskFullFile(real_open(path, *a, **kw)),
+                        raising=False)
+    for name, save in savers.items():
+        with pytest.raises(OSError, match="no space"):
+            save(str(tmp_path / name))
+    assert sorted(os.listdir(tmp_path)) == sorted(ARTIFACTS)
+    assert {name: Path(tmp_path, name).read_bytes() for name in ARTIFACTS} == before
 
 
 def test_replay_buffer_fifo():

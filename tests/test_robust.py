@@ -249,19 +249,6 @@ def test_joint_norm_equals_row_norm_with_a_single_nu_bin():
     assert joint.joint_norm and not flat.joint_norm
 
 
-def test_linear_backend_fits_the_chain():
-    env, policy, pi_act, succ = chain_env()
-    v, _ = chain_solution(env, pi_act, succ)
-    trajs = chain_trajectories(env, policy)
-    cfg = FitConfig(backend="linear", sweeps=600)
-    qmodel = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, cfg)
-    vmodel = fit_robust_value(qmodel, trajs, cfg)
-    # with one agent mu is the one-hot of its own state, so probe it that way
-    vals = [vmodel.value(s, np.eye(5)[s], 0.0, 0.0) for s in range(5)]
-    assert np.all(np.isfinite(vals))
-    assert np.allclose(vals, v, atol=1e-4)
-
-
 # -- corpus ----------------------------------------------------------------------
 
 
@@ -271,7 +258,7 @@ def test_corpus_pairs_consecutive_steps():
     binner = MeanFieldBinner(1, 4)
     corpus = build_corpus([traj], env.n_states, env.n_actions, binner, binner)
     assert corpus.size == (len(traj.steps) - 1) * env.n_agents
-    assert corpus.step_mu.shape == (len(traj.steps), env.n_states)
+    assert corpus.step_nu.shape == (len(traj.steps), env.n_actions)
     assert np.all(corpus.s2[:-1] == corpus.s[1:])  # single agent chains line up
 
 
@@ -384,8 +371,6 @@ def test_sup_norm_diff_scans_the_budget_extremes():
 
 
 def test_fit_config_validation():
-    with pytest.raises(InvalidConfigError):
-        FitConfig(backend="mlp").validate()
     with pytest.raises(InvalidConfigError):
         FitConfig(sweeps=0).validate()
     with pytest.raises(InvalidConfigError):
