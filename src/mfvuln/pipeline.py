@@ -1,11 +1,12 @@
 """Experiment harness: strict config, staged pipeline, append-only results.
 
-A run owns one output directory.  Three stages execute in order per seed:
-train the cooperative victim, fit the budget-conditioned value model on its
-rollouts, then select attack sets and train/evaluate adversaries for each
-configured method.  Every stage writes a checkpoint and is skipped when its
-artifact already exists, so a rerun with the same config touches nothing
-and leaves the ledger byte-identical.
+A run (``Run``) owns one output directory, which holds one experiment.
+Three stages execute in order per seed: train the cooperative victim, fit
+the budget-conditioned value model on its rollouts, then select attack sets
+and train/evaluate adversaries for each configured method.  Every stage
+goes through the run: an artifact is reused when its file exists, else
+computed and saved, and a stage's ledger rows are written once, so a rerun
+with the same config touches nothing and leaves the ledger byte-identical.
 
 The ledger is an append-only CSV keyed by a hash of the config; analysis
 helpers (Pearson correlation of predicted vs realized attack damage, and
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import warnings
@@ -49,6 +51,12 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return FLOAT_FMT % value
     return str(value)
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _build_section(dc_cls, raw, section: str):
@@ -235,14 +243,14 @@ class ResultsLedger:
     def __init__(self, path):
         self.path = path
         if not os.path.exists(path):
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerow(self.COLUMNS)
+            write_atomic(path, _csv_text([self.COLUMNS]))
 
-    def append(self, experiment: str, stage: str, method: str, seed, metric: str,
-               value):
+    def append(self, rows):
+        """Append (experiment, stage, method, seed, metric, value) rows in one write."""
+        text = _csv_text([exp, stage, method, str(seed), metric, _fmt(value)]
+                         for exp, stage, method, seed, metric, value in rows)
         with open(self.path, "a", newline="") as fh:
-            csv.writer(fh).writerow([experiment, stage, method, str(seed),
-                                     metric, _fmt(value)])
+            fh.write(text)
 
     def rows(self):
         with open(self.path, newline="") as fh:
@@ -310,6 +318,12 @@ def sample_attack_subsets(n_agents: int, n_subsets: int, seed, eps: float = 1.0,
     return subsets
 
 
+def _start(env, seed: int):
+    """States and state mean field of the episode start for a seed."""
+    states0 = env.reset(seed=seed).states
+    return states0, empirical_mean_field_state(states0, env.n_states).probs
+
+
 def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
                                    adv_cfg: AdversaryConfig, episodes: int, seed,
                                    out_csv=None):
@@ -322,9 +336,7 @@ def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
     """
     if len(subsets) < 10:
         raise InvalidInputError("need at least 10 attack subsets")
-    snap0 = env.reset(seed=seed)
-    states0 = snap0.states
-    mu0 = empirical_mean_field_state(states0, env.n_states).probs
+    states0, mu0 = _start(env, seed)
     rows = []
     for j, attack in enumerate(subsets):
         budgets = attack.budgets(env.n_agents)
@@ -336,12 +348,8 @@ def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
         rows.append((pred, report.mean_return))
     r = pearson([p for p, _ in rows], [m for _, m in rows])
     if out_csv:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["predicted_drop", "realized_return"])
-        for p, m in rows:
-            w.writerow([_fmt(p), _fmt(m)])
-        write_atomic(out_csv, buf.getvalue())
+        write_atomic(out_csv, _csv_text([("predicted_drop", "realized_return")]
+                                        + [(_fmt(p), _fmt(m)) for p, m in rows]))
     return r, rows
 
 
@@ -367,10 +375,7 @@ def export_heatmap(value_model, env, snapshot, mode: str, out_csv=None) -> np.nd
     rows, cols = agent_layout(n)
     grid = drops.reshape(rows, cols)
     if out_csv:
-        with open(out_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in grid:
-                w.writerow([_fmt(v) for v in row])
+        write_atomic(out_csv, _csv_text([_fmt(v) for v in row] for row in grid))
     return grid
 
 
@@ -413,82 +418,118 @@ class RunPaths:
 
 
 def write_trajectories_csv(path, trajectories):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["episode", "t", "reward", "states", "actions"])
-        for ep, traj in enumerate(trajectories):
-            for st in traj.steps:
-                w.writerow([ep, st.t, _fmt(st.reward),
-                            ";".join(str(s) for s in st.states),
-                            ";".join(str(a) for a in st.actions)])
+    rows = ((ep, st.t, _fmt(st.reward), ";".join(str(s) for s in st.states),
+             ";".join(str(a) for a in st.actions))
+            for ep, traj in enumerate(trajectories) for st in traj.steps)
+    write_atomic(path, _csv_text(itertools.chain(
+        [("episode", "t", "reward", "states", "actions")], rows)))
 
 
-def load_victim(paths: RunPaths, seed) -> BoltzmannPolicy:
-    path = paths.victim_policy(seed)
-    if not os.path.exists(path):
-        raise StageDependencyError(
-            f"missing victim checkpoint {path}; run train-victim first")
-    return BoltzmannPolicy.load(path)
+def _save(obj, path, seed):
+    obj.save(path)
 
 
-def load_value_model(paths: RunPaths, seed) -> RobustValueModel:
-    path = paths.value_model(seed)
-    if not os.path.exists(path):
-        raise StageDependencyError(
-            f"missing value checkpoint {path}; run fit-value first")
-    return RobustValueModel.load(path)
+# RunPaths method naming a stage artifact -> (loader, saver, command that makes it)
+ARTIFACTS = {
+    "victim_policy": (BoltzmannPolicy.load, _save, "train-victim"),
+    "value_model": (RobustValueModel.load, _save, "fit-value"),
+    "attack_set": (load_attack_set, save_attack_set, "select"),
+    "adversary": (BoltzmannPolicy.load, _save, "attack"),
+}
 
 
-def stage_train_victim(cfg: ExperimentConfig, env, seed: int, paths: RunPaths,
-                       ledger: ResultsLedger, exp: str):
-    path = paths.victim_policy(seed)
-    vcfg = replace(cfg.victim, seed=seed)
-    if os.path.exists(path):
-        policy = BoltzmannPolicy.load(path)
-    else:
-        _, policy, _ = train_victim(env, vcfg)
-        policy.save(path)
-    if not ledger.has(exp, "victim", seed=seed):
+class Run:
+    """One experiment in its output directory, and the plumbing its stages share.
+
+    ``artifact`` reuses a stage's file or computes and saves it, and
+    ``record`` writes a stage's ledger rows once.  Objects loaded or computed
+    are kept for the rest of the run.  Files are not keyed by config, so a
+    directory holds one experiment: a ledger naming another one is refused.
+    """
+
+    def __init__(self, config, out_dir=None, seeds=None):
+        if isinstance(config, (str, os.PathLike)):
+            config = load_experiment_config(config)
+        if out_dir is not None:
+            config = replace(config, out_dir=str(out_dir))
+        if seeds is not None:
+            config = replace(config, seeds=list(seeds))
+        self.cfg, self.exp = config, experiment_id(config)
+        self.env = make_env(config.env)
+        os.makedirs(config.out_dir, exist_ok=True)
+        self.paths = RunPaths(config.out_dir)
+        self.ledger = ResultsLedger(self.paths.ledger())
+        others = sorted({r["experiment_id"] for r in self.ledger.rows()} - {self.exp})
+        if others:
+            raise InvalidConfigError(
+                f"{config.out_dir} holds experiment {others[0]}, not {self.exp}; "
+                "a changed config needs its own out_dir")
+        self._kept = {}
+
+    def artifact(self, kind: str, seed: int, *key, compute=None):
+        """The file RunPaths.<kind>(seed, *key): kept, loaded, or computed and saved."""
+        path = getattr(self.paths, kind)(seed, *key)
+        if path not in self._kept:
+            load, save, command = ARTIFACTS[kind]
+            if os.path.exists(path):
+                self._kept[path] = load(path)
+            elif compute is None:
+                raise StageDependencyError(f"missing {path}; run {command} first")
+            else:
+                self._kept[path] = compute()
+                save(self._kept[path], path, seed)
+        return self._kept[path]
+
+    def record(self, stage: str, seed: int, rows):
+        """Append rows() as (method, metric, value) ledger rows unless the stage has them."""
+        if not self.ledger.has(self.exp, stage, seed=seed):
+            self.ledger.append([(self.exp, stage, method, seed, metric, value)
+                                for method, metric, value in rows()])
+
+
+def stage_train_victim(run: Run, seed: int):
+    env, vcfg = run.env, replace(run.cfg.victim, seed=seed)
+    policy = run.artifact("victim_policy", seed,
+                          compute=lambda: train_victim(env, vcfg)[1])
+
+    def rows():
         trained = evaluate_policy(env, policy, vcfg.eval_episodes, seed=(seed, 1))
         uniform = evaluate_policy(env, UniformPolicy(env.n_actions),
                                   vcfg.eval_episodes, seed=(seed, 1))
-        ledger.append(exp, "victim", "mfq", seed, "victim_return",
-                      float(trained.mean()))
-        ledger.append(exp, "victim", "mfq", seed, "victim_std",
-                      float(trained.std(ddof=1)))
-        ledger.append(exp, "victim", "uniform", seed, "victim_return",
-                      float(uniform.mean()))
+        return [("mfq", "victim_return", float(trained.mean())),
+                ("mfq", "victim_std", float(trained.std(ddof=1))),
+                ("uniform", "victim_return", float(uniform.mean()))]
+
+    run.record("victim", seed, rows)
     return policy
 
 
-def stage_fit_value(cfg: ExperimentConfig, env, victim_policy, seed: int,
-                    paths: RunPaths, ledger: ResultsLedger, exp: str):
-    path = paths.value_model(seed)
-    if os.path.exists(path):
-        vmodel = RobustValueModel.load(path)
-    else:
-        if victim_policy is None:
-            victim_policy = load_victim(paths, seed)
-        corpus_seeds = np.random.SeedSequence((seed, 2)).spawn(cfg.value.rollouts)
-        trajs = [rollout(env, victim_policy, s) for s in corpus_seeds]
-        write_trajectories_csv(paths.trajectories(seed), trajs)
-        fit_cfg = cfg.value.fit_config(seed)
-        q_model = fit_cooperative_q(trajs, env.n_states, env.n_actions,
-                                    env.gamma, fit_cfg)
-        vmodel = fit_robust_value(q_model, trajs, fit_cfg)
-        vmodel.save(path)
-    if not ledger.has(exp, "value", seed=seed):
-        snap0 = env.reset(seed=seed)
-        mu0 = empirical_mean_field_state(snap0.states, env.n_states).probs
-        v0 = vmodel.values(snap0.states, mu0, np.zeros(env.n_agents), 0.0)
-        ledger.append(exp, "value", "tabular", seed, "v0_mean",
-                      float(v0.mean()))
+def _fit_value(run: Run, seed: int) -> RobustValueModel:
+    env, victim = run.env, run.artifact("victim_policy", seed)
+    corpus_seeds = np.random.SeedSequence((seed, 2)).spawn(run.cfg.value.rollouts)
+    trajs = [rollout(env, victim, s) for s in corpus_seeds]
+    write_trajectories_csv(run.paths.trajectories(seed), trajs)
+    fit_cfg = run.cfg.value.fit_config(seed)
+    q_model = fit_cooperative_q(trajs, env.n_states, env.n_actions, env.gamma, fit_cfg)
+    return fit_robust_value(q_model, trajs, fit_cfg)
+
+
+def stage_fit_value(run: Run, seed: int):
+    env = run.env
+    vmodel = run.artifact("value_model", seed, compute=lambda: _fit_value(run, seed))
+
+    def rows():
+        states0, mu0 = _start(env, seed)
+        v0 = vmodel.values(states0, mu0, np.zeros(env.n_agents), 0.0)
+        return [("tabular", "v0_mean", float(v0.mean()))]
+
+    run.record("value", seed, rows)
     return vmodel
 
 
-def _run_selector(method: str, cfg: ExperimentConfig, env, victim_policy, vmodel,
-                  states0, mu0, seed: int, paths: RunPaths):
-    sel = cfg.selection
+def _run_selector(method: str, run: Run, victim_policy, vmodel, states0, mu0,
+                  seed: int):
+    cfg, env, sel = run.cfg, run.env, run.cfg.selection
     if method == "greedy":
         return select_greedy(vmodel, states0, mu0, sel.k, sel.eps)
     if method == "rl":
@@ -514,99 +555,79 @@ def _run_selector(method: str, cfg: ExperimentConfig, env, victim_policy, vmodel
 
         attack, table = select_bruteforce(evaluate_subset, env.n_agents, sel.k,
                                           sel.eps, cap=sel.brute_cap)
-        with open(paths.brute_scores(seed), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["subset", "victim_return"])
-            for subset, ret in table:
-                w.writerow([";".join(str(i) for i in subset), _fmt(ret)])
+        write_atomic(run.paths.brute_scores(seed), _csv_text(
+            [("subset", "victim_return")]
+            + [(";".join(str(i) for i in subset), _fmt(ret)) for subset, ret in table]))
         return attack
     raise InvalidConfigError(f"unknown selection method: {method}")
 
 
-def stage_select(cfg: ExperimentConfig, env, victim_policy, vmodel, seed: int,
-                 paths: RunPaths, ledger: ResultsLedger, exp: str):
-    snap0 = env.reset(seed=seed)
-    states0 = snap0.states
-    mu0 = empirical_mean_field_state(states0, env.n_states).probs
-    attacks = {}
-    for method in cfg.selection.methods:
-        apath = paths.attack_set(seed, method)
-        if os.path.exists(apath):
-            attack = load_attack_set(apath)
-        else:
-            attack = _run_selector(method, cfg, env, victim_policy, vmodel,
-                                   states0, mu0, seed, paths)
-            save_attack_set(attack, apath, seed=seed)
-        if not ledger.has(exp, "select", seed=seed, method=method):
-            pred = attack.predicted_drop
-            if pred is None:
-                pred = predicted_drop(vmodel, states0, mu0,
-                                      attack.budgets(env.n_agents))
-            ledger.append(exp, "select", method, seed, "predicted_drop", pred)
-        attacks[method] = attack
+def stage_select(run: Run, seed: int):
+    env = run.env
+    victim = run.artifact("victim_policy", seed)
+    vmodel = run.artifact("value_model", seed)
+    states0, mu0 = _start(env, seed)
+    attacks = {method: run.artifact(
+        "attack_set", seed, method,
+        compute=lambda m=method: _run_selector(m, run, victim, vmodel, states0,
+                                               mu0, seed))
+        for method in run.cfg.selection.methods}
+
+    def rows():
+        return [(method, "predicted_drop",
+                 predicted_drop(vmodel, states0, mu0, attack.budgets(env.n_agents))
+                 if attack.predicted_drop is None else attack.predicted_drop)
+                for method, attack in attacks.items()]
+
+    run.record("select", seed, rows)
     return attacks
 
 
-def stage_attack(cfg: ExperimentConfig, env, victim_policy, seed: int,
-                 paths: RunPaths, ledger: ResultsLedger, exp: str):
+def stage_attack(run: Run, seed: int):
+    env, victim = run.env, run.artifact("victim_policy", seed)
+    acfg = run.cfg.adversary.adversary_config(seed)
     policies = {}
-    for method in cfg.selection.methods:
-        apath = paths.attack_set(seed, method)
-        if not os.path.exists(apath):
-            raise StageDependencyError(
-                f"missing attack set {apath}; run select first")
-        attack = load_attack_set(apath)
-        advpath = paths.adversary(seed, method)
-        if os.path.exists(advpath):
-            adv_policy = BoltzmannPolicy.load(advpath)
-        else:
-            _, adv_policy, _ = train_adversary(env, victim_policy,
-                                               attack.budgets(env.n_agents),
-                                               cfg.adversary.adversary_config(seed))
-            adv_policy.save(advpath)
-        policies[method] = adv_policy
+    for method in run.cfg.selection.methods:
+        budgets = run.artifact("attack_set", seed, method).budgets(env.n_agents)
+        policies[method] = run.artifact(
+            "adversary", seed, method,
+            compute=lambda: train_adversary(env, victim, budgets, acfg)[1])
     return policies
 
 
-def stage_evaluate(cfg: ExperimentConfig, env, victim_policy, seed: int,
-                   paths: RunPaths, ledger: ResultsLedger, exp: str):
-    for method in cfg.selection.methods:
-        apath = paths.attack_set(seed, method)
-        advpath = paths.adversary(seed, method)
-        if not os.path.exists(apath):
-            raise StageDependencyError(
-                f"missing attack set {apath}; run select first")
-        if not os.path.exists(advpath):
-            raise StageDependencyError(
-                f"missing adversary checkpoint {advpath}; run attack first")
-        if ledger.has(exp, "attack", seed=seed, method=method):
-            continue
-        attack = load_attack_set(apath)
-        adv_policy = BoltzmannPolicy.load(advpath)
-        report = evaluate_attack(env, victim_policy, attack.budgets(env.n_agents),
-                                 cfg.adversary.eval_episodes, seed=(seed, 3),
-                                 adversary_policy=adv_policy)
-        ledger.append(exp, "attack", method, seed, "attacked_return",
-                      report.mean_return)
-        ledger.append(exp, "attack", method, seed, "attacked_std",
-                      report.std_return)
-        ledger.append(exp, "attack", method, seed, "coop_return",
-                      report.baseline_mean)
+def stage_evaluate(run: Run, seed: int):
+    env, victim = run.env, run.artifact("victim_policy", seed)
+    pairs = {method: (run.artifact("attack_set", seed, method),
+                      run.artifact("adversary", seed, method))
+             for method in run.cfg.selection.methods}
+
+    def rows():
+        out = []
+        for method, (attack, adv_policy) in pairs.items():
+            report = evaluate_attack(env, victim, attack.budgets(env.n_agents),
+                                     run.cfg.adversary.eval_episodes, seed=(seed, 3),
+                                     adversary_policy=adv_policy)
+            out += [(method, "attacked_return", report.mean_return),
+                    (method, "attacked_std", report.std_return),
+                    (method, "coop_return", report.baseline_mean)]
+        return out
+
+    run.record("attack", seed, rows)
 
 
-def stage_correlate(cfg: ExperimentConfig, env, seed: int, paths: RunPaths,
-                    ledger: ResultsLedger, exp: str) -> float:
+def stage_correlate(run: Run, seed: int) -> float:
     """Predicted drop vs realized attacked return over random subsets; returns r.
 
     Skipped when this experiment's ledger row and the scatter CSV both
     exist: r is read back from the ledger and nothing is trained or written.
     """
-    row = ledger.find(exp, "correlate", seed=seed)
-    out_csv = paths.correlation(seed)
+    cfg, env = run.cfg, run.env
+    row = run.ledger.find(run.exp, "correlate", seed=seed)
+    out_csv = run.paths.correlation(seed)
     if row is not None and os.path.exists(out_csv):
         return float(row["value"])
-    victim = load_victim(paths, seed)
-    vmodel = load_value_model(paths, seed)
+    victim = run.artifact("victim_policy", seed)
+    vmodel = run.artifact("value_model", seed)
     subsets = sample_attack_subsets(
         env.n_agents, cfg.correlation.n_subsets, seed, eps=cfg.selection.eps,
         k_min=cfg.correlation.k_min, k_max=cfg.correlation.k_max or None)
@@ -615,28 +636,15 @@ def stage_correlate(cfg: ExperimentConfig, env, seed: int, paths: RunPaths,
     r, _ = correlate_prediction_vs_attack(vmodel, env, victim, subsets, adv_cfg,
                                           cfg.correlation.episodes, seed,
                                           out_csv=out_csv)
-    if row is None:
-        ledger.append(exp, "correlate", "subsets", seed, "pearson_r", r)
+    run.record("correlate", seed, lambda: [("subsets", "pearson_r", r)])
     return r
 
 
 def run_pipeline(config, out_dir=None, seeds=None) -> str:
     """Execute all stages for every seed; returns the results directory."""
-    if isinstance(config, (str, os.PathLike)):
-        config = load_experiment_config(config)
-    if out_dir is not None:
-        config = replace(config, out_dir=str(out_dir))
-    if seeds is not None:
-        config = replace(config, seeds=list(seeds))
-    os.makedirs(config.out_dir, exist_ok=True)
-    exp = experiment_id(config)
-    paths = RunPaths(config.out_dir)
-    ledger = ResultsLedger(paths.ledger())
-    env = make_env(config.env)
-    for seed in config.seeds:
-        victim = stage_train_victim(config, env, seed, paths, ledger, exp)
-        vmodel = stage_fit_value(config, env, victim, seed, paths, ledger, exp)
-        stage_select(config, env, victim, vmodel, seed, paths, ledger, exp)
-        stage_attack(config, env, victim, seed, paths, ledger, exp)
-        stage_evaluate(config, env, victim, seed, paths, ledger, exp)
-    return config.out_dir
+    run = Run(config, out_dir, seeds)
+    for seed in run.cfg.seeds:
+        for stage in (stage_train_victim, stage_fit_value, stage_select,
+                      stage_attack, stage_evaluate):
+            stage(run, seed)
+    return run.cfg.out_dir

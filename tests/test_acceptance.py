@@ -8,6 +8,7 @@ oracle-based and fast.
 """
 
 import os
+import tempfile
 import time
 import warnings
 
@@ -19,16 +20,17 @@ from mfvuln.attack import AdversaryConfig, evaluate_attack, pooled_std, train_ad
 from mfvuln.core import (BudgetVector, check_deviation_bounds,
                          check_mean_field_deviation, empirical_mean_field_state,
                          mix_policies, seed_rng, ActionDist)
-from mfvuln.envs import make_env
 from mfvuln.envs.toy import ExactValueModel, ToyConfig, ToyMeanFieldEnv
-from mfvuln.qlearn import MeanFieldBinner, QModel, TablePolicy, TrainConfig, rollout, train_victim
+from mfvuln.qlearn import MeanFieldBinner, QModel, TablePolicy, rollout
 from mfvuln.robust import (FitConfig, RobustValueModel, TransitionSample,
                            apply_robust_bellman, fit_cooperative_q,
                            fit_robust_value, worst_case_gap)
 from mfvuln.selection import (SelectorRLConfig, select_bruteforce, select_greedy,
                               select_random, select_rl)
-from mfvuln.pipeline import (correlate_prediction_vs_attack, run_pipeline,
-                             sample_attack_subsets)
+from mfvuln.pipeline import (Run, correlate_prediction_vs_attack,
+                             parse_experiment_config, run_pipeline,
+                             sample_attack_subsets, stage_fit_value,
+                             stage_train_victim)
 
 # final desk-scale environment settings (shared with the example configs)
 VICSEK_RAW = {"env_name": "vicsek", "n_agents": 16, "horizon": 50,
@@ -57,16 +59,16 @@ def trained_setup(env_name: str, seed: int):
     raw, train_kwargs, fit_kwargs = (
         (VICSEK_RAW, VICSEK_TRAIN, VICSEK_FIT) if env_name == "vicsek"
         else (TAXI_RAW, TAXI_TRAIN, TAXI_FIT))
-    env = make_env(raw)
-    _, victim, _ = train_victim(env, TrainConfig(seed=seed, **train_kwargs))
-    trajs = [rollout(env, victim, s)
-             for s in np.random.SeedSequence((seed, 2)).spawn(80)]
-    fcfg = FitConfig(sweeps=300, seed=seed, **fit_kwargs)
-    q_model = fit_cooperative_q(trajs, env.n_states, env.n_actions, env.gamma, fcfg)
-    vmodel = fit_robust_value(q_model, trajs, fcfg)
-    snap0 = env.reset(seed=seed)
-    mu0 = empirical_mean_field_state(snap0.states, env.n_states).probs
-    _cache[key] = (env, victim, vmodel, snap0.states, mu0)
+    with tempfile.TemporaryDirectory() as out_dir:
+        run = Run(parse_experiment_config({
+            "env": raw, "victim": train_kwargs,
+            "value": dict(sweeps=300, rollouts=80, **fit_kwargs),
+            "seeds": [seed], "out_dir": out_dir}))
+        victim = stage_train_victim(run, seed)
+        vmodel = stage_fit_value(run, seed)
+    snap0 = run.env.reset(seed=seed)
+    mu0 = empirical_mean_field_state(snap0.states, run.env.n_states).probs
+    _cache[key] = (run.env, victim, vmodel, snap0.states, mu0)
     return _cache[key]
 
 

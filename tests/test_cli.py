@@ -7,7 +7,8 @@ import pytest
 import yaml
 
 from mfvuln.cli import build_parser, main
-from mfvuln.pipeline import ResultsLedger, RunPaths
+from mfvuln.pipeline import (ResultsLedger, RunPaths, experiment_id,
+                             load_experiment_config)
 
 
 def write_config(tmp_path, **overrides):
@@ -117,6 +118,22 @@ def test_missing_dependency_exits_with_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "train-victim" in err
+
+
+def test_changed_config_in_same_out_dir_exits_with_error(tmp_path, capsys):
+    cfg_path, raw = write_config(tmp_path)
+    assert main(["train-victim", "--config", str(cfg_path)]) == 0
+    victim = RunPaths(raw["out_dir"]).victim_policy(0)
+    before = open(victim, "rb").read(), open(victim + ".q", "rb").read()
+    old_id = experiment_of(ResultsLedger(RunPaths(raw["out_dir"]).ledger()))
+    capsys.readouterr()
+
+    cfg_path, _ = write_config(tmp_path, victim={"episodes": 5, "eval_episodes": 6})
+    new_id = experiment_id(load_experiment_config(cfg_path))
+    assert main(["train-victim", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert raw["out_dir"] in err and old_id in err and new_id in err
+    assert (open(victim, "rb").read(), open(victim + ".q", "rb").read()) == before
 
 
 def test_bad_config_exits_with_error(tmp_path, capsys):

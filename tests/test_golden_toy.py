@@ -9,6 +9,9 @@ import shutil
 import warnings
 from pathlib import Path
 
+import pytest
+
+from mfvuln import pipeline
 from mfvuln.cli import main
 from mfvuln.pipeline import ResultsLedger
 
@@ -38,15 +41,40 @@ def finished_copy(tmp_path):
     return out, line
 
 
-def test_toy_run_reproduces_committed_fixture(tmp_path):
-    out = tmp_path / "toy"
-    run_toy(out)
+def assert_matches_fixture(out):
     want = sorted(p.name for p in FIXTURE.iterdir())
     assert len(want) == 23
     assert sorted(p.name for p in out.iterdir()) == want
     differ = [name for name in want
               if (out / name).read_bytes() != (FIXTURE / name).read_bytes()]
     assert differ == []
+
+
+def test_toy_run_reproduces_committed_fixture(tmp_path):
+    out = tmp_path / "toy"
+    run_toy(out)
+    assert_matches_fixture(out)
+
+
+@pytest.mark.parametrize("target, call", [("fit_robust_value", 1), ("select_rl", 1),
+                                          ("train_adversary", 3)])
+def test_interrupted_run_resumes_to_the_fixture(tmp_path, monkeypatch, target, call):
+    """A run killed inside a stage and rerun ends with the uninterrupted files."""
+    real, calls = getattr(pipeline, target), []
+
+    def interrupt(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    out = tmp_path / "toy"
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, target, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_toy(out, ["pipeline"])
+    run_toy(out)
+    assert_matches_fixture(out)
 
 
 def test_correlate_rerun_trains_and_writes_nothing(tmp_path, monkeypatch, capsys):

@@ -11,11 +11,11 @@ from mfvuln.envs.toy import ExactValueModel, ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import (ConfigParseError, InvalidConfigError,
                            InvalidInputError, StageDependencyError,
                            UndefinedCorrelationError)
-from mfvuln.pipeline import (ResultsLedger, RunPaths, ValueStageConfig,
+from mfvuln.pipeline import (ResultsLedger, Run, RunPaths, ValueStageConfig,
                              correlate_prediction_vs_attack, experiment_id,
-                             export_heatmap, load_victim, load_value_model,
-                             parse_experiment_config, pearson, run_pipeline,
-                             sample_attack_subsets, stage_evaluate)
+                             export_heatmap, parse_experiment_config, pearson,
+                             run_pipeline, sample_attack_subsets, stage_evaluate,
+                             stage_select, stage_train_victim)
 from mfvuln.qlearn import TablePolicy
 from mfvuln.selection import AttackSet, save_attack_set
 
@@ -142,11 +142,24 @@ def test_experiment_id_is_stable_and_config_sensitive():
 # -- ledger -------------------------------------------------------------------------
 
 
-def test_ledger_appends_and_filters(tmp_path):
+def test_ledger_appends_and_filters(tmp_path, monkeypatch):
     path = tmp_path / "ledger.csv"
     ledger = ResultsLedger(path)
-    ledger.append("e1", "victim", "mfq", 0, "victim_return", 0.123456789012)
-    ledger.append("e1", "attack", "greedy", 1, "attacked_return", -2.5)
+    writes, real_open = [], open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if mode == "a":
+            real_write = fh.write
+            fh.write = lambda text: writes.append(text) or real_write(text)
+        return fh
+
+    with monkeypatch.context() as m:
+        m.setattr("builtins.open", recording_open)
+        ledger.append([("e1", "victim", "mfq", 0, "victim_return", 0.123456789012),
+                       ("e1", "attack", "greedy", 1, "attacked_return", -2.5)])
+    # one call writes all its rows at once
+    assert len(writes) == 1 and writes[0].count("\n") == 2
     rows = ledger.rows()
     assert len(rows) == 2
     # floats are stamped with 9 significant digits
@@ -339,23 +352,15 @@ def test_minimal_vicsek_pipeline_smoke(tmp_path):
 
 
 def test_stage_dependencies_are_enforced(tmp_path):
-    raw = base_raw(out_dir=str(tmp_path / "empty"))
-    cfg = parse_experiment_config(raw)
-    paths = RunPaths(cfg.out_dir)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with pytest.raises(StageDependencyError, match="train-victim"):
-        load_victim(paths, 0)
-    with pytest.raises(StageDependencyError, match="fit-value"):
-        load_value_model(paths, 0)
-    from mfvuln.envs import make_env
-
-    env = make_env(cfg.env)
-    ledger = ResultsLedger(paths.ledger())
-    with pytest.raises(StageDependencyError, match="select"):
-        stage_evaluate(cfg, env, TablePolicy(np.full((8, 2), 0.5)), 0, paths,
-                       ledger, "e")
+    run = Run(parse_experiment_config(base_raw(out_dir=str(tmp_path / "empty"))))
+    with pytest.raises(StageDependencyError, match="run train-victim first"):
+        stage_evaluate(run, 0)
+    stage_train_victim(run, 0)
+    with pytest.raises(StageDependencyError, match="run fit-value first"):
+        stage_select(run, 0)
+    with pytest.raises(StageDependencyError, match="run select first"):
+        stage_evaluate(run, 0)
     save_attack_set(AttackSet(np.array([0]), 1.0, "greedy"),
-                    paths.attack_set(0, "greedy"), seed=0)
-    with pytest.raises(StageDependencyError, match="attack"):
-        stage_evaluate(cfg, env, TablePolicy(np.full((8, 2), 0.5)), 0, paths,
-                       ledger, "e")
+                    run.paths.attack_set(0, "greedy"), seed=0)
+    with pytest.raises(StageDependencyError, match="run attack first"):
+        stage_evaluate(run, 0)
