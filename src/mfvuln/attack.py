@@ -7,7 +7,7 @@ eps_i * adversary + (1 - eps_i) * victim.  One shared adversary model
 serves all attacked agents.
 
 The learner is black-box: its update uses only the corrupted agents'
-(state, mean-field, action, reward) stream, bootstrapping on the action
+(state, action, reward) stream, bootstrapping on the action
 actually executed at the next step (SARSA), so the victim's distributions
 enter training only through the environment's realized behaviour.  The
 victim's parameters are never written; training and evaluation checksum
@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BudgetVector, empirical_mean_field_state, mix_policy_matrix,
-                   sample_actions, seed_rng)
+from .core import BudgetVector, mix_policy_matrix, sample_actions, seed_rng
 from .errors import InvalidInputError
-from .qlearn import (BoltzmannPolicy, LearnerConfig, evaluate_policy, exploration_eps,
-                     softmax_rows)
+from .qlearn import (BoltzmannPolicy, LearnerConfig, QModel, evaluate_policy,
+                     exploration_eps, softmax_rows)
 
 
 def policy_checksum(policy) -> str:
@@ -34,10 +33,7 @@ def policy_checksum(policy) -> str:
     h = hashlib.sha256()
     h.update(type(policy).__name__.encode())
     model = getattr(policy, "model", None)
-    if model is not None:
-        for arr in (model.table, model.nu_hat):
-            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-    table = getattr(policy, "table", None)
+    table = model.table if model is not None else getattr(policy, "table", None)
     if table is not None:
         h.update(np.ascontiguousarray(table, dtype=float).tobytes())
     return h.hexdigest()
@@ -70,7 +66,7 @@ def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryCon
     if budgets.n_agents != env.n_agents:
         raise InvalidInputError("budget vector length does not match the population")
     attacked = budgets.eps > 0
-    model = cfg.q_model(env.n_states, env.n_actions, env.gamma)
+    model = QModel(env.n_states, env.n_actions, env.gamma)
     if not attacked.any():
         warnings.warn("empty attack set: returning a no-op adversary", stacklevel=2)
         return model, BoltzmannPolicy(model, cfg.temperature), np.empty(0)
@@ -82,13 +78,12 @@ def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryCon
 
     for ep in range(cfg.episodes):
         snap = env.reset(seed=episode_seeds[ep])
-        mu = empirical_mean_field_state(snap.states, env.n_states).probs
         explore = exploration_eps(cfg, ep)
         ret, disc = 0.0, 1.0
         prev = None
         for t in range(env.horizon):
             victim = victim_policy.action_dists(snap)
-            q = model.values(snap.states, mu, model.nu_hat)
+            q = model.values(snap.states)
             adv = (1 - explore) * softmax_rows(q / cfg.temperature) \
                 + explore / env.n_actions
             behavior = mix_policy_matrix(adv, victim, budgets.eps)
@@ -96,18 +91,15 @@ def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryCon
             res = env.step(snap, actions)
 
             if prev is not None:
-                p_states, p_actions, p_reward, p_mu, p_nu = prev
-                q_here = model.values(snap.states, mu, res.nu.probs)
-                boot = q_here[np.arange(env.n_agents), actions]
-                targets = -p_reward + env.gamma * boot
-                model.td_update(p_states[attacked], p_actions[attacked], p_mu,
-                                p_nu, targets[attacked], cfg.lr, cfg.lr_decay)
+                p_states, p_actions, p_reward = prev
+                targets = -p_reward + env.gamma * model.table[snap.states, actions]
+                model.td_update(p_states[attacked], p_actions[attacked],
+                                targets[attacked], cfg.lr, cfg.lr_decay)
 
-            prev = (snap.states, actions, res.reward, mu, res.nu.probs)
-            model.observe_nu(res.nu.probs)
+            prev = (snap.states, actions, res.reward)
             ret += disc * (-res.reward)
             disc *= env.gamma
-            snap, mu = res.snapshot, res.mu.probs
+            snap = res.snapshot
         curve[ep] = ret
 
     if policy_checksum(victim_policy) != frozen:
@@ -177,13 +169,3 @@ def evaluate_attack(env, victim_policy, budgets: BudgetVector, episodes: int,
         raise RuntimeError("victim policy changed during attack evaluation")
     return AttackEvalReport(returns=returns, baseline_returns=baseline,
                             budgets=budgets, victim_checksum=after)
-
-
-def pooled_std(groups) -> float:
-    """Classic pooled standard deviation across result groups."""
-    groups = [np.asarray(g, dtype=float) for g in groups if len(g) > 1]
-    if not groups:
-        return 0.0
-    num = sum((g.size - 1) * g.var(ddof=1) for g in groups)
-    den = sum(g.size - 1 for g in groups)
-    return float(np.sqrt(num / den))

@@ -1,36 +1,29 @@
 """Mean-field bookkeeping for N-agent systems.
 
 Agents carry integer local states and actions.  The population is summarized
-by two empirical distributions,
+by its empirical state distribution
 
-    mu(s)  = (1/N) sum_i 1[s_i = s]        (mean-field state)
-    nu(a)  = (1/N) sum_i 1[a_i = a]        (mean-field action)
+    mu(s) = (1/N) sum_i 1[s_i = s]        (mean-field state)
 
 and a per-agent corruption budget eps_i in [0, 1].  An agent with budget
 eps_i executes the mixture
 
     pi_hat_i = eps_i * pi_alpha_i + (1 - eps_i) * pi_beta_i
 
-of an adversarial policy pi_alpha and the cooperative policy pi_beta.  The
-aggregate budget xi = (1/N) sum_i eps_i controls how far the realized
-mean-field action can drift from the cooperative one:
-
-    || pi_hat_i - pi_beta_i ||_p  <=  2^(1/p) * eps_i
-    || nu - nu_beta ||_p          <=  2^(1/p) * xi + delta   w.h.p.
-
-with the usual Hoeffding rate 2*exp(-2*N*delta^2) for the second line.
+of an adversarial policy pi_alpha and the cooperative policy pi_beta; the
+aggregate budget xi = (1/N) sum_i eps_i is the share of the population's
+decisions the adversary controls.  The learners score Q(s, a) and the value
+model V(s, eps, xi) = base(s) - (eps + xi + eps*xi) * damp(s): neither takes
+mu as an input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-# Integer index into an environment's discrete local state space.
-LocalState = int
 
 PROB_TOL = 1e-9
 
@@ -59,11 +52,6 @@ def seed_rng(seed=None, salt=None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed, n: int):
-    """n independent generators derived from one seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def lp_norm(v, p) -> float:
     """l_p norm of a vector, p in [1, inf]."""
     v = np.asarray(v, dtype=float)
@@ -86,30 +74,7 @@ def dual_order(p) -> float:
     return p / (p - 1.0)
 
 
-def deviation_constant(p) -> float:
-    """2^(1/p): the worst-case l_p distance between two action distributions
-    is 2^(1/p) (attained by disjoint point masses), halved per unit budget."""
-    if np.isinf(p):
-        return 1.0
-    return float(2.0 ** (1.0 / p))
-
-
-@dataclass(frozen=True)
-class NormOrder:
-    """A norm order p in [1, inf] together with its dual."""
-
-    p: float
-
-    def __post_init__(self):
-        if not np.isinf(self.p) and self.p < 1:
-            raise InvalidInputError(f"norm order must be >= 1, got {self.p}")
-
-    @property
-    def q(self) -> float:
-        return dual_order(self.p)
-
-
-def _check_prob_vector(x, name):
+def check_prob_vector(x, name):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InvalidInputError(f"{name} must be 1-d, got shape {x.shape}")
@@ -124,87 +89,41 @@ def _check_prob_vector(x, name):
 
 
 @dataclass(frozen=True)
-class ActionDist:
-    """Probability vector over a discrete action set."""
+class MeanFieldState:
+    """Empirical distribution of agent states; entries are multiples of 1/N.
 
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _check_prob_vector(self.probs, "action distribution"))
-
-    def __len__(self):
-        return self.probs.size
-
-
-@dataclass(frozen=True)
-class _MeanField:
-    """Empirical distribution of agent states or actions (``kind``); entries
-    are multiples of 1/N.
-
-    The constructor checks everything it is given.  The empirical builders
-    check only their indices: bincount / N is a valid distribution of
-    multiples of 1/N by construction, so they skip the output checks.
+    The constructor checks everything it is given.
+    ``empirical_mean_field_state`` checks only its indices: bincount / N is a
+    valid distribution of multiples of 1/N by construction, so it skips the
+    output checks.
     """
 
     probs: np.ndarray
     n_agents: int = 0
 
     def __post_init__(self):
-        probs = _check_prob_vector(self.probs, f"mean-field {self.kind}")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", check_prob_vector(self.probs, "mean-field state"))
         if self.n_agents:
             counts = self.probs * self.n_agents
             if np.any(np.abs(counts - np.round(counts)) > 1e-6):
                 raise InvalidInputError("mean-field entries are not multiples of 1/N")
 
-    @classmethod
-    def _histogram(cls, indices, size: int):
-        indices = np.asarray(indices, dtype=int)
-        if indices.ndim != 1 or indices.size == 0:
-            raise InvalidInputError(f"{cls.kind}s must be a non-empty 1-d integer array")
-        try:
-            counts = np.bincount(indices, minlength=size)   # raises on negatives
-            if counts.size > size:
-                raise ValueError
-        except ValueError:
-            raise InvalidInputError(f"{cls.kind} index out of range") from None
-        mf = object.__new__(cls)
-        object.__setattr__(mf, "probs", counts / indices.size)
-        object.__setattr__(mf, "n_agents", indices.size)
-        return mf
-
-
-@dataclass(frozen=True)
-class MeanFieldState(_MeanField):
-    """Empirical distribution of agent states."""
-
-    kind = "state"
-
-
-@dataclass(frozen=True)
-class MeanFieldAction(_MeanField):
-    """Empirical distribution of agent actions."""
-
-    kind = "action"
-
 
 def empirical_mean_field_state(states, n_states: int) -> MeanFieldState:
     """Histogram of agent states, normalized by the agent count."""
-    return MeanFieldState._histogram(states, n_states)
-
-
-def empirical_mean_field_action(actions, n_actions: int) -> MeanFieldAction:
-    return MeanFieldAction._histogram(actions, n_actions)
-
-
-def mix_policies(pi_alpha: ActionDist, pi_beta: ActionDist, eps: float) -> ActionDist:
-    """Per-decision corruption mixture eps*alpha + (1-eps)*beta."""
-    if not (0.0 <= eps <= 1.0):
-        raise InvalidInputError(f"mixing weight must be in [0, 1], got {eps}")
-    a, b = pi_alpha.probs, pi_beta.probs
-    if a.shape != b.shape:
-        raise InvalidInputError("policy supports differ")
-    return ActionDist(eps * a + (1.0 - eps) * b)
+    states = np.asarray(states, dtype=int)
+    if states.ndim != 1 or states.size == 0:
+        raise InvalidInputError("states must be a non-empty 1-d integer array")
+    try:
+        counts = np.bincount(states, minlength=n_states)   # raises on negatives
+        if counts.size > n_states:
+            raise ValueError
+    except ValueError:
+        raise InvalidInputError("state index out of range") from None
+    mf = object.__new__(MeanFieldState)
+    object.__setattr__(mf, "probs", counts / states.size)
+    object.__setattr__(mf, "n_agents", states.size)
+    return mf
 
 
 def mix_policy_matrix(alpha_mat, beta_mat, eps_vec) -> np.ndarray:
@@ -278,15 +197,6 @@ def aggregate_budget(eps_vector) -> float:
     return float(e.mean())
 
 
-def check_deviation_bounds(pi_hat: ActionDist, pi_beta: ActionDist, eps: float,
-                           p=np.inf, tol: float = 1e-9) -> bool:
-    """True iff ||pi_hat - pi_beta||_p <= 2^(1/p) * eps + tol."""
-    if not (0.0 <= eps <= 1.0):
-        raise InvalidInputError(f"budget must be in [0, 1], got {eps}")
-    dist = lp_norm(pi_hat.probs - pi_beta.probs, p)
-    return dist <= deviation_constant(p) * eps + tol
-
-
 def sample_actions(prob_matrix, rng: np.random.Generator) -> np.ndarray:
     """One categorical draw per row of an (N, A) probability matrix."""
     prob_matrix = np.asarray(prob_matrix, dtype=float)
@@ -295,25 +205,3 @@ def sample_actions(prob_matrix, rng: np.random.Generator) -> np.ndarray:
     cdf[:, -1] = 1.0
     u = rng.random(prob_matrix.shape[0])
     return (u[:, None] < cdf).argmax(axis=1)
-
-
-def check_mean_field_deviation(alpha_mat, beta_mat, eps_vec, p, delta,
-                               rng: np.random.Generator) -> bool:
-    """One Monte Carlo draw of the population-level deviation check.
-
-    Samples each agent's action from its mixed policy, forms the empirical
-    mean-field action nu, and compares it against the cooperative field
-    nu_beta = (1/N) sum_i pi_beta_i.  Returns True when
-
-        || nu - nu_beta ||_p <= 2^(1/p) * xi + delta.
-
-    Across repeated draws the failure rate obeys the Hoeffding bound
-    2*exp(-2*N*delta^2).
-    """
-    mixed = mix_policy_matrix(alpha_mat, beta_mat, eps_vec)
-    n_agents, n_actions = mixed.shape
-    acts = sample_actions(mixed, rng)
-    nu = np.bincount(acts, minlength=n_actions) / n_agents
-    nu_beta = np.asarray(beta_mat, dtype=float).mean(axis=0)
-    xi = aggregate_budget(eps_vec)
-    return lp_norm(nu - nu_beta, p) <= deviation_constant(p) * xi + delta

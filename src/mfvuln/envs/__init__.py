@@ -21,6 +21,6 @@ ENV_CONFIGS = {
 def make_env(raw: dict) -> MeanFieldEnv:
     """Build an environment from a plain config mapping (strict keys)."""
     name = raw.get("env_name")
-    if name not in ENV_BUILDERS:
+    if not isinstance(name, str) or name not in ENV_BUILDERS:
         raise InvalidConfigError(f"unknown env_name: {name!r}")
     return ENV_BUILDERS[name](raw)

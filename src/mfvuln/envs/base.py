@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import MeanFieldAction, MeanFieldState, empirical_mean_field_action, empirical_mean_field_state
 from ..errors import InvalidConfigError, InvalidInputError
 
 
@@ -44,8 +43,6 @@ class StepResult:
     snapshot: Snapshot
     states: np.ndarray
     reward: float
-    mu: MeanFieldState
-    nu: MeanFieldAction
 
 
 class MeanFieldEnv:
@@ -77,9 +74,6 @@ class MeanFieldEnv:
     def step(self, snapshot: Snapshot, actions) -> StepResult:
         raise NotImplementedError
 
-    def mean_field(self, snapshot: Snapshot) -> MeanFieldState:
-        return empirical_mean_field_state(snapshot.states, self.n_states)
-
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         raise NotImplementedError
 
@@ -102,10 +96,8 @@ class MeanFieldEnv:
             raise InvalidInputError("action index out of range")
         return actions
 
-    def _finish_step(self, snapshot: Snapshot, actions, reward: float) -> StepResult:
-        mu = empirical_mean_field_state(snapshot.states, self.n_states)
-        nu = empirical_mean_field_action(actions, self.n_actions)
-        return StepResult(snapshot, snapshot.states, float(reward), mu, nu)
+    def _finish_step(self, snapshot: Snapshot, reward: float) -> StepResult:
+        return StepResult(snapshot, snapshot.states, float(reward))
 
 
 def torus_delta(diff, length: float) -> np.ndarray:
@@ -169,7 +161,7 @@ def check_field_types(cls, raw: dict, error, where: str):
 def build_config(cls, raw: dict):
     """Strict dataclass construction: unknown keys and mistyped values are config errors."""
     allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(map(str, set(raw) - allowed))
     if unknown:
         raise InvalidConfigError(f"unknown config key(s) for {cls.__name__}: {', '.join(unknown)}")
     check_field_types(cls, raw, InvalidConfigError, cls.__name__)

@@ -135,7 +135,7 @@ class TaxiGridEnv(MeanFieldEnv):
         supply = np.bincount(self.zone_of(cells), minlength=self.n_zones)
         reward = self.mismatch_reward(supply, demand)
         nxt = Snapshot(t=snapshot.t + 1, states=cells, rng=snapshot.rng, pos=xy)
-        return self._finish_step(nxt, actions, reward)
+        return self._finish_step(nxt, reward)
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         xy = snapshot.pos.astype(float)

@@ -114,7 +114,7 @@ class ToyMeanFieldEnv(MeanFieldEnv):
         u = snapshot.rng.random(self.n_agents)
         states = (u[:, None] < cdf).argmax(axis=1)
         nxt = Snapshot(t=snapshot.t + 1, states=states, rng=snapshot.rng)
-        return self._finish_step(nxt, actions, reward)
+        return self._finish_step(nxt, reward)
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         # no geometry: everyone observes everyone
@@ -218,9 +218,7 @@ class ToyMeanFieldEnv(MeanFieldEnv):
 class ExactValueModel:
     """Closed-form budget-conditioned values, V(s, eps, xi) = V0[s] - w * H[s].
 
-    Duck-compatible with the fitted robust model for selection work; the
-    mean-field argument is accepted and ignored because chain values do not
-    depend on it.
+    Duck-compatible with the fitted robust model for selection work.
     """
 
     def __init__(self, v0: np.ndarray, h: np.ndarray):
@@ -242,10 +240,10 @@ class ExactValueModel:
             raise InvalidInputError("budgets must lie in [0, 1]")
         return eps + xi + eps * xi
 
-    def value(self, s, mu, eps: float, xi: float) -> float:
+    def value(self, s, eps: float, xi: float) -> float:
         return float(self.v0[int(s)] - self._weight(eps, xi) * self.h[int(s)])
 
-    def values(self, states, mu, eps_vec, xi: float) -> np.ndarray:
+    def values(self, states, eps_vec, xi: float) -> np.ndarray:
         states = np.asarray(states, dtype=int)
         return self.v0[states] - self._weight(eps_vec, xi) * self.h[states]
 

@@ -20,6 +20,7 @@ action distribution an explicit mixture rather than a point mass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,9 @@ class VicsekConfig:
         if self.n_clusters < 0 or self.n_clusters > self.n_agents:
             raise InvalidConfigError("n_clusters must be in [0, n_agents]")
         if len(self.cluster_sizes) > 0:
+            if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                       for s in self.cluster_sizes):
+                raise InvalidConfigError("cluster_sizes entries must be integers")
             self.cluster_sizes = tuple(int(s) for s in self.cluster_sizes)
             if any(s < 1 for s in self.cluster_sizes):
                 raise InvalidConfigError("cluster_sizes entries must be >= 1")
@@ -167,7 +171,7 @@ class VicsekEnv(MeanFieldEnv):
         pos = (snapshot.pos + cfg.speed * np.column_stack([np.cos(headings), np.sin(headings)])) % cfg.world_size
         states = self._discretize(pos, headings)
         nxt = Snapshot(t=snapshot.t + 1, states=states, rng=snapshot.rng, pos=pos, headings=headings)
-        return self._finish_step(nxt, actions, order_parameter(headings))
+        return self._finish_step(nxt, order_parameter(headings))
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         return torus_pairwise(snapshot.pos, self.config.world_size)

@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from .attack import AdversaryConfig, evaluate_attack, train_adversary
-from .core import BudgetVector, empirical_mean_field_state, seed_rng
+from .core import BudgetVector, seed_rng
 from .envs import make_env
 from .envs.base import agent_layout, check_field_types
 from .errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
@@ -60,9 +60,11 @@ def _csv_text(rows) -> str:
 
 
 def _build_section(dc_cls, raw, section: str):
-    raw = {} if raw is None else dict(raw)
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigParseError(f"config section '{section}' must be a mapping")
     known = {f.name for f in dc_fields(dc_cls)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - known, key=str)
     if unknown:
         raise ConfigParseError(
             f"unknown key '{unknown[0]}' in config section '{section}'")
@@ -187,7 +189,7 @@ _TOP_KEYS = ("name", "env", "victim", "value", "selection", "adversary",
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigParseError("config root must be a mapping")
-    unknown = sorted(set(raw) - set(_TOP_KEYS))
+    unknown = sorted(set(raw) - set(_TOP_KEYS), key=str)
     if unknown:
         raise ConfigParseError(f"unknown key '{unknown[0]}' at config top level")
     env_raw = raw.get("env")
@@ -318,12 +320,6 @@ def sample_attack_subsets(n_agents: int, n_subsets: int, seed, eps: float = 1.0,
     return subsets
 
 
-def _start(env, seed: int):
-    """States and state mean field of the episode start for a seed."""
-    states0 = env.reset(seed=seed).states
-    return states0, empirical_mean_field_state(states0, env.n_states).probs
-
-
 def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
                                    adv_cfg: AdversaryConfig, episodes: int, seed,
                                    out_csv=None):
@@ -336,11 +332,11 @@ def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
     """
     if len(subsets) < 10:
         raise InvalidInputError("need at least 10 attack subsets")
-    states0, mu0 = _start(env, seed)
+    states0 = env.reset(seed=seed).states
     rows = []
     for j, attack in enumerate(subsets):
         budgets = attack.budgets(env.n_agents)
-        pred = predicted_drop(value_model, states0, mu0, budgets)
+        pred = predicted_drop(value_model, states0, None, budgets)
         _, adv_policy, _ = train_adversary(env, victim_policy, budgets,
                                            replace(adv_cfg, seed=adv_cfg.seed + 7919 * j))
         report = evaluate_attack(env, victim_policy, budgets, episodes,
@@ -362,13 +358,12 @@ def export_heatmap(value_model, env, snapshot, mode: str, out_csv=None) -> np.nd
     """
     states0 = snapshot.states
     n = states0.size
-    mu0 = empirical_mean_field_state(states0, env.n_states).probs
     zero = np.zeros(n)
-    v00 = value_model.values(states0, mu0, zero, 0.0)
+    v00 = value_model.values(states0, zero, 0.0)
     if mode == "per-agent-eps":
-        v1 = value_model.values(states0, mu0, np.ones(n), 0.0)
+        v1 = value_model.values(states0, np.ones(n), 0.0)
     elif mode == "single-adversary-xi":
-        v1 = value_model.values(states0, mu0, zero, 1.0 / n)
+        v1 = value_model.values(states0, zero, 1.0 / n)
     else:
         raise InvalidInputError(f"unknown heatmap mode: {mode}")
     drops = v00 - v1
@@ -391,6 +386,9 @@ class RunPaths:
 
     def ledger(self):
         return self._p("ledger.csv")
+
+    def experiment_id(self):
+        return self._p("experiment_id.txt")
 
     def victim_policy(self, seed):
         return self._p(f"victim_s{seed}.policy")
@@ -444,7 +442,8 @@ class Run:
     ``artifact`` reuses a stage's file or computes and saves it, and
     ``record`` writes a stage's ledger rows once.  Objects loaded or computed
     are kept for the rest of the run.  Files are not keyed by config, so a
-    directory holds one experiment: a ledger naming another one is refused.
+    directory holds one experiment: its id is written to the directory before
+    any stage runs, and a directory holding another id is refused.
     """
 
     def __init__(self, config, out_dir=None, seeds=None):
@@ -458,12 +457,16 @@ class Run:
         self.env = make_env(config.env)
         os.makedirs(config.out_dir, exist_ok=True)
         self.paths = RunPaths(config.out_dir)
-        self.ledger = ResultsLedger(self.paths.ledger())
-        others = sorted({r["experiment_id"] for r in self.ledger.rows()} - {self.exp})
-        if others:
+        id_path = self.paths.experiment_id()
+        if not os.path.exists(id_path):
+            write_atomic(id_path, self.exp + "\n")
+        with open(id_path) as fh:
+            held = fh.read().strip()
+        if held != self.exp:
             raise InvalidConfigError(
-                f"{config.out_dir} holds experiment {others[0]}, not {self.exp}; "
+                f"{config.out_dir} holds experiment {held}, not {self.exp}; "
                 "a changed config needs its own out_dir")
+        self.ledger = ResultsLedger(self.paths.ledger())
         self._kept = {}
 
     def artifact(self, kind: str, seed: int, *key, compute=None):
@@ -519,21 +522,19 @@ def stage_fit_value(run: Run, seed: int):
     vmodel = run.artifact("value_model", seed, compute=lambda: _fit_value(run, seed))
 
     def rows():
-        states0, mu0 = _start(env, seed)
-        v0 = vmodel.values(states0, mu0, np.zeros(env.n_agents), 0.0)
+        v0 = vmodel.values(env.reset(seed=seed).states, np.zeros(env.n_agents), 0.0)
         return [("tabular", "v0_mean", float(v0.mean()))]
 
     run.record("value", seed, rows)
     return vmodel
 
 
-def _run_selector(method: str, run: Run, victim_policy, vmodel, states0, mu0,
-                  seed: int):
+def _run_selector(method: str, run: Run, victim_policy, vmodel, states0, seed: int):
     cfg, env, sel = run.cfg, run.env, run.cfg.selection
     if method == "greedy":
-        return select_greedy(vmodel, states0, mu0, sel.k, sel.eps)
+        return select_greedy(vmodel, states0, None, sel.k, sel.eps)
     if method == "rl":
-        attack, _ = select_rl(vmodel, states0, mu0, sel.k, sel.rl_config(seed),
+        attack, _ = select_rl(vmodel, states0, None, sel.k, sel.rl_config(seed),
                               sel.eps)
         return attack
     if method == "random":
@@ -566,16 +567,15 @@ def stage_select(run: Run, seed: int):
     env = run.env
     victim = run.artifact("victim_policy", seed)
     vmodel = run.artifact("value_model", seed)
-    states0, mu0 = _start(env, seed)
+    states0 = env.reset(seed=seed).states
     attacks = {method: run.artifact(
         "attack_set", seed, method,
-        compute=lambda m=method: _run_selector(m, run, victim, vmodel, states0,
-                                               mu0, seed))
+        compute=lambda m=method: _run_selector(m, run, victim, vmodel, states0, seed))
         for method in run.cfg.selection.methods}
 
     def rows():
         return [(method, "predicted_drop",
-                 predicted_drop(vmodel, states0, mu0, attack.budgets(env.n_agents))
+                 predicted_drop(vmodel, states0, None, attack.budgets(env.n_agents))
                  if attack.predicted_drop is None else attack.predicted_drop)
                 for method, attack in attacks.items()]
 

@@ -1,10 +1,11 @@
-"""Cooperative victim training with mean-field Q-learning.
+"""Cooperative victim training with shared tabular Q-learning.
 
-A single Q model is shared by the whole population.  It scores
-Q(s, a, mu, nu): own state, own action, empirical state distribution,
-empirical action distribution.  Policies are Boltzmann in Q (shared across
-agents, evaluated per agent state), which keeps the cooperative policy
-stochastic and black-box queryable as an action distribution.
+A single Q model is shared by the whole population.  It scores Q(s, a):
+own state, own action.  The population enters only through the shared
+reward and the dynamics, not as an input.  Policies are Boltzmann in Q
+(shared across agents, evaluated per agent state), which keeps the
+cooperative policy stochastic and black-box queryable as an action
+distribution.
 
 Training runs expected-SARSA style updates toward the current Boltzmann
 target policy with eps-greedy exploration on top; with a frozen policy the
@@ -21,100 +22,50 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (BudgetVector, empirical_mean_field_action, empirical_mean_field_state,
-                   mix_policy_matrix, sample_actions, seed_rng)
+from .core import BudgetVector, mix_policy_matrix, sample_actions, seed_rng
 from .errors import InvalidConfigError, InvalidInputError, TrainingFailureError
 
 CHECKPOINT_MAGIC = "mfvuln-checkpoint v1"
 
 
-class MeanFieldBinner:
-    """Quantizes a mean-field vector to one of n_bins discrete codes.
-
-    Each entry is cut into `levels` bands, then the band pattern is folded
-    into n_bins buckets with a fixed polynomial hash (stable across runs).
-    n_bins == 1 turns conditioning off.
-    """
-
-    def __init__(self, n_bins: int = 1, levels: int = 4):
-        if n_bins < 1 or levels < 1:
-            raise InvalidConfigError("binner needs n_bins >= 1 and levels >= 1")
-        self.n_bins = n_bins
-        self.levels = levels
-
-    def bin(self, probs) -> int:
-        if self.n_bins == 1:
-            return 0
-        q = np.minimum((np.asarray(probs) * self.levels).astype(np.int64), self.levels - 1)
-        h = 0
-        for v in q.tolist():
-            h = (h * 131 + v) % self.n_bins
-        return int(h)
-
-
 class QModel:
-    """Tabular action-value model Q(s, a, mu, nu).
+    """Tabular action-value model Q(s, a): a dense (s, a) table plus visit counts."""
 
-    A dense table over (s, a, mu_bin, nu_bin) plus visit counts.  The model
-    also keeps a running estimate of the cooperative mean-field action
-    (nu_hat), used when a policy needs Q values before any actions have been
-    taken this step.
-    """
-
-    def __init__(self, n_states: int, n_actions: int, gamma: float,
-                 mu_binner: Optional[MeanFieldBinner] = None,
-                 nu_binner: Optional[MeanFieldBinner] = None):
+    def __init__(self, n_states: int, n_actions: int, gamma: float):
         if not (0.0 <= gamma < 1.0):
             raise InvalidConfigError("gamma must be in [0, 1)")
         self.n_states = n_states
         self.n_actions = n_actions
         self.gamma = gamma
-        self.mu_binner = mu_binner or MeanFieldBinner()
-        self.nu_binner = nu_binner or MeanFieldBinner()
-        self.nu_hat = np.full(n_actions, 1.0 / n_actions)
-        shape = (n_states, n_actions, self.mu_binner.n_bins, self.nu_binner.n_bins)
-        self.table = np.zeros(shape)
-        self.visits = np.zeros(shape, dtype=np.int64)
+        self.table = np.zeros((n_states, n_actions))
+        self.visits = np.zeros((n_states, n_actions), dtype=np.int64)
 
     # -- evaluation ---------------------------------------------------------
 
-    def values(self, states, mu, nu) -> np.ndarray:
-        """(N, A) matrix of Q values for per-agent states under shared mu/nu."""
-        states = np.asarray(states, dtype=int)
-        return self.table[states, :, self.mu_binner.bin(mu), self.nu_binner.bin(nu)]
+    def values(self, states) -> np.ndarray:
+        """(N, A) matrix of Q values for per-agent states."""
+        return self.table[np.asarray(states, dtype=int)]
 
-    def value(self, s, a, mu, nu) -> float:
-        return float(self.values(np.array([s]), mu, nu)[0, int(a)])
+    def value(self, s, a) -> float:
+        return float(self.table[int(s), int(a)])
 
     # -- updates ------------------------------------------------------------
 
-    def td_update(self, states, actions, mu, nu, targets, lr: float, lr_decay: float = 0.0):
-        """One semi-gradient step of Q(s, a, mu, nu) toward per-agent targets."""
-        states = np.asarray(states, dtype=int)
-        actions = np.asarray(actions, dtype=int)
-        targets = np.asarray(targets, dtype=float)
-        mb = self.mu_binner.bin(mu)
-        nb = self.nu_binner.bin(nu)
-        idx = (states, actions, np.full_like(states, mb), np.full_like(states, nb))
+    def td_update(self, states, actions, targets, lr: float, lr_decay: float = 0.0):
+        """One semi-gradient step of Q(s, a) toward per-agent targets."""
+        idx = (np.asarray(states, dtype=int), np.asarray(actions, dtype=int))
         np.add.at(self.visits, idx, 1)
         alpha = lr / (1.0 + lr_decay * self.visits[idx])
-        delta = targets - self.table[idx]
+        delta = np.asarray(targets, dtype=float) - self.table[idx]
         np.add.at(self.table, idx, alpha * delta)
         return delta
-
-    def observe_nu(self, nu, rate: float = 0.05):
-        self.nu_hat = (1.0 - rate) * self.nu_hat + rate * np.asarray(nu, dtype=float)
 
     # -- persistence ----------------------------------------------------------
 
     def save(self, path):
         lines = [CHECKPOINT_MAGIC, "kind qmodel", "backend tabular",
                  f"n_states {self.n_states}", f"n_actions {self.n_actions}",
-                 f"gamma {self.gamma!r}",
-                 f"mu_bins {self.mu_binner.n_bins}", f"mu_levels {self.mu_binner.levels}",
-                 f"nu_bins {self.nu_binner.n_bins}", f"nu_levels {self.nu_binner.levels}",
-                 "nu_hat " + " ".join(f"{v:.17g}" for v in self.nu_hat),
-                 f"values {self.table.size}"]
+                 f"gamma {self.gamma!r}", f"values {self.table.size}"]
         lines.extend(f"{v:.17g}" for v in self.table.ravel())
         write_atomic(path, "\n".join(lines) + "\n")
 
@@ -122,17 +73,11 @@ class QModel:
     def load(path) -> "QModel":
         header, flat = _read_checkpoint(path, expected_kind="qmodel")
         with malformed_artifact(path):
-            mu_binner = MeanFieldBinner(int(header["mu_bins"]), int(header["mu_levels"]))
-            nu_binner = MeanFieldBinner(int(header["nu_bins"]), int(header["nu_levels"]))
             n_states, n_actions = int(header["n_states"]), int(header["n_actions"])
             # reshape before allocating, so a bad header cannot size the table
-            table = flat.reshape(n_states, n_actions, mu_binner.n_bins, nu_binner.n_bins)
-            nu_hat = np.array([float(x) for x in header["nu_hat"].split()])
-            if nu_hat.shape != (n_actions,):
-                raise InvalidInputError(f"nu_hat has {nu_hat.size} entries")
-            model = QModel(n_states, n_actions, float(header["gamma"]),
-                           mu_binner=mu_binner, nu_binner=nu_binner)
-        model.table, model.nu_hat = table, nu_hat
+            table = flat.reshape(n_states, n_actions)
+            model = QModel(n_states, n_actions, float(header["gamma"]))
+        model.table = table
         return model
 
 
@@ -208,7 +153,7 @@ def softmax_rows(z) -> np.ndarray:
 
 
 class BoltzmannPolicy:
-    """pi(a | s) proportional to exp(Q(s, a, mu, nu_hat) / temperature)."""
+    """pi(a | s) proportional to exp(Q(s, a) / temperature)."""
 
     def __init__(self, model: QModel, temperature: float = 0.1):
         if temperature <= 0:
@@ -221,13 +166,7 @@ class BoltzmannPolicy:
         return self.model.n_actions
 
     def action_dists(self, snapshot) -> np.ndarray:
-        mu = empirical_mean_field_state(snapshot.states, self.model.n_states).probs
-        q = self.model.values(snapshot.states, mu, self.model.nu_hat)
-        return softmax_rows(q / self.temperature)
-
-    def dist_for_states(self, states, mu) -> np.ndarray:
-        q = self.model.values(np.asarray(states, dtype=int), mu, self.model.nu_hat)
-        return softmax_rows(q / self.temperature)
+        return softmax_rows(self.model.values(snapshot.states) / self.temperature)
 
     def save(self, path):
         self.model.save(path + ".q")
@@ -283,15 +222,12 @@ class TrajectoryStep:
     states: np.ndarray
     actions: np.ndarray
     reward: float
-    mu: np.ndarray
-    nu: np.ndarray
 
 
 @dataclass
 class Trajectory:
     steps: list
     final_states: np.ndarray
-    final_mu: np.ndarray
 
     def discounted_return(self, gamma: float) -> float:
         return float(sum(st.reward * gamma ** st.t for st in self.steps))
@@ -337,7 +273,6 @@ def rollout(env, victim_policy, seed, horizon=None, adversary_policy=None,
     """
     horizon = env.horizon if horizon is None else horizon
     snap = env.reset(seed=seed)
-    mu = empirical_mean_field_state(snap.states, env.n_states).probs
     act_rng = seed_rng(seed, salt="rollout-actions")
     steps = []
     for t in range(horizon):
@@ -347,10 +282,9 @@ def rollout(env, victim_policy, seed, horizon=None, adversary_policy=None,
             dists = mix_policy_matrix(adv, dists, budgets.eps)
         actions = sample_actions(dists, act_rng)
         res = env.step(snap, actions)
-        steps.append(TrajectoryStep(t, snap.states.copy(), actions, res.reward,
-                                    mu, res.nu.probs))
-        snap, mu = res.snapshot, res.mu.probs
-    return Trajectory(steps, snap.states.copy(), mu)
+        steps.append(TrajectoryStep(t, snap.states.copy(), actions, res.reward))
+        snap = res.snapshot
+    return Trajectory(steps, snap.states.copy())
 
 
 def evaluate_policy(env, policy, episodes: int, seed, horizon=None,
@@ -373,23 +307,8 @@ def evaluate_policy(env, policy, episodes: int, seed, horizon=None,
 
 
 @dataclass
-class BinningConfig:
-    """Mean-field binning of a tabular QModel."""
-
-    mu_bins: int = 1
-    nu_bins: int = 1
-    bin_levels: int = 4
-
-    def q_model(self, n_states: int, n_actions: int, gamma: float) -> QModel:
-        """An untrained QModel with this binning."""
-        return QModel(n_states, n_actions, gamma,
-                      mu_binner=MeanFieldBinner(self.mu_bins, self.bin_levels),
-                      nu_binner=MeanFieldBinner(self.nu_bins, self.bin_levels))
-
-
-@dataclass
-class LearnerConfig(BinningConfig):
-    """Schedule of a tabular mean-field Q-learner (the victim or an adversary)."""
+class LearnerConfig:
+    """Schedule of a tabular Q-learner (the victim or an adversary)."""
 
     episodes: int = 300
     lr: float = 0.2
@@ -439,7 +358,7 @@ def train_victim(env, cfg: TrainConfig, fixed_policy_table=None):
     configured margin over a uniform-random baseline.
     """
     cfg.validate()
-    model = cfg.q_model(env.n_states, env.n_actions, env.gamma)
+    model = QModel(env.n_states, env.n_actions, env.gamma)
     fixed = None if fixed_policy_table is None else np.asarray(fixed_policy_table, dtype=float)
     episode_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
     act_rng = seed_rng(cfg.seed, salt="train-actions")
@@ -447,32 +366,28 @@ def train_victim(env, cfg: TrainConfig, fixed_policy_table=None):
 
     for ep in range(cfg.episodes):
         snap = env.reset(seed=episode_seeds[ep])
-        mu = empirical_mean_field_state(snap.states, env.n_states).probs
         explore = exploration_eps(cfg, ep)
         ret, disc = 0.0, 1.0
         for t in range(env.horizon):
             if fixed is not None:
                 behavior = fixed[snap.states]
             else:
-                q = model.values(snap.states, mu, model.nu_hat)
+                q = model.values(snap.states)
                 behavior = (1 - explore) * softmax_rows(q / cfg.temperature) \
                     + explore / env.n_actions
             actions = sample_actions(behavior, act_rng)
             res = env.step(snap, actions)
             nxt = res.snapshot
-            mu2 = res.mu.probs
-            q2 = model.values(nxt.states, mu2, res.nu.probs)
+            q2 = model.values(nxt.states)
             if fixed is not None:
                 pi2 = fixed[nxt.states]
             else:
                 pi2 = softmax_rows(q2 / cfg.temperature)
             targets = res.reward + env.gamma * (pi2 * q2).sum(axis=1)
-            model.td_update(snap.states, actions, mu, res.nu.probs, targets,
-                            cfg.lr, cfg.lr_decay)
-            model.observe_nu(res.nu.probs)
+            model.td_update(snap.states, actions, targets, cfg.lr, cfg.lr_decay)
             ret += disc * res.reward
             disc *= env.gamma
-            snap, mu = nxt, mu2
+            snap = nxt
         curve[ep] = ret
 
     policy = BoltzmannPolicy(model, cfg.temperature) if fixed is None else TablePolicy(fixed)

@@ -1,14 +1,14 @@
 """Budget-conditioned pessimistic values from cooperative data.
 
-Stage one fits the cooperative action-value Q(s, a, mu, nu) on logged
-trajectories by minimizing the squared TD residual with the logged next
-action (policy evaluation of the data-collecting policy).
+Stage one fits the cooperative action-value Q(s, a) on logged trajectories
+by minimizing the squared TD residual with the logged next action (policy
+evaluation of the data-collecting policy).
 
 Stage two folds corruption budgets in without any adversarial rollouts:
 for a per-agent budget eps and population budget xi, the backup gets the
 pessimistic penalty
 
-    target = r + gamma * V(s', mu', eps, xi) - (eps + xi + eps*xi) * ||Q(s, ., mu, nu)||_q
+    target = r + gamma * V(s', eps, xi) - (eps + xi + eps*xi) * ||Q(s, .)||_q
 
 where q is the Hoelder conjugate of the deviation norm order p.  The
 penalty prices the worst first-order damage a corrupted own action (eps)
@@ -17,7 +17,7 @@ Because the penalty shifts rewards but not dynamics, the fixed point is
 exactly linear in w = eps + xi + eps*xi, and the model is parametrized that
 way:
 
-    V(s, mu, eps, xi) = base(s, mu) - w * damp(s, mu),
+    V(s, eps, xi) = base(s) - w * damp(s),
 
 with damp accumulating the discounted penalty along cooperative
 trajectories.  The zero-budget slice is then untouched policy evaluation,
@@ -27,31 +27,24 @@ and monotonicity in both budgets holds whenever damp >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import dual_order, lp_norm
+from .core import dual_order
 from .errors import InvalidConfigError, InvalidInputError
-from .qlearn import (CHECKPOINT_MAGIC, BinningConfig, MeanFieldBinner, QModel,
-                     _read_checkpoint, malformed_artifact, write_atomic)
-
-W_MAX = 3.0  # sup of eps + xi + eps*xi over the unit budget square
+from .qlearn import CHECKPOINT_MAGIC, QModel, _read_checkpoint, malformed_artifact, write_atomic
 
 
 @dataclass
-class FitConfig(BinningConfig):
+class FitConfig:
     sweeps: int = 300
     tol: float = 1e-11
     p: float = np.inf          # deviation norm order; regularizer uses its dual
-    joint_norm: bool = False   # penalize the (a, nu-bin) block instead of one row
     seed: int = 0
 
     def validate(self):
         if self.sweeps < 1:
             raise InvalidConfigError("sweeps must be >= 1")
-        if self.mu_bins < 1 or self.nu_bins < 1:
-            raise InvalidConfigError("bin counts must be >= 1")
         if not np.isinf(self.p) and self.p < 1:
             raise InvalidConfigError("norm order must be in [1, inf]")
 
@@ -61,53 +54,35 @@ class FitConfig(BinningConfig):
 
 @dataclass
 class TransitionCorpus:
-    """Flattened (s, a, r, s', a') records plus the shared per-step mean-field actions."""
+    """Flattened per-agent (s, a, r, s', a') records."""
 
     s: np.ndarray
     a: np.ndarray
     r: np.ndarray
     s2: np.ndarray
     a2: np.ndarray
-    mu_bin: np.ndarray
-    nu_bin: np.ndarray
-    mu_bin2: np.ndarray
-    nu_bin2: np.ndarray
-    step_nu: np.ndarray     # (n_step_records, A)
-    n_states: int
-    n_actions: int
 
     @property
     def size(self) -> int:
         return self.s.size
 
 
-def build_corpus(trajectories, n_states: int, n_actions: int,
-                 mu_binner: MeanFieldBinner, nu_binner: MeanFieldBinner) -> TransitionCorpus:
+def build_corpus(trajectories) -> TransitionCorpus:
     """Pairs consecutive steps of each trajectory into per-agent transitions."""
-    cols = {k: [] for k in ("s", "a", "r", "s2", "a2", "mu_bin", "nu_bin",
-                            "mu_bin2", "nu_bin2")}
-    step_nu = []
+    cols = {k: [] for k in ("s", "a", "r", "s2", "a2")}
     for traj in trajectories:
-        step_nu.extend(st.nu for st in traj.steps)
-        for t in range(len(traj.steps) - 1):
-            cur, nxt = traj.steps[t], traj.steps[t + 1]
-            n = cur.states.size
+        for cur, nxt in zip(traj.steps, traj.steps[1:]):
             cols["s"].append(cur.states)
             cols["a"].append(cur.actions)
-            cols["r"].append(np.full(n, cur.reward))
+            cols["r"].append(np.full(cur.states.size, cur.reward))
             cols["s2"].append(nxt.states)
             cols["a2"].append(nxt.actions)
-            cols["mu_bin"].append(np.full(n, mu_binner.bin(cur.mu)))
-            cols["nu_bin"].append(np.full(n, nu_binner.bin(cur.nu)))
-            cols["mu_bin2"].append(np.full(n, mu_binner.bin(nxt.mu)))
-            cols["nu_bin2"].append(np.full(n, nu_binner.bin(nxt.nu)))
     if not cols["s"]:
         raise InvalidInputError("corpus needs trajectories with at least 2 steps")
     packed = {k: np.concatenate(v) for k, v in cols.items()}
-    for key in ("s", "a", "s2", "a2", "mu_bin", "nu_bin", "mu_bin2", "nu_bin2"):
+    for key in ("s", "a", "s2", "a2"):
         packed[key] = packed[key].astype(int)
-    return TransitionCorpus(step_nu=np.asarray(step_nu), n_states=n_states,
-                            n_actions=n_actions, **packed)
+    return TransitionCorpus(**packed)
 
 
 # -- cooperative Q fit ----------------------------------------------------------
@@ -117,19 +92,18 @@ def fit_cooperative_q(trajectories, n_states: int, n_actions: int, gamma: float,
                       cfg: FitConfig) -> QModel:
     """Policy evaluation of the logging policy by repeated fitted-TD sweeps.
 
-    Each sweep replaces every visited (s, a, mu-bin, nu-bin) cell with the
-    mean of r + gamma * Q(s', a', mu'-bin, nu'-bin) over the corpus; unvisited
-    cells stay at zero.  The sweep map is a gamma-contraction on the visited
-    block, so the iteration settles at the corpus' empirical fixed point.
+    Each sweep replaces every visited (s, a) cell with the mean of
+    r + gamma * Q(s', a') over the corpus; unvisited cells stay at zero.  The
+    sweep map is a gamma-contraction on the visited block, so the iteration
+    settles at the corpus' empirical fixed point.
     """
     cfg.validate()
-    model = cfg.q_model(n_states, n_actions, gamma)
-    corpus = build_corpus(trajectories, n_states, n_actions, model.mu_binner, model.nu_binner)
-    model.nu_hat = corpus.step_nu.mean(axis=0)
+    model = QModel(n_states, n_actions, gamma)
+    corpus = build_corpus(trajectories)
 
     shape = model.table.shape
-    idx = np.ravel_multi_index((corpus.s, corpus.a, corpus.mu_bin, corpus.nu_bin), shape)
-    idx2 = np.ravel_multi_index((corpus.s2, corpus.a2, corpus.mu_bin2, corpus.nu_bin2), shape)
+    idx = np.ravel_multi_index((corpus.s, corpus.a), shape)
+    idx2 = np.ravel_multi_index((corpus.s2, corpus.a2), shape)
     counts = np.bincount(idx, minlength=model.table.size).astype(float)
     visited = counts > 0
     flat = model.table.ravel()
@@ -146,65 +120,19 @@ def fit_cooperative_q(trajectories, n_states: int, n_actions: int, gamma: float,
     return model
 
 
-# -- regularizer and robust backup ----------------------------------------------
-
-
-def regularizer(q_row, eps: float, xi: float, p=np.inf) -> float:
-    """(eps + xi + eps*xi) * ||q_row||_q with q the dual of p.
-
-    The weight decomposes as (1+eps)*(1+xi) - 1: the own-action share, the
-    population share, and their interaction.
-    """
-    if not (0.0 <= eps <= 1.0) or not (0.0 <= xi <= 1.0):
-        raise InvalidInputError("budgets must lie in [0, 1]")
-    return (eps + xi + eps * xi) * lp_norm(np.ravel(q_row), dual_order(p))
-
-
-@dataclass
-class TransitionSample:
-    """One logged step: enough context to apply the pessimistic backup."""
-
-    s: int
-    a: int
-    r: float
-    s_next: int
-    mu: np.ndarray
-    nu: np.ndarray
-    mu_next: np.ndarray
-
-
-def apply_robust_bellman(value_model, q_model: QModel, sample: TransitionSample,
-                         eps: float, xi: float) -> float:
-    """Sampled pessimistic backup; see the module docstring for the form."""
-    q_row = q_model.values(np.array([sample.s]), sample.mu, sample.nu)[0]
-    if value_model.joint_norm:
-        mb = q_model.mu_binner.bin(sample.mu)
-        q_row = q_model.table[int(sample.s), :, mb, :].ravel()
-    bootstrap = value_model.value(sample.s_next, sample.mu_next, eps, xi)
-    return float(sample.r + value_model.gamma * bootstrap
-                 - regularizer(q_row, eps, xi, value_model.p))
-
-
 # -- budget-conditioned value model ----------------------------------------------
 
 
 class RobustValueModel:
-    """V(s, mu, eps, xi) = base(s, mu) - (eps + xi + eps*xi) * damp(s, mu).
+    """V(s, eps, xi) = base(s) - (eps + xi + eps*xi) * damp(s); base and damp are (n_states,)."""
 
-    base and damp are tables over (s, mu_bin).
-    """
-
-    def __init__(self, n_states: int, n_actions: int, gamma: float, p=np.inf,
-                 mu_binner: Optional[MeanFieldBinner] = None,
-                 joint_norm: bool = False):
+    def __init__(self, n_states: int, n_actions: int, gamma: float, p=np.inf):
         self.n_states = n_states
         self.n_actions = n_actions
         self.gamma = gamma
         self.p = p
-        self.joint_norm = joint_norm
-        self.mu_binner = mu_binner or MeanFieldBinner()
-        self.base = np.zeros((n_states, self.mu_binner.n_bins))
-        self.damp = np.zeros((n_states, self.mu_binner.n_bins))
+        self.base = np.zeros(n_states)
+        self.damp = np.zeros(n_states)
 
     @staticmethod
     def budget_weight(eps, xi):
@@ -214,31 +142,21 @@ class RobustValueModel:
             raise InvalidInputError("budgets must lie in [0, 1]")
         return eps + xi + eps * xi
 
-    def value(self, s, mu, eps: float, xi: float) -> float:
+    def value(self, s, eps: float, xi: float) -> float:
         w = float(self.budget_weight(eps, xi))
-        mb = self.mu_binner.bin(mu)
-        return float(self.base[int(s), mb] - w * self.damp[int(s), mb])
+        return float(self.base[int(s)] - w * self.damp[int(s)])
 
-    def values(self, states, mu, eps_vec, xi: float) -> np.ndarray:
-        """Vectorized per-agent values under a shared mu and xi."""
+    def values(self, states, eps_vec, xi: float) -> np.ndarray:
+        """Vectorized per-agent values under a shared xi."""
         states = np.asarray(states, dtype=int)
         w = self.budget_weight(np.asarray(eps_vec, dtype=float), xi)
-        mb = self.mu_binner.bin(mu)
-        return self.base[states, mb] - w * self.damp[states, mb]
-
-    def sup_norm_diff(self, other: "RobustValueModel") -> float:
-        """sup over (s, mu-bin, eps, xi) of |V1 - V2|, exact via the w form."""
-        db = self.base - other.base
-        dd = self.damp - other.damp
-        return float(np.max(np.maximum(np.abs(db), np.abs(db - W_MAX * dd))))
+        return self.base[states] - w * self.damp[states]
 
     def save(self, path):
-        flat = np.concatenate([self.base.ravel(), self.damp.ravel()])
+        flat = np.concatenate([self.base, self.damp])
         lines = [CHECKPOINT_MAGIC, "kind robustvalue", "backend tabular",
                  f"n_states {self.n_states}", f"n_actions {self.n_actions}",
                  f"gamma {self.gamma!r}", f"p {self.p!r}",
-                 f"joint_norm {int(self.joint_norm)}",
-                 f"mu_bins {self.mu_binner.n_bins}", f"mu_levels {self.mu_binner.levels}",
                  "budget_form base-minus-w-damp w=eps+xi+eps*xi",
                  f"values {flat.size}"]
         lines.extend(f"{v:.17g}" for v in flat)
@@ -248,36 +166,21 @@ class RobustValueModel:
     def load(path) -> "RobustValueModel":
         header, flat = _read_checkpoint(path, expected_kind="robustvalue")
         with malformed_artifact(path):
-            mu_binner = MeanFieldBinner(int(header["mu_bins"]), int(header["mu_levels"]))
             n_states = int(header["n_states"])
             # reshape before allocating, so a bad header cannot size the tables
-            base, damp = flat.reshape(2, n_states, mu_binner.n_bins)
+            base, damp = flat.reshape(2, n_states)
             model = RobustValueModel(n_states, int(header["n_actions"]),
-                                     float(header["gamma"]), p=float(header["p"]),
-                                     mu_binner=mu_binner,
-                                     joint_norm=bool(int(header["joint_norm"])))
+                                     float(header["gamma"]), p=float(header["p"]))
         model.base, model.damp = base, damp
         return model
 
 
-def _q_penalty_rows(q_model: QModel, corpus: TransitionCorpus, qdual: float,
-                    joint_norm: bool) -> np.ndarray:
-    """||Q(s, ., mu, nu)||_q per transition, own-action row by default."""
-    if joint_norm:
-        block = q_model.table[corpus.s, :, corpus.mu_bin, :]
-        flatb = block.reshape(block.shape[0], -1)
-    else:
-        flatb = q_model.table[corpus.s, :, corpus.mu_bin, corpus.nu_bin]
+def _q_penalty_rows(q_model: QModel, corpus: TransitionCorpus, qdual: float) -> np.ndarray:
+    """||Q(s, .)||_q per transition."""
+    rows = q_model.table[corpus.s]
     if np.isinf(qdual):
-        return np.abs(flatb).max(axis=1)
-    return (np.abs(flatb) ** qdual).sum(axis=1) ** (1.0 / qdual)
-
-
-def sample_budgets(n: int, rng) -> tuple:
-    """Budget draws for residual training: xi uniform, eps Bernoulli(xi)."""
-    xi = rng.random(n)
-    eps = (rng.random(n) < xi).astype(float)
-    return eps, xi
+        return np.abs(rows).max(axis=1)
+    return (np.abs(rows) ** qdual).sum(axis=1) ** (1.0 / qdual)
 
 
 def fit_robust_value(q_model: QModel, trajectories, cfg: FitConfig) -> RobustValueModel:
@@ -293,18 +196,12 @@ def fit_robust_value(q_model: QModel, trajectories, cfg: FitConfig) -> RobustVal
     sweeps are that estimator's zero-variance limit.
     """
     cfg.validate()
-    model = RobustValueModel(q_model.n_states, q_model.n_actions, q_model.gamma,
-                             p=cfg.p, mu_binner=q_model.mu_binner,
-                             joint_norm=cfg.joint_norm)
-    corpus = build_corpus(trajectories, q_model.n_states, q_model.n_actions,
-                          q_model.mu_binner, q_model.nu_binner)
-    penalty = _q_penalty_rows(q_model, corpus, dual_order(cfg.p), cfg.joint_norm)
+    model = RobustValueModel(q_model.n_states, q_model.n_actions, q_model.gamma, p=cfg.p)
+    corpus = build_corpus(trajectories)
+    penalty = _q_penalty_rows(q_model, corpus, dual_order(cfg.p))
     gamma = q_model.gamma
 
-    mb_count = model.mu_binner.n_bins
-    cell = corpus.s * mb_count + corpus.mu_bin
-    cell2 = corpus.s2 * mb_count + corpus.mu_bin2
-    n_cells = q_model.n_states * mb_count
+    cell, cell2, n_cells = corpus.s, corpus.s2, q_model.n_states
     cnt = np.bincount(cell, minlength=n_cells).astype(float)
     visited = cnt > 0
     denom = np.maximum(cnt, 1.0)
@@ -321,61 +218,5 @@ def fit_robust_value(q_model: QModel, trajectories, cfg: FitConfig) -> RobustVal
         base, damp = new_base, new_damp
         if delta < cfg.tol:
             break
-    model.base = base.reshape(q_model.n_states, mb_count)
-    model.damp = damp.reshape(q_model.n_states, mb_count)
+    model.base, model.damp = base, damp
     return model
-
-
-# -- worst-case bilinear gap -----------------------------------------------------
-
-
-def worst_case_gap(q_row, eps: float, xi: float, p=np.inf, resolution: int = 101):
-    """Closed form eps*xi*||q_row||_q against an independent brute-force search.
-
-    The gap is the largest |sum_j u_j * v_j * q_row[j]| over own-action
-    perturbations ||u||_p <= eps and population perturbations ||v||_p <= xi.
-    For p = inf the box constraints separate per coordinate and the search
-    grids each (u_j, v_j) square; for p = 1 the maximum sits on the
-    cross-polytope vertices, which are enumerated exactly.  The closed form
-    is tight for p in {1, inf}; for intermediate orders it is only an upper
-    bound, and the returned pair will disagree.
-    """
-    q_row = np.asarray(q_row, dtype=float).ravel()
-    if q_row.size < 1:
-        raise InvalidInputError("empty Q row")
-    if not (0.0 <= eps <= 1.0) or not (0.0 <= xi <= 1.0):
-        raise InvalidInputError("budgets must lie in [0, 1]")
-    if resolution < 2:
-        raise InvalidInputError("resolution must be >= 2")
-    closed = eps * xi * lp_norm(q_row, dual_order(p))
-
-    if np.isinf(p):
-        u = np.linspace(-eps, eps, resolution)
-        v = np.linspace(-xi, xi, resolution)
-        prod = np.outer(u, v)
-        hi, lo = prod.max(), prod.min()
-        brute = float(np.where(q_row >= 0, hi * q_row, lo * q_row).sum())
-    elif p == 1:
-        best = 0.0
-        for j in range(q_row.size):
-            for su in (-eps, eps):
-                for sv in (-xi, xi):
-                    best = max(best, abs(su * sv * q_row[j]))
-        brute = best
-    else:
-        # grid the two p-balls (boxes filtered by norm); memory-capped and coarse
-        res = min(resolution, max(3, int(3e4 ** (1.0 / q_row.size))))
-
-        def ball_grid(bound):
-            axes = [np.linspace(-bound, bound, res)] * q_row.size
-            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, q_row.size)
-            norms = np.sum(np.abs(pts) ** p, axis=1) ** (1.0 / p)
-            return pts[norms <= bound + 1e-12]
-
-        u_pts, v_pts = ball_grid(eps), ball_grid(xi)
-        brute = 0.0
-        for lo in range(0, u_pts.shape[0], 512):
-            vals = np.abs((u_pts[lo:lo + 512] * q_row) @ v_pts.T)
-            if vals.size:
-                brute = max(brute, float(vals.max()))
-    return closed, brute

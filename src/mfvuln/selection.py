@@ -4,12 +4,12 @@ The attacker picks K agents before the episode starts, one at a time.  Each
 pick is scored without touching the environment: the budget-conditioned
 value model prices a candidate by the population value drop it induces,
 
-    reward = (1/N) sum_i [ V(s0_i, mu0, eps_prev_i, xi_prev)
-                         - V(s0_i, mu0, eps_next_i, xi_next) ],
+    reward = (1/N) sum_i [ V(s0_i, eps_prev_i, xi_prev) - V(s0_i, eps_next_i, xi_next) ],
 
 where the candidate's own eps jumps to the attack budget and everyone's xi
 rises by eps/N.  Summed over a selection episode these rewards telescope to
-the total predicted drop of the final attack set.
+the total predicted drop of the final attack set.  The start mean field mu0
+is still accepted by every selector and not used: V takes no mean field.
 
 Selectors: greedy argmax over the pick reward, a small Q-learner over pick
 features, uniform random, degree centrality on the observation graph, and
@@ -112,8 +112,8 @@ def selector_reward(value_model, states0, mu0, budget_prev: BudgetVector,
         warnings.warn("degenerate selection step: budgets unchanged", stacklevel=2)
         return 0.0
     states0 = np.asarray(states0, dtype=int)
-    v_prev = value_model.values(states0, mu0, budget_prev.eps, budget_prev.xi)
-    v_next = value_model.values(states0, mu0, budget_next.eps, budget_next.xi)
+    v_prev = value_model.values(states0, budget_prev.eps, budget_prev.xi)
+    v_next = value_model.values(states0, budget_next.eps, budget_next.xi)
     return float((v_prev - v_next).mean())
 
 
@@ -121,8 +121,8 @@ def predicted_drop(value_model, states0, mu0, budgets: BudgetVector) -> float:
     """Total predicted drop of a budget vector relative to no corruption."""
     zero = BudgetVector.zeros(budgets.n_agents)
     states0 = np.asarray(states0, dtype=int)
-    v0 = value_model.values(states0, mu0, zero.eps, 0.0)
-    v1 = value_model.values(states0, mu0, budgets.eps, budgets.xi)
+    v0 = value_model.values(states0, zero.eps, 0.0)
+    v1 = value_model.values(states0, budgets.eps, budgets.xi)
     return float((v0 - v1).mean())
 
 

@@ -1,0 +1,226 @@
+"""Reference oracles the tests check the package against.
+
+None of this runs in an experiment.  These are the paper's bounds and
+closed forms written out directly, so the learned machinery in ``mfvuln``
+can be compared with them.
+
+Deviation bounds.  An agent with budget eps_i executes
+pi_hat_i = eps_i * pi_alpha_i + (1 - eps_i) * pi_beta_i, and the aggregate
+budget xi = (1/N) sum_i eps_i controls how far the realized mean-field
+action nu(a) = (1/N) sum_i 1[a_i = a] can drift from the cooperative one:
+
+    || pi_hat_i - pi_beta_i ||_p  <=  2^(1/p) * eps_i
+    || nu - nu_beta ||_p          <=  2^(1/p) * xi + delta   w.h.p.
+
+with the usual Hoeffding rate 2*exp(-2*N*delta^2) for the second line.
+
+Pessimistic backup.  For a logged step (s, a, r, s') the robust target is
+
+    r + gamma * V(s', eps, xi) - (eps + xi + eps*xi) * ||Q(s, .)||_q,
+
+a gamma-contraction in V under the sup norm over (s, eps, xi).
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from mfvuln.core import (aggregate_budget, check_prob_vector, dual_order, lp_norm,
+                         mix_policy_matrix, sample_actions)
+from mfvuln.errors import InvalidInputError
+
+W_MAX = 3.0  # sup of eps + xi + eps*xi over the unit budget square
+
+
+# -- action distributions and deviation bounds ---------------------------------
+
+
+def deviation_constant(p) -> float:
+    """2^(1/p): the worst-case l_p distance between two action distributions
+    is 2^(1/p) (attained by disjoint point masses), halved per unit budget."""
+    if np.isinf(p):
+        return 1.0
+    return float(2.0 ** (1.0 / p))
+
+
+@dataclass(frozen=True)
+class NormOrder:
+    """A norm order p in [1, inf] together with its dual."""
+
+    p: float
+
+    def __post_init__(self):
+        if not np.isinf(self.p) and self.p < 1:
+            raise InvalidInputError(f"norm order must be >= 1, got {self.p}")
+
+    @property
+    def q(self) -> float:
+        return dual_order(self.p)
+
+
+@dataclass(frozen=True)
+class ActionDist:
+    """Probability vector over a discrete action set."""
+
+    probs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "probs", check_prob_vector(self.probs, "action distribution"))
+
+    def __len__(self):
+        return self.probs.size
+
+
+def mix_policies(pi_alpha: ActionDist, pi_beta: ActionDist, eps: float) -> ActionDist:
+    """Per-decision corruption mixture eps*alpha + (1-eps)*beta."""
+    if not (0.0 <= eps <= 1.0):
+        raise InvalidInputError(f"mixing weight must be in [0, 1], got {eps}")
+    a, b = pi_alpha.probs, pi_beta.probs
+    if a.shape != b.shape:
+        raise InvalidInputError("policy supports differ")
+    return ActionDist(eps * a + (1.0 - eps) * b)
+
+
+def check_deviation_bounds(pi_hat: ActionDist, pi_beta: ActionDist, eps: float,
+                           p=np.inf, tol: float = 1e-9) -> bool:
+    """True iff ||pi_hat - pi_beta||_p <= 2^(1/p) * eps + tol."""
+    if not (0.0 <= eps <= 1.0):
+        raise InvalidInputError(f"budget must be in [0, 1], got {eps}")
+    dist = lp_norm(pi_hat.probs - pi_beta.probs, p)
+    return dist <= deviation_constant(p) * eps + tol
+
+
+def check_mean_field_deviation(alpha_mat, beta_mat, eps_vec, p, delta,
+                               rng: np.random.Generator) -> bool:
+    """One Monte Carlo draw of the population-level deviation check.
+
+    Samples each agent's action from its mixed policy, forms the empirical
+    mean-field action nu, and compares it against the cooperative field
+    nu_beta = (1/N) sum_i pi_beta_i.  Returns True when
+
+        || nu - nu_beta ||_p <= 2^(1/p) * xi + delta.
+
+    Across repeated draws the failure rate obeys the Hoeffding bound
+    2*exp(-2*N*delta^2).
+    """
+    mixed = mix_policy_matrix(alpha_mat, beta_mat, eps_vec)
+    n_agents, n_actions = mixed.shape
+    acts = sample_actions(mixed, rng)
+    nu = np.bincount(acts, minlength=n_actions) / n_agents
+    nu_beta = np.asarray(beta_mat, dtype=float).mean(axis=0)
+    xi = aggregate_budget(eps_vec)
+    return lp_norm(nu - nu_beta, p) <= deviation_constant(p) * xi + delta
+
+
+# -- pessimistic backup ------------------------------------------------------------
+
+
+def regularizer(q_row, eps: float, xi: float, p=np.inf) -> float:
+    """(eps + xi + eps*xi) * ||q_row||_q with q the dual of p.
+
+    The weight decomposes as (1+eps)*(1+xi) - 1: the own-action share, the
+    population share, and their interaction.
+    """
+    if not (0.0 <= eps <= 1.0) or not (0.0 <= xi <= 1.0):
+        raise InvalidInputError("budgets must lie in [0, 1]")
+    return (eps + xi + eps * xi) * lp_norm(np.ravel(q_row), dual_order(p))
+
+
+@dataclass
+class TransitionSample:
+    """One logged step: enough context to apply the pessimistic backup."""
+
+    s: int
+    a: int
+    r: float
+    s_next: int
+
+
+def apply_robust_bellman(value_model, q_model, sample: TransitionSample,
+                         eps: float, xi: float) -> float:
+    """Sampled pessimistic backup; see the module docstring for the form."""
+    bootstrap = value_model.value(sample.s_next, eps, xi)
+    return float(sample.r + value_model.gamma * bootstrap
+                 - regularizer(q_model.table[sample.s], eps, xi, value_model.p))
+
+
+def sup_norm_diff(a, b) -> float:
+    """sup over (s, eps, xi) of |V_a - V_b| for two RobustValueModels, exact via the w form."""
+    db = a.base - b.base
+    dd = a.damp - b.damp
+    return float(np.max(np.maximum(np.abs(db), np.abs(db - W_MAX * dd))))
+
+
+def sample_budgets(n: int, rng) -> tuple:
+    """Budget draws for residual training: xi uniform, eps Bernoulli(xi)."""
+    xi = rng.random(n)
+    eps = (rng.random(n) < xi).astype(float)
+    return eps, xi
+
+
+# -- worst-case bilinear gap -----------------------------------------------------
+
+
+def worst_case_gap(q_row, eps: float, xi: float, p=np.inf, resolution: int = 101):
+    """Closed form eps*xi*||q_row||_q against an independent brute-force search.
+
+    The gap is the largest |sum_j u_j * v_j * q_row[j]| over own-action
+    perturbations ||u||_p <= eps and population perturbations ||v||_p <= xi.
+    For p = inf the box constraints separate per coordinate and the search
+    grids each (u_j, v_j) square; for p = 1 the maximum sits on the
+    cross-polytope vertices, which are enumerated exactly.  The closed form
+    is tight for p in {1, inf}; for intermediate orders it is only an upper
+    bound, and the returned pair will disagree.
+    """
+    q_row = np.asarray(q_row, dtype=float).ravel()
+    if q_row.size < 1:
+        raise InvalidInputError("empty Q row")
+    if not (0.0 <= eps <= 1.0) or not (0.0 <= xi <= 1.0):
+        raise InvalidInputError("budgets must lie in [0, 1]")
+    if resolution < 2:
+        raise InvalidInputError("resolution must be >= 2")
+    closed = eps * xi * lp_norm(q_row, dual_order(p))
+
+    if np.isinf(p):
+        u = np.linspace(-eps, eps, resolution)
+        v = np.linspace(-xi, xi, resolution)
+        prod = np.outer(u, v)
+        hi, lo = prod.max(), prod.min()
+        brute = float(np.where(q_row >= 0, hi * q_row, lo * q_row).sum())
+    elif p == 1:
+        best = 0.0
+        for j in range(q_row.size):
+            for su in (-eps, eps):
+                for sv in (-xi, xi):
+                    best = max(best, abs(su * sv * q_row[j]))
+        brute = best
+    else:
+        # grid the two p-balls (boxes filtered by norm); memory-capped and coarse
+        res = min(resolution, max(3, int(3e4 ** (1.0 / q_row.size))))
+
+        def ball_grid(bound):
+            axes = [np.linspace(-bound, bound, res)] * q_row.size
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, q_row.size)
+            norms = np.sum(np.abs(pts) ** p, axis=1) ** (1.0 / p)
+            return pts[norms <= bound + 1e-12]
+
+        u_pts, v_pts = ball_grid(eps), ball_grid(xi)
+        brute = 0.0
+        for lo in range(0, u_pts.shape[0], 512):
+            vals = np.abs((u_pts[lo:lo + 512] * q_row) @ v_pts.T)
+            if vals.size:
+                brute = max(brute, float(vals.max()))
+    return closed, brute
+
+
+# -- result statistics -------------------------------------------------------------
+
+
+def pooled_std(groups) -> float:
+    """Classic pooled standard deviation across result groups."""
+    groups = [np.asarray(g, dtype=float) for g in groups if len(g) > 1]
+    if not groups:
+        return 0.0
+    num = sum((g.size - 1) * g.var(ddof=1) for g in groups)
+    den = sum(g.size - 1 for g in groups)
+    return float(np.sqrt(num / den))

@@ -16,21 +16,20 @@ import numpy as np
 import pytest
 import yaml
 
-from mfvuln.attack import AdversaryConfig, evaluate_attack, pooled_std, train_adversary
-from mfvuln.core import (BudgetVector, check_deviation_bounds,
-                         check_mean_field_deviation, empirical_mean_field_state,
-                         mix_policies, seed_rng, ActionDist)
+from mfvuln.attack import AdversaryConfig, evaluate_attack, train_adversary
+from mfvuln.core import BudgetVector, empirical_mean_field_state, seed_rng
 from mfvuln.envs.toy import ExactValueModel, ToyConfig, ToyMeanFieldEnv
-from mfvuln.qlearn import MeanFieldBinner, QModel, TablePolicy, rollout
-from mfvuln.robust import (FitConfig, RobustValueModel, TransitionSample,
-                           apply_robust_bellman, fit_cooperative_q,
-                           fit_robust_value, worst_case_gap)
+from mfvuln.qlearn import QModel, TablePolicy, rollout
+from mfvuln.robust import FitConfig, RobustValueModel, fit_cooperative_q, fit_robust_value
 from mfvuln.selection import (SelectorRLConfig, select_bruteforce, select_greedy,
                               select_random, select_rl)
 from mfvuln.pipeline import (Run, correlate_prediction_vs_attack,
                              parse_experiment_config, run_pipeline,
                              sample_attack_subsets, stage_fit_value,
                              stage_train_victim)
+from oracles import (ActionDist, TransitionSample, apply_robust_bellman,
+                     check_deviation_bounds, check_mean_field_deviation, mix_policies,
+                     pooled_std, sup_norm_diff, worst_case_gap)
 
 # final desk-scale environment settings (shared with the example configs)
 VICSEK_RAW = {"env_name": "vicsek", "n_agents": 16, "horizon": 50,
@@ -89,13 +88,11 @@ def test_criterion_1_contraction():
     gamma = 0.9
     n_states, n_actions = 6, 3
     rng = seed_rng(1, salt="acceptance-contraction")
-    q_model = QModel(n_states, n_actions, gamma,
-                     mu_binner=MeanFieldBinner(1, 4), nu_binner=MeanFieldBinner(1, 4))
+    q_model = QModel(n_states, n_actions, gamma)
     q_model.table[:] = rng.normal(0, 2, q_model.table.shape)
 
     def random_model():
-        vm = RobustValueModel(n_states, n_actions, gamma,
-                              mu_binner=MeanFieldBinner(1, 4))
+        vm = RobustValueModel(n_states, n_actions, gamma)
         vm.base[:] = rng.normal(0, 3, vm.base.shape)
         vm.damp[:] = np.abs(rng.normal(0, 1, vm.damp.shape))
         return vm
@@ -104,17 +101,14 @@ def test_criterion_1_contraction():
     worst = 0.0
     for _ in range(10_000):
         va, vb = random_model(), random_model()
-        mu = rng.dirichlet(np.ones(n_states))
-        nu = rng.dirichlet(np.ones(n_actions))
         sample = TransitionSample(s=int(rng.integers(n_states)),
                                   a=int(rng.integers(n_actions)),
                                   r=float(rng.normal()),
-                                  s_next=int(rng.integers(n_states)),
-                                  mu=mu, nu=nu, mu_next=mu)
+                                  s_next=int(rng.integers(n_states)))
         eps, xi = rng.random(), rng.random()
         ta = apply_robust_bellman(va, q_model, sample, eps, xi)
         tb = apply_robust_bellman(vb, q_model, sample, eps, xi)
-        gap = va.sup_norm_diff(vb)
+        gap = sup_norm_diff(va, vb)
         if gap > 1e-12:
             worst = max(worst, abs(ta - tb) / gap)
     elapsed = time.time() - start
@@ -188,8 +182,7 @@ def test_criterion_3_zero_budget_slice():
     p_pi = np.array([[0.0, 1.0], [1.0, 0.0]])
     r_pi = np.array([1.0, -0.4])
     v_exact = np.linalg.solve(np.eye(2) - 0.9 * p_pi, r_pi)
-    mu = np.array([0.5, 0.5])
-    worst = max(abs(vmodel.value(s, mu, 0.0, 0.0) - v_exact[s]) for s in (0, 1))
+    worst = max(abs(vmodel.value(s, 0.0, 0.0) - v_exact[s]) for s in (0, 1))
     assert worst <= 1e-3
     print(f"\n[criterion 3] PASS zero-budget slice max error {worst:.2e} <= 1e-3")
 
@@ -319,9 +312,9 @@ def test_criterion_8_telescoping():
     worst = 0.0
     for i in range(50):
         n = 16
-        vm = RobustValueModel(n, 2, 0.95, mu_binner=MeanFieldBinner(1, 4))
-        vm.base[:, 0] = rng.normal(0, 5, n)
-        vm.damp[:, 0] = np.abs(rng.normal(0, 2, n))
+        vm = RobustValueModel(n, 2, 0.95)
+        vm.base[:] = rng.normal(0, 5, n)
+        vm.damp[:] = np.abs(rng.normal(0, 2, n))
         states = rng.integers(n, size=n)
         mu = rng.dirichlet(np.ones(n))
         k = int(rng.integers(1, 9))

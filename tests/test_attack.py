@@ -8,13 +8,13 @@ from mfvuln.attack import (
     AttackEvalReport,
     evaluate_attack,
     policy_checksum,
-    pooled_std,
     train_adversary,
 )
 from mfvuln.core import BudgetVector
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
-from mfvuln.qlearn import MeanFieldBinner, QModel, TablePolicy, UniformPolicy
+from mfvuln.qlearn import BoltzmannPolicy, QModel, TablePolicy, UniformPolicy
+from oracles import pooled_std
 
 GAMMA = 0.85
 
@@ -55,10 +55,7 @@ def test_checksum_is_stable_and_tracks_the_table():
 
 
 def test_checksum_covers_model_state_and_policy_type():
-    model = QModel(3, 2, GAMMA, mu_binner=MeanFieldBinner(1, 4),
-                   nu_binner=MeanFieldBinner(1, 4))
-    from mfvuln.qlearn import BoltzmannPolicy
-
+    model = QModel(3, 2, GAMMA)
     policy = BoltzmannPolicy(model, 0.1)
     digest = policy_checksum(policy)
     model.table[0, 0] += 1.0

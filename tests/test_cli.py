@@ -84,6 +84,14 @@ def test_mistyped_config_value_exits_with_error(tmp_path, capsys):
     assert "'episodes'" in capsys.readouterr().err
 
 
+def test_deleted_binning_key_exits_with_error(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path, value={"rollouts": 8, "sweeps": 60, "mu_bins": 1})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'mu_bins'" in err and "section 'value'" in err
+    assert not os.path.exists(tmp_path / "runs")
+
+
 def experiment_of(ledger) -> str:
     rows = ledger.rows()
     assert rows, "expected ledger rows"
@@ -134,6 +142,32 @@ def test_changed_config_in_same_out_dir_exits_with_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert raw["out_dir"] in err and old_id in err and new_id in err
     assert (open(victim, "rb").read(), open(victim + ".q", "rb").read()) == before
+
+
+def test_victim_checkpoint_without_ledger_rows_is_not_reused(tmp_path, monkeypatch, capsys):
+    """A run killed after saving the victim but before its ledger rows keeps its id."""
+    cfg_path, raw = write_config(tmp_path)
+    old_id = experiment_id(load_experiment_config(cfg_path))
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr("mfvuln.pipeline.evaluate_policy", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["train-victim", "--config", str(cfg_path)])
+    paths = RunPaths(raw["out_dir"])
+    victim = paths.victim_policy(0)
+    before = open(victim, "rb").read(), open(victim + ".q", "rb").read()
+    assert ResultsLedger(paths.ledger()).rows() == []
+
+    cfg_path, _ = write_config(tmp_path, victim={"episodes": 5, "eval_episodes": 6})
+    new_id = experiment_id(load_experiment_config(cfg_path))
+    assert main(["train-victim", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert raw["out_dir"] in err and old_id in err and new_id in err
+    assert (open(victim, "rb").read(), open(victim + ".q", "rb").read()) == before
+    assert ResultsLedger(paths.ledger()).rows() == []
 
 
 def test_bad_config_exits_with_error(tmp_path, capsys):

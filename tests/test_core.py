@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfvuln.core import (ActionDist, BudgetVector, MeanFieldAction, MeanFieldState,
-                         NormOrder, aggregate_budget, check_deviation_bounds,
-                         check_mean_field_deviation, deviation_constant, dual_order,
-                         empirical_mean_field_action, empirical_mean_field_state,
-                         lp_norm, mix_policies, mix_policy_matrix, sample_actions,
-                         seed_rng)
+from mfvuln.core import (BudgetVector, MeanFieldState, aggregate_budget, dual_order,
+                         empirical_mean_field_state, lp_norm, mix_policy_matrix,
+                         sample_actions, seed_rng)
 from mfvuln.errors import InvalidInputError
+from oracles import (ActionDist, NormOrder, check_deviation_bounds,
+                     check_mean_field_deviation, deviation_constant, mix_policies)
 
 
 def rand_dist(rng, n):
@@ -38,27 +37,16 @@ def test_mean_field_state_unvisited_bin():
     assert np.allclose(mf.probs, [0.5, 0.5, 0.0])
 
 
-def test_mean_field_action_counts():
-    mf = empirical_mean_field_action([0, 1, 1, 1], 2)
-    assert np.allclose(mf.probs, [0.25, 0.75])
-
-
-def test_mean_field_action_single_agent():
-    assert np.allclose(empirical_mean_field_action([2], 3).probs, [0, 0, 1])
-
-
 def test_empty_inputs_rejected():
     with pytest.raises(InvalidInputError):
         empirical_mean_field_state([], 3)
-    with pytest.raises(InvalidInputError):
-        empirical_mean_field_action([], 2)
 
 
 def test_out_of_range_index_rejected():
     with pytest.raises(InvalidInputError):
         empirical_mean_field_state([0, 3], 3)
     with pytest.raises(InvalidInputError):
-        empirical_mean_field_action([-1], 2)
+        empirical_mean_field_state([-1], 2)
 
 
 def test_mean_field_permutation_invariance():
@@ -75,8 +63,6 @@ def test_mean_field_rejects_non_multiples():
     # 0.5/0.5 cannot come from 3 agents
     with pytest.raises(InvalidInputError):
         MeanFieldState(np.array([0.5, 0.5]), n_agents=3)
-    with pytest.raises(InvalidInputError):
-        MeanFieldAction(np.array([0.5, 0.5]), n_agents=3)
 
 
 @st.composite
@@ -92,11 +78,10 @@ def index_arrays(draw):
 def test_builders_equal_normalized_bincount(case):
     indices, size = case
     want = np.bincount(indices, minlength=size) / indices.size
-    for builder in (empirical_mean_field_state, empirical_mean_field_action):
-        mf = builder(indices, size)
-        assert mf.probs.dtype == want.dtype
-        assert mf.probs.tobytes() == want.tobytes()
-        assert mf.n_agents == indices.size
+    mf = empirical_mean_field_state(indices, size)
+    assert mf.probs.dtype == want.dtype
+    assert mf.probs.tobytes() == want.tobytes()
+    assert mf.n_agents == indices.size
 
 
 @settings(deadline=None)
@@ -105,9 +90,8 @@ def test_builders_reject_malformed_indices(case, defect):
     indices, size = case
     bad = {"empty": indices[:0], "2d": indices[None, :],
            "negative": np.append(indices, -1), "too-large": np.append(indices, size)}[defect]
-    for builder in (empirical_mean_field_state, empirical_mean_field_action):
-        with pytest.raises(InvalidInputError):
-            builder(bad, size)
+    with pytest.raises(InvalidInputError):
+        empirical_mean_field_state(bad, size)
 
 
 def test_prob_vector_validation():

@@ -43,7 +43,7 @@ def finished_copy(tmp_path):
 
 def assert_matches_fixture(out):
     want = sorted(p.name for p in FIXTURE.iterdir())
-    assert len(want) == 23
+    assert len(want) == 24
     assert sorted(p.name for p in out.iterdir()) == want
     differ = [name for name in want
               if (out / name).read_bytes() != (FIXTURE / name).read_bytes()]

@@ -3,20 +3,27 @@
 import csv
 import os
 
+from dataclasses import fields as dc_fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfvuln.attack import AdversaryConfig
+from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ExactValueModel, ToyConfig, ToyMeanFieldEnv
-from mfvuln.errors import (ConfigParseError, InvalidConfigError,
-                           InvalidInputError, StageDependencyError,
-                           UndefinedCorrelationError)
-from mfvuln.pipeline import (ResultsLedger, Run, RunPaths, ValueStageConfig,
+from mfvuln.envs.vicsek import VicsekConfig
+from mfvuln.errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
+                           MfvulnError, StageDependencyError, UndefinedCorrelationError)
+from mfvuln.pipeline import (AdversaryStageConfig, CorrelationStageConfig,
+                             HeatmapStageConfig, ResultsLedger, Run, RunPaths,
+                             SelectionStageConfig, ValueStageConfig,
                              correlate_prediction_vs_attack, experiment_id,
                              export_heatmap, parse_experiment_config, pearson,
                              run_pipeline, sample_attack_subsets, stage_evaluate,
                              stage_select, stage_train_victim)
-from mfvuln.qlearn import TablePolicy
+from mfvuln.qlearn import TablePolicy, TrainConfig
 from mfvuln.selection import AttackSet, save_attack_set
 
 
@@ -49,10 +56,13 @@ def test_unknown_section_key_names_the_section():
     with pytest.raises(ConfigParseError, match="'learning_rate'.*section 'victim'"):
         parse_experiment_config(raw)
     # the learners are tabular only; their old backend knobs are unknown keys
-    for section, key, value in (("victim", "backend", "tabular"),
+    # the same holds for the mean-field binning and the joint-norm penalty
+    deleted = [(section, key, 1) for section in ("victim", "adversary", "value")
+               for key in ("mu_bins", "nu_bins", "bin_levels")] + [("value", "joint_norm", True)]
+    for section, key, value in [("victim", "backend", "tabular"),
                                 ("adversary", "backend", "tabular"),
                                 ("value", "backend", "linear"),
-                                ("value", "ridge", 1e-8)):
+                                ("value", "ridge", 1e-8)] + deleted:
         raw = base_raw(**{section: {key: value}})
         with pytest.raises(ConfigParseError, match=f"'{key}'.*section '{section}'"):
             parse_experiment_config(raw)
@@ -118,6 +128,59 @@ def test_int_for_float_field_is_accepted():
 def test_bad_norm_order_string_is_a_config_error():
     with pytest.raises(InvalidConfigError, match="norm order"):
         parse_experiment_config(base_raw(value={"p": "abc"}))
+
+
+SECTIONS = {"victim": TrainConfig, "value": ValueStageConfig,
+            "selection": SelectionStageConfig, "adversary": AdversaryStageConfig,
+            "correlation": CorrelationStageConfig, "heatmap": HeatmapStageConfig}
+DELETED_KEYS = ("mu_bins", "nu_bins", "bin_levels", "joint_norm")
+# small numbers only: an env section is built, and its tables grow with them
+CONFIG_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
+              st.text(max_size=6), st.sampled_from(["inf", ".inf", "greedy", "toy"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def config_sections(keys):
+    """Mappings over real, deleted and unknown keys (strings or not) with any values."""
+    key = st.one_of(st.sampled_from(sorted(keys) + list(DELETED_KEYS)),
+                    st.text(max_size=6), st.integers(-2, 2))
+    return st.one_of(st.dictionaries(key, CONFIG_VALUES, max_size=5), CONFIG_VALUES)
+
+
+ENV_CONFIGS = {"toy": ToyConfig, "taxi": TaxiConfig, "vicsek": VicsekConfig}
+
+
+@st.composite
+def raw_configs(draw):
+    raw = {}
+    for name, cls in SECTIONS.items():
+        if draw(st.booleans()):
+            raw[name] = draw(config_sections({f.name for f in dc_fields(cls)}))
+    env_name = draw(st.sampled_from(sorted(ENV_CONFIGS)))
+    env = draw(config_sections({f.name for f in dc_fields(ENV_CONFIGS[env_name])}))
+    if isinstance(env, dict) and draw(st.booleans()):
+        env["env_name"] = env_name
+    raw["env"] = env
+    for name in ("name", "seeds", "out_dir", draw(st.text(max_size=6))):
+        if draw(st.booleans()):
+            raw[name] = draw(CONFIG_VALUES)
+    return draw(st.one_of(st.just(raw), CONFIG_VALUES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_configs())
+@example({"env": {"env_name": "vicsek", "cluster_sizes": [8, "eight"]}})
+@example({"env": {"env_name": ["toy"]}})
+@example({"env": {"env_name": "toy", 0: None}})
+@example({"env": {"env_name": "toy"}, "victim": [["episodes", 5]], 1: 2})
+def test_any_config_mapping_parses_or_raises_a_config_error(raw):
+    try:
+        parse_experiment_config(raw)
+    except MfvulnError:
+        pass
 
 
 def test_norm_order_accepts_yaml_spellings():
@@ -364,3 +427,17 @@ def test_stage_dependencies_are_enforced(tmp_path):
                     run.paths.attack_set(0, "greedy"), seed=0)
     with pytest.raises(StageDependencyError, match="run attack first"):
         stage_evaluate(run, 0)
+
+
+def test_run_claims_its_directory_before_any_stage(tmp_path):
+    out = str(tmp_path / "claimed")
+    cfg = parse_experiment_config(base_raw(out_dir=out))
+    run = Run(cfg)
+    with open(run.paths.experiment_id()) as fh:
+        assert fh.read() == experiment_id(cfg) + "\n"
+    assert sorted(os.listdir(out)) == ["experiment_id.txt", "ledger.csv"]
+    assert run.ledger.rows() == []
+    Run(cfg)   # the same experiment may come back
+    other = parse_experiment_config(base_raw(out_dir=out, name="another"))
+    with pytest.raises(InvalidConfigError, match=f"{experiment_id(cfg)}, not {experiment_id(other)}"):
+        Run(other)

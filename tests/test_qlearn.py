@@ -15,7 +15,8 @@ from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import (InvalidConfigError, InvalidInputError,
                            TrainingFailureError)
-from mfvuln.qlearn import (BoltzmannPolicy, MeanFieldBinner, QModel, ReplayBuffer,
+from mfvuln.envs.base import Snapshot
+from mfvuln.qlearn import (BoltzmannPolicy, QModel, ReplayBuffer,
                            TablePolicy, TrainConfig, UniformPolicy, evaluate_policy,
                            exploration_eps, rollout, softmax_rows, train_victim)
 from mfvuln.robust import RobustValueModel
@@ -59,25 +60,30 @@ def block1_policy_eval_oracle(env, pi, c0=0.25):
 # -- softmax / boltzmann ---------------------------------------------------------
 
 
+def dists_at(policy, states):
+    """Action distributions of a policy for agents in the given states."""
+    return policy.action_dists(Snapshot(t=0, states=np.asarray(states), rng=seed_rng(0)))
+
+
 def test_boltzmann_uniform_on_flat_row():
     m = QModel(2, 3, 0.9)
-    m.table[0, :, 0, 0] = 1.0
+    m.table[0] = 1.0
     pol = BoltzmannPolicy(m, temperature=0.7)
-    d = pol.dist_for_states([0], np.array([1.0, 0.0]))
+    d = dists_at(pol, [0])
     assert np.allclose(d, 1.0 / 3)
 
 
 def test_boltzmann_closed_form():
     m = QModel(1, 2, 0.9)
-    m.table[0, :, 0, 0] = [0.0, np.log(2.0)]
-    d = BoltzmannPolicy(m, temperature=1.0).dist_for_states([0], np.array([1.0]))
+    m.table[0] = [0.0, np.log(2.0)]
+    d = dists_at(BoltzmannPolicy(m, temperature=1.0), [0])
     assert np.allclose(d, [1.0 / 3, 2.0 / 3])
 
 
 def test_boltzmann_greedy_limit():
     m = QModel(1, 3, 0.9)
-    m.table[0, :, 0, 0] = [0.1, 0.9, 0.3]
-    d = BoltzmannPolicy(m, temperature=1e-3).dist_for_states([0], np.array([1.0]))
+    m.table[0] = [0.1, 0.9, 0.3]
+    d = dists_at(BoltzmannPolicy(m, temperature=1e-3), [0])
     assert d[0, 1] > 1.0 - 1e-9
 
 
@@ -106,7 +112,7 @@ def test_td_matches_linear_solve():
                                                 min_margin=None),
                                fixed_policy_table=pi)
     oracle = block1_policy_eval_oracle(env, pi)
-    assert np.abs(model.table[:2, :, 0, 0] - oracle).max() < 1e-3
+    assert np.abs(model.table[:2] - oracle).max() < 1e-3
 
 
 def test_td_myopic_limit():
@@ -117,7 +123,7 @@ def test_td_myopic_limit():
                                                 min_margin=None),
                                fixed_policy_table=pi)
     want = (env.rewards[:2] + 0.25) / 2.0
-    assert np.abs(model.table[:2, :, 0, 0] - want).max() < 1e-9
+    assert np.abs(model.table[:2] - want).max() < 1e-9
 
 
 def test_training_is_deterministic():
@@ -213,46 +219,35 @@ def test_evaluate_policy_shape_and_determinism():
 
 def test_qmodel_values_shape():
     m = QModel(4, 3, 0.9)
-    vals = m.values(np.array([0, 2, 3]), np.full(4, 0.25), np.full(3, 1 / 3))
+    vals = m.values(np.array([0, 2, 3]))
     assert vals.shape == (3, 3)
     assert np.all(np.isfinite(vals))
 
 
 def test_qmodel_td_update_moves_toward_target():
     m = QModel(2, 2, 0.9)
-    mu, nu = np.array([0.5, 0.5]), np.array([0.5, 0.5])
     for _ in range(200):
-        m.td_update(np.array([0]), np.array([1]), mu, nu, np.array([2.5]), lr=0.3)
-    assert m.value(0, 1, mu, nu) == pytest.approx(2.5, abs=1e-6)
+        m.td_update(np.array([0]), np.array([1]), np.array([2.5]), lr=0.3)
+    assert m.value(0, 1) == pytest.approx(2.5, abs=1e-6)
 
 
 def test_qmodel_rejects_bad_config():
     with pytest.raises(InvalidConfigError):
         QModel(2, 2, 1.0)
-    with pytest.raises(InvalidConfigError):
-        MeanFieldBinner(0)
-
-
-def test_binner_behaviour():
-    flat = MeanFieldBinner(1)
-    assert flat.bin(np.array([0.3, 0.7])) == 0
-    b = MeanFieldBinner(8, levels=4)
-    code = b.bin(np.array([0.3, 0.7]))
-    assert 0 <= code < 8
-    assert code == b.bin(np.array([0.3, 0.7]))
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    m = QModel(3, 2, 0.95, mu_binner=MeanFieldBinner(4, 3))
+    m = QModel(3, 2, 0.95)
     m.table += seed_rng(0).random(m.table.shape)
-    m.nu_hat = np.array([0.25, 0.75])
     path = tmp_path / "model.q"
     m.save(path)
     loaded = QModel.load(path)
     assert np.array_equal(loaded.table, m.table)
-    assert np.array_equal(loaded.nu_hat, m.nu_hat)
+    assert loaded.table.shape == (3, 2)
     assert loaded.gamma == m.gamma
-    assert loaded.mu_binner.n_bins == 4 and loaded.mu_binner.levels == 3
+    path.write_text(path.read_text().replace("n_states 3", "n_states 4"))
+    with pytest.raises(InvalidInputError, match="reshape"):
+        QModel.load(path)
 
 
 def test_policy_checkpoint_roundtrip(tmp_path):
@@ -286,9 +281,9 @@ def test_checkpoint_kind_mismatch(tmp_path):
 
 def _saved_artifacts():
     """Text of one saved QModel, BoltzmannPolicy, RobustValueModel and attack set."""
-    q = QModel(2, 3, 0.9, mu_binner=MeanFieldBinner(2, 3))
+    q = QModel(2, 3, 0.9)
     q.table += seed_rng(5).random(q.table.shape)
-    v = RobustValueModel(3, 2, 0.9, mu_binner=MeanFieldBinner(2, 4))
+    v = RobustValueModel(3, 2, 0.9)
     v.base += 1.5
     v.damp += 0.25
     attack = AttackSet([2, 0], 0.5, "greedy", predicted_drop=0.3,
@@ -336,6 +331,24 @@ def test_damaged_artifact_loads_or_raises_invalid_input(name, data):
             LOADERS[name](path)
         except InvalidInputError as exc:
             assert path in str(exc)
+
+
+def test_checkpoints_with_the_former_binning_lines_still_load(tmp_path):
+    # checkpoints written before the mean-field binning was removed carry
+    # these header lines; with one bin each their tables are the same
+    old_lines = {"model.q": "mu_bins 1\nmu_levels 4\nnu_bins 1\nnu_levels 4\n"
+                            "nu_hat 0.25 0.25 0.5\n",
+                 "value.robust": "joint_norm 0\nmu_bins 1\nmu_levels 4\n"}
+    for name, lines in old_lines.items():
+        assert "mu_bins" not in ARTIFACTS[name]
+        path = str(tmp_path / name)
+        _write_artifacts(tmp_path, {name: ARTIFACTS[name]})
+        current = LOADERS[name](path)
+        _write_artifacts(tmp_path, {name: ARTIFACTS[name].replace("values ", lines + "values ", 1)})
+        old = LOADERS[name](path)
+        for attr in ("table", "base", "damp"):
+            if hasattr(current, attr):
+                assert np.array_equal(getattr(old, attr), getattr(current, attr))
 
 
 def test_missing_policy_companion_raises_invalid_input(tmp_path):

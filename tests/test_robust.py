@@ -2,24 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfvuln.core import dual_order, lp_norm, seed_rng
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
-from mfvuln.qlearn import MeanFieldBinner, QModel, TablePolicy, UniformPolicy, rollout
-from mfvuln.robust import (
-    W_MAX,
-    FitConfig,
-    RobustValueModel,
-    TransitionSample,
-    apply_robust_bellman,
-    build_corpus,
-    fit_cooperative_q,
-    fit_robust_value,
-    regularizer,
-    sample_budgets,
-    worst_case_gap,
-)
+from mfvuln.qlearn import QModel, TablePolicy, UniformPolicy, rollout
+from mfvuln.robust import (FitConfig, RobustValueModel, build_corpus, fit_cooperative_q,
+                           fit_robust_value)
+from oracles import (W_MAX, TransitionSample, apply_robust_bellman, regularizer,
+                     sample_budgets, sup_norm_diff, worst_case_gap)
 
 GAMMA = 0.9
 
@@ -92,19 +85,18 @@ def test_budget_weight_covers_the_unit_square():
 
 
 def test_value_is_exactly_linear_in_the_budget_weight():
-    model = RobustValueModel(4, 3, GAMMA, mu_binner=MeanFieldBinner(1, 4))
+    model = RobustValueModel(4, 3, GAMMA)
     rng = seed_rng(8)
     model.base = rng.normal(size=model.base.shape)
     model.damp = rng.random(model.damp.shape)
-    mu = np.full(4, 0.25)
     for eps, xi in [(0.0, 0.0), (1.0, 0.0), (0.3, 0.7), (1.0, 1.0)]:
         w = eps + xi + eps * xi
         for s in range(4):
-            expect = model.base[s, 0] - w * model.damp[s, 0]
-            assert model.value(s, mu, eps, xi) == pytest.approx(expect, abs=1e-12)
-    vec = model.values(np.array([0, 2, 3]), mu, np.array([0.2, 0.0, 1.0]), 0.5)
+            expect = model.base[s] - w * model.damp[s]
+            assert model.value(s, eps, xi) == pytest.approx(expect, abs=1e-12)
+    vec = model.values(np.array([0, 2, 3]), np.array([0.2, 0.0, 1.0]), 0.5)
     w = np.array([0.2, 0.0, 1.0]) + 0.5 + np.array([0.2, 0.0, 1.0]) * 0.5
-    assert np.allclose(vec, model.base[[0, 2, 3], 0] - w * model.damp[[0, 2, 3], 0])
+    assert np.allclose(vec, model.base[[0, 2, 3]] - w * model.damp[[0, 2, 3]])
 
 
 # -- pessimistic backup ----------------------------------------------------------
@@ -112,54 +104,36 @@ def test_value_is_exactly_linear_in_the_budget_weight():
 
 def _hand_models():
     q = QModel(3, 2, GAMMA)
-    q.table[:, :, 0, 0] = [[1.0, -2.0], [0.5, 0.5], [-1.0, 3.0]]
+    q.table[:] = [[1.0, -2.0], [0.5, 0.5], [-1.0, 3.0]]
     v = RobustValueModel(3, 2, GAMMA)
-    v.base[:, 0] = [1.0, 2.0, -1.0]
-    v.damp[:, 0] = [0.5, 0.0, 1.5]
+    v.base[:] = [1.0, 2.0, -1.0]
+    v.damp[:] = [0.5, 0.0, 1.5]
     return q, v
 
 
 def test_backup_decomposes_into_reward_bootstrap_and_penalty():
     q, v = _hand_models()
-    mu = np.array([1.0, 0.0, 0.0])
-    sample = TransitionSample(s=0, a=1, r=0.25, s_next=2, mu=mu, nu=np.array([0.5, 0.5]),
-                              mu_next=mu)
+    sample = TransitionSample(s=0, a=1, r=0.25, s_next=2)
     for eps, xi in [(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)]:
         w = eps + xi + eps * xi
-        expect = 0.25 + GAMMA * (v.base[2, 0] - w * v.damp[2, 0]) - w * 3.0
+        expect = 0.25 + GAMMA * (v.base[2] - w * v.damp[2]) - w * 3.0
         got = apply_robust_bellman(v, q, sample, eps, xi)
         assert got == pytest.approx(expect, abs=1e-12)
-
-
-def test_backup_with_joint_norm_prices_the_full_block():
-    q = QModel(2, 2, GAMMA, nu_binner=MeanFieldBinner(2, 4))
-    q.table[0, :, 0, :] = [[1.0, -2.0], [0.5, 4.0]]
-    v = RobustValueModel(2, 2, GAMMA, joint_norm=True)
-    v.base[:, 0] = [0.0, 1.0]
-    mu = np.array([1.0, 0.0])
-    sample = TransitionSample(s=0, a=0, r=0.0, s_next=1, mu=mu,
-                              nu=np.array([1.0, 0.0]), mu_next=mu)
-    got = apply_robust_bellman(v, q, sample, 1.0, 1.0)
-    expect = GAMMA * 1.0 - 3.0 * (1.0 + 2.0 + 0.5 + 4.0)
-    assert got == pytest.approx(expect, abs=1e-12)
 
 
 def test_backup_contracts_in_the_bootstrap_model():
     rng = seed_rng(13)
     q = QModel(4, 3, GAMMA)
-    q.table[:, :, 0, 0] = rng.normal(size=(4, 3))
-    mu = np.full(4, 0.25)
-    nu = np.full(3, 1 / 3)
+    q.table[:] = rng.normal(size=(4, 3))
     for _ in range(200):
         v1 = RobustValueModel(4, 3, GAMMA)
         v2 = RobustValueModel(4, 3, GAMMA)
-        v1.base, v1.damp = rng.normal(size=(4, 1)), rng.random((4, 1))
-        v2.base, v2.damp = rng.normal(size=(4, 1)), rng.random((4, 1))
-        sup = v1.sup_norm_diff(v2)
+        v1.base, v1.damp = rng.normal(size=4), rng.random(4)
+        v2.base, v2.damp = rng.normal(size=4), rng.random(4)
+        sup = sup_norm_diff(v1, v2)
         s, s2 = rng.integers(4), rng.integers(4)
         eps, xi = rng.random(), rng.random()
-        sample = TransitionSample(s=int(s), a=0, r=float(rng.normal()), s_next=int(s2),
-                                  mu=mu, nu=nu, mu_next=mu)
+        sample = TransitionSample(s=int(s), a=0, r=float(rng.normal()), s_next=int(s2))
         gap = abs(apply_robust_bellman(v1, q, sample, eps, xi)
                   - apply_robust_bellman(v2, q, sample, eps, xi))
         assert gap <= GAMMA * sup + 1e-9
@@ -173,10 +147,10 @@ def test_fitted_q_matches_policy_evaluation_on_deterministic_chain():
     v, _ = chain_solution(env, pi_act, succ)
     trajs = chain_trajectories(env, policy)
     model = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, FitConfig())
-    fitted = model.table[np.arange(5), pi_act, 0, 0]
+    fitted = model.table[np.arange(5), pi_act]
     assert np.allclose(fitted, v, atol=1e-8)
     # the untaken action of every state is never logged and stays at zero
-    assert np.all(model.table[np.arange(5), 1 - pi_act, 0, 0] == 0.0)
+    assert np.all(model.table[np.arange(5), 1 - pi_act] == 0.0)
 
 
 def test_fitted_base_and_damp_match_linear_solve_on_deterministic_chain():
@@ -186,12 +160,10 @@ def test_fitted_base_and_damp_match_linear_solve_on_deterministic_chain():
     cfg = FitConfig()
     qmodel = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, cfg)
     vmodel = fit_robust_value(qmodel, trajs, cfg)
-    assert np.allclose(vmodel.base[:, 0], v, atol=1e-8)
-    assert np.allclose(vmodel.damp[:, 0], h, atol=1e-8)
-    mu = np.zeros(5)
-    mu[0] = 1.0
+    assert np.allclose(vmodel.base, v, atol=1e-8)
+    assert np.allclose(vmodel.damp, h, atol=1e-8)
     for s in range(5):
-        assert vmodel.value(s, mu, 0.0, 0.0) == pytest.approx(v[s], abs=1e-8)
+        assert vmodel.value(s, 0.0, 0.0) == pytest.approx(v[s], abs=1e-8)
 
 
 def test_fitted_value_is_monotone_in_both_budgets():
@@ -201,13 +173,41 @@ def test_fitted_value_is_monotone_in_both_budgets():
     qmodel = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, cfg)
     vmodel = fit_robust_value(qmodel, trajs, cfg)
     assert np.all(vmodel.damp >= 0.0)
-    mu = np.zeros(5)
-    mu[2] = 1.0
     grid = np.linspace(0.0, 1.0, 5)
     for s in range(5):
-        vals = np.array([[vmodel.value(s, mu, e, x) for x in grid] for e in grid])
+        vals = np.array([[vmodel.value(s, e, x) for x in grid] for e in grid])
         assert np.all(np.diff(vals, axis=0) <= 1e-12)  # eps
         assert np.all(np.diff(vals, axis=1) <= 1e-12)  # xi
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_agents=st.integers(1, 4), block_states=st.integers(1, 4), n_actions=st.integers(2, 4),
+       shared=st.booleans(), deterministic=st.booleans(), seed=st.integers(0, 10_000),
+       episodes=st.integers(1, 4), p=st.sampled_from([1.0, 2.0, np.inf]), data=st.data())
+def test_fitted_values_fall_as_any_budget_grows_on_random_toy_corpora(
+        n_agents, block_states, n_actions, shared, deterministic, seed, episodes, p, data):
+    env = ToyMeanFieldEnv(ToyConfig(n_agents=n_agents, block_states=block_states,
+                                    n_actions=n_actions, shared=shared,
+                                    deterministic=deterministic, horizon=8, gamma=GAMMA,
+                                    seed=seed))
+    trajs = [rollout(env, UniformPolicy(n_actions), (seed, k)) for k in range(episodes)]
+    cfg = FitConfig(sweeps=100, p=p)
+    vmodel = fit_robust_value(
+        fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, cfg), trajs, cfg)
+    assert np.all(vmodel.damp >= 0.0)
+
+    unit = st.floats(0.0, 1.0)
+    states = np.array(data.draw(st.lists(st.integers(0, env.n_states - 1),
+                                         min_size=n_agents, max_size=n_agents)))
+    eps = np.array(data.draw(st.lists(unit, min_size=n_agents, max_size=n_agents)))
+    grown = np.minimum(1.0, eps + np.array(data.draw(
+        st.lists(unit, min_size=n_agents, max_size=n_agents))))
+    xi = data.draw(unit)
+    xi_grown = min(1.0, xi + data.draw(unit))
+    before = vmodel.values(states, eps, xi)
+    assert np.all(vmodel.values(states, grown, xi) <= before)
+    assert np.all(vmodel.values(states, eps, xi_grown) <= before)
+    assert np.all(vmodel.values(states, grown, xi_grown) <= before)
 
 
 def test_fitted_q_matches_empirical_fixed_point_with_stochastic_data():
@@ -218,8 +218,7 @@ def test_fitted_q_matches_empirical_fixed_point_with_stochastic_data():
     trajs = [rollout(env, policy, (21, k)) for k in range(5)]
     model = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, FitConfig())
 
-    binner = MeanFieldBinner(1, 4)
-    corpus = build_corpus(trajs, env.n_states, env.n_actions, binner, binner)
+    corpus = build_corpus(trajs)
     a_count = env.n_actions
     cell = corpus.s * a_count + corpus.a
     cell2 = corpus.s2 * a_count + corpus.a2
@@ -239,35 +238,23 @@ def test_fitted_q_matches_empirical_fixed_point_with_stochastic_data():
     assert np.allclose(model.table.ravel(), x, atol=1e-8)
 
 
-def test_joint_norm_equals_row_norm_with_a_single_nu_bin():
-    env, policy, _, _ = chain_env()
-    trajs = chain_trajectories(env, policy)
-    qmodel = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, FitConfig())
-    flat = fit_robust_value(qmodel, trajs, FitConfig())
-    joint = fit_robust_value(qmodel, trajs, FitConfig(joint_norm=True))
-    assert np.allclose(flat.damp, joint.damp, atol=1e-12)
-    assert joint.joint_norm and not flat.joint_norm
-
-
 # -- corpus ----------------------------------------------------------------------
 
 
 def test_corpus_pairs_consecutive_steps():
     env, policy, _, _ = chain_env()
     traj = rollout(env, policy, 1)
-    binner = MeanFieldBinner(1, 4)
-    corpus = build_corpus([traj], env.n_states, env.n_actions, binner, binner)
+    corpus = build_corpus([traj])
     assert corpus.size == (len(traj.steps) - 1) * env.n_agents
-    assert corpus.step_nu.shape == (len(traj.steps), env.n_actions)
+    assert np.array_equal(corpus.r, traj.rewards[:-1])
     assert np.all(corpus.s2[:-1] == corpus.s[1:])  # single agent chains line up
 
 
 def test_corpus_requires_two_steps():
     env, policy, _, _ = chain_env()
     traj = rollout(env, policy, 1, horizon=1)
-    binner = MeanFieldBinner(1, 4)
     with pytest.raises(InvalidInputError):
-        build_corpus([traj], env.n_states, env.n_actions, binner, binner)
+        build_corpus([traj])
 
 
 # -- worst-case gap ---------------------------------------------------------------
@@ -329,21 +316,23 @@ def test_budget_draws_couple_agent_and_population_budgets():
 
 
 def test_value_model_roundtrip_preserves_every_slice(tmp_path):
-    model = RobustValueModel(3, 2, GAMMA, p=1.0, mu_binner=MeanFieldBinner(3, 4),
-                             joint_norm=True)
+    model = RobustValueModel(3, 2, GAMMA, p=1.0)
     rng = seed_rng(29)
     model.base = rng.normal(size=model.base.shape)
     model.damp = rng.random(model.damp.shape)
     path = tmp_path / "value.ckpt"
     model.save(path)
     loaded = RobustValueModel.load(path)
-    assert loaded.p == 1.0 and loaded.joint_norm
-    mu = rng.dirichlet(np.ones(3))
+    assert loaded.p == 1.0
+    assert loaded.base.shape == loaded.damp.shape == (3,)
     for s in range(3):
         for eps, xi in [(0.0, 0.0), (0.7, 0.2), (1.0, 1.0)]:
-            assert loaded.value(s, mu, eps, xi) == pytest.approx(
-                model.value(s, mu, eps, xi), abs=1e-12)
-    assert model.sup_norm_diff(loaded) == pytest.approx(0.0, abs=1e-12)
+            assert loaded.value(s, eps, xi) == pytest.approx(
+                model.value(s, eps, xi), abs=1e-12)
+    assert sup_norm_diff(model, loaded) == pytest.approx(0.0, abs=1e-12)
+    path.write_text(path.read_text().replace("n_states 3", "n_states 4"))
+    with pytest.raises(InvalidInputError, match="reshape"):
+        RobustValueModel.load(path)
 
 
 def test_value_model_load_rejects_other_checkpoint_kinds(tmp_path):
@@ -360,14 +349,14 @@ def test_sup_norm_diff_scans_the_budget_extremes():
     a.base[:], a.damp[:] = 1.0, 1.0
     b.base[:], b.damp[:] = 0.0, 0.0
     # difference is 1 - 3w in w; extremes at w=0 (1) and w=3 (|1-3|=2)
-    assert a.sup_norm_diff(b) == pytest.approx(2.0)
+    assert sup_norm_diff(a, b) == pytest.approx(2.0)
     rng = seed_rng(31)
     for _ in range(20):
         a.base[:], a.damp[:] = rng.normal(), rng.normal()
         b.base[:], b.damp[:] = rng.normal(), rng.normal()
         w = np.linspace(0.0, W_MAX, 401)
-        grid = np.abs((a.base[0, 0] - b.base[0, 0]) - w * (a.damp[0, 0] - b.damp[0, 0]))
-        assert a.sup_norm_diff(b) == pytest.approx(grid.max(), abs=1e-6)
+        grid = np.abs((a.base[0] - b.base[0]) - w * (a.damp[0] - b.damp[0]))
+        assert sup_norm_diff(a, b) == pytest.approx(grid.max(), abs=1e-6)
 
 
 def test_fit_config_validation():
@@ -375,8 +364,6 @@ def test_fit_config_validation():
         FitConfig(sweeps=0).validate()
     with pytest.raises(InvalidConfigError):
         FitConfig(p=0.5).validate()
-    with pytest.raises(InvalidConfigError):
-        FitConfig(mu_bins=0).validate()
 
 
 def test_norm_penalty_uses_the_dual_order():

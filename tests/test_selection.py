@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs.base import Snapshot
+from mfvuln.envs.toy import ExactValueModel
 from mfvuln.envs.vicsek import VicsekConfig, VicsekEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
-from mfvuln.qlearn import MeanFieldBinner
 from mfvuln.robust import RobustValueModel
 from mfvuln.selection import (
     AttackSet,
@@ -28,10 +30,10 @@ GAMMA = 0.95
 
 def value_model(damp_per_state, base_per_state=None):
     damp = np.asarray(damp_per_state, dtype=float)
-    model = RobustValueModel(damp.size, 2, GAMMA, mu_binner=MeanFieldBinner(1, 4))
-    model.damp[:, 0] = damp
+    model = RobustValueModel(damp.size, 2, GAMMA)
+    model.damp[:] = damp
     if base_per_state is not None:
-        model.base[:, 0] = np.asarray(base_per_state, dtype=float)
+        model.base[:] = np.asarray(base_per_state, dtype=float)
     return model
 
 
@@ -104,6 +106,34 @@ def test_greedy_total_telescopes_to_the_predicted_drop():
         total = drop_of(model, states0, mu0, attack.ids, eps=0.7)
         assert attack.predicted_drop == pytest.approx(total, abs=1e-9)
         assert attack.predicted_drop == pytest.approx(attack.pick_rewards.sum(), abs=1e-12)
+
+
+@st.composite
+def random_value_models(draw):
+    """An ExactValueModel or a RobustValueModel over random base and damp tables."""
+    n_states = draw(st.integers(1, 8))
+    table = st.lists(st.floats(-50, 50), min_size=n_states, max_size=n_states)
+    base, damp = np.array(draw(table)), np.array(draw(table))
+    if draw(st.booleans()):
+        return ExactValueModel(base, damp)
+    return value_model(damp, base_per_state=base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=random_value_models(), data=st.data())
+def test_greedy_pick_rewards_telescope_on_random_value_models(model, data):
+    n = data.draw(st.integers(1, 20), label="n_agents")
+    states0 = np.array(data.draw(st.lists(st.integers(0, model.n_states - 1),
+                                          min_size=n, max_size=n)))
+    k = data.draw(st.integers(0, n), label="k")
+    eps = data.draw(st.floats(0.01, 1.0), label="eps")
+    attack = select_greedy(model, states0, None, k, eps)
+    final = drop_of(model, states0, None, attack.ids, eps)
+    extremes = [model.values(states0, np.full(n, e), e) for e in (0.0, 1.0)]
+    tol = 1e-9 * (1.0 + max(np.abs(v).max() for v in extremes))
+    assert attack.k == k and attack.pick_rewards.size == k
+    assert float(np.sum(attack.pick_rewards)) == pytest.approx(final, abs=tol)
+    assert attack.predicted_drop == pytest.approx(final, abs=tol)
 
 
 def test_greedy_is_equivariant_under_agent_relabelling():
