@@ -100,15 +100,22 @@ class MeanFieldEnv:
         return StepResult(snapshot, snapshot.states, float(reward))
 
 
-def torus_delta(diff, length: float) -> np.ndarray:
-    """Minimal-image displacement on a periodic interval of given length."""
-    return (np.asarray(diff) + length / 2.0) % length - length / 2.0
+def torus_sq_pairwise(pos, lengths) -> np.ndarray:
+    """(N, N) squared minimal-image distances of (N, 2) positions on a torus.
+
+    Per axis of side L, min(d, L - d) with d = |x_i - x_j|: no float modulo,
+    valid for coordinates in [0, L] (both torus envs keep them in [0, L)).
+    """
+    sq = 0.0
+    for x, length in zip(np.transpose(pos), np.broadcast_to(lengths, 2)):
+        d = np.abs(np.subtract.outer(x, x))
+        sq = sq + np.minimum(d, length - d) ** 2
+    return sq
 
 
-def torus_pairwise(pos, length: float) -> np.ndarray:
-    """Euclidean pairwise distances on a square torus; pos is (N, 2)."""
-    d = torus_delta(pos[:, None, :] - pos[None, :, :], length)
-    return np.sqrt((d ** 2).sum(axis=2))
+def torus_pairwise(pos, lengths) -> np.ndarray:
+    """Euclidean pairwise distances on a torus; see torus_sq_pairwise."""
+    return np.sqrt(torus_sq_pairwise(pos, lengths))
 
 
 def agent_layout(n_agents: int):

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core import seed_rng
 from ..errors import InvalidConfigError
-from .base import MeanFieldEnv, Snapshot, build_config, torus_delta
+from .base import MeanFieldEnv, Snapshot, build_config, torus_pairwise
 
 # action order: stay, east, west, north, south
 MOVES = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
@@ -138,10 +138,7 @@ class TaxiGridEnv(MeanFieldEnv):
         return self._finish_step(nxt, reward)
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
-        xy = snapshot.pos.astype(float)
-        dx = torus_delta(xy[:, 0:1] - xy[:, 0:1].T, self.config.grid_width)
-        dy = torus_delta(xy[:, 1:2] - xy[:, 1:2].T, self.config.grid_height)
-        return np.sqrt(dx ** 2 + dy ** 2)
+        return torus_pairwise(snapshot.pos, (self.config.grid_width, self.config.grid_height))
 
 
 def make_taxi(raw: dict) -> TaxiGridEnv:

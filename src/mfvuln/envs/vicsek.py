@@ -11,10 +11,11 @@ sector of its offset from the local neighbourhood mean heading, so a state
 reads "roughly north, pointing left of my neighbours".
 
 The built-in alignment rule steers each agent toward the mean heading of
-its neighbourhood (itself included).  With zero noise the rule picks the
-increment closest to the exact correction; with noise the correction is
-smeared by a Gaussian before discretisation, which makes the induced
-action distribution an explicit mixture rather than a point mass.
+its neighbourhood: itself and every agent at squared torus distance at most
+comm_radius**2 (positions stay in [0, world_size)).  With zero noise the
+rule picks the increment closest to the exact correction; with noise the
+correction is smeared by a Gaussian before discretisation, which makes the
+induced action distribution an explicit mixture rather than a point mass.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 from ..core import seed_rng
 from ..errors import InvalidConfigError
-from .base import MeanFieldEnv, Snapshot, build_config, torus_pairwise, wrap_angle
+from .base import (MeanFieldEnv, Snapshot, build_config, torus_pairwise, torus_sq_pairwise,
+                   wrap_angle)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -145,15 +147,16 @@ class VicsekEnv(MeanFieldEnv):
         return Snapshot(t=0, states=states, rng=rng, pos=pos, headings=headings)
 
     def neighbor_mean_heading(self, pos, headings) -> np.ndarray:
-        """Circular mean heading over each agent's neighbourhood, self included."""
-        adj = torus_pairwise(pos, self.config.world_size) <= self.config.comm_radius
+        """Circular mean heading over each agent's neighbourhood: itself and every
+        agent at squared torus distance <= comm_radius**2; pos in [0, world_size)."""
+        adj = torus_sq_pairwise(pos, self.config.world_size) <= self.config.comm_radius ** 2
         np.fill_diagonal(adj, True)
-        vec = np.exp(1j * headings)
-        total = adj @ vec
+        vec = np.column_stack([np.cos(headings), np.sin(headings)])
+        total = adj.astype(float) @ vec
         # a perfectly cancelling neighbourhood falls back to the agent's own heading
-        degenerate = np.abs(total) < 1e-12
-        total = np.where(degenerate, vec, total)
-        return np.angle(total)
+        degenerate = np.hypot(total[:, 0], total[:, 1]) < 1e-12
+        total[degenerate] = vec[degenerate]
+        return np.arctan2(total[:, 1], total[:, 0])
 
     def _discretize(self, pos, headings) -> np.ndarray:
         cfg = self.config

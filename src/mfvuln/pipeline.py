@@ -16,6 +16,7 @@ per-agent vulnerability heatmaps) live here too.
 from __future__ import annotations
 
 import csv
+import fnmatch
 import hashlib
 import io
 import itertools
@@ -414,6 +415,13 @@ class RunPaths:
     def heatmap(self, seed, mode):
         return self._p(f"heatmap_{mode}_s{seed}.csv")
 
+    def artifacts(self) -> list:
+        """Files in out_dir named as above, for any seed and key."""
+        names = ("ledger.csv", "victim_s*", "trajectories_s*", "value_s*", "attack_*_s*",
+                 "adversary_*_s*", "brute_scores_s*", "correlation_s*", "heatmap_*_s*")
+        return [f for f in sorted(os.listdir(self.out_dir))
+                if any(fnmatch.fnmatch(f, n) for n in names)]
+
 
 def write_trajectories_csv(path, trajectories):
     rows = ((ep, st.t, _fmt(st.reward), ";".join(str(s) for s in st.states),
@@ -459,6 +467,9 @@ class Run:
         self.paths = RunPaths(config.out_dir)
         id_path = self.paths.experiment_id()
         if not os.path.exists(id_path):
+            if self.paths.artifacts():
+                raise InvalidConfigError(f"{config.out_dir} holds stage files of an unknown "
+                                         "experiment (no experiment_id.txt); use a new out_dir")
             write_atomic(id_path, self.exp + "\n")
         with open(id_path) as fh:
             held = fh.read().strip()

@@ -11,10 +11,11 @@ rises by eps/N.  Summed over a selection episode these rewards telescope to
 the total predicted drop of the final attack set.  The start mean field mu0
 is still accepted by every selector and not used: V takes no mean field.
 
-Selectors: greedy argmax over the pick reward, a small Q-learner over pick
-features, uniform random, degree centrality on the observation graph, and
-exhaustive enumeration against a caller-supplied evaluator (the reference
-answer on toys).
+Selectors: greedy argmax over the pick reward (each round scores every
+candidate in one value-model call), a small Q-learner over pick features,
+uniform random, degree centrality on the observation graph, and exhaustive
+enumeration against a caller-supplied evaluator (the reference answer on
+toys).
 """
 
 from __future__ import annotations
@@ -132,26 +133,27 @@ def _check_k(n_agents: int, k: int):
 
 
 def select_greedy(value_model, states0, mu0, k: int, eps: float = 1.0) -> AttackSet:
-    """K rounds of argmax over the pick reward; ties go to the lowest id."""
+    """K greedy rounds, each scoring every candidate in one value_model.values
+    call on a (C, N) budget matrix; ties go to the lowest id."""
     states0 = np.asarray(states0, dtype=int)
     n = states0.size
     _check_k(n, k)
     budget = BudgetVector.zeros(n)
     chosen, rewards = [], []
     for _ in range(k):
-        cand_rewards = {}
-        for cand in range(n):
-            if budget.eps[cand] > 0:
-                continue
-            cand_rewards[cand] = selector_reward(value_model, states0, mu0, budget,
-                                                 budget.with_agent(cand, eps))
-        top = max(cand_rewards.values())
+        if eps == 0:
+            warnings.warn("degenerate selection step: budgets unchanged", stacklevel=2)
+        cands = np.flatnonzero(budget.eps == 0)
+        budgets = np.where(np.eye(n, dtype=bool)[cands], eps, budget.eps)
+        v_prev = value_model.values(states0, budget.eps, budget.xi)
+        v_next = value_model.values(states0, budgets, budgets.mean(axis=1, keepdims=True))
+        cand_rewards = (v_prev - v_next).mean(axis=1)
         # summation order perturbs exact ties by a few ulp; keep them ties
-        tol = 1e-9 * max(1.0, abs(top))
-        best = min(c for c, r in cand_rewards.items() if r >= top - tol)
-        chosen.append(best)
-        rewards.append(cand_rewards[best])
-        budget = budget.with_agent(best, eps)
+        cutoff = cand_rewards.max() - 1e-9 * max(1.0, abs(cand_rewards.max()))
+        pick = int(np.argmax(cand_rewards >= cutoff))
+        chosen.append(int(cands[pick]))
+        rewards.append(float(cand_rewards[pick]))
+        budget = budget.with_agent(chosen[-1], eps)
     return AttackSet(np.array(chosen, dtype=int), eps, "greedy",
                      predicted_drop=float(np.sum(rewards)) if rewards else 0.0,
                      pick_rewards=np.array(rewards))

@@ -224,3 +224,65 @@ def pooled_std(groups) -> float:
     num = sum((g.size - 1) * g.var(ddof=1) for g in groups)
     den = sum(g.size - 1 for g in groups)
     return float(np.sqrt(num / den))
+
+
+# -- reference kernels ---------------------------------------------------------------
+#
+# The formulas the package used before its neighbour kernel and greedy
+# selection were vectorised: float modulo for the minimal image, a complex
+# sum for the mean heading, one value-model call per greedy candidate.
+
+
+def torus_delta(diff, length: float) -> np.ndarray:
+    """Minimal-image displacement on a periodic interval of given length."""
+    return (np.asarray(diff) + length / 2.0) % length - length / 2.0
+
+
+def torus_distances(pos, lengths) -> np.ndarray:
+    """(N, N) Euclidean minimal-image distances; pos is (N, 2)."""
+    pos = np.asarray(pos, dtype=float)
+    lengths = np.broadcast_to(np.asarray(lengths, dtype=float), (2,))
+    dx = torus_delta(pos[:, 0:1] - pos[:, 0:1].T, lengths[0])
+    dy = torus_delta(pos[:, 1:2] - pos[:, 1:2].T, lengths[1])
+    return np.sqrt(dx ** 2 + dy ** 2)
+
+
+def vicsek_adjacency(env, pos) -> np.ndarray:
+    """Neighbourhood of the alignment rule, self included."""
+    adj = torus_distances(pos, env.config.world_size) <= env.config.comm_radius
+    np.fill_diagonal(adj, True)
+    return adj
+
+
+def neighbor_mean_heading(env, pos, headings) -> np.ndarray:
+    """Circular mean heading as a complex sum over the neighbourhood."""
+    vec = np.exp(1j * np.asarray(headings))
+    total = vicsek_adjacency(env, pos) @ vec
+    degenerate = np.abs(total) < 1e-12
+    return np.angle(np.where(degenerate, vec, total))
+
+
+def select_greedy(value_model, states0, k: int, eps: float = 1.0):
+    """Greedy selection scoring one candidate at a time with selector_reward."""
+    from mfvuln.core import BudgetVector
+    from mfvuln.selection import AttackSet, selector_reward
+
+    states0 = np.asarray(states0, dtype=int)
+    budget = BudgetVector.zeros(states0.size)
+    chosen, rewards = [], []
+    for _ in range(k):
+        cand_rewards = {}
+        for cand in range(states0.size):
+            if budget.eps[cand] > 0:
+                continue
+            cand_rewards[cand] = selector_reward(value_model, states0, None, budget,
+                                                 budget.with_agent(cand, eps))
+        top = max(cand_rewards.values())
+        tol = 1e-9 * max(1.0, abs(top))
+        best = min(c for c, r in cand_rewards.items() if r >= top - tol)
+        chosen.append(best)
+        rewards.append(cand_rewards[best])
+        budget = budget.with_agent(best, eps)
+    return AttackSet(np.array(chosen, dtype=int), eps, "greedy",
+                     predicted_drop=float(np.sum(rewards)) if rewards else 0.0,
+                     pick_rewards=np.array(rewards))

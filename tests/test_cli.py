@@ -2,6 +2,8 @@
 
 import csv
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 import yaml
@@ -168,6 +170,29 @@ def test_victim_checkpoint_without_ledger_rows_is_not_reused(tmp_path, monkeypat
     assert raw["out_dir"] in err and old_id in err and new_id in err
     assert (open(victim, "rb").read(), open(victim + ".q", "rb").read()) == before
     assert ResultsLedger(paths.ledger()).rows() == []
+
+
+def test_directory_with_stage_files_but_no_experiment_id_is_refused(tmp_path, capsys):
+    """An output directory written before experiment_id.txt existed is not adopted."""
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "toy"
+    shutil.copytree(root / "runs" / "toy", out)
+    (out / "experiment_id.txt").unlink()
+    before = {f: (out / f).read_bytes() for f in os.listdir(out)}
+    raw = yaml.safe_load((root / "configs" / "toy.yaml").read_text())
+    raw["victim"]["episodes"] = 5
+    cfg_path = tmp_path / "toy5.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+
+    assert main(["train-victim", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "experiment_id.txt" in err
+    assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["train-victim", "--config", str(cfg_path), "--out", str(empty)]) == 0
+    assert os.path.exists(RunPaths(str(empty)).victim_policy(0))
 
 
 def test_bad_config_exits_with_error(tmp_path, capsys):

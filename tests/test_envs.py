@@ -1,17 +1,26 @@
 """Environment dynamics, rewards, graphs, and reproducibility."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mfvuln.core import seed_rng
 from mfvuln.envs import (ExactValueModel, TaxiGridEnv, ToyMeanFieldEnv, VicsekEnv,
                          agent_layout, make_env, order_parameter)
-from mfvuln.envs.base import torus_delta, torus_pairwise, wrap_angle
+from mfvuln.envs.base import torus_pairwise, torus_sq_pairwise, wrap_angle
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
 from mfvuln.errors import InvalidConfigError, InvalidInputError
+from mfvuln.pipeline import load_experiment_config
 from mfvuln.qlearn import RulePolicy, UniformPolicy, rollout
+
+import oracles
+from oracles import torus_delta
+
+
+VICSEK_YAML = Path(__file__).resolve().parent.parent / "configs" / "vicsek.yaml"
 
 
 def small_vicsek(**kw):
@@ -271,6 +280,73 @@ def test_torus_helpers():
     pos = np.array([[0.0, 0.0], [9.0, 0.0]])
     assert torus_pairwise(pos, 10.0)[0, 1] == pytest.approx(1.0)
     assert wrap_angle(3 * np.pi) == pytest.approx(-np.pi)
+
+
+def scale_env(n: int):
+    """configs/vicsek.yaml in the benchmark's scale layout: 10 clusters, world 32*sqrt(N/16)."""
+    raw = {k: v for k, v in load_experiment_config(VICSEK_YAML).env.items()
+           if k != "cluster_sizes"}
+    raw.update(n_agents=n, n_clusters=10, world_size=32.0 * np.sqrt(n / 16))
+    return make_env(raw)
+
+
+def reference_env(env):
+    """The same env with the modulo-and-complex-sum neighbour kernel."""
+    ref = make_env(vars(env.config).copy())
+    ref.neighbor_mean_heading = lambda pos, headings: oracles.neighbor_mean_heading(
+        ref, pos, headings)
+    return ref
+
+
+@pytest.mark.parametrize("n, episodes", [(16, 4), (64, 2), (320, 1), ("yaml", 4)])
+def test_neighbour_kernel_matches_the_modulo_reference(n, episodes):
+    env = make_env(load_experiment_config(VICSEK_YAML).env) if n == "yaml" \
+        else scale_env(n)
+    ref, r = reference_env(env), env.config.comm_radius
+    for ep in range(episodes):
+        got = rollout(env, UniformPolicy(env.n_actions), (7, ep))
+        want = rollout(ref, UniformPolicy(env.n_actions), (7, ep))
+        assert [st.states.tolist() for st in got.steps] == [st.states.tolist() for st in want.steps]
+        assert got.rewards.tobytes() == want.rewards.tobytes()
+    snap = env.reset(seed=3)
+    for t in range(10):
+        adj = torus_sq_pairwise(snap.pos, env.config.world_size) <= r ** 2
+        np.fill_diagonal(adj, True)
+        assert np.array_equal(adj, oracles.vicsek_adjacency(env, snap.pos))
+        gap = wrap_angle(env.neighbor_mean_heading(snap.pos, snap.headings)
+                         - oracles.neighbor_mean_heading(env, snap.pos, snap.headings))
+        assert np.abs(gap).max() <= 1e-12
+        snap = env.step(snap, seed_rng((3, t)).integers(0, env.n_actions, env.n_agents)).snapshot
+
+
+def test_lattice_pairs_at_comm_radius_across_the_seam_are_neighbours():
+    side, r = 12, 5.0
+    xy = np.array([(x, y) for x in range(side) for y in range(side)], dtype=float)
+    d = np.abs(xy[:, None, :] - xy[None, :, :]).astype(int)
+    exact = (np.minimum(d, side - d) ** 2).sum(axis=2)   # integer squared distances
+    assert ((exact == r ** 2) & (d.max(axis=2) > side // 2)).sum() > 0   # pairs on the seam
+    assert np.array_equal(torus_sq_pairwise(xy, float(side)), exact)
+    assert np.array_equal(torus_sq_pairwise(xy, float(side)) <= r ** 2, exact <= 25)
+    env = small_vicsek(n_agents=2, world_size=float(side), comm_radius=r)
+    # (1, 2) and (10, 10): offsets 3 and 4 across both seams, distance exactly r
+    pos = np.array([[1.0, 2.0], [10.0, 10.0]])
+    assert torus_sq_pairwise(pos, float(side))[0, 1] == r ** 2
+    mean = env.neighbor_mean_heading(pos, np.array([0.0, 1.0]))
+    assert mean == pytest.approx([0.5, 0.5])
+    far = np.array([[1.0, 2.0], [10.0, 9.5]])
+    assert env.neighbor_mean_heading(far, np.array([0.0, 1.0])) == pytest.approx([0.0, 1.0])
+
+
+def test_taxi_observation_graph_matches_the_modulo_reference():
+    env = TaxiGridEnv(TaxiConfig(n_agents=24, grid_width=8, grid_height=6, seed=1))
+    snap = env.reset(seed=1)
+    for t in range(20):
+        dist = oracles.torus_distances(snap.pos, (8, 6))
+        for radius in (None, 0.0, 1.0, np.sqrt(2.0), 2.0, 2.5, np.sqrt(5.0), 4.0):
+            want = dist <= (env.config.comm_radius if radius is None else radius)
+            np.fill_diagonal(want, False)
+            assert np.array_equal(env.observation_graph(snap, radius=radius), want)
+        snap = env.step(snap, seed_rng((1, t)).integers(0, 5, env.n_agents)).snapshot
 
 
 def test_agent_layout_shapes():

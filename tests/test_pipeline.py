@@ -429,6 +429,17 @@ def test_stage_dependencies_are_enforced(tmp_path):
         stage_evaluate(run, 0)
 
 
+def test_run_paths_lists_every_stage_file_it_names(tmp_path):
+    paths = RunPaths(str(tmp_path))
+    named = [paths.ledger(), paths.victim_policy(0), paths.victim_policy(0) + ".q",
+             paths.trajectories(1), paths.value_model(2), paths.attack_set(0, "rl"),
+             paths.adversary(0, "brute"), paths.brute_scores(0), paths.correlation(3),
+             paths.heatmap(0, "per-agent-eps")]
+    for path in named + [str(tmp_path / "notes.txt"), paths.experiment_id()]:
+        open(path, "w").close()
+    assert paths.artifacts() == sorted(os.path.basename(p) for p in named)
+
+
 def test_run_claims_its_directory_before_any_stage(tmp_path):
     out = str(tmp_path / "claimed")
     cfg = parse_experiment_config(base_raw(out_dir=out))

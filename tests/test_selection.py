@@ -25,6 +25,8 @@ from mfvuln.selection import (
     selector_reward,
 )
 
+import oracles
+
 GAMMA = 0.95
 
 
@@ -134,6 +136,46 @@ def test_greedy_pick_rewards_telescope_on_random_value_models(model, data):
     assert attack.k == k and attack.pick_rewards.size == k
     assert float(np.sum(attack.pick_rewards)) == pytest.approx(final, abs=tol)
     assert attack.predicted_drop == pytest.approx(final, abs=tol)
+
+
+@st.composite
+def tied_value_models(draw):
+    """Integer base and damp tables, so many candidates tie exactly."""
+    n_states = draw(st.integers(1, 6))
+    table = st.lists(st.integers(-3, 3), min_size=n_states, max_size=n_states)
+    base = np.array(draw(table), dtype=float)
+    damp = np.abs(np.array(draw(table), dtype=float))
+    if draw(st.booleans()):
+        return ExactValueModel(base, damp)
+    return value_model(damp, base_per_state=base)
+
+
+@settings(deadline=None, max_examples=150)
+@given(tied_value_models(), st.data())
+def test_batched_greedy_matches_the_per_candidate_loop(model, data):
+    n = data.draw(st.integers(1, 40), label="n_agents")
+    states0 = np.array(data.draw(st.lists(st.integers(0, model.n_states - 1),
+                                          min_size=n, max_size=n)))
+    k = data.draw(st.integers(0, n), label="k")
+    eps = data.draw(st.floats(0.0, 1.0, exclude_min=True), label="eps")
+    got = select_greedy(model, states0, None, k, eps)
+    want = oracles.select_greedy(model, states0, k, eps)
+    assert list(got.ids) == list(want.ids)
+    assert got.pick_rewards.tobytes() == want.pick_rewards.tobytes()
+    assert got.predicted_drop == want.predicted_drop
+
+
+def test_greedy_at_zero_budget_behaves_like_the_per_candidate_loop():
+    model = value_model([1.0, 2.0, 0.5])
+    states0 = np.arange(3)
+    for select in (lambda k: select_greedy(model, states0, None, k, 0.0),
+                   lambda k: oracles.select_greedy(model, states0, k, 0.0)):
+        assert select(0).k == 0
+        with pytest.warns(UserWarning, match="budgets unchanged"):
+            one = select(1)
+        assert list(one.ids) == [0] and one.pick_rewards.tolist() == [0.0]
+        with pytest.warns(UserWarning), pytest.raises(InvalidInputError, match="duplicate"):
+            select(2)
 
 
 def test_greedy_is_equivariant_under_agent_relabelling():
