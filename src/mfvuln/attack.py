@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import BudgetVector, mix_policy_matrix, sample_actions, seed_rng
+from .envs.base import stack_snapshots
 from .errors import InvalidInputError
 from .qlearn import (BoltzmannPolicy, LearnerConfig, QModel, evaluate_policy,
                      exploration_eps, softmax_rows)
@@ -61,50 +62,93 @@ def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryCon
     discounted), so the curve should rise as the attack improves.  An
     all-zero budget vector warns and returns an untrained (no-op) adversary:
     with nothing corrupted there is no transition that carries signal.
+    This is the one-learner case of ``train_adversaries``.
     """
-    cfg.validate()
-    if budgets.n_agents != env.n_agents:
-        raise InvalidInputError("budget vector length does not match the population")
-    attacked = budgets.eps > 0
-    model = QModel(env.n_states, env.n_actions, env.gamma)
-    if not attacked.any():
-        warnings.warn("empty attack set: returning a no-op adversary", stacklevel=2)
-        return model, BoltzmannPolicy(model, cfg.temperature), np.empty(0)
-    frozen = policy_checksum(victim_policy)
+    return train_adversaries(env, victim_policy, [budgets], [cfg])[0]
 
-    episode_seeds = np.random.SeedSequence((cfg.seed, 0xad)).spawn(cfg.episodes)
-    act_rng = seed_rng(cfg.seed, salt="adversary-actions")
-    curve = np.empty(cfg.episodes)
+
+def train_adversaries(env, victim_policy, budgets, cfgs) -> list:
+    """Fit B adversaries against one victim in lockstep, one per (budgets, cfg).
+
+    Returns B (model, policy, episode returns) triples, each byte for byte
+    what ``train_adversary`` returns for that learner alone.  The learners
+    share the schedule (the configs may differ only in ``seed``) and step
+    their episodes as one batch, but each keeps its own episode seeds,
+    action stream, budgets and Q table.  Learners with an all-zero budget
+    vector warn and get an untrained adversary, as in ``train_adversary``.
+    """
+    if len(budgets) != len(cfgs):
+        raise InvalidInputError(f"{len(budgets)} budget vectors for {len(cfgs)} configs")
+    for cfg in cfgs:
+        cfg.validate()
+        if replace(cfg, seed=0) != replace(cfgs[0], seed=0):
+            raise InvalidInputError("adversaries trained together must share their "
+                                    "schedule; only the seed may differ")
+    if any(b.n_agents != env.n_agents for b in budgets):
+        raise InvalidInputError("budget vector length does not match the population")
+    models = [QModel(env.n_states, env.n_actions, env.gamma) for _ in budgets]
+    curves = [np.empty(0) for _ in budgets]
+    active = [j for j, b in enumerate(budgets) if np.any(b.eps > 0)]
+    if len(active) < len(budgets):
+        warnings.warn("empty attack set: returning a no-op adversary", stacklevel=2)
+    if active:
+        frozen = policy_checksum(victim_policy)
+        trained = _sarsa_batch(env, victim_policy, [budgets[j] for j in active],
+                               [cfgs[j] for j in active], [models[j] for j in active])
+        if policy_checksum(victim_policy) != frozen:
+            raise RuntimeError("victim policy changed during adversarial training")
+        for j, curve in zip(active, trained):
+            curves[j] = curve
+    return [(model, BoltzmannPolicy(model, cfg.temperature), curve)
+            for model, cfg, curve in zip(models, cfgs, curves)]
+
+
+def _sarsa_batch(env, victim_policy, budgets, cfgs, models) -> np.ndarray:
+    """SARSA for B learners in lockstep; returns their (B, episodes) curves.
+
+    One (B * S, A) table holds learner b's Q(s, a) in row b * S + s, so a
+    single masked ``td_update`` serves the batch: learners never share a
+    cell, and within a learner the increments keep their order.  Each
+    learner's model gets its block of that table as a view.
+    """
+    cfg, n_learners, n_states = cfgs[0], len(cfgs), env.n_states
+    stacked = QModel(n_learners * n_states, env.n_actions, env.gamma)
+    for b, model in enumerate(models):
+        model.table = stacked.table[b * n_states:(b + 1) * n_states]
+        model.visits = stacked.visits[b * n_states:(b + 1) * n_states]
+    offset = n_states * np.arange(n_learners)[:, None]
+    eps = np.stack([budget.eps for budget in budgets])
+    attacked = eps > 0
+    episode_seeds = [np.random.SeedSequence((c.seed, 0xad)).spawn(cfg.episodes) for c in cfgs]
+    act_rngs = [seed_rng(c.seed, salt="adversary-actions") for c in cfgs]
+    curves = np.empty((n_learners, cfg.episodes))
 
     for ep in range(cfg.episodes):
-        snap = env.reset(seed=episode_seeds[ep])
+        batch = stack_snapshots([env.reset(seed=seeds[ep]) for seeds in episode_seeds])
+        rows = batch.states + offset
         explore = exploration_eps(cfg, ep)
-        ret, disc = 0.0, 1.0
+        ret, disc = np.zeros(n_learners), 1.0
         prev = None
         for t in range(env.horizon):
-            victim = victim_policy.action_dists(snap)
-            q = model.values(snap.states)
-            adv = (1 - explore) * softmax_rows(q / cfg.temperature) \
+            victim = victim_policy.action_dists(batch)
+            adv = (1 - explore) * softmax_rows(stacked.values(rows) / cfg.temperature) \
                 + explore / env.n_actions
-            behavior = mix_policy_matrix(adv, victim, budgets.eps)
-            actions = sample_actions(behavior, act_rng)
-            res = env.step(snap, actions)
+            actions = sample_actions(mix_policy_matrix(adv, victim, eps), act_rngs)
+            res = env.step_batch(batch, actions)
 
             if prev is not None:
-                p_states, p_actions, p_reward = prev
-                targets = -p_reward + env.gamma * model.table[snap.states, actions]
-                model.td_update(p_states[attacked], p_actions[attacked],
-                                targets[attacked], cfg.lr, cfg.lr_decay)
+                p_rows, p_actions, p_reward = prev
+                targets = -p_reward[:, None] + env.gamma * stacked.table[rows, actions]
+                stacked.td_update(p_rows[attacked], p_actions[attacked],
+                                  targets[attacked], cfg.lr, cfg.lr_decay)
 
-            prev = (snap.states, actions, res.reward)
+            prev = (rows, actions, res.reward)
             ret += disc * (-res.reward)
             disc *= env.gamma
-            snap = res.snapshot
-        curve[ep] = ret
-
-    if policy_checksum(victim_policy) != frozen:
-        raise RuntimeError("victim policy changed during adversarial training")
-    return model, BoltzmannPolicy(model, cfg.temperature), curve
+            batch = res.snapshot
+            rows = batch.states + offset
+        curves[:, ep] = ret
+    return curves
 
 
 @dataclass

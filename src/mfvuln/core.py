@@ -127,17 +127,21 @@ def empirical_mean_field_state(states, n_states: int) -> MeanFieldState:
 
 
 def mix_policy_matrix(alpha_mat, beta_mat, eps_vec) -> np.ndarray:
-    """Row-wise mixture for N agents at once; rows are action distributions."""
+    """Row-wise mixture for N agents at once; rows are action distributions.
+
+    The matrices may carry a leading batch axis, (B, N, A); the budgets are
+    then one (N,) vector for the whole batch or one row per batch entry.
+    """
     alpha_mat = np.asarray(alpha_mat, dtype=float)
     beta_mat = np.asarray(beta_mat, dtype=float)
     eps_vec = np.asarray(eps_vec, dtype=float)
     if alpha_mat.shape != beta_mat.shape:
         raise InvalidInputError("policy matrices differ in shape")
-    if eps_vec.shape != (alpha_mat.shape[0],):
+    if eps_vec.ndim == 0 or eps_vec.shape != alpha_mat.shape[-1 - eps_vec.ndim:-1]:
         raise InvalidInputError("budget vector length mismatch")
     if np.any(eps_vec < 0) or np.any(eps_vec > 1):
         raise InvalidInputError("mixing weights must be in [0, 1]")
-    e = eps_vec[:, None]
+    e = eps_vec[..., None]
     return e * alpha_mat + (1.0 - e) * beta_mat
 
 
@@ -197,11 +201,16 @@ def aggregate_budget(eps_vector) -> float:
     return float(e.mean())
 
 
-def sample_actions(prob_matrix, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of an (N, A) probability matrix."""
+def sample_actions(prob_matrix, rng) -> np.ndarray:
+    """One categorical draw per row of an (N, A) probability matrix.
+
+    A (B, N, A) batch takes a list of B generators, one per (N, A) slice,
+    and each slice draws exactly what it would draw alone.
+    """
     prob_matrix = np.asarray(prob_matrix, dtype=float)
-    cdf = np.cumsum(prob_matrix, axis=1)
+    cdf = np.cumsum(prob_matrix, axis=-1)
     # guard against cumulative rounding leaving the last edge below 1
-    cdf[:, -1] = 1.0
-    u = rng.random(prob_matrix.shape[0])
-    return (u[:, None] < cdf).argmax(axis=1)
+    cdf[..., -1] = 1.0
+    n = prob_matrix.shape[-2]
+    u = rng.random(n) if prob_matrix.ndim == 2 else np.array([r.random(n) for r in rng])
+    return (u[..., None] < cdf).argmax(axis=-1)

@@ -4,6 +4,7 @@ All environments expose the same surface:
 
     env.reset(seed) -> Snapshot
     env.step(snapshot, actions) -> StepResult
+    env.step_batch(batch, actions) -> StepResult     (B episodes at once)
     env.observation_graph(snapshot, radius=None) -> (N, N) bool adjacency
 
 Snapshots are passed explicitly so rollouts stay replayable; the snapshot
@@ -11,6 +12,11 @@ owns the stream of process noise (single writer, do not step one snapshot
 from two threads).  Initial agent layout is fixed by the config, not the
 reset seed, so agent identities keep their meaning across episodes of one
 experiment.
+
+Independent episodes step together as a batch: ``stack_snapshots`` puts B
+snapshots on a leading axis, and ``step_batch`` advances them with (B, N)
+actions.  Each episode keeps its own noise stream, so an episode's bytes do
+not depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -27,22 +33,43 @@ from ..errors import InvalidConfigError, InvalidInputError
 
 @dataclass
 class Snapshot:
+    """One episode, or a batch of B: arrays with a leading axis and B rngs."""
+
     t: int
     states: np.ndarray
-    rng: np.random.Generator
+    rng: np.random.Generator                # a list of B generators in a batch
     pos: Optional[np.ndarray] = None        # continuous (Vicsek) or cell coords (Taxi)
     headings: Optional[np.ndarray] = None   # Vicsek only
 
     @property
     def n_agents(self) -> int:
-        return self.states.size
+        return self.states.shape[-1]
+
+    def episodes(self) -> list:
+        """The single-episode snapshots of a batch, as views of its arrays."""
+        return [Snapshot(self.t, self.states[b], rng,
+                         None if self.pos is None else self.pos[b],
+                         None if self.headings is None else self.headings[b])
+                for b, rng in enumerate(self.rng)]
+
+
+def stack_snapshots(snapshots) -> Snapshot:
+    """A batch of the given single-episode snapshots, all at the same t."""
+    first = snapshots[0]
+
+    def stack(name):
+        return None if getattr(first, name) is None \
+            else np.array([getattr(s, name) for s in snapshots])
+
+    return Snapshot(first.t, stack("states"), [s.rng for s in snapshots],
+                    stack("pos"), stack("headings"))
 
 
 @dataclass
 class StepResult:
     snapshot: Snapshot
     states: np.ndarray
-    reward: float
+    reward: float                           # a (B,) array from step_batch
 
 
 class MeanFieldEnv:
@@ -74,6 +101,16 @@ class MeanFieldEnv:
     def step(self, snapshot: Snapshot, actions) -> StepResult:
         raise NotImplementedError
 
+    def step_batch(self, batch: Snapshot, actions) -> StepResult:
+        """Advance a batch of B episodes by (B, N) actions; rewards are (B,).
+
+        This default steps the episodes one at a time through ``step``.
+        """
+        actions = self._check_actions(batch, actions)
+        results = [self.step(snap, a) for snap, a in zip(batch.episodes(), actions)]
+        nxt = stack_snapshots([res.snapshot for res in results])
+        return StepResult(nxt, nxt.states, np.array([res.reward for res in results]))
+
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         raise NotImplementedError
 
@@ -88,11 +125,13 @@ class MeanFieldEnv:
         return adj
 
     def _check_actions(self, snapshot: Snapshot, actions) -> np.ndarray:
+        """Actions as ints, one per agent (per episode of a batch), all in range."""
         actions = np.asarray(actions, dtype=int)
-        if actions.shape != (self.n_agents,):
+        expected = np.shape(snapshot.states)[:-1] + (self.n_agents,)
+        if actions.shape != expected:
             raise InvalidInputError(
-                f"expected {self.n_agents} actions, got shape {actions.shape}")
-        if np.any(actions < 0) or np.any(actions >= self.n_actions):
+                f"expected actions of shape {expected}, got shape {actions.shape}")
+        if actions.min() < 0 or actions.max() >= self.n_actions:
             raise InvalidInputError("action index out of range")
         return actions
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core import seed_rng
 from ..errors import InvalidConfigError
-from .base import MeanFieldEnv, Snapshot, build_config, torus_pairwise
+from .base import MeanFieldEnv, Snapshot, StepResult, build_config, torus_pairwise
 
 # action order: stay, east, west, north, south
 MOVES = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
@@ -74,6 +74,14 @@ class TaxiGridEnv(MeanFieldEnv):
         self.config = config
         self.n_zones = (config.grid_width // 2) * (config.grid_height // 2)
         self.demand_rates = self._demand_rates()
+        # lookup tables: cell -> (x, y), cell -> zone, (cell, action) -> next cell
+        w, h = config.grid_width, config.grid_height
+        cells = np.arange(w * h)
+        self._xy = np.column_stack([cells // h, cells % h])
+        self._zone = (self._xy[:, 0] // 2) * (h // 2) + self._xy[:, 1] // 2
+        moved = (self._xy[:, None, :] + MOVES) % [w, h]
+        self._next_cell = moved[..., 0] * h + moved[..., 1]
+        self._start_cells = self._initial_cells()
 
     @property
     def n_states(self) -> int:
@@ -102,40 +110,42 @@ class TaxiGridEnv(MeanFieldEnv):
         return x * cfg.grid_height + y
 
     def cell_xy(self, cells) -> np.ndarray:
-        h = self.config.grid_height
-        cells = np.asarray(cells, dtype=int)
-        return np.column_stack([cells // h, cells % h])
-
-    def zone_of(self, cells) -> np.ndarray:
-        xy = self.cell_xy(cells)
-        zh = self.config.grid_height // 2
-        return (xy[:, 0] // 2) * zh + (xy[:, 1] // 2)
+        return self._xy[np.asarray(cells, dtype=int)]
 
     def reset(self, seed=None) -> Snapshot:
-        cells = self._initial_cells()
+        cells = self._start_cells.copy()
         rng = seed_rng(self.config.seed if seed is None else seed)
         return Snapshot(t=0, states=cells, rng=rng, pos=self.cell_xy(cells))
 
     @staticmethod
-    def mismatch_reward(supply, demand) -> float:
-        """Volume-normalised mismatch penalty in [-1, 0]; 0 iff matched."""
+    def mismatch_reward(supply, demand):
+        """Volume-normalised mismatch penalty in [-1, 0] over the last axis;
+        0 iff matched (or both empty)."""
         supply = np.asarray(supply)
         demand = np.asarray(demand)
-        volume = supply.sum() + demand.sum()
-        if volume == 0:
-            return 0.0
-        return -float(np.abs(supply - demand).sum()) / float(volume)
+        volume = supply.sum(axis=-1) + demand.sum(axis=-1)
+        return -np.abs(supply - demand).sum(axis=-1) / np.maximum(volume, 1)
+
+    def _advance(self, batch: Snapshot, actions) -> StepResult:
+        """All B episodes at once; each draws its demand from its own rng."""
+        cells = self._next_cell[batch.states, actions]
+        demand = np.array([rng.poisson(self.demand_rates) for rng in batch.rng])
+        zones = self._zone[cells] + self.n_zones * np.arange(len(demand))[:, None]
+        supply = np.bincount(zones.ravel(), minlength=demand.size).reshape(demand.shape)
+        nxt = Snapshot(t=batch.t + 1, states=cells, rng=batch.rng, pos=self._xy[cells])
+        return StepResult(nxt, cells, self.mismatch_reward(supply, demand))
+
+    def step_batch(self, batch: Snapshot, actions) -> StepResult:
+        return self._advance(batch, self._check_actions(batch, actions))
 
     def step(self, snapshot: Snapshot, actions):
+        """One episode: the B = 1 case of step_batch."""
         actions = self._check_actions(snapshot, actions)
-        cfg = self.config
-        xy = (self.cell_xy(snapshot.states) + MOVES[actions]) % [cfg.grid_width, cfg.grid_height]
-        cells = xy[:, 0] * cfg.grid_height + xy[:, 1]
-        demand = snapshot.rng.poisson(self.demand_rates)
-        supply = np.bincount(self.zone_of(cells), minlength=self.n_zones)
-        reward = self.mismatch_reward(supply, demand)
-        nxt = Snapshot(t=snapshot.t + 1, states=cells, rng=snapshot.rng, pos=xy)
-        return self._finish_step(nxt, reward)
+        res = self._advance(Snapshot(snapshot.t, snapshot.states[None], [snapshot.rng]),
+                            actions[None])
+        nxt = res.snapshot
+        return self._finish_step(Snapshot(nxt.t, nxt.states[0], snapshot.rng, nxt.pos[0]),
+                                 res.reward[0])
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         return torus_pairwise(snapshot.pos, (self.config.grid_width, self.config.grid_height))

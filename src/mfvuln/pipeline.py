@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
-from .attack import AdversaryConfig, evaluate_attack, train_adversary
+from .attack import AdversaryConfig, evaluate_attack, train_adversaries, train_adversary
 from .core import BudgetVector, seed_rng
 from .envs import make_env
 from .envs.base import agent_layout, check_field_types
@@ -326,23 +326,23 @@ def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
                                    out_csv=None):
     """Pair predicted drops with realized attacked returns; returns (r, rows).
 
-    Each subset gets its own adversary trained against the frozen victim;
-    the Pearson correlation is between the value model's predicted drop and
-    the realized attacked return (damaging subsets should sit low, so a
-    faithful model shows strongly negative r).
+    Each subset gets its own adversary trained against the frozen victim
+    (all of them in one batch); the Pearson correlation is between the
+    value model's predicted drop and the realized attacked return (damaging
+    subsets should sit low, so a faithful model shows strongly negative r).
     """
     if len(subsets) < 10:
         raise InvalidInputError("need at least 10 attack subsets")
     states0 = env.reset(seed=seed).states
+    budgets = [attack.budgets(env.n_agents) for attack in subsets]
+    adversaries = train_adversaries(
+        env, victim_policy, budgets,
+        [replace(adv_cfg, seed=adv_cfg.seed + 7919 * j) for j in range(len(subsets))])
     rows = []
-    for j, attack in enumerate(subsets):
-        budgets = attack.budgets(env.n_agents)
-        pred = predicted_drop(value_model, states0, None, budgets)
-        _, adv_policy, _ = train_adversary(env, victim_policy, budgets,
-                                           replace(adv_cfg, seed=adv_cfg.seed + 7919 * j))
-        report = evaluate_attack(env, victim_policy, budgets, episodes,
+    for j, (budget, (_, adv_policy, _)) in enumerate(zip(budgets, adversaries)):
+        report = evaluate_attack(env, victim_policy, budget, episodes,
                                  seed=(seed, 4, j), adversary_policy=adv_policy)
-        rows.append((pred, report.mean_return))
+        rows.append((predicted_drop(value_model, states0, None, budget), report.mean_return))
     r = pearson([p for p, _ in rows], [m for _, m in rows])
     if out_csv:
         write_atomic(out_csv, _csv_text([("predicted_drop", "realized_return")]
@@ -480,6 +480,11 @@ class Run:
         self.ledger = ResultsLedger(self.paths.ledger())
         self._kept = {}
 
+    def has(self, kind: str, seed: int, *key) -> bool:
+        """Whether the file RunPaths.<kind>(seed, *key) is kept or on disk."""
+        path = getattr(self.paths, kind)(seed, *key)
+        return path in self._kept or os.path.exists(path)
+
     def artifact(self, kind: str, seed: int, *key, compute=None):
         """The file RunPaths.<kind>(seed, *key): kept, loaded, or computed and saved."""
         path = getattr(self.paths, kind)(seed, *key)
@@ -595,15 +600,16 @@ def stage_select(run: Run, seed: int):
 
 
 def stage_attack(run: Run, seed: int):
+    """Adversaries of every method; those not yet saved train in one batch."""
     env, victim = run.env, run.artifact("victim_policy", seed)
     acfg = run.cfg.adversary.adversary_config(seed)
-    policies = {}
-    for method in run.cfg.selection.methods:
-        budgets = run.artifact("attack_set", seed, method).budgets(env.n_agents)
-        policies[method] = run.artifact(
-            "adversary", seed, method,
-            compute=lambda: train_adversary(env, victim, budgets, acfg)[1])
-    return policies
+    budgets = {m: run.artifact("attack_set", seed, m).budgets(env.n_agents)
+               for m in run.cfg.selection.methods}
+    missing = [m for m in budgets if not run.has("adversary", seed, m)]
+    trained = dict(zip(missing, train_adversaries(
+        env, victim, [budgets[m] for m in missing], [acfg] * len(missing))))
+    return {m: run.artifact("adversary", seed, m, compute=lambda m=m: trained[m][1])
+            for m in budgets}
 
 
 def stage_evaluate(run: Run, seed: int):

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BudgetVector, mix_policy_matrix, sample_actions, seed_rng
+from .envs.base import stack_snapshots
 from .errors import InvalidConfigError, InvalidInputError, TrainingFailureError
 
 CHECKPOINT_MAGIC = "mfvuln-checkpoint v1"
@@ -43,7 +44,7 @@ class QModel:
     # -- evaluation ---------------------------------------------------------
 
     def values(self, states) -> np.ndarray:
-        """(N, A) matrix of Q values for per-agent states."""
+        """(N, A) matrix of Q values for per-agent states ((B, N, A) for (B, N))."""
         return self.table[np.asarray(states, dtype=int)]
 
     def value(self, s, a) -> float:
@@ -52,7 +53,13 @@ class QModel:
     # -- updates ------------------------------------------------------------
 
     def td_update(self, states, actions, targets, lr: float, lr_decay: float = 0.0):
-        """One semi-gradient step of Q(s, a) toward per-agent targets."""
+        """One semi-gradient step of Q(s, a) toward per-agent targets.
+
+        Increments are summed per cell with ``np.add.at``, each against the
+        same old value, so where m agents share a cell (s, a) the effective
+        step is m * alpha, and it overshoots the target once m * alpha > 1.
+        Averaging per cell is ROADMAP item 3; it changes every fixture.
+        """
         idx = (np.asarray(states, dtype=int), np.asarray(actions, dtype=int))
         np.add.at(self.visits, idx, 1)
         alpha = lr / (1.0 + lr_decay * self.visits[idx])
@@ -146,10 +153,15 @@ def _read_checkpoint(path, expected_kind):
 
 
 def softmax_rows(z) -> np.ndarray:
+    """Softmax over the last axis."""
     z = np.asarray(z, dtype=float)
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# A policy's action_dists(snapshot) gives (N, A) distributions for one
+# episode and (B, N, A) for a batch of B (see envs.base.stack_snapshots).
 
 
 class BoltzmannPolicy:
@@ -187,7 +199,7 @@ class UniformPolicy:
         self.n_actions = n_actions
 
     def action_dists(self, snapshot) -> np.ndarray:
-        return np.full((snapshot.n_agents, self.n_actions), 1.0 / self.n_actions)
+        return np.full(snapshot.states.shape + (self.n_actions,), 1.0 / self.n_actions)
 
 
 class TablePolicy:
@@ -210,6 +222,8 @@ class RulePolicy:
         self.n_actions = env.n_actions
 
     def action_dists(self, snapshot) -> np.ndarray:
+        if snapshot.states.ndim == 2:
+            return np.stack([self.action_dists(s) for s in snapshot.episodes()])
         return self.env.rule_action_dists(snapshot, noise=self.noise)
 
 
@@ -230,7 +244,7 @@ class Trajectory:
     final_states: np.ndarray
 
     def discounted_return(self, gamma: float) -> float:
-        return float(sum(st.reward * gamma ** st.t for st in self.steps))
+        return discounted_return([st.reward for st in self.steps], gamma)
 
     @property
     def rewards(self) -> np.ndarray:
@@ -262,6 +276,36 @@ class ReplayBuffer:
         return [self._data[i] for i in idx]
 
 
+def discounted_return(rewards, gamma: float) -> float:
+    """sum_t gamma^t r_t of one episode's rewards, summed in step order."""
+    return float(sum(r * gamma ** t for t, r in enumerate(rewards)))
+
+
+def _play(env, victim_policy, seeds, horizon, adversary_policy, budgets):
+    """One episode per seed, stepped together as a batch of B = len(seeds).
+
+    Returns the per-step (states, actions, rewards) with a leading batch
+    axis, and the final (B, N) states.  Each episode's environment noise
+    and action sampling are seeded from its own seed, separately, so an
+    episode replays bit-identically whatever batch it runs in.
+    """
+    horizon = env.horizon if horizon is None else horizon
+    batch = stack_snapshots([env.reset(seed=s) for s in seeds])
+    act_rngs = [seed_rng(s, salt="rollout-actions") for s in seeds]
+    attacked = budgets is not None and adversary_policy is not None \
+        and bool(np.any(budgets.eps > 0))
+    steps = []
+    for _ in range(horizon):
+        dists = victim_policy.action_dists(batch)
+        if attacked:
+            dists = mix_policy_matrix(adversary_policy.action_dists(batch), dists, budgets.eps)
+        actions = sample_actions(dists, act_rngs)
+        res = env.step_batch(batch, actions)
+        steps.append((batch.states, actions, res.reward))
+        batch = res.snapshot
+    return steps, batch.states
+
+
 def rollout(env, victim_policy, seed, horizon=None, adversary_policy=None,
             budgets: Optional[BudgetVector] = None) -> Trajectory:
     """One episode under the victim policy, optionally corrupted.
@@ -271,36 +315,22 @@ def rollout(env, victim_policy, seed, horizon=None, adversary_policy=None,
     environment noise stream and the action sampling stream are seeded
     separately, so the same seed replays bit-identically.
     """
-    horizon = env.horizon if horizon is None else horizon
-    snap = env.reset(seed=seed)
-    act_rng = seed_rng(seed, salt="rollout-actions")
-    steps = []
-    for t in range(horizon):
-        dists = victim_policy.action_dists(snap)
-        if budgets is not None and adversary_policy is not None and np.any(budgets.eps > 0):
-            adv = adversary_policy.action_dists(snap)
-            dists = mix_policy_matrix(adv, dists, budgets.eps)
-        actions = sample_actions(dists, act_rng)
-        res = env.step(snap, actions)
-        steps.append(TrajectoryStep(t, snap.states.copy(), actions, res.reward))
-        snap = res.snapshot
-    return Trajectory(steps, snap.states.copy())
+    steps, final = _play(env, victim_policy, [seed], horizon, adversary_policy, budgets)
+    return Trajectory([TrajectoryStep(t, states[0], actions[0], float(rewards[0]))
+                       for t, (states, actions, rewards) in enumerate(steps)], final[0])
 
 
 def evaluate_policy(env, policy, episodes: int, seed, horizon=None,
                     adversary_policy=None, budgets=None) -> np.ndarray:
-    """Discounted returns over independent episodes (one seed per episode)."""
+    """Discounted returns over independent episodes (one seed per episode),
+    stepped as one batch; each equals its own rollout's return."""
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
         ss = np.random.SeedSequence(list(seed) if isinstance(seed, (tuple, list)) else seed)
-    seeds = ss.spawn(episodes)
-    out = np.empty(episodes)
-    for i, s in enumerate(seeds):
-        traj = rollout(env, policy, s, horizon=horizon,
-                       adversary_policy=adversary_policy, budgets=budgets)
-        out[i] = traj.discounted_return(env.gamma)
-    return out
+    steps, _ = _play(env, policy, ss.spawn(episodes), horizon, adversary_policy, budgets)
+    rewards = np.array([r for _, _, r in steps]).reshape(len(steps), episodes)
+    return np.array([discounted_return(column, env.gamma) for column in rewards.T.tolist()])
 
 
 # -- victim training -----------------------------------------------------------

@@ -286,3 +286,69 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
     return AttackSet(np.array(chosen, dtype=int), eps, "greedy",
                      predicted_drop=float(np.sum(rewards)) if rewards else 0.0,
                      pick_rewards=np.array(rewards))
+
+
+# -- serial references of the batched loops ------------------------------------------
+#
+# What the package ran before independent episodes and learners were stepped
+# as one batch: the taxi dynamics per snapshot through (x, y) arithmetic, and
+# adversary SARSA one learner at a time on its own (S, A) table.
+
+
+def taxi_step(env, snapshot, actions):
+    """One taxi step: move on the torus, draw demand, score the zone mismatch."""
+    from mfvuln.envs import Snapshot, StepResult
+    from mfvuln.envs.taxi import MOVES
+
+    cfg = env.config
+    actions = np.asarray(actions, dtype=int)
+    cells = np.asarray(snapshot.states, dtype=int)
+    xy = (np.column_stack([cells // cfg.grid_height, cells % cfg.grid_height])
+          + MOVES[actions]) % [cfg.grid_width, cfg.grid_height]
+    nxt_cells = xy[:, 0] * cfg.grid_height + xy[:, 1]
+    demand = snapshot.rng.poisson(env.demand_rates)
+    zones = (xy[:, 0] // 2) * (cfg.grid_height // 2) + (xy[:, 1] // 2)
+    supply = np.bincount(zones, minlength=env.n_zones)
+    volume = supply.sum() + demand.sum()
+    reward = 0.0 if volume == 0 else -float(np.abs(supply - demand).sum()) / float(volume)
+    nxt = Snapshot(t=snapshot.t + 1, states=nxt_cells, rng=snapshot.rng, pos=xy)
+    return StepResult(nxt, nxt_cells, reward)
+
+
+def train_adversary_serial(env, victim_policy, budgets, cfg, step=None):
+    """Adversary SARSA for one learner: (model, episode returns).
+
+    ``step(snapshot, actions)`` replaces ``env.step`` (say, by ``taxi_step``).
+    """
+    from mfvuln.core import seed_rng
+    from mfvuln.qlearn import QModel, exploration_eps, softmax_rows
+
+    attacked = budgets.eps > 0
+    model = QModel(env.n_states, env.n_actions, env.gamma)
+    if not attacked.any():
+        return model, np.empty(0)
+    episode_seeds = np.random.SeedSequence((cfg.seed, 0xad)).spawn(cfg.episodes)
+    act_rng = seed_rng(cfg.seed, salt="adversary-actions")
+    curve = np.empty(cfg.episodes)
+    for ep in range(cfg.episodes):
+        snap = env.reset(seed=episode_seeds[ep])
+        explore = exploration_eps(cfg, ep)
+        ret, disc = 0.0, 1.0
+        prev = None
+        for _ in range(env.horizon):
+            victim = victim_policy.action_dists(snap)
+            adv = (1 - explore) * softmax_rows(model.values(snap.states) / cfg.temperature) \
+                + explore / env.n_actions
+            actions = sample_actions(mix_policy_matrix(adv, victim, budgets.eps), act_rng)
+            res = (env.step if step is None else step)(snap, actions)
+            if prev is not None:
+                p_states, p_actions, p_reward = prev
+                targets = -p_reward + env.gamma * model.table[snap.states, actions]
+                model.td_update(p_states[attacked], p_actions[attacked],
+                                targets[attacked], cfg.lr, cfg.lr_decay)
+            prev = (snap.states, actions, res.reward)
+            ret += disc * (-res.reward)
+            disc *= env.gamma
+            snap = res.snapshot
+        curve[ep] = ret
+    return model, curve

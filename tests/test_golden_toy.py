@@ -83,11 +83,44 @@ def test_correlate_rerun_trains_and_writes_nothing(tmp_path, monkeypatch, capsys
     def no_training(*args, **kwargs):
         raise AssertionError("a finished correlation was trained again")
 
-    monkeypatch.setattr("mfvuln.pipeline.train_adversary", no_training)
+    monkeypatch.setattr("mfvuln.pipeline.train_adversaries", no_training)
     run_toy(out, ["correlate"])
     assert capsys.readouterr().out == line
     for name in ("ledger.csv", "correlation_s0.csv"):
         assert (out / name).read_bytes() == (FIXTURE / name).read_bytes()
+
+
+def test_correlate_trains_through_the_patched_trainer(tmp_path, monkeypatch):
+    """The patch above guards something: an unfinished correlation calls it."""
+    out, _ = finished_copy(tmp_path)
+    (out / "correlation_s0.csv").unlink()
+    calls = []
+
+    def no_training(*args, **kwargs):
+        calls.append(None)
+        raise AssertionError("trained")
+
+    monkeypatch.setattr("mfvuln.pipeline.train_adversaries", no_training)
+    with pytest.raises(AssertionError, match="trained"):
+        run_toy(out, ["correlate"])
+    assert len(calls) == 1
+
+
+def test_attack_stage_trains_only_missing_adversaries_in_one_batch(tmp_path, monkeypatch):
+    out, _ = finished_copy(tmp_path)
+    for method in ("dc", "rl"):
+        for suffix in ("", ".q"):
+            (out / f"adversary_{method}_s0.policy{suffix}").unlink()
+    real, batches = pipeline.train_adversaries, []
+
+    def record(env, victim, budgets, cfgs):
+        batches.append(len(budgets))
+        return real(env, victim, budgets, cfgs)
+
+    monkeypatch.setattr(pipeline, "train_adversaries", record)
+    run_toy(out, ["pipeline"])
+    assert batches == [2]
+    assert_matches_fixture(out)
 
 
 def test_correlate_rebuilds_a_missing_csv_once(tmp_path, capsys):
