@@ -90,9 +90,9 @@ def test_step_batch_equals_single_steps(name):
             one = env.step(snap, actions[b])
             assert same(res.states[b], one.states)
             assert res.reward[b] == one.reward
-            for name_ in ("pos", "headings"):
-                want = getattr(one.snapshot, name_)
-                got = getattr(res.snapshot, name_)
+            for field in ("pos", "headings"):
+                want = getattr(one.snapshot, field)
+                got = getattr(res.snapshot, field)
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert same(got[b], want)
