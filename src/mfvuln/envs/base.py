@@ -144,11 +144,14 @@ def torus_sq_pairwise(pos, lengths) -> np.ndarray:
 
     Per axis of side L, min(d, L - d) with d = |x_i - x_j|: no float modulo,
     valid for coordinates in [0, L] (both torus envs keep them in [0, L)).
+    Works in place: three (N, N) buffers per call, not one per operation.
     """
-    sq = 0.0
+    sq = far = None
     for x, length in zip(np.transpose(pos), np.broadcast_to(lengths, 2)):
-        d = np.abs(np.subtract.outer(x, x))
-        sq = sq + np.minimum(d, length - d) ** 2
+        d = np.subtract.outer(x, x)
+        far = np.subtract(length, np.abs(d, out=d), out=far)
+        np.square(np.minimum(d, far, out=d), out=d)
+        sq = d if sq is None else np.add(sq, d, out=sq)
     return sq
 
 

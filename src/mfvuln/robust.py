@@ -2,7 +2,9 @@
 
 Stage one fits the cooperative action-value Q(s, a) on logged trajectories
 by minimizing the squared TD residual with the logged next action (policy
-evaluation of the data-collecting policy).
+evaluation of the data-collecting policy).  Both stages sweep the corpus
+aggregated once by (cell, next cell): each visited cell gets the corpus mean
+of its target, equal to the per-transition mean up to summation order.
 
 Stage two folds corruption budgets in without any adversarial rollouts:
 for a per-agent budget eps and population budget xi, the backup gets the
@@ -45,8 +47,10 @@ class FitConfig:
     def validate(self):
         if self.sweeps < 1:
             raise InvalidConfigError("sweeps must be >= 1")
-        if not np.isinf(self.p) and self.p < 1:
+        if not self.p >= 1:  # also refuses NaN
             raise InvalidConfigError("norm order must be in [1, inf]")
+        if not self.tol >= 0:
+            raise InvalidConfigError("tol must be a number >= 0")
 
 
 # -- corpus -------------------------------------------------------------------
@@ -90,34 +94,44 @@ def build_corpus(trajectories) -> TransitionCorpus:
 
 def fit_cooperative_q(trajectories, n_states: int, n_actions: int, gamma: float,
                       cfg: FitConfig) -> QModel:
-    """Policy evaluation of the logging policy by repeated fitted-TD sweeps.
-
-    Each sweep replaces every visited (s, a) cell with the mean of
-    r + gamma * Q(s', a') over the corpus; unvisited cells stay at zero.  The
-    sweep map is a gamma-contraction on the visited block, so the iteration
-    settles at the corpus' empirical fixed point.
-    """
+    """Policy evaluation of the logging policy: Q(s, a) settles at the corpus
+    mean of r + gamma * Q(s', a') (see _sweep); unvisited cells stay zero."""
     cfg.validate()
     model = QModel(n_states, n_actions, gamma)
     corpus = build_corpus(trajectories)
-
     shape = model.table.shape
     idx = np.ravel_multi_index((corpus.s, corpus.a), shape)
     idx2 = np.ravel_multi_index((corpus.s2, corpus.a2), shape)
-    counts = np.bincount(idx, minlength=model.table.size).astype(float)
-    visited = counts > 0
-    flat = model.table.ravel()
-    for _ in range(cfg.sweeps):
-        targets = corpus.r + gamma * flat[idx2]
-        sums = np.bincount(idx, weights=targets, minlength=flat.size)
-        new = np.where(visited, sums / np.maximum(counts, 1.0), 0.0)
-        delta = np.max(np.abs(new - flat))
-        flat = new
-        if delta < cfg.tol:
-            break
-    model.table = flat.reshape(shape)
+    model.table = _sweep(idx, idx2, [corpus.r], model.table.size, gamma, cfg)[0].reshape(shape)
     np.add.at(model.visits.ravel(), idx, 1)
     return model
+
+
+def _sweep(cell, next_cell, rewards, n_cells: int, gamma: float, cfg: FitConfig) -> np.ndarray:
+    """Fitted-TD sweeps x <- corpus mean of r + gamma * x[next cell], one row per
+    reward vector in ``rewards``.
+
+    The corpus is aggregated once into visit counts and reward sums per cell
+    and the distinct (cell, next cell) pairs with their counts; a sweep sets
+    each visited cell c to (R[c] + gamma * sum_pairs count * x[next]) / count[c],
+    the per-transition mean up to summation order, and leaves the rest at
+    zero.  The map is a gamma-contraction, so x settles at the corpus' fixed
+    point; it stops after ``cfg.sweeps`` or once no entry moves by ``cfg.tol``.
+    """
+    pairs, mult = np.unique(cell * n_cells + next_cell, return_counts=True)
+    src, dst = np.divmod(pairs, n_cells)
+    cells, starts = np.unique(src, return_index=True)  # src is sorted: one run per cell
+    count = np.add.reduceat(mult, starts)
+    sums = np.array([np.bincount(cell, weights=r)[cells] for r in rewards])
+    x = np.zeros((len(rewards), n_cells))
+    for _ in range(cfg.sweeps):
+        new = np.zeros_like(x)
+        new[:, cells] = (sums + gamma * np.add.reduceat(x[:, dst] * mult, starts, axis=1)) / count
+        delta = np.max(np.abs(new - x))
+        x = new
+        if delta < cfg.tol:
+            break
+    return x
 
 
 # -- budget-conditioned value model ----------------------------------------------
@@ -189,34 +203,17 @@ def fit_robust_value(q_model: QModel, trajectories, cfg: FitConfig) -> RobustVal
     The pessimistic target r + gamma*V(s', w) - w*||Q(s,.)||_q is exactly
     linear in the budget weight w, so the expected residual over budget
     draws (xi uniform, eps ~ Bernoulli(xi)) is minimized component-wise:
-    the intercept sweep is plain policy evaluation and the slope sweep
-    accumulates the discounted penalty.  Sampling w per transition and
-    regressing on [1, -w] converges to the same fixed point but carries
-    slope-scale noise into the intercept on small cells; the decoupled
-    sweeps are that estimator's zero-variance limit.
+    the intercept (reward r) is plain policy evaluation and the slope
+    (reward ||Q(s,.)||_q) accumulates the discounted penalty; both are rows
+    of one aggregated sweep over (s, s') pairs (see _sweep).  Sampling w
+    per transition and regressing on [1, -w] converges to the same fixed
+    point but carries slope-scale noise into the intercept on small cells;
+    the decoupled sweeps are that estimator's zero-variance limit.
     """
     cfg.validate()
     model = RobustValueModel(q_model.n_states, q_model.n_actions, q_model.gamma, p=cfg.p)
     corpus = build_corpus(trajectories)
     penalty = _q_penalty_rows(q_model, corpus, dual_order(cfg.p))
-    gamma = q_model.gamma
-
-    cell, cell2, n_cells = corpus.s, corpus.s2, q_model.n_states
-    cnt = np.bincount(cell, minlength=n_cells).astype(float)
-    visited = cnt > 0
-    denom = np.maximum(cnt, 1.0)
-    base = np.zeros(n_cells)
-    damp = np.zeros(n_cells)
-    for _ in range(cfg.sweeps):
-        base_t = corpus.r + gamma * base[cell2]
-        damp_t = penalty + gamma * damp[cell2]
-        new_base = np.where(visited, np.bincount(cell, weights=base_t,
-                                                 minlength=n_cells) / denom, 0.0)
-        new_damp = np.where(visited, np.bincount(cell, weights=damp_t,
-                                                 minlength=n_cells) / denom, 0.0)
-        delta = max(np.max(np.abs(new_base - base)), np.max(np.abs(new_damp - damp)))
-        base, damp = new_base, new_damp
-        if delta < cfg.tol:
-            break
-    model.base, model.damp = base, damp
+    model.base, model.damp = _sweep(corpus.s, corpus.s2, [corpus.r, penalty],
+                                    q_model.n_states, q_model.gamma, cfg)
     return model

@@ -352,3 +352,64 @@ def train_adversary_serial(env, victim_policy, budgets, cfg, step=None):
             snap = res.snapshot
         curve[ep] = ret
     return model, curve
+
+
+# -- per-transition value fits ---------------------------------------------------------
+#
+# The fitted-TD sweeps as the package ran them before it aggregated the corpus
+# by (cell, next cell): every sweep gathers, adds and bins every transition.
+
+
+def fit_cooperative_q_per_transition(trajectories, n_states, n_actions, gamma, cfg):
+    """Q(s, a) as the mean of r + gamma * Q(s', a') over every logged transition."""
+    from mfvuln.qlearn import QModel
+    from mfvuln.robust import build_corpus
+
+    model = QModel(n_states, n_actions, gamma)
+    corpus = build_corpus(trajectories)
+
+    shape = model.table.shape
+    idx = np.ravel_multi_index((corpus.s, corpus.a), shape)
+    idx2 = np.ravel_multi_index((corpus.s2, corpus.a2), shape)
+    counts = np.bincount(idx, minlength=model.table.size).astype(float)
+    visited = counts > 0
+    flat = model.table.ravel()
+    for _ in range(cfg.sweeps):
+        targets = corpus.r + gamma * flat[idx2]
+        sums = np.bincount(idx, weights=targets, minlength=flat.size)
+        new = np.where(visited, sums / np.maximum(counts, 1.0), 0.0)
+        delta = np.max(np.abs(new - flat))
+        flat = new
+        if delta < cfg.tol:
+            break
+    model.table = flat.reshape(shape)
+    np.add.at(model.visits.ravel(), idx, 1)
+    return model
+
+
+def fit_robust_value_per_transition(q_model, trajectories, cfg):
+    """(base, damp): the intercept and slope sweeps over every logged transition."""
+    from mfvuln.robust import _q_penalty_rows, build_corpus
+
+    corpus = build_corpus(trajectories)
+    penalty = _q_penalty_rows(q_model, corpus, dual_order(cfg.p))
+    gamma = q_model.gamma
+
+    cell, cell2, n_cells = corpus.s, corpus.s2, q_model.n_states
+    cnt = np.bincount(cell, minlength=n_cells).astype(float)
+    visited = cnt > 0
+    denom = np.maximum(cnt, 1.0)
+    base = np.zeros(n_cells)
+    damp = np.zeros(n_cells)
+    for _ in range(cfg.sweeps):
+        base_t = corpus.r + gamma * base[cell2]
+        damp_t = penalty + gamma * damp[cell2]
+        new_base = np.where(visited, np.bincount(cell, weights=base_t,
+                                                 minlength=n_cells) / denom, 0.0)
+        new_damp = np.where(visited, np.bincount(cell, weights=damp_t,
+                                                 minlength=n_cells) / denom, 0.0)
+        delta = max(np.max(np.abs(new_base - base)), np.max(np.abs(new_damp - damp)))
+        base, damp = new_base, new_damp
+        if delta < cfg.tol:
+            break
+    return base, damp

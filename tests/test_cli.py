@@ -202,6 +202,16 @@ def test_bad_config_exits_with_error(tmp_path, capsys):
     assert "exceeds population" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, message", [({"p": float("nan")}, "norm order"),
+                                          ({"tol": -1}, "tol"),
+                                          ({"tol": float("nan")}, "tol")])
+def test_nan_norm_order_or_bad_tol_exits_with_error(tmp_path, capsys, bad, message):
+    cfg_path, _ = write_config(tmp_path, value={"rollouts": 8, "sweeps": 60, **bad})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
 def test_damaged_artifact_exits_with_error(tmp_path, capsys):
     cfg_path, raw = write_config(tmp_path)
     assert main(["pipeline", "--config", str(cfg_path)]) == 0

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfvuln.core import dual_order, lp_norm, seed_rng
+from mfvuln.envs import make_env
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.qlearn import QModel, TablePolicy, UniformPolicy, rollout
 from mfvuln.robust import (FitConfig, RobustValueModel, build_corpus, fit_cooperative_q,
                            fit_robust_value)
-from oracles import (W_MAX, TransitionSample, apply_robust_bellman, regularizer,
-                     sample_budgets, sup_norm_diff, worst_case_gap)
+from oracles import (W_MAX, TransitionSample, apply_robust_bellman,
+                     fit_cooperative_q_per_transition, fit_robust_value_per_transition,
+                     regularizer, sample_budgets, sup_norm_diff, worst_case_gap)
 
 GAMMA = 0.9
 
@@ -238,6 +240,68 @@ def test_fitted_q_matches_empirical_fixed_point_with_stochastic_data():
     assert np.allclose(model.table.ravel(), x, atol=1e-8)
 
 
+# -- aggregated sweep against the per-transition sweep ----------------------------
+
+
+def assert_fits_match_per_transition(env, trajs, cfg):
+    """Table, base and damp within rtol 1e-10 of the oracle (atol 1e-10 of each
+    array's scale, for entries that cancel to near zero), unvisited cells exactly
+    zero, visits equal."""
+    q = fit_cooperative_q(trajs, env.n_states, env.n_actions, env.gamma, cfg)
+    q_ref = fit_cooperative_q_per_transition(trajs, env.n_states, env.n_actions,
+                                             env.gamma, cfg)
+    v = fit_robust_value(q, trajs, cfg)
+    base_ref, damp_ref = fit_robust_value_per_transition(q, trajs, cfg)
+    for got, ref in [(q.table, q_ref.table), (v.base, base_ref), (v.damp, damp_ref)]:
+        np.testing.assert_allclose(got, ref, rtol=1e-10,
+                                   atol=1e-10 * max(1.0, np.abs(ref).max()))
+    assert np.array_equal(q.visits, q_ref.visits)
+    assert np.all(q.table[q.visits == 0] == 0.0)
+    seen = np.bincount(build_corpus(trajs).s, minlength=env.n_states) > 0
+    assert np.all(v.base[~seen] == 0.0) and np.all(v.damp[~seen] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_agents=st.integers(1, 4), block_states=st.integers(1, 4), n_actions=st.integers(2, 4),
+       shared=st.booleans(), deterministic=st.booleans(), seed=st.integers(0, 10_000),
+       episodes=st.integers(1, 4), p=st.sampled_from([1.0, 2.0, np.inf]),
+       sweeps=st.integers(1, 300))
+def test_aggregated_sweep_matches_per_transition_sweep_on_random_toy_corpora(
+        n_agents, block_states, n_actions, shared, deterministic, seed, episodes, p, sweeps):
+    env = ToyMeanFieldEnv(ToyConfig(n_agents=n_agents, block_states=block_states,
+                                    n_actions=n_actions, shared=shared,
+                                    deterministic=deterministic, horizon=8, gamma=GAMMA,
+                                    seed=seed))
+    trajs = [rollout(env, UniformPolicy(n_actions), (seed, k)) for k in range(episodes)]
+    assert_fits_match_per_transition(env, trajs, FitConfig(sweeps=sweeps, p=p))
+
+
+@pytest.mark.parametrize("raw", [{"env_name": "taxi", "n_agents": 16, "horizon": 20},
+                                 {"env_name": "vicsek", "n_agents": 16, "horizon": 20}])
+def test_aggregated_sweep_matches_per_transition_sweep_on_taxi_and_vicsek(raw):
+    env = make_env(raw)
+    trajs = [rollout(env, UniformPolicy(env.n_actions), (4, k)) for k in range(6)]
+    assert_fits_match_per_transition(env, trajs, FitConfig(p=1.0))
+
+
+def test_sweeps_stop_at_tol_before_the_sweep_budget_runs_out():
+    env, policy, _, _ = chain_env()
+    trajs = chain_trajectories(env, policy)
+
+    def fit(**kwargs):
+        cfg = FitConfig(**kwargs)
+        q = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, cfg)
+        v = fit_robust_value(q, trajs, cfg)
+        return q.table.tobytes() + v.base.tobytes() + v.damp.tobytes()
+
+    # a tol of 1e-3 stops the gamma = 0.9 chain after about 100 sweeps, well
+    # short of the float fixed point, so any sweep past the stop shows
+    assert fit(tol=1e-3, sweeps=200) == fit(tol=1e-3, sweeps=300)
+    assert fit(tol=1e-3, sweeps=200) != fit(tol=0.0, sweeps=200)
+    # and it stops on the same sweep as the oracle: once no row moves by tol
+    assert_fits_match_per_transition(env, trajs, FitConfig(tol=1e-3))
+
+
 # -- corpus ----------------------------------------------------------------------
 
 
@@ -362,8 +426,9 @@ def test_sup_norm_diff_scans_the_budget_extremes():
 def test_fit_config_validation():
     with pytest.raises(InvalidConfigError):
         FitConfig(sweeps=0).validate()
-    with pytest.raises(InvalidConfigError):
-        FitConfig(p=0.5).validate()
+    for bad in [{"p": 0.5}, {"p": np.nan}, {"p": -np.inf}, {"tol": -1.0}, {"tol": np.nan}]:
+        with pytest.raises(InvalidConfigError):
+            FitConfig(**bad).validate()
 
 
 def test_norm_penalty_uses_the_dual_order():
