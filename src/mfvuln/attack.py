@@ -12,13 +12,17 @@ actually executed at the next step (SARSA), so the victim's distributions
 enter training only through the environment's realized behaviour.  The
 victim's parameters are never written; training and evaluation checksum
 the victim before and after and refuse to return silently if it moved.
+
+Seeds are call arguments, not config fields: ``train_adversaries`` takes
+one schedule and one seed per learner, and ``evaluate_attack`` returns the
+attacked returns as an array.
 """
 
 from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +59,7 @@ class AdversaryConfig(LearnerConfig):
     lr: float = 0.05
 
 
-def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryConfig):
+def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryConfig, seed):
     """Fit the corruption policy; returns (model, policy, episode returns).
 
     Episode returns are the adversary's objective (negated shared reward,
@@ -64,26 +68,22 @@ def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryCon
     with nothing corrupted there is no transition that carries signal.
     This is the one-learner case of ``train_adversaries``.
     """
-    return train_adversaries(env, victim_policy, [budgets], [cfg])[0]
+    return train_adversaries(env, victim_policy, [budgets], cfg, [seed])[0]
 
 
-def train_adversaries(env, victim_policy, budgets, cfgs) -> list:
-    """Fit B adversaries against one victim in lockstep, one per (budgets, cfg).
+def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) -> list:
+    """Fit B adversaries against one victim in lockstep, one per (budgets, seed).
 
     Returns B (model, policy, episode returns) triples, each byte for byte
     what ``train_adversary`` returns for that learner alone.  The learners
-    share the schedule (the configs may differ only in ``seed``) and step
-    their episodes as one batch, but each keeps its own episode seeds,
-    action stream, budgets and Q table.  Learners with an all-zero budget
-    vector warn and get an untrained adversary, as in ``train_adversary``.
+    share the schedule ``cfg`` and step their episodes as one batch, but
+    each keeps its own episode seeds, action stream, budgets and Q table.
+    Learners with an all-zero budget vector warn and get an untrained
+    adversary, as in ``train_adversary``.
     """
-    if len(budgets) != len(cfgs):
-        raise InvalidInputError(f"{len(budgets)} budget vectors for {len(cfgs)} configs")
-    for cfg in cfgs:
-        cfg.validate()
-        if replace(cfg, seed=0) != replace(cfgs[0], seed=0):
-            raise InvalidInputError("adversaries trained together must share their "
-                                    "schedule; only the seed may differ")
+    if len(budgets) != len(seeds):
+        raise InvalidInputError(f"{len(budgets)} budget vectors for {len(seeds)} seeds")
+    cfg.validate()
     if any(b.n_agents != env.n_agents for b in budgets):
         raise InvalidInputError("budget vector length does not match the population")
     models = [QModel(env.n_states, env.n_actions, env.gamma) for _ in budgets]
@@ -93,17 +93,17 @@ def train_adversaries(env, victim_policy, budgets, cfgs) -> list:
         warnings.warn("empty attack set: returning a no-op adversary", stacklevel=2)
     if active:
         frozen = policy_checksum(victim_policy)
-        trained = _sarsa_batch(env, victim_policy, [budgets[j] for j in active],
-                               [cfgs[j] for j in active], [models[j] for j in active])
+        trained = _sarsa_batch(env, victim_policy, [budgets[j] for j in active], cfg,
+                               [seeds[j] for j in active], [models[j] for j in active])
         if policy_checksum(victim_policy) != frozen:
             raise RuntimeError("victim policy changed during adversarial training")
         for j, curve in zip(active, trained):
             curves[j] = curve
     return [(model, BoltzmannPolicy(model, cfg.temperature), curve)
-            for model, cfg, curve in zip(models, cfgs, curves)]
+            for model, curve in zip(models, curves)]
 
 
-def _sarsa_batch(env, victim_policy, budgets, cfgs, models) -> np.ndarray:
+def _sarsa_batch(env, victim_policy, budgets, cfg, seeds, models) -> np.ndarray:
     """SARSA for B learners in lockstep; returns their (B, episodes) curves.
 
     One (B * S, A) table holds learner b's Q(s, a) in row b * S + s, so a
@@ -111,7 +111,7 @@ def _sarsa_batch(env, victim_policy, budgets, cfgs, models) -> np.ndarray:
     cell, and within a learner the increments keep their order.  Each
     learner's model gets its block of that table as a view.
     """
-    cfg, n_learners, n_states = cfgs[0], len(cfgs), env.n_states
+    n_learners, n_states = len(seeds), env.n_states
     stacked = QModel(n_learners * n_states, env.n_actions, env.gamma)
     for b, model in enumerate(models):
         model.table = stacked.table[b * n_states:(b + 1) * n_states]
@@ -119,8 +119,8 @@ def _sarsa_batch(env, victim_policy, budgets, cfgs, models) -> np.ndarray:
     offset = n_states * np.arange(n_learners)[:, None]
     eps = np.stack([budget.eps for budget in budgets])
     attacked = eps > 0
-    episode_seeds = [np.random.SeedSequence((c.seed, 0xad)).spawn(cfg.episodes) for c in cfgs]
-    act_rngs = [seed_rng(c.seed, salt="adversary-actions") for c in cfgs]
+    episode_seeds = [np.random.SeedSequence((seed, 0xad)).spawn(cfg.episodes) for seed in seeds]
+    act_rngs = [seed_rng(seed, salt="adversary-actions") for seed in seeds]
     curves = np.empty((n_learners, cfg.episodes))
 
     for ep in range(cfg.episodes):
@@ -151,65 +151,26 @@ def _sarsa_batch(env, victim_policy, budgets, cfgs, models) -> np.ndarray:
     return curves
 
 
-@dataclass
-class AttackEvalReport:
-    """Victim returns under a fixed attack, with the matching clean baseline."""
-
-    returns: np.ndarray
-    baseline_returns: np.ndarray
-    budgets: BudgetVector
-    victim_checksum: str
-
-    def __post_init__(self):
-        if self.returns.size < 1:
-            raise InvalidInputError("report needs at least one episode")
-
-    @property
-    def episodes(self) -> int:
-        return self.returns.size
-
-    @property
-    def mean_return(self) -> float:
-        return float(self.returns.mean())
-
-    @property
-    def std_return(self) -> float:
-        return float(self.returns.std(ddof=1)) if self.returns.size > 1 else 0.0
-
-    @property
-    def baseline_mean(self) -> float:
-        return float(self.baseline_returns.mean())
-
-    @property
-    def n_attacked(self) -> int:
-        return int(np.count_nonzero(self.budgets.eps))
-
-
 def evaluate_attack(env, victim_policy, budgets: BudgetVector, episodes: int,
-                    seed, adversary_policy=None) -> AttackEvalReport:
-    """Discounted victim returns under a fixed attack; victim stays frozen.
+                    seed, adversary_policy=None) -> np.ndarray:
+    """Discounted victim returns under a fixed attack, one per episode; the
+    victim stays frozen.
 
-    The cooperative baseline is computed with the identical episode seeds
-    and zero budgets.  An all-zero budget vector (or a missing adversary)
-    is allowed but pointless, so it warns and the attacked returns simply
-    repeat the baseline.
+    The episodes are those of ``evaluate_policy(env, victim_policy,
+    episodes, seed)``, so that call gives the matching clean baseline.  An
+    all-zero budget vector (or a missing adversary) is allowed but
+    pointless, so it warns and the returns are the clean ones.
     """
     if budgets.n_agents != env.n_agents:
         raise InvalidInputError("budget vector length does not match the population")
     if episodes < 1:
         raise InvalidInputError("episodes must be >= 1")
     before = policy_checksum(victim_policy)
-    baseline = evaluate_policy(env, victim_policy, episodes, seed)
-    active = bool(np.any(budgets.eps > 0)) and adversary_policy is not None
-    if not active:
+    if not (np.any(budgets.eps > 0) and adversary_policy is not None):
         warnings.warn("attack evaluation with no active corruption; "
                       "returns equal the clean baseline", stacklevel=2)
-        returns = baseline.copy()
-    else:
-        returns = evaluate_policy(env, victim_policy, episodes, seed,
-                                  adversary_policy=adversary_policy, budgets=budgets)
-    after = policy_checksum(victim_policy)
-    if after != before:
+    returns = evaluate_policy(env, victim_policy, episodes, seed,
+                              adversary_policy=adversary_policy, budgets=budgets)
+    if policy_checksum(victim_policy) != before:
         raise RuntimeError("victim policy changed during attack evaluation")
-    return AttackEvalReport(returns=returns, baseline_returns=baseline,
-                            budgets=budgets, victim_checksum=after)
+    return returns

@@ -1,6 +1,6 @@
 from .base import MeanFieldEnv, Snapshot, StepResult, agent_layout, build_config
 from .taxi import TaxiConfig, TaxiGridEnv, make_taxi
-from .toy import ExactValueModel, ToyConfig, ToyMeanFieldEnv, make_toy
+from .toy import ToyConfig, ToyMeanFieldEnv, make_toy
 from .vicsek import VicsekConfig, VicsekEnv, make_vicsek, order_parameter
 
 from ..errors import InvalidConfigError

@@ -139,19 +139,23 @@ class MeanFieldEnv:
         return StepResult(snapshot, snapshot.states, float(reward))
 
 
-def torus_sq_pairwise(pos, lengths) -> np.ndarray:
+def torus_sq_pairwise(pos, lengths, work=None) -> np.ndarray:
     """(N, N) squared minimal-image distances of (N, 2) positions on a torus.
 
     Per axis of side L, min(d, L - d) with d = |x_i - x_j|: no float modulo,
     valid for coordinates in [0, L] (both torus envs keep them in [0, L)).
-    Works in place: three (N, N) buffers per call, not one per operation.
+    Works in place in three (N, N) buffers, ``work`` (3, N, N) if given, else
+    new ones; the result is the first.
     """
-    sq = far = None
-    for x, length in zip(np.transpose(pos), np.broadcast_to(lengths, 2)):
-        d = np.subtract.outer(x, x)
-        far = np.subtract(length, np.abs(d, out=d), out=far)
-        np.square(np.minimum(d, far, out=d), out=d)
-        sq = d if sq is None else np.add(sq, d, out=sq)
+    n = len(pos)
+    sq, d, far = np.empty((3, n, n)) if work is None else work
+    for axis, (x, length) in enumerate(zip(np.transpose(pos), np.broadcast_to(lengths, 2))):
+        diff = d if axis else sq
+        np.subtract.outer(x, x, out=diff)
+        np.subtract(length, np.abs(diff, out=diff), out=far)
+        np.square(np.minimum(diff, far, out=diff), out=diff)
+        if axis:
+            np.add(sq, d, out=sq)
     return sq
 
 

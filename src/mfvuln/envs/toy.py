@@ -17,7 +17,6 @@ an adversary a floor to steer toward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -213,39 +212,6 @@ class ToyMeanFieldEnv(MeanFieldEnv):
         v_adv = self.exact_worst_case_value(policy_matrix, eps) if ids.size else v_coop
         per_agent = np.where(attacked, v_adv[self.initial_states], v_coop[self.initial_states])
         return float(per_agent.mean())
-
-
-class ExactValueModel:
-    """Closed-form budget-conditioned values, V(s, eps, xi) = V0[s] - w * H[s].
-
-    Duck-compatible with the fitted robust model for selection work.
-    """
-
-    def __init__(self, v0: np.ndarray, h: np.ndarray):
-        self.v0 = np.asarray(v0, dtype=float)
-        self.h = np.asarray(h, dtype=float)
-        if self.v0.shape != self.h.shape or self.v0.ndim != 1:
-            raise InvalidInputError("v0 and h must be matching vectors")
-        self.n_states = self.v0.size
-
-    @classmethod
-    def from_env(cls, env: "ToyMeanFieldEnv", policy_matrix, p=np.inf):
-        return cls(*env.exact_robust_components(policy_matrix, p))
-
-    @staticmethod
-    def _weight(eps, xi):
-        eps = np.asarray(eps, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        if np.any(eps < 0) or np.any(eps > 1) or np.any(xi < 0) or np.any(xi > 1):
-            raise InvalidInputError("budgets must lie in [0, 1]")
-        return eps + xi + eps * xi
-
-    def value(self, s, eps: float, xi: float) -> float:
-        return float(self.v0[int(s)] - self._weight(eps, xi) * self.h[int(s)])
-
-    def values(self, states, eps_vec, xi: float) -> np.ndarray:
-        states = np.asarray(states, dtype=int)
-        return self.v0[states] - self._weight(eps_vec, xi) * self.h[states]
 
 
 def make_toy(raw: dict) -> ToyMeanFieldEnv:

@@ -108,6 +108,9 @@ class VicsekEnv(MeanFieldEnv):
         config.validate()
         self.config = config
         self.turns = (np.arange(config.n_actions) - (config.n_actions - 1) / 2.0) * config.turn_delta
+        # (N, N) buffers reused by every neighbour computation: fresh ones at
+        # large N are separate mmaps, and faulting them in dominated the step
+        self._work = np.empty((4, 0, 0))
 
     @property
     def n_states(self) -> int:
@@ -149,10 +152,14 @@ class VicsekEnv(MeanFieldEnv):
     def neighbor_mean_heading(self, pos, headings) -> np.ndarray:
         """Circular mean heading over each agent's neighbourhood: itself and every
         agent at squared torus distance <= comm_radius**2; pos in [0, world_size)."""
-        adj = torus_sq_pairwise(pos, self.config.world_size) <= self.config.comm_radius ** 2
-        np.fill_diagonal(adj, True)
+        n = len(pos)
+        if self._work.shape[1:] != (n, n):
+            self._work = np.empty((4, n, n))
+        sq = torus_sq_pairwise(pos, self.config.world_size, self._work[:3])
+        adj = np.less_equal(sq, self.config.comm_radius ** 2, out=self._work[3])  # 1.0 or 0.0
+        np.fill_diagonal(adj, 1.0)
         vec = np.column_stack([np.cos(headings), np.sin(headings)])
-        total = adj.astype(float) @ vec
+        total = adj @ vec
         # a perfectly cancelling neighbourhood falls back to the agent's own heading
         degenerate = np.hypot(total[:, 0], total[:, 1]) < 1e-12
         total[degenerate] = vec[degenerate]

@@ -7,6 +7,8 @@ and train/evaluate adversaries for each configured method.  Every stage
 goes through the run: an artifact is reused when its file exists, else
 computed and saved, and a stage's ledger rows are written once, so a rerun
 with the same config touches nothing and leaves the ledger byte-identical.
+The run's seed is passed to every learner as an argument; the learner
+sections of a config hold schedules only, so a ``seed`` key there is refused.
 
 The ledger is an append-only CSV keyed by a hash of the config; analysis
 helpers (Pearson correlation of predicted vs realized attack damage, and
@@ -96,9 +98,8 @@ class ValueStageConfig(FitConfig):
             raise InvalidConfigError("rollouts must be >= 1")
 
     def fit_config(self, seed: int) -> FitConfig:
-        kwargs = {f.name: getattr(self, f.name) for f in dc_fields(FitConfig)}
-        kwargs["seed"] = seed
-        return FitConfig(**kwargs)
+        """The fit schedule; ``seed`` is accepted and not used (fits draw nothing)."""
+        return FitConfig(**{f.name: getattr(self, f.name) for f in dc_fields(FitConfig)})
 
 
 @dataclass
@@ -122,9 +123,8 @@ class SelectionStageConfig:
         if not (0.0 < self.eps <= 1.0):
             raise InvalidConfigError("eps must be in (0, 1]")
 
-    def rl_config(self, seed: int) -> SelectorRLConfig:
-        return SelectorRLConfig(episodes=self.rl_episodes, lr=self.rl_lr,
-                                gamma=self.rl_gamma, seed=seed)
+    def rl_config(self) -> SelectorRLConfig:
+        return SelectorRLConfig(episodes=self.rl_episodes, lr=self.rl_lr, gamma=self.rl_gamma)
 
 
 @dataclass
@@ -135,11 +135,6 @@ class AdversaryStageConfig(AdversaryConfig):
         super().validate()
         if self.eval_episodes < 1:
             raise InvalidConfigError("eval_episodes must be >= 1")
-
-    def adversary_config(self, seed: int) -> AdversaryConfig:
-        kwargs = {f.name: getattr(self, f.name) for f in dc_fields(AdversaryConfig)}
-        kwargs["seed"] = seed
-        return AdversaryConfig(**kwargs)
 
 
 @dataclass
@@ -326,23 +321,23 @@ def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
                                    out_csv=None):
     """Pair predicted drops with realized attacked returns; returns (r, rows).
 
-    Each subset gets its own adversary trained against the frozen victim
-    (all of them in one batch); the Pearson correlation is between the
-    value model's predicted drop and the realized attacked return (damaging
-    subsets should sit low, so a faithful model shows strongly negative r).
+    Each subset j gets its own adversary, seeded seed + 7919 * j, trained
+    against the frozen victim (all of them in one batch); the Pearson
+    correlation is between the value model's predicted drop and the realized
+    attacked return (damaging subsets should sit low, so a faithful model
+    shows strongly negative r).
     """
     if len(subsets) < 10:
         raise InvalidInputError("need at least 10 attack subsets")
     states0 = env.reset(seed=seed).states
     budgets = [attack.budgets(env.n_agents) for attack in subsets]
-    adversaries = train_adversaries(
-        env, victim_policy, budgets,
-        [replace(adv_cfg, seed=adv_cfg.seed + 7919 * j) for j in range(len(subsets))])
+    adversaries = train_adversaries(env, victim_policy, budgets, adv_cfg,
+                                    [seed + 7919 * j for j in range(len(subsets))])
     rows = []
     for j, (budget, (_, adv_policy, _)) in enumerate(zip(budgets, adversaries)):
-        report = evaluate_attack(env, victim_policy, budget, episodes,
-                                 seed=(seed, 4, j), adversary_policy=adv_policy)
-        rows.append((predicted_drop(value_model, states0, None, budget), report.mean_return))
+        returns = evaluate_attack(env, victim_policy, budget, episodes,
+                                  seed=(seed, 4, j), adversary_policy=adv_policy)
+        rows.append((predicted_drop(value_model, states0, None, budget), float(returns.mean())))
     r = pearson([p for p, _ in rows], [m for _, m in rows])
     if out_csv:
         write_atomic(out_csv, _csv_text([("predicted_drop", "realized_return")]
@@ -507,9 +502,9 @@ class Run:
 
 
 def stage_train_victim(run: Run, seed: int):
-    env, vcfg = run.env, replace(run.cfg.victim, seed=seed)
+    env, vcfg = run.env, run.cfg.victim
     policy = run.artifact("victim_policy", seed,
-                          compute=lambda: train_victim(env, vcfg)[1])
+                          compute=lambda: train_victim(env, vcfg, seed)[1])
 
     def rows():
         trained = evaluate_policy(env, policy, vcfg.eval_episodes, seed=(seed, 1))
@@ -550,25 +545,22 @@ def _run_selector(method: str, run: Run, victim_policy, vmodel, states0, seed: i
     if method == "greedy":
         return select_greedy(vmodel, states0, None, sel.k, sel.eps)
     if method == "rl":
-        attack, _ = select_rl(vmodel, states0, None, sel.k, sel.rl_config(seed),
-                              sel.eps)
+        attack, _ = select_rl(vmodel, states0, None, sel.k, sel.rl_config(), sel.eps, seed)
         return attack
     if method == "random":
         return select_random(env.n_agents, sel.k, seed, sel.eps)
     if method == "dc":
         return select_degree_centrality(env, env.reset(seed=seed), sel.k, sel.eps)
     if method == "brute":
-        acfg = cfg.adversary.adversary_config(seed)
-
         def evaluate_subset(subset):
             budgets = BudgetVector.from_set(env.n_agents, subset, sel.eps)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                _, adv, _ = train_adversary(env, victim_policy, budgets, acfg)
-                report = evaluate_attack(env, victim_policy, budgets,
-                                         cfg.adversary.eval_episodes,
-                                         seed=(seed, 5), adversary_policy=adv)
-            return report.mean_return
+                _, adv, _ = train_adversary(env, victim_policy, budgets, cfg.adversary, seed)
+                returns = evaluate_attack(env, victim_policy, budgets,
+                                          cfg.adversary.eval_episodes,
+                                          seed=(seed, 5), adversary_policy=adv)
+            return float(returns.mean())
 
         attack, table = select_bruteforce(evaluate_subset, env.n_agents, sel.k,
                                           sel.eps, cap=sel.brute_cap)
@@ -602,12 +594,11 @@ def stage_select(run: Run, seed: int):
 def stage_attack(run: Run, seed: int):
     """Adversaries of every method; those not yet saved train in one batch."""
     env, victim = run.env, run.artifact("victim_policy", seed)
-    acfg = run.cfg.adversary.adversary_config(seed)
     budgets = {m: run.artifact("attack_set", seed, m).budgets(env.n_agents)
                for m in run.cfg.selection.methods}
     missing = [m for m in budgets if not run.has("adversary", seed, m)]
     trained = dict(zip(missing, train_adversaries(
-        env, victim, [budgets[m] for m in missing], [acfg] * len(missing))))
+        env, victim, [budgets[m] for m in missing], run.cfg.adversary, [seed] * len(missing))))
     return {m: run.artifact("adversary", seed, m, compute=lambda m=m: trained[m][1])
             for m in budgets}
 
@@ -619,14 +610,15 @@ def stage_evaluate(run: Run, seed: int):
              for method in run.cfg.selection.methods}
 
     def rows():
+        episodes = run.cfg.adversary.eval_episodes
+        coop = float(evaluate_policy(env, victim, episodes, seed=(seed, 3)).mean())
         out = []
         for method, (attack, adv_policy) in pairs.items():
-            report = evaluate_attack(env, victim, attack.budgets(env.n_agents),
-                                     run.cfg.adversary.eval_episodes, seed=(seed, 3),
-                                     adversary_policy=adv_policy)
-            out += [(method, "attacked_return", report.mean_return),
-                    (method, "attacked_std", report.std_return),
-                    (method, "coop_return", report.baseline_mean)]
+            returns = evaluate_attack(env, victim, attack.budgets(env.n_agents), episodes,
+                                      seed=(seed, 3), adversary_policy=adv_policy)
+            out += [(method, "attacked_return", float(returns.mean())),
+                    (method, "attacked_std", float(returns.std(ddof=1)) if episodes > 1 else 0.0),
+                    (method, "coop_return", coop)]
         return out
 
     run.record("attack", seed, rows)
@@ -648,8 +640,7 @@ def stage_correlate(run: Run, seed: int) -> float:
     subsets = sample_attack_subsets(
         env.n_agents, cfg.correlation.n_subsets, seed, eps=cfg.selection.eps,
         k_min=cfg.correlation.k_min, k_max=cfg.correlation.k_max or None)
-    adv_cfg = replace(cfg.adversary.adversary_config(seed),
-                      episodes=cfg.correlation.adv_episodes)
+    adv_cfg = replace(cfg.adversary, episodes=cfg.correlation.adv_episodes)
     r, _ = correlate_prediction_vs_attack(vmodel, env, victim, subsets, adv_cfg,
                                           cfg.correlation.episodes, seed,
                                           out_csv=out_csv)

@@ -347,7 +347,6 @@ class LearnerConfig:
     eps_start: float = 1.0
     eps_final: float = 0.05
     eps_fraction: float = 0.5     # share of episodes over which exploration decays
-    seed: int = 0
 
     def validate(self):
         if self.episodes < 1:
@@ -379,8 +378,10 @@ def exploration_eps(cfg, episode: int) -> float:
     return cfg.eps_start + frac * (cfg.eps_final - cfg.eps_start)
 
 
-def train_victim(env, cfg: TrainConfig, fixed_policy_table=None):
+def train_victim(env, cfg: TrainConfig, seed, fixed_policy_table=None):
     """Fit the cooperative Q model and return (model, policy, episode returns).
+
+    ``seed`` drives the episode starts, the action stream and the margin check.
 
     With fixed_policy_table the loop evaluates that policy instead of
     improving its own (used to pin TD learning against exact solutions).
@@ -390,8 +391,8 @@ def train_victim(env, cfg: TrainConfig, fixed_policy_table=None):
     cfg.validate()
     model = QModel(env.n_states, env.n_actions, env.gamma)
     fixed = None if fixed_policy_table is None else np.asarray(fixed_policy_table, dtype=float)
-    episode_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
-    act_rng = seed_rng(cfg.seed, salt="train-actions")
+    episode_seeds = np.random.SeedSequence(seed).spawn(cfg.episodes)
+    act_rng = seed_rng(seed, salt="train-actions")
     curve = np.empty(cfg.episodes)
 
     for ep in range(cfg.episodes):
@@ -423,9 +424,9 @@ def train_victim(env, cfg: TrainConfig, fixed_policy_table=None):
     policy = BoltzmannPolicy(model, cfg.temperature) if fixed is None else TablePolicy(fixed)
     if cfg.min_margin is not None and fixed is None:
         trained = float(np.mean(evaluate_policy(env, policy, cfg.eval_episodes,
-                                                seed=(cfg.seed, 1))))
+                                                seed=(seed, 1))))
         baseline = float(np.mean(evaluate_policy(env, UniformPolicy(env.n_actions),
-                                                 cfg.eval_episodes, seed=(cfg.seed, 1))))
+                                                 cfg.eval_episodes, seed=(seed, 1))))
         scale = abs(baseline) if abs(baseline) > 1e-12 else 1.0
         if (trained - baseline) / scale < cfg.min_margin:
             raise TrainingFailureError(

@@ -42,7 +42,6 @@ class FitConfig:
     sweeps: int = 300
     tol: float = 1e-11
     p: float = np.inf          # deviation norm order; regularizer uses its dual
-    seed: int = 0
 
     def validate(self):
         if self.sweeps < 1:
@@ -190,11 +189,13 @@ class RobustValueModel:
 
 
 def _q_penalty_rows(q_model: QModel, corpus: TransitionCorpus, qdual: float) -> np.ndarray:
-    """||Q(s, .)||_q per transition."""
-    rows = q_model.table[corpus.s]
+    """||Q(s, .)||_q per transition, computed once per state."""
+    rows = np.abs(q_model.table)
     if np.isinf(qdual):
-        return np.abs(rows).max(axis=1)
-    return (np.abs(rows) ** qdual).sum(axis=1) ** (1.0 / qdual)
+        norms = rows.max(axis=1)
+    else:
+        norms = (rows ** qdual).sum(axis=1) ** (1.0 / qdual)
+    return norms[corpus.s]
 
 
 def fit_robust_value(q_model: QModel, trajectories, cfg: FitConfig) -> RobustValueModel:

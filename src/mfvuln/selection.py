@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -210,7 +210,6 @@ class SelectorRLConfig:
     eps_fraction: float = 0.6
     replay_capacity: int = 2000
     batch_size: int = 32
-    seed: int = 0
 
     def validate(self):
         if self.episodes < 1:
@@ -245,8 +244,8 @@ class SelectorQModel:
         self.weights += lr * (target - self.score(phi)) * phi
 
 
-def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig,
-              eps: float = 1.0):
+def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig, eps: float,
+              seed):
     """Q-learning over selection episodes scored by the value model.
 
     Selection episodes never touch the environment, so training is cheap:
@@ -261,7 +260,7 @@ def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig,
     _check_k(n, k)
     model = SelectorQModel(value_model.n_states)
     buffer = ReplayBuffer(cfg.replay_capacity)
-    rng = seed_rng(cfg.seed, salt="selector-rl")
+    rng = seed_rng(seed, salt="selector-rl")
     curve = np.empty(cfg.episodes)
     best_ids, best_total = [], -np.inf
 

@@ -226,6 +226,18 @@ def pooled_std(groups) -> float:
     return float(np.sqrt(num / den))
 
 
+# -- closed-form value model -----------------------------------------------------------
+
+
+def exact_value_model(env, policy_matrix, p=np.inf):
+    """A RobustValueModel holding a toy env's closed-form base and damp."""
+    from mfvuln.robust import RobustValueModel
+
+    model = RobustValueModel(env.n_states, env.n_actions, env.gamma, p=p)
+    model.base, model.damp = env.exact_robust_components(policy_matrix, p)
+    return model
+
+
 # -- reference kernels ---------------------------------------------------------------
 #
 # The formulas the package used before its neighbour kernel and greedy
@@ -315,7 +327,7 @@ def taxi_step(env, snapshot, actions):
     return StepResult(nxt, nxt_cells, reward)
 
 
-def train_adversary_serial(env, victim_policy, budgets, cfg, step=None):
+def train_adversary_serial(env, victim_policy, budgets, cfg, seed, step=None):
     """Adversary SARSA for one learner: (model, episode returns).
 
     ``step(snapshot, actions)`` replaces ``env.step`` (say, by ``taxi_step``).
@@ -327,8 +339,8 @@ def train_adversary_serial(env, victim_policy, budgets, cfg, step=None):
     model = QModel(env.n_states, env.n_actions, env.gamma)
     if not attacked.any():
         return model, np.empty(0)
-    episode_seeds = np.random.SeedSequence((cfg.seed, 0xad)).spawn(cfg.episodes)
-    act_rng = seed_rng(cfg.seed, salt="adversary-actions")
+    episode_seeds = np.random.SeedSequence((seed, 0xad)).spawn(cfg.episodes)
+    act_rng = seed_rng(seed, salt="adversary-actions")
     curve = np.empty(cfg.episodes)
     for ep in range(cfg.episodes):
         snap = env.reset(seed=episode_seeds[ep])
@@ -387,12 +399,20 @@ def fit_cooperative_q_per_transition(trajectories, n_states, n_actions, gamma, c
     return model
 
 
+def q_penalty_per_transition(q_model, corpus, qdual):
+    """||Q(s, .)||_q gathered row by row for every transition."""
+    rows = q_model.table[corpus.s]
+    if np.isinf(qdual):
+        return np.abs(rows).max(axis=1)
+    return (np.abs(rows) ** qdual).sum(axis=1) ** (1.0 / qdual)
+
+
 def fit_robust_value_per_transition(q_model, trajectories, cfg):
     """(base, damp): the intercept and slope sweeps over every logged transition."""
-    from mfvuln.robust import _q_penalty_rows, build_corpus
+    from mfvuln.robust import build_corpus
 
     corpus = build_corpus(trajectories)
-    penalty = _q_penalty_rows(q_model, corpus, dual_order(cfg.p))
+    penalty = q_penalty_per_transition(q_model, corpus, dual_order(cfg.p))
     gamma = q_model.gamma
 
     cell, cell2, n_cells = corpus.s, corpus.s2, q_model.n_states

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 import yaml
 
-from mfvuln.attack import AdversaryConfig, evaluate_attack, train_adversary
+from mfvuln.attack import AdversaryConfig, evaluate_attack, train_adversaries
 from mfvuln.core import BudgetVector, empirical_mean_field_state, seed_rng
-from mfvuln.envs.toy import ExactValueModel, ToyConfig, ToyMeanFieldEnv
-from mfvuln.qlearn import QModel, TablePolicy, rollout
+from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
+from mfvuln.qlearn import QModel, TablePolicy, evaluate_policy, rollout
 from mfvuln.robust import FitConfig, RobustValueModel, fit_cooperative_q, fit_robust_value
 from mfvuln.selection import (SelectorRLConfig, select_bruteforce, select_greedy,
                               select_random, select_rl)
@@ -28,8 +28,8 @@ from mfvuln.pipeline import (Run, correlate_prediction_vs_attack,
                              sample_attack_subsets, stage_fit_value,
                              stage_train_victim)
 from oracles import (ActionDist, TransitionSample, apply_robust_bellman,
-                     check_deviation_bounds, check_mean_field_deviation, mix_policies,
-                     pooled_std, sup_norm_diff, worst_case_gap)
+                     check_deviation_bounds, check_mean_field_deviation, exact_value_model,
+                     mix_policies, pooled_std, sup_norm_diff, worst_case_gap)
 
 # final desk-scale environment settings (shared with the example configs)
 VICSEK_RAW = {"env_name": "vicsek", "n_agents": 16, "horizon": 50,
@@ -71,14 +71,15 @@ def trained_setup(env_name: str, seed: int):
     return _cache[key]
 
 
-def attacked_report(env, victim, ids, eps, seed):
-    budgets = BudgetVector.from_set(env.n_agents, list(ids), eps)
+def attacked_returns(env, victim, attacks, eps, seed):
+    """Victim returns under each attack set; the adversaries train in one batch."""
+    budgets = [BudgetVector.from_set(env.n_agents, list(attack.ids), eps) for attack in attacks]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, adv, _ = train_adversary(env, victim, budgets,
-                                    AdversaryConfig(episodes=ADV_EPISODES, seed=seed))
-        return evaluate_attack(env, victim, budgets, EVAL_EPISODES, (seed, 3),
-                               adversary_policy=adv)
+        trained = train_adversaries(env, victim, budgets, AdversaryConfig(episodes=ADV_EPISODES),
+                                    [seed] * len(budgets))
+        return [evaluate_attack(env, victim, b, EVAL_EPISODES, (seed, 3), adversary_policy=adv)
+                for b, (_, adv, _) in zip(budgets, trained)]
 
 
 # -- criterion 1: contraction -----------------------------------------------------
@@ -175,7 +176,7 @@ def test_criterion_3_zero_budget_slice():
     victim = TablePolicy(table)
 
     trajs = [rollout(env, victim, (11, k)) for k in range(2)]
-    fcfg = FitConfig(sweeps=400, seed=0)
+    fcfg = FitConfig(sweeps=400)
     q_model = fit_cooperative_q(trajs, 2, 2, 0.9, fcfg)
     vmodel = fit_robust_value(q_model, trajs, fcfg)
 
@@ -218,7 +219,7 @@ def test_criterion_5_greedy_matches_bruteforce():
                         gamma=0.9, seed=100 + i)
         env = ToyMeanFieldEnv(cfg)
         pi = ToyMeanFieldEnv.greedy_matrix(env.optimal_q())
-        model = ExactValueModel.from_env(env, pi)
+        model = exact_value_model(env, pi)
         snap = env.reset(seed=0)
         mu0 = empirical_mean_field_state(snap.states, env.n_states).probs
 
@@ -255,7 +256,7 @@ def test_criterion_6_prediction_correlation(env_name):
         warnings.simplefilter("ignore")
         r, rows = correlate_prediction_vs_attack(
             vmodel, env, victim, subsets,
-            AdversaryConfig(episodes=ADV_EPISODES, seed=0),
+            AdversaryConfig(episodes=ADV_EPISODES),
             EVAL_EPISODES, seed=0)
     elapsed = time.time() - start
     assert abs(r) >= 0.8, f"{env_name}: |r|={abs(r):.3f} < 0.8"
@@ -279,16 +280,17 @@ def test_criterion_7_attack_ordering(env_name):
             env, victim, vmodel, states0, mu0 = trained_setup(env_name, seed)
             sets = {
                 "greedy": select_greedy(vmodel, states0, mu0, k, 1.0),
-                "rl": select_rl(vmodel, states0, mu0, k,
-                                SelectorRLConfig(episodes=200, seed=seed), 1.0)[0],
+                "rl": select_rl(vmodel, states0, mu0, k, SelectorRLConfig(episodes=200),
+                                1.0, seed)[0],
                 "random": select_random(env.n_agents, k, seed, 1.0),
             }
-            for method, attack in sets.items():
-                report = attacked_report(env, victim, attack.ids, 1.0, seed)
-                results[method].append(report.mean_return)
-                episode_groups.append(report.returns)
-            coop.append(report.baseline_mean)
-            episode_groups.append(report.baseline_returns)
+            for method, returns in zip(sets, attacked_returns(env, victim, sets.values(),
+                                                              1.0, seed)):
+                results[method].append(float(returns.mean()))
+                episode_groups.append(returns)
+            baseline = evaluate_policy(env, victim, EVAL_EPISODES, (seed, 3))
+            coop.append(float(baseline.mean()))
+            episode_groups.append(baseline)
         greedy_wins = sum(g < r for g, r in zip(results["greedy"], results["random"]))
         rl_wins = sum(g < r for g, r in zip(results["rl"], results["random"]))
         spread = pooled_std(episode_groups)

@@ -5,7 +5,6 @@ import pytest
 
 from mfvuln.attack import (
     AdversaryConfig,
-    AttackEvalReport,
     evaluate_attack,
     policy_checksum,
     train_adversary,
@@ -13,7 +12,7 @@ from mfvuln.attack import (
 from mfvuln.core import BudgetVector
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
-from mfvuln.qlearn import BoltzmannPolicy, QModel, TablePolicy, UniformPolicy
+from mfvuln.qlearn import BoltzmannPolicy, QModel, TablePolicy, UniformPolicy, evaluate_policy
 from oracles import pooled_std
 
 GAMMA = 0.85
@@ -78,7 +77,7 @@ def test_budget_length_mismatch_is_rejected():
     env, victim, _ = cycle_env()
     bad = BudgetVector.from_set(6, [0], 1.0)
     with pytest.raises(InvalidInputError):
-        train_adversary(env, victim, bad, AdversaryConfig(episodes=1))
+        train_adversary(env, victim, bad, AdversaryConfig(episodes=1), 0)
     with pytest.raises(InvalidInputError):
         evaluate_attack(env, victim, bad, 1, 0)
 
@@ -91,7 +90,7 @@ def test_empty_attack_set_warns_and_returns_untrained_model():
     zeros = BudgetVector(np.zeros(4))
     with pytest.warns(UserWarning, match="empty attack set"):
         model, policy, curve = train_adversary(env, victim, zeros,
-                                               AdversaryConfig(episodes=5))
+                                               AdversaryConfig(episodes=5), 0)
     assert curve.size == 0
     assert np.all(model.table == 0.0)
     rows = policy.action_dists(env.reset(seed=0))
@@ -100,15 +99,16 @@ def test_empty_attack_set_warns_and_returns_untrained_model():
 
 def test_no_op_evaluation_warns_and_repeats_baseline():
     env, victim, _ = cycle_env()
+    baseline = evaluate_policy(env, victim, 3, seed=1)
     zeros = BudgetVector(np.zeros(4))
     with pytest.warns(UserWarning, match="no active corruption"):
-        report = evaluate_attack(env, victim, zeros, 3, seed=1,
-                                 adversary_policy=UniformPolicy(2))
-    assert np.array_equal(report.returns, report.baseline_returns)
+        returns = evaluate_attack(env, victim, zeros, 3, seed=1,
+                                  adversary_policy=UniformPolicy(2))
+    assert np.array_equal(returns, baseline)
     active = BudgetVector.from_set(4, [2], 1.0)
     with pytest.warns(UserWarning, match="no active corruption"):
-        report = evaluate_attack(env, victim, active, 3, seed=1)  # no adversary given
-    assert np.array_equal(report.returns, report.baseline_returns)
+        returns = evaluate_attack(env, victim, active, 3, seed=1)  # no adversary given
+    assert np.array_equal(returns, baseline)
 
 
 # -- exact worst-case agreement ---------------------------------------------------
@@ -118,17 +118,19 @@ def test_trained_adversary_reaches_the_exact_worst_case():
     env, victim, pi = cycle_env()
     budgets = BudgetVector.from_set(4, [1, 3], 1.0)
     cfg = AdversaryConfig(episodes=400, lr=0.3, temperature=0.02,
-                          eps_final=0.0, eps_fraction=0.5, seed=11)
-    _, adv, curve = train_adversary(env, victim, budgets, cfg)
+                          eps_final=0.0, eps_fraction=0.5)
+    _, adv, curve = train_adversary(env, victim, budgets, cfg, 11)
     # the objective is the negated shared return, so the curve should rise
     assert curve[-50:].mean() > curve[:50].mean()
 
-    report = evaluate_attack(env, victim, budgets, 3, seed=5, adversary_policy=adv)
+    returns = evaluate_attack(env, victim, budgets, 3, seed=5, adversary_policy=adv)
+    assert returns.shape == (3,)
     want = env.exact_attack_return(pi, [1, 3], 1.0)
-    assert report.mean_return == pytest.approx(want, abs=1e-4)
+    assert returns.mean() == pytest.approx(want, abs=1e-4)
     coop = env.exact_policy_value(pi)[env.initial_states].mean()
-    assert report.baseline_mean == pytest.approx(coop, abs=1e-5)
-    assert report.mean_return < report.baseline_mean
+    baseline = evaluate_policy(env, victim, 3, seed=5)
+    assert baseline.mean() == pytest.approx(coop, abs=1e-5)
+    assert returns.mean() < baseline.mean()
 
 
 def test_attack_return_is_monotone_in_eps():
@@ -149,9 +151,9 @@ def test_adversary_equal_to_victim_changes_nothing():
     budgets = BudgetVector.from_set(6, [0, 2], 0.6)
     # mixing a policy with itself is the identity, so the attacked rollouts
     # must reproduce the baseline rollouts sample for sample
-    report = evaluate_attack(env, victim, budgets, 4, seed=9,
-                             adversary_policy=TablePolicy(table.copy()))
-    assert np.array_equal(report.returns, report.baseline_returns)
+    returns = evaluate_attack(env, victim, budgets, 4, seed=9,
+                              adversary_policy=TablePolicy(table.copy()))
+    assert np.array_equal(returns, evaluate_policy(env, victim, 4, seed=9))
 
 
 # -- frozen-victim guard ----------------------------------------------------------
@@ -170,34 +172,14 @@ def test_victim_mutation_is_detected():
     drifting = _DriftingPolicy(pi.copy())
     budgets = BudgetVector.from_set(4, [0], 1.0)
     with pytest.raises(RuntimeError, match="victim policy changed"):
-        train_adversary(env, drifting, budgets, AdversaryConfig(episodes=2))
+        train_adversary(env, drifting, budgets, AdversaryConfig(episodes=2), 0)
     drifting = _DriftingPolicy(pi.copy())
     with pytest.raises(RuntimeError, match="victim policy changed"):
         evaluate_attack(env, drifting, budgets, 2, seed=0,
                         adversary_policy=UniformPolicy(2))
 
 
-# -- report and pooled spread ------------------------------------------------------
-
-
-def test_report_properties():
-    report = AttackEvalReport(returns=np.array([-1.0, -3.0]),
-                              baseline_returns=np.array([-0.5, -0.5]),
-                              budgets=BudgetVector.from_set(4, [1], 0.5),
-                              victim_checksum="abc")
-    assert report.episodes == 2
-    assert report.mean_return == pytest.approx(-2.0)
-    assert report.std_return == pytest.approx(np.sqrt(2.0))
-    assert report.baseline_mean == pytest.approx(-0.5)
-    assert report.n_attacked == 1
-    single = AttackEvalReport(returns=np.array([1.0]),
-                              baseline_returns=np.array([1.0]),
-                              budgets=BudgetVector(np.zeros(4)),
-                              victim_checksum="abc")
-    assert single.std_return == 0.0
-    with pytest.raises(InvalidInputError):
-        AttackEvalReport(returns=np.empty(0), baseline_returns=np.empty(0),
-                         budgets=BudgetVector(np.zeros(4)), victim_checksum="x")
+# -- argument checks and pooled spread ---------------------------------------------
 
 
 def test_evaluate_attack_rejects_zero_episodes():

@@ -14,7 +14,7 @@ from mfvuln.envs.base import stack_snapshots
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
-from mfvuln.errors import InvalidInputError
+from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.qlearn import (BoltzmannPolicy, QModel, RulePolicy, UniformPolicy,
                            evaluate_policy, rollout)
 
@@ -48,14 +48,14 @@ def serial_step(env):
     return env.step
 
 
-def assert_matches_serial(env, victim, budgets, cfgs, trained):
-    for b, c, (model, policy, curve) in zip(budgets, cfgs, trained):
-        want_model, want_curve = oracles.train_adversary_serial(env, victim, b, c,
+def assert_matches_serial(env, victim, budgets, cfg, seeds, trained):
+    for b, seed, (model, policy, curve) in zip(budgets, seeds, trained):
+        want_model, want_curve = oracles.train_adversary_serial(env, victim, b, cfg, seed,
                                                                 serial_step(env))
         assert same(model.table, want_model.table)
         assert same(model.visits, want_model.visits)
         assert same(curve, want_curve)
-        assert policy.model is model and policy.temperature == c.temperature
+        assert policy.model is model and policy.temperature == cfg.temperature
 
 
 # -- environments ------------------------------------------------------------------
@@ -157,11 +157,11 @@ def test_batched_trainer_equals_the_serial_loop(name):
     victim = victim_of(env)
     budgets = [BudgetVector.from_set(env.n_agents, ids, eps)
                for ids, eps in (([0], 1.0), ([1, 3, 4], 0.6), ([2, 4], 1.0))]
-    cfgs = [AdversaryConfig(episodes=8, lr=0.3, lr_decay=0.01, seed=s) for s in (5, 5, 11)]
-    assert_matches_serial(env, victim, budgets, cfgs,
-                          train_adversaries(env, victim, budgets, cfgs))
-    model, _, curve = train_adversary(env, victim, budgets[1], cfgs[1])
-    want_model, want_curve = oracles.train_adversary_serial(env, victim, budgets[1], cfgs[1],
+    cfg, seeds = AdversaryConfig(episodes=8, lr=0.3, lr_decay=0.01), [5, 5, 11]
+    assert_matches_serial(env, victim, budgets, cfg, seeds,
+                          train_adversaries(env, victim, budgets, cfg, seeds))
+    model, _, curve = train_adversary(env, victim, budgets[1], cfg, 5)
+    want_model, want_curve = oracles.train_adversary_serial(env, victim, budgets[1], cfg, 5,
                                                             serial_step(env))
     assert same(model.table, want_model.table) and same(curve, want_curve)
 
@@ -173,14 +173,14 @@ def test_an_empty_learner_warns_and_leaves_the_others_unchanged(name):
     budgets = [BudgetVector.from_set(env.n_agents, [1, 2], 1.0),
                BudgetVector.zeros(env.n_agents),
                BudgetVector.from_set(env.n_agents, [0], 0.5)]
-    cfgs = [AdversaryConfig(episodes=5, seed=s) for s in (1, 2, 3)]
+    cfg, seeds = AdversaryConfig(episodes=5), [1, 2, 3]
     with pytest.warns(UserWarning, match="empty attack set"):
-        trained = train_adversaries(env, victim, budgets, cfgs)
+        trained = train_adversaries(env, victim, budgets, cfg, seeds)
     model, policy, curve = trained[1]
     assert curve.size == 0 and not model.table.any() and not model.visits.any()
     assert np.allclose(policy.action_dists(env.reset(seed=0)), 1.0 / env.n_actions)
-    assert_matches_serial(env, victim, budgets, cfgs, trained)
-    alone = train_adversaries(env, victim, budgets[::2], cfgs[::2])
+    assert_matches_serial(env, victim, budgets, cfg, seeds, trained)
+    alone = train_adversaries(env, victim, budgets[::2], cfg, seeds[::2])
     for (m, _, c), (m2, _, c2) in zip(alone, trained[::2]):
         assert same(m.table, m2.table) and same(c, c2)
 
@@ -194,11 +194,11 @@ def test_any_batch_equals_its_learners_trained_alone(learners, name):
     env = ENVS[name]()
     victim = victim_of(env)
     budgets = [BudgetVector.from_set(env.n_agents, sorted(ids), eps) for ids, eps, _ in learners]
-    cfgs = [AdversaryConfig(episodes=3, lr=0.4, seed=seed) for _, _, seed in learners]
+    cfg, seeds = AdversaryConfig(episodes=3, lr=0.4), [seed for _, _, seed in learners]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        trained = train_adversaries(env, victim, budgets, cfgs)
-    assert_matches_serial(env, victim, budgets, cfgs, trained)
+        trained = train_adversaries(env, victim, budgets, cfg, seeds)
+    assert_matches_serial(env, victim, budgets, cfg, seeds, trained)
 
 
 def test_batch_guards():
@@ -206,16 +206,15 @@ def test_batch_guards():
     victim = victim_of(env)
     one = BudgetVector.from_set(env.n_agents, [0], 1.0)
     cfg = AdversaryConfig(episodes=1)
-    with pytest.raises(InvalidInputError, match="schedule"):
-        train_adversaries(env, victim, [one, one], [cfg, AdversaryConfig(episodes=1, lr=0.2)])
-    with pytest.raises(InvalidInputError, match="schedule"):
-        train_adversaries(env, victim, [one, one], [cfg, AdversaryConfig(episodes=2)])
     with pytest.raises(InvalidInputError, match="length"):
         train_adversaries(env, victim, [one, BudgetVector.from_set(env.n_agents + 1, [0])],
-                          [cfg, cfg])
-    with pytest.raises(InvalidInputError, match="configs"):
-        train_adversaries(env, victim, [one, one], [cfg])
-    assert train_adversaries(env, victim, [], []) == []
-    trained = train_adversaries(env, victim, [one, one],
-                                [cfg, AdversaryConfig(episodes=1, seed=9)])
+                          cfg, [0, 0])
+    with pytest.raises(InvalidInputError, match="2 budget vectors for 1 seeds"):
+        train_adversaries(env, victim, [one, one], cfg, [0])
+    with pytest.raises(InvalidInputError, match="1 budget vectors for 2 seeds"):
+        train_adversaries(env, victim, [one], cfg, [0, 9])
+    with pytest.raises(InvalidConfigError):
+        train_adversaries(env, victim, [one], AdversaryConfig(episodes=0), [0])
+    assert train_adversaries(env, victim, [], cfg, []) == []
+    trained = train_adversaries(env, victim, [one, one], cfg, [0, 9])
     assert len(trained) == 2

@@ -94,6 +94,16 @@ def test_deleted_binning_key_exits_with_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "runs")
 
 
+@pytest.mark.parametrize("section", ["victim", "value", "adversary"])
+def test_learner_seed_key_exits_with_error(tmp_path, capsys, section):
+    """Learners get the run's seed as an argument; a seed key in their section is refused."""
+    _, raw = write_config(tmp_path)
+    cfg_path, _ = write_config(tmp_path, **{section: {**raw[section], "seed": 3}})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert f"unknown key 'seed' in config section '{section}'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
 def experiment_of(ledger) -> str:
     rows = ledger.rows()
     assert rows, "expected ledger rows"

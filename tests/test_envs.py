@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mfvuln.core import seed_rng
-from mfvuln.envs import (ExactValueModel, TaxiGridEnv, ToyMeanFieldEnv, VicsekEnv,
-                         agent_layout, make_env, order_parameter)
+from mfvuln.envs import (TaxiGridEnv, ToyMeanFieldEnv, VicsekEnv, agent_layout, make_env,
+                         order_parameter)
 from mfvuln.envs.base import torus_pairwise, torus_sq_pairwise, wrap_angle
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
@@ -319,6 +319,17 @@ def test_neighbour_kernel_matches_the_modulo_reference(n, episodes):
         snap = env.step(snap, seed_rng((3, t)).integers(0, env.n_actions, env.n_agents)).snapshot
 
 
+def test_neighbour_kernel_gives_the_same_bytes_after_a_call_of_another_size():
+    env = scale_env(64)
+    snap = env.reset(seed=3)
+    first = env.neighbor_mean_heading(snap.pos, snap.headings)
+    env.neighbor_mean_heading(snap.pos[:5], snap.headings[:5])
+    again = env.neighbor_mean_heading(snap.pos, snap.headings)
+    assert again.tobytes() == first.tobytes()
+    assert np.abs(wrap_angle(first - oracles.neighbor_mean_heading(
+        env, snap.pos, snap.headings))).max() <= 1e-12
+
+
 def test_lattice_pairs_at_comm_radius_across_the_seam_are_neighbours():
     side, r = 12, 5.0
     xy = np.array([(x, y) for x in range(side) for y in range(side)], dtype=float)
@@ -400,7 +411,7 @@ def test_toy_attack_return_decomposes():
 def test_toy_exact_value_model_slices():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=3, seed=7))
     pi = env.boltzmann_matrix(env.optimal_q(), 0.2)
-    model = ExactValueModel.from_env(env, pi)
+    model = oracles.exact_value_model(env, pi)
     v0, h = env.exact_robust_components(pi)
     s = int(env.initial_states[0])
     assert model.value(s, 0.0, 0.0) == pytest.approx(v0[s])

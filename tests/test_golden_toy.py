@@ -113,9 +113,9 @@ def test_attack_stage_trains_only_missing_adversaries_in_one_batch(tmp_path, mon
             (out / f"adversary_{method}_s0.policy{suffix}").unlink()
     real, batches = pipeline.train_adversaries, []
 
-    def record(env, victim, budgets, cfgs):
+    def record(env, victim, budgets, cfg, seeds):
         batches.append(len(budgets))
-        return real(env, victim, budgets, cfgs)
+        return real(env, victim, budgets, cfg, seeds)
 
     monkeypatch.setattr(pipeline, "train_adversaries", record)
     run_toy(out, ["pipeline"])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mfvuln.attack import AdversaryConfig
 from mfvuln.envs.taxi import TaxiConfig
-from mfvuln.envs.toy import ExactValueModel, ToyConfig, ToyMeanFieldEnv
+from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.envs.vicsek import VicsekConfig
 from mfvuln.errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
                            MfvulnError, StageDependencyError, UndefinedCorrelationError)
@@ -23,8 +23,9 @@ from mfvuln.pipeline import (AdversaryStageConfig, CorrelationStageConfig,
                              export_heatmap, parse_experiment_config, pearson,
                              run_pipeline, sample_attack_subsets, stage_evaluate,
                              stage_select, stage_train_victim)
-from mfvuln.qlearn import TablePolicy, TrainConfig
+from mfvuln.qlearn import TablePolicy, TrainConfig, evaluate_policy
 from mfvuln.selection import AttackSet, save_attack_set
+from oracles import exact_value_model
 
 
 def base_raw(**overrides):
@@ -133,7 +134,7 @@ def test_bad_norm_order_string_is_a_config_error():
 SECTIONS = {"victim": TrainConfig, "value": ValueStageConfig,
             "selection": SelectionStageConfig, "adversary": AdversaryStageConfig,
             "correlation": CorrelationStageConfig, "heatmap": HeatmapStageConfig}
-DELETED_KEYS = ("mu_bins", "nu_bins", "bin_levels", "joint_norm")
+DELETED_KEYS = ("mu_bins", "nu_bins", "bin_levels", "joint_norm", "seed")
 # small numbers only: an env section is built, and its tables grow with them
 CONFIG_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
@@ -286,7 +287,7 @@ def exact_setup():
                     deterministic=True, horizon=8, gamma=0.9, seed=4)
     env = ToyMeanFieldEnv(cfg)
     pi = np.full((env.n_states, env.n_actions), 0.5)
-    return env, ExactValueModel.from_env(env, pi)
+    return env, exact_value_model(env, pi)
 
 
 def test_heatmap_per_agent_eps_equals_damp(tmp_path):
@@ -296,7 +297,7 @@ def test_heatmap_per_agent_eps_equals_damp(tmp_path):
     grid = export_heatmap(model, env, snap, "per-agent-eps", out_csv=out)
     assert grid.shape == (4, 4)
     # eps: 0 -> 1 at xi = 0 prices exactly one unit of the damping component
-    want = model.h[snap.states].reshape(4, 4)
+    want = model.damp[snap.states].reshape(4, 4)
     np.testing.assert_allclose(grid, want, atol=1e-12)
     rows = list(csv.reader(open(out)))
     assert len(rows) == 4 and len(rows[0]) == 4
@@ -307,7 +308,7 @@ def test_heatmap_single_adversary_xi_scales_by_population(tmp_path):
     env, model = exact_setup()
     snap = env.reset(seed=0)
     grid = export_heatmap(model, env, snap, "single-adversary-xi")
-    want = model.h[snap.states].reshape(4, 4) / env.n_agents
+    want = model.damp[snap.states].reshape(4, 4) / env.n_agents
     np.testing.assert_allclose(grid, want, atol=1e-12)
     with pytest.raises(InvalidInputError, match="heatmap mode"):
         export_heatmap(model, env, snap, "fancy")
@@ -332,7 +333,7 @@ def test_prediction_anticorrelates_with_attacked_return(tmp_path):
     env = ToyMeanFieldEnv(cfg)
     pi = ToyMeanFieldEnv.greedy_matrix(env.optimal_q())
     victim = TablePolicy(pi)
-    model = ExactValueModel.from_env(env, pi)
+    model = exact_value_model(env, pi)
     subsets = sample_attack_subsets(5, 10, seed=3, k_min=1, k_max=2)
     out = tmp_path / "corr.csv"
     r, rows = correlate_prediction_vs_attack(
@@ -412,6 +413,22 @@ def test_minimal_vicsek_pipeline_smoke(tmp_path):
     assert rows
     stages = {r["stage"] for r in rows}
     assert {"victim", "value", "select", "attack"} <= stages
+
+
+@pytest.mark.parametrize("eval_episodes", [1, 4])
+def test_attack_rows_share_one_clean_baseline(tmp_path, eval_episodes):
+    """Every method's coop_return is the one clean evaluation; one episode has std 0."""
+    cfg = parse_experiment_config(base_raw(
+        out_dir=str(tmp_path / "runs"), adversary={"episodes": 8, "eval_episodes": eval_episodes}))
+    run_pipeline(cfg)
+    run = Run(cfg)
+    rows = {(r["method"], r["metric"]): r["value"] for r in run.ledger.rows()
+            if r["stage"] == "attack"}
+    coop = evaluate_policy(run.env, run.artifact("victim_policy", 0), eval_episodes,
+                           seed=(0, 3))
+    for method in ("greedy", "random"):
+        assert rows[(method, "coop_return")] == f"{coop.mean():.9g}"
+        assert (rows[(method, "attacked_std")] == "0") == (eval_episodes == 1)
 
 
 def test_stage_dependencies_are_enforced(tmp_path):

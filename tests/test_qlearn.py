@@ -108,8 +108,7 @@ def test_boltzmann_rejects_bad_temperature():
 def test_td_matches_linear_solve():
     env = two_state_env()
     pi = np.array([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5], [0.5, 0.5]])
-    model, _, _ = train_victim(env, TrainConfig(episodes=400, lr=0.5, seed=0,
-                                                min_margin=None),
+    model, _, _ = train_victim(env, TrainConfig(episodes=400, lr=0.5, min_margin=None), 0,
                                fixed_policy_table=pi)
     oracle = block1_policy_eval_oracle(env, pi)
     assert np.abs(model.table[:2] - oracle).max() < 1e-3
@@ -119,8 +118,7 @@ def test_td_myopic_limit():
     # gamma = 0 reduces the fit to immediate-reward regression
     env = two_state_env(gamma=0.0)
     pi = np.full((4, 2), 0.5)
-    model, _, _ = train_victim(env, TrainConfig(episodes=200, lr=0.5, seed=1,
-                                                min_margin=None),
+    model, _, _ = train_victim(env, TrainConfig(episodes=200, lr=0.5, min_margin=None), 1,
                                fixed_policy_table=pi)
     want = (env.rewards[:2] + 0.25) / 2.0
     assert np.abs(model.table[:2] - want).max() < 1e-9
@@ -128,17 +126,19 @@ def test_td_myopic_limit():
 
 def test_training_is_deterministic():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=20, seed=5))
-    cfg = TrainConfig(episodes=30, seed=7, min_margin=None)
-    m1, _, c1 = train_victim(env, cfg)
-    m2, _, c2 = train_victim(env, cfg)
+    cfg = TrainConfig(episodes=30, min_margin=None)
+    m1, _, c1 = train_victim(env, cfg, 7)
+    m2, _, c2 = train_victim(env, cfg, 7)
     assert np.array_equal(m1.table, m2.table)
     assert np.array_equal(c1, c2)
+    m3, _, _ = train_victim(env, cfg, 8)
+    assert not np.array_equal(m1.table, m3.table)
 
 
 def test_training_failure_carries_returns():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=20, seed=5))
     with pytest.raises(TrainingFailureError) as exc:
-        train_victim(env, TrainConfig(episodes=5, seed=0, min_margin=1000.0))
+        train_victim(env, TrainConfig(episodes=5, min_margin=1000.0), 0)
     assert exc.value.trained_return is not None
     assert exc.value.baseline_return is not None
 

@@ -10,11 +10,12 @@ from mfvuln.envs import make_env
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.qlearn import QModel, TablePolicy, UniformPolicy, rollout
-from mfvuln.robust import (FitConfig, RobustValueModel, build_corpus, fit_cooperative_q,
-                           fit_robust_value)
+from mfvuln.robust import (FitConfig, RobustValueModel, _q_penalty_rows, build_corpus,
+                           fit_cooperative_q, fit_robust_value)
 from oracles import (W_MAX, TransitionSample, apply_robust_bellman,
                      fit_cooperative_q_per_transition, fit_robust_value_per_transition,
-                     regularizer, sample_budgets, sup_norm_diff, worst_case_gap)
+                     q_penalty_per_transition, regularizer, sample_budgets, sup_norm_diff,
+                     worst_case_gap)
 
 GAMMA = 0.9
 
@@ -282,6 +283,21 @@ def test_aggregated_sweep_matches_per_transition_sweep_on_taxi_and_vicsek(raw):
     env = make_env(raw)
     trajs = [rollout(env, UniformPolicy(env.n_actions), (4, k)) for k in range(6)]
     assert_fits_match_per_transition(env, trajs, FitConfig(p=1.0))
+
+
+@pytest.mark.parametrize("raw", [{"env_name": "taxi", "n_agents": 16, "horizon": 20},
+                                 {"env_name": "vicsek", "n_agents": 16, "horizon": 20},
+                                 {"env_name": "toy", "n_agents": 4, "n_actions": 3}])
+@pytest.mark.parametrize("qdual", [1.0, 1.5, 2.0, np.inf])
+def test_per_state_penalty_equals_the_per_transition_one_byte_for_byte(raw, qdual):
+    env = make_env(raw)
+    trajs = [rollout(env, UniformPolicy(env.n_actions), (5, k)) for k in range(3)]
+    corpus = build_corpus(trajs)
+    q_model = QModel(env.n_states, env.n_actions, env.gamma)
+    q_model.table = seed_rng(6, salt="penalty").normal(0, 40, q_model.table.shape)
+    got = _q_penalty_rows(q_model, corpus, qdual)
+    want = q_penalty_per_transition(q_model, corpus, qdual)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_sweeps_stop_at_tol_before_the_sweep_budget_runs_out():

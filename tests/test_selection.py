@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs.base import Snapshot
-from mfvuln.envs.toy import ExactValueModel
 from mfvuln.envs.vicsek import VicsekConfig, VicsekEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.robust import RobustValueModel
@@ -112,12 +111,10 @@ def test_greedy_total_telescopes_to_the_predicted_drop():
 
 @st.composite
 def random_value_models(draw):
-    """An ExactValueModel or a RobustValueModel over random base and damp tables."""
+    """A RobustValueModel over random base and damp tables."""
     n_states = draw(st.integers(1, 8))
     table = st.lists(st.floats(-50, 50), min_size=n_states, max_size=n_states)
     base, damp = np.array(draw(table)), np.array(draw(table))
-    if draw(st.booleans()):
-        return ExactValueModel(base, damp)
     return value_model(damp, base_per_state=base)
 
 
@@ -145,8 +142,6 @@ def tied_value_models(draw):
     table = st.lists(st.integers(-3, 3), min_size=n_states, max_size=n_states)
     base = np.array(draw(table), dtype=float)
     damp = np.abs(np.array(draw(table), dtype=float))
-    if draw(st.booleans()):
-        return ExactValueModel(base, damp)
     return value_model(damp, base_per_state=base)
 
 
@@ -269,8 +264,8 @@ def test_rl_selector_finds_the_dominant_agent():
     mu0 = np.full(6, 1 / 6)
     hits = 0
     for seed in range(20):
-        attack, curve = select_rl(model, states0, mu0, 2,
-                                  SelectorRLConfig(episodes=150, seed=seed))
+        attack, curve = select_rl(model, states0, mu0, 2, SelectorRLConfig(episodes=150),
+                                  1.0, seed)
         hits += int(3 in attack.ids)
         assert curve.shape == (150,)
     assert hits >= 19
@@ -284,8 +279,8 @@ def test_rl_selector_beats_random_selection_on_average():
     rl_drops, rand_drops = [], []
     for trial in range(30):
         model = value_model(rng.random(n) * 4)
-        attack, _ = select_rl(model, states0, mu0, 2,
-                              SelectorRLConfig(episodes=120, seed=trial))
+        attack, _ = select_rl(model, states0, mu0, 2, SelectorRLConfig(episodes=120), 1.0,
+                              trial)
         rl_drops.append(drop_of(model, states0, mu0, attack.ids))
         rand_drops.append(drop_of(model, states0, mu0,
                                   select_random(n, 2, seed=(trial, 9)).ids))
@@ -300,9 +295,9 @@ def test_rl_selector_falls_back_to_the_best_seen_selection():
     model = value_model(damp)
     states0 = np.arange(6)
     mu0 = np.full(6, 1 / 6)
-    cfg = SelectorRLConfig(episodes=1, lr=0.1, eps_start=1.0, eps_final=1.0, seed=0)
+    cfg = SelectorRLConfig(episodes=1, lr=0.1, eps_start=1.0, eps_final=1.0)
     with pytest.warns(UserWarning, match="not converged"):
-        attack, _ = select_rl(model, states0, mu0, 2, cfg)
+        attack, _ = select_rl(model, states0, mu0, 2, cfg, 1.0, 0)
     assert drop_of(model, states0, mu0, attack.ids) \
         > drop_of(model, states0, mu0, [0, 1])
     assert attack.predicted_drop == pytest.approx(
