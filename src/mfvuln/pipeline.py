@@ -38,7 +38,7 @@ from .envs.base import agent_layout, check_field_types
 from .errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
                      StageDependencyError, UndefinedCorrelationError)
 from .qlearn import (BoltzmannPolicy, TrainConfig, UniformPolicy,
-                     evaluate_policy, rollout, train_victim, write_atomic)
+                     evaluate_policy, rollouts, train_victim, write_atomic)
 from .robust import (FitConfig, RobustValueModel, fit_cooperative_q,
                      fit_robust_value)
 from .selection import (AttackSet, SelectorRLConfig, load_attack_set,
@@ -122,6 +122,7 @@ class SelectionStageConfig:
             raise InvalidConfigError("k must be >= 0")
         if not (0.0 < self.eps <= 1.0):
             raise InvalidConfigError("eps must be in (0, 1]")
+        self.rl_config().validate()
 
     def rl_config(self) -> SelectorRLConfig:
         return SelectorRLConfig(episodes=self.rl_episodes, lr=self.rl_lr, gamma=self.rl_gamma)
@@ -521,7 +522,7 @@ def stage_train_victim(run: Run, seed: int):
 def _fit_value(run: Run, seed: int) -> RobustValueModel:
     env, victim = run.env, run.artifact("victim_policy", seed)
     corpus_seeds = np.random.SeedSequence((seed, 2)).spawn(run.cfg.value.rollouts)
-    trajs = [rollout(env, victim, s) for s in corpus_seeds]
+    trajs = rollouts(env, victim, corpus_seeds)
     write_trajectories_csv(run.paths.trajectories(seed), trajs)
     fit_cfg = run.cfg.value.fit_config(seed)
     q_model = fit_cooperative_q(trajs, env.n_states, env.n_actions, env.gamma, fit_cfg)

@@ -306,18 +306,27 @@ def _play(env, victim_policy, seeds, horizon, adversary_policy, budgets):
     return steps, batch.states
 
 
-def rollout(env, victim_policy, seed, horizon=None, adversary_policy=None,
-            budgets: Optional[BudgetVector] = None) -> Trajectory:
-    """One episode under the victim policy, optionally corrupted.
+def rollouts(env, victim_policy, seeds, horizon=None, adversary_policy=None,
+             budgets: Optional[BudgetVector] = None) -> list:
+    """One episode per seed under the victim policy, optionally corrupted,
+    stepped as one batch.
 
     When budgets are given, each agent's action distribution is the
-    per-decision mixture eps_i * adversary + (1 - eps_i) * victim.  The
-    environment noise stream and the action sampling stream are seeded
-    separately, so the same seed replays bit-identically.
+    per-decision mixture eps_i * adversary + (1 - eps_i) * victim.  Each
+    episode's environment noise stream and action sampling stream are seeded
+    separately from its own seed, so it replays bit-identically alone or in
+    any batch.
     """
-    steps, final = _play(env, victim_policy, [seed], horizon, adversary_policy, budgets)
-    return Trajectory([TrajectoryStep(t, states[0], actions[0], float(rewards[0]))
-                       for t, (states, actions, rewards) in enumerate(steps)], final[0])
+    steps, final = _play(env, victim_policy, seeds, horizon, adversary_policy, budgets)
+    return [Trajectory([TrajectoryStep(t, states[b], actions[b], float(rewards[b]))
+                        for t, (states, actions, rewards) in enumerate(steps)], final[b])
+            for b in range(len(seeds))]
+
+
+def rollout(env, victim_policy, seed, horizon=None, adversary_policy=None,
+            budgets: Optional[BudgetVector] = None) -> Trajectory:
+    """One episode: ``rollouts`` with a single seed."""
+    return rollouts(env, victim_policy, [seed], horizon, adversary_policy, budgets)[0]
 
 
 def evaluate_policy(env, policy, episodes: int, seed, horizon=None,

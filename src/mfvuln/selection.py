@@ -16,6 +16,12 @@ candidate in one value-model call), a small Q-learner over pick features,
 uniform random, degree centrality on the observation graph, and exhaustive
 enumeration against a caller-supplied evaluator (the reference answer on
 toys).
+
+The Q-learner never builds its dense pick features: it gathers one weight per
+candidate start state for all candidates at once (``SelectorQModel``), and
+its replay records hold numbers, not vectors.  A gathered score can differ
+from a BLAS dot product of the dense vectors in the last bit; its picks,
+curves and drops equal the dense serial loop's (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -214,34 +220,48 @@ class SelectorRLConfig:
     def validate(self):
         if self.episodes < 1:
             raise InvalidConfigError("episodes must be >= 1")
-        if self.lr <= 0:
+        if not self.lr > 0:  # also refuses NaN
             raise InvalidConfigError("lr must be positive")
+        if not 0 <= self.gamma < 1:
+            raise InvalidConfigError("gamma must be in [0, 1)")
         if not (0 <= self.eps_final <= self.eps_start <= 1):
             raise InvalidConfigError("exploration schedule out of order")
 
 
 class SelectorQModel:
-    """Linear pick-value model over [one-hot(s0), xi, eps, picks-so-far, bias]."""
+    """Linear pick-value model over [one-hot(s0), xi, eps, picks-so-far, bias].
+
+    With S = n_states, a pick scores w[s0] + xi*w[S] + eps*w[S+1] + n*w[S+2]
+    + w[S+3], summed left to right; the one-hot feature vector is never
+    built, and an update touches only these five weights.
+    """
 
     def __init__(self, n_states: int):
         self.n_states = n_states
         self.weights = np.zeros(n_states + 4)
 
-    def features(self, s0: int, xi: float, eps: float, n_selected: int) -> np.ndarray:
-        phi = np.zeros(self.weights.size)
-        phi[int(s0)] = 1.0
-        phi[self.n_states] = xi
-        phi[self.n_states + 1] = eps
-        phi[self.n_states + 2] = n_selected
-        phi[-1] = 1.0
-        return phi
+    def _score(self, w_s0, xi: float, eps: float, n_selected: int):
+        w, s = self.weights, self.n_states
+        return w_s0 + xi * w[s] + eps * w[s + 1] + n_selected * w[s + 2] + w[s + 3]
 
-    def score(self, phi) -> float:
-        return float(np.asarray(phi) @ self.weights)
+    def scores(self, s0s, xi: float, eps: float, n_selected: int) -> np.ndarray:
+        """Scores of every candidate start state in s0s, in one gather."""
+        return self._score(self.weights[s0s], xi, eps, n_selected)
 
-    def update(self, phi, target: float, lr: float):
-        phi = np.asarray(phi)
-        self.weights += lr * (target - self.score(phi)) * phi
+    def best_score(self, s0s, xi: float, eps: float, n_selected: int) -> float:
+        """max(scores(...)); rounding is monotone, so it is the top weight's score."""
+        return float(self._score(self.weights[s0s].max(), xi, eps, n_selected))
+
+    def update(self, s0: int, xi: float, eps: float, n_selected: int, target: float,
+               lr: float):
+        """w += lr * (target - score) * phi, written out for the five nonzero features."""
+        w, s = self.weights, self.n_states
+        delta = lr * (target - self._score(w[s0], xi, eps, n_selected))
+        w[s0] += delta
+        w[s] += delta * xi
+        w[s + 1] += delta * eps
+        w[s + 2] += delta * n_selected
+        w[s + 3] += delta
 
 
 def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig, eps: float,
@@ -251,7 +271,9 @@ def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig, eps: flo
     Selection episodes never touch the environment, so training is cheap:
     each step picks an unselected agent eps-greedily, collects the predicted
     drop as reward, and fits the linear pick model with replayed one-step
-    backups.  Returns the greedy attack set under the learned model plus the
+    backups.  A replay record is (pick's s0, xi, picks so far, reward, s0 of
+    the next candidates, next xi); the bootstrap is the best next score.
+    Returns the greedy attack set under the learned model plus the
     per-episode total rewards (the training curve).
     """
     cfg.validate()
@@ -263,38 +285,37 @@ def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig, eps: flo
     rng = seed_rng(seed, salt="selector-rl")
     curve = np.empty(cfg.episodes)
     best_ids, best_total = [], -np.inf
+    rewards = {}   # (picked set, pick) -> selector_reward, a pure function of the pair
 
-    def candidate_phis(budget, n_selected):
-        xi = budget.xi
-        return {cand: model.features(states0[cand], xi, eps, n_selected)
-                for cand in range(n) if budget.eps[cand] == 0}
+    def greedy_pick(free, xi, n_selected) -> int:
+        return int(free[np.argmax(model.scores(states0[free], xi, eps, n_selected))])
 
     for ep in range(cfg.episodes):
         explore = exploration_eps(cfg, ep)
         budget = BudgetVector.zeros(n)
+        free, xi = np.flatnonzero(budget.eps == 0), budget.xi
         total, picks = 0.0, []
         for step in range(k):
-            phis = candidate_phis(budget, step)
-            cands = sorted(phis)
             if rng.random() < explore:
-                pick = cands[rng.integers(len(cands))]
+                pick = int(free[rng.integers(free.size)])
             else:
-                scores = np.array([model.score(phis[c]) for c in cands])
-                pick = cands[int(np.argmax(scores))]
+                pick = greedy_pick(free, xi, step)
             nxt_budget = budget.with_agent(pick, eps)
-            r = selector_reward(value_model, states0, mu0, budget, nxt_budget)
+            key = (frozenset(picks), pick)
+            if key not in rewards:
+                rewards[key] = selector_reward(value_model, states0, mu0, budget, nxt_budget)
+            r = rewards[key]
             total += r
             picks.append(pick)
-            if step + 1 < k:
-                nxt_phis = list(candidate_phis(nxt_budget, step + 1).values())
-            else:
-                nxt_phis = []
-            buffer.push((phis[pick], r, nxt_phis))
+            nxt_free, nxt_xi = np.flatnonzero(nxt_budget.eps == 0), nxt_budget.xi
+            nxt_s0s = states0[nxt_free] if step + 1 < k else states0[:0]
+            buffer.push((states0[pick], xi, step, r, nxt_s0s, nxt_xi))
             batch = buffer.sample(min(cfg.batch_size, len(buffer)), rng)
-            for phi_b, r_b, nxt_b in batch:
-                boot = max((model.score(p) for p in nxt_b), default=0.0)
-                model.update(phi_b, r_b + (cfg.gamma * boot if nxt_b else 0.0), cfg.lr)
-            budget = nxt_budget
+            for s0_b, xi_b, n_b, r_b, nxt_b, nxt_xi_b in batch:
+                boot = cfg.gamma * model.best_score(nxt_b, nxt_xi_b, eps, n_b + 1) \
+                    if nxt_b.size else 0.0
+                model.update(s0_b, xi_b, eps, n_b, r_b + boot, cfg.lr)
+            budget, free, xi = nxt_budget, nxt_free, nxt_xi
         curve[ep] = total
         if total > best_total:
             best_ids, best_total = picks, total
@@ -303,12 +324,8 @@ def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig, eps: flo
     budget = BudgetVector.zeros(n)
     chosen = []
     for step in range(k):
-        phis = candidate_phis(budget, step)
-        cands = sorted(phis)
-        scores = np.array([model.score(phis[c]) for c in cands])
-        pick = cands[int(np.argmax(scores))]
-        chosen.append(pick)
-        budget = budget.with_agent(pick, eps)
+        chosen.append(greedy_pick(np.flatnonzero(budget.eps == 0), budget.xi, step))
+        budget = budget.with_agent(chosen[-1], eps)
     readout_total = 0.0
     if k:
         readout_total = predicted_drop(

@@ -21,6 +21,7 @@ Pessimistic backup.  For a logged step (s, a, r, s') the robust target is
 a gamma-contraction in V under the sup norm over (s, eps, xi).
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,6 +300,131 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
                      predicted_drop=float(np.sum(rewards)) if rewards else 0.0,
                      pick_rewards=np.array(rewards))
 
+
+class DenseSelectorQModel:
+    """Linear pick-value model over a dense [one-hot(s0), xi, eps, picks-so-far, bias]."""
+
+    def __init__(self, n_states: int):
+        self.n_states = n_states
+        self.weights = np.zeros(n_states + 4)
+
+    def features(self, s0: int, xi: float, eps: float, n_selected: int) -> np.ndarray:
+        phi = np.zeros(self.weights.size)
+        phi[int(s0)] = 1.0
+        phi[self.n_states] = xi
+        phi[self.n_states + 1] = eps
+        phi[self.n_states + 2] = n_selected
+        phi[-1] = 1.0
+        return phi
+
+    def score(self, phi) -> float:
+        return float(np.asarray(phi) @ self.weights)
+
+    def update(self, phi, target: float, lr: float):
+        phi = np.asarray(phi)
+        self.weights += lr * (target - self.score(phi)) * phi
+
+
+def select_rl(value_model, states0, k: int, cfg, eps: float, seed):
+    """The learned selector scoring one dense feature vector per candidate.
+
+    Replay records hold the pick's feature vector and those of every next
+    candidate.  Returns (attack set, training curve, learned weights).
+    """
+    from mfvuln.core import BudgetVector, seed_rng
+    from mfvuln.qlearn import ReplayBuffer, exploration_eps
+    from mfvuln.selection import AttackSet, predicted_drop, selector_reward
+
+    cfg.validate()
+    states0 = np.asarray(states0, dtype=int)
+    n = states0.size
+    model = DenseSelectorQModel(value_model.n_states)
+    buffer = ReplayBuffer(cfg.replay_capacity)
+    rng = seed_rng(seed, salt="selector-rl")
+    curve = np.empty(cfg.episodes)
+    best_ids, best_total = [], -np.inf
+
+    def candidate_phis(budget, n_selected):
+        xi = budget.xi
+        return {cand: model.features(states0[cand], xi, eps, n_selected)
+                for cand in range(n) if budget.eps[cand] == 0}
+
+    for ep in range(cfg.episodes):
+        explore = exploration_eps(cfg, ep)
+        budget = BudgetVector.zeros(n)
+        total, picks = 0.0, []
+        for step in range(k):
+            phis = candidate_phis(budget, step)
+            cands = sorted(phis)
+            if rng.random() < explore:
+                pick = cands[rng.integers(len(cands))]
+            else:
+                scores = np.array([model.score(phis[c]) for c in cands])
+                pick = cands[int(np.argmax(scores))]
+            nxt_budget = budget.with_agent(pick, eps)
+            r = selector_reward(value_model, states0, None, budget, nxt_budget)
+            total += r
+            picks.append(pick)
+            if step + 1 < k:
+                nxt_phis = list(candidate_phis(nxt_budget, step + 1).values())
+            else:
+                nxt_phis = []
+            buffer.push((phis[pick], r, nxt_phis))
+            batch = buffer.sample(min(cfg.batch_size, len(buffer)), rng)
+            for phi_b, r_b, nxt_b in batch:
+                boot = max((model.score(p) for p in nxt_b), default=0.0)
+                model.update(phi_b, r_b + (cfg.gamma * boot if nxt_b else 0.0), cfg.lr)
+            budget = nxt_budget
+        curve[ep] = total
+        if total > best_total:
+            best_ids, best_total = picks, total
+
+    budget = BudgetVector.zeros(n)
+    chosen = []
+    for step in range(k):
+        phis = candidate_phis(budget, step)
+        cands = sorted(phis)
+        scores = np.array([model.score(phis[c]) for c in cands])
+        pick = cands[int(np.argmax(scores))]
+        chosen.append(pick)
+        budget = budget.with_agent(pick, eps)
+    readout_total = 0.0
+    if k:
+        readout_total = predicted_drop(
+            value_model, states0, None,
+            BudgetVector.from_set(n, chosen, eps) if eps > 0 else BudgetVector.zeros(n))
+    if k and readout_total < best_total - 1e-9:
+        chosen, readout_total = best_ids, best_total
+    attack = AttackSet(np.array(chosen, dtype=int), eps, "rl", predicted_drop=readout_total)
+    return attack, curve, model.weights
+
+
+def assert_select_rl_matches(value_model, states0, k: int, cfg, eps: float, seed):
+    """mfvuln's select_rl reproduces the serial reference on the same inputs:
+    the same ids, curve bytes and predicted_drop, and weights within 1e-9
+    relative (a gathered score may differ from BLAS's dot in the last bit)."""
+    from mfvuln import selection
+
+    models = []
+
+    class Recording(selection.SelectorQModel):
+        def __init__(self, n_states):
+            super().__init__(n_states)
+            models.append(self)
+
+    real, selection.SelectorQModel = selection.SelectorQModel, Recording
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, curve = selection.select_rl(value_model, states0, None, k, cfg, eps, seed)
+    finally:
+        selection.SelectorQModel = real
+    want, want_curve, want_weights = select_rl(value_model, states0, k, cfg, eps, seed)
+    assert list(got.ids) == list(want.ids)
+    assert curve.tobytes() == want_curve.tobytes()
+    assert got.predicted_drop == want.predicted_drop
+    gap = np.abs(models[0].weights - want_weights).max()
+    assert gap <= 1e-9 * np.abs(want_weights).max()
 
 # -- serial references of the batched loops ------------------------------------------
 #

@@ -28,8 +28,9 @@ from mfvuln.pipeline import (Run, correlate_prediction_vs_attack,
                              sample_attack_subsets, stage_fit_value,
                              stage_train_victim)
 from oracles import (ActionDist, TransitionSample, apply_robust_bellman,
-                     check_deviation_bounds, check_mean_field_deviation, exact_value_model,
-                     mix_policies, pooled_std, sup_norm_diff, worst_case_gap)
+                     assert_select_rl_matches, check_deviation_bounds,
+                     check_mean_field_deviation, exact_value_model, mix_policies, pooled_std,
+                     sup_norm_diff, worst_case_gap)
 
 # final desk-scale environment settings (shared with the example configs)
 VICSEK_RAW = {"env_name": "vicsek", "n_agents": 16, "horizon": 50,
@@ -304,6 +305,17 @@ def test_criterion_7_attack_ordering(env_name):
                     f"{env_name} K={k} {method} seed={seed} exceeds coop + 1 pooled std"
         lines.append(f"K={k} greedy {greedy_wins}/5, rl {rl_wins}/5")
     print(f"\n[criterion 7] PASS {env_name} " + "; ".join(lines))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("env_name", ["vicsek", "taxi"])
+def test_rl_selector_matches_the_serial_reference(env_name):
+    """Criterion 7's learned selections, against the dense-feature serial loop."""
+    for seed in range(5):
+        _, _, vmodel, states0, _ = trained_setup(env_name, seed)
+        for k in (2, 4):
+            assert_select_rl_matches(vmodel, states0, k, SelectorRLConfig(episodes=200), 1.0,
+                                     seed)
 
 
 # -- criterion 8: telescoping -----------------------------------------------------------

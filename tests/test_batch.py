@@ -16,7 +16,7 @@ from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.qlearn import (BoltzmannPolicy, QModel, RulePolicy, UniformPolicy,
-                           evaluate_policy, rollout)
+                           evaluate_policy, rollout, rollouts)
 
 import oracles
 
@@ -126,6 +126,20 @@ def test_evaluate_policy_equals_its_rollouts(name):
         seeds = np.random.SeedSequence([8, 1]).spawn(4)
         want = [rollout(env, victim, s, **kwargs).discounted_return(env.gamma) for s in seeds]
         assert same(got, np.array(want))
+
+
+@pytest.mark.parametrize("name", sorted(ENVS))
+def test_rollouts_equal_one_rollout_per_seed(name):
+    env = ENVS[name]()
+    victim = victim_of(env)
+    seeds = np.random.SeedSequence([9, 2]).spawn(4)
+    for got, seed in zip(rollouts(env, victim, seeds), seeds):
+        want = rollout(env, victim, seed)
+        assert len(got.steps) == len(want.steps) == env.horizon
+        for a, b in zip(got.steps, want.steps):
+            assert a.t == b.t and a.reward == b.reward
+            assert same(a.states, b.states) and same(a.actions, b.actions)
+        assert same(got.final_states, want.final_states)
 
 
 def test_rule_policy_steps_a_batch_one_episode_at_a_time():

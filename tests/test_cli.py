@@ -222,6 +222,18 @@ def test_nan_norm_order_or_bad_tol_exits_with_error(tmp_path, capsys, bad, messa
     assert not os.path.exists(tmp_path / "runs")
 
 
+@pytest.mark.parametrize("bad, message", [({"rl_lr": float("nan")}, "lr must be positive"),
+                                          ({"rl_lr": -1.0}, "lr must be positive"),
+                                          ({"rl_gamma": float("nan")}, "gamma must be in"),
+                                          ({"rl_gamma": 3.0}, "gamma must be in")])
+def test_bad_learned_selector_setting_exits_at_config_load(tmp_path, capsys, bad, message):
+    """A bad rl_* value is refused before the victim trains, not at the select stage."""
+    cfg_path, raw = write_config(tmp_path, selection={"methods": ["rl"], "k": 2, **bad})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(RunPaths(raw["out_dir"]).victim_policy(0))
+
+
 def test_damaged_artifact_exits_with_error(tmp_path, capsys):
     cfg_path, raw = write_config(tmp_path)
     assert main(["pipeline", "--config", str(cfg_path)]) == 0

@@ -1,5 +1,9 @@
 """Attack-set selection against crafted value models and exhaustive search."""
 
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs.base import Snapshot
 from mfvuln.envs.vicsek import VicsekConfig, VicsekEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
+from mfvuln.pipeline import Run, stage_fit_value, stage_train_victim
 from mfvuln.robust import RobustValueModel
 from mfvuln.selection import (
     AttackSet,
@@ -27,6 +32,7 @@ from mfvuln.selection import (
 import oracles
 
 GAMMA = 0.95
+TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy.yaml"
 
 
 def value_model(damp_per_state, base_per_state=None):
@@ -158,6 +164,34 @@ def test_batched_greedy_matches_the_per_candidate_loop(model, data):
     assert list(got.ids) == list(want.ids)
     assert got.pick_rewards.tobytes() == want.pick_rewards.tobytes()
     assert got.predicted_drop == want.predicted_drop
+
+
+@st.composite
+def graded_value_models(draw):
+    """Random base tables; damp >= 0 on an integer grid, so damps tie or differ by >= 1."""
+    n_states = draw(st.integers(1, 8))
+    base = draw(st.lists(st.floats(-50, 50), min_size=n_states, max_size=n_states))
+    damp = draw(st.lists(st.integers(0, 50), min_size=n_states, max_size=n_states))
+    return value_model(np.array(damp, dtype=float), base_per_state=np.array(base))
+
+
+@settings(deadline=None, max_examples=300)
+@given(graded_value_models(), st.data())
+def test_greedy_ids_are_the_stable_ranking_by_damp(model, data):
+    """V is modular, so greedy picks agents by descending damp(s0), ties to the lowest id.
+
+    A candidate's pick reward is a common term plus eps * (1 + xi) / N times
+    its damp, and rewards within 1e-9 * max(1, |best|) count as ties.  With
+    damp gaps >= 1 and eps >= 1e-3 a real gap stays far above that cutoff.
+    """
+    n = data.draw(st.integers(1, 20), label="n_agents")
+    states0 = np.array(data.draw(st.lists(st.integers(0, model.n_states - 1),
+                                          min_size=n, max_size=n)))
+    k = data.draw(st.integers(0, n), label="k")
+    eps = data.draw(st.floats(1e-3, 1.0), label="eps")
+    attack = select_greedy(model, states0, None, k, eps)
+    ranking = np.argsort(-model.damp[states0], kind="stable")
+    assert list(attack.ids) == list(ranking[:k])
 
 
 def test_greedy_at_zero_budget_behaves_like_the_per_candidate_loop():
@@ -304,13 +338,48 @@ def test_rl_selector_falls_back_to_the_best_seen_selection():
         drop_of(model, states0, mu0, attack.ids), abs=1e-9)
 
 
+@pytest.fixture(scope="module")
+def toy_value_models(tmp_path_factory):
+    """Value models fitted on configs/toy.yaml at seeds 0-4, with their start states."""
+    run = Run(TOY_CONFIG, out_dir=tmp_path_factory.mktemp("toy"), seeds=range(5))
+    fitted = {}
+    for seed in run.cfg.seeds:
+        stage_train_victim(run, seed)
+        fitted[seed] = (stage_fit_value(run, seed), run.env.reset(seed=seed).states)
+    return fitted
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_rl_selector_matches_the_serial_reference_on_toy(toy_value_models, k):
+    cfg = SelectorRLConfig(episodes=60)   # configs/toy.yaml's rl_episodes
+    for seed, (vmodel, states0) in toy_value_models.items():
+        oracles.assert_select_rl_matches(vmodel, states0, k, cfg, 1.0, seed)
+
+
+def test_rl_selector_replay_memory_stays_small():
+    """Replay records keep a few numbers per pick, not dense feature vectors
+    (which took about 10 MB on this problem)."""
+    rng = seed_rng(5, salt="selector-memory")
+    model = value_model(rng.random(100) * 400, base_per_state=rng.normal(size=100))
+    states0 = rng.integers(100, size=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tracemalloc.start()
+        try:
+            select_rl(model, states0, None, 4, SelectorRLConfig(), 1.0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_rl_config_validation():
-    with pytest.raises(InvalidConfigError):
-        SelectorRLConfig(episodes=0).validate()
-    with pytest.raises(InvalidConfigError):
-        SelectorRLConfig(lr=0.0).validate()
-    with pytest.raises(InvalidConfigError):
-        SelectorRLConfig(eps_start=0.1, eps_final=0.5).validate()
+    for bad in (dict(episodes=0), dict(lr=0.0), dict(lr=-1.0), dict(lr=float("nan")),
+                dict(gamma=float("nan")), dict(gamma=1.0), dict(gamma=3.0), dict(gamma=-0.1),
+                dict(eps_start=0.1, eps_final=0.5)):
+        with pytest.raises(InvalidConfigError):
+            SelectorRLConfig(**bad).validate()
+    SelectorRLConfig(gamma=0.0).validate()
 
 
 # -- attack-set record --------------------------------------------------------------
