@@ -23,6 +23,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, fields as dc_fields, replace
@@ -98,8 +99,8 @@ class ValueStageConfig(FitConfig):
             raise InvalidConfigError("rollouts must be >= 1")
 
     def fit_config(self, seed: int) -> FitConfig:
-        """The fit schedule; ``seed`` is accepted and not used (fits draw nothing)."""
-        return FitConfig(**{f.name: getattr(self, f.name) for f in dc_fields(FitConfig)})
+        """The fit settings; ``seed`` is accepted and not used (fits draw nothing)."""
+        return FitConfig(p=self.p)
 
 
 @dataclass
@@ -214,6 +215,11 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if cfg.selection.k > env.n_agents:
         raise InvalidConfigError(
             f"selection k={cfg.selection.k} exceeds population size {env.n_agents}")
+    corr = cfg.correlation
+    try:
+        subset_sizes(env.n_agents, corr.n_subsets, corr.k_min, corr.k_max)
+    except InvalidInputError as exc:
+        raise InvalidConfigError(f"correlation: {exc}") from None
     return cfg
 
 
@@ -292,6 +298,21 @@ def pearson(xs, ys) -> float:
     return float(np.clip(r, -1.0, 1.0))
 
 
+def subset_sizes(n_agents: int, n_subsets: int, k_min: int = 1,
+                 k_max: Optional[int] = None) -> list:
+    """Sizes cycling over [k_min, k_max] (k_max 0 or None: max(k_min, N // 2)),
+    refused unless N agents hold that many distinct subsets of each size."""
+    k_max = max(k_min, n_agents // 2) if not k_max else k_max
+    if k_max > n_agents:
+        raise InvalidInputError("k_max exceeds population size")
+    sizes = [k_min + (i % (k_max - k_min + 1)) for i in range(n_subsets)]
+    for k in range(k_min, k_max + 1):
+        if sizes.count(k) > math.comb(n_agents, k):
+            raise InvalidInputError(f"{sizes.count(k)} distinct subsets of size {k} "
+                                    f"requested, but only C({n_agents}, {k}) exist")
+    return sizes
+
+
 def sample_attack_subsets(n_agents: int, n_subsets: int, seed, eps: float = 1.0,
                           k_min: int = 1, k_max: Optional[int] = None):
     """Distinct random subsets with sizes cycling over [k_min, k_max].
@@ -299,13 +320,9 @@ def sample_attack_subsets(n_agents: int, n_subsets: int, seed, eps: float = 1.0,
     Cycling sizes guarantees the predicted drops span a real range instead
     of clustering at one subset size.
     """
-    k_max = max(k_min, n_agents // 2) if not k_max else k_max
-    if k_max > n_agents:
-        raise InvalidInputError("k_max exceeds population size")
     rng = seed_rng(seed, salt="attack-subsets")
     subsets, seen = [], set()
-    sizes = [k_min + (i % (k_max - k_min + 1)) for i in range(n_subsets)]
-    for k in sizes:
+    for k in subset_sizes(n_agents, n_subsets, k_min, k_max):
         for _ in range(1000):
             ids = tuple(sorted(rng.choice(n_agents, size=k, replace=False).tolist()))
             if ids not in seen:

@@ -495,10 +495,16 @@ def train_adversary_serial(env, victim_policy, budgets, cfg, seed, step=None):
 # -- per-transition value fits ---------------------------------------------------------
 #
 # The fitted-TD sweeps as the package ran them before it aggregated the corpus
-# by (cell, next cell): every sweep gathers, adds and bins every transition.
+# by (cell, next cell) and then solved it: every sweep gathers, adds and bins
+# every transition.  The default sweep count runs them to convergence: the
+# sweep is a gamma-contraction, and at the tests' gamma <= 0.95 the error left
+# after 2000 sweeps is 0.95^2000 (about 1e-45) of the first one.
+
+CONVERGED_SWEEPS = 2000
 
 
-def fit_cooperative_q_per_transition(trajectories, n_states, n_actions, gamma, cfg):
+def fit_cooperative_q_per_transition(trajectories, n_states, n_actions, gamma,
+                                     sweeps=CONVERGED_SWEEPS):
     """Q(s, a) as the mean of r + gamma * Q(s', a') over every logged transition."""
     from mfvuln.qlearn import QModel
     from mfvuln.robust import build_corpus
@@ -512,14 +518,10 @@ def fit_cooperative_q_per_transition(trajectories, n_states, n_actions, gamma, c
     counts = np.bincount(idx, minlength=model.table.size).astype(float)
     visited = counts > 0
     flat = model.table.ravel()
-    for _ in range(cfg.sweeps):
+    for _ in range(sweeps):
         targets = corpus.r + gamma * flat[idx2]
         sums = np.bincount(idx, weights=targets, minlength=flat.size)
-        new = np.where(visited, sums / np.maximum(counts, 1.0), 0.0)
-        delta = np.max(np.abs(new - flat))
-        flat = new
-        if delta < cfg.tol:
-            break
+        flat = np.where(visited, sums / np.maximum(counts, 1.0), 0.0)
     model.table = flat.reshape(shape)
     np.add.at(model.visits.ravel(), idx, 1)
     return model
@@ -533,8 +535,8 @@ def q_penalty_per_transition(q_model, corpus, qdual):
     return (np.abs(rows) ** qdual).sum(axis=1) ** (1.0 / qdual)
 
 
-def fit_robust_value_per_transition(q_model, trajectories, cfg):
-    """(base, damp): the intercept and slope sweeps over every logged transition."""
+def fit_robust_value_per_transition(q_model, trajectories, cfg, sweeps=CONVERGED_SWEEPS):
+    """(base, damp): the intercept and slope swept over every logged transition."""
     from mfvuln.robust import build_corpus
 
     corpus = build_corpus(trajectories)
@@ -547,15 +549,11 @@ def fit_robust_value_per_transition(q_model, trajectories, cfg):
     denom = np.maximum(cnt, 1.0)
     base = np.zeros(n_cells)
     damp = np.zeros(n_cells)
-    for _ in range(cfg.sweeps):
+    for _ in range(sweeps):
         base_t = corpus.r + gamma * base[cell2]
         damp_t = penalty + gamma * damp[cell2]
-        new_base = np.where(visited, np.bincount(cell, weights=base_t,
-                                                 minlength=n_cells) / denom, 0.0)
-        new_damp = np.where(visited, np.bincount(cell, weights=damp_t,
-                                                 minlength=n_cells) / denom, 0.0)
-        delta = max(np.max(np.abs(new_base - base)), np.max(np.abs(new_damp - damp)))
-        base, damp = new_base, new_damp
-        if delta < cfg.tol:
-            break
+        base = np.where(visited, np.bincount(cell, weights=base_t,
+                                             minlength=n_cells) / denom, 0.0)
+        damp = np.where(visited, np.bincount(cell, weights=damp_t,
+                                             minlength=n_cells) / denom, 0.0)
     return base, damp

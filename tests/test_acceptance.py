@@ -62,7 +62,7 @@ def trained_setup(env_name: str, seed: int):
     with tempfile.TemporaryDirectory() as out_dir:
         run = Run(parse_experiment_config({
             "env": raw, "victim": train_kwargs,
-            "value": dict(sweeps=300, rollouts=80, **fit_kwargs),
+            "value": dict(rollouts=80, **fit_kwargs),
             "seeds": [seed], "out_dir": out_dir}))
         victim = stage_train_victim(run, seed)
         vmodel = stage_fit_value(run, seed)
@@ -177,7 +177,7 @@ def test_criterion_3_zero_budget_slice():
     victim = TablePolicy(table)
 
     trajs = [rollout(env, victim, (11, k)) for k in range(2)]
-    fcfg = FitConfig(sweeps=400)
+    fcfg = FitConfig()
     q_model = fit_cooperative_q(trajs, 2, 2, 0.9, fcfg)
     vmodel = fit_robust_value(q_model, trajs, fcfg)
 
@@ -348,10 +348,12 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         "env": {"env_name": "toy", "n_agents": 4, "block_states": 2,
                 "n_actions": 2, "horizon": 6, "seed": 0},
         "victim": {"episodes": 150, "eval_episodes": 6},
-        "value": {"rollouts": 10, "sweeps": 80},
+        "value": {"rollouts": 10},
         "selection": {"methods": ["greedy", "rl", "random", "dc"], "k": 2,
                       "rl_episodes": 30},
         "adversary": {"episodes": 8, "eval_episodes": 4},
+        # 4 agents hold 4 distinct singletons: the default 20 subsets over sizes 1-2 cannot fit
+        "correlation": {"n_subsets": 10, "k_max": 3},
         "seeds": [0, 1],
         "out_dir": str(tmp_path / "runs"),
     }

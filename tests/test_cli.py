@@ -19,7 +19,7 @@ def write_config(tmp_path, **overrides):
         "env": {"env_name": "toy", "n_agents": 5, "block_states": 2,
                 "n_actions": 2, "horizon": 6, "seed": 0},
         "victim": {"episodes": 120, "eval_episodes": 6},
-        "value": {"rollouts": 8, "sweeps": 60},
+        "value": {"rollouts": 8},
         "selection": {"methods": ["greedy", "random"], "k": 2},
         "adversary": {"episodes": 6, "eval_episodes": 3},
         "correlation": {"n_subsets": 10, "episodes": 2, "adv_episodes": 2},
@@ -87,7 +87,7 @@ def test_mistyped_config_value_exits_with_error(tmp_path, capsys):
 
 
 def test_deleted_binning_key_exits_with_error(tmp_path, capsys):
-    cfg_path, _ = write_config(tmp_path, value={"rollouts": 8, "sweeps": 60, "mu_bins": 1})
+    cfg_path, _ = write_config(tmp_path, value={"rollouts": 8, "mu_bins": 1})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "unknown key 'mu_bins'" in err and "section 'value'" in err
@@ -212,14 +212,31 @@ def test_bad_config_exits_with_error(tmp_path, capsys):
     assert "exceeds population" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad, message", [({"p": float("nan")}, "norm order"),
-                                          ({"tol": -1}, "tol"),
-                                          ({"tol": float("nan")}, "tol")])
-def test_nan_norm_order_or_bad_tol_exits_with_error(tmp_path, capsys, bad, message):
-    cfg_path, _ = write_config(tmp_path, value={"rollouts": 8, "sweeps": 60, **bad})
+def test_nan_norm_order_exits_with_error(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path, value={"rollouts": 8, "p": float("nan")})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert "norm order" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("key, value", [("sweeps", 60), ("tol", 1e-11)])
+def test_deleted_fit_budget_key_exits_with_error(tmp_path, capsys, key, value):
+    """The value fits are one linear solve; their former iteration budget is refused."""
+    cfg_path, _ = write_config(tmp_path, value={"rollouts": 8, key: value})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert f"unknown key '{key}' in config section 'value'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("bad, message", [({"k_max": 9}, "k_max exceeds population size"),
+                                          ({"n_subsets": 12}, "only C(5, 1) exist")])
+def test_unfillable_correlation_range_exits_at_config_load(tmp_path, capsys, bad, message):
+    """A subset range the population cannot fill is refused before the victim trains."""
+    cfg_path, raw = write_config(
+        tmp_path, correlation={"n_subsets": 10, "episodes": 2, "adv_episodes": 2, **bad})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "runs")
+    assert not os.path.exists(RunPaths(raw["out_dir"]).victim_policy(0))
 
 
 @pytest.mark.parametrize("bad, message", [({"rl_lr": float("nan")}, "lr must be positive"),

@@ -34,10 +34,10 @@ def base_raw(**overrides):
         "env": {"env_name": "toy", "n_agents": 4, "block_states": 2,
                 "n_actions": 2, "horizon": 6, "seed": 0},
         "victim": {"episodes": 150, "eval_episodes": 6},
-        "value": {"rollouts": 10, "sweeps": 80},
+        "value": {"rollouts": 10},
         "selection": {"methods": ["greedy", "random"], "k": 2},
         "adversary": {"episodes": 8, "eval_episodes": 4},
-        "correlation": {"n_subsets": 10, "episodes": 2, "adv_episodes": 2},
+        "correlation": {"n_subsets": 10, "k_max": 3, "episodes": 2, "adv_episodes": 2},
         "seeds": [0],
     }
     raw.update(overrides)
@@ -400,7 +400,7 @@ def test_minimal_vicsek_pipeline_smoke(tmp_path):
         "name": "vicsek-smoke",
         "env": {"env_name": "vicsek", "n_agents": 8, "horizon": 12, "seed": 3},
         "victim": {"episodes": 120, "eval_episodes": 6, "min_margin": 0.0},
-        "value": {"rollouts": 8, "sweeps": 60},
+        "value": {"rollouts": 8},
         "selection": {"methods": ["greedy", "random"], "k": 2, "rl_episodes": 20},
         "adversary": {"episodes": 10, "eval_episodes": 4},
         "seeds": [0],

@@ -194,7 +194,7 @@ def test_fitted_values_fall_as_any_budget_grows_on_random_toy_corpora(
                                     deterministic=deterministic, horizon=8, gamma=GAMMA,
                                     seed=seed))
     trajs = [rollout(env, UniformPolicy(n_actions), (seed, k)) for k in range(episodes)]
-    cfg = FitConfig(sweeps=100, p=p)
+    cfg = FitConfig(p=p)
     vmodel = fit_robust_value(
         fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, cfg), trajs, cfg)
     assert np.all(vmodel.damp >= 0.0)
@@ -241,48 +241,97 @@ def test_fitted_q_matches_empirical_fixed_point_with_stochastic_data():
     assert np.allclose(model.table.ravel(), x, atol=1e-8)
 
 
-# -- aggregated sweep against the per-transition sweep ----------------------------
+# -- the solved fits against the per-transition sweep run to convergence ----------
 
 
 def assert_fits_match_per_transition(env, trajs, cfg):
-    """Table, base and damp within rtol 1e-10 of the oracle (atol 1e-10 of each
-    array's scale, for entries that cancel to near zero), unvisited cells exactly
-    zero, visits equal."""
+    """Table, base and damp within rtol 1e-12 of the converged oracle (atol 1e-12
+    of each array's scale, for entries that cancel to near zero), unvisited
+    cells exactly zero, visits equal."""
     q = fit_cooperative_q(trajs, env.n_states, env.n_actions, env.gamma, cfg)
-    q_ref = fit_cooperative_q_per_transition(trajs, env.n_states, env.n_actions,
-                                             env.gamma, cfg)
+    q_ref = fit_cooperative_q_per_transition(trajs, env.n_states, env.n_actions, env.gamma)
     v = fit_robust_value(q, trajs, cfg)
     base_ref, damp_ref = fit_robust_value_per_transition(q, trajs, cfg)
     for got, ref in [(q.table, q_ref.table), (v.base, base_ref), (v.damp, damp_ref)]:
-        np.testing.assert_allclose(got, ref, rtol=1e-10,
-                                   atol=1e-10 * max(1.0, np.abs(ref).max()))
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * max(1.0, np.abs(ref).max()))
     assert np.array_equal(q.visits, q_ref.visits)
     assert np.all(q.table[q.visits == 0] == 0.0)
     seen = np.bincount(build_corpus(trajs).s, minlength=env.n_states) > 0
     assert np.all(v.base[~seen] == 0.0) and np.all(v.damp[~seen] == 0.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n_agents=st.integers(1, 4), block_states=st.integers(1, 4), n_actions=st.integers(2, 4),
-       shared=st.booleans(), deterministic=st.booleans(), seed=st.integers(0, 10_000),
-       episodes=st.integers(1, 4), p=st.sampled_from([1.0, 2.0, np.inf]),
-       sweeps=st.integers(1, 300))
-def test_aggregated_sweep_matches_per_transition_sweep_on_random_toy_corpora(
-        n_agents, block_states, n_actions, shared, deterministic, seed, episodes, p, sweeps):
+def random_toy_corpus(n_agents, block_states, n_actions, shared, deterministic, seed,
+                      episodes):
     env = ToyMeanFieldEnv(ToyConfig(n_agents=n_agents, block_states=block_states,
                                     n_actions=n_actions, shared=shared,
                                     deterministic=deterministic, horizon=8, gamma=GAMMA,
                                     seed=seed))
-    trajs = [rollout(env, UniformPolicy(n_actions), (seed, k)) for k in range(episodes)]
-    assert_fits_match_per_transition(env, trajs, FitConfig(sweeps=sweeps, p=p))
+    return env, [rollout(env, UniformPolicy(n_actions), (seed, k)) for k in range(episodes)]
+
+
+toy_corpora = dict(n_agents=st.integers(1, 4), block_states=st.integers(1, 4),
+                   n_actions=st.integers(2, 4), shared=st.booleans(),
+                   deterministic=st.booleans(), seed=st.integers(0, 10_000),
+                   episodes=st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([1.0, 2.0, np.inf]), **toy_corpora)
+def test_aggregated_sweep_matches_per_transition_sweep_on_random_toy_corpora(p, **corpus):
+    """The solved fits equal the per-transition sweep run to convergence."""
+    env, trajs = random_toy_corpus(**corpus)
+    assert_fits_match_per_transition(env, trajs, FitConfig(p=p))
 
 
 @pytest.mark.parametrize("raw", [{"env_name": "taxi", "n_agents": 16, "horizon": 20},
                                  {"env_name": "vicsek", "n_agents": 16, "horizon": 20}])
 def test_aggregated_sweep_matches_per_transition_sweep_on_taxi_and_vicsek(raw):
+    """The solved fits equal the per-transition sweep run to convergence."""
     env = make_env(raw)
     trajs = [rollout(env, UniformPolicy(env.n_actions), (4, k)) for k in range(6)]
     assert_fits_match_per_transition(env, trajs, FitConfig(p=1.0))
+
+
+def assert_solves_corpus_equations(cell, next_cell, reward, x, gamma):
+    """count[c] * x[c] = R[c] + gamma * sum of x[next cell] over c's transitions,
+    within 1e-12 of the summed magnitudes, for every visited cell c; every
+    unvisited cell is exactly 0."""
+    count = np.bincount(cell, minlength=x.size)
+    rhs = np.bincount(cell, weights=reward + gamma * x[next_cell], minlength=x.size)
+    scale = np.bincount(cell, weights=np.abs(reward) + gamma * np.abs(x[next_cell]),
+                        minlength=x.size)
+    seen = count > 0
+    assert np.all(np.abs(count * x - rhs)[seen] <= 1e-12 * scale[seen])
+    assert np.all(x[~seen] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([1.0, 2.0, np.inf]), **toy_corpora)
+def test_fits_solve_the_corpus_bellman_equations_on_random_toy_corpora(p, **corpus):
+    env, trajs = random_toy_corpus(**corpus)
+    cfg = FitConfig(p=p)
+    q = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, cfg)
+    v = fit_robust_value(q, trajs, cfg)
+    c = build_corpus(trajs)
+    idx = np.ravel_multi_index((c.s, c.a), q.table.shape)
+    idx2 = np.ravel_multi_index((c.s2, c.a2), q.table.shape)
+    assert_solves_corpus_equations(idx, idx2, c.r, q.table.ravel(), GAMMA)
+    assert_solves_corpus_equations(c.s, c.s2, c.r, v.base, GAMMA)
+    penalty = q_penalty_per_transition(q, c, dual_order(p))
+    assert_solves_corpus_equations(c.s, c.s2, penalty, v.damp, GAMMA)
+
+
+def test_damp_stays_exactly_zero_where_no_penalty_is_reachable():
+    """State 0 of this corpus has an all-zero Q row and leads only back to itself,
+    so its exact damp is 0; a pivoting solve left -3.3e-15 there."""
+    env, trajs = random_toy_corpus(n_agents=1, block_states=4, n_actions=4, shared=False,
+                                   deterministic=True, seed=590, episodes=2)
+    cfg = FitConfig(p=2.0)
+    q = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, cfg)
+    v = fit_robust_value(q, trajs, cfg)
+    assert np.all(q.table[0] == 0.0) and v.damp[0] == 0.0
+    assert np.all(v.damp >= 0.0)
 
 
 @pytest.mark.parametrize("raw", [{"env_name": "taxi", "n_agents": 16, "horizon": 20},
@@ -298,24 +347,6 @@ def test_per_state_penalty_equals_the_per_transition_one_byte_for_byte(raw, qdua
     got = _q_penalty_rows(q_model, corpus, qdual)
     want = q_penalty_per_transition(q_model, corpus, qdual)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def test_sweeps_stop_at_tol_before_the_sweep_budget_runs_out():
-    env, policy, _, _ = chain_env()
-    trajs = chain_trajectories(env, policy)
-
-    def fit(**kwargs):
-        cfg = FitConfig(**kwargs)
-        q = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, cfg)
-        v = fit_robust_value(q, trajs, cfg)
-        return q.table.tobytes() + v.base.tobytes() + v.damp.tobytes()
-
-    # a tol of 1e-3 stops the gamma = 0.9 chain after about 100 sweeps, well
-    # short of the float fixed point, so any sweep past the stop shows
-    assert fit(tol=1e-3, sweeps=200) == fit(tol=1e-3, sweeps=300)
-    assert fit(tol=1e-3, sweeps=200) != fit(tol=0.0, sweeps=200)
-    # and it stops on the same sweep as the oracle: once no row moves by tol
-    assert_fits_match_per_transition(env, trajs, FitConfig(tol=1e-3))
 
 
 # -- corpus ----------------------------------------------------------------------
@@ -440,11 +471,9 @@ def test_sup_norm_diff_scans_the_budget_extremes():
 
 
 def test_fit_config_validation():
-    with pytest.raises(InvalidConfigError):
-        FitConfig(sweeps=0).validate()
-    for bad in [{"p": 0.5}, {"p": np.nan}, {"p": -np.inf}, {"tol": -1.0}, {"tol": np.nan}]:
+    for bad in [0.5, np.nan, -np.inf]:
         with pytest.raises(InvalidConfigError):
-            FitConfig(**bad).validate()
+            FitConfig(p=bad).validate()
 
 
 def test_norm_penalty_uses_the_dual_order():
