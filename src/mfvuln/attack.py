@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetVector, mix_policy_matrix, sample_actions, seed_rng
+from .core import BudgetVector, mixing_weights, sample_actions, seed_rng
 from .envs.base import stack_snapshots
 from .errors import InvalidInputError
 from .qlearn import (BoltzmannPolicy, LearnerConfig, QModel, evaluate_policy,
-                     exploration_eps, softmax_rows)
+                     exploration_eps, frozen, softmax_rows)
 
 
 def policy_checksum(policy) -> str:
@@ -119,6 +119,9 @@ def _sarsa_batch(env, victim_policy, budgets, cfg, seeds, models) -> np.ndarray:
     offset = n_states * np.arange(n_learners)[:, None]
     eps = np.stack([budget.eps for budget in budgets])
     attacked = eps > 0
+    e = mixing_weights(eps, (n_learners, env.n_agents, env.n_actions))
+    keep = 1.0 - e
+    victim = frozen(victim_policy)
     episode_seeds = [np.random.SeedSequence((seed, 0xad)).spawn(cfg.episodes) for seed in seeds]
     act_rngs = [seed_rng(seed, salt="adversary-actions") for seed in seeds]
     curves = np.empty((n_learners, cfg.episodes))
@@ -130,10 +133,9 @@ def _sarsa_batch(env, victim_policy, budgets, cfg, seeds, models) -> np.ndarray:
         ret, disc = np.zeros(n_learners), 1.0
         prev = None
         for t in range(env.horizon):
-            victim = victim_policy.action_dists(batch)
             adv = (1 - explore) * softmax_rows(stacked.values(rows) / cfg.temperature) \
                 + explore / env.n_actions
-            actions = sample_actions(mix_policy_matrix(adv, victim, eps), act_rngs)
+            actions = sample_actions(e * adv + keep * victim.action_dists(batch), act_rngs)
             res = env.step_batch(batch, actions)
 
             if prev is not None:

@@ -134,15 +134,22 @@ def mix_policy_matrix(alpha_mat, beta_mat, eps_vec) -> np.ndarray:
     """
     alpha_mat = np.asarray(alpha_mat, dtype=float)
     beta_mat = np.asarray(beta_mat, dtype=float)
-    eps_vec = np.asarray(eps_vec, dtype=float)
     if alpha_mat.shape != beta_mat.shape:
         raise InvalidInputError("policy matrices differ in shape")
-    if eps_vec.ndim == 0 or eps_vec.shape != alpha_mat.shape[-1 - eps_vec.ndim:-1]:
+    e = mixing_weights(eps_vec, alpha_mat.shape)
+    return e * alpha_mat + (1.0 - e) * beta_mat
+
+
+def mixing_weights(eps_vec, shape) -> np.ndarray:
+    """The budgets as mix_policy_matrix applies them to (..., N, A) matrices of
+    the given shape: checked, as floats, with a trailing unit axis.  A loop with
+    fixed budgets checks them once here and mixes e * alpha + (1 - e) * beta itself."""
+    eps_vec = np.asarray(eps_vec, dtype=float)
+    if eps_vec.ndim == 0 or eps_vec.shape != tuple(shape[-1 - eps_vec.ndim:-1]):
         raise InvalidInputError("budget vector length mismatch")
     if np.any(eps_vec < 0) or np.any(eps_vec > 1):
         raise InvalidInputError("mixing weights must be in [0, 1]")
-    e = eps_vec[..., None]
-    return e * alpha_mat + (1.0 - e) * beta_mat
+    return eps_vec[..., None]
 
 
 @dataclass(frozen=True)

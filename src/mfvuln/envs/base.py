@@ -33,13 +33,25 @@ from ..errors import InvalidConfigError, InvalidInputError
 
 @dataclass
 class Snapshot:
-    """One episode, or a batch of B: arrays with a leading axis and B rngs."""
+    """One episode, or a batch of B: arrays with a leading axis and B rngs.
+
+    ``demand`` (taxi only) holds the episode's per-zone demand rows drawn
+    from ``rng`` but not yet used, one row per step still to come: (T, Z),
+    or (B, T, Z) in a batch.  A snapshot that has no table, or an empty
+    one, draws the next table from ``rng`` when it is stepped.
+
+    Step a snapshot once.  It shares its rng with the snapshots stepped
+    from it, so a second step from it does not replay the first: it draws
+    from a generator that has already moved on, or, on taxi, reuses the
+    demand row the first step used.
+    """
 
     t: int
     states: np.ndarray
     rng: np.random.Generator                # a list of B generators in a batch
     pos: Optional[np.ndarray] = None        # continuous (Vicsek) or cell coords (Taxi)
     headings: Optional[np.ndarray] = None   # Vicsek only
+    demand: Optional[np.ndarray] = None     # Taxi only: demand rows still to use
 
     @property
     def n_agents(self) -> int:
@@ -49,20 +61,28 @@ class Snapshot:
         """The single-episode snapshots of a batch, as views of its arrays."""
         return [Snapshot(self.t, self.states[b], rng,
                          None if self.pos is None else self.pos[b],
-                         None if self.headings is None else self.headings[b])
+                         None if self.headings is None else self.headings[b],
+                         None if self.demand is None else self.demand[b])
                 for b, rng in enumerate(self.rng)]
 
 
 def stack_snapshots(snapshots) -> Snapshot:
-    """A batch of the given single-episode snapshots, all at the same t."""
+    """A batch of the given single-episode snapshots, all at the same t.
+
+    Demand tables must be on all of them or on none: InvalidInputError
+    otherwise (a taxi snapshot that lost its table would draw again from a
+    generator that has already moved on).
+    """
     first = snapshots[0]
+    if len(snapshots) > 1 and len({s.demand is None for s in snapshots}) > 1:
+        raise InvalidInputError("cannot stack snapshots with and without demand tables")
 
     def stack(name):
         return None if getattr(first, name) is None \
             else np.array([getattr(s, name) for s in snapshots])
 
     return Snapshot(first.t, stack("states"), [s.rng for s in snapshots],
-                    stack("pos"), stack("headings"))
+                    stack("pos"), stack("headings"), stack("demand"))
 
 
 @dataclass
@@ -209,6 +229,14 @@ def check_field_types(cls, raw: dict, error, where: str):
         if name in hints and not _type_matches(value, hints[name]):
             raise error(f"key '{name}' in {where} must be {_type_name(hints[name])}, "
                         f"got {value!r}")
+
+
+def require_finite(cfg, *names):
+    """InvalidConfigError naming the first of the given settings that is NaN or infinite."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not np.isfinite(value):
+            raise InvalidConfigError(f"{name} must be finite, got {value!r}")
 
 
 def build_config(cls, raw: dict):

@@ -1,8 +1,8 @@
 """Taxi dispatch on a periodic grid.
 
 Taxis occupy cells of a W x H grid (the cell index is the local state) and
-move one cell per step or stay put.  Cells aggregate into 2x2 zones.  Every
-step each zone draws a Poisson demand; the shared reward penalises the
+move one cell per step or stay put.  Cells aggregate into 2x2 zones.  Each
+step every zone sees a Poisson demand; the shared reward penalises the
 supply/demand mismatch,
 
     r = - sum_z |supply_z - demand_z| / (N + D),    D = total demand drawn,
@@ -15,6 +15,13 @@ busy zone is worth more than one circling the outskirts.
 Initial placement is an even lattice over the grid (with N equal to the cell
 count this puts exactly one taxi per cell) and does not vary between
 episodes; episode seeds only drive the demand draws.
+
+An episode draws its demand for all remaining steps at once, at its first
+step: a (horizon - t, zones) table from the snapshot's rng, whose rows the
+following steps use in turn (``Snapshot.demand``).  One such draw gives the
+same numbers, and leaves the generator in the same state, as one draw per
+step, so the per-step form above holds bit for bit.  Steps past the horizon
+draw one row each.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import numpy as np
 
 from ..core import seed_rng
 from ..errors import InvalidConfigError
-from .base import MeanFieldEnv, Snapshot, StepResult, build_config, torus_pairwise
+from .base import (MeanFieldEnv, Snapshot, StepResult, build_config, require_finite,
+                   torus_pairwise)
 
 # action order: stay, east, west, north, south
 MOVES = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
@@ -62,6 +70,7 @@ class TaxiConfig:
             raise InvalidConfigError(f"n_actions must be {len(MOVES)}")
         if self.horizon < 1:
             raise InvalidConfigError("horizon must be >= 1")
+        require_finite(self, "comm_radius", "demand_rate", "demand_concentration")
         if self.demand_rate < 0 or self.demand_concentration <= 0:
             raise InvalidConfigError("demand_rate must be >= 0, concentration > 0")
         if not (0.0 < self.gamma < 1.0):
@@ -127,12 +136,22 @@ class TaxiGridEnv(MeanFieldEnv):
         return -np.abs(supply - demand).sum(axis=-1) / np.maximum(volume, 1)
 
     def _advance(self, batch: Snapshot, actions) -> StepResult:
-        """All B episodes at once; each draws its demand from its own rng."""
+        """All B episodes at once; each reads its demand from its own table.
+
+        A batch without a table, or with an empty one, draws one per episode
+        from that episode's rng: a row for every step left to the horizon (one
+        past it), in one call that yields what as many one-row calls would.
+        """
         cells = self._next_cell[batch.states, actions]
-        demand = np.array([rng.poisson(self.demand_rates) for rng in batch.rng])
+        table = batch.demand
+        if table is None or table.shape[1] == 0:
+            size = (max(1, self.config.horizon - batch.t), self.n_zones)
+            table = np.array([rng.poisson(self.demand_rates, size) for rng in batch.rng])
+        demand = table[:, 0]
         zones = self._zone[cells] + self.n_zones * np.arange(len(demand))[:, None]
         supply = np.bincount(zones.ravel(), minlength=demand.size).reshape(demand.shape)
-        nxt = Snapshot(t=batch.t + 1, states=cells, rng=batch.rng, pos=self._xy[cells])
+        nxt = Snapshot(t=batch.t + 1, states=cells, rng=batch.rng, pos=self._xy[cells],
+                       demand=table[:, 1:])
         return StepResult(nxt, cells, self.mismatch_reward(supply, demand))
 
     def step_batch(self, batch: Snapshot, actions) -> StepResult:
@@ -141,11 +160,12 @@ class TaxiGridEnv(MeanFieldEnv):
     def step(self, snapshot: Snapshot, actions):
         """One episode: the B = 1 case of step_batch."""
         actions = self._check_actions(snapshot, actions)
-        res = self._advance(Snapshot(snapshot.t, snapshot.states[None], [snapshot.rng]),
-                            actions[None])
+        table = None if snapshot.demand is None else snapshot.demand[None]
+        res = self._advance(Snapshot(snapshot.t, snapshot.states[None], [snapshot.rng],
+                                     demand=table), actions[None])
         nxt = res.snapshot
-        return self._finish_step(Snapshot(nxt.t, nxt.states[0], snapshot.rng, nxt.pos[0]),
-                                 res.reward[0])
+        return self._finish_step(Snapshot(nxt.t, nxt.states[0], snapshot.rng, nxt.pos[0],
+                                          demand=nxt.demand[0]), res.reward[0])
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         return torus_pairwise(snapshot.pos, (self.config.grid_width, self.config.grid_height))

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core import dual_order, lp_norm, seed_rng
 from ..errors import InvalidConfigError, InvalidInputError
-from .base import MeanFieldEnv, Snapshot, build_config
+from .base import MeanFieldEnv, Snapshot, build_config, require_finite
 
 VI_TOL = 1e-12
 VI_MAX_ITER = 100_000
@@ -54,6 +54,7 @@ class ToyConfig:
             raise InvalidConfigError("horizon must be >= 1")
         if not (0.0 <= self.gamma < 1.0):
             raise InvalidConfigError("gamma must be in [0, 1)")
+        require_finite(self, "scale_ratio")
         if self.scale_ratio <= 0:
             raise InvalidConfigError("scale_ratio must be positive")
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from ..core import seed_rng
 from ..errors import InvalidConfigError
-from .base import (MeanFieldEnv, Snapshot, build_config, torus_pairwise, torus_sq_pairwise,
-                   wrap_angle)
+from .base import (MeanFieldEnv, Snapshot, build_config, require_finite, torus_pairwise,
+                   torus_sq_pairwise, wrap_angle)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,6 +61,8 @@ class VicsekConfig:
             raise InvalidConfigError("n_agents must be >= 1")
         if self.horizon < 1:
             raise InvalidConfigError("horizon must be >= 1")
+        require_finite(self, "world_size", "comm_radius", "turn_delta", "speed", "noise",
+                       "cluster_spread", "heading_spread")
         if self.world_size <= 0 or self.comm_radius < 0:
             raise InvalidConfigError("world_size must be > 0 and comm_radius >= 0")
         if self.heading_bins < 1 or self.offset_bins < 1:

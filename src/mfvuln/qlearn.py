@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BudgetVector, mix_policy_matrix, sample_actions, seed_rng
-from .envs.base import stack_snapshots
+from .core import BudgetVector, mixing_weights, sample_actions, seed_rng
+from .envs.base import require_finite, stack_snapshots
 from .errors import InvalidConfigError, InvalidInputError, TrainingFailureError
 
 CHECKPOINT_MAGIC = "mfvuln-checkpoint v1"
@@ -58,7 +58,7 @@ class QModel:
         Increments are summed per cell with ``np.add.at``, each against the
         same old value, so where m agents share a cell (s, a) the effective
         step is m * alpha, and it overshoots the target once m * alpha > 1.
-        Averaging per cell is ROADMAP item 3; it changes every fixture.
+        Averaging per cell is ROADMAP item 4; it changes every fixture.
         """
         idx = (np.asarray(states, dtype=int), np.asarray(actions, dtype=int))
         np.add.at(self.visits, idx, 1)
@@ -194,6 +194,16 @@ class BoltzmannPolicy:
             return BoltzmannPolicy(model, float(header["temperature"]))
 
 
+def frozen(policy):
+    """``policy`` for a loop that does not change it: a BoltzmannPolicy becomes the
+    TablePolicy of softmax_rows(Q / T), read by state index instead of a softmax per
+    step (row-wise softmax over the same row values gives the same bits); any other
+    policy comes back as it is."""
+    if isinstance(policy, BoltzmannPolicy):
+        return TablePolicy(softmax_rows(policy.model.table / policy.temperature))
+    return policy
+
+
 class UniformPolicy:
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
@@ -292,13 +302,18 @@ def _play(env, victim_policy, seeds, horizon, adversary_policy, budgets):
     horizon = env.horizon if horizon is None else horizon
     batch = stack_snapshots([env.reset(seed=s) for s in seeds])
     act_rngs = [seed_rng(s, salt="rollout-actions") for s in seeds]
+    victim = frozen(victim_policy)
     attacked = budgets is not None and adversary_policy is not None \
         and bool(np.any(budgets.eps > 0))
+    if attacked:
+        adversary = frozen(adversary_policy)
+        e = mixing_weights(budgets.eps, (len(seeds), env.n_agents, env.n_actions))
+        keep = 1.0 - e
     steps = []
     for _ in range(horizon):
-        dists = victim_policy.action_dists(batch)
+        dists = victim.action_dists(batch)
         if attacked:
-            dists = mix_policy_matrix(adversary_policy.action_dists(batch), dists, budgets.eps)
+            dists = e * adversary.action_dists(batch) + keep * dists
         actions = sample_actions(dists, act_rngs)
         res = env.step_batch(batch, actions)
         steps.append((batch.states, actions, res.reward))
@@ -360,8 +375,11 @@ class LearnerConfig:
     def validate(self):
         if self.episodes < 1:
             raise InvalidConfigError("episodes must be >= 1")
+        require_finite(self, "lr", "lr_decay", "temperature")
         if self.lr <= 0 or self.temperature <= 0:
             raise InvalidConfigError("lr and temperature must be positive")
+        if self.lr_decay < 0:
+            raise InvalidConfigError("lr_decay must be >= 0")
         if not (0 <= self.eps_final <= self.eps_start <= 1):
             raise InvalidConfigError("exploration schedule must satisfy 0 <= final <= start <= 1")
         if not (0 < self.eps_fraction <= 1):
@@ -377,6 +395,8 @@ class TrainConfig(LearnerConfig):
         super().validate()
         if self.eval_episodes < 1:
             raise InvalidConfigError("eval_episodes must be >= 1")
+        if self.min_margin is not None:
+            require_finite(self, "min_margin")
 
 
 def exploration_eps(cfg, episode: int) -> float:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mfvuln.attack import AdversaryConfig, train_adversaries, train_adversary
 from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs import TaxiGridEnv, ToyMeanFieldEnv, VicsekEnv
-from mfvuln.envs.base import stack_snapshots
+from mfvuln.envs.base import Snapshot, stack_snapshots
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
@@ -74,6 +74,63 @@ def test_taxi_step_matches_the_reference(raw):
             assert type(g.reward) is float and g.reward == w.reward
             assert g.snapshot.t == w.snapshot.t
             got, want = g.snapshot, w.snapshot
+
+
+@settings(max_examples=40, deadline=None)
+@given(horizon=st.integers(1, 8), sides=st.tuples(st.sampled_from([2, 4, 6]),
+                                                  st.sampled_from([2, 4, 6])),
+       agents=st.integers(1, 36), start=st.integers(0, 10), extra=st.integers(0, 3),
+       seeds=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3),
+       demand_rate=st.sampled_from([0.5, 1.0, 12.0]))
+def test_taxi_demand_tables_match_the_per_step_reference(horizon, sides, agents, start, extra,
+                                                         seeds, demand_rate):
+    """Demand drawn as one table per episode is what per-step draws give.
+
+    Covers a full episode from reset (start 0), a snapshot built by hand at
+    t > 0 with no table, and steps past the horizon (extra).  Whenever an
+    episode's table is used up, its generator is where the reference's is.
+    """
+    width, height = sides
+    env = TaxiGridEnv(TaxiConfig(n_agents=min(agents, width * height), horizon=horizon,
+                                 grid_width=width, grid_height=height,
+                                 demand_rate=demand_rate))
+
+    def snapshot(seed):
+        if start == 0:
+            return env.reset(seed=seed)
+        cells = seed_rng((seed, 1)).integers(0, env.n_states, env.n_agents)
+        return Snapshot(start, cells, seed_rng(seed), env.cell_xy(cells))
+
+    singles, wants = [snapshot(s) for s in seeds], [snapshot(s) for s in seeds]
+    batch = stack_snapshots([snapshot(s) for s in seeds])
+    for t in range(start, max(horizon, start + 1) + extra):
+        actions = seed_rng((7, t)).integers(0, env.n_actions, (len(seeds), env.n_agents))
+        res = env.step_batch(batch, actions)
+        for b in range(len(seeds)):
+            one = env.step(singles[b], actions[b])
+            want = oracles.taxi_step(env, wants[b], actions[b])
+            for got in (one.snapshot, res.snapshot.episodes()[b]):
+                assert same(got.states, want.states) and same(got.pos, want.snapshot.pos)
+                assert got.t == want.snapshot.t == t + 1
+                assert len(got.demand) == max(0, horizon - t - 1)
+            assert one.reward == want.reward == res.reward[b]
+            if len(one.snapshot.demand) == 0:
+                for got in (one.snapshot.rng, res.snapshot.rng[b]):
+                    assert got.bit_generator.state == want.snapshot.rng.bit_generator.state
+            singles[b], wants[b] = one.snapshot, want.snapshot
+        batch = res.snapshot
+    assert all(len(snap.demand) == 0 for snap in singles)
+
+
+def test_snapshots_with_and_without_demand_tables_do_not_stack():
+    env = ENVS["taxi"]()
+    fresh, stepped = env.reset(seed=0), env.reset(seed=1)
+    stepped = env.step(stepped, np.zeros(env.n_agents, dtype=int)).snapshot
+    assert stepped.demand is not None and fresh.demand is None
+    for snaps in ([fresh, stepped], [stepped, fresh]):
+        with pytest.raises(InvalidInputError, match="demand"):
+            stack_snapshots(snaps)
+    assert stack_snapshots([stepped, stepped]).demand.shape == (2,) + stepped.demand.shape
 
 
 @pytest.mark.parametrize("name", sorted(ENVS))

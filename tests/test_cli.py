@@ -219,6 +219,43 @@ def test_nan_norm_order_exits_with_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "runs")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    *[("taxi", key, value) for key, value in [("demand_rate", NAN), ("demand_rate", INF),
+                                              ("demand_concentration", INF),
+                                              ("comm_radius", NAN)]],
+    *[("vicsek", key, value) for key in ("speed", "world_size", "turn_delta", "noise",
+                                         "comm_radius", "cluster_spread", "heading_spread")
+      for value in (NAN, INF)],
+    ("toy", "scale_ratio", INF),
+    ("victim", "lr", NAN), ("victim", "temperature", INF), ("victim", "lr_decay", NAN),
+    ("victim", "lr_decay", -5.0), ("adversary", "lr", NAN), ("victim", "min_margin", NAN),
+])
+def test_non_finite_or_negative_setting_exits_at_config_load(tmp_path, capsys, section, key,
+                                                             value):
+    """A setting that would make a run meaningless, or crash it at its first
+    draw, is refused by name before the victim trains."""
+    if section in ("taxi", "vicsek", "toy"):
+        env = {"taxi": {"env_name": "taxi", "n_agents": 5, "grid_width": 4, "grid_height": 4},
+               "vicsek": {"env_name": "vicsek", "n_agents": 5},
+               "toy": {"env_name": "toy", "n_agents": 5}}[section]
+        cfg_path, raw = write_config(tmp_path, env={**env, key: value})
+    else:
+        base = {"victim": {"episodes": 120, "eval_episodes": 6},
+                "adversary": {"episodes": 6, "eval_episodes": 3}}[section]
+        cfg_path, raw = write_config(tmp_path, **{section: {**base, key: value}})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not list(Path(raw["out_dir"]).glob("victim_s*"))
+
+
+def test_infinite_norm_order_is_accepted(tmp_path):
+    cfg_path, _ = write_config(tmp_path, value={"rollouts": 8, "p": INF})
+    assert load_experiment_config(cfg_path).value.p == INF
+
+
 @pytest.mark.parametrize("key, value", [("sweeps", 60), ("tol", 1e-11)])
 def test_deleted_fit_budget_key_exits_with_error(tmp_path, capsys, key, value):
     """The value fits are one linear solve; their former iteration budget is refused."""

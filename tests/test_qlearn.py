@@ -95,6 +95,28 @@ def test_boltzmann_shift_invariance():
     assert np.allclose(a, b)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 7), st.floats(1e-3, 1e3),
+       st.lists(st.integers(1, 40), min_size=1, max_size=2), st.integers(0, 2 ** 16))
+def test_frozen_boltzmann_reads_the_same_bits_as_action_dists(n_states, n_actions, temperature,
+                                                              shape, seed):
+    """The per-state table a frozen BoltzmannPolicy is read from gives, for
+    (N,) or (B, N) states, exactly what action_dists computes per call."""
+    rng = seed_rng(seed)
+    model = QModel(n_states, n_actions, 0.9)
+    model.table = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(n_states, n_actions))
+    policy = BoltzmannPolicy(model, temperature)
+    snap = Snapshot(t=0, states=rng.integers(0, n_states, size=shape), rng=rng)
+    got, want = qlearn.frozen(policy).action_dists(snap), policy.action_dists(snap)
+    assert got.shape == want.shape == tuple(shape) + (n_actions,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_frozen_leaves_other_policies_as_they_are():
+    for policy in (UniformPolicy(3), TablePolicy(np.full((2, 3), 1.0 / 3))):
+        assert qlearn.frozen(policy) is policy
+
+
 def test_boltzmann_rejects_bad_temperature():
     m = QModel(1, 2, 0.9)
     for t in (0.0, -1.0):
