@@ -13,9 +13,10 @@ enter training only through the environment's realized behaviour.  The
 victim's parameters are never written; training and evaluation checksum
 the victim before and after and refuse to return silently if it moved.
 
-Seeds are call arguments, not config fields: ``train_adversaries`` takes
-one schedule and one seed per learner, and ``evaluate_attack`` returns the
-attacked returns as an array.
+Seeds are call arguments, not config fields.  ``train_adversaries`` trains
+one learner per (budgets, seed) pair as a batch (one attack set is a batch
+of one), ``evaluate_attack`` returns attacked returns as an array, and
+``attacked_returns`` does both for a list of attack sets.
 """
 
 from __future__ import annotations
@@ -59,27 +60,15 @@ class AdversaryConfig(LearnerConfig):
     lr: float = 0.05
 
 
-def train_adversary(env, victim_policy, budgets: BudgetVector, cfg: AdversaryConfig, seed):
-    """Fit the corruption policy; returns (model, policy, episode returns).
-
-    Episode returns are the adversary's objective (negated shared reward,
-    discounted), so the curve should rise as the attack improves.  An
-    all-zero budget vector warns and returns an untrained (no-op) adversary:
-    with nothing corrupted there is no transition that carries signal.
-    This is the one-learner case of ``train_adversaries``.
-    """
-    return train_adversaries(env, victim_policy, [budgets], cfg, [seed])[0]
-
-
 def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) -> list:
     """Fit B adversaries against one victim in lockstep, one per (budgets, seed).
 
     Returns B (model, policy, episode returns) triples, each byte for byte
-    what ``train_adversary`` returns for that learner alone.  The learners
-    share the schedule ``cfg`` and step their episodes as one batch, but
-    each keeps its own episode seeds, action stream, budgets and Q table.
-    Learners with an all-zero budget vector warn and get an untrained
-    adversary, as in ``train_adversary``.
+    what a batch of that learner alone returns: learners share the schedule
+    ``cfg`` but keep their own episode seeds, action stream and Q table.  A
+    curve is the adversary's objective (negated shared reward, discounted),
+    so it should rise.  An all-zero budget vector warns and gets an
+    untrained (no-op) adversary: no transition of it carries signal.
     """
     if len(budgets) != len(seeds):
         raise InvalidInputError(f"{len(budgets)} budget vectors for {len(seeds)} seeds")
@@ -176,3 +165,12 @@ def evaluate_attack(env, victim_policy, budgets: BudgetVector, episodes: int,
     if policy_checksum(victim_policy) != before:
         raise RuntimeError("victim policy changed during attack evaluation")
     return returns
+
+
+def attacked_returns(env, victim_policy, budgets, cfg: AdversaryConfig, seeds, episodes: int,
+                     eval_seeds) -> list:
+    """Victim returns under each budget vector's own adversary: one
+    ``train_adversaries`` batch, then ``evaluate_attack`` per learner."""
+    trained = train_adversaries(env, victim_policy, budgets, cfg, seeds)
+    return [evaluate_attack(env, victim_policy, b, episodes, seed=s, adversary_policy=adv)
+            for b, s, (_, adv, _) in zip(budgets, eval_seeds, trained, strict=True)]

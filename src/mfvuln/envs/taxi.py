@@ -38,6 +38,9 @@ from .base import (MeanFieldEnv, Snapshot, StepResult, build_config, require_fin
 # action order: stay, east, west, north, south
 MOVES = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
 
+# largest rate Generator.poisson accepts; numpy raises "lam value too large" above it
+POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
 
 @dataclass
 class TaxiConfig:
@@ -83,6 +86,9 @@ class TaxiGridEnv(MeanFieldEnv):
         self.config = config
         self.n_zones = (config.grid_width // 2) * (config.grid_height // 2)
         self.demand_rates = self._demand_rates()
+        if self.demand_rates.max() > POISSON_LAM_MAX:
+            raise InvalidConfigError(f"demand_rate must keep every zone's Poisson rate within "
+                                     f"{POISSON_LAM_MAX:.4g}, not {self.demand_rates.max():.4g}")
         # lookup tables: cell -> (x, y), cell -> zone, (cell, action) -> next cell
         w, h = config.grid_width, config.grid_height
         cells = np.arange(w * h)

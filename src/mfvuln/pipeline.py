@@ -32,7 +32,7 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
-from .attack import AdversaryConfig, evaluate_attack, train_adversaries, train_adversary
+from .attack import AdversaryConfig, attacked_returns, evaluate_attack, train_adversaries
 from .core import BudgetVector, seed_rng
 from .envs import make_env
 from .envs.base import agent_layout, check_field_types
@@ -111,7 +111,6 @@ class SelectionStageConfig:
     rl_episodes: int = 200
     rl_lr: float = 0.05
     rl_gamma: float = 0.95
-    brute_cap: int = 3000
 
     def validate(self):
         unknown = [m for m in self.methods if m not in SELECTION_METHODS]
@@ -340,22 +339,20 @@ def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
     """Pair predicted drops with realized attacked returns; returns (r, rows).
 
     Each subset j gets its own adversary, seeded seed + 7919 * j, trained
-    against the frozen victim (all of them in one batch); the Pearson
-    correlation is between the value model's predicted drop and the realized
-    attacked return (damaging subsets should sit low, so a faithful model
-    shows strongly negative r).
+    against the frozen victim (all of them in one batch) and evaluated with
+    seed (seed, 4, j); the Pearson correlation is between the value model's
+    predicted drop and the realized attacked return (damaging subsets should
+    sit low, so a faithful model shows strongly negative r).
     """
     if len(subsets) < 10:
         raise InvalidInputError("need at least 10 attack subsets")
     states0 = env.reset(seed=seed).states
     budgets = [attack.budgets(env.n_agents) for attack in subsets]
-    adversaries = train_adversaries(env, victim_policy, budgets, adv_cfg,
-                                    [seed + 7919 * j for j in range(len(subsets))])
-    rows = []
-    for j, (budget, (_, adv_policy, _)) in enumerate(zip(budgets, adversaries)):
-        returns = evaluate_attack(env, victim_policy, budget, episodes,
-                                  seed=(seed, 4, j), adversary_policy=adv_policy)
-        rows.append((predicted_drop(value_model, states0, None, budget), float(returns.mean())))
+    returns = attacked_returns(env, victim_policy, budgets, adv_cfg,
+                               [seed + 7919 * j for j in range(len(subsets))], episodes,
+                               [(seed, 4, j) for j in range(len(subsets))])
+    rows = [(predicted_drop(value_model, states0, budget), float(ret.mean()))
+            for budget, ret in zip(budgets, returns)]
     r = pearson([p for p, _ in rows], [m for _, m in rows])
     if out_csv:
         write_atomic(out_csv, _csv_text([("predicted_drop", "realized_return")]
@@ -563,25 +560,23 @@ def _run_selector(method: str, run: Run, victim_policy, vmodel, states0, seed: i
     if method == "greedy":
         return select_greedy(vmodel, states0, None, sel.k, sel.eps)
     if method == "rl":
-        attack, _ = select_rl(vmodel, states0, None, sel.k, sel.rl_config(), sel.eps, seed)
+        attack, _ = select_rl(vmodel, states0, sel.k, sel.rl_config(), sel.eps, seed)
         return attack
     if method == "random":
         return select_random(env.n_agents, sel.k, seed, sel.eps)
     if method == "dc":
         return select_degree_centrality(env, env.reset(seed=seed), sel.k, sel.eps)
     if method == "brute":
-        def evaluate_subset(subset):
-            budgets = BudgetVector.from_set(env.n_agents, subset, sel.eps)
+        def evaluate_subsets(subsets):
+            budgets = [BudgetVector.from_set(env.n_agents, subset, sel.eps) for subset in subsets]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                _, adv, _ = train_adversary(env, victim_policy, budgets, cfg.adversary, seed)
-                returns = evaluate_attack(env, victim_policy, budgets,
-                                          cfg.adversary.eval_episodes,
-                                          seed=(seed, 5), adversary_policy=adv)
-            return float(returns.mean())
+                returns = attacked_returns(env, victim_policy, budgets, cfg.adversary,
+                                           [seed] * len(budgets), cfg.adversary.eval_episodes,
+                                           [(seed, 5)] * len(budgets))
+            return [float(ret.mean()) for ret in returns]
 
-        attack, table = select_bruteforce(evaluate_subset, env.n_agents, sel.k,
-                                          sel.eps, cap=sel.brute_cap)
+        attack, table = select_bruteforce(evaluate_subsets, env.n_agents, sel.k, sel.eps)
         write_atomic(run.paths.brute_scores(seed), _csv_text(
             [("subset", "victim_return")]
             + [(";".join(str(i) for i in subset), _fmt(ret)) for subset, ret in table]))
@@ -601,7 +596,7 @@ def stage_select(run: Run, seed: int):
 
     def rows():
         return [(method, "predicted_drop",
-                 predicted_drop(vmodel, states0, None, attack.budgets(env.n_agents))
+                 predicted_drop(vmodel, states0, attack.budgets(env.n_agents))
                  if attack.predicted_drop is None else attack.predicted_drop)
                 for method, attack in attacks.items()]
 

@@ -8,14 +8,13 @@ value model prices a candidate by the population value drop it induces,
 
 where the candidate's own eps jumps to the attack budget and everyone's xi
 rises by eps/N.  Summed over a selection episode these rewards telescope to
-the total predicted drop of the final attack set.  The start mean field mu0
-is still accepted by every selector and not used: V takes no mean field.
+the total predicted drop of the final attack set.
 
-Selectors: greedy argmax over the pick reward (each round scores every
-candidate in one value-model call), a small Q-learner over pick features,
-uniform random, degree centrality on the observation graph, and exhaustive
-enumeration against a caller-supplied evaluator (the reference answer on
-toys).
+V is modular in the attack set, so greedy is the ranking by damp(s0).  The
+other selectors: a small Q-learner over pick features, uniform random,
+degree centrality on the observation graph, and exhaustive enumeration that
+hands a caller-supplied evaluator every subset at once (the reference answer
+on toys).
 
 The Q-learner never builds its dense pick features: it gathers one weight per
 candidate start state for all candidates at once (``SelectorQModel``), and
@@ -110,7 +109,7 @@ def load_attack_set(path) -> AttackSet:
             pick_rewards=None if picks is None else np.array([float(x) for x in picks.split()]))
 
 
-def selector_reward(value_model, states0, mu0, budget_prev: BudgetVector,
+def selector_reward(value_model, states0, budget_prev: BudgetVector,
                     budget_next: BudgetVector) -> float:
     """Predicted population value drop of moving between two budget vectors."""
     if budget_prev.n_agents != budget_next.n_agents:
@@ -124,7 +123,7 @@ def selector_reward(value_model, states0, mu0, budget_prev: BudgetVector,
     return float((v_prev - v_next).mean())
 
 
-def predicted_drop(value_model, states0, mu0, budgets: BudgetVector) -> float:
+def predicted_drop(value_model, states0, budgets: BudgetVector) -> float:
     """Total predicted drop of a budget vector relative to no corruption."""
     zero = BudgetVector.zeros(budgets.n_agents)
     states0 = np.asarray(states0, dtype=int)
@@ -139,30 +138,29 @@ def _check_k(n_agents: int, k: int):
 
 
 def select_greedy(value_model, states0, mu0, k: int, eps: float = 1.0) -> AttackSet:
-    """K greedy rounds, each scoring every candidate in one value_model.values
-    call on a (C, N) budget matrix; ties go to the lowest id."""
+    """The k greedy picks: the stable ranking by -damp(s0), ties to the lowest id.
+
+    With V(s, eps, xi) = base(s) - (eps + xi + eps*xi) * damp(s) and one
+    shared xi, corrupting one more agent c raises every xi by eps/N, so its
+    pick reward is a term common to all candidates plus
+    eps * (1 + xi_next) * damp(s0_c) / N.  Each greedy round therefore takes
+    the largest remaining damp(s0), whatever was picked before.  The pick
+    rewards are the drops between the k + 1 nested budget vectors of that
+    ranking, priced in one value-model call, so they telescope to the
+    predicted drop.  mu0 is accepted and not used.
+    """
     states0 = np.asarray(states0, dtype=int)
     n = states0.size
     _check_k(n, k)
-    budget = BudgetVector.zeros(n)
-    chosen, rewards = [], []
-    for _ in range(k):
-        if eps == 0:
-            warnings.warn("degenerate selection step: budgets unchanged", stacklevel=2)
-        cands = np.flatnonzero(budget.eps == 0)
-        budgets = np.where(np.eye(n, dtype=bool)[cands], eps, budget.eps)
-        v_prev = value_model.values(states0, budget.eps, budget.xi)
-        v_next = value_model.values(states0, budgets, budgets.mean(axis=1, keepdims=True))
-        cand_rewards = (v_prev - v_next).mean(axis=1)
-        # summation order perturbs exact ties by a few ulp; keep them ties
-        cutoff = cand_rewards.max() - 1e-9 * max(1.0, abs(cand_rewards.max()))
-        pick = int(np.argmax(cand_rewards >= cutoff))
-        chosen.append(int(cands[pick]))
-        rewards.append(float(cand_rewards[pick]))
-        budget = budget.with_agent(chosen[-1], eps)
-    return AttackSet(np.array(chosen, dtype=int), eps, "greedy",
-                     predicted_drop=float(np.sum(rewards)) if rewards else 0.0,
-                     pick_rewards=np.array(rewards))
+    if k and eps == 0:
+        warnings.warn("degenerate selection step: budgets unchanged", stacklevel=2)
+    ids = np.argsort(-value_model.damp[states0], kind="stable")[:k]
+    nested = np.zeros((k + 1, n))
+    nested[:, ids] = np.where(np.tri(k + 1, k, -1, dtype=bool), eps, 0.0)
+    values = value_model.values(states0, nested, nested.mean(axis=1, keepdims=True))
+    rewards = (values[:-1] - values[1:]).mean(axis=1)
+    return AttackSet(ids, eps, "greedy", predicted_drop=float(np.sum(rewards)),
+                     pick_rewards=rewards)
 
 
 def select_random(n_agents: int, k: int, seed, eps: float = 1.0) -> AttackSet:
@@ -180,24 +178,26 @@ def select_degree_centrality(env, snapshot, k: int, eps: float = 1.0) -> AttackS
     return AttackSet(order[:k], eps, "dc")
 
 
-def select_bruteforce(evaluator: Callable, n_agents: int, k: int, eps: float = 1.0,
-                      cap: int = BRUTE_FORCE_CAP):
+def select_bruteforce(evaluator: Callable, n_agents: int, k: int, eps: float = 1.0):
     """Exhaustive subset search against a victim-return evaluator.
 
-    Returns the attack set minimizing the evaluator's victim return plus the
-    full score table [(subset, return)].  Refuses when C(N, K) exceeds the
-    cap; this is the reference selector, not a practical one.
+    ``evaluator`` gets the list of all C(N, K) subsets in one call, in
+    ``itertools.combinations`` order, and returns one victim return per
+    subset, so it can score them as one batch.  Returns the attack set
+    minimizing the victim return plus the full score table [(subset, return)].
+    Refuses when C(N, K) exceeds BRUTE_FORCE_CAP, which thus also bounds the
+    evaluator's batch; this is the reference selector, not a practical one.
     """
     _check_k(n_agents, k)
     n_subsets = math.comb(n_agents, k)
-    if n_subsets > cap:
+    if n_subsets > BRUTE_FORCE_CAP:
         raise InvalidConfigError(
-            f"brute force over {n_subsets} subsets exceeds cap {cap}")
-    table = []
+            f"brute force over {n_subsets} subsets exceeds cap {BRUTE_FORCE_CAP}")
+    subsets = list(itertools.combinations(range(n_agents), k))
+    table = [(subset, float(ret)) for subset, ret in zip(subsets, evaluator(subsets),
+                                                          strict=True)]
     best_subset, best_return = (), np.inf
-    for subset in itertools.combinations(range(n_agents), k):
-        ret = float(evaluator(subset))
-        table.append((subset, ret))
+    for subset, ret in table:
         if ret < best_return - 1e-15:
             best_subset, best_return = subset, ret
     return AttackSet(np.array(best_subset, dtype=int), eps, "brute"), table
@@ -264,8 +264,7 @@ class SelectorQModel:
         w[s + 3] += delta
 
 
-def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig, eps: float,
-              seed):
+def select_rl(value_model, states0, k: int, cfg: SelectorRLConfig, eps: float, seed):
     """Q-learning over selection episodes scored by the value model.
 
     Selection episodes never touch the environment, so training is cheap:
@@ -303,7 +302,7 @@ def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig, eps: flo
             nxt_budget = budget.with_agent(pick, eps)
             key = (frozenset(picks), pick)
             if key not in rewards:
-                rewards[key] = selector_reward(value_model, states0, mu0, budget, nxt_budget)
+                rewards[key] = selector_reward(value_model, states0, budget, nxt_budget)
             r = rewards[key]
             total += r
             picks.append(pick)
@@ -326,12 +325,8 @@ def select_rl(value_model, states0, mu0, k: int, cfg: SelectorRLConfig, eps: flo
     for step in range(k):
         chosen.append(greedy_pick(np.flatnonzero(budget.eps == 0), budget.xi, step))
         budget = budget.with_agent(chosen[-1], eps)
-    readout_total = 0.0
-    if k:
-        readout_total = predicted_drop(
-            value_model, states0, mu0,
-            BudgetVector.from_set(n, chosen, eps) if eps > 0 else BudgetVector.zeros(n))
-    if k and readout_total < best_total - 1e-9:
+    readout_total = predicted_drop(value_model, states0, BudgetVector.from_set(n, chosen, eps))
+    if readout_total < best_total - 1e-9:
         warnings.warn("learned selector has not converged; returning the best "
                       "selection seen during training", stacklevel=2)
         chosen, readout_total = best_ids, best_total

@@ -276,7 +276,12 @@ def neighbor_mean_heading(env, pos, headings) -> np.ndarray:
 
 
 def select_greedy(value_model, states0, k: int, eps: float = 1.0):
-    """Greedy selection scoring one candidate at a time with selector_reward."""
+    """Greedy selection scoring one candidate at a time with selector_reward.
+
+    Rewards within 1e-9 * max(1, |best|) count as ties, so once
+    eps * (damp gap) / N falls below that a real gap is merged; the
+    reference holds for budgets eps >= 1e-3.
+    """
     from mfvuln.core import BudgetVector
     from mfvuln.selection import AttackSet, selector_reward
 
@@ -288,7 +293,7 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
         for cand in range(states0.size):
             if budget.eps[cand] > 0:
                 continue
-            cand_rewards[cand] = selector_reward(value_model, states0, None, budget,
+            cand_rewards[cand] = selector_reward(value_model, states0, budget,
                                                  budget.with_agent(cand, eps))
         top = max(cand_rewards.values())
         tol = 1e-9 * max(1.0, abs(top))
@@ -362,7 +367,7 @@ def select_rl(value_model, states0, k: int, cfg, eps: float, seed):
                 scores = np.array([model.score(phis[c]) for c in cands])
                 pick = cands[int(np.argmax(scores))]
             nxt_budget = budget.with_agent(pick, eps)
-            r = selector_reward(value_model, states0, None, budget, nxt_budget)
+            r = selector_reward(value_model, states0, budget, nxt_budget)
             total += r
             picks.append(pick)
             if step + 1 < k:
@@ -391,7 +396,7 @@ def select_rl(value_model, states0, k: int, cfg, eps: float, seed):
     readout_total = 0.0
     if k:
         readout_total = predicted_drop(
-            value_model, states0, None,
+            value_model, states0,
             BudgetVector.from_set(n, chosen, eps) if eps > 0 else BudgetVector.zeros(n))
     if k and readout_total < best_total - 1e-9:
         chosen, readout_total = best_ids, best_total
@@ -416,7 +421,7 @@ def assert_select_rl_matches(value_model, states0, k: int, cfg, eps: float, seed
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got, curve = selection.select_rl(value_model, states0, None, k, cfg, eps, seed)
+            got, curve = selection.select_rl(value_model, states0, k, cfg, eps, seed)
     finally:
         selection.SelectorQModel = real
     want, want_curve, want_weights = select_rl(value_model, states0, k, cfg, eps, seed)

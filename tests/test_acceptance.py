@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mfvuln.attack import AdversaryConfig, evaluate_attack, train_adversaries
+from mfvuln.attack import AdversaryConfig, attacked_returns
 from mfvuln.core import BudgetVector, empirical_mean_field_state, seed_rng
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.qlearn import QModel, TablePolicy, evaluate_policy, rollout
@@ -72,15 +72,13 @@ def trained_setup(env_name: str, seed: int):
     return _cache[key]
 
 
-def attacked_returns(env, victim, attacks, eps, seed):
+def attack_set_returns(env, victim, attacks, eps, seed):
     """Victim returns under each attack set; the adversaries train in one batch."""
     budgets = [BudgetVector.from_set(env.n_agents, list(attack.ids), eps) for attack in attacks]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        trained = train_adversaries(env, victim, budgets, AdversaryConfig(episodes=ADV_EPISODES),
-                                    [seed] * len(budgets))
-        return [evaluate_attack(env, victim, b, EVAL_EPISODES, (seed, 3), adversary_policy=adv)
-                for b, (_, adv, _) in zip(budgets, trained)]
+        return attacked_returns(env, victim, budgets, AdversaryConfig(episodes=ADV_EPISODES),
+                                [seed] * len(budgets), EVAL_EPISODES, [(seed, 3)] * len(budgets))
 
 
 # -- criterion 1: contraction -----------------------------------------------------
@@ -227,14 +225,17 @@ def test_criterion_5_greedy_matches_bruteforce():
         def exact_return(subset):
             return env.exact_attack_return(pi, subset, 1.0)
 
-        brute2, _ = select_bruteforce(exact_return, 6, 2, 1.0)
+        def exact_returns(subsets):
+            return [exact_return(subset) for subset in subsets]
+
+        brute2, _ = select_bruteforce(exact_returns, 6, 2, 1.0)
         greedy2 = select_greedy(model, snap.states, mu0, 2, 1.0)
         ret_brute = exact_return(brute2.ids)
         ret_greedy = exact_return(greedy2.ids)
         if ret_greedy <= ret_brute + 0.05 * abs(ret_brute):
             near += 1
 
-        brute1, _ = select_bruteforce(exact_return, 6, 1, 1.0)
+        brute1, _ = select_bruteforce(exact_returns, 6, 1, 1.0)
         greedy1 = select_greedy(model, snap.states, mu0, 1, 1.0)
         if set(brute1.ids) == set(greedy1.ids):
             exact_k1 += 1
@@ -281,12 +282,12 @@ def test_criterion_7_attack_ordering(env_name):
             env, victim, vmodel, states0, mu0 = trained_setup(env_name, seed)
             sets = {
                 "greedy": select_greedy(vmodel, states0, mu0, k, 1.0),
-                "rl": select_rl(vmodel, states0, mu0, k, SelectorRLConfig(episodes=200),
-                                1.0, seed)[0],
+                "rl": select_rl(vmodel, states0, k, SelectorRLConfig(episodes=200), 1.0,
+                                seed)[0],
                 "random": select_random(env.n_agents, k, seed, 1.0),
             }
-            for method, returns in zip(sets, attacked_returns(env, victim, sets.values(),
-                                                              1.0, seed)):
+            for method, returns in zip(sets, attack_set_returns(env, victim, sets.values(),
+                                                                1.0, seed)):
                 results[method].append(float(returns.mean()))
                 episode_groups.append(returns)
             baseline = evaluate_policy(env, victim, EVAL_EPISODES, (seed, 3))

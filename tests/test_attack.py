@@ -7,7 +7,7 @@ from mfvuln.attack import (
     AdversaryConfig,
     evaluate_attack,
     policy_checksum,
-    train_adversary,
+    train_adversaries,
 )
 from mfvuln.core import BudgetVector
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
@@ -77,7 +77,7 @@ def test_budget_length_mismatch_is_rejected():
     env, victim, _ = cycle_env()
     bad = BudgetVector.from_set(6, [0], 1.0)
     with pytest.raises(InvalidInputError):
-        train_adversary(env, victim, bad, AdversaryConfig(episodes=1), 0)
+        train_adversaries(env, victim, [bad], AdversaryConfig(episodes=1), [0])
     with pytest.raises(InvalidInputError):
         evaluate_attack(env, victim, bad, 1, 0)
 
@@ -89,8 +89,8 @@ def test_empty_attack_set_warns_and_returns_untrained_model():
     env, victim, _ = cycle_env()
     zeros = BudgetVector(np.zeros(4))
     with pytest.warns(UserWarning, match="empty attack set"):
-        model, policy, curve = train_adversary(env, victim, zeros,
-                                               AdversaryConfig(episodes=5), 0)
+        [(model, policy, curve)] = train_adversaries(env, victim, [zeros],
+                                                     AdversaryConfig(episodes=5), [0])
     assert curve.size == 0
     assert np.all(model.table == 0.0)
     rows = policy.action_dists(env.reset(seed=0))
@@ -119,7 +119,7 @@ def test_trained_adversary_reaches_the_exact_worst_case():
     budgets = BudgetVector.from_set(4, [1, 3], 1.0)
     cfg = AdversaryConfig(episodes=400, lr=0.3, temperature=0.02,
                           eps_final=0.0, eps_fraction=0.5)
-    _, adv, curve = train_adversary(env, victim, budgets, cfg, 11)
+    _, adv, curve = train_adversaries(env, victim, [budgets], cfg, [11])[0]
     # the objective is the negated shared return, so the curve should rise
     assert curve[-50:].mean() > curve[:50].mean()
 
@@ -172,7 +172,7 @@ def test_victim_mutation_is_detected():
     drifting = _DriftingPolicy(pi.copy())
     budgets = BudgetVector.from_set(4, [0], 1.0)
     with pytest.raises(RuntimeError, match="victim policy changed"):
-        train_adversary(env, drifting, budgets, AdversaryConfig(episodes=2), 0)
+        train_adversaries(env, drifting, [budgets], AdversaryConfig(episodes=2), [0])
     drifting = _DriftingPolicy(pi.copy())
     with pytest.raises(RuntimeError, match="victim policy changed"):
         evaluate_attack(env, drifting, budgets, 2, seed=0,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfvuln.attack import AdversaryConfig, train_adversaries, train_adversary
+from mfvuln.attack import AdversaryConfig, train_adversaries
 from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs import TaxiGridEnv, ToyMeanFieldEnv, VicsekEnv
 from mfvuln.envs.base import Snapshot, stack_snapshots
@@ -231,7 +231,7 @@ def test_batched_trainer_equals_the_serial_loop(name):
     cfg, seeds = AdversaryConfig(episodes=8, lr=0.3, lr_decay=0.01), [5, 5, 11]
     assert_matches_serial(env, victim, budgets, cfg, seeds,
                           train_adversaries(env, victim, budgets, cfg, seeds))
-    model, _, curve = train_adversary(env, victim, budgets[1], cfg, 5)
+    model, _, curve = train_adversaries(env, victim, [budgets[1]], cfg, [5])[0]
     want_model, want_curve = oracles.train_adversary_serial(env, victim, budgets[1], cfg, 5,
                                                             serial_step(env))
     assert same(model.table, want_model.table) and same(curve, want_curve)

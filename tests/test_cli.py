@@ -265,6 +265,26 @@ def test_deleted_fit_budget_key_exits_with_error(tmp_path, capsys, key, value):
     assert not os.path.exists(tmp_path / "runs")
 
 
+def test_deleted_brute_cap_key_exits_with_error(tmp_path, capsys):
+    """Brute force is bounded by a fixed cap; the former per-config key is refused."""
+    cfg_path, raw = write_config(tmp_path, selection={"methods": ["brute"], "k": 2,
+                                                      "brute_cap": 10})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert "unknown key 'brute_cap' in config section 'selection'" in capsys.readouterr().err
+    assert not os.path.exists(raw["out_dir"])
+
+
+def test_taxi_demand_beyond_the_poisson_limit_exits_at_config_load(tmp_path, capsys):
+    """A finite demand_rate whose zone rates numpy cannot draw is refused by name."""
+    env = {"env_name": "taxi", "n_agents": 5, "grid_width": 4, "grid_height": 4}
+    ok_path, _ = write_config(tmp_path, env={**env, "demand_rate": 1.0e18})
+    assert load_experiment_config(ok_path).env["demand_rate"] == 1.0e18
+    cfg_path, raw = write_config(tmp_path, env={**env, "demand_rate": 1.0e19})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert "demand_rate must keep every zone's Poisson rate" in capsys.readouterr().err
+    assert not os.path.exists(raw["out_dir"])
+
+
 @pytest.mark.parametrize("bad, message", [({"k_max": 9}, "k_max exceeds population size"),
                                           ({"n_subsets": 12}, "only C(5, 1) exist")])
 def test_unfillable_correlation_range_exits_at_config_load(tmp_path, capsys, bad, message):

@@ -57,9 +57,13 @@ def test_toy_run_reproduces_committed_fixture(tmp_path):
 
 
 @pytest.mark.parametrize("target, call", [("fit_robust_value", 1), ("select_rl", 1),
-                                          ("train_adversary", 3)])
+                                          ("attacked_returns", 1)])
 def test_interrupted_run_resumes_to_the_fixture(tmp_path, monkeypatch, target, call):
-    """A run killed inside a stage and rerun ends with the uninterrupted files."""
+    """A run killed inside a stage and rerun ends with the uninterrupted files.
+
+    The first ``attacked_returns`` call of a pipeline run is brute-force
+    selection scoring its subsets.
+    """
     real, calls = getattr(pipeline, target), []
 
     def interrupt(*args, **kwargs):
@@ -83,7 +87,7 @@ def test_correlate_rerun_trains_and_writes_nothing(tmp_path, monkeypatch, capsys
     def no_training(*args, **kwargs):
         raise AssertionError("a finished correlation was trained again")
 
-    monkeypatch.setattr("mfvuln.pipeline.train_adversaries", no_training)
+    monkeypatch.setattr("mfvuln.pipeline.attacked_returns", no_training)
     run_toy(out, ["correlate"])
     assert capsys.readouterr().out == line
     for name in ("ledger.csv", "correlation_s0.csv"):
@@ -100,7 +104,7 @@ def test_correlate_trains_through_the_patched_trainer(tmp_path, monkeypatch):
         calls.append(None)
         raise AssertionError("trained")
 
-    monkeypatch.setattr("mfvuln.pipeline.train_adversaries", no_training)
+    monkeypatch.setattr("mfvuln.pipeline.attacked_returns", no_training)
     with pytest.raises(AssertionError, match="trained"):
         run_toy(out, ["correlate"])
     assert len(calls) == 1
