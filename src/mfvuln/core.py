@@ -126,23 +126,10 @@ def empirical_mean_field_state(states, n_states: int) -> MeanFieldState:
     return mf
 
 
-def mix_policy_matrix(alpha_mat, beta_mat, eps_vec) -> np.ndarray:
-    """Row-wise mixture for N agents at once; rows are action distributions.
-
-    The matrices may carry a leading batch axis, (B, N, A); the budgets are
-    then one (N,) vector for the whole batch or one row per batch entry.
-    """
-    alpha_mat = np.asarray(alpha_mat, dtype=float)
-    beta_mat = np.asarray(beta_mat, dtype=float)
-    if alpha_mat.shape != beta_mat.shape:
-        raise InvalidInputError("policy matrices differ in shape")
-    e = mixing_weights(eps_vec, alpha_mat.shape)
-    return e * alpha_mat + (1.0 - e) * beta_mat
-
-
 def mixing_weights(eps_vec, shape) -> np.ndarray:
-    """The budgets as mix_policy_matrix applies them to (..., N, A) matrices of
-    the given shape: checked, as floats, with a trailing unit axis.  A loop with
+    """Per-agent budgets as mixing weights for (..., N, A) policy matrices of
+    the given shape: checked, as floats, with a trailing unit axis.  The budgets
+    are one (N,) vector for every batch entry or one row per entry.  A loop with
     fixed budgets checks them once here and mixes e * alpha + (1 - e) * beta itself."""
     eps_vec = np.asarray(eps_vec, dtype=float)
     if eps_vec.ndim == 0 or eps_vec.shape != tuple(shape[-1 - eps_vec.ndim:-1]):

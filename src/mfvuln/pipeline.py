@@ -42,13 +42,12 @@ from .qlearn import (BoltzmannPolicy, TrainConfig, UniformPolicy,
                      evaluate_policy, rollouts, train_victim, write_atomic)
 from .robust import (FitConfig, RobustValueModel, fit_cooperative_q,
                      fit_robust_value)
-from .selection import (AttackSet, SelectorRLConfig, load_attack_set,
-                        predicted_drop, save_attack_set, select_bruteforce,
-                        select_degree_centrality, select_greedy, select_random,
-                        select_rl)
+from .selection import (AttackSet, load_attack_set, predicted_drop,
+                        save_attack_set, select_bruteforce,
+                        select_degree_centrality, select_greedy, select_random)
 
 FLOAT_FMT = "%.9g"
-SELECTION_METHODS = ("greedy", "rl", "random", "dc", "brute")
+SELECTION_METHODS = ("greedy", "random", "dc", "brute")
 
 
 def _fmt(value) -> str:
@@ -105,12 +104,9 @@ class ValueStageConfig(FitConfig):
 
 @dataclass
 class SelectionStageConfig:
-    methods: list = field(default_factory=lambda: ["greedy", "rl", "random", "dc"])
+    methods: list = field(default_factory=lambda: ["greedy", "random", "dc"])
     k: int = 2
     eps: float = 1.0
-    rl_episodes: int = 200
-    rl_lr: float = 0.05
-    rl_gamma: float = 0.95
 
     def validate(self):
         unknown = [m for m in self.methods if m not in SELECTION_METHODS]
@@ -122,10 +118,6 @@ class SelectionStageConfig:
             raise InvalidConfigError("k must be >= 0")
         if not (0.0 < self.eps <= 1.0):
             raise InvalidConfigError("eps must be in (0, 1]")
-        self.rl_config().validate()
-
-    def rl_config(self) -> SelectorRLConfig:
-        return SelectorRLConfig(episodes=self.rl_episodes, lr=self.rl_lr, gamma=self.rl_gamma)
 
 
 @dataclass
@@ -559,9 +551,6 @@ def _run_selector(method: str, run: Run, victim_policy, vmodel, states0, seed: i
     cfg, env, sel = run.cfg, run.env, run.cfg.selection
     if method == "greedy":
         return select_greedy(vmodel, states0, None, sel.k, sel.eps)
-    if method == "rl":
-        attack, _ = select_rl(vmodel, states0, sel.k, sel.rl_config(), sel.eps, seed)
-        return attack
     if method == "random":
         return select_random(env.n_agents, sel.k, seed, sel.eps)
     if method == "dc":

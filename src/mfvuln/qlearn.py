@@ -261,31 +261,6 @@ class Trajectory:
         return np.array([st.reward for st in self.steps])
 
 
-class ReplayBuffer:
-    """Fixed-capacity FIFO of arbitrary transition records."""
-
-    def __init__(self, capacity: int = 20_000):
-        if capacity < 1:
-            raise InvalidConfigError("capacity must be >= 1")
-        self.capacity = capacity
-        self._data = []
-        self._head = 0
-
-    def __len__(self):
-        return len(self._data)
-
-    def push(self, item):
-        if len(self._data) < self.capacity:
-            self._data.append(item)
-        else:
-            self._data[self._head] = item
-            self._head = (self._head + 1) % self.capacity
-
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        idx = rng.integers(len(self._data), size=batch_size)
-        return [self._data[i] for i in idx]
-
-
 def discounted_return(rewards, gamma: float) -> float:
     """sum_t gamma^t r_t of one episode's rewards, summed in step order."""
     return float(sum(r * gamma ** t for t, r in enumerate(rewards)))

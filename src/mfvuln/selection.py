@@ -10,17 +10,15 @@ where the candidate's own eps jumps to the attack budget and everyone's xi
 rises by eps/N.  Summed over a selection episode these rewards telescope to
 the total predicted drop of the final attack set.
 
-V is modular in the attack set, so greedy is the ranking by damp(s0).  The
-other selectors: a small Q-learner over pick features, uniform random,
-degree centrality on the observation graph, and exhaustive enumeration that
-hands a caller-supplied evaluator every subset at once (the reference answer
-on toys).
-
-The Q-learner never builds its dense pick features: it gathers one weight per
-candidate start state for all candidates at once (``SelectorQModel``), and
-its replay records hold numbers, not vectors.  A gathered score can differ
-from a BLAS dot product of the dense vectors in the last bit; its picks,
-curves and drops equal the dense serial loop's (tests/oracles.py).
+The paper casts these K picks as a selection MDP with dense rewards.  While
+V is modular in the attack set (one shared xi, no interaction between
+agents), a pick's reward depends on the candidate only through damp(s0), so
+the ranking by damp(s0) is that MDP's optimal policy and greedy solves it
+exactly.  A non-modular V would need a selector with a per-candidate feature
+beyond s0.  The other selectors are baselines: uniform random, degree
+centrality on the observation graph, and exhaustive enumeration that hands a
+caller-supplied evaluator every subset at once (the reference answer on
+toys).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 
 from .core import BudgetVector, seed_rng
 from .errors import InvalidConfigError, InvalidInputError
-from .qlearn import ReplayBuffer, exploration_eps, malformed_artifact, write_atomic
+from .qlearn import malformed_artifact, write_atomic
 
 BRUTE_FORCE_CAP = 3000
 
@@ -107,20 +105,6 @@ def load_attack_set(path) -> AttackSet:
             ids, float(fields["eps"]), fields["method"],
             predicted_drop=None if drop is None else float(drop),
             pick_rewards=None if picks is None else np.array([float(x) for x in picks.split()]))
-
-
-def selector_reward(value_model, states0, budget_prev: BudgetVector,
-                    budget_next: BudgetVector) -> float:
-    """Predicted population value drop of moving between two budget vectors."""
-    if budget_prev.n_agents != budget_next.n_agents:
-        raise InvalidInputError("budget vectors differ in length")
-    if np.array_equal(budget_prev.eps, budget_next.eps):
-        warnings.warn("degenerate selection step: budgets unchanged", stacklevel=2)
-        return 0.0
-    states0 = np.asarray(states0, dtype=int)
-    v_prev = value_model.values(states0, budget_prev.eps, budget_prev.xi)
-    v_next = value_model.values(states0, budget_next.eps, budget_next.xi)
-    return float((v_prev - v_next).mean())
 
 
 def predicted_drop(value_model, states0, budgets: BudgetVector) -> float:
@@ -201,135 +185,3 @@ def select_bruteforce(evaluator: Callable, n_agents: int, k: int, eps: float = 1
         if ret < best_return - 1e-15:
             best_subset, best_return = subset, ret
     return AttackSet(np.array(best_subset, dtype=int), eps, "brute"), table
-
-
-# -- learned selector ------------------------------------------------------------
-
-
-@dataclass
-class SelectorRLConfig:
-    episodes: int = 200
-    lr: float = 0.05
-    gamma: float = 0.95
-    eps_start: float = 1.0
-    eps_final: float = 0.05
-    eps_fraction: float = 0.6
-    replay_capacity: int = 2000
-    batch_size: int = 32
-
-    def validate(self):
-        if self.episodes < 1:
-            raise InvalidConfigError("episodes must be >= 1")
-        if not self.lr > 0:  # also refuses NaN
-            raise InvalidConfigError("lr must be positive")
-        if not 0 <= self.gamma < 1:
-            raise InvalidConfigError("gamma must be in [0, 1)")
-        if not (0 <= self.eps_final <= self.eps_start <= 1):
-            raise InvalidConfigError("exploration schedule out of order")
-
-
-class SelectorQModel:
-    """Linear pick-value model over [one-hot(s0), xi, eps, picks-so-far, bias].
-
-    With S = n_states, a pick scores w[s0] + xi*w[S] + eps*w[S+1] + n*w[S+2]
-    + w[S+3], summed left to right; the one-hot feature vector is never
-    built, and an update touches only these five weights.
-    """
-
-    def __init__(self, n_states: int):
-        self.n_states = n_states
-        self.weights = np.zeros(n_states + 4)
-
-    def _score(self, w_s0, xi: float, eps: float, n_selected: int):
-        w, s = self.weights, self.n_states
-        return w_s0 + xi * w[s] + eps * w[s + 1] + n_selected * w[s + 2] + w[s + 3]
-
-    def scores(self, s0s, xi: float, eps: float, n_selected: int) -> np.ndarray:
-        """Scores of every candidate start state in s0s, in one gather."""
-        return self._score(self.weights[s0s], xi, eps, n_selected)
-
-    def best_score(self, s0s, xi: float, eps: float, n_selected: int) -> float:
-        """max(scores(...)); rounding is monotone, so it is the top weight's score."""
-        return float(self._score(self.weights[s0s].max(), xi, eps, n_selected))
-
-    def update(self, s0: int, xi: float, eps: float, n_selected: int, target: float,
-               lr: float):
-        """w += lr * (target - score) * phi, written out for the five nonzero features."""
-        w, s = self.weights, self.n_states
-        delta = lr * (target - self._score(w[s0], xi, eps, n_selected))
-        w[s0] += delta
-        w[s] += delta * xi
-        w[s + 1] += delta * eps
-        w[s + 2] += delta * n_selected
-        w[s + 3] += delta
-
-
-def select_rl(value_model, states0, k: int, cfg: SelectorRLConfig, eps: float, seed):
-    """Q-learning over selection episodes scored by the value model.
-
-    Selection episodes never touch the environment, so training is cheap:
-    each step picks an unselected agent eps-greedily, collects the predicted
-    drop as reward, and fits the linear pick model with replayed one-step
-    backups.  A replay record is (pick's s0, xi, picks so far, reward, s0 of
-    the next candidates, next xi); the bootstrap is the best next score.
-    Returns the greedy attack set under the learned model plus the
-    per-episode total rewards (the training curve).
-    """
-    cfg.validate()
-    states0 = np.asarray(states0, dtype=int)
-    n = states0.size
-    _check_k(n, k)
-    model = SelectorQModel(value_model.n_states)
-    buffer = ReplayBuffer(cfg.replay_capacity)
-    rng = seed_rng(seed, salt="selector-rl")
-    curve = np.empty(cfg.episodes)
-    best_ids, best_total = [], -np.inf
-    rewards = {}   # (picked set, pick) -> selector_reward, a pure function of the pair
-
-    def greedy_pick(free, xi, n_selected) -> int:
-        return int(free[np.argmax(model.scores(states0[free], xi, eps, n_selected))])
-
-    for ep in range(cfg.episodes):
-        explore = exploration_eps(cfg, ep)
-        budget = BudgetVector.zeros(n)
-        free, xi = np.flatnonzero(budget.eps == 0), budget.xi
-        total, picks = 0.0, []
-        for step in range(k):
-            if rng.random() < explore:
-                pick = int(free[rng.integers(free.size)])
-            else:
-                pick = greedy_pick(free, xi, step)
-            nxt_budget = budget.with_agent(pick, eps)
-            key = (frozenset(picks), pick)
-            if key not in rewards:
-                rewards[key] = selector_reward(value_model, states0, budget, nxt_budget)
-            r = rewards[key]
-            total += r
-            picks.append(pick)
-            nxt_free, nxt_xi = np.flatnonzero(nxt_budget.eps == 0), nxt_budget.xi
-            nxt_s0s = states0[nxt_free] if step + 1 < k else states0[:0]
-            buffer.push((states0[pick], xi, step, r, nxt_s0s, nxt_xi))
-            batch = buffer.sample(min(cfg.batch_size, len(buffer)), rng)
-            for s0_b, xi_b, n_b, r_b, nxt_b, nxt_xi_b in batch:
-                boot = cfg.gamma * model.best_score(nxt_b, nxt_xi_b, eps, n_b + 1) \
-                    if nxt_b.size else 0.0
-                model.update(s0_b, xi_b, eps, n_b, r_b + boot, cfg.lr)
-            budget, free, xi = nxt_budget, nxt_free, nxt_xi
-        curve[ep] = total
-        if total > best_total:
-            best_ids, best_total = picks, total
-
-    # greedy readout under the learned pick model
-    budget = BudgetVector.zeros(n)
-    chosen = []
-    for step in range(k):
-        chosen.append(greedy_pick(np.flatnonzero(budget.eps == 0), budget.xi, step))
-        budget = budget.with_agent(chosen[-1], eps)
-    readout_total = predicted_drop(value_model, states0, BudgetVector.from_set(n, chosen, eps))
-    if readout_total < best_total - 1e-9:
-        warnings.warn("learned selector has not converged; returning the best "
-                      "selection seen during training", stacklevel=2)
-        chosen, readout_total = best_ids, best_total
-    attack = AttackSet(np.array(chosen, dtype=int), eps, "rl",
-                       predicted_drop=readout_total)
-    return attack, curve

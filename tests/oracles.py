@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mfvuln.core import (aggregate_budget, check_prob_vector, dual_order, lp_norm,
-                         mix_policy_matrix, sample_actions)
+                         mixing_weights, sample_actions)
 from mfvuln.errors import InvalidInputError
 
 W_MAX = 3.0  # sup of eps + xi + eps*xi over the unit budget square
@@ -80,6 +80,20 @@ def mix_policies(pi_alpha: ActionDist, pi_beta: ActionDist, eps: float) -> Actio
     if a.shape != b.shape:
         raise InvalidInputError("policy supports differ")
     return ActionDist(eps * a + (1.0 - eps) * b)
+
+
+def mix_policy_matrix(alpha_mat, beta_mat, eps_vec) -> np.ndarray:
+    """Row-wise mixture for N agents at once; rows are action distributions.
+
+    The matrices may carry a leading batch axis, (B, N, A); the budgets are
+    then one (N,) vector for the whole batch or one row per batch entry.
+    """
+    alpha_mat = np.asarray(alpha_mat, dtype=float)
+    beta_mat = np.asarray(beta_mat, dtype=float)
+    if alpha_mat.shape != beta_mat.shape:
+        raise InvalidInputError("policy matrices differ in shape")
+    e = mixing_weights(eps_vec, alpha_mat.shape)
+    return e * alpha_mat + (1.0 - e) * beta_mat
 
 
 def check_deviation_bounds(pi_hat: ActionDist, pi_beta: ActionDist, eps: float,
@@ -275,6 +289,19 @@ def neighbor_mean_heading(env, pos, headings) -> np.ndarray:
     return np.angle(np.where(degenerate, vec, total))
 
 
+def selector_reward(value_model, states0, budget_prev, budget_next) -> float:
+    """Predicted population value drop of moving between two budget vectors."""
+    if budget_prev.n_agents != budget_next.n_agents:
+        raise InvalidInputError("budget vectors differ in length")
+    if np.array_equal(budget_prev.eps, budget_next.eps):
+        warnings.warn("degenerate selection step: budgets unchanged", stacklevel=2)
+        return 0.0
+    states0 = np.asarray(states0, dtype=int)
+    v_prev = value_model.values(states0, budget_prev.eps, budget_prev.xi)
+    v_next = value_model.values(states0, budget_next.eps, budget_next.xi)
+    return float((v_prev - v_next).mean())
+
+
 def select_greedy(value_model, states0, k: int, eps: float = 1.0):
     """Greedy selection scoring one candidate at a time with selector_reward.
 
@@ -283,7 +310,7 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
     reference holds for budgets eps >= 1e-3.
     """
     from mfvuln.core import BudgetVector
-    from mfvuln.selection import AttackSet, selector_reward
+    from mfvuln.selection import AttackSet
 
     states0 = np.asarray(states0, dtype=int)
     budget = BudgetVector.zeros(states0.size)
@@ -305,131 +332,6 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
                      predicted_drop=float(np.sum(rewards)) if rewards else 0.0,
                      pick_rewards=np.array(rewards))
 
-
-class DenseSelectorQModel:
-    """Linear pick-value model over a dense [one-hot(s0), xi, eps, picks-so-far, bias]."""
-
-    def __init__(self, n_states: int):
-        self.n_states = n_states
-        self.weights = np.zeros(n_states + 4)
-
-    def features(self, s0: int, xi: float, eps: float, n_selected: int) -> np.ndarray:
-        phi = np.zeros(self.weights.size)
-        phi[int(s0)] = 1.0
-        phi[self.n_states] = xi
-        phi[self.n_states + 1] = eps
-        phi[self.n_states + 2] = n_selected
-        phi[-1] = 1.0
-        return phi
-
-    def score(self, phi) -> float:
-        return float(np.asarray(phi) @ self.weights)
-
-    def update(self, phi, target: float, lr: float):
-        phi = np.asarray(phi)
-        self.weights += lr * (target - self.score(phi)) * phi
-
-
-def select_rl(value_model, states0, k: int, cfg, eps: float, seed):
-    """The learned selector scoring one dense feature vector per candidate.
-
-    Replay records hold the pick's feature vector and those of every next
-    candidate.  Returns (attack set, training curve, learned weights).
-    """
-    from mfvuln.core import BudgetVector, seed_rng
-    from mfvuln.qlearn import ReplayBuffer, exploration_eps
-    from mfvuln.selection import AttackSet, predicted_drop, selector_reward
-
-    cfg.validate()
-    states0 = np.asarray(states0, dtype=int)
-    n = states0.size
-    model = DenseSelectorQModel(value_model.n_states)
-    buffer = ReplayBuffer(cfg.replay_capacity)
-    rng = seed_rng(seed, salt="selector-rl")
-    curve = np.empty(cfg.episodes)
-    best_ids, best_total = [], -np.inf
-
-    def candidate_phis(budget, n_selected):
-        xi = budget.xi
-        return {cand: model.features(states0[cand], xi, eps, n_selected)
-                for cand in range(n) if budget.eps[cand] == 0}
-
-    for ep in range(cfg.episodes):
-        explore = exploration_eps(cfg, ep)
-        budget = BudgetVector.zeros(n)
-        total, picks = 0.0, []
-        for step in range(k):
-            phis = candidate_phis(budget, step)
-            cands = sorted(phis)
-            if rng.random() < explore:
-                pick = cands[rng.integers(len(cands))]
-            else:
-                scores = np.array([model.score(phis[c]) for c in cands])
-                pick = cands[int(np.argmax(scores))]
-            nxt_budget = budget.with_agent(pick, eps)
-            r = selector_reward(value_model, states0, budget, nxt_budget)
-            total += r
-            picks.append(pick)
-            if step + 1 < k:
-                nxt_phis = list(candidate_phis(nxt_budget, step + 1).values())
-            else:
-                nxt_phis = []
-            buffer.push((phis[pick], r, nxt_phis))
-            batch = buffer.sample(min(cfg.batch_size, len(buffer)), rng)
-            for phi_b, r_b, nxt_b in batch:
-                boot = max((model.score(p) for p in nxt_b), default=0.0)
-                model.update(phi_b, r_b + (cfg.gamma * boot if nxt_b else 0.0), cfg.lr)
-            budget = nxt_budget
-        curve[ep] = total
-        if total > best_total:
-            best_ids, best_total = picks, total
-
-    budget = BudgetVector.zeros(n)
-    chosen = []
-    for step in range(k):
-        phis = candidate_phis(budget, step)
-        cands = sorted(phis)
-        scores = np.array([model.score(phis[c]) for c in cands])
-        pick = cands[int(np.argmax(scores))]
-        chosen.append(pick)
-        budget = budget.with_agent(pick, eps)
-    readout_total = 0.0
-    if k:
-        readout_total = predicted_drop(
-            value_model, states0,
-            BudgetVector.from_set(n, chosen, eps) if eps > 0 else BudgetVector.zeros(n))
-    if k and readout_total < best_total - 1e-9:
-        chosen, readout_total = best_ids, best_total
-    attack = AttackSet(np.array(chosen, dtype=int), eps, "rl", predicted_drop=readout_total)
-    return attack, curve, model.weights
-
-
-def assert_select_rl_matches(value_model, states0, k: int, cfg, eps: float, seed):
-    """mfvuln's select_rl reproduces the serial reference on the same inputs:
-    the same ids, curve bytes and predicted_drop, and weights within 1e-9
-    relative (a gathered score may differ from BLAS's dot in the last bit)."""
-    from mfvuln import selection
-
-    models = []
-
-    class Recording(selection.SelectorQModel):
-        def __init__(self, n_states):
-            super().__init__(n_states)
-            models.append(self)
-
-    real, selection.SelectorQModel = selection.SelectorQModel, Recording
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got, curve = selection.select_rl(value_model, states0, k, cfg, eps, seed)
-    finally:
-        selection.SelectorQModel = real
-    want, want_curve, want_weights = select_rl(value_model, states0, k, cfg, eps, seed)
-    assert list(got.ids) == list(want.ids)
-    assert curve.tobytes() == want_curve.tobytes()
-    assert got.predicted_drop == want.predicted_drop
-    gap = np.abs(models[0].weights - want_weights).max()
-    assert gap <= 1e-9 * np.abs(want_weights).max()
 
 # -- serial references of the batched loops ------------------------------------------
 #

@@ -265,12 +265,23 @@ def test_deleted_fit_budget_key_exits_with_error(tmp_path, capsys, key, value):
     assert not os.path.exists(tmp_path / "runs")
 
 
-def test_deleted_brute_cap_key_exits_with_error(tmp_path, capsys):
-    """Brute force is bounded by a fixed cap; the former per-config key is refused."""
-    cfg_path, raw = write_config(tmp_path, selection={"methods": ["brute"], "k": 2,
-                                                      "brute_cap": 10})
+@pytest.mark.parametrize("selection, message", [
+    pytest.param({"methods": ["brute"], "brute_cap": 10},
+                 "unknown key 'brute_cap' in config section 'selection'", id="brute_cap"),
+    pytest.param({"methods": ["greedy"], "rl_episodes": 60},
+                 "unknown key 'rl_episodes' in config section 'selection'", id="rl_episodes"),
+    pytest.param({"methods": ["greedy"], "rl_lr": 0.05},
+                 "unknown key 'rl_lr' in config section 'selection'", id="rl_lr"),
+    pytest.param({"methods": ["greedy"], "rl_gamma": 0.95},
+                 "unknown key 'rl_gamma' in config section 'selection'", id="rl_gamma"),
+    pytest.param({"methods": ["rl"]}, "unknown selection method: rl", id="rl_method"),
+])
+def test_deleted_selection_setting_exits_with_error(tmp_path, capsys, selection, message):
+    """Settings of deleted selectors (the brute-force cap key, the learned selector)
+    are refused at config load, before anything is written."""
+    cfg_path, raw = write_config(tmp_path, selection={"k": 2, **selection})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
-    assert "unknown key 'brute_cap' in config section 'selection'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not os.path.exists(raw["out_dir"])
 
 
@@ -291,18 +302,6 @@ def test_unfillable_correlation_range_exits_at_config_load(tmp_path, capsys, bad
     """A subset range the population cannot fill is refused before the victim trains."""
     cfg_path, raw = write_config(
         tmp_path, correlation={"n_subsets": 10, "episodes": 2, "adv_episodes": 2, **bad})
-    assert main(["pipeline", "--config", str(cfg_path)]) == 2
-    assert message in capsys.readouterr().err
-    assert not os.path.exists(RunPaths(raw["out_dir"]).victim_policy(0))
-
-
-@pytest.mark.parametrize("bad, message", [({"rl_lr": float("nan")}, "lr must be positive"),
-                                          ({"rl_lr": -1.0}, "lr must be positive"),
-                                          ({"rl_gamma": float("nan")}, "gamma must be in"),
-                                          ({"rl_gamma": 3.0}, "gamma must be in")])
-def test_bad_learned_selector_setting_exits_at_config_load(tmp_path, capsys, bad, message):
-    """A bad rl_* value is refused before the victim trains, not at the select stage."""
-    cfg_path, raw = write_config(tmp_path, selection={"methods": ["rl"], "k": 2, **bad})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(RunPaths(raw["out_dir"]).victim_policy(0))

@@ -43,7 +43,7 @@ def finished_copy(tmp_path):
 
 def assert_matches_fixture(out):
     want = sorted(p.name for p in FIXTURE.iterdir())
-    assert len(want) == 24
+    assert len(want) == 21
     assert sorted(p.name for p in out.iterdir()) == want
     differ = [name for name in want
               if (out / name).read_bytes() != (FIXTURE / name).read_bytes()]
@@ -56,7 +56,7 @@ def test_toy_run_reproduces_committed_fixture(tmp_path):
     assert_matches_fixture(out)
 
 
-@pytest.mark.parametrize("target, call", [("fit_robust_value", 1), ("select_rl", 1),
+@pytest.mark.parametrize("target, call", [("fit_robust_value", 1), ("select_random", 1),
                                           ("attacked_returns", 1)])
 def test_interrupted_run_resumes_to_the_fixture(tmp_path, monkeypatch, target, call):
     """A run killed inside a stage and rerun ends with the uninterrupted files.
@@ -112,7 +112,7 @@ def test_correlate_trains_through_the_patched_trainer(tmp_path, monkeypatch):
 
 def test_attack_stage_trains_only_missing_adversaries_in_one_batch(tmp_path, monkeypatch):
     out, _ = finished_copy(tmp_path)
-    for method in ("dc", "rl"):
+    for method in ("dc", "random"):
         for suffix in ("", ".q"):
             (out / f"adversary_{method}_s0.policy{suffix}").unlink()
     real, batches = pipeline.train_adversaries, []

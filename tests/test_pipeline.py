@@ -352,8 +352,7 @@ def test_prediction_anticorrelates_with_attacked_return(tmp_path):
 
 def full_raw(tmp_path):
     return base_raw(
-        selection={"methods": ["greedy", "rl", "random", "dc", "brute"],
-                   "k": 2, "rl_episodes": 30},
+        selection={"methods": ["greedy", "random", "dc", "brute"], "k": 2},
         out_dir=str(tmp_path / "runs"),
     )
 
@@ -369,7 +368,7 @@ def test_run_pipeline_produces_artifacts_and_ledger(tmp_path):
                      paths.trajectories(0), paths.brute_scores(0),
                      paths.ledger()]:
         assert os.path.exists(artifact), artifact
-    for method in ("greedy", "rl", "random", "dc", "brute"):
+    for method in ("greedy", "random", "dc", "brute"):
         assert os.path.exists(paths.attack_set(0, method))
         assert os.path.exists(paths.adversary(0, method))
 
@@ -379,7 +378,7 @@ def test_run_pipeline_produces_artifacts_and_ledger(tmp_path):
     assert ("victim", "mfq", "victim_return") in stages
     assert ("victim", "uniform", "victim_return") in stages
     assert ("value", "tabular", "v0_mean") in stages
-    for method in ("greedy", "rl", "random", "dc", "brute"):
+    for method in ("greedy", "random", "dc", "brute"):
         assert ("select", method, "predicted_drop") in stages
         assert ("attack", method, "attacked_return") in stages
         assert ("attack", method, "coop_return") in stages
@@ -401,7 +400,7 @@ def test_minimal_vicsek_pipeline_smoke(tmp_path):
         "env": {"env_name": "vicsek", "n_agents": 8, "horizon": 12, "seed": 3},
         "victim": {"episodes": 120, "eval_episodes": 6, "min_margin": 0.0},
         "value": {"rollouts": 8},
-        "selection": {"methods": ["greedy", "random"], "k": 2, "rl_episodes": 20},
+        "selection": {"methods": ["greedy", "random"], "k": 2},
         "adversary": {"episodes": 10, "eval_episodes": 4},
         "seeds": [0],
         "out_dir": str(tmp_path / "runs"),
@@ -449,7 +448,7 @@ def test_stage_dependencies_are_enforced(tmp_path):
 def test_run_paths_lists_every_stage_file_it_names(tmp_path):
     paths = RunPaths(str(tmp_path))
     named = [paths.ledger(), paths.victim_policy(0), paths.victim_policy(0) + ".q",
-             paths.trajectories(1), paths.value_model(2), paths.attack_set(0, "rl"),
+             paths.trajectories(1), paths.value_model(2), paths.attack_set(0, "dc"),
              paths.adversary(0, "brute"), paths.brute_scores(0), paths.correlation(3),
              paths.heatmap(0, "per-agent-eps")]
     for path in named + [str(tmp_path / "notes.txt"), paths.experiment_id()]:

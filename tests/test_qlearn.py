@@ -16,11 +16,11 @@ from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import (InvalidConfigError, InvalidInputError,
                            TrainingFailureError)
 from mfvuln.envs.base import Snapshot
-from mfvuln.qlearn import (BoltzmannPolicy, QModel, ReplayBuffer,
-                           TablePolicy, TrainConfig, UniformPolicy, evaluate_policy,
-                           exploration_eps, rollout, softmax_rows, train_victim)
+from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, TrainConfig,
+                           UniformPolicy, evaluate_policy, exploration_eps, rollout,
+                           softmax_rows, train_victim)
 from mfvuln.robust import RobustValueModel
-from mfvuln.selection import AttackSet, SelectorRLConfig, load_attack_set, save_attack_set
+from mfvuln.selection import AttackSet, load_attack_set, save_attack_set
 
 
 def two_state_env(gamma=0.9, c0=0.25):
@@ -173,10 +173,9 @@ def test_train_config_validation():
 
 
 def test_exploration_schedule():
-    # the victim, the adversary and the learned selector share one schedule
+    # the victim and the adversary share one schedule
     schedule = dict(episodes=100, eps_start=1.0, eps_final=0.1, eps_fraction=0.5)
-    for cfg in (TrainConfig(**schedule), AdversaryConfig(**schedule),
-                SelectorRLConfig(**schedule)):
+    for cfg in (TrainConfig(**schedule), AdversaryConfig(**schedule)):
         assert exploration_eps(cfg, 0) == pytest.approx(1.0)
         assert exploration_eps(cfg, 25) == pytest.approx(0.55)
         assert exploration_eps(cfg, 50) == pytest.approx(0.1)
@@ -416,13 +415,3 @@ def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
             save(str(tmp_path / name))
     assert sorted(os.listdir(tmp_path)) == sorted(ARTIFACTS)
     assert {name: Path(tmp_path, name).read_bytes() for name in ARTIFACTS} == before
-
-
-def test_replay_buffer_fifo():
-    buf = ReplayBuffer(capacity=3)
-    for i in range(5):
-        buf.push(i)
-    assert len(buf) == 3
-    assert sorted(buf._data) == [2, 3, 4]
-    with pytest.raises(InvalidConfigError):
-        ReplayBuffer(capacity=0)

@@ -1,9 +1,7 @@
 """Attack-set selection against crafted value models and exhaustive search."""
 
 import itertools
-import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +12,9 @@ from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs.base import Snapshot
 from mfvuln.envs.vicsek import VicsekConfig, VicsekEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
-from mfvuln.pipeline import Run, stage_fit_value, stage_train_victim
 from mfvuln.robust import RobustValueModel
 from mfvuln.selection import (
     AttackSet,
-    SelectorRLConfig,
     load_attack_set,
     predicted_drop,
     save_attack_set,
@@ -26,14 +22,12 @@ from mfvuln.selection import (
     select_degree_centrality,
     select_greedy,
     select_random,
-    select_rl,
-    selector_reward,
 )
 
 import oracles
+from oracles import selector_reward
 
 GAMMA = 0.95
-TOY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "toy.yaml"
 
 
 def value_model(damp_per_state, base_per_state=None):
@@ -308,95 +302,6 @@ def test_bruteforce_returns_the_argmin_and_full_table():
     assert attack.method == "brute"
     assert len(table) == 6
     assert min(r for _, r in table) == 2.0
-
-
-# -- learned selector --------------------------------------------------------------
-
-
-def test_rl_selector_finds_the_dominant_agent():
-    damp = np.array([0.1, 0.2, 0.15, 5.0, 0.12, 0.18])
-    model = value_model(damp)
-    states0 = np.arange(6)
-    hits = 0
-    for seed in range(20):
-        attack, curve = select_rl(model, states0, 2, SelectorRLConfig(episodes=150),
-                                  1.0, seed)
-        hits += int(3 in attack.ids)
-        assert curve.shape == (150,)
-    assert hits >= 19
-
-
-def test_rl_selector_beats_random_selection_on_average():
-    rng = seed_rng(47)
-    n = 8
-    states0 = np.arange(n)
-    rl_drops, rand_drops = [], []
-    for trial in range(30):
-        model = value_model(rng.random(n) * 4)
-        attack, _ = select_rl(model, states0, 2, SelectorRLConfig(episodes=120), 1.0,
-                              trial)
-        rl_drops.append(drop_of(model, states0, attack.ids))
-        rand_drops.append(drop_of(model, states0, select_random(n, 2, seed=(trial, 9)).ids))
-    assert np.mean(rl_drops) > np.mean(rand_drops)
-
-
-def test_rl_selector_falls_back_to_the_best_seen_selection():
-    # all pick rewards are negative, so after one exploration episode the
-    # readout prefers untouched ids (score zero) over the explored ones and
-    # lands on the worst candidates; the guard must return the best seen set
-    damp = np.array([-5.0, -4.0, -3.0, -2.0, -1.0, 0.0])
-    model = value_model(damp)
-    states0 = np.arange(6)
-    cfg = SelectorRLConfig(episodes=1, lr=0.1, eps_start=1.0, eps_final=1.0)
-    with pytest.warns(UserWarning, match="not converged"):
-        attack, _ = select_rl(model, states0, 2, cfg, 1.0, 0)
-    assert drop_of(model, states0, attack.ids) > drop_of(model, states0, [0, 1])
-    assert attack.predicted_drop == pytest.approx(
-        drop_of(model, states0, attack.ids), abs=1e-9)
-
-
-@pytest.fixture(scope="module")
-def toy_value_models(tmp_path_factory):
-    """Value models fitted on configs/toy.yaml at seeds 0-4, with their start states."""
-    run = Run(TOY_CONFIG, out_dir=tmp_path_factory.mktemp("toy"), seeds=range(5))
-    fitted = {}
-    for seed in run.cfg.seeds:
-        stage_train_victim(run, seed)
-        fitted[seed] = (stage_fit_value(run, seed), run.env.reset(seed=seed).states)
-    return fitted
-
-
-@pytest.mark.parametrize("k", [2, 4])
-def test_rl_selector_matches_the_serial_reference_on_toy(toy_value_models, k):
-    cfg = SelectorRLConfig(episodes=60)   # configs/toy.yaml's rl_episodes
-    for seed, (vmodel, states0) in toy_value_models.items():
-        oracles.assert_select_rl_matches(vmodel, states0, k, cfg, 1.0, seed)
-
-
-def test_rl_selector_replay_memory_stays_small():
-    """Replay records keep a few numbers per pick, not dense feature vectors
-    (which took about 10 MB on this problem)."""
-    rng = seed_rng(5, salt="selector-memory")
-    model = value_model(rng.random(100) * 400, base_per_state=rng.normal(size=100))
-    states0 = rng.integers(100, size=16)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tracemalloc.start()
-        try:
-            select_rl(model, states0, 4, SelectorRLConfig(), 1.0, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 1_000_000
-
-
-def test_rl_config_validation():
-    for bad in (dict(episodes=0), dict(lr=0.0), dict(lr=-1.0), dict(lr=float("nan")),
-                dict(gamma=float("nan")), dict(gamma=1.0), dict(gamma=3.0), dict(gamma=-0.1),
-                dict(eps_start=0.1, eps_final=0.5)):
-        with pytest.raises(InvalidConfigError):
-            SelectorRLConfig(**bad).validate()
-    SelectorRLConfig(gamma=0.0).validate()
 
 
 # -- attack-set record --------------------------------------------------------------
