@@ -270,10 +270,6 @@ def test_deleted_fit_budget_key_exits_with_error(tmp_path, capsys, key, value):
                  "unknown key 'brute_cap' in config section 'selection'", id="brute_cap"),
     pytest.param({"methods": ["greedy"], "rl_episodes": 60},
                  "unknown key 'rl_episodes' in config section 'selection'", id="rl_episodes"),
-    pytest.param({"methods": ["greedy"], "rl_lr": 0.05},
-                 "unknown key 'rl_lr' in config section 'selection'", id="rl_lr"),
-    pytest.param({"methods": ["greedy"], "rl_gamma": 0.95},
-                 "unknown key 'rl_gamma' in config section 'selection'", id="rl_gamma"),
     pytest.param({"methods": ["rl"]}, "unknown selection method: rl", id="rl_method"),
 ])
 def test_deleted_selection_setting_exits_with_error(tmp_path, capsys, selection, message):
@@ -283,6 +279,21 @@ def test_deleted_selection_setting_exits_with_error(tmp_path, capsys, selection,
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(raw["out_dir"])
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param({"rl_lr": float("nan")}, id="bad0-lr must be positive"),
+    pytest.param({"rl_lr": -1.0}, id="bad1-lr must be positive"),
+    pytest.param({"rl_gamma": float("nan")}, id="bad2-gamma must be in"),
+    pytest.param({"rl_gamma": 3.0}, id="bad3-gamma must be in"),
+])
+def test_bad_learned_selector_setting_exits_at_config_load(tmp_path, capsys, bad):
+    """A former rl_* value, bad or not, is refused by name before the victim trains."""
+    (key,) = bad
+    cfg_path, raw = write_config(tmp_path, selection={"methods": ["greedy"], "k": 2, **bad})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert f"unknown key '{key}' in config section 'selection'" in capsys.readouterr().err
+    assert not os.path.exists(RunPaths(raw["out_dir"]).victim_policy(0))
 
 
 def test_taxi_demand_beyond_the_poisson_limit_exits_at_config_load(tmp_path, capsys):
