@@ -16,7 +16,9 @@ experiment.
 Independent episodes step together as a batch: ``stack_snapshots`` puts B
 snapshots on a leading axis, and ``step_batch`` advances them with (B, N)
 actions.  Each episode keeps its own noise stream, so an episode's bytes do
-not depend on the batch it runs in.
+not depend on the batch it runs in.  Taxi and vicsek step a batch in one
+pass, and their ``step`` is the one-episode case of it; only toy still steps
+a batch one episode at a time, through the default ``step_batch`` here.
 """
 
 from __future__ import annotations
@@ -124,7 +126,8 @@ class MeanFieldEnv:
     def step_batch(self, batch: Snapshot, actions) -> StepResult:
         """Advance a batch of B episodes by (B, N) actions; rewards are (B,).
 
-        This default steps the episodes one at a time through ``step``.
+        This default steps the episodes one at a time through ``step``; only
+        toy uses it (taxi and vicsek have batch kernels of their own).
         """
         actions = self._check_actions(batch, actions)
         results = [self.step(snap, a) for snap, a in zip(batch.episodes(), actions)]
@@ -159,24 +162,31 @@ class MeanFieldEnv:
         return StepResult(snapshot, snapshot.states, float(reward))
 
 
-def torus_sq_pairwise(pos, lengths, work=None) -> np.ndarray:
-    """(N, N) squared minimal-image distances of (N, 2) positions on a torus.
+def torus_sq_pairwise(pos, lengths, work=None, rows=slice(None)) -> np.ndarray:
+    """(..., N, N) squared minimal-image distances of (..., N, 2) positions on a torus.
 
     Per axis of side L, min(d, L - d) with d = |x_i - x_j|: no float modulo,
     valid for coordinates in [0, L] (both torus envs keep them in [0, L)).
-    Works in place in three (N, N) buffers, ``work`` (3, N, N) if given, else
-    new ones; the result is the first.
+    ``rows`` picks the i of a block of rows: (..., R, N) from the R positions
+    pos[..., rows, :] to all N.  Works in place in a (2, 2, ..., R, N) buffer,
+    ``work`` if given, else a new one; the result is ``work[1, 0]``.
     """
-    n = len(pos)
-    sq, d, far = np.empty((3, n, n)) if work is None else work
-    for axis, (x, length) in enumerate(zip(np.transpose(pos), np.broadcast_to(lengths, 2))):
-        diff = d if axis else sq
-        np.subtract.outer(x, x, out=diff)
-        np.subtract(length, np.abs(diff, out=diff), out=far)
-        np.square(np.minimum(diff, far, out=diff), out=diff)
-        if axis:
-            np.add(sq, d, out=sq)
-    return sq
+    pos = np.asarray(pos, dtype=float)
+    coords = np.moveaxis(pos, -1, 0)                       # (2, ..., N)
+    # x_i - x_j as the product [x_i, 1] @ [1, -x_j]: both terms are exact, so the
+    # one rounding of their sum is the subtraction's, and BLAS writes whole rows
+    # where a broadcast subtract steps the rows one at a time
+    lhs = np.ones(coords[..., rows].shape + (2,))
+    lhs[..., 0] = coords[..., rows]
+    rhs = np.ones(coords.shape[:-1] + (2,) + coords.shape[-1:])
+    np.negative(coords, out=rhs[..., 1, :])
+    if work is None:
+        work = np.empty((2,) + lhs.shape[:-1] + coords.shape[-1:])
+    diff, far = work
+    np.abs(np.matmul(lhs, rhs, out=diff), out=diff)
+    np.subtract(np.reshape(lengths, (-1,) + (1,) * (diff.ndim - 1)), diff, out=far)
+    np.square(np.minimum(diff, far, out=diff), out=diff)
+    return np.add(diff[0], diff[1], out=far[0])
 
 
 def torus_pairwise(pos, lengths) -> np.ndarray:

@@ -10,12 +10,13 @@ An agent's discrete local state combines its own heading sector with the
 sector of its offset from the local neighbourhood mean heading, so a state
 reads "roughly north, pointing left of my neighbours".
 
-The built-in alignment rule steers each agent toward the mean heading of
-its neighbourhood: itself and every agent at squared torus distance at most
-comm_radius**2 (positions stay in [0, world_size)).  With zero noise the
-rule picks the increment closest to the exact correction; with noise the
-correction is smeared by a Gaussian before discretisation, which makes the
-induced action distribution an explicit mixture rather than a point mass.
+An agent's neighbourhood is itself and every agent at squared torus
+distance at most comm_radius**2 (positions stay in [0, world_size)).  One
+step of a batch of episodes, or of one, is one pass over their adjacency,
+built a cache-sized tile at a time.  The paper's alignment rule (steer
+toward the neighbourhood mean heading, smeared by ``noise``) is not a
+policy here: no experiment runs a rule-based victim, and only the tests
+keep it, as a reference.
 """
 
 from __future__ import annotations
@@ -28,10 +29,16 @@ import numpy as np
 
 from ..core import seed_rng
 from ..errors import InvalidConfigError
-from .base import (MeanFieldEnv, Snapshot, build_config, require_finite, torus_pairwise,
-                   torus_sq_pairwise, wrap_angle)
+from .base import (MeanFieldEnv, Snapshot, StepResult, build_config, require_finite,
+                   torus_pairwise, torus_sq_pairwise, wrap_angle)
 
-SQRT2 = math.sqrt(2.0)
+# float64 entries of one adjacency tile; a whole (N, N) episode fits up to N = 181
+TILE = 1 << 15
+# a block of rows starts at a multiple of this and keeps at least two rows;
+# BLAS then sums each row as the full (N, N) product does, where a one-row
+# product goes through another kernel and may differ in the last bit
+# (tests/test_envs.py checks the bytes at N = 200, 289, 320 and 353)
+ROW_ALIGN = 32
 
 
 @dataclass
@@ -90,8 +97,10 @@ class VicsekConfig:
                     "n_clusters disagrees with len(cluster_sizes)")
 
 
-def order_parameter(headings) -> float:
-    return float(np.abs(np.exp(1j * np.asarray(headings)).mean()))
+def order_parameter(headings):
+    """Polarisation of (..., N) headings: a float for one episode, (...) for a batch."""
+    headings = np.asarray(headings)
+    return np.abs(np.exp(1j * headings).sum(axis=-1) / headings.shape[-1])
 
 
 def _cluster_sizes(n_agents: int, n_clusters: int):
@@ -105,14 +114,52 @@ def _cluster_sizes(n_agents: int, n_clusters: int):
     return sizes
 
 
+def _unit(headings) -> np.ndarray:
+    """(..., N, 2) unit vectors (cos, sin) of (..., N) headings."""
+    vec = np.empty(headings.shape + (2,))
+    vec[..., 0] = np.cos(headings)
+    vec[..., 1] = np.sin(headings)
+    return vec
+
+
+def _tile_rows(n: int) -> int:
+    """Adjacency rows of one neighbour tile for n agents: whole episodes (a
+    multiple of n) while an episode fits TILE entries, else a block of rows."""
+    per = TILE // n
+    return per // n * n if per >= n else max(ROW_ALIGN, per // ROW_ALIGN * ROW_ALIGN)
+
+
+def _tile_buffer(n: int) -> np.ndarray:
+    """Work space of torus_sq_pairwise for the largest tile of n agents."""
+    return np.empty((2, 2, (_tile_rows(n) + 1) * n))
+
+
+def _tiles(n_episodes: int, n: int):
+    """(episodes, rows) slice pairs that cover a batch's (B, N, N) adjacency.
+
+    A tile of whole episodes holds _tile_rows(n) // n of them; a large
+    episode splits into blocks of _tile_rows(n) rows, the last of which takes
+    the rest, one extra row at most.
+    """
+    rows = _tile_rows(n)
+    if rows >= n:
+        per = rows // n
+        return [(slice(b, min(b + per, n_episodes)), slice(0, n))
+                for b in range(0, n_episodes, per)]
+    starts = [*range(0, n - 1, rows), n]
+    return [(slice(b, b + 1), slice(lo, hi))
+            for b in range(n_episodes) for lo, hi in zip(starts, starts[1:])]
+
+
 class VicsekEnv(MeanFieldEnv):
     def __init__(self, config: VicsekConfig):
         config.validate()
         self.config = config
         self.turns = (np.arange(config.n_actions) - (config.n_actions - 1) / 2.0) * config.turn_delta
-        # (N, N) buffers reused by every neighbour computation: fresh ones at
-        # large N are separate mmaps, and faulting them in dominated the step
-        self._work = np.empty((4, 0, 0))
+        # the one work buffer of every neighbour pass, four tiles of (rows + 1) * N
+        # entries: its size depends on N alone, so no step allocates one, whatever
+        # its batch, and a tile stays cache-sized where a whole (N, N) one would not
+        self._work = _tile_buffer(config.n_agents)
 
     @property
     def n_states(self) -> int:
@@ -153,72 +200,56 @@ class VicsekEnv(MeanFieldEnv):
 
     def neighbor_mean_heading(self, pos, headings) -> np.ndarray:
         """Circular mean heading over each agent's neighbourhood: itself and every
-        agent at squared torus distance <= comm_radius**2; pos in [0, world_size)."""
-        n = len(pos)
-        if self._work.shape[1:] != (n, n):
-            self._work = np.empty((4, n, n))
-        sq = torus_sq_pairwise(pos, self.config.world_size, self._work[:3])
-        adj = np.less_equal(sq, self.config.comm_radius ** 2, out=self._work[3])  # 1.0 or 0.0
-        np.fill_diagonal(adj, 1.0)
-        vec = np.column_stack([np.cos(headings), np.sin(headings)])
-        total = adj @ vec
+        agent at squared torus distance <= comm_radius**2; pos in [0, world_size).
+
+        Takes (..., N, 2) positions and (..., N) headings, any leading batch axes,
+        and returns (..., N).  The adjacency is built a tile at a time (see
+        _tiles); every episode's row sums come out as its own 2-D ``adj @ vec``.
+        """
+        headings = np.asarray(headings)
+        n = headings.shape[-1]
+        vec = _unit(headings).reshape(-1, n, 2)
+        pos = np.reshape(pos, vec.shape)
+        work = self._work if n == self.config.n_agents else _tile_buffer(n)
+        total = np.empty(vec.shape)
+        for eps, rows in _tiles(len(vec), n):
+            shape = (eps.stop - eps.start, rows.stop - rows.start, n)
+            sq = torus_sq_pairwise(pos[eps], self.config.world_size,
+                                   work[..., :math.prod(shape)].reshape((2, 2) + shape), rows)
+            adj = np.less_equal(sq, self.config.comm_radius ** 2, out=sq)  # 1.0 or 0.0
+            adj.reshape(shape[0], -1)[:, rows.start::n + 1] = 1.0          # self loops
+            np.matmul(adj, vec[eps], out=total[eps, rows])
         # a perfectly cancelling neighbourhood falls back to the agent's own heading
-        degenerate = np.hypot(total[:, 0], total[:, 1]) < 1e-12
-        total[degenerate] = vec[degenerate]
-        return np.arctan2(total[:, 1], total[:, 0])
+        np.copyto(total, vec, where=np.hypot(total[..., :1], total[..., 1:]) < 1e-12)
+        return np.arctan2(total[..., 1], total[..., 0]).reshape(headings.shape)
 
     def _discretize(self, pos, headings) -> np.ndarray:
         cfg = self.config
         hb = ((headings + np.pi) / (2 * np.pi) * cfg.heading_bins).astype(int)
-        hb = np.clip(hb, 0, cfg.heading_bins - 1)
         offset = wrap_angle(self.neighbor_mean_heading(pos, headings) - headings)
         ob = ((offset + np.pi) / (2 * np.pi) * cfg.offset_bins).astype(int)
-        ob = np.clip(ob, 0, cfg.offset_bins - 1)
-        return hb * cfg.offset_bins + ob
+        return (np.minimum(np.maximum(hb, 0, out=hb), cfg.heading_bins - 1, out=hb)
+                * cfg.offset_bins
+                + np.minimum(np.maximum(ob, 0, out=ob), cfg.offset_bins - 1, out=ob))
+
+    def step_batch(self, batch: Snapshot, actions) -> StepResult:
+        """Advance B episodes, or one: (..., N) headings and states, (..., N, 2)
+        positions and (...) rewards, all in one pass."""
+        actions = self._check_actions(batch, actions)
+        cfg = self.config
+        headings = wrap_angle(batch.headings + self.turns[actions])
+        pos = (batch.pos + cfg.speed * _unit(headings)) % cfg.world_size
+        states = self._discretize(pos, headings)
+        nxt = Snapshot(t=batch.t + 1, states=states, rng=batch.rng, pos=pos, headings=headings)
+        return StepResult(nxt, states, order_parameter(headings))
 
     def step(self, snapshot: Snapshot, actions):
-        actions = self._check_actions(snapshot, actions)
-        cfg = self.config
-        headings = wrap_angle(snapshot.headings + self.turns[actions])
-        pos = (snapshot.pos + cfg.speed * np.column_stack([np.cos(headings), np.sin(headings)])) % cfg.world_size
-        states = self._discretize(pos, headings)
-        nxt = Snapshot(t=snapshot.t + 1, states=states, rng=snapshot.rng, pos=pos, headings=headings)
-        return self._finish_step(nxt, order_parameter(headings))
+        """One episode: step_batch on (N,) arrays."""
+        res = self.step_batch(snapshot, actions)
+        return self._finish_step(res.snapshot, res.reward)
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         return torus_pairwise(snapshot.pos, self.config.world_size)
-
-    # -- alignment rule ----------------------------------------------------
-
-    def rule_action_dists(self, snapshot: Snapshot, noise=None) -> np.ndarray:
-        """(N, A) action distributions of the alignment rule.
-
-        The desired correction is the offset to the neighbourhood mean
-        heading; Gaussian smearing with the configured angular noise is
-        integrated exactly over the rounding cells of the turn increments.
-        """
-        sigma = self.config.noise if noise is None else noise
-        desired = wrap_angle(self.neighbor_mean_heading(snapshot.pos, snapshot.headings)
-                             - snapshot.headings)
-        n, a = desired.size, self.config.n_actions
-        if sigma == 0.0:
-            dist = np.zeros((n, a))
-            dist[np.arange(n), np.abs(desired[:, None] - self.turns[None, :]).argmin(axis=1)] = 1.0
-            return dist
-        edges = (self.turns[:-1] + self.turns[1:]) / 2.0
-        z = (edges[None, :] - desired[:, None]) / (sigma * SQRT2)
-        cdf = np.empty((n, a + 1))
-        cdf[:, 0], cdf[:, -1] = 0.0, 1.0
-        cdf[:, 1:-1] = 0.5 * (1.0 + np.vectorize(math.erf)(z))
-        return np.diff(cdf, axis=1)
-
-    def rule_actions(self, snapshot: Snapshot, noise=None) -> np.ndarray:
-        """Sampled rule actions; zero noise reduces to the nearest increment."""
-        dist = self.rule_action_dists(snapshot, noise=noise)
-        cdf = np.cumsum(dist, axis=1)
-        cdf[:, -1] = 1.0
-        u = snapshot.rng.random(dist.shape[0])
-        return (u[:, None] < cdf).argmax(axis=1)
 
 
 def make_vicsek(raw: dict) -> VicsekEnv:

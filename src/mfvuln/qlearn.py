@@ -223,20 +223,6 @@ class TablePolicy:
         return self.table[np.asarray(snapshot.states, dtype=int)]
 
 
-class RulePolicy:
-    """Wraps an environment's built-in behaviour rule (Vicsek alignment)."""
-
-    def __init__(self, env, noise=None):
-        self.env = env
-        self.noise = noise
-        self.n_actions = env.n_actions
-
-    def action_dists(self, snapshot) -> np.ndarray:
-        if snapshot.states.ndim == 2:
-            return np.stack([self.action_dists(s) for s in snapshot.episodes()])
-        return self.env.rule_action_dists(snapshot, noise=self.noise)
-
-
 # -- trajectories --------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ Pessimistic backup.  For a logged step (s, a, r, s') the robust target is
 a gamma-contraction in V under the sup norm over (s, eps, xi).
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -275,15 +276,22 @@ def torus_distances(pos, lengths) -> np.ndarray:
 
 
 def vicsek_adjacency(env, pos) -> np.ndarray:
-    """Neighbourhood of the alignment rule, self included."""
+    """Neighbourhood of the alignment rule, self included; (..., N, 2) -> (..., N, N)."""
+    pos = np.asarray(pos)
+    if pos.ndim > 2:
+        return np.array([vicsek_adjacency(env, p) for p in pos])
     adj = torus_distances(pos, env.config.world_size) <= env.config.comm_radius
     np.fill_diagonal(adj, True)
     return adj
 
 
 def neighbor_mean_heading(env, pos, headings) -> np.ndarray:
-    """Circular mean heading as a complex sum over the neighbourhood."""
-    vec = np.exp(1j * np.asarray(headings))
+    """Circular mean heading as a complex sum over the neighbourhood, one episode
+    at a time over any leading batch axes."""
+    headings = np.asarray(headings)
+    if headings.ndim > 1:
+        return np.array([neighbor_mean_heading(env, p, h) for p, h in zip(pos, headings)])
+    vec = np.exp(1j * headings)
     total = vicsek_adjacency(env, pos) @ vec
     degenerate = np.abs(total) < 1e-12
     return np.angle(np.where(degenerate, vec, total))
@@ -336,8 +344,9 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
 # -- serial references of the batched loops ------------------------------------------
 #
 # What the package ran before independent episodes and learners were stepped
-# as one batch: the taxi dynamics per snapshot through (x, y) arithmetic, and
-# adversary SARSA one learner at a time on its own (S, A) table.
+# as one batch: the taxi dynamics per snapshot through (x, y) arithmetic, the
+# vicsek step per episode on its dense (N, N) adjacency, and adversary SARSA
+# one learner at a time on its own (S, A) table.
 
 
 def taxi_step(env, snapshot, actions):
@@ -397,6 +406,94 @@ def train_adversary_serial(env, victim_policy, budgets, cfg, seed, step=None):
             snap = res.snapshot
         curve[ep] = ret
     return model, curve
+
+
+def dense_mean_heading(env, pos, headings) -> np.ndarray:
+    """The package's mean heading before its tiled kernel, one episode: the dense
+    (N, N) adjacency with its diagonal filled, and one 2-D ``adj @ vec``."""
+    from mfvuln.envs.base import torus_sq_pairwise
+
+    adj = (torus_sq_pairwise(pos, env.config.world_size) <= env.config.comm_radius ** 2)
+    adj = adj.astype(float)
+    np.fill_diagonal(adj, 1.0)
+    vec = np.column_stack([np.cos(headings), np.sin(headings)])
+    total = adj @ vec
+    degenerate = np.hypot(total[:, 0], total[:, 1]) < 1e-12
+    total[degenerate] = vec[degenerate]
+    return np.arctan2(total[:, 1], total[:, 0])
+
+
+def vicsek_step(env, snapshot, actions):
+    """One vicsek episode step as the package ran it before its batch kernel."""
+    from mfvuln.envs import Snapshot, StepResult
+    from mfvuln.envs.base import wrap_angle
+
+    cfg = env.config
+    headings = wrap_angle(snapshot.headings + env.turns[np.asarray(actions, dtype=int)])
+    pos = (snapshot.pos + cfg.speed * np.column_stack([np.cos(headings), np.sin(headings)])) \
+        % cfg.world_size
+    offset = wrap_angle(dense_mean_heading(env, pos, headings) - headings)
+    hb = ((headings + np.pi) / (2 * np.pi) * cfg.heading_bins).astype(int)
+    ob = ((offset + np.pi) / (2 * np.pi) * cfg.offset_bins).astype(int)
+    states = np.clip(hb, 0, cfg.heading_bins - 1) * cfg.offset_bins \
+        + np.clip(ob, 0, cfg.offset_bins - 1)
+    nxt = Snapshot(t=snapshot.t + 1, states=states, rng=snapshot.rng, pos=pos, headings=headings)
+    return StepResult(nxt, states, float(np.abs(np.exp(1j * headings).mean())))
+
+
+# -- the vicsek alignment rule -----------------------------------------------------------
+#
+# The paper's rule-based victim: each agent steers toward its neighbourhood's
+# mean heading.  No experiment here runs it (rule-based systems are out of
+# scope), so it lives with the tests that check the kernel through it.
+
+
+def rule_action_dists(env, snapshot, noise=None) -> np.ndarray:
+    """(N, A) action distributions of the alignment rule.
+
+    The desired correction is the offset to the neighbourhood mean heading;
+    Gaussian smearing with the angular noise (the env's if None) is
+    integrated exactly over the rounding cells of the turn increments.
+    """
+    from mfvuln.envs.base import wrap_angle
+
+    sigma = env.config.noise if noise is None else noise
+    desired = wrap_angle(env.neighbor_mean_heading(snapshot.pos, snapshot.headings)
+                         - snapshot.headings)
+    n, a = desired.size, env.config.n_actions
+    if sigma == 0.0:
+        dist = np.zeros((n, a))
+        dist[np.arange(n), np.abs(desired[:, None] - env.turns[None, :]).argmin(axis=1)] = 1.0
+        return dist
+    edges = (env.turns[:-1] + env.turns[1:]) / 2.0
+    z = (edges[None, :] - desired[:, None]) / (sigma * math.sqrt(2.0))
+    cdf = np.empty((n, a + 1))
+    cdf[:, 0], cdf[:, -1] = 0.0, 1.0
+    cdf[:, 1:-1] = 0.5 * (1.0 + np.vectorize(math.erf)(z))
+    return np.diff(cdf, axis=1)
+
+
+def rule_actions(env, snapshot, noise=None) -> np.ndarray:
+    """Sampled rule actions; zero noise reduces to the nearest increment."""
+    dist = rule_action_dists(env, snapshot, noise=noise)
+    cdf = np.cumsum(dist, axis=1)
+    cdf[:, -1] = 1.0
+    u = snapshot.rng.random(dist.shape[0])
+    return (u[:, None] < cdf).argmax(axis=1)
+
+
+class RulePolicy:
+    """The alignment rule of a vicsek env as a policy, one episode at a time."""
+
+    def __init__(self, env, noise=None):
+        self.env = env
+        self.noise = noise
+        self.n_actions = env.n_actions
+
+    def action_dists(self, snapshot) -> np.ndarray:
+        if snapshot.states.ndim == 2:
+            return np.stack([self.action_dists(s) for s in snapshot.episodes()])
+        return rule_action_dists(self.env, snapshot, noise=self.noise)
 
 
 # -- per-transition value fits ---------------------------------------------------------

@@ -15,8 +15,8 @@ from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
 from mfvuln.errors import InvalidConfigError, InvalidInputError
-from mfvuln.qlearn import (BoltzmannPolicy, QModel, RulePolicy, UniformPolicy,
-                           evaluate_policy, rollout, rollouts)
+from mfvuln.qlearn import (BoltzmannPolicy, QModel, UniformPolicy, evaluate_policy, rollout,
+                           rollouts)
 
 import oracles
 
@@ -42,9 +42,11 @@ def victim_of(env) -> BoltzmannPolicy:
 
 
 def serial_step(env):
-    """The reference step: per-snapshot arithmetic on taxi, the env's own step elsewhere."""
+    """The reference step: per-snapshot arithmetic on taxi and vicsek, toy's own step."""
     if isinstance(env, TaxiGridEnv):
         return lambda snap, actions: oracles.taxi_step(env, snap, actions)
+    if isinstance(env, VicsekEnv):
+        return lambda snap, actions: oracles.vicsek_step(env, snap, actions)
     return env.step
 
 
@@ -201,7 +203,7 @@ def test_rollouts_equal_one_rollout_per_seed(name):
 
 def test_rule_policy_steps_a_batch_one_episode_at_a_time():
     env = ENVS["vicsek"]()
-    policy = RulePolicy(env, noise=0.3)
+    policy = oracles.RulePolicy(env, noise=0.3)
     batch = stack_snapshots([env.reset(seed=s) for s in range(3)])
     dists = policy.action_dists(batch)
     assert dists.shape == (3, env.n_agents, env.n_actions)

@@ -4,20 +4,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfvuln.core import seed_rng
 from mfvuln.envs import (TaxiGridEnv, ToyMeanFieldEnv, VicsekEnv, agent_layout, make_env,
                          order_parameter)
-from mfvuln.envs.base import torus_pairwise, torus_sq_pairwise, wrap_angle
+from mfvuln.envs.base import stack_snapshots, torus_pairwise, torus_sq_pairwise, wrap_angle
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.pipeline import load_experiment_config
-from mfvuln.qlearn import RulePolicy, UniformPolicy, rollout
+from mfvuln.qlearn import UniformPolicy, rollout
 
 import oracles
-from oracles import torus_delta
+from oracles import RulePolicy, rule_action_dists, rule_actions, torus_delta
 
 
 VICSEK_YAML = Path(__file__).resolve().parent.parent / "configs" / "vicsek.yaml"
@@ -146,7 +148,7 @@ def test_rule_no_turn_at_alignment():
     snap = env.reset(seed=0)
     snap.headings[:] = 0.7
     snap.states = env._discretize(snap.pos, snap.headings)
-    dists = env.rule_action_dists(snap, noise=0.0)
+    dists = rule_action_dists(env, snap, noise=0.0)
     stay = (env.config.n_actions - 1) // 2
     assert np.all(dists.argmax(axis=1) == stay)
     assert np.allclose(dists[:, stay], 1.0)
@@ -157,7 +159,7 @@ def test_rule_isolated_agent_keeps_heading():
     snap = env.reset(seed=0)
     snap.pos = np.array([[5.0, 5.0], [30.0, 30.0]])  # far apart on the torus
     snap.headings = np.array([1.1, -2.0])
-    dists = env.rule_action_dists(snap, noise=0.0)
+    dists = rule_action_dists(env, snap, noise=0.0)
     stay = (env.config.n_actions - 1) // 2
     assert np.allclose(dists[:, stay], 1.0)
 
@@ -168,7 +170,7 @@ def test_rule_two_agents_meet_at_diagonal():
     snap = env.reset(seed=0)
     snap.pos = np.array([[5.0, 5.0], [5.5, 5.0]])
     snap.headings = np.array([0.0, np.pi / 2])
-    acts = env.rule_actions(snap, noise=0.0)
+    acts = rule_actions(env, snap, noise=0.0)
     res = env.step(snap, acts)
     assert np.allclose(res.snapshot.headings, np.pi / 4)
     assert res.reward == pytest.approx(1.0)
@@ -181,7 +183,7 @@ def test_rule_alignment_never_regresses():
     phi = order_parameter(snap.headings)
     policy = RulePolicy(env, noise=0.0)
     for _ in range(env.horizon):
-        acts = env.rule_actions(snap, noise=0.0)
+        acts = rule_actions(env, snap, noise=0.0)
         res = env.step(snap, acts)
         assert res.reward >= phi - 1e-12
         phi = res.reward
@@ -192,7 +194,7 @@ def test_rule_alignment_never_regresses():
 def test_rule_noise_spreads_actions():
     env = small_vicsek(noise=0.4)
     snap = env.reset(seed=1)
-    dists = env.rule_action_dists(snap)
+    dists = rule_action_dists(env, snap)
     assert np.allclose(dists.sum(axis=1), 1.0)
     assert np.all(dists.max(axis=1) < 1.0)
 
@@ -328,6 +330,90 @@ def test_neighbour_kernel_gives_the_same_bytes_after_a_call_of_another_size():
     assert again.tobytes() == first.tobytes()
     assert np.abs(wrap_angle(first - oracles.neighbor_mean_heading(
         env, snap.pos, snap.headings))).max() <= 1e-12
+    # B = 1, then B = 20 and one episode on its own, then B = 1 again
+    batch = stack_snapshots([snap] + [env.reset(seed=s) for s in range(19)])
+    before = env.neighbor_mean_heading(snap.pos[None], snap.headings[None])
+    twenty = env.neighbor_mean_heading(batch.pos, batch.headings)
+    alone = env.neighbor_mean_heading(batch.pos[7], batch.headings[7])
+    after = env.neighbor_mean_heading(snap.pos[None], snap.headings[None])
+    assert before.shape == after.shape == (1, 64) and twenty.shape == (20, 64)
+    assert before.tobytes() == after.tobytes() == first.tobytes() == twenty[0].tobytes()
+    assert alone.tobytes() == twenty[7].tobytes()
+
+
+@pytest.mark.parametrize("n", [200, 289, 320, 353])
+def test_row_blocks_sum_as_the_dense_product(n):
+    """Large N splits an episode into row blocks (289 = 96 + 96 + 97 folds a
+    one-row remainder into the last block); each row's sum keeps its bytes.
+    A uniform layout gives every row about 19 neighbours to sum."""
+    env = VicsekEnv(VicsekConfig(n_agents=n, world_size=float(np.sqrt(1.5 * n)), seed=n))
+    batch = stack_snapshots([env.reset(seed=(13, b)) for b in range(3)])
+    for t in range(10):
+        means = env.neighbor_mean_heading(batch.pos, batch.headings)
+        for b, snap in enumerate(batch.episodes()):
+            want = oracles.dense_mean_heading(env, snap.pos, snap.headings)
+            assert means[b].tobytes() == want.tobytes()
+        actions = seed_rng((13, t)).integers(0, env.n_actions, (3, n))
+        batch = env.step_batch(batch, actions).snapshot
+
+
+LAYOUTS = [16, 64, 320, "yaml"]
+
+
+def layout_env(layout, seed=None):
+    """The benchmark's scale layout at N agents, or configs/vicsek.yaml as it is."""
+    env = make_env(load_experiment_config(VICSEK_YAML).env) if layout == "yaml" \
+        else scale_env(layout)
+    return env if seed is None else make_env({**vars(env.config), "seed": seed})
+
+
+def same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_steps_match_the_dense_oracle(env, seeds, action_seed, steps=50):
+    """step_batch over all the seeds, and step on each, give the dense oracle's bytes."""
+    batch = stack_snapshots([env.reset(seed=s) for s in seeds])
+    singles, wants = [env.reset(seed=s) for s in seeds], [env.reset(seed=s) for s in seeds]
+    for t in range(steps):
+        actions = seed_rng((action_seed, t)).integers(0, env.n_actions,
+                                                      (len(seeds), env.n_agents))
+        res = env.step_batch(batch, actions)
+        assert res.reward.shape == (len(seeds),) and res.snapshot.t == t + 1
+        for b, got in enumerate(res.snapshot.episodes()):
+            want = oracles.vicsek_step(env, wants[b], actions[b])
+            one = env.step(singles[b], actions[b])
+            assert type(one.reward) is float and one.snapshot.t == t + 1
+            assert same(res.states[b], want.states) and same(one.states, want.states)
+            for snap in (got, one.snapshot):
+                for name in ("states", "pos", "headings"):
+                    assert same(getattr(snap, name), getattr(want.snapshot, name)), name
+            assert same(res.reward[b], want.reward) and same(one.reward, want.reward)
+            singles[b], wants[b] = one.snapshot, want.snapshot
+        batch = res.snapshot
+        # the states hide a last-bit change in a row sum; the mean heading shows it
+        means = env.neighbor_mean_heading(batch.pos, batch.headings)
+        for b, snap in enumerate(wants):
+            assert same(means[b], oracles.dense_mean_heading(env, snap.pos, snap.headings))
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 20])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_step_and_step_batch_give_the_dense_oracle_bytes(layout, batch_size):
+    env = layout_env(layout)
+    assert_steps_match_the_dense_oracle(env, [(11, b) for b in range(batch_size)], 12)
+
+
+@settings(max_examples=8, deadline=None)
+@given(layout=st.sampled_from(LAYOUTS), batch_size=st.sampled_from([1, 3, 20]),
+       layout_seed=st.integers(0, 2 ** 16), seed=st.integers(0, 2 ** 16),
+       action_seed=st.integers(0, 2 ** 16))
+def test_step_kernel_matches_the_dense_oracle_on_any_layout(layout, batch_size, layout_seed,
+                                                            seed, action_seed):
+    env = layout_env(layout, layout_seed)
+    assert_steps_match_the_dense_oracle(env, [(seed, b) for b in range(batch_size)],
+                                        action_seed)
 
 
 def test_lattice_pairs_at_comm_radius_across_the_seam_are_neighbours():
