@@ -13,10 +13,11 @@ reads "roughly north, pointing left of my neighbours".
 An agent's neighbourhood is itself and every agent at squared torus
 distance at most comm_radius**2 (positions stay in [0, world_size)).  One
 step of a batch of episodes, or of one, is one pass over their adjacency,
-built a cache-sized tile at a time.  The paper's alignment rule (steer
-toward the neighbourhood mean heading, smeared by ``noise``) is not a
-policy here: no experiment runs a rule-based victim, and only the tests
-keep it, as a reference.
+built a cache-sized tile at a time.  The dynamics draw no noise: every
+agent turns exactly by its action's increment.  The paper's alignment rule
+(steer toward the neighbourhood mean heading, smeared by angular noise) is
+not a policy here: no experiment runs a rule-based victim, and only the
+tests keep it, with its noise as their own argument.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class VicsekConfig:
     n_actions: int = 5
     turn_delta: float = math.pi / 8.0
     speed: float = 0.5
-    noise: float = 0.05
     n_clusters: int = 0
     cluster_sizes: tuple = ()
     cluster_spread: float = 1.0
@@ -68,16 +68,16 @@ class VicsekConfig:
             raise InvalidConfigError("n_agents must be >= 1")
         if self.horizon < 1:
             raise InvalidConfigError("horizon must be >= 1")
-        require_finite(self, "world_size", "comm_radius", "turn_delta", "speed", "noise",
-                       "cluster_spread", "heading_spread")
+        require_finite(self, "world_size", "comm_radius", "turn_delta", "speed", "cluster_spread",
+                       "heading_spread")
         if self.world_size <= 0 or self.comm_radius < 0:
             raise InvalidConfigError("world_size must be > 0 and comm_radius >= 0")
         if self.heading_bins < 1 or self.offset_bins < 1:
             raise InvalidConfigError("state bins must be >= 1")
         if self.n_actions < 1 or self.n_actions % 2 == 0:
             raise InvalidConfigError("n_actions must be odd (symmetric turn increments)")
-        if self.turn_delta <= 0 or self.speed < 0 or self.noise < 0:
-            raise InvalidConfigError("turn_delta must be > 0, speed and noise >= 0")
+        if self.turn_delta <= 0 or self.speed < 0:
+            raise InvalidConfigError("turn_delta must be > 0 and speed >= 0")
         if not (0.0 < self.gamma < 1.0):
             raise InvalidConfigError("gamma must be in (0, 1)")
         if self.n_clusters < 0 or self.n_clusters > self.n_agents:

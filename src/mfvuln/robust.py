@@ -3,9 +3,13 @@
 Stage one fits the cooperative action-value Q(s, a) on logged trajectories
 by minimizing the squared TD residual with the logged next action (policy
 evaluation of the data-collecting policy).  Both stages are solved, not
-iterated: the corpus is aggregated by (cell, next cell), and one dense linear
-solve over the visited cells gives each of them the exact corpus fixed point
-of the mean of its target.
+iterated.  One pass over the trajectories, one at a time, gathers the
+sufficient statistics: per-cell visit counts and reward sums, and the count
+of each distinct (cell, next cell) pair.  One dense linear solve over the
+visited cells then gives each of them the exact corpus fixed point of the
+mean of its target.  The per-transition corpus is never built, so memory is
+one trajectory, the distinct pairs and the visited-cell matrix, not
+O(transitions).
 
 Stage two folds corruption budgets in without any adversarial rollouts:
 for a per-agent budget eps and population budget xi, the backup gets the
@@ -47,40 +51,49 @@ class FitConfig:
             raise InvalidConfigError("norm order must be in [1, inf]")
 
 
-# -- corpus -------------------------------------------------------------------
+# -- sufficient statistics -------------------------------------------------------
 
 
-@dataclass
-class TransitionCorpus:
-    """Flattened per-agent (s, a, r, s', a') records."""
-
-    s: np.ndarray
-    a: np.ndarray
-    r: np.ndarray
-    s2: np.ndarray
-    a2: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.s.size
+def _stacked(traj, field: str) -> np.ndarray:
+    """A trajectory's per-step (N,) integer arrays stacked to (T, N)."""
+    return np.stack([getattr(st, field) for st in traj.steps]).astype(int, copy=False)
 
 
-def build_corpus(trajectories) -> TransitionCorpus:
-    """Pairs consecutive steps of each trajectory into per-agent transitions."""
-    cols = {k: [] for k in ("s", "a", "r", "s2", "a2")}
+def _stream_stats(trajectories, n_cells: int, cells_of, penalty=None):
+    """One pass over the trajectories, one at a time: per-cell visit counts, the
+    (1, n_cells) per-cell reward sums (2 rows with ``penalty``, whose second
+    row sums penalty[cell]), and the distinct (cell, next cell) pairs, keyed
+    cell * n_cells + next cell, with their counts.
+
+    ``cells_of(traj)`` gives a trajectory's (T, N) cells.  Sums are added in
+    corpus order (trajectory, step, agent), the order in which ``np.bincount``
+    adds the same weights over the concatenated corpus, so they are the same
+    bits.  Memory is one trajectory, the distinct pairs and O(n_cells).
+    """
+    count = np.zeros(n_cells, dtype=np.int64)
+    sums = np.zeros((1 if penalty is None else 2, n_cells))
+    pairs = np.empty(0, dtype=np.int64)
+    mult = np.empty(0, dtype=np.int64)
     for traj in trajectories:
-        for cur, nxt in zip(traj.steps, traj.steps[1:]):
-            cols["s"].append(cur.states)
-            cols["a"].append(cur.actions)
-            cols["r"].append(np.full(cur.states.size, cur.reward))
-            cols["s2"].append(nxt.states)
-            cols["a2"].append(nxt.actions)
-    if not cols["s"]:
+        if len(traj.steps) < 2:
+            continue
+        cells = cells_of(traj)
+        cell = cells[:-1].ravel()
+        np.add.at(count, cell, 1)
+        np.add.at(sums[0], cell, np.repeat(traj.rewards[:-1], cells.shape[1]))
+        if penalty is not None:
+            np.add.at(sums[1], cell, penalty[cell])
+        new, new_mult = np.unique(cell * n_cells + cells[1:].ravel(), return_counts=True)
+        # two sorted runs: a stable sort merges them in linear time
+        keys = np.concatenate([pairs, new])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        pairs = keys[heads]
+        mult = np.add.reduceat(np.concatenate([mult, new_mult])[order], heads)
+    if not count.any():
         raise InvalidInputError("corpus needs trajectories with at least 2 steps")
-    packed = {k: np.concatenate(v) for k, v in cols.items()}
-    for key in ("s", "a", "s2", "a2"):
-        packed[key] = packed[key].astype(int)
-    return TransitionCorpus(**packed)
+    return count, sums, pairs, mult
 
 
 # -- cooperative Q fit ----------------------------------------------------------
@@ -92,18 +105,19 @@ def fit_cooperative_q(trajectories, n_states: int, n_actions: int, gamma: float,
     of the mean of r + gamma * Q(s', a') (see _solve); unvisited cells stay zero.
     ``cfg`` is accepted and not used (the Q fit has no setting)."""
     model = QModel(n_states, n_actions, gamma)
-    corpus = build_corpus(trajectories)
     shape = model.table.shape
-    idx = np.ravel_multi_index((corpus.s, corpus.a), shape)
-    idx2 = np.ravel_multi_index((corpus.s2, corpus.a2), shape)
-    model.table = _solve(idx, idx2, [corpus.r], model.table.size, gamma)[0].reshape(shape)
-    np.add.at(model.visits.ravel(), idx, 1)
+    count, sums, pairs, mult = _stream_stats(
+        trajectories, model.table.size,
+        lambda traj: np.ravel_multi_index((_stacked(traj, "states"),
+                                           _stacked(traj, "actions")), shape))
+    model.table = _solve(count, sums, pairs, mult, gamma)[0].reshape(shape)
+    model.visits = count.reshape(shape)
     return model
 
 
-def _solve(cell, next_cell, rewards, n_cells: int, gamma: float) -> np.ndarray:
+def _solve(count, sums, pairs, mult, gamma: float) -> np.ndarray:
     """The corpus fixed point x = mean of r + gamma * x[next cell] per visited
-    cell, one row per reward vector in ``rewards``; unvisited cells stay 0.
+    cell, one row per row of reward sums; unvisited cells stay 0.
 
     With visit counts, reward sums R and distinct-pair counts M, the visited
     cells solve A x = R, A = diag(count) - gamma * M (a next cell that is never
@@ -111,19 +125,21 @@ def _solve(cell, next_cell, rewards, n_cells: int, gamma: float) -> np.ndarray:
     rows, so the LU of A^T needs no row exchange and its inverse is >= 0
     entrywise: x = R^T (A^T)^-1 keeps damp >= 0 to the last bit, where a
     pivoting solve of A can leave -1e-15 at an exact 0.  A is dense: memory is
-    (visited cells)^2 floats, 134 Q cells on taxi and 40 on vicsek at every N.
+    (visited cells)^2 floats, 134 Q cells on taxi and 40 on vicsek at every N,
+    on top of the streamed statistics (see _stream_stats), never the corpus.
     """
-    pairs, mult = np.unique(cell * n_cells + next_cell, return_counts=True)
+    n_cells = count.size
     src, dst = np.divmod(pairs, n_cells)
-    cells, starts = np.unique(src, return_index=True)  # src is sorted: one run per cell
+    cells = np.flatnonzero(count)
     pos = np.full(n_cells, -1)
     pos[cells] = np.arange(cells.size)
-    lhs = np.diag(np.add.reduceat(mult, starts).astype(float))
+    lhs = np.diag(count[cells].astype(float))
     live = pos[dst] >= 0
     lhs[pos[src[live]], pos[dst[live]]] -= gamma * mult[live]  # pairs are distinct
-    sums = np.array([np.bincount(cell, weights=r)[cells] for r in rewards])
-    x = np.zeros((len(rewards), n_cells))
-    x[:, cells] = sums @ np.linalg.inv(lhs.T)
+    x = np.zeros((len(sums), n_cells))
+    # sums[:, cells] comes out in Fortran order, and BLAS may round a product
+    # differently with the operand laid out that way: keep it C-ordered
+    x[:, cells] = np.ascontiguousarray(sums[:, cells]) @ np.linalg.inv(lhs.T)
     return x
 
 
@@ -182,14 +198,12 @@ class RobustValueModel:
         return model
 
 
-def _q_penalty_rows(q_model: QModel, corpus: TransitionCorpus, qdual: float) -> np.ndarray:
-    """||Q(s, .)||_q per transition, computed once per state."""
+def _q_norms(q_model: QModel, qdual: float) -> np.ndarray:
+    """||Q(s, .)||_q per state."""
     rows = np.abs(q_model.table)
     if np.isinf(qdual):
-        norms = rows.max(axis=1)
-    else:
-        norms = (rows ** qdual).sum(axis=1) ** (1.0 / qdual)
-    return norms[corpus.s]
+        return rows.max(axis=1)
+    return (rows ** qdual).sum(axis=1) ** (1.0 / qdual)
 
 
 def fit_robust_value(q_model: QModel, trajectories, cfg: FitConfig) -> RobustValueModel:
@@ -208,8 +222,9 @@ def fit_robust_value(q_model: QModel, trajectories, cfg: FitConfig) -> RobustVal
     """
     cfg.validate()
     model = RobustValueModel(q_model.n_states, q_model.n_actions, q_model.gamma, p=cfg.p)
-    corpus = build_corpus(trajectories)
-    penalty = _q_penalty_rows(q_model, corpus, dual_order(cfg.p))
-    model.base, model.damp = _solve(corpus.s, corpus.s2, [corpus.r, penalty],
-                                    q_model.n_states, q_model.gamma)
+    count, sums, pairs, mult = _stream_stats(
+        trajectories, q_model.n_states,
+        lambda traj: np.ravel_multi_index((_stacked(traj, "states"),), (q_model.n_states,)),
+        penalty=_q_norms(q_model, dual_order(cfg.p)))
+    model.base, model.damp = _solve(count, sums, pairs, mult, q_model.gamma)
     return model

@@ -242,6 +242,117 @@ def pooled_std(groups) -> float:
     return float(np.sqrt(num / den))
 
 
+# -- exact solvers of the toy env --------------------------------------------------
+#
+# A toy env's agents run independent chains, so everything of interest has a
+# closed form: policy values come from one linear solve, worst-case attacked
+# values from value iteration over a per-agent min/mix backup, and the return
+# of an attacked population is a mean of per-agent values.
+
+VI_TOL = 1e-12
+VI_MAX_ITER = 100_000
+
+
+def _policy_matrices(env, policy_matrix):
+    """(P_pi, r_pi) of an (S, A) policy matrix on a toy env."""
+    pi = np.asarray(policy_matrix, dtype=float)
+    if pi.shape != (env.n_states, env.n_actions):
+        raise InvalidInputError(f"policy matrix must be {(env.n_states, env.n_actions)}")
+    p_pi = np.einsum("sa,sat->st", pi, env.transitions)
+    r_pi = (pi * env.rewards).sum(axis=1)
+    return p_pi, r_pi
+
+
+def exact_policy_value(env, policy_matrix) -> np.ndarray:
+    """V^pi by a single linear solve of (I - gamma P_pi) V = r_pi."""
+    p_pi, r_pi = _policy_matrices(env, policy_matrix)
+    eye = np.eye(env.n_states)
+    return np.linalg.solve(eye - env.gamma * p_pi, r_pi)
+
+
+def exact_policy_q(env, policy_matrix) -> np.ndarray:
+    v = exact_policy_value(env, policy_matrix)
+    return env.rewards + env.gamma * env.transitions @ v
+
+
+def optimal_q(env) -> np.ndarray:
+    """Cooperative optimum by value iteration."""
+    q = np.zeros((env.n_states, env.n_actions))
+    for _ in range(VI_MAX_ITER):
+        nq = env.rewards + env.gamma * env.transitions @ q.max(axis=1)
+        if np.max(np.abs(nq - q)) < VI_TOL:
+            return nq
+        q = nq
+    return q
+
+
+def greedy_matrix(q) -> np.ndarray:
+    pi = np.zeros_like(q)
+    pi[np.arange(q.shape[0]), q.argmax(axis=1)] = 1.0
+    return pi
+
+
+def boltzmann_matrix(q, temperature: float) -> np.ndarray:
+    z = q / temperature
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def exact_robust_components(env, policy_matrix, p=np.inf):
+    """(V0, H) with V(s, eps, xi) = V0[s] - (eps + xi + eps * xi) * H[s].
+
+    V0 is the cooperative policy value; H accumulates the discounted
+    dual-norm of the cooperative Q rows along on-policy trajectories.
+    """
+    p_pi, r_pi = _policy_matrices(env, policy_matrix)
+    q_pi = exact_policy_q(env, policy_matrix)
+    qdual = dual_order(p)
+    reg = np.array([lp_norm(q_pi[s], qdual) for s in range(env.n_states)])
+    eye = np.eye(env.n_states)
+    v0 = np.linalg.solve(eye - env.gamma * p_pi, r_pi)
+    h = np.linalg.solve(eye - env.gamma * p_pi, reg)
+    return v0, h
+
+
+def exact_worst_case_value(env, policy_matrix, eps: float) -> np.ndarray:
+    """Fixed point of the per-agent min/mix backup at corruption eps.
+
+    The adversary controls an eps share of each decision; the remaining
+    (1 - eps) share follows the given cooperative policy.
+    """
+    if not (0.0 <= eps <= 1.0):
+        raise InvalidInputError(f"eps must be in [0, 1], got {eps}")
+    pi = np.asarray(policy_matrix, dtype=float)
+    v = np.zeros(env.n_states)
+    for _ in range(VI_MAX_ITER):
+        q = env.rewards + env.gamma * env.transitions @ v
+        coop = (pi * q).sum(axis=1)
+        nv = (1.0 - eps) * coop + eps * q.min(axis=1)
+        if np.max(np.abs(nv - v)) < VI_TOL:
+            return nv
+        v = nv
+    return v
+
+
+def exact_attack_return(env, policy_matrix, attacked_ids, eps: float = 1.0) -> float:
+    """Population return when the listed agents are eps-corrupted.
+
+    Chains are independent, so the value is the mean of per-agent
+    values: worst-case for attacked agents, cooperative otherwise.
+    """
+    attacked = np.zeros(env.n_agents, dtype=bool)
+    ids = np.asarray(list(attacked_ids), dtype=int)
+    if ids.size:
+        if np.any(ids < 0) or np.any(ids >= env.n_agents):
+            raise InvalidInputError("attacked agent id out of range")
+        attacked[ids] = True
+    v_coop = exact_policy_value(env, policy_matrix)
+    v_adv = exact_worst_case_value(env, policy_matrix, eps) if ids.size else v_coop
+    per_agent = np.where(attacked, v_adv[env.initial_states], v_coop[env.initial_states])
+    return float(per_agent.mean())
+
+
 # -- closed-form value model -----------------------------------------------------------
 
 
@@ -250,7 +361,7 @@ def exact_value_model(env, policy_matrix, p=np.inf):
     from mfvuln.robust import RobustValueModel
 
     model = RobustValueModel(env.n_states, env.n_actions, env.gamma, p=p)
-    model.base, model.damp = env.exact_robust_components(policy_matrix, p)
+    model.base, model.damp = exact_robust_components(env, policy_matrix, p)
     return model
 
 
@@ -447,33 +558,34 @@ def vicsek_step(env, snapshot, actions):
 # mean heading.  No experiment here runs it (rule-based systems are out of
 # scope), so it lives with the tests that check the kernel through it.
 
+RULE_NOISE = 0.05  # angular noise of the rule, in radians
 
-def rule_action_dists(env, snapshot, noise=None) -> np.ndarray:
+
+def rule_action_dists(env, snapshot, noise=RULE_NOISE) -> np.ndarray:
     """(N, A) action distributions of the alignment rule.
 
     The desired correction is the offset to the neighbourhood mean heading;
-    Gaussian smearing with the angular noise (the env's if None) is
-    integrated exactly over the rounding cells of the turn increments.
+    Gaussian smearing with the angular noise ``noise`` is integrated exactly
+    over the rounding cells of the turn increments.
     """
     from mfvuln.envs.base import wrap_angle
 
-    sigma = env.config.noise if noise is None else noise
     desired = wrap_angle(env.neighbor_mean_heading(snapshot.pos, snapshot.headings)
                          - snapshot.headings)
     n, a = desired.size, env.config.n_actions
-    if sigma == 0.0:
+    if noise == 0.0:
         dist = np.zeros((n, a))
         dist[np.arange(n), np.abs(desired[:, None] - env.turns[None, :]).argmin(axis=1)] = 1.0
         return dist
     edges = (env.turns[:-1] + env.turns[1:]) / 2.0
-    z = (edges[None, :] - desired[:, None]) / (sigma * math.sqrt(2.0))
+    z = (edges[None, :] - desired[:, None]) / (noise * math.sqrt(2.0))
     cdf = np.empty((n, a + 1))
     cdf[:, 0], cdf[:, -1] = 0.0, 1.0
     cdf[:, 1:-1] = 0.5 * (1.0 + np.vectorize(math.erf)(z))
     return np.diff(cdf, axis=1)
 
 
-def rule_actions(env, snapshot, noise=None) -> np.ndarray:
+def rule_actions(env, snapshot, noise=RULE_NOISE) -> np.ndarray:
     """Sampled rule actions; zero noise reduces to the nearest increment."""
     dist = rule_action_dists(env, snapshot, noise=noise)
     cdf = np.cumsum(dist, axis=1)
@@ -485,7 +597,7 @@ def rule_actions(env, snapshot, noise=None) -> np.ndarray:
 class RulePolicy:
     """The alignment rule of a vicsek env as a policy, one episode at a time."""
 
-    def __init__(self, env, noise=None):
+    def __init__(self, env, noise=RULE_NOISE):
         self.env = env
         self.noise = noise
         self.n_actions = env.n_actions
@@ -498,6 +610,84 @@ class RulePolicy:
 
 # -- per-transition value fits ---------------------------------------------------------
 #
+# The package's fits before they streamed the trajectories: ``build_corpus``
+# materializes every per-agent transition, and ``solve_corpus`` aggregates it
+# by (cell, next cell) and solves it.  The streamed fits must equal these byte
+# for byte.
+
+
+@dataclass
+class TransitionCorpus:
+    """Flattened per-agent (s, a, r, s', a') records."""
+
+    s: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+    s2: np.ndarray
+    a2: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.s.size
+
+
+def build_corpus(trajectories) -> TransitionCorpus:
+    """Pairs consecutive steps of each trajectory into per-agent transitions."""
+    cols = {k: [] for k in ("s", "a", "r", "s2", "a2")}
+    for traj in trajectories:
+        for cur, nxt in zip(traj.steps, traj.steps[1:]):
+            cols["s"].append(cur.states)
+            cols["a"].append(cur.actions)
+            cols["r"].append(np.full(cur.states.size, cur.reward))
+            cols["s2"].append(nxt.states)
+            cols["a2"].append(nxt.actions)
+    if not cols["s"]:
+        raise InvalidInputError("corpus needs trajectories with at least 2 steps")
+    packed = {k: np.concatenate(v) for k, v in cols.items()}
+    for key in ("s", "a", "s2", "a2"):
+        packed[key] = packed[key].astype(int)
+    return TransitionCorpus(**packed)
+
+
+def solve_corpus(cell, next_cell, rewards, n_cells, gamma) -> np.ndarray:
+    """The corpus fixed point x = mean of r + gamma * x[next cell] per visited
+    cell, one row per reward vector in ``rewards``; unvisited cells stay 0."""
+    pairs, mult = np.unique(cell * n_cells + next_cell, return_counts=True)
+    src, dst = np.divmod(pairs, n_cells)
+    cells, starts = np.unique(src, return_index=True)  # src is sorted: one run per cell
+    pos = np.full(n_cells, -1)
+    pos[cells] = np.arange(cells.size)
+    lhs = np.diag(np.add.reduceat(mult, starts).astype(float))
+    live = pos[dst] >= 0
+    lhs[pos[src[live]], pos[dst[live]]] -= gamma * mult[live]  # pairs are distinct
+    sums = np.array([np.bincount(cell, weights=r)[cells] for r in rewards])
+    x = np.zeros((len(rewards), n_cells))
+    x[:, cells] = sums @ np.linalg.inv(lhs.T)
+    return x
+
+
+def fit_cooperative_q_on_corpus(trajectories, n_states, n_actions, gamma):
+    """The Q fit as one solve over the materialized corpus."""
+    from mfvuln.qlearn import QModel
+
+    model = QModel(n_states, n_actions, gamma)
+    corpus = build_corpus(trajectories)
+    shape = model.table.shape
+    idx = np.ravel_multi_index((corpus.s, corpus.a), shape)
+    idx2 = np.ravel_multi_index((corpus.s2, corpus.a2), shape)
+    model.table = solve_corpus(idx, idx2, [corpus.r], model.table.size, gamma)[0].reshape(shape)
+    np.add.at(model.visits.ravel(), idx, 1)
+    return model
+
+
+def fit_robust_value_on_corpus(q_model, trajectories, cfg):
+    """(base, damp) as one solve over the materialized corpus."""
+    corpus = build_corpus(trajectories)
+    penalty = q_penalty_per_transition(q_model, corpus, dual_order(cfg.p))
+    return solve_corpus(corpus.s, corpus.s2, [corpus.r, penalty], q_model.n_states,
+                        q_model.gamma)
+
+
 # The fitted-TD sweeps as the package ran them before it aggregated the corpus
 # by (cell, next cell) and then solved it: every sweep gathers, adds and bins
 # every transition.  The default sweep count runs them to convergence: the
@@ -511,7 +701,6 @@ def fit_cooperative_q_per_transition(trajectories, n_states, n_actions, gamma,
                                      sweeps=CONVERGED_SWEEPS):
     """Q(s, a) as the mean of r + gamma * Q(s', a') over every logged transition."""
     from mfvuln.qlearn import QModel
-    from mfvuln.robust import build_corpus
 
     model = QModel(n_states, n_actions, gamma)
     corpus = build_corpus(trajectories)
@@ -541,8 +730,6 @@ def q_penalty_per_transition(q_model, corpus, qdual):
 
 def fit_robust_value_per_transition(q_model, trajectories, cfg, sweeps=CONVERGED_SWEEPS):
     """(base, damp): the intercept and slope swept over every logged transition."""
-    from mfvuln.robust import build_corpus
-
     corpus = build_corpus(trajectories)
     penalty = q_penalty_per_transition(q_model, corpus, dual_order(cfg.p))
     gamma = q_model.gamma

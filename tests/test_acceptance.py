@@ -27,8 +27,9 @@ from mfvuln.pipeline import (Run, correlate_prediction_vs_attack,
                              sample_attack_subsets, stage_fit_value,
                              stage_train_victim)
 from oracles import (ActionDist, TransitionSample, apply_robust_bellman,
-                     check_deviation_bounds, check_mean_field_deviation, exact_value_model,
-                     mix_policies, pooled_std, sup_norm_diff, worst_case_gap)
+                     check_deviation_bounds, check_mean_field_deviation, exact_attack_return,
+                     exact_value_model, greedy_matrix, mix_policies, optimal_q, pooled_std,
+                     sup_norm_diff, worst_case_gap)
 
 # final desk-scale environment settings (shared with the example configs)
 VICSEK_RAW = {"env_name": "vicsek", "n_agents": 16, "horizon": 50,
@@ -215,13 +216,13 @@ def test_criterion_5_greedy_matches_bruteforce():
                         deterministic=False, null_action=True, horizon=40,
                         gamma=0.9, seed=100 + i)
         env = ToyMeanFieldEnv(cfg)
-        pi = ToyMeanFieldEnv.greedy_matrix(env.optimal_q())
+        pi = greedy_matrix(optimal_q(env))
         model = exact_value_model(env, pi)
         snap = env.reset(seed=0)
         mu0 = empirical_mean_field_state(snap.states, env.n_states).probs
 
         def exact_return(subset):
-            return env.exact_attack_return(pi, subset, 1.0)
+            return exact_attack_return(env, pi, subset, 1.0)
 
         def exact_returns(subsets):
             return [exact_return(subset) for subset in subsets]

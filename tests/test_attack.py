@@ -13,7 +13,7 @@ from mfvuln.core import BudgetVector
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.qlearn import BoltzmannPolicy, QModel, TablePolicy, UniformPolicy, evaluate_policy
-from oracles import pooled_std
+from oracles import exact_attack_return, exact_policy_value, pooled_std
 
 GAMMA = 0.85
 
@@ -24,7 +24,7 @@ def cycle_env():
     Cooperative action 0 walks the cycle with positive rewards, action 1
     parks the agent on a strictly negative self-loop, so the worst-case
     response is unambiguous in every state and the value-iteration oracle
-    in the toy env has large action gaps.
+    in tests/oracles.py has large action gaps.
     """
     cfg = ToyConfig(n_agents=4, block_states=4, n_actions=2, shared=True,
                     deterministic=True, null_action=False, horizon=110,
@@ -125,9 +125,9 @@ def test_trained_adversary_reaches_the_exact_worst_case():
 
     returns = evaluate_attack(env, victim, budgets, 3, seed=5, adversary_policy=adv)
     assert returns.shape == (3,)
-    want = env.exact_attack_return(pi, [1, 3], 1.0)
+    want = exact_attack_return(env, pi, [1, 3], 1.0)
     assert returns.mean() == pytest.approx(want, abs=1e-4)
-    coop = env.exact_policy_value(pi)[env.initial_states].mean()
+    coop = exact_policy_value(env, pi)[env.initial_states].mean()
     baseline = evaluate_policy(env, victim, 3, seed=5)
     assert baseline.mean() == pytest.approx(coop, abs=1e-5)
     assert returns.mean() < baseline.mean()
@@ -135,7 +135,7 @@ def test_trained_adversary_reaches_the_exact_worst_case():
 
 def test_attack_return_is_monotone_in_eps():
     env, _, pi = cycle_env()
-    returns = [env.exact_attack_return(pi, [0, 1], eps)
+    returns = [exact_attack_return(env, pi, [0, 1], eps)
                for eps in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(b <= a + 1e-9 for a, b in zip(returns, returns[1:]))
     assert returns[-1] < returns[0] - 0.5

@@ -226,8 +226,8 @@ NAN, INF = float("nan"), float("inf")
     *[("taxi", key, value) for key, value in [("demand_rate", NAN), ("demand_rate", INF),
                                               ("demand_concentration", INF),
                                               ("comm_radius", NAN)]],
-    *[("vicsek", key, value) for key in ("speed", "world_size", "turn_delta", "noise",
-                                         "comm_radius", "cluster_spread", "heading_spread")
+    *[("vicsek", key, value) for key in ("speed", "world_size", "turn_delta", "comm_radius",
+                                         "cluster_spread", "heading_spread")
       for value in (NAN, INF)],
     ("toy", "scale_ratio", INF),
     ("victim", "lr", NAN), ("victim", "temperature", INF), ("victim", "lr_decay", NAN),
@@ -249,6 +249,16 @@ def test_non_finite_or_negative_setting_exits_at_config_load(tmp_path, capsys, s
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert f"{key} must be" in capsys.readouterr().err
     assert not list(Path(raw["out_dir"]).glob("victim_s*"))
+
+
+@pytest.mark.parametrize("value", [NAN, INF, 0.05], ids=["nan", "inf", "0.05"])
+def test_vicsek_noise_is_an_unknown_key(tmp_path, capsys, value):
+    """The vicsek step draws no noise, so a config that sets one is refused."""
+    cfg_path, _ = write_config(tmp_path, env={"env_name": "vicsek", "n_agents": 5,
+                                              "noise": value})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert "unknown config key(s) for VicsekConfig: noise" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_infinite_norm_order_is_accepted(tmp_path):

@@ -144,7 +144,7 @@ def test_order_parameter_extremes():
 
 def test_rule_no_turn_at_alignment():
     # already pointing at the neighbourhood mean: zero-noise rule stays put
-    env = small_vicsek(noise=0.0)
+    env = small_vicsek()
     snap = env.reset(seed=0)
     snap.headings[:] = 0.7
     snap.states = env._discretize(snap.pos, snap.headings)
@@ -155,7 +155,7 @@ def test_rule_no_turn_at_alignment():
 
 
 def test_rule_isolated_agent_keeps_heading():
-    env = small_vicsek(noise=0.0, n_agents=2, world_size=40.0, comm_radius=1.0)
+    env = small_vicsek(n_agents=2, world_size=40.0, comm_radius=1.0)
     snap = env.reset(seed=0)
     snap.pos = np.array([[5.0, 5.0], [30.0, 30.0]])  # far apart on the torus
     snap.headings = np.array([1.1, -2.0])
@@ -166,7 +166,7 @@ def test_rule_isolated_agent_keeps_heading():
 
 def test_rule_two_agents_meet_at_diagonal():
     # headings 0 and pi/2 pull each other to the circular mean pi/4
-    env = small_vicsek(noise=0.0, n_agents=2, comm_radius=3.0)
+    env = small_vicsek(n_agents=2, comm_radius=3.0)
     snap = env.reset(seed=0)
     snap.pos = np.array([[5.0, 5.0], [5.5, 5.0]])
     snap.headings = np.array([0.0, np.pi / 2])
@@ -178,7 +178,7 @@ def test_rule_two_agents_meet_at_diagonal():
 
 def test_rule_alignment_never_regresses():
     # zero noise plus full connectivity: the order parameter is monotone
-    env = small_vicsek(noise=0.0, n_agents=8, comm_radius=100.0, horizon=25)
+    env = small_vicsek(n_agents=8, comm_radius=100.0, horizon=25)
     snap = env.reset(seed=6)
     phi = order_parameter(snap.headings)
     policy = RulePolicy(env, noise=0.0)
@@ -192,9 +192,9 @@ def test_rule_alignment_never_regresses():
 
 
 def test_rule_noise_spreads_actions():
-    env = small_vicsek(noise=0.4)
+    env = small_vicsek()
     snap = env.reset(seed=1)
-    dists = rule_action_dists(env, snap)
+    dists = rule_action_dists(env, snap, noise=0.4)
     assert np.allclose(dists.sum(axis=1), 1.0)
     assert np.all(dists.max(axis=1) < 1.0)
 
@@ -460,9 +460,9 @@ def test_agent_layout_shapes():
 
 def test_toy_policy_value_satisfies_bellman():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=3, seed=4))
-    pi = env.boltzmann_matrix(env.optimal_q(), 0.2)
-    v = env.exact_policy_value(pi)
-    q = env.exact_policy_q(pi)
+    pi = oracles.boltzmann_matrix(oracles.optimal_q(env), 0.2)
+    v = oracles.exact_policy_value(env, pi)
+    q = oracles.exact_policy_q(env, pi)
     assert np.allclose((pi * q).sum(axis=1), v)
     r_pi = (pi * env.rewards).sum(axis=1)
     p_pi = np.einsum("sa,sat->st", pi, env.transitions)
@@ -471,34 +471,34 @@ def test_toy_policy_value_satisfies_bellman():
 
 def test_toy_worst_case_below_cooperative():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=4, seed=5))
-    pi = env.boltzmann_matrix(env.optimal_q(), 0.2)
-    v_coop = env.exact_policy_value(pi)
+    pi = oracles.boltzmann_matrix(oracles.optimal_q(env), 0.2)
+    v_coop = oracles.exact_policy_value(env, pi)
     prev = v_coop
     for eps in (0.25, 0.5, 1.0):
-        v = env.exact_worst_case_value(pi, eps)
+        v = oracles.exact_worst_case_value(env, pi, eps)
         assert np.all(v <= prev + 1e-9)  # non-increasing in the budget
         prev = v
-    assert np.allclose(env.exact_worst_case_value(pi, 0.0), v_coop)
+    assert np.allclose(oracles.exact_worst_case_value(env, pi, 0.0), v_coop)
 
 
 def test_toy_attack_return_decomposes():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=4, seed=6))
-    pi = env.boltzmann_matrix(env.optimal_q(), 0.2)
-    v_coop = env.exact_policy_value(pi)
-    v_adv = env.exact_worst_case_value(pi, 1.0)
-    got = env.exact_attack_return(pi, [1, 3])
+    pi = oracles.boltzmann_matrix(oracles.optimal_q(env), 0.2)
+    v_coop = oracles.exact_policy_value(env, pi)
+    v_adv = oracles.exact_worst_case_value(env, pi, 1.0)
+    got = oracles.exact_attack_return(env, pi, [1, 3])
     want = (v_coop[env.initial_states[0]] + v_adv[env.initial_states[1]]
             + v_coop[env.initial_states[2]] + v_adv[env.initial_states[3]]) / 4
     assert got == pytest.approx(want)
-    assert env.exact_attack_return(pi, []) == pytest.approx(
+    assert oracles.exact_attack_return(env, pi, []) == pytest.approx(
         v_coop[env.initial_states].mean())
 
 
 def test_toy_exact_value_model_slices():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=3, seed=7))
-    pi = env.boltzmann_matrix(env.optimal_q(), 0.2)
+    pi = oracles.boltzmann_matrix(oracles.optimal_q(env), 0.2)
     model = oracles.exact_value_model(env, pi)
-    v0, h = env.exact_robust_components(pi)
+    v0, h = oracles.exact_robust_components(env, pi)
     s = int(env.initial_states[0])
     assert model.value(s, 0.0, 0.0) == pytest.approx(v0[s])
     assert model.value(s, 1.0, 1.0) == pytest.approx(v0[s] - 3.0 * h[s])

@@ -25,7 +25,7 @@ from mfvuln.pipeline import (AdversaryStageConfig, CorrelationStageConfig,
                              stage_select, stage_train_victim)
 from mfvuln.qlearn import TablePolicy, TrainConfig, evaluate_policy
 from mfvuln.selection import AttackSet, save_attack_set
-from oracles import exact_value_model
+from oracles import exact_value_model, greedy_matrix, optimal_q
 
 
 def base_raw(**overrides):
@@ -331,7 +331,7 @@ def test_prediction_anticorrelates_with_attacked_return(tmp_path):
                     deterministic=True, null_action=True, horizon=60,
                     gamma=0.85, seed=9)
     env = ToyMeanFieldEnv(cfg)
-    pi = ToyMeanFieldEnv.greedy_matrix(env.optimal_q())
+    pi = greedy_matrix(optimal_q(env))
     victim = TablePolicy(pi)
     model = exact_value_model(env, pi)
     subsets = sample_attack_subsets(5, 10, seed=3, k_min=1, k_max=2)

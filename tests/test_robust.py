@@ -1,5 +1,8 @@
 """Budget-conditioned value fitting against closed-form and linear-solve oracles."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +12,20 @@ from mfvuln.core import dual_order, lp_norm, seed_rng
 from mfvuln.envs import make_env
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
-from mfvuln.qlearn import QModel, TablePolicy, UniformPolicy, rollout
-from mfvuln.robust import (FitConfig, RobustValueModel, _q_penalty_rows, build_corpus,
-                           fit_cooperative_q, fit_robust_value)
-from oracles import (W_MAX, TransitionSample, apply_robust_bellman,
-                     fit_cooperative_q_per_transition, fit_robust_value_per_transition,
+from mfvuln.pipeline import load_experiment_config
+from mfvuln.qlearn import (QModel, TablePolicy, TrainConfig, Trajectory, TrajectoryStep,
+                           UniformPolicy, rollout, rollouts, train_victim)
+from mfvuln.robust import (FitConfig, RobustValueModel, _q_norms, fit_cooperative_q,
+                           fit_robust_value)
+from oracles import (W_MAX, TransitionSample, apply_robust_bellman, build_corpus,
+                     fit_cooperative_q_on_corpus, fit_cooperative_q_per_transition,
+                     fit_robust_value_on_corpus, fit_robust_value_per_transition,
                      q_penalty_per_transition, regularizer, sample_budgets, sup_norm_diff,
                      worst_case_gap)
+from test_envs import scale_env
 
 GAMMA = 0.9
+TAXI_YAML = Path(__file__).resolve().parent.parent / "configs" / "taxi.yaml"
 
 
 def chain_env():
@@ -344,9 +352,84 @@ def test_per_state_penalty_equals_the_per_transition_one_byte_for_byte(raw, qdua
     corpus = build_corpus(trajs)
     q_model = QModel(env.n_states, env.n_actions, env.gamma)
     q_model.table = seed_rng(6, salt="penalty").normal(0, 40, q_model.table.shape)
-    got = _q_penalty_rows(q_model, corpus, qdual)
+    got = _q_norms(q_model, qdual)[corpus.s]
     want = q_penalty_per_transition(q_model, corpus, qdual)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# -- streamed fits against the materialized corpus, byte for byte -------------------
+
+
+def assert_fits_equal_the_corpus_solve(env, trajs, cfg):
+    """Table, visits, base and damp equal the solve over the per-transition
+    corpus (oracles.build_corpus) in dtype, shape and every byte."""
+    q = fit_cooperative_q(trajs, env.n_states, env.n_actions, env.gamma, cfg)
+    q_ref = fit_cooperative_q_on_corpus(trajs, env.n_states, env.n_actions, env.gamma)
+    v = fit_robust_value(q, trajs, cfg)
+    base_ref, damp_ref = fit_robust_value_on_corpus(q, trajs, cfg)
+    for got, ref in [(q.table, q_ref.table), (q.visits, q_ref.visits), (v.base, base_ref),
+                     (v.damp, damp_ref)]:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([1.0, 2.0, np.inf]),
+       short=st.lists(st.integers(0, 1), max_size=3), data=st.data(), **toy_corpora)
+def test_streamed_fits_equal_the_corpus_solve_on_random_toy_corpora(p, short, data, **corpus):
+    """Trajectories of 0 and 1 steps, which add no transition, are mixed in."""
+    env, trajs = random_toy_corpus(**corpus)
+    for i, steps in enumerate(short):
+        traj = rollout(env, UniformPolicy(env.n_actions), (corpus["seed"], 99, i),
+                       horizon=max(steps, 1))
+        if steps == 0:
+            traj = Trajectory([], traj.final_states)
+        trajs.insert(data.draw(st.integers(0, len(trajs))), traj)
+    assert_fits_equal_the_corpus_solve(env, trajs, FitConfig(p=p))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+def test_streamed_fits_equal_the_corpus_solve_on_the_vicsek_n320_uniform_corpus(p):
+    env = scale_env(320)
+    trajs = rollouts(env, UniformPolicy(env.n_actions),
+                     np.random.SeedSequence((0, 2, 320)).spawn(20))
+    assert_fits_equal_the_corpus_solve(env, trajs, FitConfig(p=p))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+def test_streamed_fits_equal_the_corpus_solve_on_a_taxi_victim_corpus(p):
+    env = make_env(load_experiment_config(TAXI_YAML).env)
+    _, victim, _ = train_victim(env, TrainConfig(episodes=200, min_margin=None), seed=0)
+    trajs = rollouts(env, victim, np.random.SeedSequence((0, 2)).spawn(80))
+    assert_fits_equal_the_corpus_solve(env, trajs, FitConfig(p=p))
+
+
+def synthetic_trajectories(count, n_agents=320, horizon=50, n_states=8, n_actions=5):
+    """Uniform random states, actions and rewards; vicsek.yaml's 8 x 5 cells."""
+    rng = seed_rng(41, salt="synthetic")
+    return [Trajectory([TrajectoryStep(t, rng.integers(n_states, size=n_agents),
+                                       rng.integers(n_actions, size=n_agents), rng.random())
+                        for t in range(horizon)], rng.integers(n_states, size=n_agents))
+            for _ in range(count)]
+
+
+def traced_fit_peak(trajs) -> int:
+    """Peak traced bytes of both fits, with the trajectories already allocated."""
+    tracemalloc.start()
+    try:
+        q = fit_cooperative_q(trajs, 8, 5, 0.95, FitConfig(p=1.0))
+        fit_robust_value(q, trajs, FitConfig(p=1.0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_memory_does_not_grow_with_the_corpus():
+    """Four times the N = 320 trajectories (160,000 -> 640,000 transitions)
+    raise the fits' peak by less than 1 MB: they hold one trajectory at a time."""
+    small = traced_fit_peak(synthetic_trajectories(10))
+    large = traced_fit_peak(synthetic_trajectories(40))
+    assert large - small < 1_000_000, (small, large)
 
 
 # -- corpus ----------------------------------------------------------------------
@@ -362,10 +445,32 @@ def test_corpus_pairs_consecutive_steps():
 
 
 def test_corpus_requires_two_steps():
+    """Both fits refuse a corpus without a transition, as the oracle corpus does."""
     env, policy, _, _ = chain_env()
     traj = rollout(env, policy, 1, horizon=1)
-    with pytest.raises(InvalidInputError):
-        build_corpus([traj])
+    empty = Trajectory([], traj.final_states)
+    q = QModel(env.n_states, env.n_actions, GAMMA)
+    for trajs in ([traj], [empty, traj], []):
+        with pytest.raises(InvalidInputError, match="at least 2 steps"):
+            fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, FitConfig())
+        with pytest.raises(InvalidInputError, match="at least 2 steps"):
+            fit_robust_value(q, trajs, FitConfig())
+        with pytest.raises(InvalidInputError, match="at least 2 steps"):
+            build_corpus(trajs)
+
+
+@pytest.mark.parametrize("field, value", [("states", 5), ("states", -1), ("actions", 2),
+                                          ("actions", -1)])
+def test_fits_refuse_an_out_of_range_state_or_action(field, value):
+    env, policy, _, _ = chain_env()
+    trajs = chain_trajectories(env, policy)
+    q = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, FitConfig())
+    getattr(trajs[1].steps[-1], field)[0] = value  # the last step is only a next state
+    with pytest.raises(ValueError, match="invalid entry"):
+        fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, FitConfig())
+    if field == "states":
+        with pytest.raises(ValueError, match="invalid entry"):
+            fit_robust_value(q, trajs, FitConfig())
 
 
 # -- worst-case gap ---------------------------------------------------------------
