@@ -15,7 +15,8 @@ the victim before and after and refuse to return silently if it moved.
 
 Seeds are call arguments, not config fields.  ``train_adversaries`` trains
 one learner per (budgets, seed) pair as a batch (one attack set is a batch
-of one), ``evaluate_attack`` returns attacked returns as an array, and
+of one), on the lockstep kernel that also trains victims (``qlearn``),
+``evaluate_attack`` returns attacked returns as an array, and
 ``attacked_returns`` does both for a list of attack sets.
 """
 
@@ -27,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetVector, mixing_weights, sample_actions, seed_rng
-from .envs.base import stack_snapshots
+from .core import BudgetVector, seed_rng
 from .errors import InvalidInputError
-from .qlearn import (BoltzmannPolicy, LearnerConfig, QModel, evaluate_policy,
-                     exploration_eps, frozen, softmax_rows)
+from .qlearn import BoltzmannPolicy, LearnerConfig, QModel, _lockstep, evaluate_policy
 
 
 def policy_checksum(policy) -> str:
@@ -82,64 +81,18 @@ def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) 
         warnings.warn("empty attack set: returning a no-op adversary", stacklevel=2)
     if active:
         frozen = policy_checksum(victim_policy)
-        trained = _sarsa_batch(env, victim_policy, [budgets[j] for j in active], cfg,
-                               [seeds[j] for j in active], [models[j] for j in active])
+        eps = np.stack([budgets[j].eps for j in active])
+        trained = _lockstep(
+            env, cfg, [models[j] for j in active],
+            [np.random.SeedSequence((seeds[j], 0xad)).spawn(cfg.episodes) for j in active],
+            [seed_rng(seeds[j], salt="adversary-actions") for j in active],
+            adversary=(victim_policy, eps))
         if policy_checksum(victim_policy) != frozen:
             raise RuntimeError("victim policy changed during adversarial training")
         for j, curve in zip(active, trained):
             curves[j] = curve
     return [(model, BoltzmannPolicy(model, cfg.temperature), curve)
             for model, curve in zip(models, curves)]
-
-
-def _sarsa_batch(env, victim_policy, budgets, cfg, seeds, models) -> np.ndarray:
-    """SARSA for B learners in lockstep; returns their (B, episodes) curves.
-
-    One (B * S, A) table holds learner b's Q(s, a) in row b * S + s, so a
-    single masked ``td_update`` serves the batch: learners never share a
-    cell, and within a learner the increments keep their order.  Each
-    learner's model gets its block of that table as a view.
-    """
-    n_learners, n_states = len(seeds), env.n_states
-    stacked = QModel(n_learners * n_states, env.n_actions, env.gamma)
-    for b, model in enumerate(models):
-        model.table = stacked.table[b * n_states:(b + 1) * n_states]
-        model.visits = stacked.visits[b * n_states:(b + 1) * n_states]
-    offset = n_states * np.arange(n_learners)[:, None]
-    eps = np.stack([budget.eps for budget in budgets])
-    attacked = eps > 0
-    e = mixing_weights(eps, (n_learners, env.n_agents, env.n_actions))
-    keep = 1.0 - e
-    victim = frozen(victim_policy)
-    episode_seeds = [np.random.SeedSequence((seed, 0xad)).spawn(cfg.episodes) for seed in seeds]
-    act_rngs = [seed_rng(seed, salt="adversary-actions") for seed in seeds]
-    curves = np.empty((n_learners, cfg.episodes))
-
-    for ep in range(cfg.episodes):
-        batch = stack_snapshots([env.reset(seed=seeds[ep]) for seeds in episode_seeds])
-        rows = batch.states + offset
-        explore = exploration_eps(cfg, ep)
-        ret, disc = np.zeros(n_learners), 1.0
-        prev = None
-        for t in range(env.horizon):
-            adv = (1 - explore) * softmax_rows(stacked.values(rows) / cfg.temperature) \
-                + explore / env.n_actions
-            actions = sample_actions(e * adv + keep * victim.action_dists(batch), act_rngs)
-            res = env.step_batch(batch, actions)
-
-            if prev is not None:
-                p_rows, p_actions, p_reward = prev
-                targets = -p_reward[:, None] + env.gamma * stacked.table[rows, actions]
-                stacked.td_update(p_rows[attacked], p_actions[attacked],
-                                  targets[attacked], cfg.lr, cfg.lr_decay)
-
-            prev = (rows, actions, res.reward)
-            ret += disc * (-res.reward)
-            disc *= env.gamma
-            batch = res.snapshot
-            rows = batch.states + offset
-        curves[:, ep] = ret
-    return curves
 
 
 def evaluate_attack(env, victim_policy, budgets: BudgetVector, episodes: int,

@@ -8,7 +8,7 @@ import sys
 from .errors import MfvulnError
 from .pipeline import (Run, export_heatmap, run_pipeline, stage_attack,
                        stage_correlate, stage_evaluate, stage_fit_value,
-                       stage_select, stage_train_victim)
+                       stage_select, stage_train_victim, train_missing_victims)
 
 COMMANDS = ("train-victim", "fit-value", "select", "attack", "evaluate",
             "correlate", "heatmap", "pipeline")
@@ -72,6 +72,8 @@ def main(argv=None) -> int:
             print(f"pipeline complete: {run_pipeline(args.config, args.out, seeds)}")
             return 0
         run = Run(args.config, args.out, seeds)
+        if args.command == "train-victim":
+            train_missing_victims(run, run.cfg.seeds)
         for seed in run.cfg.seeds:
             print(_run_command(args, run, seed))
         return 0

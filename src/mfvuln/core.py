@@ -52,16 +52,6 @@ def seed_rng(seed=None, salt=None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def lp_norm(v, p) -> float:
-    """l_p norm of a vector, p in [1, inf]."""
-    v = np.asarray(v, dtype=float)
-    if np.isinf(p):
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    if p < 1:
-        raise InvalidInputError(f"norm order must be >= 1, got {p}")
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
-
-
 def dual_order(p) -> float:
     """Hoelder conjugate q with 1/p + 1/q = 1; maps 1 <-> inf and 2 <-> 2."""
     if np.isinf(p):
@@ -164,15 +154,6 @@ class BudgetVector:
     @property
     def xi(self) -> float:
         return aggregate_budget(self.eps)
-
-    @property
-    def attacked_ids(self):
-        return np.flatnonzero(self.eps > 0.0)
-
-    def with_agent(self, agent_id: int, eps: float) -> "BudgetVector":
-        e = self.eps.copy()
-        e[agent_id] = eps
-        return BudgetVector(e)
 
     @staticmethod
     def zeros(n_agents: int) -> "BudgetVector":

@@ -11,12 +11,6 @@ ENV_BUILDERS = {
     "toy": make_toy,
 }
 
-ENV_CONFIGS = {
-    "vicsek": VicsekConfig,
-    "taxi": TaxiConfig,
-    "toy": ToyConfig,
-}
-
 
 def make_env(raw: dict) -> MeanFieldEnv:
     """Build an environment from a plain config mapping (strict keys)."""

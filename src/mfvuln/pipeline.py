@@ -1,14 +1,16 @@
 """Experiment harness: strict config, staged pipeline, append-only results.
 
 A run (``Run``) owns one output directory, which holds one experiment.
-Three stages execute in order per seed: train the cooperative victim, fit
-the budget-conditioned value model on its rollouts, then select attack sets
-and train/evaluate adversaries for each configured method.  Every stage
-goes through the run: an artifact is reused when its file exists, else
-computed and saved, and a stage's ledger rows are written once, so a rerun
-with the same config touches nothing and leaves the ledger byte-identical.
-The run's seed is passed to every learner as an argument; the learner
-sections of a config hold schedules only, so a ``seed`` key there is refused.
+A pipeline run first trains the cooperative victims its seeds lack, all in
+one lockstep call.  Then stages execute in order per seed: record the
+victim's returns, fit the budget-conditioned value model on its rollouts,
+then select attack sets and train/evaluate adversaries for each configured
+method.  Every stage goes through the run: an artifact is reused when its
+file exists, else computed and saved, and a stage's ledger rows are written
+once, so a rerun with the same config touches nothing and leaves the ledger
+byte-identical.  The run's seed is passed to every learner as an argument;
+the learner sections of a config hold schedules only, so a ``seed`` key
+there is refused.
 
 The ledger is an append-only CSV keyed by a hash of the config; analysis
 helpers (Pearson correlation of predicted vs realized attack damage, and
@@ -39,7 +41,7 @@ from .envs.base import agent_layout, check_field_types
 from .errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
                      StageDependencyError, UndefinedCorrelationError)
 from .qlearn import (BoltzmannPolicy, TrainConfig, UniformPolicy,
-                     evaluate_policy, rollouts, train_victim, write_atomic)
+                     evaluate_policy, rollouts, train_victims, write_atomic)
 from .robust import (FitConfig, RobustValueModel, fit_cooperative_q,
                      fit_robust_value)
 from .selection import (AttackSet, load_attack_set, predicted_drop,
@@ -508,17 +510,24 @@ class Run:
                                 for method, metric, value in rows()])
 
 
+def train_missing_victims(run: Run, seeds):
+    """Victims of the given seeds that are not yet saved train in one call."""
+    missing = [seed for seed in seeds if not run.has("victim_policy", seed)]
+    for seed, (_, policy, _) in zip(missing, train_victims(run.env, run.cfg.victim, missing)):
+        run.artifact("victim_policy", seed, compute=lambda p=policy: p)
+
+
 def stage_train_victim(run: Run, seed: int):
     env, vcfg = run.env, run.cfg.victim
-    policy = run.artifact("victim_policy", seed,
-                          compute=lambda: train_victim(env, vcfg, seed)[1])
+    train_missing_victims(run, [seed])
+    policy = run.artifact("victim_policy", seed)
 
     def rows():
-        trained = evaluate_policy(env, policy, vcfg.eval_episodes, seed=(seed, 1))
-        uniform = evaluate_policy(env, UniformPolicy(env.n_actions),
-                                  vcfg.eval_episodes, seed=(seed, 1))
+        episodes = vcfg.eval_episodes
+        trained = evaluate_policy(env, policy, episodes, seed=(seed, 1))
+        uniform = evaluate_policy(env, UniformPolicy(env.n_actions), episodes, seed=(seed, 1))
         return [("mfq", "victim_return", float(trained.mean())),
-                ("mfq", "victim_std", float(trained.std(ddof=1))),
+                ("mfq", "victim_std", float(trained.std(ddof=1)) if episodes > 1 else 0.0),
                 ("uniform", "victim_return", float(uniform.mean()))]
 
     run.record("victim", seed, rows)
@@ -651,8 +660,13 @@ def stage_correlate(run: Run, seed: int) -> float:
 
 
 def run_pipeline(config, out_dir=None, seeds=None) -> str:
-    """Execute all stages for every seed; returns the results directory."""
+    """Execute all stages for every seed; returns the results directory.
+
+    The victims the seeds lack train first, in one call, so a seed whose
+    victim misses its margin stops the run before any seed's later stages.
+    """
     run = Run(config, out_dir, seeds)
+    train_missing_victims(run, run.cfg.seeds)
     for seed in run.cfg.seeds:
         for stage in (stage_train_victim, stage_fit_value, stage_select,
                       stage_attack, stage_evaluate):

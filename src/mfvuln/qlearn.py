@@ -7,10 +7,14 @@ reward and the dynamics, not as an input.  Policies are Boltzmann in Q
 cooperative policy stochastic and black-box queryable as an action
 distribution.
 
-Training runs expected-SARSA style updates toward the current Boltzmann
-target policy with eps-greedy exploration on top; with a frozen policy the
-same update performs plain policy evaluation, which is what the tests pin
-against linear-system solutions.
+One lockstep kernel trains every tabular learner: B learners step together
+through ``env.step_batch`` on one stacked Q table, each with its own episode
+seeds and action stream, under one eps-greedy exploration schedule.  A
+victim runs expected-SARSA updates toward its own Boltzmann policy, on
+every agent at once; ``train_victims`` trains one per seed.  An adversary
+(``attack.train_adversaries``) differs only in its target (SARSA on the
+negated reward, for the attacked agents) and in mixing its policy with the
+frozen victim's.
 """
 
 from __future__ import annotations
@@ -368,58 +372,96 @@ def exploration_eps(cfg, episode: int) -> float:
     return cfg.eps_start + frac * (cfg.eps_final - cfg.eps_start)
 
 
-def train_victim(env, cfg: TrainConfig, seed, fixed_policy_table=None):
-    """Fit the cooperative Q model and return (model, policy, episode returns).
+def train_victims(env, cfg: TrainConfig, seeds) -> list:
+    """Fit one cooperative Q model per seed, all in lockstep; returns one
+    (model, policy, episode returns) triple per seed, byte for byte what
+    that seed trained alone gives.
 
-    ``seed`` drives the episode starts, the action stream and the margin check.
-
-    With fixed_policy_table the loop evaluates that policy instead of
-    improving its own (used to pin TD learning against exact solutions).
-    Raises TrainingFailureError when the trained policy fails to clear the
-    configured margin over a uniform-random baseline.
+    A seed drives its learner's episode starts, action stream and margin
+    check.  The checks run in seed order: the first policy short of the
+    configured margin over a uniform-random baseline raises
+    TrainingFailureError naming its seed.
     """
     cfg.validate()
-    model = QModel(env.n_states, env.n_actions, env.gamma)
-    fixed = None if fixed_policy_table is None else np.asarray(fixed_policy_table, dtype=float)
-    episode_seeds = np.random.SeedSequence(seed).spawn(cfg.episodes)
-    act_rng = seed_rng(seed, salt="train-actions")
-    curve = np.empty(cfg.episodes)
+    models = [QModel(env.n_states, env.n_actions, env.gamma) for _ in seeds]
+    curves = _lockstep(env, cfg, models,
+                       [np.random.SeedSequence(seed).spawn(cfg.episodes) for seed in seeds],
+                       [seed_rng(seed, salt="train-actions") for seed in seeds]) if seeds else []
+    trained = []
+    for seed, model, curve in zip(seeds, models, curves):
+        policy = BoltzmannPolicy(model, cfg.temperature)
+        if cfg.min_margin is not None:
+            mine = float(np.mean(evaluate_policy(env, policy, cfg.eval_episodes, (seed, 1))))
+            baseline = float(np.mean(evaluate_policy(env, UniformPolicy(env.n_actions),
+                                                     cfg.eval_episodes, (seed, 1))))
+            scale = abs(baseline) if abs(baseline) > 1e-12 else 1.0
+            if (mine - baseline) / scale < cfg.min_margin:
+                raise TrainingFailureError(
+                    f"victim of seed {seed} underperforms: trained {mine:.6f}, "
+                    f"uniform {baseline:.6f}", trained_return=mine, baseline_return=baseline)
+        trained.append((model, policy, curve))
+    return trained
+
+
+def _lockstep(env, cfg: LearnerConfig, models, episode_seeds, act_rngs,
+              adversary=None) -> np.ndarray:
+    """Train B tabular learners in lockstep under one schedule; returns their
+    (B, episodes) curves of discounted learner reward.
+
+    One (B * S, A) table holds learner b's Q(s, a) in row b * S + s, and
+    models[b] gets its block as a view, so one ``td_update`` serves the
+    batch: learners never share a cell, and within a learner the increments
+    keep their order.  Learner b starts episode e from episode_seeds[b][e],
+    samples from act_rngs[b], and explores eps-greedily around the Boltzmann
+    policy of its own Q.
+
+    With ``adversary`` None the learners are victims: expected SARSA toward
+    their own Boltzmann policy, on every agent at once.  With ``adversary``
+    = (victim policy, (B, N) budgets) each agent executes
+    eps_i * own + (1 - eps_i) * victim, and SARSA on the negated reward
+    updates the attacked agents one step late, on the action executed next.
+    """
+    n_learners, n_states, n_actions = len(models), env.n_states, env.n_actions
+    stacked = QModel(n_learners * n_states, n_actions, env.gamma)
+    for b, model in enumerate(models):
+        model.table = stacked.table[b * n_states:(b + 1) * n_states]
+        model.visits = stacked.visits[b * n_states:(b + 1) * n_states]
+    offset = n_states * np.arange(n_learners)[:, None]
+    if adversary is not None:
+        victim, eps = frozen(adversary[0]), adversary[1]
+        attacked = eps > 0
+        e = mixing_weights(eps, (n_learners, env.n_agents, n_actions))
+        keep = 1.0 - e
+    curves = np.empty((n_learners, cfg.episodes))
 
     for ep in range(cfg.episodes):
-        snap = env.reset(seed=episode_seeds[ep])
+        batch = stack_snapshots([env.reset(seed=seeds[ep]) for seeds in episode_seeds])
+        rows = batch.states + offset
         explore = exploration_eps(cfg, ep)
-        ret, disc = 0.0, 1.0
-        for t in range(env.horizon):
-            if fixed is not None:
-                behavior = fixed[snap.states]
-            else:
-                q = model.values(snap.states)
-                behavior = (1 - explore) * softmax_rows(q / cfg.temperature) \
-                    + explore / env.n_actions
-            actions = sample_actions(behavior, act_rng)
-            res = env.step(snap, actions)
-            nxt = res.snapshot
-            q2 = model.values(nxt.states)
-            if fixed is not None:
-                pi2 = fixed[nxt.states]
-            else:
-                pi2 = softmax_rows(q2 / cfg.temperature)
-            targets = res.reward + env.gamma * (pi2 * q2).sum(axis=1)
-            model.td_update(snap.states, actions, targets, cfg.lr, cfg.lr_decay)
-            ret += disc * res.reward
+        ret, disc, prev = np.zeros(n_learners), 1.0, None
+        for _ in range(env.horizon):
+            dists = (1 - explore) * softmax_rows(stacked.values(rows) / cfg.temperature) \
+                + explore / n_actions
+            if adversary is not None:
+                dists = e * dists + keep * victim.action_dists(batch)
+            actions = sample_actions(dists, act_rngs)
+            res = env.step_batch(batch, actions)
+            batch = res.snapshot
+            nxt = batch.states + offset
+            reward = res.reward if adversary is None else -res.reward
+            if adversary is None:
+                q2 = stacked.values(nxt)
+                targets = reward[:, None] + env.gamma * (
+                    softmax_rows(q2 / cfg.temperature) * q2).sum(axis=-1)
+                stacked.td_update(rows, actions, targets, cfg.lr, cfg.lr_decay)
+            elif prev is not None:
+                p_rows, p_actions, p_reward = prev
+                targets = p_reward[:, None] + env.gamma * stacked.table[rows, actions]
+                stacked.td_update(p_rows[attacked], p_actions[attacked],
+                                  targets[attacked], cfg.lr, cfg.lr_decay)
+            prev = (rows, actions, reward)
+            ret += disc * reward
             disc *= env.gamma
-            snap = nxt
-        curve[ep] = ret
-
-    policy = BoltzmannPolicy(model, cfg.temperature) if fixed is None else TablePolicy(fixed)
-    if cfg.min_margin is not None and fixed is None:
-        trained = float(np.mean(evaluate_policy(env, policy, cfg.eval_episodes,
-                                                seed=(seed, 1))))
-        baseline = float(np.mean(evaluate_policy(env, UniformPolicy(env.n_actions),
-                                                 cfg.eval_episodes, seed=(seed, 1))))
-        scale = abs(baseline) if abs(baseline) > 1e-12 else 1.0
-        if (trained - baseline) / scale < cfg.min_margin:
-            raise TrainingFailureError(
-                f"victim underperforms: trained {trained:.6f}, uniform {baseline:.6f}",
-                trained_return=trained, baseline_return=baseline)
-    return model, policy, curve
+            rows = nxt
+        curves[:, ep] = ret
+    return curves

@@ -27,11 +27,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mfvuln.core import (aggregate_budget, check_prob_vector, dual_order, lp_norm,
+from mfvuln.core import (BudgetVector, aggregate_budget, check_prob_vector, dual_order,
                          mixing_weights, sample_actions)
 from mfvuln.errors import InvalidInputError
 
 W_MAX = 3.0  # sup of eps + xi + eps*xi over the unit budget square
+
+
+# -- norms and budget vectors ---------------------------------------------------
+
+
+def lp_norm(v, p) -> float:
+    """l_p norm of a vector, p in [1, inf]."""
+    v = np.asarray(v, dtype=float)
+    if np.isinf(p):
+        return float(np.max(np.abs(v))) if v.size else 0.0
+    if p < 1:
+        raise InvalidInputError(f"norm order must be >= 1, got {p}")
+    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+
+
+def with_agent(budget: BudgetVector, agent_id: int, eps: float) -> BudgetVector:
+    """A copy of budget with agent_id's entry set to eps."""
+    e = budget.eps.copy()
+    e[agent_id] = eps
+    return BudgetVector(e)
+
+
+def attacked_ids(budget: BudgetVector) -> np.ndarray:
+    """Indices of the agents with a positive budget."""
+    return np.flatnonzero(budget.eps > 0.0)
 
 
 # -- action distributions and deviation bounds ---------------------------------
@@ -428,7 +453,6 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
     eps * (damp gap) / N falls below that a real gap is merged; the
     reference holds for budgets eps >= 1e-3.
     """
-    from mfvuln.core import BudgetVector
     from mfvuln.selection import AttackSet
 
     states0 = np.asarray(states0, dtype=int)
@@ -440,13 +464,13 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
             if budget.eps[cand] > 0:
                 continue
             cand_rewards[cand] = selector_reward(value_model, states0, budget,
-                                                 budget.with_agent(cand, eps))
+                                                 with_agent(budget, cand, eps))
         top = max(cand_rewards.values())
         tol = 1e-9 * max(1.0, abs(top))
         best = min(c for c, r in cand_rewards.items() if r >= top - tol)
         chosen.append(best)
         rewards.append(cand_rewards[best])
-        budget = budget.with_agent(best, eps)
+        budget = with_agent(budget, best, eps)
     return AttackSet(np.array(chosen, dtype=int), eps, "greedy",
                      predicted_drop=float(np.sum(rewards)) if rewards else 0.0,
                      pick_rewards=np.array(rewards))
@@ -456,8 +480,8 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
 #
 # What the package ran before independent episodes and learners were stepped
 # as one batch: the taxi dynamics per snapshot through (x, y) arithmetic, the
-# vicsek step per episode on its dense (N, N) adjacency, and adversary SARSA
-# one learner at a time on its own (S, A) table.
+# vicsek step per episode on its dense (N, N) adjacency, and victim expected
+# SARSA and adversary SARSA one learner at a time on its own (S, A) table.
 
 
 def taxi_step(env, snapshot, actions):
@@ -517,6 +541,67 @@ def train_adversary_serial(env, victim_policy, budgets, cfg, seed, step=None):
             snap = res.snapshot
         curve[ep] = ret
     return model, curve
+
+
+def train_victim_serial(env, cfg, seed, fixed_policy_table=None, step=None):
+    """Victim expected SARSA for one seed: (model, policy, episode returns).
+
+    ``step(snapshot, actions)`` replaces ``env.step``.  With
+    fixed_policy_table the loop evaluates that policy instead of improving
+    its own, and skips the margin check.  Otherwise it raises
+    TrainingFailureError when the trained policy fails to clear the
+    configured margin over a uniform-random baseline.
+    """
+    from mfvuln.core import seed_rng
+    from mfvuln.errors import TrainingFailureError
+    from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, UniformPolicy,
+                               evaluate_policy, exploration_eps, softmax_rows)
+
+    cfg.validate()
+    model = QModel(env.n_states, env.n_actions, env.gamma)
+    fixed = None if fixed_policy_table is None else np.asarray(fixed_policy_table, dtype=float)
+    episode_seeds = np.random.SeedSequence(seed).spawn(cfg.episodes)
+    act_rng = seed_rng(seed, salt="train-actions")
+    curve = np.empty(cfg.episodes)
+
+    for ep in range(cfg.episodes):
+        snap = env.reset(seed=episode_seeds[ep])
+        explore = exploration_eps(cfg, ep)
+        ret, disc = 0.0, 1.0
+        for t in range(env.horizon):
+            if fixed is not None:
+                behavior = fixed[snap.states]
+            else:
+                q = model.values(snap.states)
+                behavior = (1 - explore) * softmax_rows(q / cfg.temperature) \
+                    + explore / env.n_actions
+            actions = sample_actions(behavior, act_rng)
+            res = (env.step if step is None else step)(snap, actions)
+            nxt = res.snapshot
+            q2 = model.values(nxt.states)
+            if fixed is not None:
+                pi2 = fixed[nxt.states]
+            else:
+                pi2 = softmax_rows(q2 / cfg.temperature)
+            targets = res.reward + env.gamma * (pi2 * q2).sum(axis=1)
+            model.td_update(snap.states, actions, targets, cfg.lr, cfg.lr_decay)
+            ret += disc * res.reward
+            disc *= env.gamma
+            snap = nxt
+        curve[ep] = ret
+
+    policy = BoltzmannPolicy(model, cfg.temperature) if fixed is None else TablePolicy(fixed)
+    if cfg.min_margin is not None and fixed is None:
+        trained = float(np.mean(evaluate_policy(env, policy, cfg.eval_episodes,
+                                                seed=(seed, 1))))
+        baseline = float(np.mean(evaluate_policy(env, UniformPolicy(env.n_actions),
+                                                 cfg.eval_episodes, seed=(seed, 1))))
+        scale = abs(baseline) if abs(baseline) > 1e-12 else 1.0
+        if (trained - baseline) / scale < cfg.min_margin:
+            raise TrainingFailureError(
+                f"victim underperforms: trained {trained:.6f}, uniform {baseline:.6f}",
+                trained_return=trained, baseline_return=baseline)
+    return model, policy, curve
 
 
 def dense_mean_heading(env, pos, headings) -> np.ndarray:

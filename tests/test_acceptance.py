@@ -25,7 +25,7 @@ from mfvuln.selection import select_bruteforce, select_greedy, select_random
 from mfvuln.pipeline import (Run, correlate_prediction_vs_attack,
                              parse_experiment_config, run_pipeline,
                              sample_attack_subsets, stage_fit_value,
-                             stage_train_victim)
+                             stage_train_victim, train_missing_victims)
 from oracles import (ActionDist, TransitionSample, apply_robust_bellman,
                      check_deviation_bounds, check_mean_field_deviation, exact_attack_return,
                      exact_value_model, greedy_matrix, mix_policies, optimal_q, pooled_std,
@@ -50,25 +50,32 @@ EVAL_EPISODES = 20
 _cache = {}
 
 
-def trained_setup(env_name: str, seed: int):
-    """Victim + fitted value model for one env/seed, cached across criteria."""
-    key = (env_name, seed)
-    if key in _cache:
-        return _cache[key]
+def trained_setups(env_name: str, seeds):
+    """Victim + fitted value model per seed, cached across criteria; the victims
+    not yet cached train in one call, as a pipeline run trains its seeds'."""
+    missing = [seed for seed in seeds if (env_name, seed) not in _cache]
     raw, train_kwargs, fit_kwargs = (
         (VICSEK_RAW, VICSEK_TRAIN, VICSEK_FIT) if env_name == "vicsek"
         else (TAXI_RAW, TAXI_TRAIN, TAXI_FIT))
-    with tempfile.TemporaryDirectory() as out_dir:
-        run = Run(parse_experiment_config({
-            "env": raw, "victim": train_kwargs,
-            "value": dict(rollouts=80, **fit_kwargs),
-            "seeds": [seed], "out_dir": out_dir}))
-        victim = stage_train_victim(run, seed)
-        vmodel = stage_fit_value(run, seed)
-    snap0 = run.env.reset(seed=seed)
-    mu0 = empirical_mean_field_state(snap0.states, run.env.n_states).probs
-    _cache[key] = (run.env, victim, vmodel, snap0.states, mu0)
-    return _cache[key]
+    if missing:
+        with tempfile.TemporaryDirectory() as out_dir:
+            run = Run(parse_experiment_config({
+                "env": raw, "victim": train_kwargs,
+                "value": dict(rollouts=80, **fit_kwargs),
+                "seeds": missing, "out_dir": out_dir}))
+            train_missing_victims(run, missing)
+            for seed in missing:
+                victim = stage_train_victim(run, seed)
+                vmodel = stage_fit_value(run, seed)
+                snap0 = run.env.reset(seed=seed)
+                mu0 = empirical_mean_field_state(snap0.states, run.env.n_states).probs
+                _cache[env_name, seed] = (run.env, victim, vmodel, snap0.states, mu0)
+    return [_cache[env_name, seed] for seed in seeds]
+
+
+def trained_setup(env_name: str, seed: int):
+    """trained_setups for one seed."""
+    return trained_setups(env_name, [seed])[0]
 
 
 def attack_set_returns(env, victim, attacks, eps, seed):
@@ -273,30 +280,28 @@ def test_criterion_6_prediction_correlation(env_name):
 @pytest.mark.parametrize("env_name", ["vicsek", "taxi"])
 def test_criterion_7_attack_ordering(env_name):
     seeds = [0, 1, 2, 3, 4]
+    ks = (2, 4)
+    returns, coop = {}, {}
+    for seed, (env, victim, vmodel, states0, mu0) in zip(seeds, trained_setups(env_name, seeds)):
+        # the seed's four adversaries (greedy and random at each K) train in one batch
+        sets = {(k, "greedy"): select_greedy(vmodel, states0, mu0, k, 1.0) for k in ks}
+        sets.update({(k, "random"): select_random(env.n_agents, k, seed, 1.0) for k in ks})
+        for key, ret in zip(sets, attack_set_returns(env, victim, sets.values(), 1.0, seed)):
+            returns[(seed,) + key] = ret
+        coop[seed] = evaluate_policy(env, victim, EVAL_EPISODES, (seed, 3))
     lines = []
-    for k in (2, 4):
-        results = {m: [] for m in ("greedy", "random")}
-        coop, episode_groups = [], []
-        for seed in seeds:
-            env, victim, vmodel, states0, mu0 = trained_setup(env_name, seed)
-            sets = {
-                "greedy": select_greedy(vmodel, states0, mu0, k, 1.0),
-                "random": select_random(env.n_agents, k, seed, 1.0),
-            }
-            for method, returns in zip(sets, attack_set_returns(env, victim, sets.values(),
-                                                                1.0, seed)):
-                results[method].append(float(returns.mean()))
-                episode_groups.append(returns)
-            baseline = evaluate_policy(env, victim, EVAL_EPISODES, (seed, 3))
-            coop.append(float(baseline.mean()))
-            episode_groups.append(baseline)
+    for k in ks:
+        results = {m: [float(returns[seed, k, m].mean()) for seed in seeds]
+                   for m in ("greedy", "random")}
+        episode_groups = [group for seed in seeds for group in
+                          (returns[seed, k, "greedy"], returns[seed, k, "random"], coop[seed])]
         greedy_wins = sum(g < r for g, r in zip(results["greedy"], results["random"]))
         spread = pooled_std(episode_groups)
         assert greedy_wins >= 4, \
             f"{env_name} K={k}: greedy beats random in only {greedy_wins}/5 seeds"
         for method, vals in results.items():
             for seed, val in zip(seeds, vals):
-                assert val <= coop[seeds.index(seed)] + spread, \
+                assert val <= float(coop[seed].mean()) + spread, \
                     f"{env_name} K={k} {method} seed={seed} exceeds coop + 1 pooled std"
         lines.append(f"K={k} greedy {greedy_wins}/5")
     print(f"\n[criterion 7] PASS {env_name} " + "; ".join(lines))

@@ -1,6 +1,7 @@
 """Batched episodes and learners equal their one-at-a-time references bit for bit."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from mfvuln.envs.base import Snapshot, stack_snapshots
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
-from mfvuln.errors import InvalidConfigError, InvalidInputError
-from mfvuln.qlearn import (BoltzmannPolicy, QModel, UniformPolicy, evaluate_policy, rollout,
-                           rollouts)
+from mfvuln.errors import InvalidConfigError, InvalidInputError, TrainingFailureError
+from mfvuln.qlearn import (BoltzmannPolicy, QModel, TrainConfig, UniformPolicy,
+                           evaluate_policy, rollout, rollouts, train_victims)
 
 import oracles
 
@@ -219,6 +220,60 @@ def test_zero_horizon_evaluation_returns_zeros():
     env = ENVS["toy"]()
     assert same(evaluate_policy(env, UniformPolicy(env.n_actions), 3, seed=0, horizon=0),
                 np.zeros(3))
+
+
+# -- the lockstep victim trainer -------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(ENVS)),
+       st.lists(st.integers(0, 2) | st.integers(0, 2 ** 16), min_size=1, max_size=4),
+       st.sampled_from([0.0, 0.05]))
+def test_victims_trained_together_equal_the_serial_loop(name, seeds, lr_decay):
+    """Each victim of a batch (repeated seeds included) is the serial loop's
+    over the reference step, and what its seed trained alone gives."""
+    env = ENVS[name]()
+    cfg = TrainConfig(episodes=4, lr=0.3, lr_decay=lr_decay, eps_start=0.8, min_margin=None)
+    trained = train_victims(env, cfg, seeds)
+    assert len(trained) == len(seeds)
+    for seed, (model, policy, curve) in zip(seeds, trained):
+        want_model, _, want_curve = oracles.train_victim_serial(env, cfg, seed,
+                                                                step=serial_step(env))
+        [(alone, _, alone_curve)] = train_victims(env, cfg, [seed])
+        for table in ("table", "visits"):
+            assert same(getattr(model, table), getattr(want_model, table))
+            assert same(getattr(model, table), getattr(alone, table))
+        assert same(curve, want_curve) and same(curve, alone_curve)
+        assert policy.model is model and policy.temperature == cfg.temperature
+
+
+def relative_margin(env, cfg, seed) -> float:
+    """The trained victim's margin over uniform, as the margin check computes it."""
+    _, policy, _ = oracles.train_victim_serial(env, replace(cfg, min_margin=None), seed)
+    trained = evaluate_policy(env, policy, cfg.eval_episodes, seed=(seed, 1)).mean()
+    uniform = evaluate_policy(env, UniformPolicy(env.n_actions), cfg.eval_episodes,
+                              seed=(seed, 1)).mean()
+    return (trained - uniform) / (abs(uniform) if abs(uniform) > 1e-12 else 1.0)
+
+
+def test_victim_margin_checks_run_per_seed_in_seed_order():
+    env = ENVS["toy"]()
+    cfg = TrainConfig(episodes=6, eval_episodes=3)
+    margins = {seed: relative_margin(env, cfg, seed) for seed in range(6)}
+    low, high = min(margins, key=margins.get), max(margins, key=margins.get)
+    assert margins[low] < margins[high]
+    cfg = replace(cfg, min_margin=(margins[low] + margins[high]) / 2)
+    [(model, _, _)] = train_victims(env, cfg, [high])
+    want_model, _, _ = oracles.train_victim_serial(env, cfg, high)
+    assert same(model.table, want_model.table)
+    with pytest.raises(TrainingFailureError) as want:
+        oracles.train_victim_serial(env, cfg, low)
+    for seeds in ([low], [high, low, high], [low, high]):
+        with pytest.raises(TrainingFailureError, match=f"victim of seed {low} underperforms") \
+                as got:
+            train_victims(env, cfg, seeds)
+        assert got.value.trained_return == want.value.trained_return
+        assert got.value.baseline_return == want.value.baseline_return
 
 
 # -- the batched adversary trainer ---------------------------------------------------

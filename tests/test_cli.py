@@ -41,6 +41,17 @@ def test_parser_requires_a_command():
         build_parser().parse_args(["heatmap", "--config", "x", "--mode", "bogus"])
 
 
+@pytest.mark.parametrize("command", ["pipeline", "train-victim"])
+def test_a_victim_short_of_its_margin_stops_the_run_before_any_stage_file(tmp_path, capsys,
+                                                                          command):
+    cfg_path, raw = write_config(tmp_path, seeds=[1, 0],
+                                 victim={"episodes": 20, "eval_episodes": 2, "min_margin": 1e3})
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert "victim of seed 1 underperforms" in capsys.readouterr().err
+    assert sorted(os.listdir(raw["out_dir"])) == ["experiment_id.txt", "ledger.csv"]
+    assert ResultsLedger(RunPaths(raw["out_dir"]).ledger()).rows() == []
+
+
 def test_staged_commands_chain_into_a_full_run(tmp_path, capsys):
     cfg_path, raw = write_config(tmp_path)
     paths = RunPaths(raw["out_dir"])

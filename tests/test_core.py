@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfvuln.core import (BudgetVector, MeanFieldState, aggregate_budget, dual_order,
-                         empirical_mean_field_state, lp_norm, sample_actions, seed_rng)
+                         empirical_mean_field_state, sample_actions, seed_rng)
 from mfvuln.errors import InvalidInputError
-from oracles import (ActionDist, NormOrder, check_deviation_bounds,
-                     check_mean_field_deviation, deviation_constant, mix_policies,
-                     mix_policy_matrix)
+from oracles import (ActionDist, NormOrder, attacked_ids, check_deviation_bounds,
+                     check_mean_field_deviation, deviation_constant, lp_norm, mix_policies,
+                     mix_policy_matrix, with_agent)
 
 
 def rand_dist(rng, n):
@@ -223,10 +223,10 @@ def test_aggregate_budget_linearity():
 def test_budget_vector_xi_recomputed():
     b = BudgetVector(np.array([1.0, 0.0, 0.0, 0.0]))
     assert b.xi == pytest.approx(0.25)
-    b2 = b.with_agent(1, 1.0)
+    b2 = with_agent(b, 1, 1.0)
     assert b2.xi == pytest.approx(0.5)
     assert b.xi == pytest.approx(0.25)  # original untouched
-    assert np.array_equal(b2.attacked_ids, [0, 1])
+    assert np.array_equal(attacked_ids(b2), [0, 1])
 
 
 def test_budget_vector_constructors():

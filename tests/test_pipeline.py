@@ -2,6 +2,7 @@
 
 import csv
 import os
+import warnings
 
 from dataclasses import fields as dc_fields
 
@@ -468,3 +469,60 @@ def test_run_claims_its_directory_before_any_stage(tmp_path):
     other = parse_experiment_config(base_raw(out_dir=out, name="another"))
     with pytest.raises(InvalidConfigError, match=f"{experiment_id(cfg)}, not {experiment_id(other)}"):
         Run(other)
+
+
+def test_multi_seed_run_equals_one_run_per_seed(tmp_path, monkeypatch):
+    """Two seeds in one run: the victims train in one call, and every file is
+    what two --seed runs write, with the ledger their rows in seed order."""
+    import yaml
+
+    from mfvuln import pipeline
+    from mfvuln.cli import main
+
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(yaml.safe_dump(base_raw(seeds=[0, 1])))
+    calls, real = [], pipeline.train_victims   # the calls that train a victim
+
+    def recording(env, cfg, seeds):
+        if seeds:
+            calls.append(list(seeds))
+        return real(env, cfg, seeds)
+
+    monkeypatch.setattr(pipeline, "train_victims", recording)
+    both = tmp_path / "both"
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(both)]) == 0
+    assert calls == [[0, 1]]
+    singles = [tmp_path / f"s{seed}" for seed in (0, 1)]
+    for seed, out in enumerate(singles):
+        assert main(["pipeline", "--config", str(cfg_path), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    assert calls == [[0, 1], [0], [1]]
+    header, *rows = (both / "ledger.csv").read_bytes().splitlines(keepends=True)
+    assert rows == [row for out in singles
+                    for row in (out / "ledger.csv").read_bytes().splitlines(keepends=True)[1:]]
+    names = sorted(p.name for p in both.iterdir())
+    assert names == sorted({p.name for out in singles for p in out.iterdir()})
+    for name in set(names) - {"ledger.csv"}:
+        want = [(out / name).read_bytes() for out in singles if (out / name).exists()]
+        assert want and all(w == (both / name).read_bytes() for w in want), name
+
+    victims = tmp_path / "victims"
+    assert main(["train-victim", "--config", str(cfg_path), "--out", str(victims)]) == 0
+    assert calls[-1] == [0, 1]
+    for seed in (0, 1):
+        name = f"victim_s{seed}.policy.q"
+        assert (victims / name).read_bytes() == (both / name).read_bytes()
+
+
+def test_one_evaluation_episode_writes_finite_ledger_values(tmp_path):
+    """With one evaluation episode the sample std is undefined; it is written as 0."""
+    cfg = parse_experiment_config(base_raw(
+        out_dir=str(tmp_path / "runs"), victim={"episodes": 150, "eval_episodes": 1},
+        adversary={"episodes": 8, "eval_episodes": 1}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_pipeline(cfg)
+    rows = Run(cfg).ledger.rows()
+    assert rows and all(np.isfinite(float(r["value"])) for r in rows)
+    std = [r["value"] for r in rows if r["metric"] in ("victim_std", "attacked_std")]
+    assert std == ["0"] * 3

@@ -18,9 +18,10 @@ from mfvuln.errors import (InvalidConfigError, InvalidInputError,
 from mfvuln.envs.base import Snapshot
 from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, TrainConfig,
                            UniformPolicy, evaluate_policy, exploration_eps, rollout,
-                           softmax_rows, train_victim)
+                           softmax_rows, train_victims)
 from mfvuln.robust import RobustValueModel
 from mfvuln.selection import AttackSet, load_attack_set, save_attack_set
+from oracles import train_victim_serial
 
 
 def two_state_env(gamma=0.9, c0=0.25):
@@ -130,8 +131,8 @@ def test_boltzmann_rejects_bad_temperature():
 def test_td_matches_linear_solve():
     env = two_state_env()
     pi = np.array([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5], [0.5, 0.5]])
-    model, _, _ = train_victim(env, TrainConfig(episodes=400, lr=0.5, min_margin=None), 0,
-                               fixed_policy_table=pi)
+    model, _, _ = train_victim_serial(env, TrainConfig(episodes=400, lr=0.5, min_margin=None),
+                                      0, fixed_policy_table=pi)
     oracle = block1_policy_eval_oracle(env, pi)
     assert np.abs(model.table[:2] - oracle).max() < 1e-3
 
@@ -140,8 +141,8 @@ def test_td_myopic_limit():
     # gamma = 0 reduces the fit to immediate-reward regression
     env = two_state_env(gamma=0.0)
     pi = np.full((4, 2), 0.5)
-    model, _, _ = train_victim(env, TrainConfig(episodes=200, lr=0.5, min_margin=None), 1,
-                               fixed_policy_table=pi)
+    model, _, _ = train_victim_serial(env, TrainConfig(episodes=200, lr=0.5, min_margin=None),
+                                      1, fixed_policy_table=pi)
     want = (env.rewards[:2] + 0.25) / 2.0
     assert np.abs(model.table[:2] - want).max() < 1e-9
 
@@ -149,18 +150,18 @@ def test_td_myopic_limit():
 def test_training_is_deterministic():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=20, seed=5))
     cfg = TrainConfig(episodes=30, min_margin=None)
-    m1, _, c1 = train_victim(env, cfg, 7)
-    m2, _, c2 = train_victim(env, cfg, 7)
+    [(m1, _, c1)] = train_victims(env, cfg, [7])
+    [(m2, _, c2)] = train_victims(env, cfg, [7])
     assert np.array_equal(m1.table, m2.table)
     assert np.array_equal(c1, c2)
-    m3, _, _ = train_victim(env, cfg, 8)
+    [(m3, _, _)] = train_victims(env, cfg, [8])
     assert not np.array_equal(m1.table, m3.table)
 
 
 def test_training_failure_carries_returns():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=20, seed=5))
-    with pytest.raises(TrainingFailureError) as exc:
-        train_victim(env, TrainConfig(episodes=5, min_margin=1000.0), 0)
+    with pytest.raises(TrainingFailureError, match="victim of seed 4 underperforms") as exc:
+        train_victims(env, TrainConfig(episodes=5, min_margin=1000.0), [4, 0])
     assert exc.value.trained_return is not None
     assert exc.value.baseline_return is not None
 

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfvuln.core import dual_order, lp_norm, seed_rng
+from mfvuln.core import dual_order, seed_rng
 from mfvuln.envs import make_env
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.pipeline import load_experiment_config
 from mfvuln.qlearn import (QModel, TablePolicy, TrainConfig, Trajectory, TrajectoryStep,
-                           UniformPolicy, rollout, rollouts, train_victim)
+                           UniformPolicy, rollout, rollouts, train_victims)
 from mfvuln.robust import (FitConfig, RobustValueModel, _q_norms, fit_cooperative_q,
                            fit_robust_value)
-from oracles import (W_MAX, TransitionSample, apply_robust_bellman, build_corpus,
+from oracles import (W_MAX, TransitionSample, apply_robust_bellman, build_corpus, lp_norm,
                      fit_cooperative_q_on_corpus, fit_cooperative_q_per_transition,
                      fit_robust_value_on_corpus, fit_robust_value_per_transition,
                      q_penalty_per_transition, regularizer, sample_budgets, sup_norm_diff,
@@ -399,7 +399,7 @@ def test_streamed_fits_equal_the_corpus_solve_on_the_vicsek_n320_uniform_corpus(
 @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
 def test_streamed_fits_equal_the_corpus_solve_on_a_taxi_victim_corpus(p):
     env = make_env(load_experiment_config(TAXI_YAML).env)
-    _, victim, _ = train_victim(env, TrainConfig(episodes=200, min_margin=None), seed=0)
+    [(_, victim, _)] = train_victims(env, TrainConfig(episodes=200, min_margin=None), [0])
     trajs = rollouts(env, victim, np.random.SeedSequence((0, 2)).spawn(80))
     assert_fits_equal_the_corpus_solve(env, trajs, FitConfig(p=p))
 

@@ -25,7 +25,7 @@ from mfvuln.selection import (
 )
 
 import oracles
-from oracles import selector_reward
+from oracles import selector_reward, with_agent
 
 GAMMA = 0.95
 
@@ -50,7 +50,7 @@ def test_selector_reward_matches_hand_computation():
     model = value_model([2.0, 5.0, 1.0], base_per_state=[1.0, -1.0, 0.5])
     states0 = np.array([0, 1, 2])
     prev = BudgetVector.zeros(3)
-    nxt = prev.with_agent(1, 0.8)
+    nxt = with_agent(prev, 1, 0.8)
     got = selector_reward(model, states0, prev, nxt)
     # xi rises to 0.8/3 for everyone; agent 1 additionally gets eps = 0.8
     xi = 0.8 / 3
