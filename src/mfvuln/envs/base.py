@@ -3,8 +3,8 @@
 All environments expose the same surface:
 
     env.reset(seed) -> Snapshot
-    env.step(snapshot, actions) -> StepResult
     env.step_batch(batch, actions) -> StepResult     (B episodes at once)
+    env.step(snapshot, actions) -> StepResult        (one episode: a batch of one)
     env.observation_graph(snapshot, radius=None) -> (N, N) bool adjacency
 
 Snapshots are passed explicitly so rollouts stay replayable; the snapshot
@@ -16,9 +16,8 @@ experiment.
 Independent episodes step together as a batch: ``stack_snapshots`` puts B
 snapshots on a leading axis, and ``step_batch`` advances them with (B, N)
 actions.  Each episode keeps its own noise stream, so an episode's bytes do
-not depend on the batch it runs in.  Taxi and vicsek step a batch in one
-pass, and their ``step`` is the one-episode case of it; only toy still steps
-a batch one episode at a time, through the default ``step_batch`` here.
+not depend on the batch it runs in.  ``step_batch`` is each environment's
+one stepping kernel; ``step`` runs it on a batch of one episode.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class Snapshot:
     pos: Optional[np.ndarray] = None        # continuous (Vicsek) or cell coords (Taxi)
     headings: Optional[np.ndarray] = None   # Vicsek only
     demand: Optional[np.ndarray] = None     # Taxi only: demand rows still to use
-
-    @property
-    def n_agents(self) -> int:
-        return self.states.shape[-1]
 
     def episodes(self) -> list:
         """The single-episode snapshots of a batch, as views of its arrays."""
@@ -95,7 +90,7 @@ class StepResult:
 
 
 class MeanFieldEnv:
-    """Base class; subclasses fill in reset/step and a distance metric."""
+    """Base class; subclasses fill in reset, step_batch and a distance metric."""
 
     config = None
 
@@ -115,24 +110,20 @@ class MeanFieldEnv:
     def horizon(self) -> int:
         return self.config.horizon
 
-    n_states = 0
-
     def reset(self, seed=None) -> Snapshot:
         raise NotImplementedError
 
-    def step(self, snapshot: Snapshot, actions) -> StepResult:
+    def step_batch(self, batch: Snapshot, actions) -> StepResult:
+        """Advance a batch of B episodes by (B, N) actions; rewards are (B,)."""
         raise NotImplementedError
 
-    def step_batch(self, batch: Snapshot, actions) -> StepResult:
-        """Advance a batch of B episodes by (B, N) actions; rewards are (B,).
-
-        This default steps the episodes one at a time through ``step``; only
-        toy uses it (taxi and vicsek have batch kernels of their own).
-        """
-        actions = self._check_actions(batch, actions)
-        results = [self.step(snap, a) for snap, a in zip(batch.episodes(), actions)]
-        nxt = stack_snapshots([res.snapshot for res in results])
-        return StepResult(nxt, nxt.states, np.array([res.reward for res in results]))
+    def step(self, snapshot: Snapshot, actions) -> StepResult:
+        """Advance one episode by (N,) actions: step_batch on a batch of one,
+        with a float reward."""
+        actions = self._check_actions(snapshot, actions)
+        res = self.step_batch(stack_snapshots([snapshot]), actions[None])
+        [nxt] = res.snapshot.episodes()
+        return StepResult(nxt, nxt.states, float(res.reward[0]))
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         raise NotImplementedError
@@ -140,7 +131,7 @@ class MeanFieldEnv:
     def observation_graph(self, snapshot: Snapshot, radius=None) -> np.ndarray:
         """Symmetric boolean adjacency: within radius, no self loops."""
         r = self.config.comm_radius if radius is None else radius
-        if r < 0:
+        if not r >= 0:
             raise InvalidInputError(f"radius must be non-negative, got {r}")
         d = self._pairwise_distances(snapshot)
         adj = d <= r
@@ -157,9 +148,6 @@ class MeanFieldEnv:
         if actions.min() < 0 or actions.max() >= self.n_actions:
             raise InvalidInputError("action index out of range")
         return actions
-
-    def _finish_step(self, snapshot: Snapshot, reward: float) -> StepResult:
-        return StepResult(snapshot, snapshot.states, float(reward))
 
 
 def torus_sq_pairwise(pos, lengths, work=None, rows=slice(None)) -> np.ndarray:

@@ -73,7 +73,11 @@ class TaxiConfig:
             raise InvalidConfigError(f"n_actions must be {len(MOVES)}")
         if self.horizon < 1:
             raise InvalidConfigError("horizon must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         require_finite(self, "comm_radius", "demand_rate", "demand_concentration")
+        if self.comm_radius < 0:
+            raise InvalidConfigError(f"comm_radius must be >= 0, got {self.comm_radius}")
         if self.demand_rate < 0 or self.demand_concentration <= 0:
             raise InvalidConfigError("demand_rate must be >= 0, concentration > 0")
         if not (0.0 < self.gamma < 1.0):
@@ -141,14 +145,15 @@ class TaxiGridEnv(MeanFieldEnv):
         volume = supply.sum(axis=-1) + demand.sum(axis=-1)
         return -np.abs(supply - demand).sum(axis=-1) / np.maximum(volume, 1)
 
-    def _advance(self, batch: Snapshot, actions) -> StepResult:
-        """All B episodes at once; each reads its demand from its own table.
+    def step_batch(self, batch: Snapshot, actions) -> StepResult:
+        """Advance B episodes by (B, N) actions in one pass; rewards are (B,).
 
-        A batch without a table, or with an empty one, draws one per episode
-        from that episode's rng: a row for every step left to the horizon (one
-        past it), in one call that yields what as many one-row calls would.
+        Each episode reads its demand row from its own table.  A batch without
+        a table, or with an empty one, draws one per episode from that
+        episode's rng: a row for every step left to the horizon (one past it),
+        in one call that yields what as many one-row calls would.
         """
-        cells = self._next_cell[batch.states, actions]
+        cells = self._next_cell[batch.states, self._check_actions(batch, actions)]
         table = batch.demand
         if table is None or table.shape[1] == 0:
             size = (max(1, self.config.horizon - batch.t), self.n_zones)
@@ -159,19 +164,6 @@ class TaxiGridEnv(MeanFieldEnv):
         nxt = Snapshot(t=batch.t + 1, states=cells, rng=batch.rng, pos=self._xy[cells],
                        demand=table[:, 1:])
         return StepResult(nxt, cells, self.mismatch_reward(supply, demand))
-
-    def step_batch(self, batch: Snapshot, actions) -> StepResult:
-        return self._advance(batch, self._check_actions(batch, actions))
-
-    def step(self, snapshot: Snapshot, actions):
-        """One episode: the B = 1 case of step_batch."""
-        actions = self._check_actions(snapshot, actions)
-        table = None if snapshot.demand is None else snapshot.demand[None]
-        res = self._advance(Snapshot(snapshot.t, snapshot.states[None], [snapshot.rng],
-                                     demand=table), actions[None])
-        nxt = res.snapshot
-        return self._finish_step(Snapshot(nxt.t, nxt.states[0], snapshot.rng, nxt.pos[0],
-                                          demand=nxt.demand[0]), res.reward[0])
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         return torus_pairwise(snapshot.pos, (self.config.grid_width, self.config.grid_height))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import seed_rng
-from ..errors import InvalidConfigError
-from .base import MeanFieldEnv, Snapshot, build_config, require_finite
+from ..errors import InvalidConfigError, InvalidInputError
+from .base import MeanFieldEnv, Snapshot, StepResult, build_config, require_finite
 
 
 @dataclass
@@ -30,7 +30,6 @@ class ToyConfig:
     scale_ratio: float = 1.6    # geometric ladder of per-block reward scales
     horizon: int = 40
     gamma: float = 0.9
-    comm_radius: float = 1.0    # unused geometry; kept for interface parity
     seed: int = 0
 
     def validate(self):
@@ -42,6 +41,8 @@ class ToyConfig:
             raise InvalidConfigError("null_action needs at least 2 actions")
         if self.horizon < 1:
             raise InvalidConfigError("horizon must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 <= self.gamma < 1.0):
             raise InvalidConfigError("gamma must be in [0, 1)")
         require_finite(self, "scale_ratio")
@@ -96,19 +97,22 @@ class ToyMeanFieldEnv(MeanFieldEnv):
         rng = seed_rng(self.config.seed if seed is None else seed)
         return Snapshot(t=0, states=self.initial_states.copy(), rng=rng)
 
-    def step(self, snapshot: Snapshot, actions):
-        actions = self._check_actions(snapshot, actions)
-        reward = float(self.rewards[snapshot.states, actions].mean())
-        cdf = np.cumsum(self.transitions[snapshot.states, actions], axis=1)
-        cdf[:, -1] = 1.0
-        u = snapshot.rng.random(self.n_agents)
-        states = (u[:, None] < cdf).argmax(axis=1)
-        nxt = Snapshot(t=snapshot.t + 1, states=states, rng=snapshot.rng)
-        return self._finish_step(nxt, reward)
+    def step_batch(self, batch: Snapshot, actions) -> StepResult:
+        """Advance B episodes; each draws its N uniforms from its own rng."""
+        actions = self._check_actions(batch, actions)
+        reward = self.rewards[batch.states, actions].mean(axis=-1)
+        cdf = np.cumsum(self.transitions[batch.states, actions], axis=-1)
+        cdf[..., -1] = 1.0
+        u = np.array([rng.random(self.n_agents) for rng in batch.rng])
+        states = (u[..., None] < cdf).argmax(axis=-1)
+        nxt = Snapshot(t=batch.t + 1, states=states, rng=batch.rng)
+        return StepResult(nxt, states, reward)
 
-    def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
-        # no geometry: everyone observes everyone
-        return np.zeros((self.n_agents, self.n_agents))
+    def observation_graph(self, snapshot: Snapshot, radius=None) -> np.ndarray:
+        """The complete graph at any radius: toy agents have no geometry."""
+        if radius is not None and not radius >= 0:
+            raise InvalidInputError(f"radius must be non-negative, got {radius}")
+        return ~np.eye(self.n_agents, dtype=bool)
 
 
 def make_toy(raw: dict) -> ToyMeanFieldEnv:

@@ -12,12 +12,12 @@ reads "roughly north, pointing left of my neighbours".
 
 An agent's neighbourhood is itself and every agent at squared torus
 distance at most comm_radius**2 (positions stay in [0, world_size)).  One
-step of a batch of episodes, or of one, is one pass over their adjacency,
-built a cache-sized tile at a time.  The dynamics draw no noise: every
-agent turns exactly by its action's increment.  The paper's alignment rule
-(steer toward the neighbourhood mean heading, smeared by angular noise) is
-not a policy here: no experiment runs a rule-based victim, and only the
-tests keep it, with its noise as their own argument.
+step of a batch of episodes is one pass over their adjacency, built a
+cache-sized tile at a time.  The dynamics draw no noise: every agent turns
+exactly by its action's increment.  The paper's alignment rule (steer
+toward the neighbourhood mean heading, smeared by angular noise) is not a
+policy here: no experiment runs a rule-based victim, and only the tests
+keep it, with its noise as their own argument.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ class VicsekConfig:
             raise InvalidConfigError("n_agents must be >= 1")
         if self.horizon < 1:
             raise InvalidConfigError("horizon must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         require_finite(self, "world_size", "comm_radius", "turn_delta", "speed", "cluster_spread",
                        "heading_spread")
         if self.world_size <= 0 or self.comm_radius < 0:
@@ -233,8 +235,8 @@ class VicsekEnv(MeanFieldEnv):
                 + np.minimum(np.maximum(ob, 0, out=ob), cfg.offset_bins - 1, out=ob))
 
     def step_batch(self, batch: Snapshot, actions) -> StepResult:
-        """Advance B episodes, or one: (..., N) headings and states, (..., N, 2)
-        positions and (...) rewards, all in one pass."""
+        """Advance B episodes in one pass: (B, N) headings and states, (B, N, 2)
+        positions and (B,) rewards."""
         actions = self._check_actions(batch, actions)
         cfg = self.config
         headings = wrap_angle(batch.headings + self.turns[actions])
@@ -242,11 +244,6 @@ class VicsekEnv(MeanFieldEnv):
         states = self._discretize(pos, headings)
         nxt = Snapshot(t=batch.t + 1, states=states, rng=batch.rng, pos=pos, headings=headings)
         return StepResult(nxt, states, order_parameter(headings))
-
-    def step(self, snapshot: Snapshot, actions):
-        """One episode: step_batch on (N,) arrays."""
-        res = self.step_batch(snapshot, actions)
-        return self._finish_step(res.snapshot, res.reward)
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         return torus_pairwise(snapshot.pos, self.config.world_size)

@@ -177,6 +177,16 @@ _TOP_KEYS = ("name", "env", "victim", "value", "selection", "adversary",
              "correlation", "heatmap", "seeds", "out_dir")
 
 
+def _checked_seeds(seeds) -> list:
+    """The run's seeds as a list: ConfigParseError unless a non-empty list of
+    non-negative integers (numpy seeds no generator from a negative one)."""
+    if not isinstance(seeds, (list, tuple)) or not seeds \
+            or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds):
+        raise ConfigParseError(f"'seeds' must be a non-empty list of non-negative integers, "
+                               f"got {seeds!r}")
+    return list(seeds)
+
+
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigParseError("config root must be a mapping")
@@ -186,10 +196,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     env_raw = raw.get("env")
     if not isinstance(env_raw, dict) or "env_name" not in env_raw:
         raise ConfigParseError("config section 'env' with an env_name is required")
-    seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, (list, tuple)) or not seeds \
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise ConfigParseError("'seeds' must be a non-empty list of integers")
+    seeds = _checked_seeds(raw.get("seeds", [0]))
     cfg = ExperimentConfig(
         raw=raw,
         name=str(raw.get("name", "experiment")),
@@ -201,7 +208,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         correlation=_build_section(CorrelationStageConfig, raw.get("correlation"),
                                    "correlation"),
         heatmap=_build_section(HeatmapStageConfig, raw.get("heatmap"), "heatmap"),
-        seeds=list(seeds),
+        seeds=seeds,
         out_dir=str(raw.get("out_dir", "runs")),
     )
     env = make_env(cfg.env)   # validates the env section before any compute
@@ -464,7 +471,7 @@ class Run:
         if out_dir is not None:
             config = replace(config, out_dir=str(out_dir))
         if seeds is not None:
-            config = replace(config, seeds=list(seeds))
+            config = replace(config, seeds=_checked_seeds(seeds))
         self.cfg, self.exp = config, experiment_id(config)
         self.env = make_env(config.env)
         os.makedirs(config.out_dir, exist_ok=True)

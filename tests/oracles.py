@@ -480,8 +480,9 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
 #
 # What the package ran before independent episodes and learners were stepped
 # as one batch: the taxi dynamics per snapshot through (x, y) arithmetic, the
-# vicsek step per episode on its dense (N, N) adjacency, and victim expected
-# SARSA and adversary SARSA one learner at a time on its own (S, A) table.
+# toy and vicsek steps one episode at a time (vicsek on its dense (N, N)
+# adjacency), and victim expected SARSA and adversary SARSA one learner at a
+# time on its own (S, A) table.
 
 
 def taxi_step(env, snapshot, actions):
@@ -502,6 +503,20 @@ def taxi_step(env, snapshot, actions):
     reward = 0.0 if volume == 0 else -float(np.abs(supply - demand).sum()) / float(volume)
     nxt = Snapshot(t=snapshot.t + 1, states=nxt_cells, rng=snapshot.rng, pos=xy)
     return StepResult(nxt, nxt_cells, reward)
+
+
+def toy_step(env, snapshot, actions):
+    """One toy episode step: per-agent reward mean, one inverse-CDF draw per agent."""
+    from mfvuln.envs import Snapshot, StepResult
+
+    actions = np.asarray(actions, dtype=int)
+    reward = float(env.rewards[snapshot.states, actions].mean())
+    cdf = np.cumsum(env.transitions[snapshot.states, actions], axis=1)
+    cdf[:, -1] = 1.0
+    u = snapshot.rng.random(env.n_agents)
+    states = (u[:, None] < cdf).argmax(axis=1)
+    nxt = Snapshot(t=snapshot.t + 1, states=states, rng=snapshot.rng)
+    return StepResult(nxt, states, reward)
 
 
 def train_adversary_serial(env, victim_policy, budgets, cfg, seed, step=None):

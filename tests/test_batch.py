@@ -42,13 +42,14 @@ def victim_of(env) -> BoltzmannPolicy:
     return BoltzmannPolicy(model, 0.5)
 
 
+SERIAL_STEPS = {TaxiGridEnv: oracles.taxi_step, VicsekEnv: oracles.vicsek_step,
+                ToyMeanFieldEnv: oracles.toy_step}
+
+
 def serial_step(env):
-    """The reference step: per-snapshot arithmetic on taxi and vicsek, toy's own step."""
-    if isinstance(env, TaxiGridEnv):
-        return lambda snap, actions: oracles.taxi_step(env, snap, actions)
-    if isinstance(env, VicsekEnv):
-        return lambda snap, actions: oracles.vicsek_step(env, snap, actions)
-    return env.step
+    """The reference step: the env's per-snapshot arithmetic from before its batch kernel."""
+    step = SERIAL_STEPS[type(env)]
+    return lambda snap, actions: step(env, snap, actions)
 
 
 def assert_matches_serial(env, victim, budgets, cfg, seeds, trained):
@@ -134,6 +135,50 @@ def test_snapshots_with_and_without_demand_tables_do_not_stack():
         with pytest.raises(InvalidInputError, match="demand"):
             stack_snapshots(snaps)
     assert stack_snapshots([stepped, stepped]).demand.shape == (2,) + stepped.demand.shape
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_agents=st.integers(1, 6), block_states=st.integers(1, 4), n_actions=st.integers(2, 3),
+       shared=st.booleans(), deterministic=st.booleans(), n_episodes=st.sampled_from([1, 3, 7]),
+       steps=st.integers(10, 14), seed=st.integers(0, 2 ** 16))
+def test_toy_steps_match_the_serial_reference(n_agents, block_states, n_actions, shared,
+                                              deterministic, n_episodes, steps, seed):
+    """step_batch on B toy episodes, and step on each, give toy_step's bytes."""
+    env = ToyMeanFieldEnv(ToyConfig(n_agents=n_agents, block_states=block_states,
+                                    n_actions=n_actions, shared=shared,
+                                    deterministic=deterministic, seed=seed))
+    seeds = [(seed, b) for b in range(n_episodes)]
+    batch = stack_snapshots([env.reset(seed=s) for s in seeds])
+    singles, wants = [env.reset(seed=s) for s in seeds], [env.reset(seed=s) for s in seeds]
+    for t in range(steps):
+        actions = seed_rng((seed, 1, t)).integers(0, env.n_actions, (n_episodes, env.n_agents))
+        res = env.step_batch(batch, actions)
+        assert res.reward.shape == (n_episodes,) and res.snapshot.t == t + 1
+        for b, got in enumerate(res.snapshot.episodes()):
+            want = oracles.toy_step(env, wants[b], actions[b])
+            one = env.step(singles[b], actions[b])
+            assert same(got.states, want.states) and same(one.states, want.states)
+            assert same(res.reward[b], want.reward) and same(one.reward, want.reward)
+            singles[b], wants[b] = one.snapshot, want.snapshot
+        batch = res.snapshot
+
+
+@pytest.mark.parametrize("name", sorted(ENVS))
+def test_step_is_step_batch_on_a_batch_of_one(name):
+    env = ENVS[name]()
+    one, batch = env.reset(seed=7), stack_snapshots([env.reset(seed=7)])
+    for t in range(env.horizon + 1):
+        actions = seed_rng((10, t)).integers(0, env.n_actions, env.n_agents)
+        got, res = env.step(one, actions), env.step_batch(batch, actions[None])
+        assert got.states.shape == (env.n_agents,) and type(got.reward) is float
+        assert same(got.states, res.states[0]) and got.reward == res.reward[0]
+        [want] = res.snapshot.episodes()
+        assert got.snapshot.t == want.t == t + 1
+        for field in ("states", "pos", "headings", "demand"):
+            a, b = getattr(got.snapshot, field), getattr(want, field)
+            assert (a is None) == (b is None)
+            assert a is None or same(a, b), field
+        one, batch = got.snapshot, res.snapshot
 
 
 @pytest.mark.parametrize("name", sorted(ENVS))

@@ -236,11 +236,12 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize("section, key, value", [
     *[("taxi", key, value) for key, value in [("demand_rate", NAN), ("demand_rate", INF),
                                               ("demand_concentration", INF),
-                                              ("comm_radius", NAN)]],
+                                              ("comm_radius", NAN), ("comm_radius", -1.0)]],
     *[("vicsek", key, value) for key in ("speed", "world_size", "turn_delta", "comm_radius",
                                          "cluster_spread", "heading_spread")
       for value in (NAN, INF)],
     ("toy", "scale_ratio", INF),
+    *[(env, "seed", -1) for env in ("taxi", "vicsek", "toy")],
     ("victim", "lr", NAN), ("victim", "temperature", INF), ("victim", "lr_decay", NAN),
     ("victim", "lr_decay", -5.0), ("adversary", "lr", NAN), ("victim", "min_margin", NAN),
 ])
@@ -270,6 +271,31 @@ def test_vicsek_noise_is_an_unknown_key(tmp_path, capsys, value):
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert "unknown config key(s) for VicsekConfig: noise" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("value", [NAN, -1.0, 1.0], ids=["nan", "-1.0", "1.0"])
+def test_toy_comm_radius_is_an_unknown_key(tmp_path, capsys, value):
+    """Toy's observation graph is complete by definition, so a radius is refused."""
+    cfg_path, _ = write_config(tmp_path, env={"env_name": "toy", "n_agents": 5,
+                                              "comm_radius": value})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert "unknown config key(s) for ToyConfig: comm_radius" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("command, seeds, flags", [
+    pytest.param("pipeline", [-1], [], id="pipeline-seeds"),
+    pytest.param("train-victim", [0, -2], [], id="train-victim-seeds"),
+    pytest.param("train-victim", [0], ["--seed", "-3"], id="train-victim-flag"),
+    pytest.param("pipeline", [0], ["--seed", "-3"], id="pipeline-flag"),
+])
+def test_negative_seed_exits_before_any_stage_file(tmp_path, capsys, command, seeds, flags):
+    """numpy seeds no generator from a negative integer, so none reaches a stage."""
+    cfg_path, raw = write_config(tmp_path, seeds=seeds)
+    assert main([command, "--config", str(cfg_path), *flags]) == 2
+    assert "'seeds' must be a non-empty list of non-negative integers" \
+        in capsys.readouterr().err
+    assert not os.path.exists(raw["out_dir"])
 
 
 def test_infinite_norm_order_is_accepted(tmp_path):

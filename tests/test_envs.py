@@ -233,6 +233,16 @@ def test_observation_graph_symmetric_zero_diagonal():
         assert not adj.diagonal().any()
 
 
+def test_toy_observation_graph_is_complete_at_any_radius():
+    env = ToyMeanFieldEnv(ToyConfig(n_agents=4))
+    snap = env.reset(seed=0)
+    for radius in (None, 0.0, 2.5):
+        assert np.array_equal(env.observation_graph(snap, radius), ~np.eye(4, dtype=bool))
+    for radius in (-1.0, float("nan")):
+        with pytest.raises(InvalidInputError, match="radius must be non-negative"):
+            env.observation_graph(snap, radius)
+
+
 # -- taxi specifics ------------------------------------------------------------------
 
 

@@ -80,7 +80,7 @@ def test_env_section_is_required():
 
 
 def test_seeds_must_be_integer_list():
-    for bad in (5, [], ["a"], [True]):
+    for bad in (5, [], ["a"], [True], [0, -1]):
         with pytest.raises(ConfigParseError, match="seeds"):
             parse_experiment_config(base_raw(seeds=bad))
 
