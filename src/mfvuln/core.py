@@ -176,16 +176,10 @@ def aggregate_budget(eps_vector) -> float:
     return float(e.mean())
 
 
-def sample_actions(prob_matrix, rng) -> np.ndarray:
-    """One categorical draw per row of an (N, A) probability matrix.
-
-    A (B, N, A) batch takes a list of B generators, one per (N, A) slice,
-    and each slice draws exactly what it would draw alone.
-    """
-    prob_matrix = np.asarray(prob_matrix, dtype=float)
-    cdf = np.cumsum(prob_matrix, axis=-1)
+def pick_categorical(probs, u) -> np.ndarray:
+    """The inverse-cdf pick of each row of (..., A) probabilities: the first
+    index whose cumulative probability exceeds the uniform draw u (shape (...))."""
+    cdf = np.cumsum(probs, axis=-1)
     # guard against cumulative rounding leaving the last edge below 1
     cdf[..., -1] = 1.0
-    n = prob_matrix.shape[-2]
-    u = rng.random(n) if prob_matrix.ndim == 2 else np.array([r.random(n) for r in rng])
     return (u[..., None] < cdf).argmax(axis=-1)

@@ -139,12 +139,14 @@ class MeanFieldEnv:
         return adj
 
     def _check_actions(self, snapshot: Snapshot, actions) -> np.ndarray:
-        """Actions as ints, one per agent (per episode of a batch), all in range."""
-        actions = np.asarray(actions, dtype=int)
+        """Integer actions (never cast), one per agent (per episode of a batch), in range."""
+        actions = np.asarray(actions)
         expected = np.shape(snapshot.states)[:-1] + (self.n_agents,)
         if actions.shape != expected:
             raise InvalidInputError(
                 f"expected actions of shape {expected}, got shape {actions.shape}")
+        if actions.dtype.kind not in "iu":
+            raise InvalidInputError(f"actions must be integers, got dtype {actions.dtype}")
         if actions.min() < 0 or actions.max() >= self.n_actions:
             raise InvalidInputError("action index out of range")
         return actions

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import seed_rng
+from ..core import pick_categorical, seed_rng
 from ..errors import InvalidConfigError, InvalidInputError
 from .base import MeanFieldEnv, Snapshot, StepResult, build_config, require_finite
 
@@ -101,10 +101,8 @@ class ToyMeanFieldEnv(MeanFieldEnv):
         """Advance B episodes; each draws its N uniforms from its own rng."""
         actions = self._check_actions(batch, actions)
         reward = self.rewards[batch.states, actions].mean(axis=-1)
-        cdf = np.cumsum(self.transitions[batch.states, actions], axis=-1)
-        cdf[..., -1] = 1.0
         u = np.array([rng.random(self.n_agents) for rng in batch.rng])
-        states = (u[..., None] < cdf).argmax(axis=-1)
+        states = pick_categorical(self.transitions[batch.states, actions], u)
         nxt = Snapshot(t=batch.t + 1, states=states, rng=batch.rng)
         return StepResult(nxt, states, reward)
 

@@ -435,9 +435,10 @@ class RunPaths:
 
 
 def write_trajectories_csv(path, trajectories):
-    rows = ((ep, st.t, _fmt(st.reward), ";".join(str(s) for s in st.states),
-             ";".join(str(a) for a in st.actions))
-            for ep, traj in enumerate(trajectories) for st in traj.steps)
+    rows = ((ep, t, _fmt(reward), ";".join(map(str, states)), ";".join(map(str, actions)))
+            for ep, traj in enumerate(trajectories)
+            for t, (reward, states, actions) in enumerate(zip(
+                traj.rewards.tolist(), traj.states.tolist(), traj.actions.tolist())))
     write_atomic(path, _csv_text(itertools.chain(
         [("episode", "t", "reward", "states", "actions")], rows)))
 

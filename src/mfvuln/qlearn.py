@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BudgetVector, mixing_weights, sample_actions, seed_rng
+from .core import BudgetVector, mixing_weights, pick_categorical, seed_rng
 from .envs.base import require_finite, stack_snapshots
 from .errors import InvalidConfigError, InvalidInputError, TrainingFailureError
 
@@ -231,24 +231,23 @@ class TablePolicy:
 
 
 @dataclass
-class TrajectoryStep:
-    t: int
+class Trajectory:
+    """One episode: (T, N) states and actions, (T,) rewards, (N,) final states.
+
+    ``rollouts`` gives views of one batch block, whose states and actions
+    are in the narrowest unsigned dtype holding every index (uint8 up to 256
+    states or actions): widen them before index arithmetic, or it wraps.
+    """
+
     states: np.ndarray
     actions: np.ndarray
-    reward: float
-
-
-@dataclass
-class Trajectory:
-    steps: list
+    rewards: np.ndarray
     final_states: np.ndarray
 
-    def discounted_return(self, gamma: float) -> float:
-        return discounted_return([st.reward for st in self.steps], gamma)
-
     @property
-    def rewards(self) -> np.ndarray:
-        return np.array([st.reward for st in self.steps])
+    def steps(self) -> range:
+        """The step indices; bench/ counts steps as ``len(traj.steps)``."""
+        return range(len(self.rewards))
 
 
 def discounted_return(rewards, gamma: float) -> float:
@@ -259,14 +258,17 @@ def discounted_return(rewards, gamma: float) -> float:
 def _play(env, victim_policy, seeds, horizon, adversary_policy, budgets):
     """One episode per seed, stepped together as a batch of B = len(seeds).
 
-    Returns the per-step (states, actions, rewards) with a leading batch
-    axis, and the final (B, N) states.  Each episode's environment noise
-    and action sampling are seeded from its own seed, separately, so an
-    episode replays bit-identically whatever batch it runs in.
+    Returns (B, T, N) states and actions (see Trajectory for their dtype),
+    (B, T) rewards and (B, N) final states, written into arrays allocated
+    once.  Each episode's environment noise and action sampling are seeded
+    from its own seed, separately, so an episode replays bit-identically
+    whatever batch it runs in; its (T, N) action uniforms come from one call,
+    the numbers T calls of N would give.
     """
     horizon = env.horizon if horizon is None else horizon
     batch = stack_snapshots([env.reset(seed=s) for s in seeds])
-    act_rngs = [seed_rng(s, salt="rollout-actions") for s in seeds]
+    shape = (len(seeds), horizon, env.n_agents)
+    u = np.array([seed_rng(s, salt="rollout-actions").random(shape[1:]) for s in seeds])
     victim = frozen(victim_policy)
     attacked = budgets is not None and adversary_policy is not None \
         and bool(np.any(budgets.eps > 0))
@@ -274,22 +276,24 @@ def _play(env, victim_policy, seeds, horizon, adversary_policy, budgets):
         adversary = frozen(adversary_policy)
         e = mixing_weights(budgets.eps, (len(seeds), env.n_agents, env.n_actions))
         keep = 1.0 - e
-    steps = []
-    for _ in range(horizon):
+    states = np.empty(shape, np.min_scalar_type(env.n_states - 1))
+    actions = np.empty(shape, np.min_scalar_type(env.n_actions - 1))
+    rewards = np.empty(shape[:2])
+    for t in range(horizon):
         dists = victim.action_dists(batch)
         if attacked:
             dists = e * adversary.action_dists(batch) + keep * dists
-        actions = sample_actions(dists, act_rngs)
-        res = env.step_batch(batch, actions)
-        steps.append((batch.states, actions, res.reward))
+        picks = pick_categorical(dists, u[:, t])
+        res = env.step_batch(batch, picks)
+        states[:, t], actions[:, t], rewards[:, t] = batch.states, picks, res.reward
         batch = res.snapshot
-    return steps, batch.states
+    return states, actions, rewards, batch.states.astype(states.dtype)
 
 
 def rollouts(env, victim_policy, seeds, horizon=None, adversary_policy=None,
              budgets: Optional[BudgetVector] = None) -> list:
     """One episode per seed under the victim policy, optionally corrupted,
-    stepped as one batch.
+    stepped as one batch: B trajectories, views of one (B, T, N) block.
 
     When budgets are given, each agent's action distribution is the
     per-decision mixture eps_i * adversary + (1 - eps_i) * victim.  Each
@@ -297,10 +301,8 @@ def rollouts(env, victim_policy, seeds, horizon=None, adversary_policy=None,
     separately from its own seed, so it replays bit-identically alone or in
     any batch.
     """
-    steps, final = _play(env, victim_policy, seeds, horizon, adversary_policy, budgets)
-    return [Trajectory([TrajectoryStep(t, states[b], actions[b], float(rewards[b]))
-                        for t, (states, actions, rewards) in enumerate(steps)], final[b])
-            for b in range(len(seeds))]
+    block = _play(env, victim_policy, seeds, horizon, adversary_policy, budgets)
+    return [Trajectory(*(field[b] for field in block)) for b in range(len(seeds))]
 
 
 def rollout(env, victim_policy, seed, horizon=None, adversary_policy=None,
@@ -317,9 +319,8 @@ def evaluate_policy(env, policy, episodes: int, seed, horizon=None,
         ss = seed
     else:
         ss = np.random.SeedSequence(list(seed) if isinstance(seed, (tuple, list)) else seed)
-    steps, _ = _play(env, policy, ss.spawn(episodes), horizon, adversary_policy, budgets)
-    rewards = np.array([r for _, _, r in steps]).reshape(len(steps), episodes)
-    return np.array([discounted_return(column, env.gamma) for column in rewards.T.tolist()])
+    rewards = _play(env, policy, ss.spawn(episodes), horizon, adversary_policy, budgets)[2]
+    return np.array([discounted_return(row, env.gamma) for row in rewards.tolist()])
 
 
 # -- victim training -----------------------------------------------------------
@@ -439,12 +440,13 @@ def _lockstep(env, cfg: LearnerConfig, models, episode_seeds, act_rngs,
         rows = batch.states + offset
         explore = exploration_eps(cfg, ep)
         ret, disc, prev = np.zeros(n_learners), 1.0, None
-        for _ in range(env.horizon):
+        u = np.array([rng.random((env.horizon, env.n_agents)) for rng in act_rngs])
+        for t in range(env.horizon):
             dists = (1 - explore) * softmax_rows(stacked.values(rows) / cfg.temperature) \
                 + explore / n_actions
             if adversary is not None:
                 dists = e * dists + keep * victim.action_dists(batch)
-            actions = sample_actions(dists, act_rngs)
+            actions = pick_categorical(dists, u[:, t])
             res = env.step_batch(batch, actions)
             batch = res.snapshot
             nxt = batch.states + offset

@@ -3,12 +3,12 @@
 Stage one fits the cooperative action-value Q(s, a) on logged trajectories
 by minimizing the squared TD residual with the logged next action (policy
 evaluation of the data-collecting policy).  Both stages are solved, not
-iterated.  One pass over the trajectories, one at a time, gathers the
-sufficient statistics: per-cell visit counts and reward sums, and the count
-of each distinct (cell, next cell) pair.  One dense linear solve over the
-visited cells then gives each of them the exact corpus fixed point of the
-mean of its target.  The per-transition corpus is never built, so memory is
-one trajectory, the distinct pairs and the visited-cell matrix, not
+iterated.  One pass over the trajectories, a block of whole ones at a time,
+gathers the sufficient statistics: per-cell visit counts and reward sums,
+and the count of each distinct (cell, next cell) pair.  One dense linear
+solve over the visited cells then gives each of them the exact corpus fixed
+point of the mean of its target.  The per-transition corpus is never built,
+so memory is one block, the distinct pairs and the visited-cell matrix, not
 O(transitions).
 
 Stage two folds corruption budgets in without any adversarial rollouts:
@@ -53,37 +53,61 @@ class FitConfig:
 
 # -- sufficient statistics -------------------------------------------------------
 
+# Transitions binned per numpy call: about one N = 320 vicsek trajectory
+# (320 agents x 49 transitions), so memory stays one block of intp indices.
+BLOCK_TRANSITIONS = 1 << 14
 
-def _stacked(traj, field: str) -> np.ndarray:
-    """A trajectory's per-step (N,) integer arrays stacked to (T, N)."""
-    return np.stack([getattr(st, field) for st in traj.steps]).astype(int, copy=False)
+
+def _blocks(trajectories):
+    """Consecutive trajectories with a transition, gathered while their
+    transitions fit BLOCK_TRANSITIONS; a longer one is a block alone."""
+    block, size = [], 0
+    for traj in trajectories:
+        n = traj.states[1:].size
+        if block and size + n > BLOCK_TRANSITIONS:
+            yield block
+            block, size = [], 0
+        if n > 0:
+            block.append(traj)
+            size += n
+    if block:
+        yield block
 
 
-def _stream_stats(trajectories, n_cells: int, cells_of, penalty=None):
-    """One pass over the trajectories, one at a time: per-cell visit counts, the
-    (1, n_cells) per-cell reward sums (2 rows with ``penalty``, whose second
-    row sums penalty[cell]), and the distinct (cell, next cell) pairs, keyed
-    cell * n_cells + next cell, with their counts.
+def _stream_stats(trajectories, shape: tuple, penalty=None):
+    """One pass over the trajectories, a block of whole ones at a time: per-cell
+    visit counts, the (1, n_cells) per-cell reward sums (2 rows with
+    ``penalty``, whose second row sums penalty[cell]), and the distinct
+    (cell, next cell) pairs, keyed cell * n_cells + next cell, with their
+    counts.
 
-    ``cells_of(traj)`` gives a trajectory's (T, N) cells.  Sums are added in
-    corpus order (trajectory, step, agent), the order in which ``np.bincount``
-    adds the same weights over the concatenated corpus, so they are the same
-    bits.  Memory is one trajectory, the distinct pairs and O(n_cells).
+    A cell is a state, or a (state, action) for ``shape`` (n_states, n_actions),
+    widened to intp as a block is gathered, before any index arithmetic.  Sums
+    are added in corpus order (trajectory, step, agent), as ``np.bincount``
+    adds them over the concatenated corpus, so they are the same bits.
+    Memory is one block, the distinct pairs and O(n_cells).
     """
+    n_cells = int(np.prod(shape))
+
+    def cells_of(block, rows):
+        return np.ravel_multi_index(tuple(
+            np.concatenate([getattr(traj, field)[rows] for traj in block], axis=None,
+                           dtype=np.intp)
+            for field in ("states", "actions")[:len(shape)]), shape)
+
     count = np.zeros(n_cells, dtype=np.int64)
     sums = np.zeros((1 if penalty is None else 2, n_cells))
     pairs = np.empty(0, dtype=np.int64)
     mult = np.empty(0, dtype=np.int64)
-    for traj in trajectories:
-        if len(traj.steps) < 2:
-            continue
-        cells = cells_of(traj)
-        cell = cells[:-1].ravel()
-        np.add.at(count, cell, 1)
-        np.add.at(sums[0], cell, np.repeat(traj.rewards[:-1], cells.shape[1]))
+    for block in _blocks(trajectories):
+        cell = cells_of(block, slice(None, -1))
+        count += np.bincount(cell, minlength=n_cells)
+        np.add.at(sums[0], cell, np.concatenate(
+            [np.repeat(traj.rewards[:-1], traj.states.shape[1]) for traj in block]))
         if penalty is not None:
             np.add.at(sums[1], cell, penalty[cell])
-        new, new_mult = np.unique(cell * n_cells + cells[1:].ravel(), return_counts=True)
+        new, new_mult = np.unique(cell * n_cells + cells_of(block, slice(1, None)),
+                                  return_counts=True)
         # two sorted runs: a stable sort merges them in linear time
         keys = np.concatenate([pairs, new])
         order = np.argsort(keys, kind="stable")
@@ -106,10 +130,7 @@ def fit_cooperative_q(trajectories, n_states: int, n_actions: int, gamma: float,
     ``cfg`` is accepted and not used (the Q fit has no setting)."""
     model = QModel(n_states, n_actions, gamma)
     shape = model.table.shape
-    count, sums, pairs, mult = _stream_stats(
-        trajectories, model.table.size,
-        lambda traj: np.ravel_multi_index((_stacked(traj, "states"),
-                                           _stacked(traj, "actions")), shape))
+    count, sums, pairs, mult = _stream_stats(trajectories, shape)
     model.table = _solve(count, sums, pairs, mult, gamma)[0].reshape(shape)
     model.visits = count.reshape(shape)
     return model
@@ -223,8 +244,6 @@ def fit_robust_value(q_model: QModel, trajectories, cfg: FitConfig) -> RobustVal
     cfg.validate()
     model = RobustValueModel(q_model.n_states, q_model.n_actions, q_model.gamma, p=cfg.p)
     count, sums, pairs, mult = _stream_stats(
-        trajectories, q_model.n_states,
-        lambda traj: np.ravel_multi_index((_stacked(traj, "states"),), (q_model.n_states,)),
-        penalty=_q_norms(q_model, dual_order(cfg.p)))
+        trajectories, (q_model.n_states,), penalty=_q_norms(q_model, dual_order(cfg.p)))
     model.base, model.damp = _solve(count, sums, pairs, mult, q_model.gamma)
     return model

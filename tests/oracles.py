@@ -28,10 +28,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from mfvuln.core import (BudgetVector, aggregate_budget, check_prob_vector, dual_order,
-                         mixing_weights, sample_actions)
+                         mixing_weights, pick_categorical)
 from mfvuln.errors import InvalidInputError
 
 W_MAX = 3.0  # sup of eps + xi + eps*xi over the unit budget square
+
+
+# -- sampling --------------------------------------------------------------------
+
+
+def sample_actions(prob_matrix, rng) -> np.ndarray:
+    """One categorical draw per row of an (N, A) probability matrix: N uniforms
+    from rng, one call, each picked by inverse cdf.  The package's learners
+    and rollouts draw an episode's (T, N) uniforms at once, the numbers T of
+    these calls draw."""
+    prob_matrix = np.asarray(prob_matrix, dtype=float)
+    return pick_categorical(prob_matrix, rng.random(prob_matrix.shape[0]))
 
 
 # -- norms and budget vectors ---------------------------------------------------
@@ -735,12 +747,12 @@ def build_corpus(trajectories) -> TransitionCorpus:
     """Pairs consecutive steps of each trajectory into per-agent transitions."""
     cols = {k: [] for k in ("s", "a", "r", "s2", "a2")}
     for traj in trajectories:
-        for cur, nxt in zip(traj.steps, traj.steps[1:]):
-            cols["s"].append(cur.states)
-            cols["a"].append(cur.actions)
-            cols["r"].append(np.full(cur.states.size, cur.reward))
-            cols["s2"].append(nxt.states)
-            cols["a2"].append(nxt.actions)
+        for t in range(len(traj.rewards) - 1):
+            cols["s"].append(traj.states[t])
+            cols["a"].append(traj.actions[t])
+            cols["r"].append(np.full(traj.states.shape[1], traj.rewards[t]))
+            cols["s2"].append(traj.states[t + 1])
+            cols["a2"].append(traj.actions[t + 1])
     if not cols["s"]:
         raise InvalidInputError("corpus needs trajectories with at least 2 steps")
     packed = {k: np.concatenate(v) for k, v in cols.items()}

@@ -17,7 +17,8 @@ from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
 from mfvuln.errors import InvalidConfigError, InvalidInputError, TrainingFailureError
 from mfvuln.qlearn import (BoltzmannPolicy, QModel, TrainConfig, UniformPolicy,
-                           evaluate_policy, rollout, rollouts, train_victims)
+                           discounted_return, evaluate_policy, rollout, rollouts,
+                           train_victims)
 
 import oracles
 
@@ -217,6 +218,25 @@ def test_step_batch_rejects_bad_actions_anywhere_in_the_batch(name):
             env.step_batch(batch, actions)
 
 
+@pytest.mark.parametrize("name", sorted(ENVS))
+def test_step_and_step_batch_refuse_non_integer_actions(name):
+    """Floats such as 0.9 or 4.99 are refused, not truncated to a valid action;
+    bools and strings are refused, not cast."""
+    env = ENVS[name]()
+    snap = env.reset(seed=0)
+    batch = stack_snapshots([snap])
+    picks = np.arange(env.n_agents) % env.n_actions
+    for actions in (picks + 0.9, picks.astype(float), picks % 2 == 1,
+                    picks.astype(str), [str(a) for a in picks]):
+        with pytest.raises(InvalidInputError, match="actions must be integers"):
+            env.step(snap, actions)
+        with pytest.raises(InvalidInputError, match="actions must be integers"):
+            env.step_batch(batch, np.asarray(actions)[None])
+    for dtype in (np.uint8, np.int32, np.int64):
+        assert same(env.step(env.reset(seed=0), picks.astype(dtype)).states,
+                    env.step(env.reset(seed=0), picks.tolist()).states)
+
+
 # -- evaluation ----------------------------------------------------------------------
 
 
@@ -229,7 +249,8 @@ def test_evaluate_policy_equals_its_rollouts(name):
     for kwargs in ({}, dict(adversary_policy=adversary, budgets=budgets)):
         got = evaluate_policy(env, victim, 4, seed=(8, 1), **kwargs)
         seeds = np.random.SeedSequence([8, 1]).spawn(4)
-        want = [rollout(env, victim, s, **kwargs).discounted_return(env.gamma) for s in seeds]
+        want = [discounted_return(rollout(env, victim, s, **kwargs).rewards, env.gamma)
+                for s in seeds]
         assert same(got, np.array(want))
 
 
@@ -240,10 +261,9 @@ def test_rollouts_equal_one_rollout_per_seed(name):
     seeds = np.random.SeedSequence([9, 2]).spawn(4)
     for got, seed in zip(rollouts(env, victim, seeds), seeds):
         want = rollout(env, victim, seed)
-        assert len(got.steps) == len(want.steps) == env.horizon
-        for a, b in zip(got.steps, want.steps):
-            assert a.t == b.t and a.reward == b.reward
-            assert same(a.states, b.states) and same(a.actions, b.actions)
+        assert len(got.rewards) == len(want.rewards) == env.horizon
+        assert same(got.rewards, want.rewards)
+        assert same(got.states, want.states) and same(got.actions, want.actions)
         assert same(got.final_states, want.final_states)
 
 
@@ -257,8 +277,8 @@ def test_rule_policy_steps_a_batch_one_episode_at_a_time():
         assert same(dists[b], policy.action_dists(snap))
     got = evaluate_policy(env, policy, 3, seed=2, horizon=4)
     seeds = np.random.SeedSequence(2).spawn(3)
-    assert same(got, np.array([rollout(env, policy, s, horizon=4).discounted_return(env.gamma)
-                               for s in seeds]))
+    assert same(got, np.array([discounted_return(rollout(env, policy, s, horizon=4).rewards,
+                                                 env.gamma) for s in seeds]))
 
 
 def test_zero_horizon_evaluation_returns_zeros():

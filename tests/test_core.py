@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfvuln.core import (BudgetVector, MeanFieldState, aggregate_budget, dual_order,
-                         empirical_mean_field_state, sample_actions, seed_rng)
+                         empirical_mean_field_state, seed_rng)
 from mfvuln.errors import InvalidInputError
 from oracles import (ActionDist, NormOrder, attacked_ids, check_deviation_bounds,
                      check_mean_field_deviation, deviation_constant, lp_norm, mix_policies,
-                     mix_policy_matrix, with_agent)
+                     mix_policy_matrix, sample_actions, with_agent)
 
 
 def rand_dist(rng, n):

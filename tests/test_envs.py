@@ -102,9 +102,8 @@ def test_episode_bit_reproducible():
         t1 = rollout(env, pol, seed=someseed())
         t2 = rollout(env, pol, seed=someseed())
         assert np.array_equal(t1.rewards, t2.rewards)
-        for s1, s2 in zip(t1.steps, t2.steps):
-            assert np.array_equal(s1.states, s2.states)
-            assert np.array_equal(s1.actions, s2.actions)
+        assert np.array_equal(t1.states, t2.states)
+        assert np.array_equal(t1.actions, t2.actions)
 
 
 def someseed():
@@ -318,7 +317,7 @@ def test_neighbour_kernel_matches_the_modulo_reference(n, episodes):
     for ep in range(episodes):
         got = rollout(env, UniformPolicy(env.n_actions), (7, ep))
         want = rollout(ref, UniformPolicy(env.n_actions), (7, ep))
-        assert [st.states.tolist() for st in got.steps] == [st.states.tolist() for st in want.steps]
+        assert got.states.tolist() == want.states.tolist()
         assert got.rewards.tobytes() == want.rewards.tobytes()
     snap = env.reset(seed=3)
     for t in range(10):

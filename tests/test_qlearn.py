@@ -17,8 +17,8 @@ from mfvuln.errors import (InvalidConfigError, InvalidInputError,
                            TrainingFailureError)
 from mfvuln.envs.base import Snapshot
 from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, TrainConfig,
-                           UniformPolicy, evaluate_policy, exploration_eps, rollout,
-                           softmax_rows, train_victims)
+                           UniformPolicy, discounted_return, evaluate_policy,
+                           exploration_eps, rollout, softmax_rows, train_victims)
 from mfvuln.robust import RobustValueModel
 from mfvuln.selection import AttackSet, load_attack_set, save_attack_set
 from oracles import train_victim_serial
@@ -191,10 +191,10 @@ def test_rollout_replay_equality():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=15, seed=9))
     traj = rollout(env, UniformPolicy(env.n_actions), seed=(4, 2))
     snap = env.reset(seed=(4, 2))
-    for st in traj.steps:
-        assert np.array_equal(snap.states, st.states)
-        res = env.step(snap, st.actions)
-        assert res.reward == st.reward
+    for states, actions, reward in zip(traj.states, traj.actions, traj.rewards):
+        assert np.array_equal(snap.states, states)
+        res = env.step(snap, actions)
+        assert res.reward == reward
         snap = res.snapshot
     assert np.array_equal(snap.states, traj.final_states)
 
@@ -205,7 +205,7 @@ def test_rollout_full_takeover_uses_adversary():
     adversary = TablePolicy(np.eye(2)[np.ones(4, dtype=int)])    # always action 1
     budgets = BudgetVector(np.array([1.0, 0.0]))
     traj = rollout(env, victim, seed=0, adversary_policy=adversary, budgets=budgets)
-    acts = np.stack([st.actions for st in traj.steps])
+    acts = traj.actions
     assert np.all(acts[:, 0] == 1)   # attacked agent follows the adversary
     assert np.all(acts[:, 1] == 0)   # the other one never deviates
 
@@ -220,11 +220,43 @@ def test_rollout_zero_budgets_ignore_adversary():
     assert np.array_equal(plain.rewards, mixed.rewards)
 
 
+@pytest.mark.parametrize("n_states, n_actions, dtypes", [
+    (256, 2, (np.uint8, np.uint8)), (257, 2, (np.uint16, np.uint8)),
+    (2, 256, (np.uint8, np.uint8)), (2, 257, (np.uint8, np.uint16))],
+    ids=["256-states", "257-states", "256-actions", "257-actions"])
+def test_rollout_states_and_actions_take_the_narrowest_unsigned_dtype(n_states, n_actions,
+                                                                       dtypes):
+    env = ToyMeanFieldEnv(ToyConfig(n_agents=3, block_states=n_states, n_actions=n_actions,
+                                    shared=True, horizon=6, seed=4))
+    env.initial_states = np.array([0, n_states - 2, n_states - 1])
+    trajs = qlearn.rollouts(env, UniformPolicy(n_actions), [(5, 0), (5, 1)])
+    for k, traj in enumerate(trajs):
+        assert (traj.states.dtype, traj.actions.dtype) == dtypes
+        assert traj.final_states.dtype == dtypes[0]
+        assert traj.states[0].tolist() == [0, n_states - 2, n_states - 1]
+        snap = env.reset(seed=(5, k))
+        for states, actions in zip(traj.states, traj.actions):
+            assert snap.states.tolist() == states.tolist()
+            snap = env.step(snap, actions).snapshot
+        assert snap.states.tolist() == traj.final_states.tolist()
+    # the trajectories of one call are views of one block
+    assert trajs[0].states.base is trajs[1].states.base is not None
+
+
+def test_rollout_keeps_the_fields_bench_reads():
+    """bench/ counts steps as len(traj.steps) and agents as final_states.size."""
+    env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=7, seed=2))
+    for horizon in (None, 1, 4):
+        traj = rollout(env, UniformPolicy(env.n_actions), seed=1, horizon=horizon)
+        assert len(traj.steps) == (env.horizon if horizon is None else horizon)
+        assert traj.final_states.size == env.n_agents
+
+
 def test_rollout_discounted_return():
     env = ToyMeanFieldEnv(ToyConfig(n_agents=2, horizon=6, seed=2))
     traj = rollout(env, UniformPolicy(env.n_actions), seed=3)
-    want = sum(st.reward * env.gamma ** t for t, st in enumerate(traj.steps))
-    assert traj.discounted_return(env.gamma) == pytest.approx(want)
+    want = sum(r * env.gamma ** t for t, r in enumerate(traj.rewards.tolist()))
+    assert discounted_return(traj.rewards, env.gamma) == pytest.approx(want)
 
 
 def test_evaluate_policy_shape_and_determinism():

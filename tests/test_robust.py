@@ -2,19 +2,22 @@
 
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfvuln import robust
 from mfvuln.core import dual_order, seed_rng
 from mfvuln.envs import make_env
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.pipeline import load_experiment_config
-from mfvuln.qlearn import (QModel, TablePolicy, TrainConfig, Trajectory, TrajectoryStep,
-                           UniformPolicy, rollout, rollouts, train_victims)
+from mfvuln.qlearn import (QModel, TablePolicy, TrainConfig, Trajectory, UniformPolicy,
+                           rollout, rollouts, train_victims)
 from mfvuln.robust import (FitConfig, RobustValueModel, _q_norms, fit_cooperative_q,
                            fit_robust_value)
 from oracles import (W_MAX, TransitionSample, apply_robust_bellman, build_corpus, lp_norm,
@@ -383,7 +386,8 @@ def test_streamed_fits_equal_the_corpus_solve_on_random_toy_corpora(p, short, da
         traj = rollout(env, UniformPolicy(env.n_actions), (corpus["seed"], 99, i),
                        horizon=max(steps, 1))
         if steps == 0:
-            traj = Trajectory([], traj.final_states)
+            traj = Trajectory(traj.states[:0], traj.actions[:0], traj.rewards[:0],
+                              traj.final_states)
         trajs.insert(data.draw(st.integers(0, len(trajs))), traj)
     assert_fits_equal_the_corpus_solve(env, trajs, FitConfig(p=p))
 
@@ -404,13 +408,62 @@ def test_streamed_fits_equal_the_corpus_solve_on_a_taxi_victim_corpus(p):
     assert_fits_equal_the_corpus_solve(env, trajs, FitConfig(p=p))
 
 
+# 40 x 7 = 280 cells: a cell index in uint8, or cell * 280 + next cell in uint16,
+# wraps, so index arithmetic in the dtype of the trajectories would show
+WIDE_CELLS = SimpleNamespace(n_states=40, n_actions=7, gamma=0.95)
+
+
+def uint8_trajectories(seed, shapes):
+    """Uniform random uint8 states and actions on WIDE_CELLS, one trajectory per
+    (steps, agents) shape."""
+    rng = seed_rng(seed, salt="blocks")
+    return [Trajectory(rng.integers(WIDE_CELLS.n_states, size=(steps, agents), dtype=np.uint8),
+                       rng.integers(WIDE_CELLS.n_actions, size=(steps, agents), dtype=np.uint8),
+                       rng.normal(size=steps),
+                       rng.integers(WIDE_CELLS.n_states, size=agents, dtype=np.uint8))
+            for steps, agents in shapes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap=st.integers(1, 40), p=st.sampled_from([1.0, 2.0, np.inf]),
+       seed=st.integers(0, 10_000),
+       shapes=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 5)), min_size=1, max_size=8))
+def test_block_binned_fits_equal_the_corpus_solve_across_block_edges(cap, p, seed, shapes):
+    """Block caps from one transition up move every block edge; 0- and 1-step
+    trajectories add nothing, and one longer than the cap is a block alone."""
+    shapes.append((2, 1))   # at least one transition
+    trajs = uint8_trajectories(seed, shapes)
+    with mock.patch.object(robust, "BLOCK_TRANSITIONS", cap):
+        assert_fits_equal_the_corpus_solve(WIDE_CELLS, trajs, FitConfig(p=p))
+
+
+CAP = robust.BLOCK_TRANSITIONS
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.sampled_from([1.0, 2.0, np.inf]), seed=st.integers(0, 10_000),
+       shapes=st.lists(st.tuples(st.integers(0, 3),
+                                 st.sampled_from([1, 2, CAP // 2, CAP - 1, CAP, CAP + 1])),
+                       min_size=1, max_size=6))
+def test_block_binned_fits_equal_the_corpus_solve_at_the_block_cap(p, seed, shapes):
+    """Trajectories of one or two transitions per agent, with agent counts
+    that fill the cap to one short of it, exactly, or one past it."""
+    shapes.append((2, CAP - 1))
+    trajs = uint8_trajectories(seed, shapes)
+    assert_fits_equal_the_corpus_solve(WIDE_CELLS, trajs, FitConfig(p=p))
+
+
 def synthetic_trajectories(count, n_agents=320, horizon=50, n_states=8, n_actions=5):
     """Uniform random states, actions and rewards; vicsek.yaml's 8 x 5 cells."""
     rng = seed_rng(41, salt="synthetic")
-    return [Trajectory([TrajectoryStep(t, rng.integers(n_states, size=n_agents),
-                                       rng.integers(n_actions, size=n_agents), rng.random())
-                        for t in range(horizon)], rng.integers(n_states, size=n_agents))
-            for _ in range(count)]
+
+    def trajectory():
+        steps = [(rng.integers(n_states, size=n_agents), rng.integers(n_actions, size=n_agents),
+                  rng.random()) for _ in range(horizon)]
+        states, actions, rewards = (np.array(column) for column in zip(*steps))
+        return Trajectory(states, actions, rewards, rng.integers(n_states, size=n_agents))
+
+    return [trajectory() for _ in range(count)]
 
 
 def traced_fit_peak(trajs) -> int:
@@ -426,7 +479,7 @@ def traced_fit_peak(trajs) -> int:
 
 def test_fit_memory_does_not_grow_with_the_corpus():
     """Four times the N = 320 trajectories (160,000 -> 640,000 transitions)
-    raise the fits' peak by less than 1 MB: they hold one trajectory at a time."""
+    raise the fits' peak by less than 1 MB: they hold one block at a time."""
     small = traced_fit_peak(synthetic_trajectories(10))
     large = traced_fit_peak(synthetic_trajectories(40))
     assert large - small < 1_000_000, (small, large)
@@ -439,7 +492,7 @@ def test_corpus_pairs_consecutive_steps():
     env, policy, _, _ = chain_env()
     traj = rollout(env, policy, 1)
     corpus = build_corpus([traj])
-    assert corpus.size == (len(traj.steps) - 1) * env.n_agents
+    assert corpus.size == (len(traj.rewards) - 1) * env.n_agents
     assert np.array_equal(corpus.r, traj.rewards[:-1])
     assert np.all(corpus.s2[:-1] == corpus.s[1:])  # single agent chains line up
 
@@ -448,7 +501,7 @@ def test_corpus_requires_two_steps():
     """Both fits refuse a corpus without a transition, as the oracle corpus does."""
     env, policy, _, _ = chain_env()
     traj = rollout(env, policy, 1, horizon=1)
-    empty = Trajectory([], traj.final_states)
+    empty = Trajectory(traj.states[:0], traj.actions[:0], traj.rewards[:0], traj.final_states)
     q = QModel(env.n_states, env.n_actions, GAMMA)
     for trajs in ([traj], [empty, traj], []):
         with pytest.raises(InvalidInputError, match="at least 2 steps"):
@@ -465,7 +518,11 @@ def test_fits_refuse_an_out_of_range_state_or_action(field, value):
     env, policy, _, _ = chain_env()
     trajs = chain_trajectories(env, policy)
     q = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, FitConfig())
-    getattr(trajs[1].steps[-1], field)[0] = value  # the last step is only a next state
+    # int64 copies, so -1 is a negative index and not a wrapped uint8
+    last = trajs[1]
+    trajs[1] = Trajectory(last.states.astype(np.int64), last.actions.astype(np.int64),
+                          last.rewards, last.final_states)
+    getattr(trajs[1], field)[-1, 0] = value  # the last step is only a next state
     with pytest.raises(ValueError, match="invalid entry"):
         fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, FitConfig())
     if field == "states":
