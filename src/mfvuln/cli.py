@@ -5,13 +5,26 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import pipeline
 from .errors import MfvulnError
-from .pipeline import (Run, export_heatmap, run_pipeline, stage_attack,
-                       stage_correlate, stage_evaluate, stage_fit_value,
-                       stage_select, stage_train_victim, train_missing_victims)
 
-COMMANDS = ("train-victim", "fit-value", "select", "attack", "evaluate",
-            "correlate", "heatmap", "pipeline")
+# command -> (the pipeline stage it runs for each seed, the line it prints from the
+# run, the seed and the stage's result).  A stage is looked up by name when the
+# command runs, so a stage patched or wrapped after import is the one called.
+COMMANDS = {
+    "train-victim": ("stage_train_victim",
+                     lambda run, seed, _: f"victim ready: {run.path('victim_policy', seed)}"),
+    "fit-value": ("stage_fit_value",
+                  lambda run, seed, _: f"value model ready: {run.path('value_model', seed)}"),
+    "select": ("stage_select", lambda run, seed, attacks: f"seed {seed} agents: " + "; ".join(
+        f"{method} {' '.join(str(i) for i in attack.ids)}" for method, attack in attacks.items())),
+    "attack": ("stage_attack", lambda run, seed, _: f"adversaries ready for seed {seed}"),
+    "evaluate": ("stage_evaluate",
+                 lambda run, seed, _: f"evaluation rows recorded for seed {seed}"),
+    "correlate": ("stage_correlate", lambda run, seed, r:
+                  f"seed {seed} pearson r = {r:.6f} ({run.path('correlation', seed)})"),
+    "heatmap": ("stage_heatmap", lambda run, seed, out_csv: f"heatmap written: {out_csv}"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -21,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "train victims, fit budget-conditioned values, select and "
                     "attack agents, analyze the results.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in (*COMMANDS, "pipeline"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config (yaml)")
         p.add_argument("--seed", type=int, default=None,
@@ -34,48 +47,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_command(args, run: Run, seed: int) -> str:
-    """Run one command's stage for one seed; returns the line to print."""
-    paths = run.paths
-    if args.command == "train-victim":
-        stage_train_victim(run, seed)
-        return f"victim ready: {paths.victim_policy(seed)}"
-    if args.command == "fit-value":
-        stage_fit_value(run, seed)
-        return f"value model ready: {paths.value_model(seed)}"
-    if args.command == "select":
-        attacks = stage_select(run, seed)
-        return f"seed {seed} agents: " + "; ".join(
-            f"{method} {' '.join(str(i) for i in attack.ids)}"
-            for method, attack in attacks.items())
-    if args.command == "attack":
-        stage_attack(run, seed)
-        return f"adversaries ready for seed {seed}"
-    if args.command == "evaluate":
-        stage_evaluate(run, seed)
-        return f"evaluation rows recorded for seed {seed}"
-    if args.command == "correlate":
-        r = stage_correlate(run, seed)
-        return f"seed {seed} pearson r = {r:.6f} ({paths.correlation(seed)})"
-    mode = args.mode or run.cfg.heatmap.mode
-    out_csv = paths.heatmap(seed, mode)
-    export_heatmap(run.artifact("value_model", seed), run.env,
-                   run.env.reset(seed=seed), mode, out_csv=out_csv)
-    return f"heatmap written: {out_csv}"
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     seeds = None if args.seed is None else [args.seed]
     try:
         if args.command == "pipeline":
-            print(f"pipeline complete: {run_pipeline(args.config, args.out, seeds)}")
+            print(f"pipeline complete: {pipeline.run_pipeline(args.config, args.out, seeds)}")
             return 0
-        run = Run(args.config, args.out, seeds)
-        if args.command == "train-victim":
-            train_missing_victims(run, run.cfg.seeds)
+        run = pipeline.Run(args.config, args.out, seeds)
+        stage, line = COMMANDS[args.command]
+        options = {"mode": args.mode} if "mode" in args else {}   # heatmap's --mode
         for seed in run.cfg.seeds:
-            print(_run_command(args, run, seed))
+            print(line(run, seed, getattr(pipeline, stage)(run, seed, **options)))
         return 0
     except MfvulnError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,9 @@ experiment.
 Independent episodes step together as a batch: ``stack_snapshots`` puts B
 snapshots on a leading axis, and ``step_batch`` advances them with (B, N)
 actions.  Each episode keeps its own noise stream, so an episode's bytes do
-not depend on the batch it runs in.  ``step_batch`` is each environment's
-one stepping kernel; ``step`` runs it on a batch of one episode.
+not depend on the batch it runs in.  Each environment has one stepping
+kernel, ``_step_batch``: ``step_batch`` checks the (B, N) actions and runs it,
+and ``step`` checks the (N,) actions and runs it on a batch of one episode.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class StepResult:
 
 
 class MeanFieldEnv:
-    """Base class; subclasses fill in reset, step_batch and a distance metric."""
+    """Base class; subclasses fill in reset, _step_batch and a distance metric."""
 
     config = None
 
@@ -113,15 +114,19 @@ class MeanFieldEnv:
     def reset(self, seed=None) -> Snapshot:
         raise NotImplementedError
 
-    def step_batch(self, batch: Snapshot, actions) -> StepResult:
-        """Advance a batch of B episodes by (B, N) actions; rewards are (B,)."""
+    def _step_batch(self, batch: Snapshot, actions: np.ndarray) -> StepResult:
+        """The stepping kernel: (B, N) actions already checked; rewards are (B,)."""
         raise NotImplementedError
 
+    def step_batch(self, batch: Snapshot, actions) -> StepResult:
+        """Advance a batch of B episodes by (B, N) actions; rewards are (B,)."""
+        return self._step_batch(batch, self._check_actions(batch, actions))
+
     def step(self, snapshot: Snapshot, actions) -> StepResult:
-        """Advance one episode by (N,) actions: step_batch on a batch of one,
-        with a float reward."""
+        """Advance one episode by (N,) actions: the kernel on a batch of one,
+        with a float reward.  The actions are checked once, as (N,)."""
         actions = self._check_actions(snapshot, actions)
-        res = self.step_batch(stack_snapshots([snapshot]), actions[None])
+        res = self._step_batch(stack_snapshots([snapshot]), actions[None])
         [nxt] = res.snapshot.episodes()
         return StepResult(nxt, nxt.states, float(res.reward[0]))
 
@@ -222,7 +227,7 @@ def _type_name(annotation) -> str:
     return "None" if annotation is type(None) else annotation.__name__
 
 
-def check_field_types(cls, raw: dict, error, where: str):
+def _check_field_types(cls, raw: dict, error, where: str):
     """Raise `error` naming the first value that does not fit its annotation."""
     hints = typing.get_type_hints(cls)
     for name, value in raw.items():
@@ -239,13 +244,18 @@ def require_finite(cfg, *names):
             raise InvalidConfigError(f"{name} must be finite, got {value!r}")
 
 
-def build_config(cls, raw: dict):
-    """Strict dataclass construction: unknown keys and mistyped values are config errors."""
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(map(str, set(raw) - allowed))
+def build_config(cls, raw, error=InvalidConfigError, where=None):
+    """A validated ``cls`` from a config mapping, strictly: a value that is not a
+    mapping, an unknown key or a mistyped value raises ``error`` naming it and
+    ``where`` (default: the class name).  None, an empty yaml section, is {}."""
+    where = where or cls.__name__
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise error(f"{where} must be a mapping")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)}, key=str)
     if unknown:
-        raise InvalidConfigError(f"unknown config key(s) for {cls.__name__}: {', '.join(unknown)}")
-    check_field_types(cls, raw, InvalidConfigError, cls.__name__)
+        raise error(f"unknown key '{unknown[0]}' in {where}")
+    _check_field_types(cls, raw, error, where)
     cfg = cls(**raw)
     cfg.validate()
     return cfg

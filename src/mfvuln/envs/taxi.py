@@ -145,7 +145,7 @@ class TaxiGridEnv(MeanFieldEnv):
         volume = supply.sum(axis=-1) + demand.sum(axis=-1)
         return -np.abs(supply - demand).sum(axis=-1) / np.maximum(volume, 1)
 
-    def step_batch(self, batch: Snapshot, actions) -> StepResult:
+    def _step_batch(self, batch: Snapshot, actions) -> StepResult:
         """Advance B episodes by (B, N) actions in one pass; rewards are (B,).
 
         Each episode reads its demand row from its own table.  A batch without
@@ -153,7 +153,7 @@ class TaxiGridEnv(MeanFieldEnv):
         episode's rng: a row for every step left to the horizon (one past it),
         in one call that yields what as many one-row calls would.
         """
-        cells = self._next_cell[batch.states, self._check_actions(batch, actions)]
+        cells = self._next_cell[batch.states, actions]
         table = batch.demand
         if table is None or table.shape[1] == 0:
             size = (max(1, self.config.horizon - batch.t), self.n_zones)

@@ -97,9 +97,8 @@ class ToyMeanFieldEnv(MeanFieldEnv):
         rng = seed_rng(self.config.seed if seed is None else seed)
         return Snapshot(t=0, states=self.initial_states.copy(), rng=rng)
 
-    def step_batch(self, batch: Snapshot, actions) -> StepResult:
+    def _step_batch(self, batch: Snapshot, actions) -> StepResult:
         """Advance B episodes; each draws its N uniforms from its own rng."""
-        actions = self._check_actions(batch, actions)
         reward = self.rewards[batch.states, actions].mean(axis=-1)
         u = np.array([rng.random(self.n_agents) for rng in batch.rng])
         states = pick_categorical(self.transitions[batch.states, actions], u)

@@ -234,10 +234,9 @@ class VicsekEnv(MeanFieldEnv):
                 * cfg.offset_bins
                 + np.minimum(np.maximum(ob, 0, out=ob), cfg.offset_bins - 1, out=ob))
 
-    def step_batch(self, batch: Snapshot, actions) -> StepResult:
+    def _step_batch(self, batch: Snapshot, actions) -> StepResult:
         """Advance B episodes in one pass: (B, N) headings and states, (B, N, 2)
         positions and (B,) rewards."""
-        actions = self._check_actions(batch, actions)
         cfg = self.config
         headings = wrap_angle(batch.headings + self.turns[actions])
         pos = (batch.pos + cfg.speed * _unit(headings)) % cfg.world_size

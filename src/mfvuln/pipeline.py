@@ -8,11 +8,12 @@ then select attack sets and train/evaluate adversaries for each configured
 method.  Every stage goes through the run: an artifact is reused when its
 file exists, else computed and saved, and a stage's ledger rows are written
 once, so a rerun with the same config touches nothing and leaves the ledger
-byte-identical.  The run's seed is passed to every learner as an argument;
-the learner sections of a config hold schedules only, so a ``seed`` key
-there is refused.
+byte-identical.  Each kind of stage file is declared once, in ``ARTIFACTS``.
+The run's seed is passed to every learner as an argument; the learner
+sections of a config hold schedules only, so a ``seed`` key there is refused.
 
-The ledger is an append-only CSV keyed by a hash of the config; analysis
+The ledger is an append-only CSV keyed by a hash of the config, appended all
+or nothing and refused when torn; analysis
 helpers (Pearson correlation of predicted vs realized attack damage, and
 per-agent vulnerability heatmaps) live here too.
 """
@@ -27,8 +28,9 @@ import itertools
 import json
 import math
 import os
+import typing
 import warnings
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, fields as dc_fields, is_dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -37,7 +39,7 @@ import yaml
 from .attack import AdversaryConfig, attacked_returns, evaluate_attack, train_adversaries
 from .core import BudgetVector, seed_rng
 from .envs import make_env
-from .envs.base import agent_layout, check_field_types
+from .envs.base import agent_layout, build_config
 from .errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
                      StageDependencyError, UndefinedCorrelationError)
 from .qlearn import (BoltzmannPolicy, TrainConfig, UniformPolicy,
@@ -62,25 +64,6 @@ def _csv_text(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
-
-
-def _build_section(dc_cls, raw, section: str):
-    raw = {} if raw is None else raw
-    if not isinstance(raw, dict):
-        raise ConfigParseError(f"config section '{section}' must be a mapping")
-    known = {f.name for f in dc_fields(dc_cls)}
-    unknown = sorted(set(raw) - known, key=str)
-    if unknown:
-        raise ConfigParseError(
-            f"unknown key '{unknown[0]}' in config section '{section}'")
-    check_field_types(dc_cls, raw, ConfigParseError, f"config section '{section}'")
-    try:
-        obj = dc_cls(**raw)
-    except TypeError as exc:
-        raise ConfigParseError(f"bad section '{section}': {exc}") from exc
-    if hasattr(obj, "validate"):
-        obj.validate()
-    return obj
 
 
 @dataclass
@@ -173,8 +156,10 @@ class ExperimentConfig:
     out_dir: str
 
 
-_TOP_KEYS = ("name", "env", "victim", "value", "selection", "adversary",
-             "correlation", "heatmap", "seeds", "out_dir")
+# the config's top-level keys, and the stage sections built strictly into their classes
+_TOP_KEYS = tuple(f.name for f in dc_fields(ExperimentConfig) if f.name != "raw")
+_SECTIONS = {name: cls for name, cls in typing.get_type_hints(ExperimentConfig).items()
+             if is_dataclass(cls)}
 
 
 def _checked_seeds(seeds) -> list:
@@ -197,20 +182,11 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if not isinstance(env_raw, dict) or "env_name" not in env_raw:
         raise ConfigParseError("config section 'env' with an env_name is required")
     seeds = _checked_seeds(raw.get("seeds", [0]))
-    cfg = ExperimentConfig(
-        raw=raw,
-        name=str(raw.get("name", "experiment")),
-        env=dict(env_raw),
-        victim=_build_section(TrainConfig, raw.get("victim"), "victim"),
-        value=_build_section(ValueStageConfig, raw.get("value"), "value"),
-        selection=_build_section(SelectionStageConfig, raw.get("selection"), "selection"),
-        adversary=_build_section(AdversaryStageConfig, raw.get("adversary"), "adversary"),
-        correlation=_build_section(CorrelationStageConfig, raw.get("correlation"),
-                                   "correlation"),
-        heatmap=_build_section(HeatmapStageConfig, raw.get("heatmap"), "heatmap"),
-        seeds=seeds,
-        out_dir=str(raw.get("out_dir", "runs")),
-    )
+    sections = {name: build_config(cls, raw.get(name), ConfigParseError,
+                                   f"config section '{name}'")
+                for name, cls in _SECTIONS.items()}
+    cfg = ExperimentConfig(raw=raw, name=str(raw.get("name", "experiment")), env=dict(env_raw),
+                           seeds=seeds, out_dir=str(raw.get("out_dir", "runs")), **sections)
     env = make_env(cfg.env)   # validates the env section before any compute
     if cfg.selection.k > env.n_agents:
         raise InvalidConfigError(
@@ -246,20 +222,39 @@ class ResultsLedger:
     COLUMNS = ("experiment_id", "stage", "method", "seed", "metric", "value")
 
     def __init__(self, path):
+        """Open the ledger at path, creating it if absent.  InvalidInputError
+        names the line of a torn or malformed one: a last line without its
+        newline, a wrong header, or a row without exactly six fields."""
         self.path = path
         if not os.path.exists(path):
             write_atomic(path, _csv_text([self.COLUMNS]))
+        text = self._text()
+        if not text.endswith("\n"):
+            line = text.count("\n") + 1
+            raise InvalidInputError(f"ledger {path} line {line} is torn: "
+                                    "it does not end in a newline")
+        reader = csv.reader(io.StringIO(text, newline=""))
+        for row in reader:
+            if reader.line_num == 1 and tuple(row) != self.COLUMNS:
+                raise InvalidInputError(f"ledger {path} line 1 is not the header "
+                                        f"{','.join(self.COLUMNS)}")
+            if len(row) != len(self.COLUMNS):
+                raise InvalidInputError(f"ledger {path} line {reader.line_num} has "
+                                        f"{len(row)} fields, not {len(self.COLUMNS)}")
+
+    def _text(self) -> str:
+        with open(self.path, newline="") as fh:
+            return fh.read()
 
     def append(self, rows):
-        """Append (experiment, stage, method, seed, metric, value) rows in one write."""
+        """Append (experiment, stage, method, seed, metric, value) rows, all or none:
+        the old text and the new rows are written in one write_atomic."""
         text = _csv_text([exp, stage, method, str(seed), metric, _fmt(value)]
                          for exp, stage, method, seed, metric, value in rows)
-        with open(self.path, "a", newline="") as fh:
-            fh.write(text)
+        write_atomic(self.path, self._text() + text)
 
     def rows(self):
-        with open(self.path, newline="") as fh:
-            return list(csv.DictReader(fh))
+        return list(csv.DictReader(io.StringIO(self._text(), newline="")))
 
     def find(self, experiment: str, stage: str, seed=None,
              method: Optional[str] = None) -> Optional[dict]:
@@ -389,51 +384,6 @@ def export_heatmap(value_model, env, snapshot, mode: str, out_csv=None) -> np.nd
 # -- staged pipeline --------------------------------------------------------------
 
 
-class RunPaths:
-    def __init__(self, out_dir):
-        self.out_dir = out_dir
-
-    def _p(self, name):
-        return os.path.join(self.out_dir, name)
-
-    def ledger(self):
-        return self._p("ledger.csv")
-
-    def experiment_id(self):
-        return self._p("experiment_id.txt")
-
-    def victim_policy(self, seed):
-        return self._p(f"victim_s{seed}.policy")
-
-    def trajectories(self, seed):
-        return self._p(f"trajectories_s{seed}.csv")
-
-    def value_model(self, seed):
-        return self._p(f"value_s{seed}.robust")
-
-    def attack_set(self, seed, method):
-        return self._p(f"attack_{method}_s{seed}.txt")
-
-    def adversary(self, seed, method):
-        return self._p(f"adversary_{method}_s{seed}.policy")
-
-    def brute_scores(self, seed):
-        return self._p(f"brute_scores_s{seed}.csv")
-
-    def correlation(self, seed):
-        return self._p(f"correlation_s{seed}.csv")
-
-    def heatmap(self, seed, mode):
-        return self._p(f"heatmap_{mode}_s{seed}.csv")
-
-    def artifacts(self) -> list:
-        """Files in out_dir named as above, for any seed and key."""
-        names = ("ledger.csv", "victim_s*", "trajectories_s*", "value_s*", "attack_*_s*",
-                 "adversary_*_s*", "brute_scores_s*", "correlation_s*", "heatmap_*_s*")
-        return [f for f in sorted(os.listdir(self.out_dir))
-                if any(fnmatch.fnmatch(f, n) for n in names)]
-
-
 def write_trajectories_csv(path, trajectories):
     rows = ((ep, t, _fmt(reward), ";".join(map(str, states)), ";".join(map(str, actions)))
             for ep, traj in enumerate(trajectories)
@@ -447,13 +397,35 @@ def _save(obj, path, seed):
     obj.save(path)
 
 
-# RunPaths method naming a stage artifact -> (loader, saver, command that makes it)
+# The stage files of an out_dir (experiment_id.txt is not one): kind -> (name
+# pattern, loader, saver, command that makes it).  A {key} is a selection method
+# or a heatmap mode.  Kinds with a loader are the checkpoints Run.artifact
+# reuses; their stages write the others.
 ARTIFACTS = {
-    "victim_policy": (BoltzmannPolicy.load, _save, "train-victim"),
-    "value_model": (RobustValueModel.load, _save, "fit-value"),
-    "attack_set": (load_attack_set, save_attack_set, "select"),
-    "adversary": (BoltzmannPolicy.load, _save, "attack"),
+    "ledger": ("ledger.csv", None, None, None),
+    "victim_policy": ("victim_s{seed}.policy", BoltzmannPolicy.load, _save, "train-victim"),
+    "trajectories": ("trajectories_s{seed}.csv", None, None, "fit-value"),
+    "value_model": ("value_s{seed}.robust", RobustValueModel.load, _save, "fit-value"),
+    "attack_set": ("attack_{key}_s{seed}.txt", load_attack_set, save_attack_set, "select"),
+    "adversary": ("adversary_{key}_s{seed}.policy", BoltzmannPolicy.load, _save, "attack"),
+    "brute_scores": ("brute_scores_s{seed}.csv", None, None, "select"),
+    "correlation": ("correlation_s{seed}.csv", None, None, "correlate"),
+    "heatmap": ("heatmap_{key}_s{seed}.csv", None, None, "heatmap"),
 }
+
+
+def artifact_path(out_dir, kind: str, seed=None, key=None) -> str:
+    """The file of an ARTIFACTS kind in out_dir, for one seed and key."""
+    return os.path.join(out_dir, ARTIFACTS[kind][0].format(seed=seed, key=key))
+
+
+def stage_files(out_dir) -> list:
+    """Files in out_dir named by an ARTIFACTS pattern, for any seed and key, with any
+    suffix after the pattern's last field (so a policy's .q sidecar counts)."""
+    globs = [pattern.format(seed="*", key="*") for pattern, *_ in ARTIFACTS.values()]
+    globs = [g[:g.rfind("*") + 1] or g for g in globs]
+    return [f for f in sorted(os.listdir(out_dir))
+            if any(fnmatch.fnmatch(f, g) for g in globs)]
 
 
 class Run:
@@ -476,10 +448,9 @@ class Run:
         self.cfg, self.exp = config, experiment_id(config)
         self.env = make_env(config.env)
         os.makedirs(config.out_dir, exist_ok=True)
-        self.paths = RunPaths(config.out_dir)
-        id_path = self.paths.experiment_id()
+        id_path = os.path.join(config.out_dir, "experiment_id.txt")
         if not os.path.exists(id_path):
-            if self.paths.artifacts():
+            if stage_files(config.out_dir):
                 raise InvalidConfigError(f"{config.out_dir} holds stage files of an unknown "
                                          "experiment (no experiment_id.txt); use a new out_dir")
             write_atomic(id_path, self.exp + "\n")
@@ -489,19 +460,22 @@ class Run:
             raise InvalidConfigError(
                 f"{config.out_dir} holds experiment {held}, not {self.exp}; "
                 "a changed config needs its own out_dir")
-        self.ledger = ResultsLedger(self.paths.ledger())
+        self.ledger = ResultsLedger(self.path("ledger"))
         self._kept = {}
 
-    def has(self, kind: str, seed: int, *key) -> bool:
-        """Whether the file RunPaths.<kind>(seed, *key) is kept or on disk."""
-        path = getattr(self.paths, kind)(seed, *key)
+    def path(self, kind: str, seed=None, key=None) -> str:
+        return artifact_path(self.cfg.out_dir, kind, seed, key)
+
+    def has(self, kind: str, seed: int, key=None) -> bool:
+        """Whether the artifact of this kind, seed and key is kept or on disk."""
+        path = self.path(kind, seed, key)
         return path in self._kept or os.path.exists(path)
 
-    def artifact(self, kind: str, seed: int, *key, compute=None):
-        """The file RunPaths.<kind>(seed, *key): kept, loaded, or computed and saved."""
-        path = getattr(self.paths, kind)(seed, *key)
+    def artifact(self, kind: str, seed: int, key=None, compute=None):
+        """The artifact of this kind, seed and key: kept, loaded, or computed and saved."""
+        path = self.path(kind, seed, key)
         if path not in self._kept:
-            load, save, command = ARTIFACTS[kind]
+            _, load, save, command = ARTIFACTS[kind]
             if os.path.exists(path):
                 self._kept[path] = load(path)
             elif compute is None:
@@ -511,23 +485,36 @@ class Run:
                 save(self._kept[path], path, seed)
         return self._kept[path]
 
-    def record(self, stage: str, seed: int, rows):
-        """Append rows() as (method, metric, value) ledger rows unless the stage has them."""
-        if not self.ledger.has(self.exp, stage, seed=seed):
-            self.ledger.append([(self.exp, stage, method, seed, metric, value)
-                                for method, metric, value in rows()])
+    def record(self, stage: str, seed: int, rows, *outputs):
+        """Append rows() as (method, metric, value) ledger rows unless the stage has them.
+
+        rows() also runs when one of the stage's ``outputs`` files is missing, to
+        write it again.  Returns the value of the stage's first row: computed if
+        rows() ran, else read back from the ledger.
+        """
+        if self.ledger.has(self.exp, stage, seed=seed):
+            if all(map(os.path.exists, outputs)):
+                return float(self.ledger.find(self.exp, stage, seed=seed)["value"])
+            return rows()[0][2]
+        made = rows()
+        self.ledger.append([(self.exp, stage, method, seed, metric, value)
+                            for method, metric, value in made])
+        return made[0][2]
 
 
 def train_missing_victims(run: Run, seeds):
     """Victims of the given seeds that are not yet saved train in one call."""
-    missing = [seed for seed in seeds if not run.has("victim_policy", seed)]
+    missing = [seed for seed in dict.fromkeys(seeds) if not run.has("victim_policy", seed)]
     for seed, (_, policy, _) in zip(missing, train_victims(run.env, run.cfg.victim, missing)):
         run.artifact("victim_policy", seed, compute=lambda p=policy: p)
 
 
 def stage_train_victim(run: Run, seed: int):
+    """The victim of a seed and its ledger rows.  The victims the run's seeds
+    lack train with it, in one call, so a seed whose victim misses its margin
+    stops the run before any seed's later stages."""
     env, vcfg = run.env, run.cfg.victim
-    train_missing_victims(run, [seed])
+    train_missing_victims(run, [seed, *run.cfg.seeds])
     policy = run.artifact("victim_policy", seed)
 
     def rows():
@@ -546,7 +533,7 @@ def _fit_value(run: Run, seed: int) -> RobustValueModel:
     env, victim = run.env, run.artifact("victim_policy", seed)
     corpus_seeds = np.random.SeedSequence((seed, 2)).spawn(run.cfg.value.rollouts)
     trajs = rollouts(env, victim, corpus_seeds)
-    write_trajectories_csv(run.paths.trajectories(seed), trajs)
+    write_trajectories_csv(run.path("trajectories", seed), trajs)
     fit_cfg = run.cfg.value.fit_config(seed)
     q_model = fit_cooperative_q(trajs, env.n_states, env.n_actions, env.gamma, fit_cfg)
     return fit_robust_value(q_model, trajs, fit_cfg)
@@ -583,7 +570,7 @@ def _run_selector(method: str, run: Run, victim_policy, vmodel, states0, seed: i
             return [float(ret.mean()) for ret in returns]
 
         attack, table = select_bruteforce(evaluate_subsets, env.n_agents, sel.k, sel.eps)
-        write_atomic(run.paths.brute_scores(seed), _csv_text(
+        write_atomic(run.path("brute_scores", seed), _csv_text(
             [("subset", "victim_return")]
             + [(";".join(str(i) for i in subset), _fmt(ret)) for subset, ret in table]))
         return attack
@@ -650,31 +637,35 @@ def stage_correlate(run: Run, seed: int) -> float:
     exist: r is read back from the ledger and nothing is trained or written.
     """
     cfg, env = run.cfg, run.env
-    row = run.ledger.find(run.exp, "correlate", seed=seed)
-    out_csv = run.paths.correlation(seed)
-    if row is not None and os.path.exists(out_csv):
-        return float(row["value"])
-    victim = run.artifact("victim_policy", seed)
-    vmodel = run.artifact("value_model", seed)
-    subsets = sample_attack_subsets(
-        env.n_agents, cfg.correlation.n_subsets, seed, eps=cfg.selection.eps,
-        k_min=cfg.correlation.k_min, k_max=cfg.correlation.k_max or None)
-    adv_cfg = replace(cfg.adversary, episodes=cfg.correlation.adv_episodes)
-    r, _ = correlate_prediction_vs_attack(vmodel, env, victim, subsets, adv_cfg,
-                                          cfg.correlation.episodes, seed,
-                                          out_csv=out_csv)
-    run.record("correlate", seed, lambda: [("subsets", "pearson_r", r)])
-    return r
+    out_csv = run.path("correlation", seed)
+
+    def rows():
+        victim = run.artifact("victim_policy", seed)
+        vmodel = run.artifact("value_model", seed)
+        subsets = sample_attack_subsets(
+            env.n_agents, cfg.correlation.n_subsets, seed, eps=cfg.selection.eps,
+            k_min=cfg.correlation.k_min, k_max=cfg.correlation.k_max or None)
+        adv_cfg = replace(cfg.adversary, episodes=cfg.correlation.adv_episodes)
+        r, _ = correlate_prediction_vs_attack(vmodel, env, victim, subsets, adv_cfg,
+                                              cfg.correlation.episodes, seed,
+                                              out_csv=out_csv)
+        return [("subsets", "pearson_r", r)]
+
+    return run.record("correlate", seed, rows, out_csv)
+
+
+def stage_heatmap(run: Run, seed: int, mode=None) -> str:
+    """The vulnerability grid in the configured mode, or ``mode``; returns its CSV."""
+    mode = mode or run.cfg.heatmap.mode
+    out_csv = run.path("heatmap", seed, mode)
+    export_heatmap(run.artifact("value_model", seed), run.env, run.env.reset(seed=seed),
+                   mode, out_csv=out_csv)
+    return out_csv
 
 
 def run_pipeline(config, out_dir=None, seeds=None) -> str:
-    """Execute all stages for every seed; returns the results directory.
-
-    The victims the seeds lack train first, in one call, so a seed whose
-    victim misses its margin stops the run before any seed's later stages.
-    """
+    """Execute all stages for every seed; returns the results directory."""
     run = Run(config, out_dir, seeds)
-    train_missing_victims(run, run.cfg.seeds)
     for seed in run.cfg.seeds:
         for stage in (stage_train_victim, stage_fit_value, stage_select,
                       stage_attack, stage_evaluate):

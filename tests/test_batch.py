@@ -1,5 +1,6 @@
 """Batched episodes and learners equal their one-at-a-time references bit for bit."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from mfvuln.attack import AdversaryConfig, train_adversaries
 from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs import TaxiGridEnv, ToyMeanFieldEnv, VicsekEnv
-from mfvuln.envs.base import Snapshot, stack_snapshots
+from mfvuln.envs.base import MeanFieldEnv, Snapshot, stack_snapshots
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
@@ -235,6 +236,29 @@ def test_step_and_step_batch_refuse_non_integer_actions(name):
     for dtype in (np.uint8, np.int32, np.int64):
         assert same(env.step(env.reset(seed=0), picks.astype(dtype)).states,
                     env.step(env.reset(seed=0), picks.tolist()).states)
+
+
+@pytest.mark.parametrize("name", sorted(ENVS))
+def test_step_checks_its_actions_once_by_the_episode_shape(name, monkeypatch):
+    """env.step refuses a wrong-length action vector naming the (N,) shape, and
+    checks good actions once: the kernel does not check the (1, N) copy again."""
+    env = ENVS[name]()
+    snap = env.reset(seed=0)
+    for actions in (np.zeros(env.n_agents + 1, dtype=int), np.zeros((1, env.n_agents), dtype=int)):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"expected actions of shape ({env.n_agents},), got shape {actions.shape}")):
+            env.step(snap, actions)
+    checked, real = [], MeanFieldEnv._check_actions
+
+    def recording(self, snapshot, actions):
+        checked.append(np.shape(actions))
+        return real(self, snapshot, actions)
+
+    monkeypatch.setattr(MeanFieldEnv, "_check_actions", recording)
+    env.step(snap, np.zeros(env.n_agents, dtype=int))
+    assert checked == [(env.n_agents,)]
+    env.step_batch(stack_snapshots([snap]), np.zeros((1, env.n_agents), dtype=int))
+    assert checked == [(env.n_agents,), (1, env.n_agents)]
 
 
 # -- evaluation ----------------------------------------------------------------------

@@ -3,14 +3,17 @@
 import csv
 import os
 import shutil
+import warnings
+from functools import partial
 from pathlib import Path
 
 import pytest
 import yaml
 
 from mfvuln.cli import build_parser, main
-from mfvuln.pipeline import (ResultsLedger, RunPaths, experiment_id,
+from mfvuln.pipeline import (ResultsLedger, artifact_path, experiment_id,
                              load_experiment_config)
+from test_golden_toy import CONFIG, assert_matches_fixture, finished_copy
 
 
 def write_config(tmp_path, **overrides):
@@ -49,44 +52,44 @@ def test_a_victim_short_of_its_margin_stops_the_run_before_any_stage_file(tmp_pa
     assert main([command, "--config", str(cfg_path)]) == 2
     assert "victim of seed 1 underperforms" in capsys.readouterr().err
     assert sorted(os.listdir(raw["out_dir"])) == ["experiment_id.txt", "ledger.csv"]
-    assert ResultsLedger(RunPaths(raw["out_dir"]).ledger()).rows() == []
+    assert ResultsLedger(artifact_path(raw["out_dir"], "ledger")).rows() == []
 
 
 def test_staged_commands_chain_into_a_full_run(tmp_path, capsys):
     cfg_path, raw = write_config(tmp_path)
-    paths = RunPaths(raw["out_dir"])
+    paths = partial(artifact_path, raw["out_dir"])
 
     assert main(["train-victim", "--config", str(cfg_path)]) == 0
-    assert os.path.exists(paths.victim_policy(0))
+    assert os.path.exists(paths("victim_policy", 0))
     assert "victim ready" in capsys.readouterr().out
 
     assert main(["fit-value", "--config", str(cfg_path)]) == 0
-    assert os.path.exists(paths.value_model(0))
+    assert os.path.exists(paths("value_model", 0))
     capsys.readouterr()
 
     assert main(["select", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "greedy" in out and "random" in out
-    assert os.path.exists(paths.attack_set(0, "greedy"))
+    assert os.path.exists(paths("attack_set", 0, "greedy"))
 
     assert main(["attack", "--config", str(cfg_path)]) == 0
-    assert os.path.exists(paths.adversary(0, "random"))
+    assert os.path.exists(paths("adversary", 0, "random"))
     capsys.readouterr()
 
     assert main(["evaluate", "--config", str(cfg_path)]) == 0
-    ledger = ResultsLedger(paths.ledger())
+    ledger = ResultsLedger(paths("ledger"))
     assert ledger.has(experiment_of(ledger), "attack", seed=0, method="greedy")
     capsys.readouterr()
 
     assert main(["heatmap", "--config", str(cfg_path),
                  "--mode", "single-adversary-xi"]) == 0
-    heat = paths.heatmap(0, "single-adversary-xi")
+    heat = paths("heatmap", 0, "single-adversary-xi")
     assert os.path.exists(heat)
     cells = [v for row in csv.reader(open(heat)) for v in row]
     assert len(cells) == 5
 
     assert main(["correlate", "--config", str(cfg_path)]) == 0
-    assert os.path.exists(paths.correlation(0))
+    assert os.path.exists(paths("correlation", 0))
     assert ledger.has(experiment_of(ledger), "correlate", seed=0)
     assert "pearson r" in capsys.readouterr().out
 
@@ -125,9 +128,9 @@ def test_pipeline_command_runs_everything(tmp_path, capsys):
     cfg_path, raw = write_config(tmp_path)
     assert main(["pipeline", "--config", str(cfg_path)]) == 0
     assert "pipeline complete" in capsys.readouterr().out
-    paths = RunPaths(raw["out_dir"])
-    for artifact in [paths.victim_policy(0), paths.value_model(0),
-                     paths.attack_set(0, "greedy"), paths.adversary(0, "greedy")]:
+    paths = partial(artifact_path, raw["out_dir"])
+    for artifact in [paths("victim_policy", 0), paths("value_model", 0),
+                     paths("attack_set", 0, "greedy"), paths("adversary", 0, "greedy")]:
         assert os.path.exists(artifact)
 
 
@@ -136,10 +139,10 @@ def test_seed_and_out_overrides(tmp_path):
     other = tmp_path / "elsewhere"
     assert main(["train-victim", "--config", str(cfg_path),
                  "--seed", "1", "--out", str(other)]) == 0
-    paths = RunPaths(str(other))
-    assert os.path.exists(paths.victim_policy(1))
-    assert not os.path.exists(paths.victim_policy(0))
-    assert not os.path.exists(RunPaths(raw["out_dir"]).victim_policy(1))
+    paths = partial(artifact_path, str(other))
+    assert os.path.exists(paths("victim_policy", 1))
+    assert not os.path.exists(paths("victim_policy", 0))
+    assert not os.path.exists(artifact_path(raw["out_dir"], "victim_policy", 1))
 
 
 def test_missing_dependency_exits_with_error(tmp_path, capsys):
@@ -154,9 +157,9 @@ def test_missing_dependency_exits_with_error(tmp_path, capsys):
 def test_changed_config_in_same_out_dir_exits_with_error(tmp_path, capsys):
     cfg_path, raw = write_config(tmp_path)
     assert main(["train-victim", "--config", str(cfg_path)]) == 0
-    victim = RunPaths(raw["out_dir"]).victim_policy(0)
+    victim = artifact_path(raw["out_dir"], "victim_policy", 0)
     before = open(victim, "rb").read(), open(victim + ".q", "rb").read()
-    old_id = experiment_of(ResultsLedger(RunPaths(raw["out_dir"]).ledger()))
+    old_id = experiment_of(ResultsLedger(artifact_path(raw["out_dir"], "ledger")))
     capsys.readouterr()
 
     cfg_path, _ = write_config(tmp_path, victim={"episodes": 5, "eval_episodes": 6})
@@ -179,10 +182,10 @@ def test_victim_checkpoint_without_ledger_rows_is_not_reused(tmp_path, monkeypat
         m.setattr("mfvuln.pipeline.evaluate_policy", interrupt)
         with pytest.raises(KeyboardInterrupt):
             main(["train-victim", "--config", str(cfg_path)])
-    paths = RunPaths(raw["out_dir"])
-    victim = paths.victim_policy(0)
+    paths = partial(artifact_path, raw["out_dir"])
+    victim = paths("victim_policy", 0)
     before = open(victim, "rb").read(), open(victim + ".q", "rb").read()
-    assert ResultsLedger(paths.ledger()).rows() == []
+    assert ResultsLedger(paths("ledger")).rows() == []
 
     cfg_path, _ = write_config(tmp_path, victim={"episodes": 5, "eval_episodes": 6})
     new_id = experiment_id(load_experiment_config(cfg_path))
@@ -190,7 +193,7 @@ def test_victim_checkpoint_without_ledger_rows_is_not_reused(tmp_path, monkeypat
     err = capsys.readouterr().err
     assert raw["out_dir"] in err and old_id in err and new_id in err
     assert (open(victim, "rb").read(), open(victim + ".q", "rb").read()) == before
-    assert ResultsLedger(paths.ledger()).rows() == []
+    assert ResultsLedger(paths("ledger")).rows() == []
 
 
 def test_directory_with_stage_files_but_no_experiment_id_is_refused(tmp_path, capsys):
@@ -213,7 +216,7 @@ def test_directory_with_stage_files_but_no_experiment_id_is_refused(tmp_path, ca
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["train-victim", "--config", str(cfg_path), "--out", str(empty)]) == 0
-    assert os.path.exists(RunPaths(str(empty)).victim_policy(0))
+    assert os.path.exists(artifact_path(str(empty), "victim_policy", 0))
 
 
 def test_bad_config_exits_with_error(tmp_path, capsys):
@@ -269,7 +272,7 @@ def test_vicsek_noise_is_an_unknown_key(tmp_path, capsys, value):
     cfg_path, _ = write_config(tmp_path, env={"env_name": "vicsek", "n_agents": 5,
                                               "noise": value})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
-    assert "unknown config key(s) for VicsekConfig: noise" in capsys.readouterr().err
+    assert "unknown key 'noise' in VicsekConfig" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "runs")
 
 
@@ -279,7 +282,7 @@ def test_toy_comm_radius_is_an_unknown_key(tmp_path, capsys, value):
     cfg_path, _ = write_config(tmp_path, env={"env_name": "toy", "n_agents": 5,
                                               "comm_radius": value})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
-    assert "unknown config key(s) for ToyConfig: comm_radius" in capsys.readouterr().err
+    assert "unknown key 'comm_radius' in ToyConfig" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "runs")
 
 
@@ -340,7 +343,7 @@ def test_bad_learned_selector_setting_exits_at_config_load(tmp_path, capsys, bad
     cfg_path, raw = write_config(tmp_path, selection={"methods": ["greedy"], "k": 2, **bad})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert f"unknown key '{key}' in config section 'selection'" in capsys.readouterr().err
-    assert not os.path.exists(RunPaths(raw["out_dir"]).victim_policy(0))
+    assert not os.path.exists(artifact_path(raw["out_dir"], "victim_policy", 0))
 
 
 def test_taxi_demand_beyond_the_poisson_limit_exits_at_config_load(tmp_path, capsys):
@@ -362,22 +365,66 @@ def test_unfillable_correlation_range_exits_at_config_load(tmp_path, capsys, bad
         tmp_path, correlation={"n_subsets": 10, "episodes": 2, "adv_episodes": 2, **bad})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
-    assert not os.path.exists(RunPaths(raw["out_dir"]).victim_policy(0))
+    assert not os.path.exists(artifact_path(raw["out_dir"], "victim_policy", 0))
 
 
 def test_damaged_artifact_exits_with_error(tmp_path, capsys):
     cfg_path, raw = write_config(tmp_path)
     assert main(["pipeline", "--config", str(cfg_path)]) == 0
-    paths = RunPaths(raw["out_dir"])
-    value = paths.value_model(0)
+    paths = partial(artifact_path, raw["out_dir"])
+    value = paths("value_model", 0)
     lines = open(value).read().splitlines()
     lines[-1] = "not-a-number"
     with open(value, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    os.remove(paths.victim_policy(0) + ".q")
+    os.remove(paths("victim_policy", 0) + ".q")
     capsys.readouterr()
 
     assert main(["heatmap", "--config", str(cfg_path)]) == 2
     assert value in capsys.readouterr().err
     assert main(["attack", "--config", str(cfg_path)]) == 2
-    assert paths.victim_policy(0) + ".q" in capsys.readouterr().err
+    assert paths("victim_policy", 0) + ".q" in capsys.readouterr().err
+
+
+# each command's line on the finished runs/toy/, with {out} its directory
+TOY_LINES = {
+    "train-victim": "victim ready: {out}/victim_s0.policy",
+    "fit-value": "value model ready: {out}/value_s0.robust",
+    "select": "seed 0 agents: greedy 1 3; random 1 3; dc 0 1; brute 0 2",
+    "attack": "adversaries ready for seed 0",
+    "evaluate": "evaluation rows recorded for seed 0",
+    "correlate": "seed 0 pearson r = -0.408588 ({out}/correlation_s0.csv)",
+    "heatmap": "heatmap written: {out}/heatmap_per-agent-eps_s0.csv",
+    "pipeline": "pipeline complete: {out}",
+}
+
+
+def test_the_pinned_lines_cover_every_command():
+    assert "{" + ",".join(TOY_LINES) + "}" in build_parser().format_usage()
+
+
+@pytest.mark.parametrize("command", list(TOY_LINES))
+def test_each_command_prints_its_line_and_rewrites_nothing_on_a_finished_run(
+        tmp_path, capsys, command):
+    out, _ = finished_copy(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == TOY_LINES[command].format(out=out) + "\n"
+    assert_matches_fixture(out)
+
+
+@pytest.mark.parametrize("cut", [",pearson_r,-0.", ",pearson_r,"], ids=["in-value", "before-value"])
+@pytest.mark.parametrize("command", ["correlate", "pipeline"])
+def test_a_torn_ledger_exits_with_error_naming_its_line(tmp_path, capsys, command, cut):
+    """A ledger whose last row lost its end is refused, not read or appended to."""
+    out, _ = finished_copy(tmp_path)
+    ledger = out / "ledger.csv"
+    text = ledger.read_bytes().decode()
+    torn = text[:text.rindex(",pearson_r,") + len(cut)]
+    assert torn.endswith(cut)
+    ledger.write_bytes(torn.encode())
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 2
+    assert f"line {text.count(chr(10))} is torn" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -3,6 +3,7 @@
 import csv
 import os
 import warnings
+from functools import partial
 
 from dataclasses import fields as dc_fields
 
@@ -11,19 +12,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mfvuln import pipeline
 from mfvuln.attack import AdversaryConfig
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.envs.vicsek import VicsekConfig
 from mfvuln.errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
                            MfvulnError, StageDependencyError, UndefinedCorrelationError)
-from mfvuln.pipeline import (AdversaryStageConfig, CorrelationStageConfig,
-                             HeatmapStageConfig, ResultsLedger, Run, RunPaths,
-                             SelectionStageConfig, ValueStageConfig,
+from mfvuln.pipeline import (ARTIFACTS, AdversaryStageConfig, CorrelationStageConfig,
+                             HeatmapStageConfig, ResultsLedger, Run,
+                             SelectionStageConfig, ValueStageConfig, artifact_path,
                              correlate_prediction_vs_attack, experiment_id,
                              export_heatmap, parse_experiment_config, pearson,
                              run_pipeline, sample_attack_subsets, stage_evaluate,
-                             stage_select, stage_train_victim)
+                             stage_files, stage_select, stage_train_victim)
 from mfvuln.qlearn import TablePolicy, TrainConfig, evaluate_policy
 from mfvuln.selection import AttackSet, save_attack_set
 from oracles import exact_value_model, greedy_matrix, optimal_q
@@ -210,21 +212,20 @@ def test_experiment_id_is_stable_and_config_sensitive():
 def test_ledger_appends_and_filters(tmp_path, monkeypatch):
     path = tmp_path / "ledger.csv"
     ledger = ResultsLedger(path)
-    writes, real_open = [], open
+    header = path.read_bytes().decode()
+    writes, real_write_atomic = [], pipeline.write_atomic
 
-    def recording_open(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        if mode == "a":
-            real_write = fh.write
-            fh.write = lambda text: writes.append(text) or real_write(text)
-        return fh
+    def recording_write_atomic(file, text):
+        writes.append(text)
+        real_write_atomic(file, text)
 
     with monkeypatch.context() as m:
-        m.setattr("builtins.open", recording_open)
+        m.setattr(pipeline, "write_atomic", recording_write_atomic)
         ledger.append([("e1", "victim", "mfq", 0, "victim_return", 0.123456789012),
                        ("e1", "attack", "greedy", 1, "attacked_return", -2.5)])
-    # one call writes all its rows at once
-    assert len(writes) == 1 and writes[0].count("\n") == 2
+    # one call writes all its rows at once, after the old text
+    assert len(writes) == 1 and writes[0].startswith(header)
+    assert writes[0][len(header):].count("\n") == 2
     rows = ledger.rows()
     assert len(rows) == 2
     # floats are stamped with 9 significant digits
@@ -236,6 +237,41 @@ def test_ledger_appends_and_filters(tmp_path, monkeypatch):
     # reopening never truncates
     ledger = ResultsLedger(path)
     assert len(ledger.rows()) == 2
+
+
+def test_an_interrupted_append_leaves_the_old_ledger(tmp_path, monkeypatch):
+    path = tmp_path / "ledger.csv"
+    ledger = ResultsLedger(path)
+    ledger.append([("e1", "victim", "mfq", 0, "victim_return", 1.5)])
+    before = path.read_bytes()
+
+    def disk_full(file, text):
+        with open(f"{file}.tmp", "w", newline="") as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(pipeline, "write_atomic", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        ledger.append([("e1", "attack", "greedy", 0, "attacked_return", -2.5)])
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "does not end in a newline"),
+    ("experiment_id,stage,method,seed,metric,value\r\ne,victim,mfq,0,victim_return,1",
+     2, "does not end in a newline"),
+    ("experiment_id,stage,method,seed,metric\r\n", 1, "not the header"),
+    ("experiment_id,stage,method,seed,metric,value\r\ne,victim,mfq,0,victim_return\r\n",
+     2, "5 fields, not 6"),
+    ("experiment_id,stage,method,seed,metric,value\r\n\r\ne,victim,mfq,0,victim_return,1\r\n",
+     2, "0 fields, not 6"),
+], ids=["empty", "torn", "header", "short-row", "blank-row"])
+def test_a_torn_or_malformed_ledger_is_refused_naming_its_line(tmp_path, text, line, message):
+    path = tmp_path / "ledger.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(InvalidInputError, match=f"line {line} .*{message}"):
+        ResultsLedger(path)
+    assert path.read_bytes() == text.encode()
 
 
 # -- pearson ------------------------------------------------------------------------
@@ -364,16 +400,16 @@ def test_run_pipeline_produces_artifacts_and_ledger(tmp_path):
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text(yaml.safe_dump(full_raw(tmp_path)))
     out = run_pipeline(str(cfg_path))
-    paths = RunPaths(out)
-    for artifact in [paths.victim_policy(0), paths.value_model(0),
-                     paths.trajectories(0), paths.brute_scores(0),
-                     paths.ledger()]:
+    paths = partial(artifact_path, out)
+    for artifact in [paths("victim_policy", 0), paths("value_model", 0),
+                     paths("trajectories", 0), paths("brute_scores", 0),
+                     paths("ledger")]:
         assert os.path.exists(artifact), artifact
     for method in ("greedy", "random", "dc", "brute"):
-        assert os.path.exists(paths.attack_set(0, method))
-        assert os.path.exists(paths.adversary(0, method))
+        assert os.path.exists(paths("attack_set", 0, method))
+        assert os.path.exists(paths("adversary", 0, method))
 
-    ledger = ResultsLedger(paths.ledger())
+    ledger = ResultsLedger(paths("ledger"))
     rows = ledger.rows()
     stages = {(r["stage"], r["method"], r["metric"]) for r in rows}
     assert ("victim", "mfq", "victim_return") in stages
@@ -385,12 +421,12 @@ def test_run_pipeline_produces_artifacts_and_ledger(tmp_path):
         assert ("attack", method, "coop_return") in stages
 
     # reruns must not touch artifacts or grow the ledger
-    ledger_bytes = open(paths.ledger(), "rb").read()
-    victim_bytes = open(paths.victim_policy(0), "rb").read()
+    ledger_bytes = open(paths("ledger"), "rb").read()
+    victim_bytes = open(paths("victim_policy", 0), "rb").read()
     out2 = run_pipeline(str(cfg_path))
     assert out2 == out
-    assert open(paths.ledger(), "rb").read() == ledger_bytes
-    assert open(paths.victim_policy(0), "rb").read() == victim_bytes
+    assert open(paths("ledger"), "rb").read() == ledger_bytes
+    assert open(paths("victim_policy", 0), "rb").read() == victim_bytes
 
 
 def test_minimal_vicsek_pipeline_smoke(tmp_path):
@@ -409,7 +445,7 @@ def test_minimal_vicsek_pipeline_smoke(tmp_path):
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text(yaml.safe_dump(raw))
     out = run_pipeline(str(cfg_path))
-    rows = ResultsLedger(RunPaths(out).ledger()).rows()
+    rows = ResultsLedger(artifact_path(out, "ledger")).rows()
     assert rows
     stages = {r["stage"] for r in rows}
     assert {"victim", "value", "select", "attack"} <= stages
@@ -441,27 +477,25 @@ def test_stage_dependencies_are_enforced(tmp_path):
     with pytest.raises(StageDependencyError, match="run select first"):
         stage_evaluate(run, 0)
     save_attack_set(AttackSet(np.array([0]), 1.0, "greedy"),
-                    run.paths.attack_set(0, "greedy"), seed=0)
+                    run.path("attack_set", 0, "greedy"), seed=0)
     with pytest.raises(StageDependencyError, match="run attack first"):
         stage_evaluate(run, 0)
 
 
-def test_run_paths_lists_every_stage_file_it_names(tmp_path):
-    paths = RunPaths(str(tmp_path))
-    named = [paths.ledger(), paths.victim_policy(0), paths.victim_policy(0) + ".q",
-             paths.trajectories(1), paths.value_model(2), paths.attack_set(0, "dc"),
-             paths.adversary(0, "brute"), paths.brute_scores(0), paths.correlation(3),
-             paths.heatmap(0, "per-agent-eps")]
-    for path in named + [str(tmp_path / "notes.txt"), paths.experiment_id()]:
+def test_stage_files_lists_every_file_the_artifact_table_names(tmp_path):
+    """Every kind's file, and a policy's .q sidecar; not the id or a stray file."""
+    named = [artifact_path(tmp_path, kind, seed, "dc") for seed, kind in enumerate(ARTIFACTS)]
+    named += [path + ".q" for path in named if path.endswith(".policy")]
+    for path in named + [str(tmp_path / "notes.txt"), str(tmp_path / "experiment_id.txt")]:
         open(path, "w").close()
-    assert paths.artifacts() == sorted(os.path.basename(p) for p in named)
+    assert stage_files(tmp_path) == sorted(os.path.basename(p) for p in named)
 
 
 def test_run_claims_its_directory_before_any_stage(tmp_path):
     out = str(tmp_path / "claimed")
     cfg = parse_experiment_config(base_raw(out_dir=out))
     run = Run(cfg)
-    with open(run.paths.experiment_id()) as fh:
+    with open(os.path.join(out, "experiment_id.txt")) as fh:
         assert fh.read() == experiment_id(cfg) + "\n"
     assert sorted(os.listdir(out)) == ["experiment_id.txt", "ledger.csv"]
     assert run.ledger.rows() == []
