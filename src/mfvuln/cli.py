@@ -40,10 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="run only this seed instead of the config's list")
         p.add_argument("--out", default=None, help="override the output directory")
-        if name == "heatmap":
-            p.add_argument("--mode", default=None,
-                           choices=["per-agent-eps", "single-adversary-xi"],
-                           help="override the configured heatmap mode")
     return parser
 
 
@@ -56,9 +52,8 @@ def main(argv=None) -> int:
             return 0
         run = pipeline.Run(args.config, args.out, seeds)
         stage, line = COMMANDS[args.command]
-        options = {"mode": args.mode} if "mode" in args else {}   # heatmap's --mode
         for seed in run.cfg.seeds:
-            print(line(run, seed, getattr(pipeline, stage)(run, seed, **options)))
+            print(line(run, seed, getattr(pipeline, stage)(run, seed)))
         return 0
     except MfvulnError as exc:
         print(f"error: {exc}", file=sys.stderr)

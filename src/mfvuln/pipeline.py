@@ -13,9 +13,10 @@ The run's seed is passed to every learner as an argument; the learner
 sections of a config hold schedules only, so a ``seed`` key there is refused.
 
 The ledger is an append-only CSV keyed by a hash of the config, appended all
-or nothing and refused when torn; analysis
-helpers (Pearson correlation of predicted vs realized attack damage, and
-per-agent vulnerability heatmaps) live here too.
+or nothing and refused when torn.  Analysis helpers live here too: the
+Pearson correlation of predicted vs realized attack damage, and the
+per-agent vulnerability heatmap, damp(s0) on the population's layout grid
+(the score greedy selection ranks by).
 """
 
 from __future__ import annotations
@@ -133,15 +134,6 @@ class CorrelationStageConfig:
 
 
 @dataclass
-class HeatmapStageConfig:
-    mode: str = "per-agent-eps"
-
-    def validate(self):
-        if self.mode not in ("per-agent-eps", "single-adversary-xi"):
-            raise InvalidConfigError(f"unknown heatmap mode: {self.mode}")
-
-
-@dataclass
 class ExperimentConfig:
     raw: dict
     name: str
@@ -151,7 +143,6 @@ class ExperimentConfig:
     selection: SelectionStageConfig
     adversary: AdversaryStageConfig
     correlation: CorrelationStageConfig
-    heatmap: HeatmapStageConfig
     seeds: list
     out_dir: str
 
@@ -356,26 +347,19 @@ def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
     return r, rows
 
 
-def export_heatmap(value_model, env, snapshot, mode: str, out_csv=None) -> np.ndarray:
-    """Per-agent vulnerability grid shaped by the population layout.
+def export_heatmap(value_model, env, snapshot, mode: str = "per-agent-eps",
+                   out_csv=None) -> np.ndarray:
+    """Per-agent vulnerability grid: damp(s0) shaped by the population layout.
 
-    per-agent-eps: drop from fully corrupting each agent alone (eps 0 -> 1,
-    xi pinned at 0).  single-adversary-xi: drop every agent suffers when one
-    anonymous adversary joins the population (xi 0 -> 1/N).
+    Under V = base - w * damp, fully corrupting one agent alone (eps 0 -> 1,
+    xi 0) drops its value by damp(s0), the score greedy ranks agents by.
+    ``env`` is accepted and not used, and ``mode`` accepts only
+    "per-agent-eps"; both stay for the bench's positional call.
     """
-    states0 = snapshot.states
-    n = states0.size
-    zero = np.zeros(n)
-    v00 = value_model.values(states0, zero, 0.0)
-    if mode == "per-agent-eps":
-        v1 = value_model.values(states0, np.ones(n), 0.0)
-    elif mode == "single-adversary-xi":
-        v1 = value_model.values(states0, zero, 1.0 / n)
-    else:
+    if mode != "per-agent-eps":
         raise InvalidInputError(f"unknown heatmap mode: {mode}")
-    drops = v00 - v1
-    rows, cols = agent_layout(n)
-    grid = drops.reshape(rows, cols)
+    states0 = snapshot.states
+    grid = value_model.damp[states0].reshape(agent_layout(states0.size))
     if out_csv:
         write_atomic(out_csv, _csv_text([_fmt(v) for v in row] for row in grid))
     return grid
@@ -398,9 +382,9 @@ def _save(obj, path, seed):
 
 
 # The stage files of an out_dir (experiment_id.txt is not one): kind -> (name
-# pattern, loader, saver, command that makes it).  A {key} is a selection method
-# or a heatmap mode.  Kinds with a loader are the checkpoints Run.artifact
-# reuses; their stages write the others.
+# pattern, loader, saver, command that makes it).  A {key} is a selection method.
+# Kinds with a loader are the checkpoints Run.artifact reuses; their stages write
+# the others.
 ARTIFACTS = {
     "ledger": ("ledger.csv", None, None, None),
     "victim_policy": ("victim_s{seed}.policy", BoltzmannPolicy.load, _save, "train-victim"),
@@ -410,7 +394,7 @@ ARTIFACTS = {
     "adversary": ("adversary_{key}_s{seed}.policy", BoltzmannPolicy.load, _save, "attack"),
     "brute_scores": ("brute_scores_s{seed}.csv", None, None, "select"),
     "correlation": ("correlation_s{seed}.csv", None, None, "correlate"),
-    "heatmap": ("heatmap_{key}_s{seed}.csv", None, None, "heatmap"),
+    "heatmap": ("heatmap_per-agent-eps_s{seed}.csv", None, None, "heatmap"),
 }
 
 
@@ -654,12 +638,12 @@ def stage_correlate(run: Run, seed: int) -> float:
     return run.record("correlate", seed, rows, out_csv)
 
 
-def stage_heatmap(run: Run, seed: int, mode=None) -> str:
-    """The vulnerability grid in the configured mode, or ``mode``; returns its CSV."""
-    mode = mode or run.cfg.heatmap.mode
-    out_csv = run.path("heatmap", seed, mode)
-    export_heatmap(run.artifact("value_model", seed), run.env, run.env.reset(seed=seed),
-                   mode, out_csv=out_csv)
+def stage_heatmap(run: Run, seed: int) -> str:
+    """The vulnerability grid's CSV, written unless its file exists; returns its path."""
+    out_csv = run.path("heatmap", seed)
+    if not os.path.exists(out_csv):
+        export_heatmap(run.artifact("value_model", seed), run.env, run.env.reset(seed=seed),
+                       out_csv=out_csv)
     return out_csv
 
 

@@ -123,7 +123,8 @@ def malformed_artifact(path):
 
 
 def _read_checkpoint(path, expected_kind):
-    """Header dict and value block of a checkpoint; InvalidInputError if malformed."""
+    """Header dict and value block of a checkpoint; InvalidInputError if malformed
+    or if a value is not finite."""
     with malformed_artifact(path):
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -150,6 +151,8 @@ def _read_checkpoint(path, expected_kind):
         flat = np.array([float(x) for x in lines[i:i + count]])
     if flat.size != count:
         raise InvalidInputError(f"checkpoint truncated: {path}")
+    if not np.isfinite(flat).all():
+        raise InvalidInputError(f"checkpoint holds a value that is not finite: {path}")
     return header, flat
 
 
@@ -172,8 +175,9 @@ class BoltzmannPolicy:
     """pi(a | s) proportional to exp(Q(s, a) / temperature)."""
 
     def __init__(self, model: QModel, temperature: float = 0.1):
-        if temperature <= 0:
-            raise InvalidInputError("temperature must be positive")
+        if not 0 < temperature < np.inf:
+            raise InvalidInputError(
+                f"temperature must be finite and positive, got {temperature!r}")
         self.model = model
         self.temperature = temperature
 

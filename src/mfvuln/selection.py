@@ -101,10 +101,15 @@ def load_attack_set(path) -> AttackSet:
         ids = np.array([int(x) for x in fields.get("ids", "").split()], dtype=int)
         drop = fields.get("predicted_drop")
         picks = fields.get("pick_rewards")
-        return AttackSet(
+        attack = AttackSet(
             ids, float(fields["eps"]), fields["method"],
             predicted_drop=None if drop is None else float(drop),
             pick_rewards=None if picks is None else np.array([float(x) for x in picks.split()]))
+    scores = np.append([] if drop is None else attack.predicted_drop,
+                       [] if picks is None else attack.pick_rewards)
+    if not np.isfinite(scores).all():
+        raise InvalidInputError(f"attack-set record holds a score that is not finite: {path}")
+    return attack
 
 
 def predicted_drop(value_model, states0, budgets: BudgetVector) -> float:

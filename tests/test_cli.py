@@ -40,8 +40,10 @@ def test_parser_requires_a_command():
         build_parser().parse_args([])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["no-such-command", "--config", "x"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["heatmap", "--config", "x", "--mode", "bogus"])
+    # the heatmap is damp(s0); it has no mode to choose
+    for mode in ("bogus", "per-agent-eps"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["heatmap", "--config", "x", "--mode", mode])
 
 
 @pytest.mark.parametrize("command", ["pipeline", "train-victim"])
@@ -81,9 +83,8 @@ def test_staged_commands_chain_into_a_full_run(tmp_path, capsys):
     assert ledger.has(experiment_of(ledger), "attack", seed=0, method="greedy")
     capsys.readouterr()
 
-    assert main(["heatmap", "--config", str(cfg_path),
-                 "--mode", "single-adversary-xi"]) == 0
-    heat = paths("heatmap", 0, "single-adversary-xi")
+    assert main(["heatmap", "--config", str(cfg_path)]) == 0
+    heat = paths("heatmap", 0)
     assert os.path.exists(heat)
     cells = [v for row in csv.reader(open(heat)) for v in row]
     assert len(cells) == 5
@@ -407,11 +408,31 @@ def test_the_pinned_lines_cover_every_command():
 def test_each_command_prints_its_line_and_rewrites_nothing_on_a_finished_run(
         tmp_path, capsys, command):
     out, _ = finished_copy(tmp_path)
+    inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 0
     assert capsys.readouterr().out == TOY_LINES[command].format(out=out) + "\n"
     assert_matches_fixture(out)
+    # write_atomic's os.replace gives a file a new inode, even with the same bytes
+    assert {p.name: p.stat().st_ino for p in out.iterdir()} == inodes
+
+
+@pytest.mark.parametrize("name, old, new, command", [
+    ("value_s0.robust", "\n14.897815740905028\n", "\nnan\n", "fit-value"),
+    ("victim_s0.policy", "temperature 0.1", "temperature nan", "train-victim"),
+    ("adversary_dc_s0.policy.q", "\n-3.0814705066262351\n", "\n-inf\n", "attack"),
+    ("attack_greedy_s0.txt", "predicted_drop 193.91999083803438", "predicted_drop inf",
+     "select"),
+], ids=["value-nan", "temperature-nan", "q-value-inf", "predicted-drop-inf"])
+def test_a_stage_file_with_a_non_finite_number_exits_with_error(tmp_path, capsys,
+                                                                name, old, new, command):
+    out, _ = finished_copy(tmp_path)
+    text = (out / name).read_text()
+    assert text.count(old) == 1
+    (out / name).write_text(text.replace(old, new))
+    assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 2
+    assert str(out / name) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cut", [",pearson_r,-0.", ",pearson_r,"], ids=["in-value", "before-value"])

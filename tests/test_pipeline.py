@@ -2,8 +2,10 @@
 
 import csv
 import os
+import tempfile
 import warnings
 from functools import partial
+from types import SimpleNamespace
 
 from dataclasses import fields as dc_fields
 
@@ -14,19 +16,20 @@ from hypothesis import strategies as st
 
 from mfvuln import pipeline
 from mfvuln.attack import AdversaryConfig
+from mfvuln.envs.base import agent_layout
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.envs.vicsek import VicsekConfig
 from mfvuln.errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
                            MfvulnError, StageDependencyError, UndefinedCorrelationError)
 from mfvuln.pipeline import (ARTIFACTS, AdversaryStageConfig, CorrelationStageConfig,
-                             HeatmapStageConfig, ResultsLedger, Run,
-                             SelectionStageConfig, ValueStageConfig, artifact_path,
-                             correlate_prediction_vs_attack, experiment_id,
+                             ResultsLedger, Run, SelectionStageConfig, ValueStageConfig,
+                             artifact_path, correlate_prediction_vs_attack, experiment_id,
                              export_heatmap, parse_experiment_config, pearson,
                              run_pipeline, sample_attack_subsets, stage_evaluate,
                              stage_files, stage_select, stage_train_victim)
 from mfvuln.qlearn import TablePolicy, TrainConfig, evaluate_policy
+from mfvuln.robust import RobustValueModel
 from mfvuln.selection import AttackSet, save_attack_set
 from oracles import exact_value_model, greedy_matrix, optimal_q
 
@@ -53,6 +56,13 @@ def base_raw(**overrides):
 def test_unknown_top_level_key_is_named():
     with pytest.raises(ConfigParseError, match="unknown key 'typo'"):
         parse_experiment_config(base_raw(typo=1))
+
+
+def test_deleted_heatmap_section_is_an_unknown_key():
+    """The heatmap is damp(s0), so its former mode section is refused."""
+    for section in ({"mode": "per-agent-eps"}, {}, None):
+        with pytest.raises(ConfigParseError, match="unknown key 'heatmap' at config top level"):
+            parse_experiment_config(base_raw(heatmap=section))
 
 
 def test_unknown_section_key_names_the_section():
@@ -136,7 +146,7 @@ def test_bad_norm_order_string_is_a_config_error():
 
 SECTIONS = {"victim": TrainConfig, "value": ValueStageConfig,
             "selection": SelectionStageConfig, "adversary": AdversaryStageConfig,
-            "correlation": CorrelationStageConfig, "heatmap": HeatmapStageConfig}
+            "correlation": CorrelationStageConfig}
 DELETED_KEYS = ("mu_bins", "nu_bins", "bin_levels", "joint_norm", "seed")
 # small numbers only: an env section is built, and its tables grow with them
 CONFIG_VALUES = st.recursive(
@@ -171,6 +181,8 @@ def raw_configs(draw):
     for name in ("name", "seeds", "out_dir", draw(st.text(max_size=6))):
         if draw(st.booleans()):
             raw[name] = draw(CONFIG_VALUES)
+    if draw(st.booleans()):   # the deleted heatmap section
+        raw["heatmap"] = draw(config_sections({"mode"}))
     return draw(st.one_of(st.just(raw), CONFIG_VALUES))
 
 
@@ -185,6 +197,8 @@ def test_any_config_mapping_parses_or_raises_a_config_error(raw):
         parse_experiment_config(raw)
     except MfvulnError:
         pass
+    else:
+        assert "heatmap" not in raw
 
 
 def test_norm_order_accepts_yaml_spellings():
@@ -335,20 +349,37 @@ def test_heatmap_per_agent_eps_equals_damp(tmp_path):
     assert grid.shape == (4, 4)
     # eps: 0 -> 1 at xi = 0 prices exactly one unit of the damping component
     want = model.damp[snap.states].reshape(4, 4)
-    np.testing.assert_allclose(grid, want, atol=1e-12)
+    assert np.array_equal(grid, want)
     rows = list(csv.reader(open(out)))
     assert len(rows) == 4 and len(rows[0]) == 4
     assert float(rows[0][0]) == pytest.approx(grid[0, 0], abs=1e-8)
 
 
-def test_heatmap_single_adversary_xi_scales_by_population(tmp_path):
+def test_heatmap_refuses_any_other_mode():
     env, model = exact_setup()
-    snap = env.reset(seed=0)
-    grid = export_heatmap(model, env, snap, "single-adversary-xi")
-    want = model.damp[snap.states].reshape(4, 4) / env.n_agents
-    np.testing.assert_allclose(grid, want, atol=1e-12)
     with pytest.raises(InvalidInputError, match="heatmap mode"):
-        export_heatmap(model, env, snap, "fancy")
+        export_heatmap(model, env, env.reset(seed=0), "fancy")
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_states=st.integers(1, 6), n_agents=st.integers(1, 40), data=st.data())
+def test_heatmap_is_damp_at_the_start_states_on_the_layout_grid(n_states, n_agents, data):
+    model = RobustValueModel(n_states, 2, 0.9)
+    model.base = np.array(data.draw(st.lists(FINITE, min_size=n_states, max_size=n_states)))
+    model.damp = np.array(data.draw(st.lists(st.floats(0, 1e6), min_size=n_states,
+                                             max_size=n_states)))
+    states0 = np.array(data.draw(st.lists(st.integers(0, n_states - 1),
+                                          min_size=n_agents, max_size=n_agents)))
+    with tempfile.TemporaryDirectory() as d:
+        out = os.path.join(d, "heat.csv")
+        grid = export_heatmap(model, None, SimpleNamespace(states=states0), out_csv=out)
+        with open(out, newline="") as fh:
+            cells = list(csv.reader(fh))
+    assert np.array_equal(grid, model.damp[states0].reshape(agent_layout(n_agents)))
+    assert cells == [["%.9g" % v for v in row] for row in grid]
 
 
 # -- correlation --------------------------------------------------------------------

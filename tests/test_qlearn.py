@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfvuln import qlearn
@@ -361,30 +361,56 @@ def _write_artifacts(directory, texts):
         Path(directory, name).write_text(text, encoding="utf-8")
 
 
+def _numbers(loaded) -> np.ndarray:
+    """Every number a run computes with in a loaded artifact."""
+    if isinstance(loaded, BoltzmannPolicy):
+        return np.append(loaded.model.table, loaded.temperature)
+    if isinstance(loaded, QModel):
+        return loaded.table.ravel()
+    if isinstance(loaded, RobustValueModel):
+        return np.append(loaded.base, loaded.damp)
+    drop = [] if loaded.predicted_drop is None else [loaded.predicted_drop]
+    picks = [] if loaded.pick_rewards is None else loaded.pick_rewards
+    return np.concatenate([[loaded.eps], drop, picks])
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+# a new line: free text, or (keyed) the old line's first word and a value
+NEW_LINES = st.one_of(st.tuples(st.booleans(), TEXT),
+                      st.tuples(st.just(True), st.integers().map(str)),
+                      st.tuples(st.just(True), st.floats().map(repr)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(name=st.sampled_from(sorted(ARTIFACTS)), data=st.data())
-def test_damaged_artifact_loads_or_raises_invalid_input(name, data):
+@given(name=st.sampled_from(sorted(ARTIFACTS)), line=st.integers(0, 99),
+       edit=st.sampled_from(["delete", "truncate", "rewrite"]), cut=st.integers(0, 99),
+       new=NEW_LINES)
+@example(name="victim.policy", line=3, edit="rewrite", cut=0, new=(True, "nan"))
+@example(name="victim.policy.q", line=7, edit="rewrite", cut=0, new=(False, "inf"))
+@example(name="value.robust", line=9, edit="rewrite", cut=0, new=(False, "nan"))
+@example(name="attack.txt", line=5, edit="rewrite", cut=0, new=(True, "nan"))
+@example(name="attack.txt", line=6, edit="rewrite", cut=0, new=(False, "pick_rewards 1 -inf"))
+def test_damaged_artifact_loads_or_raises_invalid_input(name, line, edit, cut, new):
+    """A damaged artifact raises InvalidInputError naming its file, or loads
+    holding only finite numbers."""
     lines = ARTIFACTS[name].splitlines()
-    i = data.draw(st.integers(0, len(lines) - 1), label="line")
-    edit = data.draw(st.sampled_from(["delete", "truncate", "rewrite"]), label="edit")
+    i = line % len(lines)
     if edit == "delete":
         lines = lines[:i] + lines[i + 1:]
     elif edit == "truncate":
-        lines = lines[:i] + [lines[i][:data.draw(st.integers(0, len(lines[i])))]]
+        lines = lines[:i] + [lines[i][:cut % (len(lines[i]) + 1)]]
     else:
-        key = lines[i].partition(" ")[0]
-        text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
-        lines[i] = data.draw(st.one_of(
-            text, text.map(lambda v: f"{key} {v}"),
-            st.integers().map(lambda v: f"{key} {v}"),
-            st.floats().map(lambda v: f"{key} {v!r}")), label="new line")
+        keyed, value = new
+        lines[i] = f"{lines[i].partition(' ')[0]} {value}" if keyed else value
     with tempfile.TemporaryDirectory() as d:
         _write_artifacts(d, {**ARTIFACTS, name: "\n".join(lines)})
         path = os.path.join(d, name)
         try:
-            LOADERS[name](path)
+            loaded = LOADERS[name](path)
         except InvalidInputError as exc:
             assert path in str(exc)
+        else:
+            assert np.isfinite(_numbers(loaded)).all()
 
 
 def test_checkpoints_with_the_former_binning_lines_still_load(tmp_path):
