@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-PROB_TOL = 1e-9
-
 
 def seed_to_int(seed) -> int:
     """Collapse any accepted seed form (int, tuple, SeedSequence) to 64 bits."""
@@ -64,39 +62,12 @@ def dual_order(p) -> float:
     return p / (p - 1.0)
 
 
-def check_prob_vector(x, name):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInputError(f"{name} must be 1-d, got shape {x.shape}")
-    if x.size == 0:
-        raise InvalidInputError(f"{name} is empty")
-    if np.any(x < -PROB_TOL):
-        raise InvalidInputError(f"{name} has negative entries")
-    s = float(x.sum())
-    if abs(s - 1.0) > 1e-6:
-        raise InvalidInputError(f"{name} sums to {s}, expected 1")
-    return np.clip(x, 0.0, None)
-
-
 @dataclass(frozen=True)
 class MeanFieldState:
-    """Empirical distribution of agent states; entries are multiples of 1/N.
-
-    The constructor checks everything it is given.
-    ``empirical_mean_field_state`` checks only its indices: bincount / N is a
-    valid distribution of multiples of 1/N by construction, so it skips the
-    output checks.
-    """
+    """Empirical distribution of agent states; entries are multiples of 1/N."""
 
     probs: np.ndarray
-    n_agents: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", check_prob_vector(self.probs, "mean-field state"))
-        if self.n_agents:
-            counts = self.probs * self.n_agents
-            if np.any(np.abs(counts - np.round(counts)) > 1e-6):
-                raise InvalidInputError("mean-field entries are not multiples of 1/N")
+    n_agents: int
 
 
 def empirical_mean_field_state(states, n_states: int) -> MeanFieldState:
@@ -110,10 +81,7 @@ def empirical_mean_field_state(states, n_states: int) -> MeanFieldState:
             raise ValueError
     except ValueError:
         raise InvalidInputError("state index out of range") from None
-    mf = object.__new__(MeanFieldState)
-    object.__setattr__(mf, "probs", counts / states.size)
-    object.__setattr__(mf, "n_agents", states.size)
-    return mf
+    return MeanFieldState(counts / states.size, states.size)
 
 
 def mixing_weights(eps_vec, shape) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 All environments expose the same surface:
 
-    env.reset(seed) -> Snapshot
+    env.reset(seed) -> Snapshot                      (the start at t = 0)
     env.step_batch(batch, actions) -> StepResult     (B episodes at once)
     env.step(snapshot, actions) -> StepResult        (one episode: a batch of one)
     env.observation_graph(snapshot, radius=None) -> (N, N) bool adjacency
@@ -11,7 +11,11 @@ Snapshots are passed explicitly so rollouts stay replayable; the snapshot
 owns the stream of process noise (single writer, do not step one snapshot
 from two threads).  Initial agent layout is fixed by the config, not the
 reset seed, so agent identities keep their meaning across episodes of one
-experiment.
+experiment.  So each environment builds its start once, in its constructor:
+``initial_states``, plus ``initial_pos`` (vicsek, taxi) and
+``initial_headings`` (vicsek).  ``MeanFieldEnv.reset`` is the one reset for
+every environment: it reads those arrays on every call and returns copies of
+them, with the noise stream of the seed.
 
 Independent episodes step together as a batch: ``stack_snapshots`` puts B
 snapshots on a leading axis, and ``step_batch`` advances them with (B, N)
@@ -30,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core import seed_rng
 from ..errors import InvalidConfigError, InvalidInputError
 
 
@@ -91,9 +96,13 @@ class StepResult:
 
 
 class MeanFieldEnv:
-    """Base class; subclasses fill in reset, _step_batch and a distance metric."""
+    """Base class; subclasses build the start in their constructor and fill in
+    _step_batch and a distance metric."""
 
     config = None
+    initial_states: np.ndarray
+    initial_pos: Optional[np.ndarray] = None
+    initial_headings: Optional[np.ndarray] = None
 
     @property
     def n_agents(self) -> int:
@@ -112,7 +121,14 @@ class MeanFieldEnv:
         return self.config.horizon
 
     def reset(self, seed=None) -> Snapshot:
-        raise NotImplementedError
+        """The episode start at t = 0: copies of the start's arrays, and the noise
+        stream of ``seed`` (the config's seed when None)."""
+        def copy(a):
+            return None if a is None else a.copy()
+
+        return Snapshot(t=0, states=self.initial_states.copy(),
+                        rng=seed_rng(self.config.seed if seed is None else seed),
+                        pos=copy(self.initial_pos), headings=copy(self.initial_headings))
 
     def _step_batch(self, batch: Snapshot, actions: np.ndarray) -> StepResult:
         """The stepping kernel: (B, N) actions already checked; rewards are (B,)."""

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import seed_rng
 from ..errors import InvalidConfigError
 from .base import (MeanFieldEnv, Snapshot, StepResult, build_config, require_finite,
                    torus_pairwise)
@@ -49,7 +48,6 @@ class TaxiConfig:
     horizon: int = 24
     grid_width: int = 8
     grid_height: int = 8
-    n_actions: int = 5
     comm_radius: float = 2.5
     demand_rate: float = 1.0
     demand_concentration: float = 0.15
@@ -69,8 +67,6 @@ class TaxiConfig:
             raise InvalidConfigError(
                 f"{self.n_agents} taxis exceed grid capacity "
                 f"{self.grid_width * self.grid_height}")
-        if self.n_actions != len(MOVES):
-            raise InvalidConfigError(f"n_actions must be {len(MOVES)}")
         if self.horizon < 1:
             raise InvalidConfigError("horizon must be >= 1")
         if self.seed < 0:
@@ -85,6 +81,8 @@ class TaxiConfig:
 
 
 class TaxiGridEnv(MeanFieldEnv):
+    n_actions = len(MOVES)
+
     def __init__(self, config: TaxiConfig):
         config.validate()
         self.config = config
@@ -100,7 +98,8 @@ class TaxiGridEnv(MeanFieldEnv):
         self._zone = (self._xy[:, 0] // 2) * (h // 2) + self._xy[:, 1] // 2
         moved = (self._xy[:, None, :] + MOVES) % [w, h]
         self._next_cell = moved[..., 0] * h + moved[..., 1]
-        self._start_cells = self._initial_cells()
+        self.initial_states = self._initial_cells()
+        self.initial_pos = self._xy[self.initial_states]
 
     @property
     def n_states(self) -> int:
@@ -130,11 +129,6 @@ class TaxiGridEnv(MeanFieldEnv):
 
     def cell_xy(self, cells) -> np.ndarray:
         return self._xy[np.asarray(cells, dtype=int)]
-
-    def reset(self, seed=None) -> Snapshot:
-        cells = self._start_cells.copy()
-        rng = seed_rng(self.config.seed if seed is None else seed)
-        return Snapshot(t=0, states=cells, rng=rng, pos=self.cell_xy(cells))
 
     @staticmethod
     def mismatch_reward(supply, demand):

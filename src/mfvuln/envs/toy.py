@@ -93,10 +93,6 @@ class ToyMeanFieldEnv(MeanFieldEnv):
         else:
             self.initial_states = np.arange(cfg.n_agents) * m + rng.integers(m, size=cfg.n_agents)
 
-    def reset(self, seed=None) -> Snapshot:
-        rng = seed_rng(self.config.seed if seed is None else seed)
-        return Snapshot(t=0, states=self.initial_states.copy(), rng=rng)
-
     def _step_batch(self, batch: Snapshot, actions) -> StepResult:
         """Advance B episodes; each draws its N uniforms from its own rng."""
         reward = self.rewards[batch.states, actions].mean(axis=-1)

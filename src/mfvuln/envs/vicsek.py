@@ -162,6 +162,8 @@ class VicsekEnv(MeanFieldEnv):
         # entries: its size depends on N alone, so no step allocates one, whatever
         # its batch, and a tile stays cache-sized where a whole (N, N) one would not
         self._work = _tile_buffer(config.n_agents)
+        self.initial_pos, self.initial_headings = self._initial_layout()
+        self.initial_states = self._discretize(self.initial_pos, self.initial_headings)
 
     @property
     def n_states(self) -> int:
@@ -193,12 +195,6 @@ class VicsekEnv(MeanFieldEnv):
             headings.append(mean_heading + rng.normal(0, cfg.heading_spread, size))
         pos = np.vstack(pos) % cfg.world_size
         return pos, wrap_angle(np.concatenate(headings))
-
-    def reset(self, seed=None) -> Snapshot:
-        pos, headings = self._initial_layout()
-        rng = seed_rng(self.config.seed if seed is None else seed)
-        states = self._discretize(pos, headings)
-        return Snapshot(t=0, states=states, rng=rng, pos=pos, headings=headings)
 
     def neighbor_mean_heading(self, pos, headings) -> np.ndarray:
         """Circular mean heading over each agent's neighbourhood: itself and every

@@ -333,7 +333,7 @@ def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
     """
     if len(subsets) < 10:
         raise InvalidInputError("need at least 10 attack subsets")
-    states0 = env.reset(seed=seed).states
+    states0 = env.initial_states
     budgets = [attack.budgets(env.n_agents) for attack in subsets]
     returns = attacked_returns(env, victim_policy, budgets, adv_cfg,
                                [seed + 7919 * j for j in range(len(subsets))], episodes,
@@ -528,7 +528,7 @@ def stage_fit_value(run: Run, seed: int):
     vmodel = run.artifact("value_model", seed, compute=lambda: _fit_value(run, seed))
 
     def rows():
-        v0 = vmodel.values(env.reset(seed=seed).states, np.zeros(env.n_agents), 0.0)
+        v0 = vmodel.values(env.initial_states, np.zeros(env.n_agents), 0.0)
         return [("tabular", "v0_mean", float(v0.mean()))]
 
     run.record("value", seed, rows)
@@ -565,7 +565,7 @@ def stage_select(run: Run, seed: int):
     env = run.env
     victim = run.artifact("victim_policy", seed)
     vmodel = run.artifact("value_model", seed)
-    states0 = env.reset(seed=seed).states
+    states0 = env.initial_states
     attacks = {method: run.artifact(
         "attack_set", seed, method,
         compute=lambda m=method: _run_selector(m, run, victim, vmodel, states0, seed))

@@ -213,8 +213,10 @@ class RobustValueModel:
             n_states = int(header["n_states"])
             # reshape before allocating, so a bad header cannot size the tables
             base, damp = flat.reshape(2, n_states)
-            model = RobustValueModel(n_states, int(header["n_actions"]),
-                                     float(header["gamma"]), p=float(header["p"]))
+            gamma, p = float(header["gamma"]), float(header["p"])
+            if not (0.0 <= gamma < 1.0 and p >= 1.0):   # p may be inf, never NaN
+                raise ValueError(f"gamma {gamma!r} must be in [0, 1) and p {p!r} at least 1")
+            model = RobustValueModel(n_states, int(header["n_actions"]), gamma, p=p)
         model.base, model.damp = base, damp
         return model
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mfvuln.core import (BudgetVector, aggregate_budget, check_prob_vector, dual_order,
-                         mixing_weights, pick_categorical)
+from mfvuln.core import (BudgetVector, aggregate_budget, dual_order, mixing_weights,
+                         pick_categorical)
 from mfvuln.errors import InvalidInputError
 
 W_MAX = 3.0  # sup of eps + xi + eps*xi over the unit budget square
@@ -95,6 +95,23 @@ class NormOrder:
     @property
     def q(self) -> float:
         return dual_order(self.p)
+
+
+PROB_TOL = 1e-9
+
+
+def check_prob_vector(x, name):
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise InvalidInputError(f"{name} must be 1-d, got shape {x.shape}")
+    if x.size == 0:
+        raise InvalidInputError(f"{name} is empty")
+    if np.any(x < -PROB_TOL):
+        raise InvalidInputError(f"{name} has negative entries")
+    s = float(x.sum())
+    if abs(s - 1.0) > 1e-6:
+        raise InvalidInputError(f"{name} sums to {s}, expected 1")
+    return np.clip(x, 0.0, None)
 
 
 @dataclass(frozen=True)

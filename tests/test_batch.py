@@ -67,6 +67,62 @@ def assert_matches_serial(env, victim, budgets, cfg, seeds, trained):
 # -- environments ------------------------------------------------------------------
 
 
+START_FIELDS = {"states": "initial_states", "pos": "initial_pos", "headings": "initial_headings"}
+SEEDS = st.one_of(st.none(), st.integers(0, 2 ** 32),
+                  st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                  st.tuples(st.integers(0, 99), st.integers(0, 9), st.integers(0, 99)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(ENVS)), seed=SEEDS)
+def test_reset_is_the_start_built_at_construction(name, seed):
+    """Any seed, an int or a tuple, gives the same start; it only seeds the noise."""
+    env = ENVS[name]()
+    snap = env.reset(seed=seed)
+    assert snap.t == 0 and snap.demand is None
+    for field, start in START_FIELDS.items():
+        got, want = getattr(snap, field), getattr(env, start)
+        assert (got is None) == (want is None) and (got is None or same(got, want)), field
+    want_rng = seed_rng(env.config.seed if seed is None else seed)
+    assert snap.rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(ENVS))
+def test_writing_into_a_reset_leaves_the_next_reset_unchanged(name):
+    env = ENVS[name]()
+    written = env.reset(seed=0)
+    want = {field: np.copy(getattr(written, field)) for field in START_FIELDS}
+    for field in START_FIELDS:
+        if getattr(written, field) is not None:
+            getattr(written, field)[...] += 1
+    again = env.reset(seed=0)
+    for field in START_FIELDS:
+        got = getattr(again, field)
+        assert got is None or same(got, want[field]), field
+
+
+def test_vicsek_reset_runs_no_neighbour_pass(monkeypatch):
+    """The layout and its neighbour pass run once, when the env is built."""
+    env = ENVS["vicsek"]()
+    want = [env.reset(seed=s) for s in range(3)]
+
+    def neighbour_pass(*args):
+        raise AssertionError("reset ran a neighbour pass")
+
+    monkeypatch.setattr(VicsekEnv, "neighbor_mean_heading", neighbour_pass)
+    batch = stack_snapshots([env.reset(seed=s) for s in range(3)])
+    for got, w in zip(batch.episodes(), want):
+        assert same(got.states, w.states) and same(got.pos, w.pos)
+        assert same(got.headings, w.headings)
+
+
+def test_overwriting_the_toy_start_moves_later_resets():
+    env = ENVS["toy"]()
+    env.initial_states = np.arange(env.n_agents)[::-1].copy()
+    for seed in (0, (1, 2)):
+        assert same(env.reset(seed=seed).states, np.arange(env.n_agents)[::-1])
+
+
 @pytest.mark.parametrize("raw", [{}, dict(n_agents=16, horizon=14, grid_width=10,
                                           grid_height=10, demand_concentration=0.1)])
 def test_taxi_step_matches_the_reference(raw):

@@ -277,6 +277,17 @@ def test_vicsek_noise_is_an_unknown_key(tmp_path, capsys, value):
     assert not os.path.exists(tmp_path / "runs")
 
 
+@pytest.mark.parametrize("value", [5, 4], ids=["5", "4"])
+def test_taxi_n_actions_is_an_unknown_key(tmp_path, capsys, value):
+    """A taxi has one move per entry of MOVES, so a config that sets the count,
+    even to that number, is refused."""
+    cfg_path, _ = write_config(tmp_path, env={"env_name": "taxi", "n_agents": 5,
+                                              "n_actions": value})
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert "unknown key 'n_actions' in TaxiConfig" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
 @pytest.mark.parametrize("value", [NAN, -1.0, 1.0], ids=["nan", "-1.0", "1.0"])
 def test_toy_comm_radius_is_an_unknown_key(tmp_path, capsys, value):
     """Toy's observation graph is complete by definition, so a radius is refused."""

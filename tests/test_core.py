@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfvuln.core import (BudgetVector, MeanFieldState, aggregate_budget, dual_order,
-                         empirical_mean_field_state, seed_rng)
+from mfvuln.core import (BudgetVector, aggregate_budget, dual_order, empirical_mean_field_state,
+                         seed_rng)
 from mfvuln.errors import InvalidInputError
 from oracles import (ActionDist, NormOrder, attacked_ids, check_deviation_bounds,
                      check_mean_field_deviation, deviation_constant, lp_norm, mix_policies,
@@ -57,12 +57,6 @@ def test_mean_field_permutation_invariance():
         a = empirical_mean_field_state(states, 6).probs
         b = empirical_mean_field_state(rng.permutation(states), 6).probs
         assert np.array_equal(a, b)
-
-
-def test_mean_field_rejects_non_multiples():
-    # 0.5/0.5 cannot come from 3 agents
-    with pytest.raises(InvalidInputError):
-        MeanFieldState(np.array([0.5, 0.5]), n_agents=3)
 
 
 @st.composite

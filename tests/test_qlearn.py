@@ -388,11 +388,17 @@ NEW_LINES = st.one_of(st.tuples(st.booleans(), TEXT),
 @example(name="victim.policy", line=3, edit="rewrite", cut=0, new=(True, "nan"))
 @example(name="victim.policy.q", line=7, edit="rewrite", cut=0, new=(False, "inf"))
 @example(name="value.robust", line=9, edit="rewrite", cut=0, new=(False, "nan"))
+@example(name="value.robust", line=5, edit="rewrite", cut=0, new=(True, "nan"))
+@example(name="value.robust", line=5, edit="rewrite", cut=0, new=(True, "1.0"))
+@example(name="value.robust", line=5, edit="rewrite", cut=0, new=(True, "-0.5"))
+@example(name="value.robust", line=6, edit="rewrite", cut=0, new=(True, "nan"))
+@example(name="value.robust", line=6, edit="rewrite", cut=0, new=(True, "0.5"))
+@example(name="value.robust", line=6, edit="rewrite", cut=0, new=(True, "1.0"))
 @example(name="attack.txt", line=5, edit="rewrite", cut=0, new=(True, "nan"))
 @example(name="attack.txt", line=6, edit="rewrite", cut=0, new=(False, "pick_rewards 1 -inf"))
 def test_damaged_artifact_loads_or_raises_invalid_input(name, line, edit, cut, new):
     """A damaged artifact raises InvalidInputError naming its file, or loads
-    holding only finite numbers."""
+    holding only finite numbers, a gamma in [0, 1) and a norm order p >= 1."""
     lines = ARTIFACTS[name].splitlines()
     i = line % len(lines)
     if edit == "delete":
@@ -411,6 +417,11 @@ def test_damaged_artifact_loads_or_raises_invalid_input(name, line, edit, cut, n
             assert path in str(exc)
         else:
             assert np.isfinite(_numbers(loaded)).all()
+            model = loaded.model if isinstance(loaded, BoltzmannPolicy) else loaded
+            if isinstance(model, (QModel, RobustValueModel)):
+                assert 0.0 <= model.gamma < 1.0
+            if isinstance(model, RobustValueModel):
+                assert model.p >= 1.0
 
 
 def test_checkpoints_with_the_former_binning_lines_still_load(tmp_path):
