@@ -107,14 +107,12 @@ def evaluate_attack(env, victim_policy, budgets: BudgetVector, episodes: int,
     """
     if budgets.n_agents != env.n_agents:
         raise InvalidInputError("budget vector length does not match the population")
-    if episodes < 1:
-        raise InvalidInputError("episodes must be >= 1")
     before = policy_checksum(victim_policy)
+    returns = evaluate_policy(env, victim_policy, episodes, seed,
+                              adversary_policy=adversary_policy, budgets=budgets)
     if not (np.any(budgets.eps > 0) and adversary_policy is not None):
         warnings.warn("attack evaluation with no active corruption; "
                       "returns equal the clean baseline", stacklevel=2)
-    returns = evaluate_policy(env, victim_policy, episodes, seed,
-                              adversary_policy=adversary_policy, budgets=budgets)
     if policy_checksum(victim_policy) != before:
         raise RuntimeError("victim policy changed during attack evaluation")
     return returns

@@ -121,7 +121,7 @@ class BudgetVector:
 
     @property
     def xi(self) -> float:
-        return aggregate_budget(self.eps)
+        return float(self.eps.mean())
 
     @staticmethod
     def zeros(n_agents: int) -> "BudgetVector":
@@ -132,16 +132,6 @@ class BudgetVector:
         e = np.zeros(n_agents)
         e[list(agent_ids)] = eps
         return BudgetVector(e)
-
-
-def aggregate_budget(eps_vector) -> float:
-    """xi = (1/N) sum_i eps_i."""
-    e = np.asarray(eps_vector, dtype=float)
-    if e.ndim != 1 or e.size == 0:
-        raise InvalidInputError("budget vector must be non-empty and 1-d")
-    if np.any(e < 0) or np.any(e > 1):
-        raise InvalidInputError("budgets must lie in [0, 1]")
-    return float(e.mean())
 
 
 def pick_categorical(probs, u) -> np.ndarray:

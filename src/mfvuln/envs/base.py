@@ -5,17 +5,17 @@ All environments expose the same surface:
     env.reset(seed) -> Snapshot                      (the start at t = 0)
     env.step_batch(batch, actions) -> StepResult     (B episodes at once)
     env.step(snapshot, actions) -> StepResult        (one episode: a batch of one)
-    env.observation_graph(snapshot, radius=None) -> (N, N) bool adjacency
+    env.observation_graph(snapshot) -> (N, N) bool adjacency within comm_radius
 
 Snapshots are passed explicitly so rollouts stay replayable; the snapshot
 owns the stream of process noise (single writer, do not step one snapshot
 from two threads).  Initial agent layout is fixed by the config, not the
 reset seed, so agent identities keep their meaning across episodes of one
 experiment.  So each environment builds its start once, in its constructor:
-``initial_states``, plus ``initial_pos`` (vicsek, taxi) and
-``initial_headings`` (vicsek).  ``MeanFieldEnv.reset`` is the one reset for
-every environment: it reads those arrays on every call and returns copies of
-them, with the noise stream of the seed.
+``initial_states``, plus ``initial_pos`` and ``initial_headings`` (vicsek
+only: a taxi's position is its cell, the state).  ``MeanFieldEnv.reset`` is
+the one reset for every environment: it reads those arrays on every call and
+returns copies of them, with the noise stream of the seed.
 
 Independent episodes step together as a batch: ``stack_snapshots`` puts B
 snapshots on a leading axis, and ``step_batch`` advances them with (B, N)
@@ -56,7 +56,7 @@ class Snapshot:
     t: int
     states: np.ndarray
     rng: np.random.Generator                # a list of B generators in a batch
-    pos: Optional[np.ndarray] = None        # continuous (Vicsek) or cell coords (Taxi)
+    pos: Optional[np.ndarray] = None        # Vicsek only
     headings: Optional[np.ndarray] = None   # Vicsek only
     demand: Optional[np.ndarray] = None     # Taxi only: demand rows still to use
 
@@ -74,8 +74,10 @@ def stack_snapshots(snapshots) -> Snapshot:
 
     Demand tables must be on all of them or on none: InvalidInputError
     otherwise (a taxi snapshot that lost its table would draw again from a
-    generator that has already moved on).
+    generator that has already moved on), and for no snapshots at all.
     """
+    if not snapshots:
+        raise InvalidInputError("cannot stack an empty list of snapshots")
     first = snapshots[0]
     if len(snapshots) > 1 and len({s.demand is None for s in snapshots}) > 1:
         raise InvalidInputError("cannot stack snapshots with and without demand tables")
@@ -101,8 +103,8 @@ class MeanFieldEnv:
 
     config = None
     initial_states: np.ndarray
-    initial_pos: Optional[np.ndarray] = None
-    initial_headings: Optional[np.ndarray] = None
+    initial_pos: Optional[np.ndarray] = None        # Vicsek only
+    initial_headings: Optional[np.ndarray] = None   # Vicsek only
 
     @property
     def n_agents(self) -> int:
@@ -149,13 +151,9 @@ class MeanFieldEnv:
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         raise NotImplementedError
 
-    def observation_graph(self, snapshot: Snapshot, radius=None) -> np.ndarray:
-        """Symmetric boolean adjacency: within radius, no self loops."""
-        r = self.config.comm_radius if radius is None else radius
-        if not r >= 0:
-            raise InvalidInputError(f"radius must be non-negative, got {r}")
-        d = self._pairwise_distances(snapshot)
-        adj = d <= r
+    def observation_graph(self, snapshot: Snapshot) -> np.ndarray:
+        """Symmetric boolean adjacency: within comm_radius, no self loops."""
+        adj = self._pairwise_distances(snapshot) <= self.config.comm_radius
         np.fill_diagonal(adj, False)
         return adj
 

@@ -99,7 +99,6 @@ class TaxiGridEnv(MeanFieldEnv):
         moved = (self._xy[:, None, :] + MOVES) % [w, h]
         self._next_cell = moved[..., 0] * h + moved[..., 1]
         self.initial_states = self._initial_cells()
-        self.initial_pos = self._xy[self.initial_states]
 
     @property
     def n_states(self) -> int:
@@ -127,9 +126,6 @@ class TaxiGridEnv(MeanFieldEnv):
         y = ((idx // cols + 0.5) * cfg.grid_height / rows).astype(int) % cfg.grid_height
         return x * cfg.grid_height + y
 
-    def cell_xy(self, cells) -> np.ndarray:
-        return self._xy[np.asarray(cells, dtype=int)]
-
     @staticmethod
     def mismatch_reward(supply, demand):
         """Volume-normalised mismatch penalty in [-1, 0] over the last axis;
@@ -155,12 +151,12 @@ class TaxiGridEnv(MeanFieldEnv):
         demand = table[:, 0]
         zones = self._zone[cells] + self.n_zones * np.arange(len(demand))[:, None]
         supply = np.bincount(zones.ravel(), minlength=demand.size).reshape(demand.shape)
-        nxt = Snapshot(t=batch.t + 1, states=cells, rng=batch.rng, pos=self._xy[cells],
-                       demand=table[:, 1:])
+        nxt = Snapshot(t=batch.t + 1, states=cells, rng=batch.rng, demand=table[:, 1:])
         return StepResult(nxt, cells, self.mismatch_reward(supply, demand))
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
-        return torus_pairwise(snapshot.pos, (self.config.grid_width, self.config.grid_height))
+        return torus_pairwise(self._xy[snapshot.states],
+                              (self.config.grid_width, self.config.grid_height))
 
 
 def make_taxi(raw: dict) -> TaxiGridEnv:

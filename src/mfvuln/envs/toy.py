@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import pick_categorical, seed_rng
-from ..errors import InvalidConfigError, InvalidInputError
+from ..errors import InvalidConfigError
 from .base import MeanFieldEnv, Snapshot, StepResult, build_config, require_finite
 
 
@@ -101,10 +101,8 @@ class ToyMeanFieldEnv(MeanFieldEnv):
         nxt = Snapshot(t=batch.t + 1, states=states, rng=batch.rng)
         return StepResult(nxt, states, reward)
 
-    def observation_graph(self, snapshot: Snapshot, radius=None) -> np.ndarray:
-        """The complete graph at any radius: toy agents have no geometry."""
-        if radius is not None and not radius >= 0:
-            raise InvalidInputError(f"radius must be non-negative, got {radius}")
+    def observation_graph(self, snapshot: Snapshot) -> np.ndarray:
+        """The complete graph: toy agents have no geometry."""
         return ~np.eye(self.n_agents, dtype=bool)
 
 

@@ -191,9 +191,13 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
+    """The config of a yaml file; ConfigParseError naming the path if the file
+    cannot be read as UTF-8 text or does not parse."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"cannot parse config {path}: {exc}") from exc
     return parse_experiment_config(raw)
@@ -247,21 +251,16 @@ class ResultsLedger:
     def rows(self):
         return list(csv.DictReader(io.StringIO(self._text(), newline="")))
 
-    def find(self, experiment: str, stage: str, seed=None,
-             method: Optional[str] = None) -> Optional[dict]:
-        """First row of a stage, optionally of one seed and method; None if absent."""
+    def find(self, experiment: str, stage: str, seed) -> Optional[dict]:
+        """First row of a stage and seed; None if absent."""
+        key = (experiment, stage, str(seed))
         for row in self.rows():
-            if row["experiment_id"] != experiment or row["stage"] != stage:
-                continue
-            if seed is not None and row["seed"] != str(seed):
-                continue
-            if method is not None and row["method"] != method:
-                continue
-            return row
+            if (row["experiment_id"], row["stage"], row["seed"]) == key:
+                return row
         return None
 
-    def has(self, experiment: str, stage: str, seed=None, method: Optional[str] = None) -> bool:
-        return self.find(experiment, stage, seed=seed, method=method) is not None
+    def has(self, experiment: str, stage: str, seed) -> bool:
+        return self.find(experiment, stage, seed) is not None
 
 
 # -- analyses --------------------------------------------------------------------
@@ -431,15 +430,20 @@ class Run:
             config = replace(config, seeds=_checked_seeds(seeds))
         self.cfg, self.exp = config, experiment_id(config)
         self.env = make_env(config.env)
-        os.makedirs(config.out_dir, exist_ok=True)
         id_path = os.path.join(config.out_dir, "experiment_id.txt")
-        if not os.path.exists(id_path):
-            if stage_files(config.out_dir):
-                raise InvalidConfigError(f"{config.out_dir} holds stage files of an unknown "
-                                         "experiment (no experiment_id.txt); use a new out_dir")
-            write_atomic(id_path, self.exp + "\n")
-        with open(id_path) as fh:
-            held = fh.read().strip()
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+            if not os.path.exists(id_path):
+                if stage_files(config.out_dir):
+                    raise InvalidConfigError(
+                        f"{config.out_dir} holds stage files of an unknown experiment "
+                        "(no experiment_id.txt); use a new out_dir")
+                write_atomic(id_path, self.exp + "\n")
+            with open(id_path) as fh:
+                held = fh.read().strip()
+        except OSError as exc:
+            raise InvalidConfigError(
+                f"cannot use {config.out_dir} as the out_dir: {exc}") from exc
         if held != self.exp:
             raise InvalidConfigError(
                 f"{config.out_dir} holds experiment {held}, not {self.exp}; "
@@ -476,9 +480,9 @@ class Run:
         write it again.  Returns the value of the stage's first row: computed if
         rows() ran, else read back from the ledger.
         """
-        if self.ledger.has(self.exp, stage, seed=seed):
+        if self.ledger.has(self.exp, stage, seed):
             if all(map(os.path.exists, outputs)):
-                return float(self.ledger.find(self.exp, stage, seed=seed)["value"])
+                return float(self.ledger.find(self.exp, stage, seed)["value"])
             return rows()[0][2]
         made = rows()
         self.ledger.append([(self.exp, stage, method, seed, metric, value)

@@ -181,10 +181,6 @@ class BoltzmannPolicy:
         self.model = model
         self.temperature = temperature
 
-    @property
-    def n_actions(self) -> int:
-        return self.model.n_actions
-
     def action_dists(self, snapshot) -> np.ndarray:
         return softmax_rows(self.model.values(snapshot.states) / self.temperature)
 
@@ -225,7 +221,6 @@ class TablePolicy:
 
     def __init__(self, table):
         self.table = np.asarray(table, dtype=float)
-        self.n_actions = self.table.shape[1]
 
     def action_dists(self, snapshot) -> np.ndarray:
         return self.table[np.asarray(snapshot.states, dtype=int)]
@@ -259,7 +254,7 @@ def discounted_return(rewards, gamma: float) -> float:
     return float(sum(r * gamma ** t for t, r in enumerate(rewards)))
 
 
-def _play(env, victim_policy, seeds, horizon, adversary_policy, budgets):
+def _play(env, victim_policy, seeds, adversary_policy, budgets):
     """One episode per seed, stepped together as a batch of B = len(seeds).
 
     Returns (B, T, N) states and actions (see Trajectory for their dtype),
@@ -269,9 +264,8 @@ def _play(env, victim_policy, seeds, horizon, adversary_policy, budgets):
     whatever batch it runs in; its (T, N) action uniforms come from one call,
     the numbers T calls of N would give.
     """
-    horizon = env.horizon if horizon is None else horizon
     batch = stack_snapshots([env.reset(seed=s) for s in seeds])
-    shape = (len(seeds), horizon, env.n_agents)
+    shape = (len(seeds), env.horizon, env.n_agents)
     u = np.array([seed_rng(s, salt="rollout-actions").random(shape[1:]) for s in seeds])
     victim = frozen(victim_policy)
     attacked = budgets is not None and adversary_policy is not None \
@@ -283,7 +277,7 @@ def _play(env, victim_policy, seeds, horizon, adversary_policy, budgets):
     states = np.empty(shape, np.min_scalar_type(env.n_states - 1))
     actions = np.empty(shape, np.min_scalar_type(env.n_actions - 1))
     rewards = np.empty(shape[:2])
-    for t in range(horizon):
+    for t in range(env.horizon):
         dists = victim.action_dists(batch)
         if attacked:
             dists = e * adversary.action_dists(batch) + keep * dists
@@ -294,7 +288,7 @@ def _play(env, victim_policy, seeds, horizon, adversary_policy, budgets):
     return states, actions, rewards, batch.states.astype(states.dtype)
 
 
-def rollouts(env, victim_policy, seeds, horizon=None, adversary_policy=None,
+def rollouts(env, victim_policy, seeds, adversary_policy=None,
              budgets: Optional[BudgetVector] = None) -> list:
     """One episode per seed under the victim policy, optionally corrupted,
     stepped as one batch: B trajectories, views of one (B, T, N) block.
@@ -305,25 +299,28 @@ def rollouts(env, victim_policy, seeds, horizon=None, adversary_policy=None,
     separately from its own seed, so it replays bit-identically alone or in
     any batch.
     """
-    block = _play(env, victim_policy, seeds, horizon, adversary_policy, budgets)
+    block = _play(env, victim_policy, seeds, adversary_policy, budgets)
     return [Trajectory(*(field[b] for field in block)) for b in range(len(seeds))]
 
 
-def rollout(env, victim_policy, seed, horizon=None, adversary_policy=None,
+def rollout(env, victim_policy, seed, adversary_policy=None,
             budgets: Optional[BudgetVector] = None) -> Trajectory:
     """One episode: ``rollouts`` with a single seed."""
-    return rollouts(env, victim_policy, [seed], horizon, adversary_policy, budgets)[0]
+    return rollouts(env, victim_policy, [seed], adversary_policy, budgets)[0]
 
 
-def evaluate_policy(env, policy, episodes: int, seed, horizon=None,
-                    adversary_policy=None, budgets=None) -> np.ndarray:
+def evaluate_policy(env, policy, episodes: int, seed, adversary_policy=None,
+                    budgets=None) -> np.ndarray:
     """Discounted returns over independent episodes (one seed per episode),
-    stepped as one batch; each equals its own rollout's return."""
+    stepped as one batch; each equals its own rollout's return.  At least one
+    episode: InvalidInputError otherwise."""
+    if episodes < 1:
+        raise InvalidInputError(f"episodes must be >= 1, got {episodes}")
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
     else:
         ss = np.random.SeedSequence(list(seed) if isinstance(seed, (tuple, list)) else seed)
-    rewards = _play(env, policy, ss.spawn(episodes), horizon, adversary_policy, budgets)[2]
+    rewards = _play(env, policy, ss.spawn(episodes), adversary_policy, budgets)[2]
     return np.array([discounted_return(row, env.gamma) for row in rewards.tolist()])
 
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mfvuln.core import (BudgetVector, aggregate_budget, dual_order, mixing_weights,
-                         pick_categorical)
+from mfvuln.core import BudgetVector, dual_order, mixing_weights, pick_categorical
 from mfvuln.errors import InvalidInputError
 
 W_MAX = 3.0  # sup of eps + xi + eps*xi over the unit budget square
@@ -178,7 +177,7 @@ def check_mean_field_deviation(alpha_mat, beta_mat, eps_vec, p, delta,
     acts = sample_actions(mixed, rng)
     nu = np.bincount(acts, minlength=n_actions) / n_agents
     nu_beta = np.asarray(beta_mat, dtype=float).mean(axis=0)
-    xi = aggregate_budget(eps_vec)
+    xi = BudgetVector(eps_vec).xi
     return lp_norm(nu - nu_beta, p) <= deviation_constant(p) * xi + delta
 
 
@@ -530,7 +529,7 @@ def taxi_step(env, snapshot, actions):
     supply = np.bincount(zones, minlength=env.n_zones)
     volume = supply.sum() + demand.sum()
     reward = 0.0 if volume == 0 else -float(np.abs(supply - demand).sum()) / float(volume)
-    nxt = Snapshot(t=snapshot.t + 1, states=nxt_cells, rng=snapshot.rng, pos=xy)
+    nxt = Snapshot(t=snapshot.t + 1, states=nxt_cells, rng=snapshot.rng)
     return StepResult(nxt, nxt_cells, reward)
 
 

@@ -132,7 +132,7 @@ def test_taxi_step_matches_the_reference(raw):
         for t in range(env.horizon):
             actions = seed_rng((6, ep, t)).integers(0, env.n_actions, env.n_agents)
             g, w = env.step(got, actions), oracles.taxi_step(env, want, actions)
-            assert same(g.states, w.states) and same(g.snapshot.pos, w.snapshot.pos)
+            assert same(g.states, w.states) and g.snapshot.pos is None
             assert type(g.reward) is float and g.reward == w.reward
             assert g.snapshot.t == w.snapshot.t
             got, want = g.snapshot, w.snapshot
@@ -161,7 +161,7 @@ def test_taxi_demand_tables_match_the_per_step_reference(horizon, sides, agents,
         if start == 0:
             return env.reset(seed=seed)
         cells = seed_rng((seed, 1)).integers(0, env.n_states, env.n_agents)
-        return Snapshot(start, cells, seed_rng(seed), env.cell_xy(cells))
+        return Snapshot(start, cells, seed_rng(seed))
 
     singles, wants = [snapshot(s) for s in seeds], [snapshot(s) for s in seeds]
     batch = stack_snapshots([snapshot(s) for s in seeds])
@@ -172,7 +172,7 @@ def test_taxi_demand_tables_match_the_per_step_reference(horizon, sides, agents,
             one = env.step(singles[b], actions[b])
             want = oracles.taxi_step(env, wants[b], actions[b])
             for got in (one.snapshot, res.snapshot.episodes()[b]):
-                assert same(got.states, want.states) and same(got.pos, want.snapshot.pos)
+                assert same(got.states, want.states) and got.pos is None
                 assert got.t == want.snapshot.t == t + 1
                 assert len(got.demand) == max(0, horizon - t - 1)
             assert one.reward == want.reward == res.reward[b]
@@ -355,16 +355,25 @@ def test_rule_policy_steps_a_batch_one_episode_at_a_time():
     assert dists.shape == (3, env.n_agents, env.n_actions)
     for b, snap in enumerate(batch.episodes()):
         assert same(dists[b], policy.action_dists(snap))
-    got = evaluate_policy(env, policy, 3, seed=2, horizon=4)
+    got = evaluate_policy(env, policy, 3, seed=2)
     seeds = np.random.SeedSequence(2).spawn(3)
-    assert same(got, np.array([discounted_return(rollout(env, policy, s, horizon=4).rewards,
-                                                 env.gamma) for s in seeds]))
+    assert same(got, np.array([discounted_return(rollout(env, policy, s).rewards, env.gamma)
+                               for s in seeds]))
 
 
-def test_zero_horizon_evaluation_returns_zeros():
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_evaluate_policy_refuses_fewer_than_one_episode(episodes):
     env = ENVS["toy"]()
-    assert same(evaluate_policy(env, UniformPolicy(env.n_actions), 3, seed=0, horizon=0),
-                np.zeros(3))
+    with pytest.raises(InvalidInputError, match="episodes must be >= 1"):
+        evaluate_policy(env, UniformPolicy(env.n_actions), episodes, seed=0)
+
+
+def test_an_empty_batch_is_refused():
+    env = ENVS["toy"]()
+    with pytest.raises(InvalidInputError, match="empty"):
+        rollouts(env, UniformPolicy(env.n_actions), [])
+    with pytest.raises(InvalidInputError, match="empty"):
+        stack_snapshots([])
 
 
 # -- the lockstep victim trainer -------------------------------------------------------

@@ -80,7 +80,7 @@ def test_staged_commands_chain_into_a_full_run(tmp_path, capsys):
 
     assert main(["evaluate", "--config", str(cfg_path)]) == 0
     ledger = ResultsLedger(paths("ledger"))
-    assert ledger.has(experiment_of(ledger), "attack", seed=0, method="greedy")
+    assert ledger.find(experiment_of(ledger), "attack", 0)["method"] == "greedy"
     capsys.readouterr()
 
     assert main(["heatmap", "--config", str(cfg_path)]) == 0
@@ -225,6 +225,32 @@ def test_bad_config_exits_with_error(tmp_path, capsys):
         tmp_path, selection={"methods": ["greedy"], "k": 9})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert "exceeds population" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_config_exits_with_error_naming_it(tmp_path, capsys, kind):
+    path = tmp_path / "exp.yaml"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes("name: café\n".encode("latin-1"))
+    assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_out_dir_exits_with_error_naming_it(tmp_path, capsys, under):
+    cfg_path, _ = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "run" if under else taken
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot use {out} as the out_dir") and "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml", "taken"]
 
 
 def test_nan_norm_order_exits_with_error(tmp_path, capsys):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfvuln.core import (BudgetVector, aggregate_budget, dual_order, empirical_mean_field_state,
-                         seed_rng)
+from mfvuln.core import BudgetVector, dual_order, empirical_mean_field_state, seed_rng
 from mfvuln.errors import InvalidInputError
 from oracles import (ActionDist, NormOrder, attacked_ids, check_deviation_bounds,
                      check_mean_field_deviation, deviation_constant, lp_norm, mix_policies,
@@ -192,16 +191,16 @@ def test_deviation_constant():
 
 
 def test_aggregate_budget_examples():
-    assert aggregate_budget([1, 1, 0, 0]) == pytest.approx(0.5)
-    assert aggregate_budget([0.0] * 5) == 0.0
-    assert aggregate_budget([0.5] * 4) == pytest.approx(0.5)
+    assert BudgetVector(np.array([1, 1, 0, 0])).xi == pytest.approx(0.5)
+    assert BudgetVector(np.zeros(5)).xi == 0.0
+    assert BudgetVector(np.full(4, 0.5)).xi == pytest.approx(0.5)
 
 
 def test_aggregate_budget_rejects_out_of_range():
     with pytest.raises(InvalidInputError):
-        aggregate_budget([0.5, 1.2])
+        BudgetVector(np.array([0.5, 1.2]))
     with pytest.raises(InvalidInputError):
-        aggregate_budget([-0.1, 0.5])
+        BudgetVector(np.array([-0.1, 0.5]))
 
 
 def test_aggregate_budget_linearity():
@@ -210,8 +209,8 @@ def test_aggregate_budget_linearity():
         n = int(rng.integers(1, 20))
         e1 = rng.random(n) * 0.5
         e2 = rng.random(n) * 0.5
-        assert aggregate_budget(e1 + e2) == pytest.approx(
-            aggregate_budget(e1) + aggregate_budget(e2))
+        assert BudgetVector(e1 + e2).xi == pytest.approx(
+            BudgetVector(e1).xi + BudgetVector(e2).xi)
 
 
 def test_budget_vector_xi_recomputed():

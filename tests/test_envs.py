@@ -213,14 +213,14 @@ def test_cluster_layout_sizes_and_split():
 
 
 def test_observation_graph_geometry():
-    env = small_vicsek(n_agents=3, world_size=20.0)
+    env = small_vicsek(n_agents=3, world_size=20.0, comm_radius=1.0)
     snap = env.reset(seed=0)
     snap.pos = np.array([[1.0, 1.0], [1.5, 1.0], [3.0, 1.0]])
-    adj = env.observation_graph(snap, radius=1.0)
+    adj = env.observation_graph(snap)
     assert adj[0, 1] and adj[1, 0]          # distance 0.5
     assert not adj[0, 2] and not adj[2, 0]  # distance 2
     snap.pos = np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
-    adj = env.observation_graph(snap, radius=1.0)
+    adj = env.observation_graph(snap)
     assert np.array_equal(adj.sum(axis=1), [1, 2, 1])
 
 
@@ -233,13 +233,11 @@ def test_observation_graph_symmetric_zero_diagonal():
 
 
 def test_toy_observation_graph_is_complete_at_any_radius():
-    env = ToyMeanFieldEnv(ToyConfig(n_agents=4))
-    snap = env.reset(seed=0)
-    for radius in (None, 0.0, 2.5):
-        assert np.array_equal(env.observation_graph(snap, radius), ~np.eye(4, dtype=bool))
-    for radius in (-1.0, float("nan")):
-        with pytest.raises(InvalidInputError, match="radius must be non-negative"):
-            env.observation_graph(snap, radius)
+    """Toy configs have no comm_radius: every agent observes every other one."""
+    for n_agents in (1, 4):
+        env = ToyMeanFieldEnv(ToyConfig(n_agents=n_agents))
+        assert np.array_equal(env.observation_graph(env.reset(seed=0)),
+                              ~np.eye(n_agents, dtype=bool))
 
 
 # -- taxi specifics ------------------------------------------------------------------
@@ -266,9 +264,8 @@ def test_taxi_moves_wrap():
     env = small_taxi(n_agents=1)
     snap = env.reset(seed=0)
     snap.states = np.array([0])
-    snap.pos = env.cell_xy(snap.states)
     res = env.step(snap, np.array([2]))  # west from x=0 wraps
-    x, y = env.cell_xy(res.states)[0]
+    x, y = divmod(int(res.states[0]), env.config.grid_height)
     assert x == env.config.grid_width - 1 and y == 0
 
 
@@ -444,15 +441,21 @@ def test_lattice_pairs_at_comm_radius_across_the_seam_are_neighbours():
 
 
 def test_taxi_observation_graph_matches_the_modulo_reference():
-    env = TaxiGridEnv(TaxiConfig(n_agents=24, grid_width=8, grid_height=6, seed=1))
-    snap = env.reset(seed=1)
+    """A taxi's position is its cell: no snapshot carries a pos."""
+    envs = [TaxiGridEnv(TaxiConfig(n_agents=24, grid_width=8, grid_height=6, seed=1,
+                                   comm_radius=radius))
+            for radius in (0.0, 1.0, np.sqrt(2.0), 2.0, 2.5, np.sqrt(5.0), 4.0)]
+    snap = envs[0].reset(seed=1)
+    assert snap.pos is None
     for t in range(20):
-        dist = oracles.torus_distances(snap.pos, (8, 6))
-        for radius in (None, 0.0, 1.0, np.sqrt(2.0), 2.0, 2.5, np.sqrt(5.0), 4.0):
-            want = dist <= (env.config.comm_radius if radius is None else radius)
+        xy = np.column_stack(np.divmod(snap.states, 6))
+        dist = oracles.torus_distances(xy, (8, 6))
+        for env in envs:
+            want = dist <= env.config.comm_radius
             np.fill_diagonal(want, False)
-            assert np.array_equal(env.observation_graph(snap, radius=radius), want)
-        snap = env.step(snap, seed_rng((1, t)).integers(0, 5, env.n_agents)).snapshot
+            assert np.array_equal(env.observation_graph(snap), want)
+        snap = envs[0].step(snap, seed_rng((1, t)).integers(0, 5, envs[0].n_agents)).snapshot
+        assert snap.pos is None
 
 
 def test_agent_layout_shapes():

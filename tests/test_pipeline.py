@@ -244,10 +244,11 @@ def test_ledger_appends_and_filters(tmp_path, monkeypatch):
     assert len(rows) == 2
     # floats are stamped with 9 significant digits
     assert rows[0]["value"] == "0.123456789"
-    assert ledger.has("e1", "victim")
-    assert ledger.has("e1", "attack", seed=1, method="greedy")
-    assert not ledger.has("e1", "attack", seed=0)
-    assert not ledger.has("e2", "victim")
+    assert ledger.has("e1", "victim", 0)
+    assert ledger.find("e1", "attack", 1)["method"] == "greedy"
+    assert not ledger.has("e1", "attack", 0)
+    assert not ledger.has("e1", "victim", 1)
+    assert not ledger.has("e2", "victim", 0)
     # reopening never truncates
     ledger = ResultsLedger(path)
     assert len(ledger.rows()) == 2

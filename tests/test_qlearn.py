@@ -245,10 +245,10 @@ def test_rollout_states_and_actions_take_the_narrowest_unsigned_dtype(n_states, 
 
 def test_rollout_keeps_the_fields_bench_reads():
     """bench/ counts steps as len(traj.steps) and agents as final_states.size."""
-    env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=7, seed=2))
-    for horizon in (None, 1, 4):
-        traj = rollout(env, UniformPolicy(env.n_actions), seed=1, horizon=horizon)
-        assert len(traj.steps) == (env.horizon if horizon is None else horizon)
+    for horizon in (1, 4, 7):
+        env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=horizon, seed=2))
+        traj = rollout(env, UniformPolicy(env.n_actions), seed=1)
+        assert len(traj.steps) == horizon
         assert traj.final_states.size == env.n_agents
 
 

@@ -1,6 +1,7 @@
 """Budget-conditioned value fitting against closed-form and linear-solve oracles."""
 
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -31,10 +32,10 @@ GAMMA = 0.9
 TAXI_YAML = Path(__file__).resolve().parent.parent / "configs" / "taxi.yaml"
 
 
-def chain_env():
+def chain_env(horizon=30):
     """Single agent on a 5-state deterministic loop: 0 -> 1 -> 2 -> 3 -> 4 -> 2."""
     cfg = ToyConfig(n_agents=1, block_states=5, n_actions=2, deterministic=True,
-                    null_action=False, horizon=30, gamma=GAMMA, seed=3)
+                    null_action=False, horizon=horizon, gamma=GAMMA, seed=3)
     env = ToyMeanFieldEnv(cfg)
     pi_act = np.array([1, 0, 1, 0, 0])
     succ = np.array([1, 2, 3, 4, 2])
@@ -382,9 +383,9 @@ def assert_fits_equal_the_corpus_solve(env, trajs, cfg):
 def test_streamed_fits_equal_the_corpus_solve_on_random_toy_corpora(p, short, data, **corpus):
     """Trajectories of 0 and 1 steps, which add no transition, are mixed in."""
     env, trajs = random_toy_corpus(**corpus)
+    one_step = ToyMeanFieldEnv(replace(env.config, horizon=1))   # the same tables
     for i, steps in enumerate(short):
-        traj = rollout(env, UniformPolicy(env.n_actions), (corpus["seed"], 99, i),
-                       horizon=max(steps, 1))
+        traj = rollout(one_step, UniformPolicy(env.n_actions), (corpus["seed"], 99, i))
         if steps == 0:
             traj = Trajectory(traj.states[:0], traj.actions[:0], traj.rewards[:0],
                               traj.final_states)
@@ -499,8 +500,8 @@ def test_corpus_pairs_consecutive_steps():
 
 def test_corpus_requires_two_steps():
     """Both fits refuse a corpus without a transition, as the oracle corpus does."""
-    env, policy, _, _ = chain_env()
-    traj = rollout(env, policy, 1, horizon=1)
+    env, policy, _, _ = chain_env(horizon=1)
+    traj = rollout(env, policy, 1)
     empty = Trajectory(traj.states[:0], traj.actions[:0], traj.rewards[:0], traj.final_states)
     q = QModel(env.n_states, env.n_actions, GAMMA)
     for trajs in ([traj], [empty, traj], []):
