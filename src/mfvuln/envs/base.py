@@ -7,29 +7,31 @@ All environments expose the same surface:
     env.step(snapshot, actions) -> StepResult        (one episode: a batch of one)
     env.observation_graph(snapshot) -> (N, N) bool adjacency within comm_radius
 
-Snapshots are passed explicitly so rollouts stay replayable; the snapshot
-owns the stream of process noise (single writer, do not step one snapshot
-from two threads).  Initial agent layout is fixed by the config, not the
-reset seed, so agent identities keep their meaning across episodes of one
-experiment.  So each environment builds its start once, in its constructor:
+A snapshot is a value: stepping it twice with the same actions gives the
+same bytes.  An episode draws all of its process noise when it is reset,
+one row per step (``Snapshot.noise``, from the env's ``_noise``), and step t
+reads row t; an episode has ``horizon`` steps, and a step at t >= horizon is
+refused.  Initial agent layout is fixed by the config, not the reset seed,
+so agent identities keep their meaning across episodes of one experiment.
+So each environment builds its start once, in its constructor:
 ``initial_states``, plus ``initial_pos`` and ``initial_headings`` (vicsek
 only: a taxi's position is its cell, the state).  ``MeanFieldEnv.reset`` is
-the one reset for every environment: it reads those arrays on every call and
-returns copies of them, with the noise stream of the seed.
+the one reset for every environment: it returns copies of those arrays and
+the noise of the seed.
 
 Independent episodes step together as a batch: ``stack_snapshots`` puts B
 snapshots on a leading axis, and ``step_batch`` advances them with (B, N)
-actions.  Each episode keeps its own noise stream, so an episode's bytes do
-not depend on the batch it runs in.  Each environment has one stepping
-kernel, ``_step_batch``: ``step_batch`` checks the (B, N) actions and runs it,
-and ``step`` checks the (N,) actions and runs it on a batch of one episode.
+actions.  Each episode keeps its own noise, so an episode's bytes do not
+depend on the batch it runs in.  Each environment has one stepping kernel,
+``_step_batch``: ``step_batch`` checks the (B, N) actions and runs it, and
+``step`` checks the (N,) actions and runs it on a batch of one episode.
 """
 
 from __future__ import annotations
 
 import numbers
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -40,54 +42,41 @@ from ..errors import InvalidConfigError, InvalidInputError
 
 @dataclass
 class Snapshot:
-    """One episode, or a batch of B: arrays with a leading axis and B rngs.
+    """One episode, or a batch of B: arrays with a leading axis for the batch.
 
-    ``demand`` (taxi only) holds the episode's per-zone demand rows drawn
-    from ``rng`` but not yet used, one row per step still to come: (T, Z),
-    or (B, T, Z) in a batch.  A snapshot that has no table, or an empty
-    one, draws the next table from ``rng`` when it is stepped.
-
-    Step a snapshot once.  It shares its rng with the snapshots stepped
-    from it, so a second step from it does not replay the first: it draws
-    from a generator that has already moved on, or, on taxi, reuses the
-    demand row the first step used.
+    ``noise`` is the episode's process noise, drawn at reset: one row per
+    step, (T, ...), or (B, T, ...) in a batch; None where the dynamics draw
+    none (vicsek).
     """
 
     t: int
     states: np.ndarray
-    rng: np.random.Generator                # a list of B generators in a batch
+    noise: Optional[np.ndarray] = None
     pos: Optional[np.ndarray] = None        # Vicsek only
     headings: Optional[np.ndarray] = None   # Vicsek only
-    demand: Optional[np.ndarray] = None     # Taxi only: demand rows still to use
 
     def episodes(self) -> list:
         """The single-episode snapshots of a batch, as views of its arrays."""
-        return [Snapshot(self.t, self.states[b], rng,
-                         None if self.pos is None else self.pos[b],
-                         None if self.headings is None else self.headings[b],
-                         None if self.demand is None else self.demand[b])
-                for b, rng in enumerate(self.rng)]
+        def row(a, b):
+            return None if a is None else a[b]
+
+        return [Snapshot(self.t, self.states[b], row(self.noise, b), row(self.pos, b),
+                         row(self.headings, b))
+                for b in range(len(self.states))]
 
 
 def stack_snapshots(snapshots) -> Snapshot:
-    """A batch of the given single-episode snapshots, all at the same t.
-
-    Demand tables must be on all of them or on none: InvalidInputError
-    otherwise (a taxi snapshot that lost its table would draw again from a
-    generator that has already moved on), and for no snapshots at all.
-    """
+    """A batch of the given single-episode snapshots, all at the same t;
+    InvalidInputError for no snapshots at all."""
     if not snapshots:
         raise InvalidInputError("cannot stack an empty list of snapshots")
     first = snapshots[0]
-    if len(snapshots) > 1 and len({s.demand is None for s in snapshots}) > 1:
-        raise InvalidInputError("cannot stack snapshots with and without demand tables")
 
     def stack(name):
         return None if getattr(first, name) is None \
             else np.array([getattr(s, name) for s in snapshots])
 
-    return Snapshot(first.t, stack("states"), [s.rng for s in snapshots],
-                    stack("pos"), stack("headings"), stack("demand"))
+    return Snapshot(first.t, stack("states"), stack("noise"), stack("pos"), stack("headings"))
 
 
 @dataclass
@@ -124,13 +113,17 @@ class MeanFieldEnv:
 
     def reset(self, seed=None) -> Snapshot:
         """The episode start at t = 0: copies of the start's arrays, and the noise
-        stream of ``seed`` (the config's seed when None)."""
+        of ``seed`` (the config's seed when None)."""
         def copy(a):
             return None if a is None else a.copy()
 
-        return Snapshot(t=0, states=self.initial_states.copy(),
-                        rng=seed_rng(self.config.seed if seed is None else seed),
-                        pos=copy(self.initial_pos), headings=copy(self.initial_headings))
+        noise = self._noise(seed_rng(self.config.seed if seed is None else seed))
+        return Snapshot(0, self.initial_states.copy(), noise, copy(self.initial_pos),
+                        copy(self.initial_headings))
+
+    def _noise(self, rng) -> Optional[np.ndarray]:
+        """An episode's process noise, one row per step, drawn from ``rng``."""
+        return None
 
     def _step_batch(self, batch: Snapshot, actions: np.ndarray) -> StepResult:
         """The stepping kernel: (B, N) actions already checked; rewards are (B,)."""
@@ -158,7 +151,11 @@ class MeanFieldEnv:
         return adj
 
     def _check_actions(self, snapshot: Snapshot, actions) -> np.ndarray:
-        """Integer actions (never cast), one per agent (per episode of a batch), in range."""
+        """Integer actions (never cast), one per agent (per episode of a batch), in
+        range, on a snapshot before the horizon."""
+        if snapshot.t >= self.horizon:
+            raise InvalidInputError(f"the episode is over: a step at t = {snapshot.t}, "
+                                    f"horizon {self.horizon}")
         actions = np.asarray(actions)
         expected = np.shape(snapshot.states)[:-1] + (self.n_agents,)
         if actions.shape != expected:

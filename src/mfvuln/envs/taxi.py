@@ -14,14 +14,9 @@ busy zone is worth more than one circling the outskirts.
 
 Initial placement is an even lattice over the grid (with N equal to the cell
 count this puts exactly one taxi per cell) and does not vary between
-episodes; episode seeds only drive the demand draws.
-
-An episode draws its demand for all remaining steps at once, at its first
-step: a (horizon - t, zones) table from the snapshot's rng, whose rows the
-following steps use in turn (``Snapshot.demand``).  One such draw gives the
-same numbers, and leaves the generator in the same state, as one draw per
-step, so the per-step form above holds bit for bit.  Steps past the horizon
-draw one row each.
+episodes; episode seeds only drive the demand draws.  An episode's noise is
+its (horizon, zones) demand table, drawn at reset in one call, which gives
+the numbers of one draw per step.
 """
 
 from __future__ import annotations
@@ -31,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidConfigError
-from .base import (MeanFieldEnv, Snapshot, StepResult, build_config, require_finite,
-                   torus_pairwise)
+from .base import MeanFieldEnv, Snapshot, StepResult, require_finite, torus_pairwise
 
 # action order: stay, east, west, north, south
 MOVES = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
@@ -135,29 +129,19 @@ class TaxiGridEnv(MeanFieldEnv):
         volume = supply.sum(axis=-1) + demand.sum(axis=-1)
         return -np.abs(supply - demand).sum(axis=-1) / np.maximum(volume, 1)
 
-    def _step_batch(self, batch: Snapshot, actions) -> StepResult:
-        """Advance B episodes by (B, N) actions in one pass; rewards are (B,).
+    def _noise(self, rng) -> np.ndarray:
+        """The episode's (horizon, zones) Poisson demand table."""
+        return rng.poisson(self.demand_rates, (self.config.horizon, self.n_zones))
 
-        Each episode reads its demand row from its own table.  A batch without
-        a table, or with an empty one, draws one per episode from that
-        episode's rng: a row for every step left to the horizon (one past it),
-        in one call that yields what as many one-row calls would.
-        """
+    def _step_batch(self, batch: Snapshot, actions) -> StepResult:
+        """Advance B episodes by (B, N) actions in one pass; rewards are (B,)."""
         cells = self._next_cell[batch.states, actions]
-        table = batch.demand
-        if table is None or table.shape[1] == 0:
-            size = (max(1, self.config.horizon - batch.t), self.n_zones)
-            table = np.array([rng.poisson(self.demand_rates, size) for rng in batch.rng])
-        demand = table[:, 0]
+        demand = batch.noise[:, batch.t]
         zones = self._zone[cells] + self.n_zones * np.arange(len(demand))[:, None]
         supply = np.bincount(zones.ravel(), minlength=demand.size).reshape(demand.shape)
-        nxt = Snapshot(t=batch.t + 1, states=cells, rng=batch.rng, demand=table[:, 1:])
+        nxt = Snapshot(batch.t + 1, cells, batch.noise)
         return StepResult(nxt, cells, self.mismatch_reward(supply, demand))
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         return torus_pairwise(self._xy[snapshot.states],
                               (self.config.grid_width, self.config.grid_height))
-
-
-def make_taxi(raw: dict) -> TaxiGridEnv:
-    return TaxiGridEnv(build_config(TaxiConfig, raw))

@@ -5,6 +5,8 @@ block of its own; the shared reward is the mean of the per-agent rewards.
 Per-block reward scales follow a geometric ladder, so agents differ sharply
 in how much value they carry.  With ``null_action`` every state keeps one
 zero-reward action, which gives an adversary a floor to steer toward.
+An episode's noise is its (horizon, N) uniforms, drawn at reset: step t
+moves agent i by the inverse-cdf pick of uniform [t, i].
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from ..core import pick_categorical, seed_rng
 from ..errors import InvalidConfigError
-from .base import MeanFieldEnv, Snapshot, StepResult, build_config, require_finite
+from .base import MeanFieldEnv, Snapshot, StepResult, require_finite
 
 
 @dataclass
@@ -93,18 +95,17 @@ class ToyMeanFieldEnv(MeanFieldEnv):
         else:
             self.initial_states = np.arange(cfg.n_agents) * m + rng.integers(m, size=cfg.n_agents)
 
+    def _noise(self, rng) -> np.ndarray:
+        """The episode's (horizon, N) uniforms, one per agent and step."""
+        return rng.random((self.config.horizon, self.n_agents))
+
     def _step_batch(self, batch: Snapshot, actions) -> StepResult:
-        """Advance B episodes; each draws its N uniforms from its own rng."""
+        """Advance B episodes; each moves by its own row of uniforms."""
         reward = self.rewards[batch.states, actions].mean(axis=-1)
-        u = np.array([rng.random(self.n_agents) for rng in batch.rng])
+        u = batch.noise[:, batch.t]
         states = pick_categorical(self.transitions[batch.states, actions], u)
-        nxt = Snapshot(t=batch.t + 1, states=states, rng=batch.rng)
-        return StepResult(nxt, states, reward)
+        return StepResult(Snapshot(batch.t + 1, states, batch.noise), states, reward)
 
     def observation_graph(self, snapshot: Snapshot) -> np.ndarray:
         """The complete graph: toy agents have no geometry."""
         return ~np.eye(self.n_agents, dtype=bool)
-
-
-def make_toy(raw: dict) -> ToyMeanFieldEnv:
-    return ToyMeanFieldEnv(build_config(ToyConfig, raw))

@@ -30,8 +30,8 @@ import numpy as np
 
 from ..core import seed_rng
 from ..errors import InvalidConfigError
-from .base import (MeanFieldEnv, Snapshot, StepResult, build_config, require_finite,
-                   torus_pairwise, torus_sq_pairwise, wrap_angle)
+from .base import (MeanFieldEnv, Snapshot, StepResult, require_finite, torus_pairwise,
+                   torus_sq_pairwise, wrap_angle)
 
 # float64 entries of one adjacency tile; a whole (N, N) episode fits up to N = 181
 TILE = 1 << 15
@@ -237,12 +237,8 @@ class VicsekEnv(MeanFieldEnv):
         headings = wrap_angle(batch.headings + self.turns[actions])
         pos = (batch.pos + cfg.speed * _unit(headings)) % cfg.world_size
         states = self._discretize(pos, headings)
-        nxt = Snapshot(t=batch.t + 1, states=states, rng=batch.rng, pos=pos, headings=headings)
+        nxt = Snapshot(batch.t + 1, states, pos=pos, headings=headings)
         return StepResult(nxt, states, order_parameter(headings))
 
     def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
         return torus_pairwise(snapshot.pos, self.config.world_size)
-
-
-def make_vicsek(raw: dict) -> VicsekEnv:
-    return VicsekEnv(build_config(VicsekConfig, raw))

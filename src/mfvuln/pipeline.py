@@ -172,12 +172,15 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     env_raw = raw.get("env")
     if not isinstance(env_raw, dict) or "env_name" not in env_raw:
         raise ConfigParseError("config section 'env' with an env_name is required")
+    for key in ("name", "out_dir"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigParseError(f"'{key}' must be a string, got {raw[key]!r}")
     seeds = _checked_seeds(raw.get("seeds", [0]))
     sections = {name: build_config(cls, raw.get(name), ConfigParseError,
                                    f"config section '{name}'")
                 for name, cls in _SECTIONS.items()}
-    cfg = ExperimentConfig(raw=raw, name=str(raw.get("name", "experiment")), env=dict(env_raw),
-                           seeds=seeds, out_dir=str(raw.get("out_dir", "runs")), **sections)
+    cfg = ExperimentConfig(raw=raw, name=raw.get("name", "experiment"), env=dict(env_raw),
+                           seeds=seeds, out_dir=raw.get("out_dir", "runs"), **sections)
     env = make_env(cfg.env)   # validates the env section before any compute
     if cfg.selection.k > env.n_agents:
         raise InvalidConfigError(
@@ -218,8 +221,9 @@ class ResultsLedger:
 
     def __init__(self, path):
         """Open the ledger at path, creating it if absent.  InvalidInputError
-        names the line of a torn or malformed one: a last line without its
-        newline, a wrong header, or a row without exactly six fields."""
+        names a ledger that cannot be read as UTF-8 text, or the line of a torn
+        or malformed one: a last line without its newline, a wrong header, or a
+        row without exactly six fields."""
         self.path = path
         if not os.path.exists(path):
             write_atomic(path, _csv_text([self.COLUMNS]))
@@ -238,8 +242,11 @@ class ResultsLedger:
                                         f"{len(row)} fields, not {len(self.COLUMNS)}")
 
     def _text(self) -> str:
-        with open(self.path, newline="") as fh:
-            return fh.read()
+        try:
+            with open(self.path, encoding="utf-8", newline="") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"cannot read ledger {self.path}: {exc}") from exc
 
     def append(self, rows):
         """Append (experiment, stage, method, seed, metric, value) rows, all or none:
@@ -439,9 +446,9 @@ class Run:
                         f"{config.out_dir} holds stage files of an unknown experiment "
                         "(no experiment_id.txt); use a new out_dir")
                 write_atomic(id_path, self.exp + "\n")
-            with open(id_path) as fh:
+            with open(id_path, encoding="utf-8") as fh:
                 held = fh.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidConfigError(
                 f"cannot use {config.out_dir} as the out_dir: {exc}") from exc
         if held != self.exp:

@@ -513,8 +513,9 @@ def select_greedy(value_model, states0, k: int, eps: float = 1.0):
 # time on its own (S, A) table.
 
 
-def taxi_step(env, snapshot, actions):
-    """One taxi step: move on the torus, draw demand, score the zone mismatch."""
+def taxi_step(env, snapshot, actions, rng):
+    """One taxi step: move on the torus, draw the step's demand from rng, score
+    the zone mismatch."""
     from mfvuln.envs import Snapshot, StepResult
     from mfvuln.envs.taxi import MOVES
 
@@ -524,33 +525,35 @@ def taxi_step(env, snapshot, actions):
     xy = (np.column_stack([cells // cfg.grid_height, cells % cfg.grid_height])
           + MOVES[actions]) % [cfg.grid_width, cfg.grid_height]
     nxt_cells = xy[:, 0] * cfg.grid_height + xy[:, 1]
-    demand = snapshot.rng.poisson(env.demand_rates)
+    demand = rng.poisson(env.demand_rates)
     zones = (xy[:, 0] // 2) * (cfg.grid_height // 2) + (xy[:, 1] // 2)
     supply = np.bincount(zones, minlength=env.n_zones)
     volume = supply.sum() + demand.sum()
     reward = 0.0 if volume == 0 else -float(np.abs(supply - demand).sum()) / float(volume)
-    nxt = Snapshot(t=snapshot.t + 1, states=nxt_cells, rng=snapshot.rng)
+    nxt = Snapshot(t=snapshot.t + 1, states=nxt_cells)
     return StepResult(nxt, nxt_cells, reward)
 
 
-def toy_step(env, snapshot, actions):
-    """One toy episode step: per-agent reward mean, one inverse-CDF draw per agent."""
+def toy_step(env, snapshot, actions, rng):
+    """One toy episode step: per-agent reward mean, one inverse-CDF draw from rng
+    per agent."""
     from mfvuln.envs import Snapshot, StepResult
 
     actions = np.asarray(actions, dtype=int)
     reward = float(env.rewards[snapshot.states, actions].mean())
     cdf = np.cumsum(env.transitions[snapshot.states, actions], axis=1)
     cdf[:, -1] = 1.0
-    u = snapshot.rng.random(env.n_agents)
+    u = rng.random(env.n_agents)
     states = (u[:, None] < cdf).argmax(axis=1)
-    nxt = Snapshot(t=snapshot.t + 1, states=states, rng=snapshot.rng)
+    nxt = Snapshot(t=snapshot.t + 1, states=states)
     return StepResult(nxt, states, reward)
 
 
 def train_adversary_serial(env, victim_policy, budgets, cfg, seed, step=None):
     """Adversary SARSA for one learner: (model, episode returns).
 
-    ``step(snapshot, actions)`` replaces ``env.step`` (say, by ``taxi_step``).
+    ``step(snapshot, actions, rng)`` replaces ``env.step`` (say, by ``taxi_step``);
+    rng is ``seed_rng`` of the episode's seed, opened for each episode.
     """
     from mfvuln.core import seed_rng
     from mfvuln.qlearn import QModel, exploration_eps, softmax_rows
@@ -563,7 +566,7 @@ def train_adversary_serial(env, victim_policy, budgets, cfg, seed, step=None):
     act_rng = seed_rng(seed, salt="adversary-actions")
     curve = np.empty(cfg.episodes)
     for ep in range(cfg.episodes):
-        snap = env.reset(seed=episode_seeds[ep])
+        snap, noise = env.reset(seed=episode_seeds[ep]), seed_rng(episode_seeds[ep])
         explore = exploration_eps(cfg, ep)
         ret, disc = 0.0, 1.0
         prev = None
@@ -572,7 +575,7 @@ def train_adversary_serial(env, victim_policy, budgets, cfg, seed, step=None):
             adv = (1 - explore) * softmax_rows(model.values(snap.states) / cfg.temperature) \
                 + explore / env.n_actions
             actions = sample_actions(mix_policy_matrix(adv, victim, budgets.eps), act_rng)
-            res = (env.step if step is None else step)(snap, actions)
+            res = env.step(snap, actions) if step is None else step(snap, actions, noise)
             if prev is not None:
                 p_states, p_actions, p_reward = prev
                 targets = -p_reward + env.gamma * model.table[snap.states, actions]
@@ -589,7 +592,8 @@ def train_adversary_serial(env, victim_policy, budgets, cfg, seed, step=None):
 def train_victim_serial(env, cfg, seed, fixed_policy_table=None, step=None):
     """Victim expected SARSA for one seed: (model, policy, episode returns).
 
-    ``step(snapshot, actions)`` replaces ``env.step``.  With
+    ``step(snapshot, actions, rng)`` replaces ``env.step``, as in
+    ``train_adversary_serial``.  With
     fixed_policy_table the loop evaluates that policy instead of improving
     its own, and skips the margin check.  Otherwise it raises
     TrainingFailureError when the trained policy fails to clear the
@@ -608,7 +612,7 @@ def train_victim_serial(env, cfg, seed, fixed_policy_table=None, step=None):
     curve = np.empty(cfg.episodes)
 
     for ep in range(cfg.episodes):
-        snap = env.reset(seed=episode_seeds[ep])
+        snap, noise = env.reset(seed=episode_seeds[ep]), seed_rng(episode_seeds[ep])
         explore = exploration_eps(cfg, ep)
         ret, disc = 0.0, 1.0
         for t in range(env.horizon):
@@ -619,7 +623,7 @@ def train_victim_serial(env, cfg, seed, fixed_policy_table=None, step=None):
                 behavior = (1 - explore) * softmax_rows(q / cfg.temperature) \
                     + explore / env.n_actions
             actions = sample_actions(behavior, act_rng)
-            res = (env.step if step is None else step)(snap, actions)
+            res = env.step(snap, actions) if step is None else step(snap, actions, noise)
             nxt = res.snapshot
             q2 = model.values(nxt.states)
             if fixed is not None:
@@ -662,8 +666,9 @@ def dense_mean_heading(env, pos, headings) -> np.ndarray:
     return np.arctan2(total[:, 1], total[:, 0])
 
 
-def vicsek_step(env, snapshot, actions):
-    """One vicsek episode step as the package ran it before its batch kernel."""
+def vicsek_step(env, snapshot, actions, rng=None):
+    """One vicsek episode step as the package ran it before its batch kernel; it
+    draws nothing, so rng goes unused."""
     from mfvuln.envs import Snapshot, StepResult
     from mfvuln.envs.base import wrap_angle
 
@@ -676,7 +681,7 @@ def vicsek_step(env, snapshot, actions):
     ob = ((offset + np.pi) / (2 * np.pi) * cfg.offset_bins).astype(int)
     states = np.clip(hb, 0, cfg.heading_bins - 1) * cfg.offset_bins \
         + np.clip(ob, 0, cfg.offset_bins - 1)
-    nxt = Snapshot(t=snapshot.t + 1, states=states, rng=snapshot.rng, pos=pos, headings=headings)
+    nxt = Snapshot(t=snapshot.t + 1, states=states, pos=pos, headings=headings)
     return StepResult(nxt, states, float(np.abs(np.exp(1j * headings).mean())))
 
 
@@ -713,12 +718,12 @@ def rule_action_dists(env, snapshot, noise=RULE_NOISE) -> np.ndarray:
     return np.diff(cdf, axis=1)
 
 
-def rule_actions(env, snapshot, noise=RULE_NOISE) -> np.ndarray:
-    """Sampled rule actions; zero noise reduces to the nearest increment."""
+def rule_actions(env, snapshot, rng, noise=RULE_NOISE) -> np.ndarray:
+    """Rule actions sampled with rng; zero noise reduces to the nearest increment."""
     dist = rule_action_dists(env, snapshot, noise=noise)
     cdf = np.cumsum(dist, axis=1)
     cdf[:, -1] = 1.0
-    u = snapshot.rng.random(dist.shape[0])
+    u = rng.random(dist.shape[0])
     return (u[:, None] < cdf).argmax(axis=1)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mfvuln.attack import AdversaryConfig, train_adversaries
 from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs import TaxiGridEnv, ToyMeanFieldEnv, VicsekEnv
-from mfvuln.envs.base import MeanFieldEnv, Snapshot, stack_snapshots
+from mfvuln.envs.base import MeanFieldEnv, stack_snapshots
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
@@ -49,9 +49,10 @@ SERIAL_STEPS = {TaxiGridEnv: oracles.taxi_step, VicsekEnv: oracles.vicsek_step,
 
 
 def serial_step(env):
-    """The reference step: the env's per-snapshot arithmetic from before its batch kernel."""
+    """The reference step: the env's per-snapshot arithmetic from before its batch
+    kernel, drawing each step's noise from the episode's generator."""
     step = SERIAL_STEPS[type(env)]
-    return lambda snap, actions: step(env, snap, actions)
+    return lambda snap, actions, rng: step(env, snap, actions, rng)
 
 
 def assert_matches_serial(env, victim, budgets, cfg, seeds, trained):
@@ -68,6 +69,14 @@ def assert_matches_serial(env, victim, budgets, cfg, seeds, trained):
 
 
 START_FIELDS = {"states": "initial_states", "pos": "initial_pos", "headings": "initial_headings"}
+# an episode's noise as one draw per step from its seed's generator, as the kernels drew it
+PER_STEP_NOISE = {
+    TaxiGridEnv: lambda env, rng: np.array([rng.poisson(env.demand_rates)
+                                            for _ in range(env.horizon)]),
+    ToyMeanFieldEnv: lambda env, rng: np.array([rng.random(env.n_agents)
+                                                for _ in range(env.horizon)]),
+    VicsekEnv: lambda env, rng: None,
+}
 SEEDS = st.one_of(st.none(), st.integers(0, 2 ** 32),
                   st.tuples(st.integers(0, 99), st.integers(0, 99)),
                   st.tuples(st.integers(0, 99), st.integers(0, 9), st.integers(0, 99)))
@@ -76,15 +85,16 @@ SEEDS = st.one_of(st.none(), st.integers(0, 2 ** 32),
 @settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from(sorted(ENVS)), seed=SEEDS)
 def test_reset_is_the_start_built_at_construction(name, seed):
-    """Any seed, an int or a tuple, gives the same start; it only seeds the noise."""
+    """Any seed, an int or a tuple, gives the same start; it only seeds the noise,
+    which is what one draw per step from the seed's generator gives."""
     env = ENVS[name]()
     snap = env.reset(seed=seed)
-    assert snap.t == 0 and snap.demand is None
+    assert snap.t == 0
     for field, start in START_FIELDS.items():
         got, want = getattr(snap, field), getattr(env, start)
         assert (got is None) == (want is None) and (got is None or same(got, want)), field
-    want_rng = seed_rng(env.config.seed if seed is None else seed)
-    assert snap.rng.bit_generator.state == want_rng.bit_generator.state
+    want = PER_STEP_NOISE[type(env)](env, seed_rng(env.config.seed if seed is None else seed))
+    assert (snap.noise is None) == (want is None) and (want is None or same(snap.noise, want))
 
 
 @pytest.mark.parametrize("name", sorted(ENVS))
@@ -128,10 +138,10 @@ def test_overwriting_the_toy_start_moves_later_resets():
 def test_taxi_step_matches_the_reference(raw):
     env = TaxiGridEnv(TaxiConfig(**raw))
     for ep in range(3):
-        got, want = env.reset(seed=(5, ep)), env.reset(seed=(5, ep))
+        got, want, rng = env.reset(seed=(5, ep)), env.reset(seed=(5, ep)), seed_rng((5, ep))
         for t in range(env.horizon):
             actions = seed_rng((6, ep, t)).integers(0, env.n_actions, env.n_agents)
-            g, w = env.step(got, actions), oracles.taxi_step(env, want, actions)
+            g, w = env.step(got, actions), oracles.taxi_step(env, want, actions, rng)
             assert same(g.states, w.states) and g.snapshot.pos is None
             assert type(g.reward) is float and g.reward == w.reward
             assert g.snapshot.t == w.snapshot.t
@@ -141,58 +151,31 @@ def test_taxi_step_matches_the_reference(raw):
 @settings(max_examples=40, deadline=None)
 @given(horizon=st.integers(1, 8), sides=st.tuples(st.sampled_from([2, 4, 6]),
                                                   st.sampled_from([2, 4, 6])),
-       agents=st.integers(1, 36), start=st.integers(0, 10), extra=st.integers(0, 3),
-       seeds=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3),
+       agents=st.integers(1, 36), seeds=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3),
        demand_rate=st.sampled_from([0.5, 1.0, 12.0]))
-def test_taxi_demand_tables_match_the_per_step_reference(horizon, sides, agents, start, extra,
-                                                         seeds, demand_rate):
-    """Demand drawn as one table per episode is what per-step draws give.
-
-    Covers a full episode from reset (start 0), a snapshot built by hand at
-    t > 0 with no table, and steps past the horizon (extra).  Whenever an
-    episode's table is used up, its generator is where the reference's is.
-    """
+def test_taxi_demand_tables_match_the_per_step_reference(horizon, sides, agents, seeds,
+                                                         demand_rate):
+    """Demand drawn as one table per episode at reset is what per-step draws give,
+    over full episodes, alone and in a batch."""
     width, height = sides
     env = TaxiGridEnv(TaxiConfig(n_agents=min(agents, width * height), horizon=horizon,
                                  grid_width=width, grid_height=height,
                                  demand_rate=demand_rate))
-
-    def snapshot(seed):
-        if start == 0:
-            return env.reset(seed=seed)
-        cells = seed_rng((seed, 1)).integers(0, env.n_states, env.n_agents)
-        return Snapshot(start, cells, seed_rng(seed))
-
-    singles, wants = [snapshot(s) for s in seeds], [snapshot(s) for s in seeds]
-    batch = stack_snapshots([snapshot(s) for s in seeds])
-    for t in range(start, max(horizon, start + 1) + extra):
+    singles, wants = [env.reset(seed=s) for s in seeds], [env.reset(seed=s) for s in seeds]
+    rngs = [seed_rng(s) for s in seeds]
+    batch = stack_snapshots([env.reset(seed=s) for s in seeds])
+    for t in range(horizon):
         actions = seed_rng((7, t)).integers(0, env.n_actions, (len(seeds), env.n_agents))
         res = env.step_batch(batch, actions)
         for b in range(len(seeds)):
             one = env.step(singles[b], actions[b])
-            want = oracles.taxi_step(env, wants[b], actions[b])
+            want = oracles.taxi_step(env, wants[b], actions[b], rngs[b])
             for got in (one.snapshot, res.snapshot.episodes()[b]):
                 assert same(got.states, want.states) and got.pos is None
                 assert got.t == want.snapshot.t == t + 1
-                assert len(got.demand) == max(0, horizon - t - 1)
             assert one.reward == want.reward == res.reward[b]
-            if len(one.snapshot.demand) == 0:
-                for got in (one.snapshot.rng, res.snapshot.rng[b]):
-                    assert got.bit_generator.state == want.snapshot.rng.bit_generator.state
             singles[b], wants[b] = one.snapshot, want.snapshot
         batch = res.snapshot
-    assert all(len(snap.demand) == 0 for snap in singles)
-
-
-def test_snapshots_with_and_without_demand_tables_do_not_stack():
-    env = ENVS["taxi"]()
-    fresh, stepped = env.reset(seed=0), env.reset(seed=1)
-    stepped = env.step(stepped, np.zeros(env.n_agents, dtype=int)).snapshot
-    assert stepped.demand is not None and fresh.demand is None
-    for snaps in ([fresh, stepped], [stepped, fresh]):
-        with pytest.raises(InvalidInputError, match="demand"):
-            stack_snapshots(snaps)
-    assert stack_snapshots([stepped, stepped]).demand.shape == (2,) + stepped.demand.shape
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,12 +191,13 @@ def test_toy_steps_match_the_serial_reference(n_agents, block_states, n_actions,
     seeds = [(seed, b) for b in range(n_episodes)]
     batch = stack_snapshots([env.reset(seed=s) for s in seeds])
     singles, wants = [env.reset(seed=s) for s in seeds], [env.reset(seed=s) for s in seeds]
+    rngs = [seed_rng(s) for s in seeds]
     for t in range(steps):
         actions = seed_rng((seed, 1, t)).integers(0, env.n_actions, (n_episodes, env.n_agents))
         res = env.step_batch(batch, actions)
         assert res.reward.shape == (n_episodes,) and res.snapshot.t == t + 1
         for b, got in enumerate(res.snapshot.episodes()):
-            want = oracles.toy_step(env, wants[b], actions[b])
+            want = oracles.toy_step(env, wants[b], actions[b], rngs[b])
             one = env.step(singles[b], actions[b])
             assert same(got.states, want.states) and same(one.states, want.states)
             assert same(res.reward[b], want.reward) and same(one.reward, want.reward)
@@ -225,18 +209,51 @@ def test_toy_steps_match_the_serial_reference(n_agents, block_states, n_actions,
 def test_step_is_step_batch_on_a_batch_of_one(name):
     env = ENVS[name]()
     one, batch = env.reset(seed=7), stack_snapshots([env.reset(seed=7)])
-    for t in range(env.horizon + 1):
+    for t in range(env.horizon):
         actions = seed_rng((10, t)).integers(0, env.n_actions, env.n_agents)
         got, res = env.step(one, actions), env.step_batch(batch, actions[None])
         assert got.states.shape == (env.n_agents,) and type(got.reward) is float
         assert same(got.states, res.states[0]) and got.reward == res.reward[0]
         [want] = res.snapshot.episodes()
         assert got.snapshot.t == want.t == t + 1
-        for field in ("states", "pos", "headings", "demand"):
+        for field in ("states", "noise", "pos", "headings"):
             a, b = getattr(got.snapshot, field), getattr(want, field)
             assert (a is None) == (b is None)
             assert a is None or same(a, b), field
         one, batch = got.snapshot, res.snapshot
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(ENVS)), seed=st.integers(0, 2 ** 16),
+       steps=st.integers(1, 6), batched=st.booleans())
+def test_stepping_a_snapshot_twice_gives_the_same_bytes(name, seed, steps, batched):
+    """A snapshot is a value: the same actions from it give the same next snapshot
+    and reward the second time, alone or in a batch."""
+    env = ENVS[name]()
+    snaps = [env.reset(seed=seed), env.reset(seed=seed + 1)]
+    snap, step = (stack_snapshots(snaps), env.step_batch) if batched else (snaps[0], env.step)
+    for t in range(steps):
+        actions = seed_rng((seed, t)).integers(0, env.n_actions, snap.states.shape)
+        first, second = step(snap, actions), step(snap, actions)
+        assert same(first.reward, second.reward) and first.snapshot.t == second.snapshot.t
+        for field in ("states", "noise", "pos", "headings"):
+            a, b = getattr(first.snapshot, field), getattr(second.snapshot, field)
+            assert (a is None) == (b is None) and (a is None or same(a, b)), field
+        snap = second.snapshot
+
+
+@pytest.mark.parametrize("name", sorted(ENVS))
+def test_a_step_at_the_horizon_is_refused(name):
+    """An episode has horizon steps: step and step_batch refuse a step at t = horizon."""
+    env = ENVS[name]()
+    snap, actions = env.reset(seed=0), np.zeros(env.n_agents, dtype=int)
+    for _ in range(env.horizon):
+        snap = env.step(snap, actions).snapshot
+    assert snap.t == env.horizon
+    with pytest.raises(InvalidInputError, match=f"horizon {env.horizon}"):
+        env.step(snap, actions)
+    with pytest.raises(InvalidInputError, match=f"horizon {env.horizon}"):
+        env.step_batch(stack_snapshots([snap, snap]), np.stack([actions, actions]))
 
 
 @pytest.mark.parametrize("name", sorted(ENVS))

@@ -253,6 +253,19 @@ def test_unusable_out_dir_exits_with_error_naming_it(tmp_path, capsys, under):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml", "taken"]
 
 
+@pytest.mark.parametrize("key, value", [("out_dir", None), ("out_dir", 3), ("name", ["a"]),
+                                        ("name", None)])
+def test_a_name_or_out_dir_that_is_not_a_string_exits_with_error(tmp_path, capsys, monkeypatch,
+                                                                key, value):
+    """`out_dir: null` once ran into a directory named None; nothing is written now."""
+    cfg_path, _ = write_config(tmp_path, **{key: value})
+    monkeypatch.chdir(tmp_path)
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' must be a string" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.yaml"]
+
+
 def test_nan_norm_order_exits_with_error(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, value={"rollouts": 8, "p": float("nan")})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
@@ -486,3 +499,24 @@ def test_a_torn_ledger_exits_with_error_naming_its_line(tmp_path, capsys, comman
     assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 2
     assert f"line {text.count(chr(10))} is torn" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("damage", ["ledger not utf-8", "ledger a directory", "id not utf-8"])
+@pytest.mark.parametrize("command", ["correlate", "pipeline"])
+def test_an_unreadable_ledger_or_experiment_id_exits_with_error_naming_it(tmp_path, capsys,
+                                                                        command, damage):
+    """The file is refused, as a torn ledger is, and left as it was."""
+    out, _ = finished_copy(tmp_path)
+    name = "experiment_id.txt" if damage.startswith("id") else "ledger.csv"
+    path = out / name
+    if damage.endswith("a directory"):
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+    before = {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()}
+    assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"ledger {path}" if name == "ledger.csv" else f"cannot use {out}") in err
+    assert "Traceback" not in err
+    assert {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()} == before

@@ -127,7 +127,7 @@ def test_reward_ranges():
     for env, lo, hi in ((vic, 0.0, 1.0), (taxi, -1.0, 0.0)):
         snap = env.reset(seed=4)
         rng = seed_rng(4)
-        for _ in range(10):
+        for _ in range(env.horizon):
             res = env.step(snap, rng.integers(0, env.n_actions, env.n_agents))
             assert lo <= res.reward <= hi
             snap = res.snapshot
@@ -169,7 +169,7 @@ def test_rule_two_agents_meet_at_diagonal():
     snap = env.reset(seed=0)
     snap.pos = np.array([[5.0, 5.0], [5.5, 5.0]])
     snap.headings = np.array([0.0, np.pi / 2])
-    acts = rule_actions(env, snap, noise=0.0)
+    acts = rule_actions(env, snap, seed_rng(0), noise=0.0)
     res = env.step(snap, acts)
     assert np.allclose(res.snapshot.headings, np.pi / 4)
     assert res.reward == pytest.approx(1.0)
@@ -181,8 +181,9 @@ def test_rule_alignment_never_regresses():
     snap = env.reset(seed=6)
     phi = order_parameter(snap.headings)
     policy = RulePolicy(env, noise=0.0)
+    rng = seed_rng(6)
     for _ in range(env.horizon):
-        acts = rule_actions(env, snap, noise=0.0)
+        acts = rule_actions(env, snap, rng, noise=0.0)
         res = env.step(snap, acts)
         assert res.reward >= phi - 1e-12
         phi = res.reward

@@ -192,13 +192,18 @@ def raw_configs(draw):
 @example({"env": {"env_name": ["toy"]}})
 @example({"env": {"env_name": "toy", 0: None}})
 @example({"env": {"env_name": "toy"}, "victim": [["episodes", 5]], 1: 2})
+@example({"env": {"env_name": "toy"}, "out_dir": None})
+@example({"env": {"env_name": "toy"}, "name": ["a"]})
 def test_any_config_mapping_parses_or_raises_a_config_error(raw):
     try:
-        parse_experiment_config(raw)
+        cfg = parse_experiment_config(raw)
     except MfvulnError:
         pass
     else:
         assert "heatmap" not in raw
+        for key in ("name", "out_dir"):
+            assert isinstance(getattr(cfg, key), str)
+            assert key not in raw or getattr(cfg, key) == raw[key]
 
 
 def test_norm_order_accepts_yaml_spellings():

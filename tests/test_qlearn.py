@@ -63,7 +63,7 @@ def block1_policy_eval_oracle(env, pi, c0=0.25):
 
 def dists_at(policy, states):
     """Action distributions of a policy for agents in the given states."""
-    return policy.action_dists(Snapshot(t=0, states=np.asarray(states), rng=seed_rng(0)))
+    return policy.action_dists(Snapshot(t=0, states=np.asarray(states)))
 
 
 def test_boltzmann_uniform_on_flat_row():
@@ -107,7 +107,7 @@ def test_frozen_boltzmann_reads_the_same_bits_as_action_dists(n_states, n_action
     model = QModel(n_states, n_actions, 0.9)
     model.table = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(n_states, n_actions))
     policy = BoltzmannPolicy(model, temperature)
-    snap = Snapshot(t=0, states=rng.integers(0, n_states, size=shape), rng=rng)
+    snap = Snapshot(t=0, states=rng.integers(0, n_states, size=shape))
     got, want = qlearn.frozen(policy).action_dists(snap), policy.action_dists(snap)
     assert got.shape == want.shape == tuple(shape) + (n_actions,)
     assert got.tobytes() == want.tobytes()

@@ -281,7 +281,7 @@ def test_random_selection_is_seeded_and_in_range():
 
 def test_degree_centrality_prefers_the_graph_middle():
     env = VicsekEnv(VicsekConfig(n_agents=3, comm_radius=3.0, seed=0))
-    snap = Snapshot(t=0, states=np.zeros(3, dtype=int), rng=seed_rng(0),
+    snap = Snapshot(t=0, states=np.zeros(3, dtype=int),
                     pos=np.array([[2.0, 8.0], [4.0, 8.0], [6.0, 8.0]]),
                     headings=np.zeros(3))
     assert list(select_degree_centrality(env, snap, 1).ids) == [1]
