@@ -418,12 +418,26 @@ def stage_files(out_dir) -> list:
             if any(fnmatch.fnmatch(f, g) for g in globs)]
 
 
+def _fitting(loaded, path, env):
+    """A loaded stage artifact; InvalidInputError naming its file unless it fits env."""
+    if isinstance(loaded, BoltzmannPolicy):
+        fits, path = loaded.model.table.shape == (env.n_states, env.n_actions), path + ".q"
+    elif isinstance(loaded, RobustValueModel):
+        fits = loaded.n_states == env.n_states
+    else:
+        fits = (loaded.ids < env.n_agents).all()
+    if not fits:
+        raise InvalidInputError(f"{path} does not fit the env: it needs {env.n_states} states, "
+                                f"{env.n_actions} actions and agent ids below {env.n_agents}")
+    return loaded
+
+
 class Run:
     """One experiment in its output directory, and the plumbing its stages share.
 
-    ``artifact`` reuses a stage's file or computes and saves it, and
-    ``record`` writes a stage's ledger rows once.  Objects loaded or computed
-    are kept for the rest of the run.  Files are not keyed by config, so a
+    ``artifact`` loads a stage's file or computes and saves it, and
+    ``record`` writes a stage's ledger rows once.  Nothing loaded is kept: a
+    later use reads the file again.  Files are not keyed by config, so a
     directory holds one experiment: its id is written to the directory before
     any stage runs, and a directory holding another id is refused.
     """
@@ -448,37 +462,34 @@ class Run:
                 write_atomic(id_path, self.exp + "\n")
             with open(id_path, encoding="utf-8") as fh:
                 held = fh.read().strip()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InvalidConfigError(
-                f"cannot use {config.out_dir} as the out_dir: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:   # only id_path is decoded
+            why = f"cannot read {id_path}: {exc}" if isinstance(exc, UnicodeDecodeError) else exc
+            raise InvalidConfigError(f"cannot use {config.out_dir} as the out_dir: {why}") from exc
         if held != self.exp:
             raise InvalidConfigError(
                 f"{config.out_dir} holds experiment {held}, not {self.exp}; "
                 "a changed config needs its own out_dir")
         self.ledger = ResultsLedger(self.path("ledger"))
-        self._kept = {}
 
     def path(self, kind: str, seed=None, key=None) -> str:
         return artifact_path(self.cfg.out_dir, kind, seed, key)
 
     def has(self, kind: str, seed: int, key=None) -> bool:
-        """Whether the artifact of this kind, seed and key is kept or on disk."""
-        path = self.path(kind, seed, key)
-        return path in self._kept or os.path.exists(path)
+        """Whether the file of this kind, seed and key exists."""
+        return os.path.exists(self.path(kind, seed, key))
 
     def artifact(self, kind: str, seed: int, key=None, compute=None):
-        """The artifact of this kind, seed and key: kept, loaded, or computed and saved."""
+        """The artifact of this kind, seed and key: loaded if it fits the env, or
+        computed and saved."""
         path = self.path(kind, seed, key)
-        if path not in self._kept:
-            _, load, save, command = ARTIFACTS[kind]
-            if os.path.exists(path):
-                self._kept[path] = load(path)
-            elif compute is None:
-                raise StageDependencyError(f"missing {path}; run {command} first")
-            else:
-                self._kept[path] = compute()
-                save(self._kept[path], path, seed)
-        return self._kept[path]
+        _, load, save, command = ARTIFACTS[kind]
+        if os.path.exists(path):
+            return _fitting(load(path), path, self.env)
+        if compute is None:
+            raise StageDependencyError(f"missing {path}; run {command} first")
+        made = compute()
+        save(made, path, seed)
+        return made
 
     def record(self, stage: str, seed: int, rows, *outputs):
         """Append rows() as (method, metric, value) ledger rows unless the stage has them.

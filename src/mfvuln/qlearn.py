@@ -74,20 +74,17 @@ class QModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path):
-        lines = [CHECKPOINT_MAGIC, "kind qmodel", "backend tabular",
-                 f"n_states {self.n_states}", f"n_actions {self.n_actions}",
-                 f"gamma {self.gamma!r}", f"values {self.table.size}"]
-        lines.extend(f"{v:.17g}" for v in self.table.ravel())
-        write_atomic(path, "\n".join(lines) + "\n")
+        write_record(path, CHECKPOINT_MAGIC, {
+            "kind": "qmodel", "backend": "tabular", "n_states": self.n_states,
+            "n_actions": self.n_actions, "gamma": repr(self.gamma)}, self.table.ravel())
 
     @staticmethod
     def load(path) -> "QModel":
-        header, flat = _read_checkpoint(path, expected_kind="qmodel")
+        header, flat = read_record(path, CHECKPOINT_MAGIC, "qmodel")
         with malformed_artifact(path):
-            n_states, n_actions = int(header["n_states"]), int(header["n_actions"])
             # reshape before allocating, so a bad header cannot size the table
-            table = flat.reshape(n_states, n_actions)
-            model = QModel(n_states, n_actions, float(header["gamma"]))
+            table = flat.reshape(int(header["n_states"]), int(header["n_actions"]))
+            model = QModel(*table.shape, float(header["gamma"]))
         model.table = table
         return model
 
@@ -122,30 +119,37 @@ def malformed_artifact(path):
             f"malformed artifact {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _read_checkpoint(path, expected_kind):
-    """Header dict and value block of a checkpoint; InvalidInputError if malformed
-    or if a value is not finite."""
-    with malformed_artifact(path):
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise InvalidInputError(f"not a checkpoint file: {path}")
+def write_record(path, magic: str, header: dict, values=None):
+    """The magic line, a ``key value`` line per header item and, for a checkpoint,
+    ``values n`` and the n values at %.17g, written through write_atomic."""
+    lines = [magic, *(f"{key} {value}" for key, value in header.items())]
+    if values is not None:
+        lines += [f"values {len(values)}", *(f"{v:.17g}" for v in values)]
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
+def read_record(path, magic: str, kind=None):
+    """The header of a stage record, or a checkpoint of ``kind``'s header and finite
+    values; InvalidInputError naming the file if it is malformed.  A loader reads
+    each key it uses as ``header[key]``, so a missing line is refused too."""
+    with malformed_artifact(path), open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != magic:
+        raise InvalidInputError(f"not a {magic!r} record: {path}")
+    if kind is None:
+        return dict(line.partition(" ")[::2] for line in lines[1:])
     header = {}
-    i = 1
-    while i < len(lines):
-        key, _, value = lines[i].partition(" ")
-        i += 1
+    for i, line in enumerate(lines[1:], 2):
+        key, _, value = line.partition(" ")
         if key == "values":
             break
         header[key] = value
     else:
         raise InvalidInputError(f"checkpoint missing values block: {path}")
-    if header.get("kind") != expected_kind:
-        raise InvalidInputError(
-            f"checkpoint kind {header.get('kind')!r}, expected {expected_kind!r}: {path}")
-    if "backend" in header and header["backend"] != "tabular":
-        raise InvalidInputError(
-            f"checkpoint backend {header['backend']!r}, expected 'tabular': {path}")
+    got = header.get("kind"), header.get("backend", "tabular")
+    if got != (kind, "tabular"):
+        raise InvalidInputError(f"checkpoint kind {got[0]!r} backend {got[1]!r}, expected "
+                                f"kind {kind!r} backend 'tabular': {path}")
     with malformed_artifact(path):
         count = int(value)
         flat = np.array([float(x) for x in lines[i:i + count]])
@@ -186,13 +190,12 @@ class BoltzmannPolicy:
 
     def save(self, path):
         self.model.save(path + ".q")
-        write_atomic(path, "\n".join([CHECKPOINT_MAGIC, "kind policy", "type boltzmann",
-                                      f"temperature {self.temperature!r}",
-                                      "values 0"]) + "\n")
+        write_record(path, CHECKPOINT_MAGIC, {
+            "kind": "policy", "type": "boltzmann", "temperature": repr(self.temperature)}, ())
 
     @staticmethod
     def load(path) -> "BoltzmannPolicy":
-        header, _ = _read_checkpoint(path, expected_kind="policy")
+        header, _ = read_record(path, CHECKPOINT_MAGIC, "policy")
         model = QModel.load(path + ".q")
         with malformed_artifact(path):
             return BoltzmannPolicy(model, float(header["temperature"]))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import BudgetVector, seed_rng
 from .errors import InvalidConfigError, InvalidInputError
-from .qlearn import malformed_artifact, write_atomic
+from .qlearn import malformed_artifact, read_record, write_record
 
 BRUTE_FORCE_CAP = 3000
 
@@ -76,33 +76,22 @@ ATTACKSET_MAGIC = "mfvuln-attackset v1"
 
 
 def save_attack_set(attack: AttackSet, path, seed=None):
-    lines = [ATTACKSET_MAGIC, f"method {attack.method}", f"seed {seed!r}",
-             f"eps {attack.eps!r}", "ids " + " ".join(str(i) for i in attack.ids)]
+    header = {"method": attack.method, "seed": repr(seed), "eps": repr(attack.eps),
+              "ids": " ".join(str(i) for i in attack.ids)}
     if attack.predicted_drop is not None:
-        lines.append(f"predicted_drop {attack.predicted_drop!r}")
+        header["predicted_drop"] = repr(attack.predicted_drop)
     if attack.pick_rewards is not None:
-        lines.append("pick_rewards " + " ".join(repr(float(r))
-                                                for r in attack.pick_rewards))
-    write_atomic(path, "\n".join(lines) + "\n")
+        header["pick_rewards"] = " ".join(repr(float(r)) for r in attack.pick_rewards)
+    write_record(path, ATTACKSET_MAGIC, header)
 
 
 def load_attack_set(path) -> AttackSet:
+    fields = read_record(path, ATTACKSET_MAGIC)
+    drop, picks = fields.get("predicted_drop"), fields.get("pick_rewards")
     with malformed_artifact(path):
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != ATTACKSET_MAGIC:
-        raise InvalidInputError(f"not an attack-set record: {path}")
-    fields = {}
-    for ln in lines[1:]:
-        if ln.strip():
-            key, _, rest = ln.partition(" ")
-            fields[key] = rest
-    with malformed_artifact(path):
-        ids = np.array([int(x) for x in fields.get("ids", "").split()], dtype=int)
-        drop = fields.get("predicted_drop")
-        picks = fields.get("pick_rewards")
         attack = AttackSet(
-            ids, float(fields["eps"]), fields["method"],
+            np.array([int(x) for x in fields["ids"].split()], dtype=int),
+            float(fields["eps"]), fields["method"],
             predicted_drop=None if drop is None else float(drop),
             pick_rewards=None if picks is None else np.array([float(x) for x in picks.split()]))
     scores = np.append([] if drop is None else attack.predicted_drop,

@@ -518,5 +518,34 @@ def test_an_unreadable_ledger_or_experiment_id_exits_with_error_naming_it(tmp_pa
     assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert (f"ledger {path}" if name == "ledger.csv" else f"cannot use {out}") in err
-    assert "Traceback" not in err
+    assert str(path) in err and "Traceback" not in err
     assert {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()} == before
+
+
+def _cut_value_model(text):
+    """A value_s0.robust of the toy's 15 states cut to its first 3."""
+    head, _, values = text.partition("values 30\n")
+    return (head.replace("n_states 15", "n_states 3") + "values 6\n"
+            + "".join(values.splitlines(keepends=True)[:6]))
+
+
+@pytest.mark.parametrize("name, edit, stale, command", [
+    ("victim_s0.policy.q",
+     lambda text: text.replace("n_states 15", "n_states 3").replace("n_actions 2", "n_actions 10"),
+     "correlation_s0.csv", "correlate"),
+    ("value_s0.robust", _cut_value_model, "heatmap_per-agent-eps_s0.csv", "heatmap"),
+    ("attack_dc_s0.txt", lambda text: text.replace("ids 0 1", "ids 0 9"), None, "evaluate"),
+], ids=["q-table-shape", "value-model-states", "attack-set-ids"])
+def test_a_stage_file_that_does_not_fit_the_env_exits_with_error_naming_it(
+        tmp_path, capsys, name, edit, stale, command):
+    """A well-formed file sized for another env once ended in an IndexError traceback.
+    The stale output is deleted first, so the stage runs again and loads the file."""
+    out, _ = finished_copy(tmp_path)
+    text = (out / name).read_text()
+    (out / name).write_text(edit(text))
+    assert (out / name).read_text() != text
+    if stale:
+        (out / stale).unlink()
+    assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / name} does not fit the env" in err and "Traceback" not in err

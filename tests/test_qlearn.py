@@ -396,6 +396,7 @@ NEW_LINES = st.one_of(st.tuples(st.booleans(), TEXT),
 @example(name="value.robust", line=6, edit="rewrite", cut=0, new=(True, "1.0"))
 @example(name="attack.txt", line=5, edit="rewrite", cut=0, new=(True, "nan"))
 @example(name="attack.txt", line=6, edit="rewrite", cut=0, new=(False, "pick_rewards 1 -inf"))
+@example(name="attack.txt", line=4, edit="delete", cut=0, new=(False, ""))
 def test_damaged_artifact_loads_or_raises_invalid_input(name, line, edit, cut, new):
     """A damaged artifact raises InvalidInputError naming its file, or loads
     holding only finite numbers, a gamma in [0, 1) and a norm order p >= 1."""

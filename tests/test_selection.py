@@ -340,3 +340,15 @@ def test_attack_set_roundtrip(tmp_path):
     path.write_text("something else\n")
     with pytest.raises(InvalidInputError):
         load_attack_set(path)
+
+
+@pytest.mark.parametrize("key", ["method", "eps", "ids"])
+def test_an_attack_set_missing_a_line_it_reads_is_refused_naming_it(tmp_path, key):
+    """A record that lost its ids line once loaded as an attack on no agent."""
+    path = tmp_path / "set.att"
+    save_attack_set(AttackSet(np.array([2, 0]), 0.5, "greedy"), path, seed=0)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith(f"{key} ")))
+    with pytest.raises(InvalidInputError) as err:
+        load_attack_set(path)
+    assert str(path) in str(err.value)
