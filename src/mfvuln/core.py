@@ -45,8 +45,6 @@ def seed_rng(seed=None, salt=None) -> np.random.Generator:
     if salt is not None:
         salt_int = int.from_bytes(str(salt).encode(), "little") % (2 ** 63)
         seed = np.random.SeedSequence([salt_int, seed_to_int(seed)])
-    elif isinstance(seed, (tuple, list)):
-        seed = np.random.SeedSequence(list(seed))
     return np.random.default_rng(seed)
 
 

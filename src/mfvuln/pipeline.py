@@ -6,9 +6,10 @@ one lockstep call.  Then stages execute in order per seed: record the
 victim's returns, fit the budget-conditioned value model on its rollouts,
 then select attack sets and train/evaluate adversaries for each configured
 method.  Every stage goes through the run: an artifact is reused when its
-file exists, else computed and saved, and a stage's ledger rows are written
-once, so a rerun with the same config touches nothing and leaves the ledger
-byte-identical.  Each kind of stage file is declared once, in ``ARTIFACTS``.
+file and the files computing it writes all exist, else computed and saved,
+and a stage's ledger rows are written once, so a rerun with the same config
+touches nothing and leaves the ledger byte-identical.  Each kind of stage
+file is declared once, in ``ARTIFACTS``.
 The run's seed is passed to every learner as an argument; the learner
 sections of a config hold schedules only, so a ``seed`` key there is refused.
 
@@ -266,9 +267,6 @@ class ResultsLedger:
                 return row
         return None
 
-    def has(self, experiment: str, stage: str, seed) -> bool:
-        return self.find(experiment, stage, seed) is not None
-
 
 # -- analyses --------------------------------------------------------------------
 
@@ -478,12 +476,12 @@ class Run:
         """Whether the file of this kind, seed and key exists."""
         return os.path.exists(self.path(kind, seed, key))
 
-    def artifact(self, kind: str, seed: int, key=None, compute=None):
-        """The artifact of this kind, seed and key: loaded if it fits the env, or
-        computed and saved."""
+    def artifact(self, kind: str, seed: int, key=None, compute=None, outputs=()):
+        """The artifact of this kind, seed and key: loaded if it fits the env and the
+        ``outputs`` files that computing it writes exist, else computed and saved."""
         path = self.path(kind, seed, key)
         _, load, save, command = ARTIFACTS[kind]
-        if os.path.exists(path):
+        if os.path.exists(path) and all(map(os.path.exists, outputs)):
             return _fitting(load(path), path, self.env)
         if compute is None:
             raise StageDependencyError(f"missing {path}; run {command} first")
@@ -498,10 +496,9 @@ class Run:
         write it again.  Returns the value of the stage's first row: computed if
         rows() ran, else read back from the ledger.
         """
-        if self.ledger.has(self.exp, stage, seed):
-            if all(map(os.path.exists, outputs)):
-                return float(self.ledger.find(self.exp, stage, seed)["value"])
-            return rows()[0][2]
+        row = self.ledger.find(self.exp, stage, seed)
+        if row is not None:
+            return float(row["value"]) if all(map(os.path.exists, outputs)) else rows()[0][2]
         made = rows()
         self.ledger.append([(self.exp, stage, method, seed, metric, value)
                             for method, metric, value in made])
@@ -547,7 +544,8 @@ def _fit_value(run: Run, seed: int) -> RobustValueModel:
 
 def stage_fit_value(run: Run, seed: int):
     env = run.env
-    vmodel = run.artifact("value_model", seed, compute=lambda: _fit_value(run, seed))
+    vmodel = run.artifact("value_model", seed, compute=lambda: _fit_value(run, seed),
+                          outputs=[run.path("trajectories", seed)])
 
     def rows():
         v0 = vmodel.values(env.initial_states, np.zeros(env.n_agents), 0.0)
@@ -590,7 +588,8 @@ def stage_select(run: Run, seed: int):
     states0 = env.initial_states
     attacks = {method: run.artifact(
         "attack_set", seed, method,
-        compute=lambda m=method: _run_selector(m, run, victim, vmodel, states0, seed))
+        compute=lambda m=method: _run_selector(m, run, victim, vmodel, states0, seed),
+        outputs=[run.path("brute_scores", seed)] if method == "brute" else [])
         for method in run.cfg.selection.methods}
 
     def rows():

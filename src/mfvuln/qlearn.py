@@ -175,42 +175,6 @@ def softmax_rows(z) -> np.ndarray:
 # episode and (B, N, A) for a batch of B (see envs.base.stack_snapshots).
 
 
-class BoltzmannPolicy:
-    """pi(a | s) proportional to exp(Q(s, a) / temperature)."""
-
-    def __init__(self, model: QModel, temperature: float = 0.1):
-        if not 0 < temperature < np.inf:
-            raise InvalidInputError(
-                f"temperature must be finite and positive, got {temperature!r}")
-        self.model = model
-        self.temperature = temperature
-
-    def action_dists(self, snapshot) -> np.ndarray:
-        return softmax_rows(self.model.values(snapshot.states) / self.temperature)
-
-    def save(self, path):
-        self.model.save(path + ".q")
-        write_record(path, CHECKPOINT_MAGIC, {
-            "kind": "policy", "type": "boltzmann", "temperature": repr(self.temperature)}, ())
-
-    @staticmethod
-    def load(path) -> "BoltzmannPolicy":
-        header, _ = read_record(path, CHECKPOINT_MAGIC, "policy")
-        model = QModel.load(path + ".q")
-        with malformed_artifact(path):
-            return BoltzmannPolicy(model, float(header["temperature"]))
-
-
-def frozen(policy):
-    """``policy`` for a loop that does not change it: a BoltzmannPolicy becomes the
-    TablePolicy of softmax_rows(Q / T), read by state index instead of a softmax per
-    step (row-wise softmax over the same row values gives the same bits); any other
-    policy comes back as it is."""
-    if isinstance(policy, BoltzmannPolicy):
-        return TablePolicy(softmax_rows(policy.model.table / policy.temperature))
-    return policy
-
-
 class UniformPolicy:
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
@@ -227,6 +191,31 @@ class TablePolicy:
 
     def action_dists(self, snapshot) -> np.ndarray:
         return self.table[np.asarray(snapshot.states, dtype=int)]
+
+
+class BoltzmannPolicy(TablePolicy):
+    """pi(a | s) proportional to exp(Q(s, a) / temperature), tabulated when the
+    policy is built: later changes to the model's Q table do not reach it."""
+
+    def __init__(self, model: QModel, temperature: float = 0.1):
+        if not 0 < temperature < np.inf:
+            raise InvalidInputError(
+                f"temperature must be finite and positive, got {temperature!r}")
+        super().__init__(softmax_rows(model.table / temperature))
+        self.model = model
+        self.temperature = temperature
+
+    def save(self, path):
+        self.model.save(path + ".q")
+        write_record(path, CHECKPOINT_MAGIC, {
+            "kind": "policy", "type": "boltzmann", "temperature": repr(self.temperature)}, ())
+
+    @staticmethod
+    def load(path) -> "BoltzmannPolicy":
+        header, _ = read_record(path, CHECKPOINT_MAGIC, "policy")
+        model = QModel.load(path + ".q")
+        with malformed_artifact(path):
+            return BoltzmannPolicy(model, float(header["temperature"]))
 
 
 # -- trajectories --------------------------------------------------------------
@@ -270,20 +259,18 @@ def _play(env, victim_policy, seeds, adversary_policy, budgets):
     batch = stack_snapshots([env.reset(seed=s) for s in seeds])
     shape = (len(seeds), env.horizon, env.n_agents)
     u = np.array([seed_rng(s, salt="rollout-actions").random(shape[1:]) for s in seeds])
-    victim = frozen(victim_policy)
     attacked = budgets is not None and adversary_policy is not None \
         and bool(np.any(budgets.eps > 0))
     if attacked:
-        adversary = frozen(adversary_policy)
         e = mixing_weights(budgets.eps, (len(seeds), env.n_agents, env.n_actions))
         keep = 1.0 - e
     states = np.empty(shape, np.min_scalar_type(env.n_states - 1))
     actions = np.empty(shape, np.min_scalar_type(env.n_actions - 1))
     rewards = np.empty(shape[:2])
     for t in range(env.horizon):
-        dists = victim.action_dists(batch)
+        dists = victim_policy.action_dists(batch)
         if attacked:
-            dists = e * adversary.action_dists(batch) + keep * dists
+            dists = e * adversary_policy.action_dists(batch) + keep * dists
         picks = pick_categorical(dists, u[:, t])
         res = env.step_batch(batch, picks)
         states[:, t], actions[:, t], rewards[:, t] = batch.states, picks, res.reward
@@ -319,11 +306,8 @@ def evaluate_policy(env, policy, episodes: int, seed, adversary_policy=None,
     episode: InvalidInputError otherwise."""
     if episodes < 1:
         raise InvalidInputError(f"episodes must be >= 1, got {episodes}")
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(list(seed) if isinstance(seed, (tuple, list)) else seed)
-    rewards = _play(env, policy, ss.spawn(episodes), adversary_policy, budgets)[2]
+    rewards = _play(env, policy, np.random.SeedSequence(seed).spawn(episodes),
+                    adversary_policy, budgets)[2]
     return np.array([discounted_return(row, env.gamma) for row in rewards.tolist()])
 
 
@@ -433,7 +417,7 @@ def _lockstep(env, cfg: LearnerConfig, models, episode_seeds, act_rngs,
         model.visits = stacked.visits[b * n_states:(b + 1) * n_states]
     offset = n_states * np.arange(n_learners)[:, None]
     if adversary is not None:
-        victim, eps = frozen(adversary[0]), adversary[1]
+        victim, eps = adversary
         attacked = eps > 0
         e = mixing_weights(eps, (n_learners, env.n_agents, n_actions))
         keep = 1.0 - e

@@ -88,6 +88,8 @@ def save_attack_set(attack: AttackSet, path, seed=None):
 def load_attack_set(path) -> AttackSet:
     fields = read_record(path, ATTACKSET_MAGIC)
     drop, picks = fields.get("predicted_drop"), fields.get("pick_rewards")
+    if fields.get("method") == "greedy" and None in (drop, picks):
+        raise InvalidInputError(f"greedy attack-set record lacks a score line: {path}")
     with malformed_artifact(path):
         attack = AttackSet(
             np.array([int(x) for x in fields["ids"].split()], dtype=int),

@@ -11,18 +11,20 @@ import os
 import tempfile
 import time
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from mfvuln.attack import AdversaryConfig, attacked_returns
+from mfvuln.attack import attacked_returns
 from mfvuln.core import BudgetVector, empirical_mean_field_state, seed_rng
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.qlearn import QModel, TablePolicy, evaluate_policy, rollout
 from mfvuln.robust import FitConfig, RobustValueModel, fit_cooperative_q, fit_robust_value
 from mfvuln.selection import select_bruteforce, select_greedy, select_random
-from mfvuln.pipeline import (Run, correlate_prediction_vs_attack,
+from mfvuln.pipeline import (Run, correlate_prediction_vs_attack, load_experiment_config,
                              parse_experiment_config, run_pipeline,
                              sample_attack_subsets, stage_fit_value,
                              stage_train_victim, train_missing_victims)
@@ -31,38 +33,23 @@ from oracles import (ActionDist, TransitionSample, apply_robust_bellman,
                      exact_value_model, greedy_matrix, mix_policies, optimal_q, pooled_std,
                      sup_norm_diff, worst_case_gap)
 
-# final desk-scale environment settings (shared with the example configs)
-VICSEK_RAW = {"env_name": "vicsek", "n_agents": 16, "horizon": 50,
-              "world_size": 32.0, "heading_bins": 1, "comm_radius": 4.0,
-              "cluster_sizes": [7, 1, 1, 1, 1, 1, 1, 1, 1, 1],
-              "cluster_spread": 0.8, "heading_spread": 1.0, "seed": 0}
-VICSEK_TRAIN = dict(episodes=800, eps_start=0.5, eps_fraction=0.3)
-VICSEK_FIT = dict(p=1)
-TAXI_RAW = {"env_name": "taxi", "n_agents": 16, "horizon": 14,
-            "grid_width": 10, "grid_height": 10,
-            "demand_concentration": 0.10, "seed": 0}
-TAXI_TRAIN = dict(episodes=800, lr=0.25, lr_decay=0.001)
-TAXI_FIT = {}
-
-ADV_EPISODES = 150
-EVAL_EPISODES = 20
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 _cache = {}
+
+
+def experiment(env_name: str):
+    """The committed config of an environment: configs/<env_name>.yaml."""
+    return load_experiment_config(CONFIGS / f"{env_name}.yaml")
 
 
 def trained_setups(env_name: str, seeds):
     """Victim + fitted value model per seed, cached across criteria; the victims
     not yet cached train in one call, as a pipeline run trains its seeds'."""
     missing = [seed for seed in seeds if (env_name, seed) not in _cache]
-    raw, train_kwargs, fit_kwargs = (
-        (VICSEK_RAW, VICSEK_TRAIN, VICSEK_FIT) if env_name == "vicsek"
-        else (TAXI_RAW, TAXI_TRAIN, TAXI_FIT))
     if missing:
         with tempfile.TemporaryDirectory() as out_dir:
-            run = Run(parse_experiment_config({
-                "env": raw, "victim": train_kwargs,
-                "value": dict(rollouts=80, **fit_kwargs),
-                "seeds": missing, "out_dir": out_dir}))
+            run = Run(experiment(env_name), out_dir, missing)
             train_missing_victims(run, missing)
             for seed in missing:
                 victim = stage_train_victim(run, seed)
@@ -78,13 +65,14 @@ def trained_setup(env_name: str, seed: int):
     return trained_setups(env_name, [seed])[0]
 
 
-def attack_set_returns(env, victim, attacks, eps, seed):
-    """Victim returns under each attack set; the adversaries train in one batch."""
+def attack_set_returns(env, victim, attacks, adv_cfg, eps, seed):
+    """Victim returns under each attack set, each over adv_cfg.eval_episodes
+    episodes; the adversaries train in one batch."""
     budgets = [BudgetVector.from_set(env.n_agents, list(attack.ids), eps) for attack in attacks]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return attacked_returns(env, victim, budgets, AdversaryConfig(episodes=ADV_EPISODES),
-                                [seed] * len(budgets), EVAL_EPISODES, [(seed, 3)] * len(budgets))
+        return attacked_returns(env, victim, budgets, adv_cfg, [seed] * len(budgets),
+                                adv_cfg.eval_episodes, [(seed, 3)] * len(budgets))
 
 
 # -- criterion 1: contraction -----------------------------------------------------
@@ -259,13 +247,14 @@ def test_criterion_5_greedy_matches_bruteforce():
 def test_criterion_6_prediction_correlation(env_name):
     start = time.time()
     env, victim, vmodel, states0, mu0 = trained_setup(env_name, 0)
+    cfg = experiment(env_name)
     subsets = sample_attack_subsets(env.n_agents, 20, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         r, rows = correlate_prediction_vs_attack(
             vmodel, env, victim, subsets,
-            AdversaryConfig(episodes=ADV_EPISODES),
-            EVAL_EPISODES, seed=0)
+            replace(cfg.adversary, episodes=cfg.correlation.adv_episodes),
+            cfg.correlation.episodes, seed=0)
     elapsed = time.time() - start
     assert abs(r) >= 0.8, f"{env_name}: |r|={abs(r):.3f} < 0.8"
     assert elapsed < 1800.0
@@ -282,13 +271,15 @@ def test_criterion_7_attack_ordering(env_name):
     seeds = [0, 1, 2, 3, 4]
     ks = (2, 4)
     returns, coop = {}, {}
+    adv_cfg = experiment(env_name).adversary
     for seed, (env, victim, vmodel, states0, mu0) in zip(seeds, trained_setups(env_name, seeds)):
         # the seed's four adversaries (greedy and random at each K) train in one batch
         sets = {(k, "greedy"): select_greedy(vmodel, states0, mu0, k, 1.0) for k in ks}
         sets.update({(k, "random"): select_random(env.n_agents, k, seed, 1.0) for k in ks})
-        for key, ret in zip(sets, attack_set_returns(env, victim, sets.values(), 1.0, seed)):
+        for key, ret in zip(sets, attack_set_returns(env, victim, sets.values(), adv_cfg,
+                                                     1.0, seed)):
             returns[(seed,) + key] = ret
-        coop[seed] = evaluate_policy(env, victim, EVAL_EPISODES, (seed, 3))
+        coop[seed] = evaluate_policy(env, victim, adv_cfg.eval_episodes, (seed, 3))
     lines = []
     for k in ks:
         results = {m: [float(returns[seed, k, m].mean()) for seed in seeds]

@@ -91,7 +91,7 @@ def test_staged_commands_chain_into_a_full_run(tmp_path, capsys):
 
     assert main(["correlate", "--config", str(cfg_path)]) == 0
     assert os.path.exists(paths("correlation", 0))
-    assert ledger.has(experiment_of(ledger), "correlate", seed=0)
+    assert ledger.find(experiment_of(ledger), "correlate", seed=0) is not None
     assert "pearson r" in capsys.readouterr().out
 
 

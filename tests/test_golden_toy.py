@@ -136,3 +136,24 @@ def test_correlate_rebuilds_a_missing_csv_once(tmp_path, capsys):
         == (FIXTURE / "correlation_s0.csv").read_bytes()
     assert len(correlate_rows(out)) == 1
     assert (out / "ledger.csv").read_bytes() == (FIXTURE / "ledger.csv").read_bytes()
+
+
+@pytest.mark.parametrize("deleted, rebuilt", [
+    ((), {"rollouts": 0, "attacked_returns": 0}),
+    (("trajectories_s0.csv", "brute_scores_s0.csv"), {"rollouts": 1, "attacked_returns": 1})])
+def test_pipeline_rebuilds_deleted_stage_csvs_and_nothing_else(tmp_path, monkeypatch,
+                                                               deleted, rebuilt):
+    """A stage CSV deleted from a finished run is written again, by computing the
+    artifact that writes it (the value model's corpus, brute force's scores)."""
+    out, _ = finished_copy(tmp_path)
+    for name in deleted:
+        (out / name).unlink()
+    calls = dict.fromkeys(rebuilt, 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    run_toy(out, ["pipeline"])
+    assert calls == rebuilt
+    assert_matches_fixture(out)

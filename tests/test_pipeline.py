@@ -249,11 +249,11 @@ def test_ledger_appends_and_filters(tmp_path, monkeypatch):
     assert len(rows) == 2
     # floats are stamped with 9 significant digits
     assert rows[0]["value"] == "0.123456789"
-    assert ledger.has("e1", "victim", 0)
+    assert ledger.find("e1", "victim", 0) is not None
     assert ledger.find("e1", "attack", 1)["method"] == "greedy"
-    assert not ledger.has("e1", "attack", 0)
-    assert not ledger.has("e1", "victim", 1)
-    assert not ledger.has("e2", "victim", 0)
+    assert ledger.find("e1", "attack", 0) is None
+    assert ledger.find("e1", "victim", 1) is None
+    assert ledger.find("e2", "victim", 0) is None
     # reopening never truncates
     ledger = ResultsLedger(path)
     assert len(ledger.rows()) == 2
@@ -513,7 +513,8 @@ def test_stage_dependencies_are_enforced(tmp_path):
         stage_select(run, 0)
     with pytest.raises(StageDependencyError, match="run select first"):
         stage_evaluate(run, 0)
-    save_attack_set(AttackSet(np.array([0]), 1.0, "greedy"),
+    save_attack_set(AttackSet(np.array([0]), 1.0, "greedy", predicted_drop=0.5,
+                              pick_rewards=np.array([0.5])),
                     run.path("attack_set", 0, "greedy"), seed=0)
     with pytest.raises(StageDependencyError, match="run attack first"):
         stage_evaluate(run, 0)

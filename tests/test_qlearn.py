@@ -99,23 +99,29 @@ def test_boltzmann_shift_invariance():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 7), st.floats(1e-3, 1e3),
        st.lists(st.integers(1, 40), min_size=1, max_size=2), st.integers(0, 2 ** 16))
-def test_frozen_boltzmann_reads_the_same_bits_as_action_dists(n_states, n_actions, temperature,
-                                                              shape, seed):
-    """The per-state table a frozen BoltzmannPolicy is read from gives, for
-    (N,) or (B, N) states, exactly what action_dists computes per call."""
+def test_boltzmann_reads_the_bits_of_a_per_call_softmax(n_states, n_actions, temperature,
+                                                        shape, seed):
+    """The per-state table a BoltzmannPolicy is read from gives, for (N,) or
+    (B, N) states, exactly what a softmax of their Q rows computes per call."""
     rng = seed_rng(seed)
     model = QModel(n_states, n_actions, 0.9)
     model.table = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(n_states, n_actions))
     policy = BoltzmannPolicy(model, temperature)
     snap = Snapshot(t=0, states=rng.integers(0, n_states, size=shape))
-    got, want = qlearn.frozen(policy).action_dists(snap), policy.action_dists(snap)
+    got = policy.action_dists(snap)
+    want = softmax_rows(model.values(snap.states) / temperature)
     assert got.shape == want.shape == tuple(shape) + (n_actions,)
     assert got.tobytes() == want.tobytes()
 
 
-def test_frozen_leaves_other_policies_as_they_are():
-    for policy in (UniformPolicy(3), TablePolicy(np.full((2, 3), 1.0 / 3))):
-        assert qlearn.frozen(policy) is policy
+def test_boltzmann_policy_is_tabulated_when_built():
+    model = QModel(2, 3, 0.9)
+    model.table[1] = [0.0, 1.0, 2.0]
+    policy = BoltzmannPolicy(model, 0.5)
+    before = dists_at(policy, [0, 1])
+    model.table[1] = 5.0
+    assert np.array_equal(dists_at(policy, [0, 1]), before)
+    assert np.allclose(dists_at(BoltzmannPolicy(model, 0.5), [1]), 1.0 / 3)
 
 
 def test_boltzmann_rejects_bad_temperature():
@@ -397,9 +403,13 @@ NEW_LINES = st.one_of(st.tuples(st.booleans(), TEXT),
 @example(name="attack.txt", line=5, edit="rewrite", cut=0, new=(True, "nan"))
 @example(name="attack.txt", line=6, edit="rewrite", cut=0, new=(False, "pick_rewards 1 -inf"))
 @example(name="attack.txt", line=4, edit="delete", cut=0, new=(False, ""))
+@example(name="attack.txt", line=5, edit="delete", cut=0, new=(False, ""))
+@example(name="attack.txt", line=6, edit="delete", cut=0, new=(False, ""))
 def test_damaged_artifact_loads_or_raises_invalid_input(name, line, edit, cut, new):
     """A damaged artifact raises InvalidInputError naming its file, or loads
-    holding only finite numbers, a gamma in [0, 1) and a norm order p >= 1."""
+    holding only finite numbers, a gamma in [0, 1) and a norm order p >= 1.
+    One that loads with a line deleted held nothing the loader reads on that
+    line: saving what loaded gives back the undamaged file."""
     lines = ARTIFACTS[name].splitlines()
     i = line % len(lines)
     if edit == "delete":
@@ -423,6 +433,12 @@ def test_damaged_artifact_loads_or_raises_invalid_input(name, line, edit, cut, n
                 assert 0.0 <= model.gamma < 1.0
             if isinstance(model, RobustValueModel):
                 assert model.p >= 1.0
+            if edit == "delete":
+                if isinstance(loaded, AttackSet):
+                    save_attack_set(loaded, path, seed=0)
+                else:
+                    loaded.save(path[:-2] if name == "victim.policy.q" else path)
+                assert {n: Path(d, n).read_text() for n in ARTIFACTS} == ARTIFACTS
 
 
 def test_checkpoints_with_the_former_binning_lines_still_load(tmp_path):

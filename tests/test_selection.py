@@ -342,11 +342,13 @@ def test_attack_set_roundtrip(tmp_path):
         load_attack_set(path)
 
 
-@pytest.mark.parametrize("key", ["method", "eps", "ids"])
+@pytest.mark.parametrize("key", ["method", "eps", "ids", "predicted_drop", "pick_rewards"])
 def test_an_attack_set_missing_a_line_it_reads_is_refused_naming_it(tmp_path, key):
-    """A record that lost its ids line once loaded as an attack on no agent."""
+    """A record that lost its ids line once loaded as an attack on no agent, and
+    a greedy one that lost a score line as an attack with no scores."""
     path = tmp_path / "set.att"
-    save_attack_set(AttackSet(np.array([2, 0]), 0.5, "greedy"), path, seed=0)
+    save_attack_set(AttackSet(np.array([2, 0]), 0.5, "greedy", predicted_drop=0.75,
+                              pick_rewards=np.array([0.5, 0.25])), path, seed=0)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(line for line in lines if not line.startswith(f"{key} ")))
     with pytest.raises(InvalidInputError) as err:
