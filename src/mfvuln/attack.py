@@ -34,13 +34,14 @@ from .qlearn import BoltzmannPolicy, LearnerConfig, QModel, _lockstep, evaluate_
 
 
 def policy_checksum(policy) -> str:
-    """Digest of a policy's learnable state; stable across calls when frozen."""
+    """Digest of a policy's state: the table its action_dists reads, and its
+    model's Q table, where it has them; stable across calls when frozen."""
     h = hashlib.sha256()
     h.update(type(policy).__name__.encode())
     model = getattr(policy, "model", None)
-    table = model.table if model is not None else getattr(policy, "table", None)
-    if table is not None:
-        h.update(np.ascontiguousarray(table, dtype=float).tobytes())
+    for table in (getattr(policy, "table", None), getattr(model, "table", None)):
+        if table is not None:
+            h.update(np.ascontiguousarray(table, dtype=float).tobytes())
     return h.hexdigest()
 
 

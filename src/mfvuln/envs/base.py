@@ -88,7 +88,7 @@ class StepResult:
 
 class MeanFieldEnv:
     """Base class; subclasses build the start in their constructor and fill in
-    _step_batch and a distance metric."""
+    _step_batch and _sq_distances, the (N, N) squared distances of an episode."""
 
     config = None
     initial_states: np.ndarray
@@ -141,12 +141,12 @@ class MeanFieldEnv:
         [nxt] = res.snapshot.episodes()
         return StepResult(nxt, nxt.states, float(res.reward[0]))
 
-    def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
+    def _sq_distances(self, snapshot: Snapshot) -> np.ndarray:
         raise NotImplementedError
 
     def observation_graph(self, snapshot: Snapshot) -> np.ndarray:
-        """Symmetric boolean adjacency: within comm_radius, no self loops."""
-        adj = self._pairwise_distances(snapshot) <= self.config.comm_radius
+        """Symmetric boolean adjacency: squared distance <= comm_radius**2, no self loops."""
+        adj = self._sq_distances(snapshot) <= self.config.comm_radius ** 2
         np.fill_diagonal(adj, False)
         return adj
 
@@ -193,11 +193,6 @@ def torus_sq_pairwise(pos, lengths, work=None, rows=slice(None)) -> np.ndarray:
     np.subtract(np.reshape(lengths, (-1,) + (1,) * (diff.ndim - 1)), diff, out=far)
     np.square(np.minimum(diff, far, out=diff), out=diff)
     return np.add(diff[0], diff[1], out=far[0])
-
-
-def torus_pairwise(pos, lengths) -> np.ndarray:
-    """Euclidean pairwise distances on a torus; see torus_sq_pairwise."""
-    return np.sqrt(torus_sq_pairwise(pos, lengths))
 
 
 def agent_layout(n_agents: int):
@@ -253,6 +248,30 @@ def require_finite(cfg, *names):
         value = getattr(cfg, name)
         if not np.isfinite(value):
             raise InvalidConfigError(f"{name} must be finite, got {value!r}")
+
+
+@dataclass
+class EnvConfig:
+    """The settings every environment has, checked here once.  A subclass
+    declares ``env_name`` with its own name as the default, then its own
+    settings, and redeclares only the defaults here that differ."""
+
+    n_agents: int = 16
+    horizon: int = 50
+    gamma: float = 0.95
+    seed: int = 0
+
+    def validate(self):
+        if self.env_name != type(self).env_name:
+            raise InvalidConfigError(f"env_name mismatch: {self.env_name}")
+        if self.n_agents < 1:
+            raise InvalidConfigError("n_agents must be >= 1")
+        if self.horizon < 1:
+            raise InvalidConfigError("horizon must be >= 1")
+        if not (0.0 <= self.gamma < 1.0):
+            raise InvalidConfigError("gamma must be in [0, 1)")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def build_config(cls, raw, error=InvalidConfigError, where=None):

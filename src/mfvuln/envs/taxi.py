@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidConfigError
-from .base import MeanFieldEnv, Snapshot, StepResult, require_finite, torus_pairwise
+from .base import (EnvConfig, MeanFieldEnv, Snapshot, StepResult, require_finite,
+                   torus_sq_pairwise)
 
 # action order: stay, east, west, north, south
 MOVES = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
@@ -36,42 +37,30 @@ POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 @dataclass
-class TaxiConfig:
+class TaxiConfig(EnvConfig):
     env_name: str = "taxi"
-    n_agents: int = 16
     horizon: int = 24
     grid_width: int = 8
     grid_height: int = 8
     comm_radius: float = 2.5
     demand_rate: float = 1.0
     demand_concentration: float = 0.15
-    gamma: float = 0.95
-    seed: int = 0
 
     def validate(self):
-        if self.env_name != "taxi":
-            raise InvalidConfigError(f"env_name mismatch: {self.env_name}")
+        super().validate()
         if self.grid_width < 2 or self.grid_height < 2:
             raise InvalidConfigError("grid must be at least 2x2")
         if self.grid_width % 2 or self.grid_height % 2:
             raise InvalidConfigError("grid sides must be even (2x2 zones)")
-        if self.n_agents < 1:
-            raise InvalidConfigError("n_agents must be >= 1")
         if self.n_agents > self.grid_width * self.grid_height:
             raise InvalidConfigError(
                 f"{self.n_agents} taxis exceed grid capacity "
                 f"{self.grid_width * self.grid_height}")
-        if self.horizon < 1:
-            raise InvalidConfigError("horizon must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         require_finite(self, "comm_radius", "demand_rate", "demand_concentration")
         if self.comm_radius < 0:
             raise InvalidConfigError(f"comm_radius must be >= 0, got {self.comm_radius}")
         if self.demand_rate < 0 or self.demand_concentration <= 0:
             raise InvalidConfigError("demand_rate must be >= 0, concentration > 0")
-        if not (0.0 < self.gamma < 1.0):
-            raise InvalidConfigError("gamma must be in (0, 1)")
 
 
 class TaxiGridEnv(MeanFieldEnv):
@@ -142,6 +131,6 @@ class TaxiGridEnv(MeanFieldEnv):
         nxt = Snapshot(batch.t + 1, cells, batch.noise)
         return StepResult(nxt, cells, self.mismatch_reward(supply, demand))
 
-    def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
-        return torus_pairwise(self._xy[snapshot.states],
-                              (self.config.grid_width, self.config.grid_height))
+    def _sq_distances(self, snapshot: Snapshot) -> np.ndarray:
+        return torus_sq_pairwise(self._xy[snapshot.states],
+                                 (self.config.grid_width, self.config.grid_height))

@@ -17,36 +17,28 @@ import numpy as np
 
 from ..core import pick_categorical, seed_rng
 from ..errors import InvalidConfigError
-from .base import MeanFieldEnv, Snapshot, StepResult, require_finite
+from .base import EnvConfig, MeanFieldEnv, Snapshot, StepResult, require_finite
 
 
 @dataclass
-class ToyConfig:
+class ToyConfig(EnvConfig):
     env_name: str = "toy"
     n_agents: int = 4
+    horizon: int = 40
+    gamma: float = 0.9
     block_states: int = 3
     n_actions: int = 2
     shared: bool = False        # all agents on one block instead of one each
     deterministic: bool = False
     null_action: bool = True    # last action pays zero reward everywhere
     scale_ratio: float = 1.6    # geometric ladder of per-block reward scales
-    horizon: int = 40
-    gamma: float = 0.9
-    seed: int = 0
 
     def validate(self):
-        if self.env_name != "toy":
-            raise InvalidConfigError(f"env_name mismatch: {self.env_name}")
-        if self.n_agents < 1 or self.block_states < 1 or self.n_actions < 1:
+        super().validate()
+        if self.block_states < 1 or self.n_actions < 1:
             raise InvalidConfigError("counts must be >= 1")
         if self.null_action and self.n_actions < 2:
             raise InvalidConfigError("null_action needs at least 2 actions")
-        if self.horizon < 1:
-            raise InvalidConfigError("horizon must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 <= self.gamma < 1.0):
-            raise InvalidConfigError("gamma must be in [0, 1)")
         require_finite(self, "scale_ratio")
         if self.scale_ratio <= 0:
             raise InvalidConfigError("scale_ratio must be positive")

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core import seed_rng
 from ..errors import InvalidConfigError
-from .base import (MeanFieldEnv, Snapshot, StepResult, require_finite, torus_pairwise,
+from .base import (EnvConfig, MeanFieldEnv, Snapshot, StepResult, require_finite,
                    torus_sq_pairwise, wrap_angle)
 
 # float64 entries of one adjacency tile; a whole (N, N) episode fits up to N = 181
@@ -43,10 +43,8 @@ ROW_ALIGN = 32
 
 
 @dataclass
-class VicsekConfig:
+class VicsekConfig(EnvConfig):
     env_name: str = "vicsek"
-    n_agents: int = 16
-    horizon: int = 50
     world_size: float = 16.0
     comm_radius: float = 3.0
     heading_bins: int = 8
@@ -58,18 +56,9 @@ class VicsekConfig:
     cluster_sizes: tuple = ()
     cluster_spread: float = 1.0
     heading_spread: float = 0.25
-    gamma: float = 0.95
-    seed: int = 0
 
     def validate(self):
-        if self.env_name != "vicsek":
-            raise InvalidConfigError(f"env_name mismatch: {self.env_name}")
-        if self.n_agents < 1:
-            raise InvalidConfigError("n_agents must be >= 1")
-        if self.horizon < 1:
-            raise InvalidConfigError("horizon must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        super().validate()
         require_finite(self, "world_size", "comm_radius", "turn_delta", "speed", "cluster_spread",
                        "heading_spread")
         if self.world_size <= 0 or self.comm_radius < 0:
@@ -80,8 +69,6 @@ class VicsekConfig:
             raise InvalidConfigError("n_actions must be odd (symmetric turn increments)")
         if self.turn_delta <= 0 or self.speed < 0:
             raise InvalidConfigError("turn_delta must be > 0 and speed >= 0")
-        if not (0.0 < self.gamma < 1.0):
-            raise InvalidConfigError("gamma must be in (0, 1)")
         if self.n_clusters < 0 or self.n_clusters > self.n_agents:
             raise InvalidConfigError("n_clusters must be in [0, n_agents]")
         if len(self.cluster_sizes) > 0:
@@ -240,5 +227,5 @@ class VicsekEnv(MeanFieldEnv):
         nxt = Snapshot(batch.t + 1, states, pos=pos, headings=headings)
         return StepResult(nxt, states, order_parameter(headings))
 
-    def _pairwise_distances(self, snapshot: Snapshot) -> np.ndarray:
-        return torus_pairwise(snapshot.pos, self.config.world_size)
+    def _sq_distances(self, snapshot: Snapshot) -> np.ndarray:
+        return torus_sq_pairwise(snapshot.pos, self.config.world_size)

@@ -108,16 +108,6 @@ class SelectionStageConfig:
 
 
 @dataclass
-class AdversaryStageConfig(AdversaryConfig):
-    eval_episodes: int = 20
-
-    def validate(self):
-        super().validate()
-        if self.eval_episodes < 1:
-            raise InvalidConfigError("eval_episodes must be >= 1")
-
-
-@dataclass
 class CorrelationStageConfig:
     n_subsets: int = 20
     k_min: int = 1
@@ -142,7 +132,7 @@ class ExperimentConfig:
     victim: TrainConfig
     value: ValueStageConfig
     selection: SelectionStageConfig
-    adversary: AdversaryStageConfig
+    adversary: AdversaryConfig
     correlation: CorrelationStageConfig
     seeds: list
     out_dir: str

@@ -195,13 +195,18 @@ class TablePolicy:
 
 class BoltzmannPolicy(TablePolicy):
     """pi(a | s) proportional to exp(Q(s, a) / temperature), tabulated when the
-    policy is built: later changes to the model's Q table do not reach it."""
+    policy is built: later changes to the model's Q table do not reach it.
+    InvalidInputError if the table is not finite (Q / temperature overflows)."""
 
     def __init__(self, model: QModel, temperature: float = 0.1):
         if not 0 < temperature < np.inf:
             raise InvalidInputError(
                 f"temperature must be finite and positive, got {temperature!r}")
-        super().__init__(softmax_rows(model.table / temperature))
+        with np.errstate(over="ignore", invalid="ignore"):
+            super().__init__(softmax_rows(model.table / temperature))
+        if not np.isfinite(self.table).all():
+            raise InvalidInputError(f"temperature {temperature!r} overflows Q / temperature: "
+                                    "the action table is not finite")
         self.model = model
         self.temperature = temperature
 
@@ -325,10 +330,13 @@ class LearnerConfig:
     eps_start: float = 1.0
     eps_final: float = 0.05
     eps_fraction: float = 0.5     # share of episodes over which exploration decays
+    eval_episodes: int = 20       # episodes of each evaluation of the learned policy
 
     def validate(self):
         if self.episodes < 1:
             raise InvalidConfigError("episodes must be >= 1")
+        if self.eval_episodes < 1:
+            raise InvalidConfigError("eval_episodes must be >= 1")
         require_finite(self, "lr", "lr_decay", "temperature")
         if self.lr <= 0 or self.temperature <= 0:
             raise InvalidConfigError("lr and temperature must be positive")
@@ -342,13 +350,10 @@ class LearnerConfig:
 
 @dataclass
 class TrainConfig(LearnerConfig):
-    eval_episodes: int = 20
     min_margin: Optional[float] = 0.2   # relative improvement over uniform; None skips
 
     def validate(self):
         super().validate()
-        if self.eval_episodes < 1:
-            raise InvalidConfigError("eval_episodes must be >= 1")
         if self.min_margin is not None:
             require_finite(self, "min_margin")
 

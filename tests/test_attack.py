@@ -167,16 +167,31 @@ class _DriftingPolicy(TablePolicy):
         return super().action_dists(snapshot)
 
 
+class _DriftingBoltzmann(BoltzmannPolicy):
+    """Misbehaving fixture: writes into the table the loops read, not its model's Q."""
+
+    def action_dists(self, snapshot):
+        self.table *= 0.999
+        self.table += 0.001 / self.table.shape[1]
+        return super().action_dists(snapshot)
+
+
+def _drifting_boltzmann(pi):
+    model = QModel(*pi.shape, GAMMA)
+    model.table[:] = pi
+    return _DriftingBoltzmann(model, 0.1)
+
+
 def test_victim_mutation_is_detected():
     env, _, pi = cycle_env()
-    drifting = _DriftingPolicy(pi.copy())
     budgets = BudgetVector.from_set(4, [0], 1.0)
-    with pytest.raises(RuntimeError, match="victim policy changed"):
-        train_adversaries(env, drifting, [budgets], AdversaryConfig(episodes=2), [0])
-    drifting = _DriftingPolicy(pi.copy())
-    with pytest.raises(RuntimeError, match="victim policy changed"):
-        evaluate_attack(env, drifting, budgets, 2, seed=0,
-                        adversary_policy=UniformPolicy(2))
+    for drifting in (_DriftingPolicy, _drifting_boltzmann):
+        with pytest.raises(RuntimeError, match="victim policy changed"):
+            train_adversaries(env, drifting(pi.copy()), [budgets], AdversaryConfig(episodes=2),
+                              [0])
+        with pytest.raises(RuntimeError, match="victim policy changed"):
+            evaluate_attack(env, drifting(pi.copy()), budgets, 2, seed=0,
+                            adversary_policy=UniformPolicy(2))
 
 
 # -- argument checks and pooled spread ---------------------------------------------

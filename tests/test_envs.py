@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mfvuln.core import seed_rng
 from mfvuln.envs import (TaxiGridEnv, ToyMeanFieldEnv, VicsekEnv, agent_layout, make_env,
                          order_parameter)
-from mfvuln.envs.base import stack_snapshots, torus_pairwise, torus_sq_pairwise, wrap_angle
+from mfvuln.envs.base import build_config, stack_snapshots, torus_sq_pairwise, wrap_angle
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
@@ -62,6 +62,20 @@ def test_unknown_config_key_is_named():
 def test_taxi_capacity_check():
     with pytest.raises(InvalidConfigError):
         TaxiConfig(n_agents=65).validate()
+
+
+@pytest.mark.parametrize("config_cls", [VicsekConfig, TaxiConfig, ToyConfig])
+def test_every_env_config_checks_the_shared_settings(config_cls):
+    for bad, message in [({"n_agents": 0}, "n_agents must be >= 1"),
+                         ({"horizon": 0}, "horizon must be >= 1"),
+                         ({"seed": -1}, "seed must be >= 0"),
+                         ({"gamma": 1.0}, "gamma must be in"),
+                         ({"env_name": "other"}, "env_name mismatch")]:
+        with pytest.raises(InvalidConfigError, match=message):
+            build_config(config_cls, {"env_name": config_cls.env_name, **bad})
+    # gamma is in [0, 1) on every env, as QModel takes it
+    env = make_env({"env_name": config_cls.env_name, "gamma": 0.0})
+    assert env.gamma == 0.0
 
 
 def test_config_bounds():
@@ -206,9 +220,9 @@ def test_cluster_layout_sizes_and_split():
     assert _cluster_sizes(16, 4).sum() == 16
     env = small_vicsek(n_agents=16, n_clusters=2, world_size=16.0)
     snap = env.reset(seed=0)
-    d = torus_pairwise(snap.pos, 16.0)
-    within = d[:11, :11][np.triu_indices(11, 1)]
-    across = d[:11, 11:]
+    sq = torus_sq_pairwise(snap.pos, 16.0)
+    within = sq[:11, :11][np.triu_indices(11, 1)]
+    across = sq[:11, 11:]
     assert within.mean() < across.mean()
     assert order_parameter(snap.headings) < 0.9  # clusters disagree initially
 
@@ -287,7 +301,7 @@ def test_torus_helpers():
     assert torus_delta(9.0, 10.0) == pytest.approx(-1.0)
     assert torus_delta(-9.0, 10.0) == pytest.approx(1.0)
     pos = np.array([[0.0, 0.0], [9.0, 0.0]])
-    assert torus_pairwise(pos, 10.0)[0, 1] == pytest.approx(1.0)
+    assert torus_sq_pairwise(pos, 10.0)[0, 1] == pytest.approx(1.0)
     assert wrap_angle(3 * np.pi) == pytest.approx(-np.pi)
 
 
@@ -442,21 +456,42 @@ def test_lattice_pairs_at_comm_radius_across_the_seam_are_neighbours():
 
 
 def test_taxi_observation_graph_matches_the_modulo_reference():
-    """A taxi's position is its cell: no snapshot carries a pos."""
+    """A taxi's position is its cell: no snapshot carries a pos.  A pair is adjacent
+    at squared distance <= comm_radius**2, so at comm_radius = fl(sqrt(13)), whose
+    square rounds below 13, a pair at squared distance 13 is not."""
+    assert np.sqrt(13.0) ** 2 < 13
     envs = [TaxiGridEnv(TaxiConfig(n_agents=24, grid_width=8, grid_height=6, seed=1,
                                    comm_radius=radius))
-            for radius in (0.0, 1.0, np.sqrt(2.0), 2.0, 2.5, np.sqrt(5.0), 4.0)]
+            for radius in (0.0, 1.0, np.sqrt(2.0), 2.0, 2.5, np.sqrt(5.0), np.sqrt(13.0), 4.0)]
     snap = envs[0].reset(seed=1)
     assert snap.pos is None
+    pairs_at_13 = 0
     for t in range(20):
         xy = np.column_stack(np.divmod(snap.states, 6))
-        dist = oracles.torus_distances(xy, (8, 6))
+        diff = xy[:, None, :] - xy[None, :, :]
+        sq = torus_delta(diff[..., 0], 8) ** 2 + torus_delta(diff[..., 1], 6) ** 2
+        pairs_at_13 += (sq == 13).sum()
         for env in envs:
-            want = dist <= env.config.comm_radius
+            want = sq <= env.config.comm_radius ** 2
             np.fill_diagonal(want, False)
             assert np.array_equal(env.observation_graph(snap), want)
         snap = envs[0].step(snap, seed_rng((1, t)).integers(0, 5, envs[0].n_agents)).snapshot
         assert snap.pos is None
+    assert pairs_at_13 > 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(layout=st.sampled_from(LAYOUTS), layout_seed=st.integers(0, 2 ** 16),
+       seed=st.integers(0, 2 ** 16))
+def test_vicsek_observation_graph_is_the_neighbourhood_without_self(layout, layout_seed, seed):
+    """The graph the dc selector ranks by is the neighbour pass's rule, self loops dropped."""
+    env = layout_env(layout, layout_seed)
+    snap = env.reset(seed=seed)
+    for t in range(5):
+        want = oracles.vicsek_adjacency(env, snap.pos)
+        np.fill_diagonal(want, False)
+        assert np.array_equal(env.observation_graph(snap), want)
+        snap = env.step(snap, seed_rng((seed, t)).integers(0, env.n_actions, env.n_agents)).snapshot
 
 
 def test_agent_layout_shapes():

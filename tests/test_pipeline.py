@@ -22,9 +22,9 @@ from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.envs.vicsek import VicsekConfig
 from mfvuln.errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
                            MfvulnError, StageDependencyError, UndefinedCorrelationError)
-from mfvuln.pipeline import (ARTIFACTS, AdversaryStageConfig, CorrelationStageConfig,
-                             ResultsLedger, Run, SelectionStageConfig, ValueStageConfig,
-                             artifact_path, correlate_prediction_vs_attack, experiment_id,
+from mfvuln.pipeline import (ARTIFACTS, CorrelationStageConfig, ResultsLedger, Run,
+                             SelectionStageConfig, ValueStageConfig, artifact_path,
+                             correlate_prediction_vs_attack, experiment_id,
                              export_heatmap, parse_experiment_config, pearson,
                              run_pipeline, sample_attack_subsets, stage_evaluate,
                              stage_files, stage_select, stage_train_victim)
@@ -145,7 +145,7 @@ def test_bad_norm_order_string_is_a_config_error():
 
 
 SECTIONS = {"victim": TrainConfig, "value": ValueStageConfig,
-            "selection": SelectionStageConfig, "adversary": AdversaryStageConfig,
+            "selection": SelectionStageConfig, "adversary": AdversaryConfig,
             "correlation": CorrelationStageConfig}
 DELETED_KEYS = ("mu_bins", "nu_bins", "bin_levels", "joint_norm", "seed")
 # small numbers only: an env section is built, and its tables grow with them

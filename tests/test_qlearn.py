@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,31 @@ def test_boltzmann_rejects_bad_temperature():
     for t in (0.0, -1.0):
         with pytest.raises(InvalidInputError):
             BoltzmannPolicy(m, temperature=t)
+
+
+def test_boltzmann_refuses_a_table_that_is_not_finite():
+    """A positive temperature so small that Q / T overflows is refused, with no
+    RuntimeWarning on the way; a flat Q row divides to 0 and stays uniform."""
+    m = QModel(2, 2, 0.9)
+    m.table[0] = [1.0, 2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="not finite"):
+            BoltzmannPolicy(m, temperature=1e-320)
+        flat = BoltzmannPolicy(QModel(2, 2, 0.9), temperature=1e-320)
+        assert np.array_equal(flat.table, np.full((2, 2), 0.5))
+
+
+def test_boltzmann_load_refuses_a_table_that_is_not_finite(tmp_path):
+    m = QModel(2, 2, 0.9)
+    m.table[0] = [1.0, 2.0]
+    path = tmp_path / "victim_s0.policy"
+    BoltzmannPolicy(m, 0.1).save(str(path))
+    path.write_text(path.read_text().replace("temperature 0.1\n", "temperature 1e-320\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="victim_s0.policy: .*not finite"):
+            BoltzmannPolicy.load(str(path))
 
 
 # -- TD policy evaluation against the linear-system oracle -----------------------
