@@ -65,7 +65,9 @@ def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) 
 
     Returns B (model, policy, episode returns) triples, each byte for byte
     what a batch of that learner alone returns: learners share the schedule
-    ``cfg`` but keep their own episode seeds, action stream and Q table.  A
+    ``cfg`` but keep their own episode seeds, action stream and Q table.
+    A learner spawns its episode seeds as it goes, one per episode from its
+    own SeedSequence, so the batch holds O(B) seeds, not O(B * episodes).  A
     curve is the adversary's objective (negated shared reward, discounted),
     so it should rise.  An all-zero budget vector warns and gets an
     untrained (no-op) adversary: no transition of it carries signal.
@@ -85,7 +87,7 @@ def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) 
         eps = np.stack([budgets[j].eps for j in active])
         trained = _lockstep(
             env, cfg, [models[j] for j in active],
-            [np.random.SeedSequence((seeds[j], 0xad)).spawn(cfg.episodes) for j in active],
+            [np.random.SeedSequence((seeds[j], 0xad)) for j in active],
             [seed_rng(seeds[j], salt="adversary-actions") for j in active],
             adversary=(victim_policy, eps))
         if policy_checksum(victim_policy) != frozen:

@@ -372,14 +372,15 @@ def train_victims(env, cfg: TrainConfig, seeds) -> list:
     that seed trained alone gives.
 
     A seed drives its learner's episode starts, action stream and margin
-    check.  The checks run in seed order: the first policy short of the
+    check; the learner spawns each episode's seed from its seed's
+    SeedSequence as the episode starts, so no schedule of seeds is held.
+    The checks run in seed order: the first policy short of the
     configured margin over a uniform-random baseline raises
     TrainingFailureError naming its seed.
     """
     cfg.validate()
     models = [QModel(env.n_states, env.n_actions, env.gamma) for _ in seeds]
-    curves = _lockstep(env, cfg, models,
-                       [np.random.SeedSequence(seed).spawn(cfg.episodes) for seed in seeds],
+    curves = _lockstep(env, cfg, models, [np.random.SeedSequence(seed) for seed in seeds],
                        [seed_rng(seed, salt="train-actions") for seed in seeds]) if seeds else []
     trained = []
     for seed, model, curve in zip(seeds, models, curves):
@@ -397,7 +398,7 @@ def train_victims(env, cfg: TrainConfig, seeds) -> list:
     return trained
 
 
-def _lockstep(env, cfg: LearnerConfig, models, episode_seeds, act_rngs,
+def _lockstep(env, cfg: LearnerConfig, models, parents, act_rngs,
               adversary=None) -> np.ndarray:
     """Train B tabular learners in lockstep under one schedule; returns their
     (B, episodes) curves of discounted learner reward.
@@ -405,9 +406,11 @@ def _lockstep(env, cfg: LearnerConfig, models, episode_seeds, act_rngs,
     One (B * S, A) table holds learner b's Q(s, a) in row b * S + s, and
     models[b] gets its block as a view, so one ``td_update`` serves the
     batch: learners never share a cell, and within a learner the increments
-    keep their order.  Learner b starts episode e from episode_seeds[b][e],
-    samples from act_rngs[b], and explores eps-greedily around the Boltzmann
-    policy of its own Q.
+    keep their order.  Learner b starts episode e from parents[b].spawn(1)[0],
+    spawned as the episode starts: on a fresh SeedSequence that is
+    parents[b].spawn(episodes)[e], and memory stays O(B), not O(B * episodes).
+    It samples from act_rngs[b] and explores eps-greedily around the
+    Boltzmann policy of its own Q.
 
     With ``adversary`` None the learners are victims: expected SARSA toward
     their own Boltzmann policy, on every agent at once.  With ``adversary``
@@ -429,7 +432,7 @@ def _lockstep(env, cfg: LearnerConfig, models, episode_seeds, act_rngs,
     curves = np.empty((n_learners, cfg.episodes))
 
     for ep in range(cfg.episodes):
-        batch = stack_snapshots([env.reset(seed=seeds[ep]) for seeds in episode_seeds])
+        batch = stack_snapshots([env.reset(seed=parent.spawn(1)[0]) for parent in parents])
         rows = batch.states + offset
         explore = exploration_eps(cfg, ep)
         ret, disc, prev = np.zeros(n_learners), 1.0, None

@@ -7,9 +7,13 @@ iterated.  One pass over the trajectories, a block of whole ones at a time,
 gathers the sufficient statistics: per-cell visit counts and reward sums,
 and the count of each distinct (cell, next cell) pair.  One dense linear
 solve over the visited cells then gives each of them the exact corpus fixed
-point of the mean of its target.  The per-transition corpus is never built,
-so memory is one block, the distinct pairs and the visited-cell matrix, not
-O(transitions).
+point of the mean of its target.  The solve is Gaussian elimination in
+numpy ufuncs, with no LAPACK or BLAS call.  The system is strictly
+diagonally dominant with off-diagonal entries <= 0, so it needs no pivot
+and no step can turn a nonnegative solution negative; n visited cells cost
+n^3 / 3 flops over n numpy steps, a few milliseconds at a few hundred.  The
+per-transition corpus is never built, so memory is one block, the distinct
+pairs and the visited-cell matrix, not O(transitions).
 
 Stage two folds corruption budgets in without any adversarial rollouts:
 for a per-agent budget eps and population budget xi, the backup gets the
@@ -142,12 +146,16 @@ def _solve(count, sums, pairs, mult, gamma: float) -> np.ndarray:
 
     With visit counts, reward sums R and distinct-pair counts M, the visited
     cells solve A x = R, A = diag(count) - gamma * M (a next cell that is never
-    a source counts as 0).  gamma < 1 makes A strictly diagonally dominant by
-    rows, so the LU of A^T needs no row exchange and its inverse is >= 0
-    entrywise: x = R^T (A^T)^-1 keeps damp >= 0 to the last bit, where a
-    pivoting solve of A can leave -1e-15 at an exact 0.  A is dense: (visited
-    cells)^2 floats besides the streamed statistics, never the corpus.  Seed 0
-    visits 134 of taxi's 500 Q cells and 16 of vicsek's 40 (configs/*.yaml).
+    a source counts as 0), by Gaussian elimination and back substitution.
+    gamma < 1 makes A strictly diagonally dominant by rows, so no pivot is
+    needed.  Every off-diagonal entry of A is <= 0 and every pivot > 0, so
+    every multiplier is <= 0: an update subtracts a product >= 0 from an
+    off-diagonal entry and adds one >= 0 to a right-hand side, and back
+    substitution only adds terms >= 0.  A right-hand side >= 0, as damp's
+    is, thus gives x >= 0 to the last bit.  The cost is n^3 / 3 flops over
+    n numpy steps for n visited cells, and A is dense: n^2 floats besides
+    the streamed statistics, never the corpus.  Seed 0 visits 134 of taxi's
+    500 Q cells and 16 of vicsek's 40 (configs/*.yaml).
     """
     n_cells = count.size
     src, dst = np.divmod(pairs, n_cells)
@@ -157,10 +165,16 @@ def _solve(count, sums, pairs, mult, gamma: float) -> np.ndarray:
     lhs = np.diag(count[cells].astype(float))
     live = pos[dst] >= 0
     lhs[pos[src[live]], pos[dst[live]]] -= gamma * mult[live]  # pairs are distinct
+    rhs = sums[:, cells].T.copy()
+    for i in range(cells.size - 1):
+        m = lhs[i + 1:, i] / lhs[i, i]
+        lhs[i + 1:, i + 1:] -= np.multiply.outer(m, lhs[i, i + 1:])
+        rhs[i + 1:] -= np.multiply.outer(m, rhs[i])
+    for i in reversed(range(cells.size)):
+        rhs[i] /= lhs[i, i]
+        rhs[:i] -= np.multiply.outer(lhs[:i, i], rhs[i])
     x = np.zeros((len(sums), n_cells))
-    # sums[:, cells] comes out in Fortran order, and BLAS may round a product
-    # differently with the operand laid out that way: keep it C-ordered
-    x[:, cells] = np.ascontiguousarray(sums[:, cells]) @ np.linalg.inv(lhs.T)
+    x[:, cells] = rhs.T
     return x
 
 

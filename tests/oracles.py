@@ -793,9 +793,18 @@ def solve_corpus(cell, next_cell, rewards, n_cells, gamma) -> np.ndarray:
     lhs = np.diag(np.add.reduceat(mult, starts).astype(float))
     live = pos[dst] >= 0
     lhs[pos[src[live]], pos[dst[live]]] -= gamma * mult[live]  # pairs are distinct
-    sums = np.array([np.bincount(cell, weights=r)[cells] for r in rewards])
+    rhs = np.array([np.bincount(cell, weights=r)[cells] for r in rewards]).T
+    # Gaussian elimination without pivoting (lhs is strictly diagonally
+    # dominant), then back substitution: the package's steps, so its rounding
+    for i in range(cells.size - 1):
+        m = lhs[i + 1:, i] / lhs[i, i]
+        lhs[i + 1:, i + 1:] -= np.multiply.outer(m, lhs[i, i + 1:])
+        rhs[i + 1:] -= np.multiply.outer(m, rhs[i])
+    for i in reversed(range(cells.size)):
+        rhs[i] /= lhs[i, i]
+        rhs[:i] -= np.multiply.outer(lhs[:i, i], rhs[i])
     x = np.zeros((len(rewards), n_cells))
-    x[:, cells] = sums @ np.linalg.inv(lhs.T)
+    x[:, cells] = rhs.T
     return x
 
 

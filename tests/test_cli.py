@@ -469,10 +469,10 @@ def test_each_command_prints_its_line_and_rewrites_nothing_on_a_finished_run(
 
 
 @pytest.mark.parametrize("name, old, new, command", [
-    ("value_s0.robust", "\n14.897815740905028\n", "\nnan\n", "fit-value"),
+    ("value_s0.robust", "\n14.897815740905026\n", "\nnan\n", "fit-value"),
     ("victim_s0.policy", "temperature 0.1", "temperature nan", "train-victim"),
     ("adversary_dc_s0.policy.q", "\n-3.0814705066262351\n", "\n-inf\n", "attack"),
-    ("attack_greedy_s0.txt", "predicted_drop 193.91999083803438", "predicted_drop inf",
+    ("attack_greedy_s0.txt", "predicted_drop 193.91999083803444", "predicted_drop inf",
      "select"),
 ], ids=["value-nan", "temperature-nan", "q-value-inf", "predicted-drop-inf"])
 def test_a_stage_file_with_a_non_finite_number_exits_with_error(tmp_path, capsys,

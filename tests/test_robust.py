@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfvuln import robust
@@ -318,20 +318,51 @@ def assert_solves_corpus_equations(cell, next_cell, reward, x, gamma):
     assert np.all(x[~seen] == 0.0)
 
 
+def linalg_solve_corpus(cell, next_cell, reward, n_cells, gamma):
+    """The corpus fixed point by np.linalg.solve of the dense visited-cell system."""
+    count = np.bincount(cell, minlength=n_cells)
+    seen = np.flatnonzero(count)
+    lhs = np.diag(count.astype(float))
+    np.add.at(lhs, (cell, next_cell), -gamma)
+    x = np.zeros(n_cells)
+    x[seen] = np.linalg.solve(lhs[np.ix_(seen, seen)],
+                              np.bincount(cell, weights=reward, minlength=n_cells)[seen])
+    return x
+
+
+def refuse_linalg(*args, **kwargs):
+    raise AssertionError("the fit called into LAPACK")
+
+
 @settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from([1.0, 2.0, np.inf]), **toy_corpora)
-def test_fits_solve_the_corpus_bellman_equations_on_random_toy_corpora(p, **corpus):
+@given(p=st.sampled_from([1.0, 2.0, np.inf]), gamma=st.sampled_from([0.0, GAMMA]),
+       **toy_corpora)
+@example(p=2.0, gamma=GAMMA, n_agents=1, block_states=1, n_actions=2, shared=False,
+         deterministic=True, seed=260, episodes=1)      # one visited state and (state, action)
+@example(p=np.inf, gamma=0.0, n_agents=1, block_states=1, n_actions=2, shared=True,
+         deterministic=False, seed=1, episodes=2)
+def test_fits_solve_the_corpus_bellman_equations_on_random_toy_corpora(p, gamma, **corpus):
+    """The elimination solves the corpus equations without LAPACK, agrees with
+    np.linalg.solve within 1e-12 of each array's scale and keeps damp >= 0
+    exactly, at gamma 0 and on a one-cell corpus too."""
     env, trajs = random_toy_corpus(**corpus)
     cfg = FitConfig(p=p)
-    q = fit_cooperative_q(trajs, env.n_states, env.n_actions, GAMMA, cfg)
-    v = fit_robust_value(q, trajs, cfg)
+    with mock.patch.object(np.linalg, "inv", refuse_linalg), \
+            mock.patch.object(np.linalg, "solve", refuse_linalg):
+        q = fit_cooperative_q(trajs, env.n_states, env.n_actions, gamma, cfg)
+        v = fit_robust_value(q, trajs, cfg)
+    assert np.all(v.damp >= 0.0)
     c = build_corpus(trajs)
     idx = np.ravel_multi_index((c.s, c.a), q.table.shape)
     idx2 = np.ravel_multi_index((c.s2, c.a2), q.table.shape)
-    assert_solves_corpus_equations(idx, idx2, c.r, q.table.ravel(), GAMMA)
-    assert_solves_corpus_equations(c.s, c.s2, c.r, v.base, GAMMA)
     penalty = q_penalty_per_transition(q, c, dual_order(p))
-    assert_solves_corpus_equations(c.s, c.s2, penalty, v.damp, GAMMA)
+    for cell, next_cell, reward, x in [(idx, idx2, c.r, q.table.ravel()),
+                                       (c.s, c.s2, c.r, v.base), (c.s, c.s2, penalty, v.damp)]:
+        assert_solves_corpus_equations(cell, next_cell, reward, x, gamma)
+        ref = linalg_solve_corpus(cell, next_cell, reward, x.size, gamma)
+        # relative to the array's scale: a pivoting solve leaves about -1e-16
+        # where the exact value, which the elimination gives, is 0
+        np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def test_damp_stays_exactly_zero_where_no_penalty_is_reachable():
