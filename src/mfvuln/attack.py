@@ -17,7 +17,7 @@ Seeds are call arguments, not config fields.  ``train_adversaries`` trains
 one learner per (budgets, seed) pair as a batch (one attack set is a batch
 of one), on the lockstep kernel that also trains victims (``qlearn``),
 ``evaluate_attack`` returns attacked returns as an array, and
-``attacked_returns`` does both for a list of attack sets.
+``attacked_returns`` does both for a list of attack sets, as one array.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ def evaluate_attack(env, victim_policy, budgets: BudgetVector, episodes: int,
 
 
 def attacked_returns(env, victim_policy, budgets, cfg: AdversaryConfig, seeds, episodes: int,
-                     eval_seeds) -> list:
-    """Victim returns under each budget vector's own adversary: one
-    ``train_adversaries`` batch, then ``evaluate_attack`` per learner."""
+                     eval_seeds) -> np.ndarray:
+    """Victim returns under each budget vector's own adversary, a (B, episodes)
+    array: one ``train_adversaries`` batch, then ``evaluate_attack`` per learner."""
     trained = train_adversaries(env, victim_policy, budgets, cfg, seeds)
-    return [evaluate_attack(env, victim_policy, b, episodes, seed=s, adversary_policy=adv)
-            for b, s, (_, adv, _) in zip(budgets, eval_seeds, trained, strict=True)]
+    return np.array([evaluate_attack(env, victim_policy, b, episodes, s, adversary_policy=adv)
+                     for b, s, (_, adv, _) in zip(budgets, eval_seeds, trained, strict=True)])

@@ -19,8 +19,6 @@ COMMANDS = {
     "select": ("stage_select", lambda run, seed, attacks: f"seed {seed} agents: " + "; ".join(
         f"{method} {' '.join(str(i) for i in attack.ids)}" for method, attack in attacks.items())),
     "attack": ("stage_attack", lambda run, seed, _: f"adversaries ready for seed {seed}"),
-    "evaluate": ("stage_evaluate",
-                 lambda run, seed, _: f"evaluation rows recorded for seed {seed}"),
     "correlate": ("stage_correlate", lambda run, seed, r:
                   f"seed {seed} pearson r = {r:.6f} ({run.path('correlation', seed)})"),
     "heatmap": ("stage_heatmap", lambda run, seed, out_csv: f"heatmap written: {out_csv}"),

@@ -1,11 +1,11 @@
 """Experiment harness: strict config, staged pipeline, append-only results.
 
 A run (``Run``) owns one output directory, which holds one experiment.
-A pipeline run first trains the cooperative victims its seeds lack, all in
-one lockstep call.  Then stages execute in order per seed: record the
-victim's returns, fit the budget-conditioned value model on its rollouts,
-then select attack sets and train/evaluate adversaries for each configured
-method.  Every stage goes through the run: an artifact is reused when its
+Four stages execute in order per seed: train the victim (the victims the
+run's seeds lack train in one lockstep call), fit the budget-conditioned
+value model on its rollouts, select an attack set per configured method, and
+attack: train each method's adversary and record the victim's returns under
+it.  Every stage goes through the run: an artifact is reused when its
 file and the files computing it writes all exist, else computed and saved,
 and a stage's ledger rows are written once, so a rerun with the same config
 touches nothing and leaves the ledger byte-identical.  Each kind of stage
@@ -48,7 +48,7 @@ from .qlearn import (BoltzmannPolicy, TrainConfig, UniformPolicy,
                      evaluate_policy, rollouts, train_victims, write_atomic)
 from .robust import (FitConfig, RobustValueModel, fit_cooperative_q,
                      fit_robust_value)
-from .selection import (AttackSet, load_attack_set, predicted_drop,
+from .selection import (AttackSet, check_brute_force, load_attack_set, predicted_drop,
                         save_attack_set, select_bruteforce,
                         select_degree_centrality, select_greedy, select_random)
 
@@ -176,6 +176,8 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if cfg.selection.k > env.n_agents:
         raise InvalidConfigError(
             f"selection k={cfg.selection.k} exceeds population size {env.n_agents}")
+    if "brute" in cfg.selection.methods:
+        check_brute_force(env.n_agents, cfg.selection.k)
     corr = cfg.correlation
     try:
         subset_sizes(env.n_agents, corr.n_subsets, corr.k_min, corr.k_max)
@@ -332,8 +334,8 @@ def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
     returns = attacked_returns(env, victim_policy, budgets, adv_cfg,
                                [seed + 7919 * j for j in range(len(subsets))], episodes,
                                [(seed, 4, j) for j in range(len(subsets))])
-    rows = [(predicted_drop(value_model, states0, budget), float(ret.mean()))
-            for budget, ret in zip(budgets, returns)]
+    rows = [(predicted_drop(value_model, states0, budget), float(ret))
+            for budget, ret in zip(budgets, returns.mean(axis=1))]
     r = pearson([p for p, _ in rows], [m for _, m in rows])
     if out_csv:
         write_atomic(out_csv, _csv_text([("predicted_drop", "realized_return")]
@@ -495,19 +497,14 @@ class Run:
         return made[0][2]
 
 
-def train_missing_victims(run: Run, seeds):
-    """Victims of the given seeds that are not yet saved train in one call."""
-    missing = [seed for seed in dict.fromkeys(seeds) if not run.has("victim_policy", seed)]
-    for seed, (_, policy, _) in zip(missing, train_victims(run.env, run.cfg.victim, missing)):
-        run.artifact("victim_policy", seed, compute=lambda p=policy: p)
-
-
 def stage_train_victim(run: Run, seed: int):
     """The victim of a seed and its ledger rows.  The victims the run's seeds
     lack train with it, in one call, so a seed whose victim misses its margin
     stops the run before any seed's later stages."""
     env, vcfg = run.env, run.cfg.victim
-    train_missing_victims(run, [seed, *run.cfg.seeds])
+    missing = [s for s in dict.fromkeys([seed, *run.cfg.seeds]) if not run.has("victim_policy", s)]
+    for s, (_, policy, _) in zip(missing, train_victims(env, vcfg, missing)):
+        run.artifact("victim_policy", s, compute=lambda p=policy: p)
     policy = run.artifact("victim_policy", seed)
 
     def rows():
@@ -558,10 +555,9 @@ def _run_selector(method: str, run: Run, victim_policy, vmodel, states0, seed: i
             budgets = [BudgetVector.from_set(env.n_agents, subset, sel.eps) for subset in subsets]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                returns = attacked_returns(env, victim_policy, budgets, cfg.adversary,
-                                           [seed] * len(budgets), cfg.adversary.eval_episodes,
-                                           [(seed, 5)] * len(budgets))
-            return [float(ret.mean()) for ret in returns]
+                return attacked_returns(env, victim_policy, budgets, cfg.adversary,
+                                        [seed] * len(budgets), cfg.adversary.eval_episodes,
+                                        [(seed, 5)] * len(budgets)).mean(axis=1)
 
         attack, table = select_bruteforce(evaluate_subsets, env.n_agents, sel.k, sel.eps)
         write_atomic(run.path("brute_scores", seed), _csv_text(
@@ -593,36 +589,32 @@ def stage_select(run: Run, seed: int):
 
 
 def stage_attack(run: Run, seed: int):
-    """Adversaries of every method; those not yet saved train in one batch."""
+    """Adversaries of every method and their ledger rows.  Those not yet saved
+    train in one batch; each method's rows are the victim's returns under its
+    adversary beside the clean baseline, both on draw (seed, 3)."""
     env, victim = run.env, run.artifact("victim_policy", seed)
     budgets = {m: run.artifact("attack_set", seed, m).budgets(env.n_agents)
                for m in run.cfg.selection.methods}
     missing = [m for m in budgets if not run.has("adversary", seed, m)]
     trained = dict(zip(missing, train_adversaries(
         env, victim, [budgets[m] for m in missing], run.cfg.adversary, [seed] * len(missing))))
-    return {m: run.artifact("adversary", seed, m, compute=lambda m=m: trained[m][1])
-            for m in budgets}
-
-
-def stage_evaluate(run: Run, seed: int):
-    env, victim = run.env, run.artifact("victim_policy", seed)
-    pairs = {method: (run.artifact("attack_set", seed, method),
-                      run.artifact("adversary", seed, method))
-             for method in run.cfg.selection.methods}
+    adversaries = {m: run.artifact("adversary", seed, m, compute=lambda m=m: trained[m][1])
+                   for m in budgets}
 
     def rows():
         episodes = run.cfg.adversary.eval_episodes
         coop = float(evaluate_policy(env, victim, episodes, seed=(seed, 3)).mean())
         out = []
-        for method, (attack, adv_policy) in pairs.items():
-            returns = evaluate_attack(env, victim, attack.budgets(env.n_agents), episodes,
-                                      seed=(seed, 3), adversary_policy=adv_policy)
+        for method, adversary in adversaries.items():
+            returns = evaluate_attack(env, victim, budgets[method], episodes,
+                                      seed=(seed, 3), adversary_policy=adversary)
             out += [(method, "attacked_return", float(returns.mean())),
                     (method, "attacked_std", float(returns.std(ddof=1)) if episodes > 1 else 0.0),
                     (method, "coop_return", coop)]
         return out
 
     run.record("attack", seed, rows)
+    return adversaries
 
 
 def stage_correlate(run: Run, seed: int) -> float:
@@ -662,7 +654,6 @@ def run_pipeline(config, out_dir=None, seeds=None) -> str:
     """Execute all stages for every seed; returns the results directory."""
     run = Run(config, out_dir, seeds)
     for seed in run.cfg.seeds:
-        for stage in (stage_train_victim, stage_fit_value, stage_select,
-                      stage_attack, stage_evaluate):
+        for stage in (stage_train_victim, stage_fit_value, stage_select, stage_attack):
             stage(run, seed)
     return run.cfg.out_dir

@@ -158,6 +158,14 @@ def select_degree_centrality(env, snapshot, k: int, eps: float = 1.0) -> AttackS
     return AttackSet(order[:k], eps, "dc")
 
 
+def check_brute_force(n_agents: int, k: int):
+    """InvalidConfigError when the C(N, K) subsets exceed BRUTE_FORCE_CAP."""
+    n_subsets = math.comb(n_agents, k)
+    if n_subsets > BRUTE_FORCE_CAP:
+        raise InvalidConfigError(
+            f"brute force over {n_subsets} subsets exceeds cap {BRUTE_FORCE_CAP}")
+
+
 def select_bruteforce(evaluator: Callable, n_agents: int, k: int, eps: float = 1.0):
     """Exhaustive subset search against a victim-return evaluator.
 
@@ -169,10 +177,7 @@ def select_bruteforce(evaluator: Callable, n_agents: int, k: int, eps: float = 1
     evaluator's batch; this is the reference selector, not a practical one.
     """
     _check_k(n_agents, k)
-    n_subsets = math.comb(n_agents, k)
-    if n_subsets > BRUTE_FORCE_CAP:
-        raise InvalidConfigError(
-            f"brute force over {n_subsets} subsets exceeds cap {BRUTE_FORCE_CAP}")
+    check_brute_force(n_agents, k)
     subsets = list(itertools.combinations(range(n_agents), k))
     table = [(subset, float(ret)) for subset, ret in zip(subsets, evaluator(subsets),
                                                           strict=True)]

@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to get one pass/fail line per
 criterion plus a short printed summary of the measured quantities.  The two
 population-scale criteria (prediction correlation and attack ordering) train
-real victims and adversaries and take several minutes each; everything else is
-oracle-based and fast.
+real victims and adversaries and take 10-30 s each on two cores; everything else
+is oracle-based and fast.
 """
 
 import os
@@ -27,7 +27,7 @@ from mfvuln.selection import select_bruteforce, select_greedy, select_random
 from mfvuln.pipeline import (Run, correlate_prediction_vs_attack, load_experiment_config,
                              parse_experiment_config, run_pipeline,
                              sample_attack_subsets, stage_fit_value,
-                             stage_train_victim, train_missing_victims)
+                             stage_train_victim)
 from oracles import (ActionDist, TransitionSample, apply_robust_bellman,
                      check_deviation_bounds, check_mean_field_deviation, exact_attack_return,
                      exact_value_model, greedy_matrix, mix_policies, optimal_q, pooled_std,
@@ -44,13 +44,13 @@ def experiment(env_name: str):
 
 
 def trained_setups(env_name: str, seeds):
-    """Victim + fitted value model per seed, cached across criteria; the victims
-    not yet cached train in one call, as a pipeline run trains its seeds'."""
+    """Victim + fitted value model per seed, cached across criteria; the first
+    stage_train_victim trains the victims not yet cached in one call, as a
+    pipeline run trains its seeds'."""
     missing = [seed for seed in seeds if (env_name, seed) not in _cache]
     if missing:
         with tempfile.TemporaryDirectory() as out_dir:
             run = Run(experiment(env_name), out_dir, missing)
-            train_missing_victims(run, missing)
             for seed in missing:
                 victim = stage_train_victim(run, seed)
                 vmodel = stage_fit_value(run, seed)

@@ -76,9 +76,6 @@ def test_staged_commands_chain_into_a_full_run(tmp_path, capsys):
 
     assert main(["attack", "--config", str(cfg_path)]) == 0
     assert os.path.exists(paths("adversary", 0, "random"))
-    capsys.readouterr()
-
-    assert main(["evaluate", "--config", str(cfg_path)]) == 0
     ledger = ResultsLedger(paths("ledger"))
     assert ledger.find(experiment_of(ledger), "attack", 0)["method"] == "greedy"
     capsys.readouterr()
@@ -116,6 +113,19 @@ def test_learner_seed_key_exits_with_error(tmp_path, capsys, section):
     cfg_path, _ = write_config(tmp_path, **{section: {**raw[section], "seed": 3}})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert f"unknown key 'seed' in config section '{section}'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
+def test_a_brute_selection_over_the_cap_is_refused_before_any_stage(tmp_path, capsys):
+    """C(16, 6) = 8008 subsets exceed the brute-force cap; the config is refused
+    when parsed, not at select after the victim and value model were made."""
+    raw = yaml.safe_load(CONFIG.read_text())
+    raw["env"]["n_agents"], raw["selection"]["k"] = 16, 6
+    raw["out_dir"] = str(tmp_path / "runs")
+    cfg_path = tmp_path / "over-cap.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    assert "brute force over 8008 subsets exceeds cap 3000" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "runs")
 
 
@@ -443,7 +453,6 @@ TOY_LINES = {
     "fit-value": "value model ready: {out}/value_s0.robust",
     "select": "seed 0 agents: greedy 1 3; random 1 3; dc 0 1; brute 0 2",
     "attack": "adversaries ready for seed 0",
-    "evaluate": "evaluation rows recorded for seed 0",
     "correlate": "seed 0 pearson r = -0.408588 ({out}/correlation_s0.csv)",
     "heatmap": "heatmap written: {out}/heatmap_per-agent-eps_s0.csv",
     "pipeline": "pipeline complete: {out}",
@@ -534,7 +543,7 @@ def _cut_value_model(text):
      lambda text: text.replace("n_states 15", "n_states 3").replace("n_actions 2", "n_actions 10"),
      "correlation_s0.csv", "correlate"),
     ("value_s0.robust", _cut_value_model, "heatmap_per-agent-eps_s0.csv", "heatmap"),
-    ("attack_dc_s0.txt", lambda text: text.replace("ids 0 1", "ids 0 9"), None, "evaluate"),
+    ("attack_dc_s0.txt", lambda text: text.replace("ids 0 1", "ids 0 9"), None, "attack"),
 ], ids=["q-table-shape", "value-model-states", "attack-set-ids"])
 def test_a_stage_file_that_does_not_fit_the_env_exits_with_error_naming_it(
         tmp_path, capsys, name, edit, stale, command):

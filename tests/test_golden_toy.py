@@ -127,6 +127,52 @@ def test_attack_stage_trains_only_missing_adversaries_in_one_batch(tmp_path, mon
     assert_matches_fixture(out)
 
 
+def test_attack_records_the_rows_of_a_run_stopped_after_its_adversaries(tmp_path,
+                                                                        monkeypatch):
+    """A run stopped after its adversaries were saved, before the attack rows:
+    ``attack`` records the rows from the saved adversaries and trains none."""
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    def no_training(env, victim, budgets, cfg, seeds):
+        assert not budgets, "a saved adversary was trained again"
+        return []
+
+    out = tmp_path / "toy"
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "evaluate_attack", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_toy(out, ["pipeline"])
+    assert all((out / f"adversary_{method}_s0.policy.q").exists()
+               for method in ("greedy", "random", "dc", "brute"))
+    assert {r["stage"] for r in ResultsLedger(str(out / "ledger.csv")).rows()} \
+        == {"victim", "value", "select"}
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "train_adversaries", no_training)
+        run_toy(out, ["attack"])
+    run_toy(out, ["correlate", "heatmap"])
+    assert_matches_fixture(out)
+
+
+def test_attack_retrains_only_a_deleted_adversary_and_appends_nothing(tmp_path, monkeypatch):
+    out, _ = finished_copy(tmp_path)
+    for suffix in ("", ".q"):
+        (out / f"adversary_dc_s0.policy{suffix}").unlink()
+    ledger_inode = (out / "ledger.csv").stat().st_ino
+    real, batches = pipeline.train_adversaries, []
+
+    def record(env, victim, budgets, cfg, seeds):
+        batches.append(len(budgets))
+        return real(env, victim, budgets, cfg, seeds)
+
+    monkeypatch.setattr(pipeline, "train_adversaries", record)
+    run_toy(out, ["attack"])
+    assert batches == [1]
+    assert_matches_fixture(out)
+    # write_atomic replaces the file, so an append of no rows would show
+    assert (out / "ledger.csv").stat().st_ino == ledger_inode
+
+
 def test_correlate_rebuilds_a_missing_csv_once(tmp_path, capsys):
     out, line = finished_copy(tmp_path)
     (out / "correlation_s0.csv").unlink()

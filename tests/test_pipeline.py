@@ -26,11 +26,10 @@ from mfvuln.pipeline import (ARTIFACTS, CorrelationStageConfig, ResultsLedger, R
                              SelectionStageConfig, ValueStageConfig, artifact_path,
                              correlate_prediction_vs_attack, experiment_id,
                              export_heatmap, parse_experiment_config, pearson,
-                             run_pipeline, sample_attack_subsets, stage_evaluate,
+                             run_pipeline, sample_attack_subsets, stage_attack,
                              stage_files, stage_select, stage_train_victim)
 from mfvuln.qlearn import TablePolicy, TrainConfig, evaluate_policy
 from mfvuln.robust import RobustValueModel
-from mfvuln.selection import AttackSet, save_attack_set
 from oracles import exact_value_model, greedy_matrix, optimal_q
 
 
@@ -507,17 +506,12 @@ def test_attack_rows_share_one_clean_baseline(tmp_path, eval_episodes):
 def test_stage_dependencies_are_enforced(tmp_path):
     run = Run(parse_experiment_config(base_raw(out_dir=str(tmp_path / "empty"))))
     with pytest.raises(StageDependencyError, match="run train-victim first"):
-        stage_evaluate(run, 0)
+        stage_attack(run, 0)
     stage_train_victim(run, 0)
     with pytest.raises(StageDependencyError, match="run fit-value first"):
         stage_select(run, 0)
     with pytest.raises(StageDependencyError, match="run select first"):
-        stage_evaluate(run, 0)
-    save_attack_set(AttackSet(np.array([0]), 1.0, "greedy", predicted_drop=0.5,
-                              pick_rewards=np.array([0.5])),
-                    run.path("attack_set", 0, "greedy"), seed=0)
-    with pytest.raises(StageDependencyError, match="run attack first"):
-        stage_evaluate(run, 0)
+        stage_attack(run, 0)
 
 
 def test_stage_files_lists_every_file_the_artifact_table_names(tmp_path):
