@@ -110,6 +110,7 @@ def _stream_stats(trajectories, shape: tuple, penalty=None):
             [np.repeat(traj.rewards[:-1], traj.states.shape[1]) for traj in block]))
         if penalty is not None:
             np.add.at(sums[1], cell, penalty[cell])
+        # return_counts=True takes numpy's sort path, which never imports numpy.ma
         new, new_mult = np.unique(cell * n_cells + cells_of(block, slice(1, None)),
                                   return_counts=True)
         # two sorted runs: a stable sort merges them in linear time

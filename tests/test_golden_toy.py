@@ -5,7 +5,10 @@ of behaviour regenerates runs/toy/ (pipeline, correlate and heatmap on
 configs/toy.yaml into an empty directory) in the same commit and says so.
 """
 
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -203,3 +206,26 @@ def test_pipeline_rebuilds_deleted_stage_csvs_and_nothing_else(tmp_path, monkeyp
     run_toy(out, ["pipeline"])
     assert calls == rebuilt
     assert_matches_fixture(out)
+
+
+def test_a_toy_run_never_imports_numpy_ma(tmp_path):
+    """np.unique without counts imports numpy.ma, 1.5 MB of RSS no stage needs.
+
+    A fresh process, since any earlier test may have imported it already; some
+    numpy versions load numpy.ma at ``import numpy``, and then there is nothing to check.
+    """
+    script = f"""
+import sys, warnings
+import numpy
+preloaded = "numpy.ma" in sys.modules
+from mfvuln.cli import main
+warnings.simplefilter("ignore")
+for command in {list(COMMANDS)!r}:
+    assert main([command, "--config", {str(CONFIG)!r}, "--out", {str(tmp_path / "toy")!r}]) == 0
+print("preloaded" if preloaded else "loaded" if "numpy.ma" in sys.modules else "absent")
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] in ("preloaded", "absent")

@@ -354,3 +354,25 @@ def test_an_attack_set_missing_a_line_it_reads_is_refused_naming_it(tmp_path, ke
     with pytest.raises(InvalidInputError) as err:
         load_attack_set(path)
     assert str(path) in str(err.value)
+
+
+def test_an_attack_set_record_with_a_repeated_id_is_refused_naming_it(tmp_path):
+    path = tmp_path / "set.att"
+    save_attack_set(AttackSet(np.array([2, 0]), 0.5, "random"), path, seed=0)
+    path.write_text(path.read_text().replace("\nids 2 0\n", "\nids 2 2\n"))
+    with pytest.raises(InvalidInputError, match="duplicate ids") as err:
+        load_attack_set(path)
+    assert str(path) in str(err.value)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(-3, 19), max_size=8))
+def test_attack_set_refuses_repeated_then_negative_ids(ids):
+    if len(set(ids)) != len(ids):
+        with pytest.raises(InvalidInputError, match="duplicate ids"):
+            AttackSet(np.array(ids, dtype=int), 0.5, "random")
+    elif ids and min(ids) < 0:
+        with pytest.raises(InvalidInputError, match="negative ids"):
+            AttackSet(np.array(ids, dtype=int), 0.5, "random")
+    else:
+        assert AttackSet(np.array(ids, dtype=int), 0.5, "random").ids.tolist() == ids
