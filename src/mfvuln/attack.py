@@ -10,39 +10,27 @@ The learner is black-box: its update uses only the corrupted agents'
 (state, action, reward) stream, bootstrapping on the action
 actually executed at the next step (SARSA), so the victim's distributions
 enter training only through the environment's realized behaviour.  The
-victim's parameters are never written; training and evaluation checksum
-the victim before and after and refuse to return silently if it moved.
+victim's parameters are never written; training, like evaluation, checksums
+the victim before and after and refuses to return silently if it moved.
 
 Seeds are call arguments, not config fields.  ``train_adversaries`` trains
 one learner per (budgets, seed) pair as a batch (one attack set is a batch
-of one), on the lockstep kernel that also trains victims (``qlearn``),
-``evaluate_attack`` returns attacked returns as an array, and
-``attacked_returns`` does both for a list of attack sets, as one array.
+of one), on the lockstep kernel that also trains victims (``qlearn``);
+``qlearn.evaluate_policy`` scores an attack, and ``attacked_returns`` does
+both for a list of attack sets, as one array.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetVector, seed_rng
+from .core import seed_rng
 from .errors import InvalidInputError
-from .qlearn import BoltzmannPolicy, LearnerConfig, QModel, _lockstep, evaluate_policy
-
-
-def policy_checksum(policy) -> str:
-    """Digest of a policy's state: the table its action_dists reads, and its
-    model's Q table, where it has them; stable across calls when frozen."""
-    h = hashlib.sha256()
-    h.update(type(policy).__name__.encode())
-    model = getattr(policy, "model", None)
-    for table in (getattr(policy, "table", None), getattr(model, "table", None)):
-        if table is not None:
-            h.update(np.ascontiguousarray(table, dtype=float).tobytes())
-    return h.hexdigest()
+from .qlearn import (BoltzmannPolicy, LearnerConfig, QModel, _lockstep, evaluate_policy,
+                     policy_checksum)
 
 
 @dataclass
@@ -98,33 +86,10 @@ def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) 
             for model, curve in zip(models, curves)]
 
 
-def evaluate_attack(env, victim_policy, budgets: BudgetVector, episodes: int,
-                    seed, adversary_policy=None) -> np.ndarray:
-    """Discounted victim returns under a fixed attack, one per episode; the
-    victim stays frozen.
-
-    The episodes are those of ``evaluate_policy(env, victim_policy,
-    episodes, seed)``, so that call gives the matching clean baseline.  An
-    all-zero budget vector (or a missing adversary) is allowed but
-    pointless, so it warns and the returns are the clean ones.
-    """
-    if budgets.n_agents != env.n_agents:
-        raise InvalidInputError("budget vector length does not match the population")
-    before = policy_checksum(victim_policy)
-    returns = evaluate_policy(env, victim_policy, episodes, seed,
-                              adversary_policy=adversary_policy, budgets=budgets)
-    if not (np.any(budgets.eps > 0) and adversary_policy is not None):
-        warnings.warn("attack evaluation with no active corruption; "
-                      "returns equal the clean baseline", stacklevel=2)
-    if policy_checksum(victim_policy) != before:
-        raise RuntimeError("victim policy changed during attack evaluation")
-    return returns
-
-
-def attacked_returns(env, victim_policy, budgets, cfg: AdversaryConfig, seeds, episodes: int,
+def attacked_returns(env, victim_policy, budgets, cfg: AdversaryConfig, seeds,
                      eval_seeds) -> np.ndarray:
-    """Victim returns under each budget vector's own adversary, a (B, episodes)
-    array: one ``train_adversaries`` batch, then ``evaluate_attack`` per learner."""
+    """Victim returns under each budget vector's own adversary, a (B, cfg.eval_episodes)
+    array: one ``train_adversaries`` batch, then ``evaluate_policy`` per learner."""
     trained = train_adversaries(env, victim_policy, budgets, cfg, seeds)
-    return np.array([evaluate_attack(env, victim_policy, b, episodes, s, adversary_policy=adv)
+    return np.array([evaluate_policy(env, victim_policy, cfg.eval_episodes, s, adv, b)
                      for b, s, (_, adv, _) in zip(budgets, eval_seeds, trained, strict=True)])

@@ -38,7 +38,7 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
-from .attack import AdversaryConfig, attacked_returns, evaluate_attack, train_adversaries
+from .attack import AdversaryConfig, attacked_returns, train_adversaries
 from .core import BudgetVector, seed_rng
 from .envs import make_env
 from .envs.base import agent_layout, build_config
@@ -112,16 +112,12 @@ class CorrelationStageConfig:
     n_subsets: int = 20
     k_min: int = 1
     k_max: int = 0          # 0 means N // 2
-    episodes: int = 10
-    adv_episodes: int = 150
 
     def validate(self):
         if self.n_subsets < 10:
             raise InvalidConfigError("correlation needs at least 10 subsets")
         if self.k_min < 1 or (self.k_max and self.k_max < self.k_min):
             raise InvalidConfigError("bad subset size range")
-        if self.episodes < 1 or self.adv_episodes < 1:
-            raise InvalidConfigError("episode counts must be >= 1")
 
 
 @dataclass
@@ -145,12 +141,13 @@ _SECTIONS = {name: cls for name, cls in typing.get_type_hints(ExperimentConfig).
 
 
 def _checked_seeds(seeds) -> list:
-    """The run's seeds as a list: ConfigParseError unless a non-empty list of
+    """The run's seeds as a list: ConfigParseError unless a non-empty list of distinct
     non-negative integers (numpy seeds no generator from a negative one)."""
     if not isinstance(seeds, (list, tuple)) or not seeds \
-            or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds):
+            or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds) \
+            or len(set(seeds)) != len(seeds):
         raise ConfigParseError(f"'seeds' must be a non-empty list of non-negative integers, "
-                               f"got {seeds!r}")
+                               f"none repeated, got {seeds!r}")
     return list(seeds)
 
 
@@ -284,9 +281,10 @@ def subset_sizes(n_agents: int, n_subsets: int, k_min: int = 1,
                  k_max: Optional[int] = None) -> list:
     """Sizes cycling over [k_min, k_max] (k_max 0 or None: max(k_min, N // 2)),
     refused unless N agents hold that many distinct subsets of each size."""
+    for key, k in (("k_min", k_min), ("k_max", k_max)):
+        if k and k > n_agents:
+            raise InvalidInputError(f"{key} exceeds population size")
     k_max = max(k_min, n_agents // 2) if not k_max else k_max
-    if k_max > n_agents:
-        raise InvalidInputError("k_max exceeds population size")
     sizes = [k_min + (i % (k_max - k_min + 1)) for i in range(n_subsets)]
     for k in range(k_min, k_max + 1):
         if sizes.count(k) > math.comb(n_agents, k):
@@ -317,22 +315,22 @@ def sample_attack_subsets(n_agents: int, n_subsets: int, seed, eps: float = 1.0,
 
 
 def correlate_prediction_vs_attack(value_model, env, victim_policy, subsets,
-                                   adv_cfg: AdversaryConfig, episodes: int, seed,
-                                   out_csv=None):
+                                   adv_cfg: AdversaryConfig, seed, out_csv=None):
     """Pair predicted drops with realized attacked returns; returns (r, rows).
 
     Each subset j gets its own adversary, seeded seed + 7919 * j, trained
-    against the frozen victim (all of them in one batch) and evaluated with
-    seed (seed, 4, j); the Pearson correlation is between the value model's
-    predicted drop and the realized attacked return (damaging subsets should
-    sit low, so a faithful model shows strongly negative r).
+    against the frozen victim (all of them in one batch) and evaluated over
+    adv_cfg.eval_episodes episodes with seed (seed, 4, j); the Pearson
+    correlation is between the value model's predicted drop and the realized
+    attacked return (damaging subsets should sit low, so a faithful model
+    shows strongly negative r).
     """
     if len(subsets) < 10:
         raise InvalidInputError("need at least 10 attack subsets")
     states0 = env.initial_states
     budgets = [attack.budgets(env.n_agents) for attack in subsets]
     returns = attacked_returns(env, victim_policy, budgets, adv_cfg,
-                               [seed + 7919 * j for j in range(len(subsets))], episodes,
+                               [seed + 7919 * j for j in range(len(subsets))],
                                [(seed, 4, j) for j in range(len(subsets))])
     rows = [(predicted_drop(value_model, states0, budget), float(ret))
             for budget, ret in zip(budgets, returns.mean(axis=1))]
@@ -556,7 +554,7 @@ def _run_selector(method: str, run: Run, victim_policy, vmodel, states0, seed: i
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 return attacked_returns(env, victim_policy, budgets, cfg.adversary,
-                                        [seed] * len(budgets), cfg.adversary.eval_episodes,
+                                        [seed] * len(budgets),
                                         [(seed, 5)] * len(budgets)).mean(axis=1)
 
         attack, table = select_bruteforce(evaluate_subsets, env.n_agents, sel.k, sel.eps)
@@ -606,8 +604,8 @@ def stage_attack(run: Run, seed: int):
         coop = float(evaluate_policy(env, victim, episodes, seed=(seed, 3)).mean())
         out = []
         for method, adversary in adversaries.items():
-            returns = evaluate_attack(env, victim, budgets[method], episodes,
-                                      seed=(seed, 3), adversary_policy=adversary)
+            returns = evaluate_policy(env, victim, episodes, (seed, 3),
+                                      adversary_policy=adversary, budgets=budgets[method])
             out += [(method, "attacked_return", float(returns.mean())),
                     (method, "attacked_std", float(returns.std(ddof=1)) if episodes > 1 else 0.0),
                     (method, "coop_return", coop)]
@@ -632,10 +630,8 @@ def stage_correlate(run: Run, seed: int) -> float:
         subsets = sample_attack_subsets(
             env.n_agents, cfg.correlation.n_subsets, seed, eps=cfg.selection.eps,
             k_min=cfg.correlation.k_min, k_max=cfg.correlation.k_max or None)
-        adv_cfg = replace(cfg.adversary, episodes=cfg.correlation.adv_episodes)
-        r, _ = correlate_prediction_vs_attack(vmodel, env, victim, subsets, adv_cfg,
-                                              cfg.correlation.episodes, seed,
-                                              out_csv=out_csv)
+        r, _ = correlate_prediction_vs_attack(vmodel, env, victim, subsets, cfg.adversary,
+                                              seed, out_csv=out_csv)
         return [("subsets", "pearson_r", r)]
 
     return run.record("correlate", seed, rows, out_csv)

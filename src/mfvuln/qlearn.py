@@ -14,13 +14,16 @@ victim runs expected-SARSA updates toward its own Boltzmann policy, on
 every agent at once; ``train_victims`` trains one per seed.  An adversary
 (``attack.train_adversaries``) differs only in its target (SARSA on the
 negated reward, for the attacked agents) and in mixing its policy with the
-frozen victim's.
+frozen victim's.  ``evaluate_policy`` is the one evaluator of clean and
+attacked policies alike; it refuses to return if the victim moved.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -223,6 +226,18 @@ class BoltzmannPolicy(TablePolicy):
             return BoltzmannPolicy(model, float(header["temperature"]))
 
 
+def policy_checksum(policy) -> str:
+    """Digest of a policy's state: the table its action_dists reads, and its
+    model's Q table, where it has them; stable across calls when frozen."""
+    h = hashlib.sha256()
+    h.update(type(policy).__name__.encode())
+    model = getattr(policy, "model", None)
+    for table in (getattr(policy, "table", None), getattr(model, "table", None)):
+        if table is not None:
+            h.update(np.ascontiguousarray(table, dtype=float).tobytes())
+    return h.hexdigest()
+
+
 # -- trajectories --------------------------------------------------------------
 
 
@@ -305,14 +320,27 @@ def rollout(env, victim_policy, seed, adversary_policy=None,
 
 
 def evaluate_policy(env, policy, episodes: int, seed, adversary_policy=None,
-                    budgets=None) -> np.ndarray:
+                    budgets: Optional[BudgetVector] = None) -> np.ndarray:
     """Discounted returns over independent episodes (one seed per episode),
-    stepped as one batch; each equals its own rollout's return.  At least one
-    episode: InvalidInputError otherwise."""
+    stepped as one batch; each equals its own rollout's return.  With an
+    adversary and budgets the episodes are attacked, on the clean call's
+    draws, so that call gives the matching baseline; an attack with no
+    active corruption warns, and its returns are the clean ones.
+    RuntimeError if the policy's checksum moved; InvalidInputError for fewer
+    than one episode or budgets sized for another population."""
     if episodes < 1:
         raise InvalidInputError(f"episodes must be >= 1, got {episodes}")
+    if budgets is not None and budgets.n_agents != env.n_agents:
+        raise InvalidInputError("budget vector length does not match the population")
+    attacked = adversary_policy is not None and budgets is not None and np.any(budgets.eps > 0)
+    if not attacked and (adversary_policy is not None or budgets is not None):
+        warnings.warn("attack evaluation with no active corruption; "
+                      "returns equal the clean baseline", stacklevel=2)
+    before = policy_checksum(policy)
     rewards = _play(env, policy, np.random.SeedSequence(seed).spawn(episodes),
                     adversary_policy, budgets)[2]
+    if policy_checksum(policy) != before:
+        raise RuntimeError("victim policy changed during evaluation")
     return np.array([discounted_return(row, env.gamma) for row in rewards.tolist()])
 
 

@@ -11,7 +11,6 @@ import os
 import tempfile
 import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +71,7 @@ def attack_set_returns(env, victim, attacks, adv_cfg, eps, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return attacked_returns(env, victim, budgets, adv_cfg, [seed] * len(budgets),
-                                adv_cfg.eval_episodes, [(seed, 3)] * len(budgets))
+                                [(seed, 3)] * len(budgets))
 
 
 # -- criterion 1: contraction -----------------------------------------------------
@@ -251,10 +250,8 @@ def test_criterion_6_prediction_correlation(env_name):
     subsets = sample_attack_subsets(env.n_agents, 20, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        r, rows = correlate_prediction_vs_attack(
-            vmodel, env, victim, subsets,
-            replace(cfg.adversary, episodes=cfg.correlation.adv_episodes),
-            cfg.correlation.episodes, seed=0)
+        r, rows = correlate_prediction_vs_attack(vmodel, env, victim, subsets, cfg.adversary,
+                                                 seed=0)
     elapsed = time.time() - start
     assert abs(r) >= 0.8, f"{env_name}: |r|={abs(r):.3f} < 0.8"
     assert elapsed < 1800.0

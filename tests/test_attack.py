@@ -1,21 +1,22 @@
-"""Adversarial training and attack evaluation against exact chain oracles."""
+"""Adversarial training and attack evaluation against exact chain oracles.
+
+An attack is scored by ``qlearn.evaluate_policy`` given the adversary and the
+budgets; its guards (frozen victim, budget length, no active corruption) are
+tested here."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mfvuln.attack import (
-    AdversaryConfig,
-    evaluate_attack,
-    policy_checksum,
-    train_adversaries,
-)
+from mfvuln.attack import AdversaryConfig, train_adversaries
 from mfvuln.core import BudgetVector
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
-from mfvuln.qlearn import BoltzmannPolicy, QModel, TablePolicy, UniformPolicy, evaluate_policy
+from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, UniformPolicy,
+                           discounted_return, evaluate_policy, policy_checksum, rollout)
 from oracles import exact_attack_return, exact_policy_value, pooled_std
+from test_batch import ENVS, same, victim_of
 
 GAMMA = 0.85
 
@@ -81,7 +82,7 @@ def test_budget_length_mismatch_is_rejected():
     with pytest.raises(InvalidInputError):
         train_adversaries(env, victim, [bad], AdversaryConfig(episodes=1), [0])
     with pytest.raises(InvalidInputError):
-        evaluate_attack(env, victim, bad, 1, 0)
+        evaluate_policy(env, victim, 1, 0, UniformPolicy(2), bad)
 
 
 # -- degenerate attacks ----------------------------------------------------------
@@ -104,13 +105,26 @@ def test_no_op_evaluation_warns_and_repeats_baseline():
     baseline = evaluate_policy(env, victim, 3, seed=1)
     zeros = BudgetVector(np.zeros(4))
     with pytest.warns(UserWarning, match="no active corruption"):
-        returns = evaluate_attack(env, victim, zeros, 3, seed=1,
-                                  adversary_policy=UniformPolicy(2))
+        returns = evaluate_policy(env, victim, 3, seed=1, adversary_policy=UniformPolicy(2),
+                                  budgets=zeros)
     assert np.array_equal(returns, baseline)
     active = BudgetVector.from_set(4, [2], 1.0)
     with pytest.warns(UserWarning, match="no active corruption"):
-        returns = evaluate_attack(env, victim, active, 3, seed=1)  # no adversary given
+        returns = evaluate_policy(env, victim, 3, seed=1, budgets=active)  # no adversary
     assert np.array_equal(returns, baseline)
+
+
+@pytest.mark.parametrize("name", sorted(ENVS))
+def test_attacked_evaluation_equals_its_rollouts(name):
+    env = ENVS[name]()
+    victim = victim_of(env)
+    attack = dict(adversary_policy=UniformPolicy(env.n_actions),
+                  budgets=BudgetVector.from_set(env.n_agents, [0, 2], 0.7))
+    got = evaluate_policy(env, victim, 4, seed=(8, 1), **attack)
+    seeds = np.random.SeedSequence([8, 1]).spawn(4)
+    want = [discounted_return(rollout(env, victim, s, **attack).rewards, env.gamma)
+            for s in seeds]
+    assert same(got, np.array(want))
 
 
 # -- exact worst-case agreement ---------------------------------------------------
@@ -125,7 +139,7 @@ def test_trained_adversary_reaches_the_exact_worst_case():
     # the objective is the negated shared return, so the curve should rise
     assert curve[-50:].mean() > curve[:50].mean()
 
-    returns = evaluate_attack(env, victim, budgets, 3, seed=5, adversary_policy=adv)
+    returns = evaluate_policy(env, victim, 3, seed=5, adversary_policy=adv, budgets=budgets)
     assert returns.shape == (3,)
     want = exact_attack_return(env, pi, [1, 3], 1.0)
     assert returns.mean() == pytest.approx(want, abs=1e-4)
@@ -153,8 +167,8 @@ def test_adversary_equal_to_victim_changes_nothing():
     budgets = BudgetVector.from_set(6, [0, 2], 0.6)
     # mixing a policy with itself is the identity, so the attacked rollouts
     # must reproduce the baseline rollouts sample for sample
-    returns = evaluate_attack(env, victim, budgets, 4, seed=9,
-                              adversary_policy=TablePolicy(table.copy()))
+    returns = evaluate_policy(env, victim, 4, seed=9,
+                              adversary_policy=TablePolicy(table.copy()), budgets=budgets)
     assert np.array_equal(returns, evaluate_policy(env, victim, 4, seed=9))
 
 
@@ -192,17 +206,20 @@ def test_victim_mutation_is_detected():
             train_adversaries(env, drifting(pi.copy()), [budgets], AdversaryConfig(episodes=2),
                               [0])
         with pytest.raises(RuntimeError, match="victim policy changed"):
-            evaluate_attack(env, drifting(pi.copy()), budgets, 2, seed=0,
-                            adversary_policy=UniformPolicy(2))
+            evaluate_policy(env, drifting(pi.copy()), 2, seed=0,
+                            adversary_policy=UniformPolicy(2), budgets=budgets)
+        with pytest.raises(RuntimeError, match="victim policy changed"):
+            evaluate_policy(env, drifting(pi.copy()), 2, seed=0)
 
 
 # -- argument checks and pooled spread ---------------------------------------------
 
 
-def test_evaluate_attack_rejects_zero_episodes():
+def test_attacked_evaluation_rejects_zero_episodes():
     env, victim, _ = cycle_env()
     with pytest.raises(InvalidInputError):
-        evaluate_attack(env, victim, BudgetVector(np.zeros(4)), 0, seed=0)
+        evaluate_policy(env, victim, 0, seed=0, adversary_policy=UniformPolicy(2),
+                        budgets=BudgetVector(np.zeros(4)))
 
 
 def test_pooled_std_matches_hand_computation():

@@ -339,16 +339,13 @@ def test_step_checks_its_actions_once_by_the_episode_shape(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(ENVS))
 def test_evaluate_policy_equals_its_rollouts(name):
+    """The clean case; tests/test_attack.py holds the attacked one."""
     env = ENVS[name]()
     victim = victim_of(env)
-    adversary = UniformPolicy(env.n_actions)
-    budgets = BudgetVector.from_set(env.n_agents, [0, 2], 0.7)
-    for kwargs in ({}, dict(adversary_policy=adversary, budgets=budgets)):
-        got = evaluate_policy(env, victim, 4, seed=(8, 1), **kwargs)
-        seeds = np.random.SeedSequence([8, 1]).spawn(4)
-        want = [discounted_return(rollout(env, victim, s, **kwargs).rewards, env.gamma)
-                for s in seeds]
-        assert same(got, np.array(want))
+    got = evaluate_policy(env, victim, 4, seed=(8, 1))
+    seeds = np.random.SeedSequence([8, 1]).spawn(4)
+    want = [discounted_return(rollout(env, victim, s).rewards, env.gamma) for s in seeds]
+    assert same(got, np.array(want))
 
 
 @pytest.mark.parametrize("name", sorted(ENVS))

@@ -25,7 +25,7 @@ def write_config(tmp_path, **overrides):
         "value": {"rollouts": 8},
         "selection": {"methods": ["greedy", "random"], "k": 2},
         "adversary": {"episodes": 6, "eval_episodes": 3},
-        "correlation": {"n_subsets": 10, "episodes": 2, "adv_episodes": 2},
+        "correlation": {"n_subsets": 10},
         "seeds": [0],
         "out_dir": str(tmp_path / "runs"),
     }
@@ -419,11 +419,12 @@ def test_taxi_demand_beyond_the_poisson_limit_exits_at_config_load(tmp_path, cap
 
 
 @pytest.mark.parametrize("bad, message", [({"k_max": 9}, "k_max exceeds population size"),
-                                          ({"n_subsets": 12}, "only C(5, 1) exist")])
+                                          ({"n_subsets": 12}, "only C(5, 1) exist"),
+                                          ({"k_min": 9}, "k_min")])
 def test_unfillable_correlation_range_exits_at_config_load(tmp_path, capsys, bad, message):
     """A subset range the population cannot fill is refused before the victim trains."""
     cfg_path, raw = write_config(
-        tmp_path, correlation={"n_subsets": 10, "episodes": 2, "adv_episodes": 2, **bad})
+        tmp_path, correlation={"n_subsets": 10, **bad})
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(artifact_path(raw["out_dir"], "victim_policy", 0))
@@ -453,7 +454,7 @@ TOY_LINES = {
     "fit-value": "value model ready: {out}/value_s0.robust",
     "select": "seed 0 agents: greedy 1 3; random 1 3; dc 0 1; brute 0 2",
     "attack": "adversaries ready for seed 0",
-    "correlate": "seed 0 pearson r = -0.408588 ({out}/correlation_s0.csv)",
+    "correlate": "seed 0 pearson r = -0.424301 ({out}/correlation_s0.csv)",
     "heatmap": "heatmap written: {out}/heatmap_per-agent-eps_s0.csv",
     "pipeline": "pipeline complete: {out}",
 }

@@ -134,8 +134,12 @@ def test_attack_records_the_rows_of_a_run_stopped_after_its_adversaries(tmp_path
                                                                         monkeypatch):
     """A run stopped after its adversaries were saved, before the attack rows:
     ``attack`` records the rows from the saved adversaries and trains none."""
+    real = pipeline.evaluate_policy
+
     def interrupt(*args, **kwargs):
-        raise KeyboardInterrupt
+        if kwargs.get("adversary_policy") is not None:   # the attack stage scoring an attack
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
 
     def no_training(env, victim, budgets, cfg, seeds):
         assert not budgets, "a saved adversary was trained again"
@@ -143,7 +147,7 @@ def test_attack_records_the_rows_of_a_run_stopped_after_its_adversaries(tmp_path
 
     out = tmp_path / "toy"
     with monkeypatch.context() as m:
-        m.setattr(pipeline, "evaluate_attack", interrupt)
+        m.setattr(pipeline, "evaluate_policy", interrupt)
         with pytest.raises(KeyboardInterrupt):
             run_toy(out, ["pipeline"])
     assert all((out / f"adversary_{method}_s0.policy.q").exists()

@@ -42,7 +42,7 @@ def base_raw(**overrides):
         "value": {"rollouts": 10},
         "selection": {"methods": ["greedy", "random"], "k": 2},
         "adversary": {"episodes": 8, "eval_episodes": 4},
-        "correlation": {"n_subsets": 10, "k_max": 3, "episodes": 2, "adv_episodes": 2},
+        "correlation": {"n_subsets": 10, "k_max": 3},
         "seeds": [0],
     }
     raw.update(overrides)
@@ -69,9 +69,12 @@ def test_unknown_section_key_names_the_section():
     with pytest.raises(ConfigParseError, match="'learning_rate'.*section 'victim'"):
         parse_experiment_config(raw)
     # the learners are tabular only; their old backend knobs are unknown keys
-    # the same holds for the mean-field binning and the joint-norm penalty
+    # the same holds for the mean-field binning and the joint-norm penalty, and
+    # for correlate's own adversary schedule: the adversary section serves it
     deleted = [(section, key, 1) for section in ("victim", "adversary", "value")
-               for key in ("mu_bins", "nu_bins", "bin_levels")] + [("value", "joint_norm", True)]
+               for key in ("mu_bins", "nu_bins", "bin_levels")] + [
+        ("value", "joint_norm", True), ("correlation", "episodes", 20),
+        ("correlation", "adv_episodes", 150)]
     for section, key, value in [("victim", "backend", "tabular"),
                                 ("adversary", "backend", "tabular"),
                                 ("value", "backend", "linear"),
@@ -91,7 +94,7 @@ def test_env_section_is_required():
 
 
 def test_seeds_must_be_integer_list():
-    for bad in (5, [], ["a"], [True], [0, -1]):
+    for bad in (5, [], ["a"], [True], [0, -1], [0, 0]):
         with pytest.raises(ConfigParseError, match="seeds"):
             parse_experiment_config(base_raw(seeds=bad))
 
@@ -395,7 +398,7 @@ def test_correlation_needs_enough_subsets():
     subsets = sample_attack_subsets(env.n_agents, 10, seed=0)[:5]
     with pytest.raises(InvalidInputError, match="10"):
         correlate_prediction_vs_attack(model, env, TablePolicy(np.full((2, 2), 0.5)),
-                                       subsets, AdversaryConfig(episodes=1), 1, 0)
+                                       subsets, AdversaryConfig(episodes=1), 0)
 
 
 def test_prediction_anticorrelates_with_attacked_return(tmp_path):
@@ -411,8 +414,8 @@ def test_prediction_anticorrelates_with_attacked_return(tmp_path):
     out = tmp_path / "corr.csv"
     r, rows = correlate_prediction_vs_attack(
         model, env, victim, subsets,
-        AdversaryConfig(episodes=40, lr=0.5, temperature=0.02, eps_final=0.0),
-        episodes=2, seed=0, out_csv=out)
+        AdversaryConfig(episodes=40, lr=0.5, temperature=0.02, eps_final=0.0,
+                        eval_episodes=2), seed=0, out_csv=out)
     assert len(rows) == 10
     assert r < -0.5
     parsed = list(csv.reader(open(out)))
