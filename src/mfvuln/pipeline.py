@@ -212,24 +212,34 @@ class ResultsLedger:
     def __init__(self, path):
         """Open the ledger at path, creating it if absent.  InvalidInputError
         names a ledger that cannot be read as UTF-8 text, or the line of a torn
-        or malformed one: a last line without its newline, a wrong header, or a
-        row without exactly six fields."""
+        or malformed one: a last line without its newline, a wrong header, a
+        row without exactly six fields, or a value that is not a finite number."""
         self.path = path
         if not os.path.exists(path):
             write_atomic(path, _csv_text([self.COLUMNS]))
-        text = self._text()
+        self._checked(self._text())
+
+    def _checked(self, text: str) -> str:
+        """The ledger text, refused as ``__init__`` says unless it is whole."""
         if not text.endswith("\n"):
             line = text.count("\n") + 1
-            raise InvalidInputError(f"ledger {path} line {line} is torn: "
+            raise InvalidInputError(f"ledger {self.path} line {line} is torn: "
                                     "it does not end in a newline")
         reader = csv.reader(io.StringIO(text, newline=""))
         for row in reader:
             if reader.line_num == 1 and tuple(row) != self.COLUMNS:
-                raise InvalidInputError(f"ledger {path} line 1 is not the header "
+                raise InvalidInputError(f"ledger {self.path} line 1 is not the header "
                                         f"{','.join(self.COLUMNS)}")
             if len(row) != len(self.COLUMNS):
-                raise InvalidInputError(f"ledger {path} line {reader.line_num} has "
+                raise InvalidInputError(f"ledger {self.path} line {reader.line_num} has "
                                         f"{len(row)} fields, not {len(self.COLUMNS)}")
+            try:
+                if reader.line_num > 1 and not math.isfinite(float(row[-1])):
+                    raise ValueError
+            except ValueError:
+                raise InvalidInputError(f"ledger {self.path} line {reader.line_num} has "
+                                        f"the value {row[-1]!r}, not a finite number") from None
+        return text
 
     def _text(self) -> str:
         try:
@@ -240,10 +250,11 @@ class ResultsLedger:
 
     def append(self, rows):
         """Append (experiment, stage, method, seed, metric, value) rows, all or none:
-        the old text and the new rows are written in one write_atomic."""
+        the old text and the new rows are written in one write_atomic, and refused
+        before it, as a ledger is when opened, if a value is not a finite number."""
         text = _csv_text([exp, stage, method, str(seed), metric, _fmt(value)]
                          for exp, stage, method, seed, metric, value in rows)
-        write_atomic(self.path, self._text() + text)
+        write_atomic(self.path, self._checked(self._text() + text))
 
     def rows(self):
         return list(csv.DictReader(io.StringIO(self._text(), newline="")))
@@ -278,19 +289,21 @@ def pearson(xs, ys) -> float:
 
 
 def subset_sizes(n_agents: int, n_subsets: int, k_min: int = 1,
-                 k_max: Optional[int] = None) -> list:
-    """Sizes cycling over [k_min, k_max] (k_max 0 or None: max(k_min, N // 2)),
-    refused unless N agents hold that many distinct subsets of each size."""
+                 k_max: Optional[int] = None):
+    """An iterator over n_subsets sizes cycling over [k_min, k_max] (k_max 0 or None:
+    max(k_min, N // 2)), refused unless N agents hold that many distinct subsets of
+    each size; the check counts each size arithmetically, building nothing."""
     for key, k in (("k_min", k_min), ("k_max", k_max)):
         if k and k > n_agents:
             raise InvalidInputError(f"{key} exceeds population size")
     k_max = max(k_min, n_agents // 2) if not k_max else k_max
-    sizes = [k_min + (i % (k_max - k_min + 1)) for i in range(n_subsets)]
+    cycles, rest = divmod(n_subsets, k_max - k_min + 1)
     for k in range(k_min, k_max + 1):
-        if sizes.count(k) > math.comb(n_agents, k):
-            raise InvalidInputError(f"{sizes.count(k)} distinct subsets of size {k} "
+        count = cycles + (k - k_min < rest)
+        if count > math.comb(n_agents, k):
+            raise InvalidInputError(f"{count} distinct subsets of size {k} "
                                     f"requested, but only C({n_agents}, {k}) exist")
-    return sizes
+    return itertools.islice(itertools.cycle(range(k_min, k_max + 1)), n_subsets)
 
 
 def sample_attack_subsets(n_agents: int, n_subsets: int, seed, eps: float = 1.0,
@@ -371,21 +384,20 @@ def write_trajectories_csv(path, trajectories):
         [("episode", "t", "reward", "states", "actions")], rows)))
 
 
-def _save(obj, path, seed):
-    obj.save(path)
-
-
 # The stage files of an out_dir (experiment_id.txt is not one): kind -> (name
 # pattern, loader, saver, command that makes it).  A {key} is a selection method.
 # Kinds with a loader are the checkpoints Run.artifact reuses; their stages write
 # the others.
 ARTIFACTS = {
     "ledger": ("ledger.csv", None, None, None),
-    "victim_policy": ("victim_s{seed}.policy", BoltzmannPolicy.load, _save, "train-victim"),
+    "victim_policy": ("victim_s{seed}.policy", BoltzmannPolicy.load, BoltzmannPolicy.save,
+                      "train-victim"),
     "trajectories": ("trajectories_s{seed}.csv", None, None, "fit-value"),
-    "value_model": ("value_s{seed}.robust", RobustValueModel.load, _save, "fit-value"),
+    "value_model": ("value_s{seed}.robust", RobustValueModel.load, RobustValueModel.save,
+                    "fit-value"),
     "attack_set": ("attack_{key}_s{seed}.txt", load_attack_set, save_attack_set, "select"),
-    "adversary": ("adversary_{key}_s{seed}.policy", BoltzmannPolicy.load, _save, "attack"),
+    "adversary": ("adversary_{key}_s{seed}.policy", BoltzmannPolicy.load, BoltzmannPolicy.save,
+                  "attack"),
     "brute_scores": ("brute_scores_s{seed}.csv", None, None, "select"),
     "correlation": ("correlation_s{seed}.csv", None, None, "correlate"),
     "heatmap": ("heatmap_per-agent-eps_s{seed}.csv", None, None, "heatmap"),
@@ -398,22 +410,25 @@ def artifact_path(out_dir, kind: str, seed=None, key=None) -> str:
 
 
 def stage_files(out_dir) -> list:
-    """Files in out_dir named by an ARTIFACTS pattern, for any seed and key, with any
-    suffix after the pattern's last field (so a policy's .q sidecar counts)."""
+    """Files in out_dir named by an ARTIFACTS pattern, for any seed and key."""
     globs = [pattern.format(seed="*", key="*") for pattern, *_ in ARTIFACTS.values()]
-    globs = [g[:g.rfind("*") + 1] or g for g in globs]
     return [f for f in sorted(os.listdir(out_dir))
             if any(fnmatch.fnmatch(f, g) for g in globs)]
 
 
-def _fitting(loaded, path, env):
-    """A loaded stage artifact; InvalidInputError naming its file unless it fits env."""
+def _fitting(loaded, path, env, sel, key):
+    """A loaded stage artifact; InvalidInputError naming its file unless it fits env,
+    and for an attack set unless it is the selection ``sel`` makes by method key."""
     if isinstance(loaded, BoltzmannPolicy):
-        fits, path = loaded.model.table.shape == (env.n_states, env.n_actions), path + ".q"
+        fits = loaded.model.table.shape == (env.n_states, env.n_actions)
     elif isinstance(loaded, RobustValueModel):
         fits = loaded.n_states == env.n_states
     else:
         fits = (loaded.ids < env.n_agents).all()
+        if (loaded.k, loaded.eps, loaded.method) != (sel.k, sel.eps, key):
+            raise InvalidInputError(f"{path} holds {loaded.k} ids at eps {loaded.eps!r} by "
+                                    f"{loaded.method!r}; the config selects {sel.k} at eps "
+                                    f"{sel.eps!r} by {key!r}")
     if not fits:
         raise InvalidInputError(f"{path} does not fit the env: it needs {env.n_states} states, "
                                 f"{env.n_actions} actions and agent ids below {env.n_agents}")
@@ -462,21 +477,17 @@ class Run:
     def path(self, kind: str, seed=None, key=None) -> str:
         return artifact_path(self.cfg.out_dir, kind, seed, key)
 
-    def has(self, kind: str, seed: int, key=None) -> bool:
-        """Whether the file of this kind, seed and key exists."""
-        return os.path.exists(self.path(kind, seed, key))
-
     def artifact(self, kind: str, seed: int, key=None, compute=None, outputs=()):
         """The artifact of this kind, seed and key: loaded if it fits the env and the
         ``outputs`` files that computing it writes exist, else computed and saved."""
         path = self.path(kind, seed, key)
         _, load, save, command = ARTIFACTS[kind]
         if os.path.exists(path) and all(map(os.path.exists, outputs)):
-            return _fitting(load(path), path, self.env)
+            return _fitting(load(path), path, self.env, self.cfg.selection, key)
         if compute is None:
             raise StageDependencyError(f"missing {path}; run {command} first")
         made = compute()
-        save(made, path, seed)
+        save(made, path)
         return made
 
     def record(self, stage: str, seed: int, rows, *outputs):
@@ -500,7 +511,8 @@ def stage_train_victim(run: Run, seed: int):
     lack train with it, in one call, so a seed whose victim misses its margin
     stops the run before any seed's later stages."""
     env, vcfg = run.env, run.cfg.victim
-    missing = [s for s in dict.fromkeys([seed, *run.cfg.seeds]) if not run.has("victim_policy", s)]
+    missing = [s for s in dict.fromkeys([seed, *run.cfg.seeds])
+               if not os.path.exists(run.path("victim_policy", s))]
     for s, (_, policy, _) in zip(missing, train_victims(env, vcfg, missing)):
         run.artifact("victim_policy", s, compute=lambda p=policy: p)
     policy = run.artifact("victim_policy", seed)
@@ -593,7 +605,7 @@ def stage_attack(run: Run, seed: int):
     env, victim = run.env, run.artifact("victim_policy", seed)
     budgets = {m: run.artifact("attack_set", seed, m).budgets(env.n_agents)
                for m in run.cfg.selection.methods}
-    missing = [m for m in budgets if not run.has("adversary", seed, m)]
+    missing = [m for m in budgets if not os.path.exists(run.path("adversary", seed, m))]
     trained = dict(zip(missing, train_adversaries(
         env, victim, [budgets[m] for m in missing], run.cfg.adversary, [seed] * len(missing))))
     adversaries = {m: run.artifact("adversary", seed, m, compute=lambda m=m: trained[m][1])

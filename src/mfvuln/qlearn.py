@@ -74,23 +74,6 @@ class QModel:
         np.add.at(self.table, idx, alpha * delta)
         return delta
 
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path):
-        write_record(path, CHECKPOINT_MAGIC, {
-            "kind": "qmodel", "backend": "tabular", "n_states": self.n_states,
-            "n_actions": self.n_actions, "gamma": repr(self.gamma)}, self.table.ravel())
-
-    @staticmethod
-    def load(path) -> "QModel":
-        header, flat = read_record(path, CHECKPOINT_MAGIC, "qmodel")
-        with malformed_artifact(path):
-            # reshape before allocating, so a bad header cannot size the table
-            table = flat.reshape(int(header["n_states"]), int(header["n_actions"]))
-            model = QModel(*table.shape, float(header["gamma"]))
-        model.table = table
-        return model
-
 
 def write_atomic(path, text: str):
     """Write text to path through a temp file beside it and os.replace.
@@ -149,6 +132,7 @@ def read_record(path, magic: str, kind=None):
         header[key] = value
     else:
         raise InvalidInputError(f"checkpoint missing values block: {path}")
+    # no writer emits a backend line any more; one in an older file must still say tabular
     got = header.get("kind"), header.get("backend", "tabular")
     if got != (kind, "tabular"):
         raise InvalidInputError(f"checkpoint kind {got[0]!r} backend {got[1]!r}, expected "
@@ -214,15 +198,19 @@ class BoltzmannPolicy(TablePolicy):
         self.temperature = temperature
 
     def save(self, path):
-        self.model.save(path + ".q")
+        model = self.model
         write_record(path, CHECKPOINT_MAGIC, {
-            "kind": "policy", "type": "boltzmann", "temperature": repr(self.temperature)}, ())
+            "kind": "policy", "temperature": repr(self.temperature), "n_states": model.n_states,
+            "n_actions": model.n_actions, "gamma": repr(model.gamma)}, model.table.ravel())
 
     @staticmethod
     def load(path) -> "BoltzmannPolicy":
-        header, _ = read_record(path, CHECKPOINT_MAGIC, "policy")
-        model = QModel.load(path + ".q")
+        header, flat = read_record(path, CHECKPOINT_MAGIC, "policy")
         with malformed_artifact(path):
+            # reshape before allocating, so a bad header cannot size the table
+            table = flat.reshape(int(header["n_states"]), int(header["n_actions"]))
+            model = QModel(*table.shape, float(header["gamma"]))
+            model.table = table
             return BoltzmannPolicy(model, float(header["temperature"]))
 
 

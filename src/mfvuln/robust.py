@@ -213,10 +213,8 @@ class RobustValueModel:
 
     def save(self, path):
         write_record(path, CHECKPOINT_MAGIC, {
-            "kind": "robustvalue", "backend": "tabular", "n_states": self.n_states,
-            "n_actions": self.n_actions, "gamma": repr(self.gamma), "p": repr(self.p),
-            "budget_form": "base-minus-w-damp w=eps+xi+eps*xi"},
-            np.concatenate([self.base, self.damp]))
+            "kind": "robustvalue", "n_states": self.n_states, "n_actions": self.n_actions,
+            "gamma": repr(self.gamma), "p": repr(self.p)}, np.concatenate([self.base, self.damp]))
 
     @staticmethod
     def load(path) -> "RobustValueModel":

@@ -76,8 +76,8 @@ class AttackSet:
 ATTACKSET_MAGIC = "mfvuln-attackset v1"
 
 
-def save_attack_set(attack: AttackSet, path, seed=None):
-    header = {"method": attack.method, "seed": repr(seed), "eps": repr(attack.eps),
+def save_attack_set(attack: AttackSet, path):
+    header = {"method": attack.method, "eps": repr(attack.eps),
               "ids": " ".join(str(i) for i in attack.ids)}
     if attack.predicted_drop is not None:
         header["predicted_drop"] = repr(attack.predicted_drop)

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import shutil
 import warnings
 from functools import partial
@@ -169,7 +170,7 @@ def test_changed_config_in_same_out_dir_exits_with_error(tmp_path, capsys):
     cfg_path, raw = write_config(tmp_path)
     assert main(["train-victim", "--config", str(cfg_path)]) == 0
     victim = artifact_path(raw["out_dir"], "victim_policy", 0)
-    before = open(victim, "rb").read(), open(victim + ".q", "rb").read()
+    before = open(victim, "rb").read()
     old_id = experiment_of(ResultsLedger(artifact_path(raw["out_dir"], "ledger")))
     capsys.readouterr()
 
@@ -178,7 +179,7 @@ def test_changed_config_in_same_out_dir_exits_with_error(tmp_path, capsys):
     assert main(["train-victim", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert raw["out_dir"] in err and old_id in err and new_id in err
-    assert (open(victim, "rb").read(), open(victim + ".q", "rb").read()) == before
+    assert open(victim, "rb").read() == before
 
 
 def test_victim_checkpoint_without_ledger_rows_is_not_reused(tmp_path, monkeypatch, capsys):
@@ -195,7 +196,7 @@ def test_victim_checkpoint_without_ledger_rows_is_not_reused(tmp_path, monkeypat
             main(["train-victim", "--config", str(cfg_path)])
     paths = partial(artifact_path, raw["out_dir"])
     victim = paths("victim_policy", 0)
-    before = open(victim, "rb").read(), open(victim + ".q", "rb").read()
+    before = open(victim, "rb").read()
     assert ResultsLedger(paths("ledger")).rows() == []
 
     cfg_path, _ = write_config(tmp_path, victim={"episodes": 5, "eval_episodes": 6})
@@ -203,7 +204,7 @@ def test_victim_checkpoint_without_ledger_rows_is_not_reused(tmp_path, monkeypat
     assert main(["train-victim", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert raw["out_dir"] in err and old_id in err and new_id in err
-    assert (open(victim, "rb").read(), open(victim + ".q", "rb").read()) == before
+    assert open(victim, "rb").read() == before
     assert ResultsLedger(paths("ledger")).rows() == []
 
 
@@ -439,13 +440,16 @@ def test_damaged_artifact_exits_with_error(tmp_path, capsys):
     lines[-1] = "not-a-number"
     with open(value, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    os.remove(paths("victim_policy", 0) + ".q")
+    victim = paths("victim_policy", 0)
+    lines = open(victim).read().splitlines()
+    with open(victim, "w") as fh:
+        fh.write("\n".join(lines[:-1]) + "\n")
     capsys.readouterr()
 
     assert main(["heatmap", "--config", str(cfg_path)]) == 2
     assert value in capsys.readouterr().err
     assert main(["attack", "--config", str(cfg_path)]) == 2
-    assert paths("victim_policy", 0) + ".q" in capsys.readouterr().err
+    assert victim in capsys.readouterr().err
 
 
 # each command's line on the finished runs/toy/, with {out} its directory
@@ -481,7 +485,7 @@ def test_each_command_prints_its_line_and_rewrites_nothing_on_a_finished_run(
 @pytest.mark.parametrize("name, old, new, command", [
     ("value_s0.robust", "\n14.897815740905026\n", "\nnan\n", "fit-value"),
     ("victim_s0.policy", "temperature 0.1", "temperature nan", "train-victim"),
-    ("adversary_dc_s0.policy.q", "\n-3.0814705066262351\n", "\n-inf\n", "attack"),
+    ("adversary_dc_s0.policy", "\n-3.0814705066262351\n", "\n-inf\n", "attack"),
     ("attack_greedy_s0.txt", "predicted_drop 193.91999083803444", "predicted_drop inf",
      "select"),
 ], ids=["value-nan", "temperature-nan", "q-value-inf", "predicted-drop-inf"])
@@ -540,7 +544,7 @@ def _cut_value_model(text):
 
 
 @pytest.mark.parametrize("name, edit, stale, command", [
-    ("victim_s0.policy.q",
+    ("victim_s0.policy",
      lambda text: text.replace("n_states 15", "n_states 3").replace("n_actions 2", "n_actions 10"),
      "correlation_s0.csv", "correlate"),
     ("value_s0.robust", _cut_value_model, "heatmap_per-agent-eps_s0.csv", "heatmap"),
@@ -559,3 +563,55 @@ def test_a_stage_file_that_does_not_fit_the_env_exits_with_error_naming_it(
     assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{out / name} does not fit the env" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new", [("ids 1 3", "ids 1"), ("eps 1.0", "eps 0.5"),
+                                      ("method greedy", "method random")],
+                         ids=["size", "eps", "method"])
+def test_an_attack_set_that_is_not_the_configs_selection_exits_with_error_naming_it(
+        tmp_path, capsys, old, new):
+    """An edited record once passed the id check, and attack retrained on it."""
+    out, _ = finished_copy(tmp_path)
+    name = out / "attack_greedy_s0.txt"
+    text = name.read_text()
+    assert text.count(f"\n{old}\n") == 1
+    name.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    for adversary in out.glob("adversary_*"):
+        adversary.unlink()
+    assert main(["attack", "--config", str(CONFIG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} holds " in err and "the config selects 2 at eps 1.0 by 'greedy'" in err
+    assert "Traceback" not in err
+    assert not list(out.glob("adversary_*"))
+
+
+@pytest.mark.parametrize("value", ["abc", "nan"])
+def test_a_ledger_value_that_is_not_a_finite_number_exits_with_error_naming_its_line(
+        tmp_path, capsys, value):
+    """``abc`` once ended in a ValueError traceback, and ``nan`` was read back as r."""
+    out, _ = finished_copy(tmp_path)
+    ledger = out / "ledger.csv"
+    lines = ledger.read_bytes().decode().splitlines(keepends=True)
+    [line] = [i for i, text in enumerate(lines, 1) if ",pearson_r," in text]
+    lines[line - 1] = re.sub(r"[^,]*(\r\n)$", rf"{value}\1", lines[line - 1])
+    ledger.write_bytes("".join(lines).encode())
+    before = ledger.read_bytes()
+    assert main(["correlate", "--config", str(CONFIG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"ledger {ledger} line {line} has the value '{value}', not a finite number" in err
+    assert "Traceback" not in err and ledger.read_bytes() == before
+
+
+def test_a_policy_in_the_former_two_file_format_exits_with_error_naming_it(tmp_path, capsys):
+    """A policy once held only its temperature, its Q table in a .q file beside it."""
+    out, _ = finished_copy(tmp_path)
+    victim = out / "victim_s0.policy"
+    head, _, values = victim.read_text().partition("values ")
+    model = head.replace("kind policy\ntemperature 0.1\n", "kind qmodel\nbackend tabular\n")
+    Path(f"{victim}.q").write_text(model + "values " + values)
+    victim.write_text("mfvuln-checkpoint v1\nkind policy\ntype boltzmann\n"
+                      "temperature 0.1\nvalues 0\n")
+    assert main(["attack", "--config", str(CONFIG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed artifact {victim}: KeyError: 'n_states'" in err
+    assert "Traceback" not in err

@@ -46,7 +46,7 @@ def finished_copy(tmp_path):
 
 def assert_matches_fixture(out):
     want = sorted(p.name for p in FIXTURE.iterdir())
-    assert len(want) == 21
+    assert len(want) == 16
     assert sorted(p.name for p in out.iterdir()) == want
     differ = [name for name in want
               if (out / name).read_bytes() != (FIXTURE / name).read_bytes()]
@@ -116,8 +116,7 @@ def test_correlate_trains_through_the_patched_trainer(tmp_path, monkeypatch):
 def test_attack_stage_trains_only_missing_adversaries_in_one_batch(tmp_path, monkeypatch):
     out, _ = finished_copy(tmp_path)
     for method in ("dc", "random"):
-        for suffix in ("", ".q"):
-            (out / f"adversary_{method}_s0.policy{suffix}").unlink()
+        (out / f"adversary_{method}_s0.policy").unlink()
     real, batches = pipeline.train_adversaries, []
 
     def record(env, victim, budgets, cfg, seeds):
@@ -150,7 +149,7 @@ def test_attack_records_the_rows_of_a_run_stopped_after_its_adversaries(tmp_path
         m.setattr(pipeline, "evaluate_policy", interrupt)
         with pytest.raises(KeyboardInterrupt):
             run_toy(out, ["pipeline"])
-    assert all((out / f"adversary_{method}_s0.policy.q").exists()
+    assert all((out / f"adversary_{method}_s0.policy").exists()
                for method in ("greedy", "random", "dc", "brute"))
     assert {r["stage"] for r in ResultsLedger(str(out / "ledger.csv")).rows()} \
         == {"victim", "value", "select"}
@@ -163,8 +162,7 @@ def test_attack_records_the_rows_of_a_run_stopped_after_its_adversaries(tmp_path
 
 def test_attack_retrains_only_a_deleted_adversary_and_appends_nothing(tmp_path, monkeypatch):
     out, _ = finished_copy(tmp_path)
-    for suffix in ("", ".q"):
-        (out / f"adversary_dc_s0.policy{suffix}").unlink()
+    (out / "adversary_dc_s0.policy").unlink()
     ledger_inode = (out / "ledger.csv").stat().st_ino
     real, batches = pipeline.train_adversaries, []
 

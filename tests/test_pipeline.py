@@ -1,8 +1,10 @@
 """Config strictness, ledger discipline, analyses, and end-to-end runs."""
 
 import csv
+import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 from functools import partial
 from types import SimpleNamespace
@@ -11,7 +13,7 @@ from dataclasses import fields as dc_fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mfvuln import pipeline
@@ -27,7 +29,7 @@ from mfvuln.pipeline import (ARTIFACTS, CorrelationStageConfig, ResultsLedger, R
                              correlate_prediction_vs_attack, experiment_id,
                              export_heatmap, parse_experiment_config, pearson,
                              run_pipeline, sample_attack_subsets, stage_attack,
-                             stage_files, stage_select, stage_train_victim)
+                             stage_files, stage_select, stage_train_victim, subset_sizes)
 from mfvuln.qlearn import TablePolicy, TrainConfig, evaluate_policy
 from mfvuln.robust import RobustValueModel
 from oracles import exact_value_model, greedy_matrix, optimal_q
@@ -287,13 +289,36 @@ def test_an_interrupted_append_leaves_the_old_ledger(tmp_path, monkeypatch):
      2, "5 fields, not 6"),
     ("experiment_id,stage,method,seed,metric,value\r\n\r\ne,victim,mfq,0,victim_return,1\r\n",
      2, "0 fields, not 6"),
-], ids=["empty", "torn", "header", "short-row", "blank-row"])
+    ("experiment_id,stage,method,seed,metric,value\r\ne,victim,mfq,0,victim_return,1\r\n"
+     "e,correlate,subsets,0,pearson_r,abc\r\n", 3, "'abc', not a finite number"),
+    ("experiment_id,stage,method,seed,metric,value\r\ne,victim,mfq,0,victim_return,nan\r\n",
+     2, "'nan', not a finite number"),
+    ("experiment_id,stage,method,seed,metric,value\r\ne,victim,mfq,0,victim_return,-inf\r\n",
+     2, "'-inf', not a finite number"),
+], ids=["empty", "torn", "header", "short-row", "blank-row", "value-abc", "value-nan",
+        "value-inf"])
 def test_a_torn_or_malformed_ledger_is_refused_naming_its_line(tmp_path, text, line, message):
     path = tmp_path / "ledger.csv"
     path.write_bytes(text.encode())
     with pytest.raises(InvalidInputError, match=f"line {line} .*{message}"):
         ResultsLedger(path)
     assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.inf, "abc", None])
+def test_append_refuses_a_value_that_is_not_finite_before_writing(tmp_path, value):
+    """A run never writes a ledger that its next run would refuse."""
+    path = tmp_path / "ledger.csv"
+    ledger = ResultsLedger(path)
+    ledger.append([("e1", "victim", "mfq", 0, "victim_return", 1.5)])
+    before = path.read_bytes()
+    with pytest.raises(InvalidInputError) as exc:
+        ledger.append([("e1", "attack", "greedy", 0, "coop_return", 2.5),
+                       ("e1", "attack", "greedy", 0, "attacked_return", value)])
+    assert str(exc.value) == f"ledger {path} line 4 has the value {str(value)!r}, not a " \
+        "finite number"
+    assert path.read_bytes() == before
+    ResultsLedger(path)
 
 
 # -- pearson ------------------------------------------------------------------------
@@ -336,6 +361,50 @@ def test_subset_sampling_limits():
     # only three distinct singletons exist
     with pytest.raises(InvalidInputError, match="distinct"):
         sample_attack_subsets(3, 4, seed=0, k_min=1, k_max=1)
+
+
+def _cycled_subset_sizes(n_agents, n_subsets, k_min, k_max):
+    """The sizes as a built list whose entries are counted: the reference for
+    subset_sizes' arithmetic count, which builds nothing n_subsets long."""
+    for key, k in (("k_min", k_min), ("k_max", k_max)):
+        if k and k > n_agents:
+            raise InvalidInputError(f"{key} exceeds population size")
+    k_max = max(k_min, n_agents // 2) if not k_max else k_max
+    sizes = [k_min + (i % (k_max - k_min + 1)) for i in range(n_subsets)]
+    for k in range(k_min, k_max + 1):
+        if sizes.count(k) > math.comb(n_agents, k):
+            raise InvalidInputError(f"{sizes.count(k)} distinct subsets of size {k} "
+                                    f"requested, but only C({n_agents}, {k}) exist")
+    return sizes
+
+
+def _sizes_or_refusal(sizes, *args):
+    try:
+        return list(sizes(*args))
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_agents=st.integers(1, 10), n_subsets=st.integers(0, 80), k_min=st.integers(1, 11),
+       k_max=st.integers(0, 11))
+def test_subset_sizes_refuses_exactly_when_the_cycled_list_would(n_agents, n_subsets,
+                                                                 k_min, k_max):
+    assume(not k_max or k_max >= k_min)   # the config refuses a reversed range
+    args = (n_agents, n_subsets, k_min, k_max)
+    assert _sizes_or_refusal(subset_sizes, *args) == _sizes_or_refusal(_cycled_subset_sizes,
+                                                                       *args)
+
+
+def test_subset_sizes_refuses_without_building_the_sizes():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="^12500 distinct subsets of size 1 "):
+            subset_sizes(16, 10 ** 5, 1, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024   # 10**5 sizes in a list take 800 KB
 
 
 # -- heatmap ------------------------------------------------------------------------
@@ -518,9 +587,8 @@ def test_stage_dependencies_are_enforced(tmp_path):
 
 
 def test_stage_files_lists_every_file_the_artifact_table_names(tmp_path):
-    """Every kind's file, and a policy's .q sidecar; not the id or a stray file."""
+    """Every kind's file; not the id or a stray file."""
     named = [artifact_path(tmp_path, kind, seed, "dc") for seed, kind in enumerate(ARTIFACTS)]
-    named += [path + ".q" for path in named if path.endswith(".policy")]
     for path in named + [str(tmp_path / "notes.txt"), str(tmp_path / "experiment_id.txt")]:
         open(path, "w").close()
     assert stage_files(tmp_path) == sorted(os.path.basename(p) for p in named)
@@ -579,7 +647,7 @@ def test_multi_seed_run_equals_one_run_per_seed(tmp_path, monkeypatch):
     assert main(["train-victim", "--config", str(cfg_path), "--out", str(victims)]) == 0
     assert calls[-1] == [0, 1]
     for seed in (0, 1):
-        name = f"victim_s{seed}.policy.q"
+        name = f"victim_s{seed}.policy"
         assert (victims / name).read_bytes() == (both / name).read_bytes()
 
 

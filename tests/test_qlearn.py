@@ -325,15 +325,15 @@ def test_qmodel_rejects_bad_config():
 def test_checkpoint_roundtrip(tmp_path):
     m = QModel(3, 2, 0.95)
     m.table += seed_rng(0).random(m.table.shape)
-    path = tmp_path / "model.q"
-    m.save(path)
-    loaded = QModel.load(path)
+    path = tmp_path / "victim.policy"
+    BoltzmannPolicy(m, 0.1).save(str(path))
+    loaded = BoltzmannPolicy.load(str(path)).model
     assert np.array_equal(loaded.table, m.table)
     assert loaded.table.shape == (3, 2)
     assert loaded.gamma == m.gamma
     path.write_text(path.read_text().replace("n_states 3", "n_states 4"))
     with pytest.raises(InvalidInputError, match="reshape"):
-        QModel.load(path)
+        BoltzmannPolicy.load(str(path))
 
 
 def test_policy_checkpoint_roundtrip(tmp_path):
@@ -348,25 +348,27 @@ def test_policy_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_kind_mismatch(tmp_path):
-    m = QModel(2, 2, 0.9)
-    path = tmp_path / "model.q"
-    m.save(path)
+    path = tmp_path / "value.robust"
+    path.write_text(ARTIFACTS["value.robust"])
     with pytest.raises(InvalidInputError):
         BoltzmannPolicy.load(str(path))
     bad = tmp_path / "junk"
     bad.write_text("not a checkpoint\n")
     with pytest.raises(InvalidInputError):
-        QModel.load(bad)
-    # only the tabular backend exists; its header line is still checked
-    for name, load in (("model.q", QModel.load), ("value.robust", RobustValueModel.load)):
-        text = ARTIFACTS[name].replace("backend tabular", "backend linear")
+        BoltzmannPolicy.load(bad)
+    # only the tabular backend exists; no writer emits its line, and a file that
+    # has one must name it (an older value file's "backend tabular" still loads)
+    for name, load in (("victim.policy", BoltzmannPolicy.load),
+                       ("value.robust", RobustValueModel.load)):
+        assert "backend" not in ARTIFACTS[name]
+        text = ARTIFACTS[name].replace("\nn_states", "\nbackend linear\nn_states")
         (tmp_path / name).write_text(text)
         with pytest.raises(InvalidInputError, match="backend 'linear'"):
-            load(tmp_path / name)
+            load(str(tmp_path / name))
 
 
 def _saved_artifacts():
-    """Text of one saved QModel, BoltzmannPolicy, RobustValueModel and attack set."""
+    """Text of one saved BoltzmannPolicy, RobustValueModel and attack set."""
     q = QModel(2, 3, 0.9)
     q.table += seed_rng(5).random(q.table.shape)
     v = RobustValueModel(3, 2, 0.9)
@@ -375,17 +377,15 @@ def _saved_artifacts():
     attack = AttackSet([2, 0], 0.5, "greedy", predicted_drop=0.3,
                        pick_rewards=np.array([0.2, 0.1]))
     with tempfile.TemporaryDirectory() as d:
-        q.save(os.path.join(d, "model.q"))
         BoltzmannPolicy(q, 0.2).save(os.path.join(d, "victim.policy"))
         v.save(os.path.join(d, "value.robust"))
-        save_attack_set(attack, os.path.join(d, "attack.txt"), seed=0)
+        save_attack_set(attack, os.path.join(d, "attack.txt"))
         return {name: Path(d, name).read_text() for name in sorted(os.listdir(d))}
 
 
 ARTIFACTS = _saved_artifacts()
-LOADERS = {"model.q": QModel.load, "victim.policy": BoltzmannPolicy.load,
-           "victim.policy.q": lambda path: BoltzmannPolicy.load(path[:-2]),
-           "value.robust": RobustValueModel.load, "attack.txt": load_attack_set}
+LOADERS = {"victim.policy": BoltzmannPolicy.load, "value.robust": RobustValueModel.load,
+           "attack.txt": load_attack_set}
 
 
 def _write_artifacts(directory, texts):
@@ -397,8 +397,6 @@ def _numbers(loaded) -> np.ndarray:
     """Every number a run computes with in a loaded artifact."""
     if isinstance(loaded, BoltzmannPolicy):
         return np.append(loaded.model.table, loaded.temperature)
-    if isinstance(loaded, QModel):
-        return loaded.table.ravel()
     if isinstance(loaded, RobustValueModel):
         return np.append(loaded.base, loaded.damp)
     drop = [] if loaded.predicted_drop is None else [loaded.predicted_drop]
@@ -417,20 +415,20 @@ NEW_LINES = st.one_of(st.tuples(st.booleans(), TEXT),
 @given(name=st.sampled_from(sorted(ARTIFACTS)), line=st.integers(0, 99),
        edit=st.sampled_from(["delete", "truncate", "rewrite"]), cut=st.integers(0, 99),
        new=NEW_LINES)
-@example(name="victim.policy", line=3, edit="rewrite", cut=0, new=(True, "nan"))
-@example(name="victim.policy.q", line=7, edit="rewrite", cut=0, new=(False, "inf"))
-@example(name="value.robust", line=9, edit="rewrite", cut=0, new=(False, "nan"))
+@example(name="victim.policy", line=2, edit="rewrite", cut=0, new=(True, "nan"))
+@example(name="victim.policy", line=7, edit="rewrite", cut=0, new=(False, "inf"))
+@example(name="value.robust", line=7, edit="rewrite", cut=0, new=(False, "nan"))
+@example(name="value.robust", line=4, edit="rewrite", cut=0, new=(True, "nan"))
+@example(name="value.robust", line=4, edit="rewrite", cut=0, new=(True, "1.0"))
+@example(name="value.robust", line=4, edit="rewrite", cut=0, new=(True, "-0.5"))
 @example(name="value.robust", line=5, edit="rewrite", cut=0, new=(True, "nan"))
+@example(name="value.robust", line=5, edit="rewrite", cut=0, new=(True, "0.5"))
 @example(name="value.robust", line=5, edit="rewrite", cut=0, new=(True, "1.0"))
-@example(name="value.robust", line=5, edit="rewrite", cut=0, new=(True, "-0.5"))
-@example(name="value.robust", line=6, edit="rewrite", cut=0, new=(True, "nan"))
-@example(name="value.robust", line=6, edit="rewrite", cut=0, new=(True, "0.5"))
-@example(name="value.robust", line=6, edit="rewrite", cut=0, new=(True, "1.0"))
-@example(name="attack.txt", line=5, edit="rewrite", cut=0, new=(True, "nan"))
-@example(name="attack.txt", line=6, edit="rewrite", cut=0, new=(False, "pick_rewards 1 -inf"))
+@example(name="attack.txt", line=4, edit="rewrite", cut=0, new=(True, "nan"))
+@example(name="attack.txt", line=5, edit="rewrite", cut=0, new=(False, "pick_rewards 1 -inf"))
+@example(name="attack.txt", line=3, edit="delete", cut=0, new=(False, ""))
 @example(name="attack.txt", line=4, edit="delete", cut=0, new=(False, ""))
 @example(name="attack.txt", line=5, edit="delete", cut=0, new=(False, ""))
-@example(name="attack.txt", line=6, edit="delete", cut=0, new=(False, ""))
 def test_damaged_artifact_loads_or_raises_invalid_input(name, line, edit, cut, new):
     """A damaged artifact raises InvalidInputError naming its file, or loads
     holding only finite numbers, a gamma in [0, 1) and a norm order p >= 1.
@@ -461,34 +459,24 @@ def test_damaged_artifact_loads_or_raises_invalid_input(name, line, edit, cut, n
                 assert model.p >= 1.0
             if edit == "delete":
                 if isinstance(loaded, AttackSet):
-                    save_attack_set(loaded, path, seed=0)
+                    save_attack_set(loaded, path)
                 else:
-                    loaded.save(path[:-2] if name == "victim.policy.q" else path)
+                    loaded.save(path)
                 assert {n: Path(d, n).read_text() for n in ARTIFACTS} == ARTIFACTS
 
 
 def test_checkpoints_with_the_former_binning_lines_still_load(tmp_path):
-    # checkpoints written before the mean-field binning was removed carry
-    # these header lines; with one bin each their tables are the same
-    old_lines = {"model.q": "mu_bins 1\nmu_levels 4\nnu_bins 1\nnu_levels 4\n"
-                            "nu_hat 0.25 0.25 0.5\n",
-                 "value.robust": "joint_norm 0\nmu_bins 1\nmu_levels 4\n"}
-    for name, lines in old_lines.items():
-        assert "mu_bins" not in ARTIFACTS[name]
-        path = str(tmp_path / name)
-        _write_artifacts(tmp_path, {name: ARTIFACTS[name]})
-        current = LOADERS[name](path)
-        _write_artifacts(tmp_path, {name: ARTIFACTS[name].replace("values ", lines + "values ", 1)})
-        old = LOADERS[name](path)
-        for attr in ("table", "base", "damp"):
-            if hasattr(current, attr):
-                assert np.array_equal(getattr(old, attr), getattr(current, attr))
-
-
-def test_missing_policy_companion_raises_invalid_input(tmp_path):
-    _write_artifacts(tmp_path, {"victim.policy": ARTIFACTS["victim.policy"]})
-    with pytest.raises(InvalidInputError, match="victim.policy.q"):
-        BoltzmannPolicy.load(str(tmp_path / "victim.policy"))
+    # value models written before the mean-field binning was removed carry
+    # these header lines, and older ones the backend and budget-form lines no
+    # writer emits now; with one bin each their tables are the same
+    path = tmp_path / "value.robust"
+    path.write_text(ARTIFACTS["value.robust"])
+    current = RobustValueModel.load(path)
+    old_lines = ("backend tabular\njoint_norm 0\nmu_bins 1\nmu_levels 4\n"
+                 "budget_form base-minus-w-damp w=eps+xi+eps*xi\n")
+    path.write_text(ARTIFACTS["value.robust"].replace("values ", old_lines + "values ", 1))
+    old = RobustValueModel.load(path)
+    assert np.array_equal(old.base, current.base) and np.array_equal(old.damp, current.damp)
 
 
 class _DiskFullFile:
@@ -513,11 +501,10 @@ def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
     _write_artifacts(tmp_path, ARTIFACTS)
     before = {name: Path(tmp_path, name).read_bytes() for name in ARTIFACTS}
     savers = {
-        "model.q": QModel(2, 2, 0.5).save,
         "victim.policy": BoltzmannPolicy(QModel(2, 2, 0.5), 0.3).save,
         "value.robust": RobustValueModel(3, 2, 0.5).save,
         "attack.txt": lambda path: save_attack_set(AttackSet([1], 0.5, "dc"), path),
-        "new.q": QModel(2, 2, 0.5).save,
+        "new.policy": BoltzmannPolicy(QModel(2, 2, 0.5), 0.3).save,
     }
     real_open = open
     monkeypatch.setattr(qlearn, "open",

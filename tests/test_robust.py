@@ -17,8 +17,8 @@ from mfvuln.envs import make_env
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.pipeline import load_experiment_config
-from mfvuln.qlearn import (QModel, TablePolicy, TrainConfig, Trajectory, UniformPolicy,
-                           rollout, rollouts, train_victims)
+from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, TrainConfig, Trajectory,
+                           UniformPolicy, rollout, rollouts, train_victims)
 from mfvuln.robust import (FitConfig, RobustValueModel, _q_norms, fit_cooperative_q,
                            fit_robust_value)
 from oracles import (W_MAX, TransitionSample, apply_robust_bellman, build_corpus, lp_norm,
@@ -643,7 +643,7 @@ def test_value_model_roundtrip_preserves_every_slice(tmp_path):
 def test_value_model_load_rejects_other_checkpoint_kinds(tmp_path):
     q = QModel(2, 2, GAMMA)
     path = tmp_path / "q.ckpt"
-    q.save(path)
+    BoltzmannPolicy(q, 0.1).save(path)
     with pytest.raises(InvalidInputError):
         RobustValueModel.load(path)
 

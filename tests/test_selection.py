@@ -327,7 +327,7 @@ def test_attack_set_roundtrip(tmp_path):
                        predicted_drop=1.25,
                        pick_rewards=np.array([0.5, 0.5, 0.25]))
     path = tmp_path / "set.att"
-    save_attack_set(attack, path, seed=11)
+    save_attack_set(attack, path)
     loaded = load_attack_set(path)
     assert list(loaded.ids) == [2, 0, 5]
     assert loaded.eps == 0.75 and loaded.method == "greedy"
@@ -348,7 +348,7 @@ def test_an_attack_set_missing_a_line_it_reads_is_refused_naming_it(tmp_path, ke
     a greedy one that lost a score line as an attack with no scores."""
     path = tmp_path / "set.att"
     save_attack_set(AttackSet(np.array([2, 0]), 0.5, "greedy", predicted_drop=0.75,
-                              pick_rewards=np.array([0.5, 0.25])), path, seed=0)
+                              pick_rewards=np.array([0.5, 0.25])), path)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(line for line in lines if not line.startswith(f"{key} ")))
     with pytest.raises(InvalidInputError) as err:
@@ -358,7 +358,7 @@ def test_an_attack_set_missing_a_line_it_reads_is_refused_naming_it(tmp_path, ke
 
 def test_an_attack_set_record_with_a_repeated_id_is_refused_naming_it(tmp_path):
     path = tmp_path / "set.att"
-    save_attack_set(AttackSet(np.array([2, 0]), 0.5, "random"), path, seed=0)
+    save_attack_set(AttackSet(np.array([2, 0]), 0.5, "random"), path)
     path.write_text(path.read_text().replace("\nids 2 0\n", "\nids 2 2\n"))
     with pytest.raises(InvalidInputError, match="duplicate ids") as err:
         load_attack_set(path)
