@@ -5,10 +5,10 @@ Four stages execute in order per seed: train the victim (the victims the
 run's seeds lack train in one lockstep call), fit the budget-conditioned
 value model on its rollouts, select an attack set per configured method, and
 attack: train each method's adversary and record the victim's returns under
-it.  Every stage goes through the run: an artifact is reused when its
-file and the files computing it writes all exist, else computed and saved,
-and a stage's ledger rows are written once, so a rerun with the same config
-touches nothing and leaves the ledger byte-identical.  Each kind of stage
+it.  Every stage goes through the run: an artifact is made and saved unless
+its file and the files computing it writes all exist, then loaded from its
+file, and a stage's ledger rows are written once, so a rerun with the same
+config touches nothing and leaves the ledger byte-identical.  Each kind of stage
 file is declared once, in ``ARTIFACTS``.
 The run's seed is passed to every learner as an argument; the learner
 sections of a config hold schedules only, so a ``seed`` key there is refused.
@@ -386,8 +386,8 @@ def write_trajectories_csv(path, trajectories):
 
 # The stage files of an out_dir (experiment_id.txt is not one): kind -> (name
 # pattern, loader, saver, command that makes it).  A {key} is a selection method.
-# Kinds with a loader are the checkpoints Run.artifact reuses; their stages write
-# the others.
+# Kinds with a loader are the checkpoints Run.artifacts makes and loads; their
+# stages write the others.
 ARTIFACTS = {
     "ledger": ("ledger.csv", None, None, None),
     "victim_policy": ("victim_s{seed}.policy", BoltzmannPolicy.load, BoltzmannPolicy.save,
@@ -416,6 +416,13 @@ def stage_files(out_dir) -> list:
             if any(fnmatch.fnmatch(f, g) for g in globs)]
 
 
+def _present(path) -> bool:
+    """True for a regular file, False for nothing; InvalidInputError naming anything else."""
+    if os.path.lexists(path) and not os.path.isfile(path):
+        raise InvalidInputError(f"{path} is not a regular file; move it out of the way")
+    return os.path.isfile(path)
+
+
 def _fitting(loaded, path, env, sel, key):
     """A loaded stage artifact; InvalidInputError naming its file unless it fits env,
     and for an attack set unless it is the selection ``sel`` makes by method key."""
@@ -438,9 +445,9 @@ def _fitting(loaded, path, env, sel, key):
 class Run:
     """One experiment in its output directory, and the plumbing its stages share.
 
-    ``artifact`` loads a stage's file or computes and saves it, and
-    ``record`` writes a stage's ledger rows once.  Nothing loaded is kept: a
-    later use reads the file again.  Files are not keyed by config, so a
+    ``artifacts`` makes a stage's missing files in one call and loads them all,
+    and ``record`` writes a stage's ledger rows once.  Nothing loaded is kept:
+    a later use reads the file again.  Files are not keyed by config, so a
     directory holds one experiment: its id is written to the directory before
     any stage runs, and a directory holding another id is refused.
     """
@@ -477,18 +484,23 @@ class Run:
     def path(self, kind: str, seed=None, key=None) -> str:
         return artifact_path(self.cfg.out_dir, kind, seed, key)
 
-    def artifact(self, kind: str, seed: int, key=None, compute=None, outputs=()):
-        """The artifact of this kind, seed and key: loaded if it fits the env and the
-        ``outputs`` files that computing it writes exist, else computed and saved."""
-        path = self.path(kind, seed, key)
-        _, load, save, command = ARTIFACTS[kind]
-        if os.path.exists(path) and all(map(os.path.exists, outputs)):
-            return _fitting(load(path), path, self.env, self.cfg.selection, key)
-        if compute is None:
+    def artifact(self, kind: str, seed: int, key=None):
+        """The artifact of this kind, seed and key, loaded from its file if it fits the env."""
+        path, (_, load, _, command) = self.path(kind, seed, key), ARTIFACTS[kind]
+        if not _present(path):
             raise StageDependencyError(f"missing {path}; run {command} first")
-        made = compute()
-        save(made, path)
-        return made
+        return _fitting(load(path), path, self.env, self.cfg.selection, key)
+
+    def artifacts(self, kind: str, ids, compute, outputs=()) -> list:
+        """``artifact`` of each (seed, key) id.  The ids whose file, or an ``outputs`` file
+        computing them writes, is missing are first made in one ``compute(missing)`` call
+        and saved, so a fresh run works from the saved files as a resumed one does."""
+        done = all([_present(path) for path in outputs])
+        missing = [i for i in ids if not (_present(self.path(kind, *i)) and done)]
+        if missing:
+            for (seed, key), made in zip(missing, compute(missing), strict=True):
+                ARTIFACTS[kind][2](made, self.path(kind, seed, key))
+        return [self.artifact(kind, *i) for i in ids]
 
     def record(self, stage: str, seed: int, rows, *outputs):
         """Append rows() as (method, metric, value) ledger rows unless the stage has them.
@@ -497,9 +509,10 @@ class Run:
         write it again.  Returns the value of the stage's first row: computed if
         rows() ran, else read back from the ledger.
         """
+        done = all([_present(path) for path in outputs])
         row = self.ledger.find(self.exp, stage, seed)
         if row is not None:
-            return float(row["value"]) if all(map(os.path.exists, outputs)) else rows()[0][2]
+            return float(row["value"]) if done else rows()[0][2]
         made = rows()
         self.ledger.append([(self.exp, stage, method, seed, metric, value)
                             for method, metric, value in made])
@@ -511,11 +524,9 @@ def stage_train_victim(run: Run, seed: int):
     lack train with it, in one call, so a seed whose victim misses its margin
     stops the run before any seed's later stages."""
     env, vcfg = run.env, run.cfg.victim
-    missing = [s for s in dict.fromkeys([seed, *run.cfg.seeds])
-               if not os.path.exists(run.path("victim_policy", s))]
-    for s, (_, policy, _) in zip(missing, train_victims(env, vcfg, missing)):
-        run.artifact("victim_policy", s, compute=lambda p=policy: p)
-    policy = run.artifact("victim_policy", seed)
+    policy = run.artifacts(
+        "victim_policy", [(s, None) for s in dict.fromkeys([seed, *run.cfg.seeds])],
+        lambda missing: [p for _, p, _ in train_victims(env, vcfg, [s for s, _ in missing])])[0]
 
     def rows():
         episodes = vcfg.eval_episodes
@@ -540,12 +551,11 @@ def _fit_value(run: Run, seed: int) -> RobustValueModel:
 
 
 def stage_fit_value(run: Run, seed: int):
-    env = run.env
-    vmodel = run.artifact("value_model", seed, compute=lambda: _fit_value(run, seed),
-                          outputs=[run.path("trajectories", seed)])
+    [vmodel] = run.artifacts("value_model", [(seed, None)], lambda _: [_fit_value(run, seed)],
+                             outputs=[run.path("trajectories", seed)])
 
     def rows():
-        v0 = vmodel.values(env.initial_states, np.zeros(env.n_agents), 0.0)
+        v0 = vmodel.values(run.env.initial_states, np.zeros(run.env.n_agents), 0.0)
         return [("tabular", "v0_mean", float(v0.mean()))]
 
     run.record("value", seed, rows)
@@ -582,10 +592,10 @@ def stage_select(run: Run, seed: int):
     victim = run.artifact("victim_policy", seed)
     vmodel = run.artifact("value_model", seed)
     states0 = env.initial_states
-    attacks = {method: run.artifact(
-        "attack_set", seed, method,
-        compute=lambda m=method: _run_selector(m, run, victim, vmodel, states0, seed),
-        outputs=[run.path("brute_scores", seed)] if method == "brute" else [])
+    attacks = {method: run.artifacts(
+        "attack_set", [(seed, method)],
+        lambda _: [_run_selector(method, run, victim, vmodel, states0, seed)],
+        outputs=[run.path("brute_scores", seed)] if method == "brute" else [])[0]
         for method in run.cfg.selection.methods}
 
     def rows():
@@ -603,13 +613,11 @@ def stage_attack(run: Run, seed: int):
     train in one batch; each method's rows are the victim's returns under its
     adversary beside the clean baseline, both on draw (seed, 3)."""
     env, victim = run.env, run.artifact("victim_policy", seed)
-    budgets = {m: run.artifact("attack_set", seed, m).budgets(env.n_agents)
-               for m in run.cfg.selection.methods}
-    missing = [m for m in budgets if not os.path.exists(run.path("adversary", seed, m))]
-    trained = dict(zip(missing, train_adversaries(
-        env, victim, [budgets[m] for m in missing], run.cfg.adversary, [seed] * len(missing))))
-    adversaries = {m: run.artifact("adversary", seed, m, compute=lambda m=m: trained[m][1])
-                   for m in budgets}
+    ids = [(seed, m) for m in run.cfg.selection.methods]
+    budgets = {m: run.artifact("attack_set", s, m).budgets(env.n_agents) for s, m in ids}
+    adversaries = dict(zip(budgets, run.artifacts("adversary", ids, lambda missing: [
+        adv for _, adv, _ in train_adversaries(env, victim, [budgets[m] for _, m in missing],
+                                               run.cfg.adversary, [seed] * len(missing))])))
 
     def rows():
         episodes = run.cfg.adversary.eval_episodes
@@ -652,7 +660,7 @@ def stage_correlate(run: Run, seed: int) -> float:
 def stage_heatmap(run: Run, seed: int) -> str:
     """The vulnerability grid's CSV, written unless its file exists; returns its path."""
     out_csv = run.path("heatmap", seed)
-    if not os.path.exists(out_csv):
+    if not _present(out_csv):
         export_heatmap(run.artifact("value_model", seed), run.env, run.env.reset(seed=seed),
                        out_csv=out_csv)
     return out_csv

@@ -95,11 +95,11 @@ def write_atomic(path, text: str):
 
 @contextlib.contextmanager
 def malformed_artifact(path):
-    """Re-raise a missing file or a parse, key or shape failure as InvalidInputError."""
+    """Re-raise an unreadable file or a parse, key or shape failure as InvalidInputError."""
     try:
         yield
-    except FileNotFoundError as exc:
-        raise InvalidInputError(f"missing artifact file: {path}") from exc
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read artifact {path}: {exc.strerror or exc}") from exc
     except (KeyError, ValueError, OverflowError) as exc:
         raise InvalidInputError(
             f"malformed artifact {path}: {type(exc).__name__}: {exc}") from exc

@@ -615,3 +615,22 @@ def test_a_policy_in_the_former_two_file_format_exits_with_error_naming_it(tmp_p
     err = capsys.readouterr().err
     assert f"malformed artifact {victim}: KeyError: 'n_states'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, command", [
+    ("victim_s0.policy", "pipeline"), ("value_s0.robust", "pipeline"),
+    ("attack_greedy_s0.txt", "pipeline"), ("adversary_greedy_s0.policy", "pipeline"),
+    ("heatmap_per-agent-eps_s0.csv", "heatmap"), ("correlation_s0.csv", "correlate"),
+    ("trajectories_s0.csv", "pipeline"), ("brute_scores_s0.csv", "pipeline")])
+def test_a_stage_file_that_is_not_a_regular_file_exits_with_error_naming_it(tmp_path, capsys,
+                                                                          name, command):
+    """A directory in place of a record once ended in an IsADirectoryError traceback, and
+    one in place of a stage CSV counted as the CSV written; it is refused and left as it is."""
+    out, _ = finished_copy(tmp_path)
+    (out / name).unlink()
+    (out / name).mkdir()
+    before = {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()}
+    assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / name} is not a regular file" in err and "Traceback" not in err
+    assert {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()} == before

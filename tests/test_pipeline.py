@@ -29,8 +29,9 @@ from mfvuln.pipeline import (ARTIFACTS, CorrelationStageConfig, ResultsLedger, R
                              correlate_prediction_vs_attack, experiment_id,
                              export_heatmap, parse_experiment_config, pearson,
                              run_pipeline, sample_attack_subsets, stage_attack,
-                             stage_files, stage_select, stage_train_victim, subset_sizes)
-from mfvuln.qlearn import TablePolicy, TrainConfig, evaluate_policy
+                             stage_files, stage_fit_value, stage_select, stage_train_victim,
+                             subset_sizes)
+from mfvuln.qlearn import BoltzmannPolicy, QModel, TablePolicy, TrainConfig, evaluate_policy
 from mfvuln.robust import RobustValueModel
 from oracles import exact_value_model, greedy_matrix, optimal_q
 
@@ -573,6 +574,38 @@ def test_attack_rows_share_one_clean_baseline(tmp_path, eval_episodes):
     for method in ("greedy", "random"):
         assert rows[(method, "coop_return")] == f"{coop.mean():.9g}"
         assert (rows[(method, "attacked_std")] == "0") == (eval_episodes == 1)
+
+
+def test_a_fresh_attack_stage_works_from_the_adversaries_its_files_hold(tmp_path, monkeypatch):
+    """With a saver that rounds each Q value, a fresh run's attack stage returns and
+    evaluates the rounded adversaries, as a resumed run would, not the ones it trained."""
+    pattern, load, save, command = ARTIFACTS["adversary"]
+    trained = {}
+
+    def rounding(policy, path):
+        trained[path] = policy.model.table.copy()
+        model = QModel(*policy.model.table.shape, policy.model.gamma)
+        model.table = np.round(policy.model.table)
+        save(BoltzmannPolicy(model, policy.temperature), path)
+
+    monkeypatch.setitem(ARTIFACTS, "adversary", (pattern, load, rounding, command))
+    run = Run(parse_experiment_config(base_raw(out_dir=str(tmp_path / "runs"))))
+    for stage in (stage_train_victim, stage_fit_value, stage_select):
+        stage(run, 0)
+    adversaries = stage_attack(run, 0)
+    rows = {(r["method"], r["metric"]): r["value"] for r in run.ledger.rows()
+            if r["stage"] == "attack"}
+    assert sorted(adversaries) == ["greedy", "random"]
+    for method, adversary in adversaries.items():
+        path = run.path("adversary", 0, method)
+        saved = BoltzmannPolicy.load(path)
+        assert not np.array_equal(trained[path], saved.model.table)
+        assert np.array_equal(adversary.model.table, saved.model.table)
+        budgets = run.artifact("attack_set", 0, method).budgets(run.env.n_agents)
+        returns = evaluate_policy(run.env, run.artifact("victim_policy", 0),
+                                  run.cfg.adversary.eval_episodes, (0, 3), adversary_policy=saved,
+                                  budgets=budgets)
+        assert rows[(method, "attacked_return")] == f"{returns.mean():.9g}"
 
 
 def test_stage_dependencies_are_enforced(tmp_path):

@@ -479,6 +479,16 @@ def test_checkpoints_with_the_former_binning_lines_still_load(tmp_path):
     assert np.array_equal(old.base, current.base) and np.array_equal(old.damp, current.damp)
 
 
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_a_loader_refuses_a_directory_naming_it(tmp_path, name):
+    """A record path that is a directory once ended in an IsADirectoryError traceback."""
+    path = tmp_path / name
+    path.mkdir()
+    with pytest.raises(InvalidInputError, match="cannot read artifact") as exc:
+        LOADERS[name](str(path))
+    assert str(path) in str(exc.value)
+
+
 class _DiskFullFile:
     """Writes the first half of what it is given, then fails like a full disk."""
 
