@@ -22,15 +22,14 @@ both for a list of attack sets, as one array.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import seed_rng
 from .errors import InvalidInputError
-from .qlearn import (BoltzmannPolicy, LearnerConfig, QModel, _lockstep, evaluate_policy,
-                     policy_checksum)
+from .qlearn import (BoltzmannPolicy, LearnerConfig, QModel, _lockstep, check_attack,
+                     evaluate_policy, policy_checksum)
 
 
 @dataclass
@@ -57,31 +56,22 @@ def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) 
     A learner spawns its episode seeds as it goes, one per episode from its
     own SeedSequence, so the batch holds O(B) seeds, not O(B * episodes).  A
     curve is the adversary's objective (negated shared reward, discounted),
-    so it should rise.  An all-zero budget vector warns and gets an
-    untrained (no-op) adversary: no transition of it carries signal.
+    so it should rise.  InvalidInputError for a budget vector sized for another
+    population or corrupting no agent: a learner with no attacked agent learns nothing.
     """
     if len(budgets) != len(seeds):
         raise InvalidInputError(f"{len(budgets)} budget vectors for {len(seeds)} seeds")
     cfg.validate()
-    if any(b.n_agents != env.n_agents for b in budgets):
-        raise InvalidInputError("budget vector length does not match the population")
+    for b in budgets:
+        check_attack(env, b)
     models = [QModel(env.n_states, env.n_actions, env.gamma) for _ in budgets]
-    curves = [np.empty(0) for _ in budgets]
-    active = [j for j, b in enumerate(budgets) if np.any(b.eps > 0)]
-    if len(active) < len(budgets):
-        warnings.warn("empty attack set: returning a no-op adversary", stacklevel=2)
-    if active:
-        frozen = policy_checksum(victim_policy)
-        eps = np.stack([budgets[j].eps for j in active])
-        trained = _lockstep(
-            env, cfg, [models[j] for j in active],
-            [np.random.SeedSequence((seeds[j], 0xad)) for j in active],
-            [seed_rng(seeds[j], salt="adversary-actions") for j in active],
-            adversary=(victim_policy, eps))
-        if policy_checksum(victim_policy) != frozen:
-            raise RuntimeError("victim policy changed during adversarial training")
-        for j, curve in zip(active, trained):
-            curves[j] = curve
+    frozen = policy_checksum(victim_policy)
+    curves = [] if not budgets else _lockstep(
+        env, cfg, models, [np.random.SeedSequence((s, 0xad)) for s in seeds],
+        [seed_rng(s, salt="adversary-actions") for s in seeds],
+        adversary=(victim_policy, np.stack([b.eps for b in budgets])))
+    if policy_checksum(victim_policy) != frozen:
+        raise RuntimeError("victim policy changed during adversarial training")
     return [(model, BoltzmannPolicy(model, cfg.temperature), curve)
             for model, curve in zip(models, curves)]
 

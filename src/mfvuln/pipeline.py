@@ -31,7 +31,6 @@ import json
 import math
 import os
 import typing
-import warnings
 from dataclasses import dataclass, field, fields as dc_fields, is_dataclass, replace
 from typing import Optional, Union
 
@@ -101,8 +100,11 @@ class SelectionStageConfig:
             raise InvalidConfigError(f"unknown selection method: {unknown[0]}")
         if not self.methods:
             raise InvalidConfigError("at least one selection method is required")
-        if self.k < 0:
-            raise InvalidConfigError("k must be >= 0")
+        repeated = [m for i, m in enumerate(self.methods) if m in self.methods[:i]]
+        if repeated:
+            raise InvalidConfigError(f"selection method {repeated[0]} is listed twice")
+        if self.k < 1:
+            raise InvalidConfigError("k must be >= 1")
         if not (0.0 < self.eps <= 1.0):
             raise InvalidConfigError("eps must be in (0, 1]")
 
@@ -183,12 +185,29 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, refusing a key written twice in one mapping (PyYAML keeps the last)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []   # a list: a key may be unhashable, which the base loader refuses
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=True)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     """The config of a yaml file; ConfigParseError naming the path if the file
-    cannot be read as UTF-8 text or does not parse."""
+    cannot be read as UTF-8 text, does not parse, or repeats a key in a mapping."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, _UniqueKeyLoader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -429,7 +448,7 @@ def _fitting(loaded, path, env, sel, key):
     if isinstance(loaded, BoltzmannPolicy):
         fits = loaded.model.table.shape == (env.n_states, env.n_actions)
     elif isinstance(loaded, RobustValueModel):
-        fits = loaded.n_states == env.n_states
+        fits = (loaded.n_states, loaded.n_actions) == (env.n_states, env.n_actions)
     else:
         fits = (loaded.ids < env.n_agents).all()
         if (loaded.k, loaded.eps, loaded.method) != (sel.k, sel.eps, key):
@@ -573,11 +592,8 @@ def _run_selector(method: str, run: Run, victim_policy, vmodel, states0, seed: i
     if method == "brute":
         def evaluate_subsets(subsets):
             budgets = [BudgetVector.from_set(env.n_agents, subset, sel.eps) for subset in subsets]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return attacked_returns(env, victim_policy, budgets, cfg.adversary,
-                                        [seed] * len(budgets),
-                                        [(seed, 5)] * len(budgets)).mean(axis=1)
+            return attacked_returns(env, victim_policy, budgets, cfg.adversary,
+                                    [seed] * len(budgets), [(seed, 5)] * len(budgets)).mean(axis=1)
 
         attack, table = select_bruteforce(evaluate_subsets, env.n_agents, sel.k, sel.eps)
         write_atomic(run.path("brute_scores", seed), _csv_text(

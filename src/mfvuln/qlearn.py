@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -147,6 +146,15 @@ def read_record(path, magic: str, kind=None):
     return header, flat
 
 
+def record_dims(header) -> tuple:
+    """A checkpoint's (n_states, n_actions), read from its lines: a reshape must not
+    infer one, so ValueError unless both are positive."""
+    dims = int(header["n_states"]), int(header["n_actions"])
+    if min(dims) < 1:
+        raise ValueError(f"n_states {dims[0]} and n_actions {dims[1]} must be positive")
+    return dims
+
+
 # -- policies ----------------------------------------------------------------
 
 
@@ -208,7 +216,7 @@ class BoltzmannPolicy(TablePolicy):
         header, flat = read_record(path, CHECKPOINT_MAGIC, "policy")
         with malformed_artifact(path):
             # reshape before allocating, so a bad header cannot size the table
-            table = flat.reshape(int(header["n_states"]), int(header["n_actions"]))
+            table = flat.reshape(record_dims(header))
             model = QModel(*table.shape, float(header["gamma"]))
             model.table = table
             return BoltzmannPolicy(model, float(header["temperature"]))
@@ -307,23 +315,29 @@ def rollout(env, victim_policy, seed, adversary_policy=None,
     return rollouts(env, victim_policy, [seed], adversary_policy, budgets)[0]
 
 
+def check_attack(env, budgets: BudgetVector):
+    """InvalidInputError unless the budgets fit env's population and corrupt an agent."""
+    if budgets.n_agents != env.n_agents:
+        raise InvalidInputError("budget vector length does not match the population")
+    if not np.any(budgets.eps > 0):
+        raise InvalidInputError("budget vector corrupts no agent: every eps is 0")
+
+
 def evaluate_policy(env, policy, episodes: int, seed, adversary_policy=None,
                     budgets: Optional[BudgetVector] = None) -> np.ndarray:
     """Discounted returns over independent episodes (one seed per episode),
     stepped as one batch; each equals its own rollout's return.  With an
     adversary and budgets the episodes are attacked, on the clean call's
-    draws, so that call gives the matching baseline; an attack with no
-    active corruption warns, and its returns are the clean ones.
-    RuntimeError if the policy's checksum moved; InvalidInputError for fewer
-    than one episode or budgets sized for another population."""
+    draws, so that call gives the matching baseline.  RuntimeError if the
+    policy's checksum moved; InvalidInputError for fewer than one episode, an
+    adversary without budgets or budgets without one, or budgets that
+    ``check_attack`` refuses."""
     if episodes < 1:
         raise InvalidInputError(f"episodes must be >= 1, got {episodes}")
-    if budgets is not None and budgets.n_agents != env.n_agents:
-        raise InvalidInputError("budget vector length does not match the population")
-    attacked = adversary_policy is not None and budgets is not None and np.any(budgets.eps > 0)
-    if not attacked and (adversary_policy is not None or budgets is not None):
-        warnings.warn("attack evaluation with no active corruption; "
-                      "returns equal the clean baseline", stacklevel=2)
+    if (adversary_policy is None) != (budgets is None):
+        raise InvalidInputError("an attack needs both an adversary policy and budgets")
+    if budgets is not None:
+        check_attack(env, budgets)
     before = policy_checksum(policy)
     rewards = _play(env, policy, np.random.SeedSequence(seed).spawn(episodes),
                     adversary_policy, budgets)[2]

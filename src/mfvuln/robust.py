@@ -43,7 +43,8 @@ import numpy as np
 
 from .core import dual_order
 from .errors import InvalidConfigError, InvalidInputError
-from .qlearn import CHECKPOINT_MAGIC, QModel, malformed_artifact, read_record, write_record
+from .qlearn import (CHECKPOINT_MAGIC, QModel, malformed_artifact, read_record, record_dims,
+                     write_record)
 
 
 @dataclass
@@ -221,11 +222,12 @@ class RobustValueModel:
         header, flat = read_record(path, CHECKPOINT_MAGIC, "robustvalue")
         with malformed_artifact(path):
             # reshape before allocating, so a bad header cannot size the tables
-            base, damp = flat.reshape(2, int(header["n_states"]))
+            n_states, n_actions = record_dims(header)
+            base, damp = flat.reshape(2, n_states)
             gamma, p = float(header["gamma"]), float(header["p"])
             if not (0.0 <= gamma < 1.0 and p >= 1.0):   # p may be inf, never NaN
                 raise ValueError(f"gamma {gamma!r} must be in [0, 1) and p {p!r} at least 1")
-            model = RobustValueModel(base.size, int(header["n_actions"]), gamma, p=p)
+            model = RobustValueModel(n_states, n_actions, gamma, p=p)
         model.base, model.damp = base, damp
         return model
 

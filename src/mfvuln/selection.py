@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,7 +42,7 @@ class AttackSet:
     """A chosen set of agents to corrupt at a common per-agent budget.
 
     Ids keep selection order (greedy's per-round picks line up with
-    pick_rewards); distinctness is still enforced.
+    pick_rewards); distinctness is still enforced, and eps is in (0, 1].
     """
 
     ids: np.ndarray
@@ -59,8 +58,8 @@ class AttackSet:
             raise InvalidInputError("attack set has duplicate ids")
         if ids.size and ids.min() < 0:
             raise InvalidInputError("attack set has negative ids")
-        if not (0.0 <= self.eps <= 1.0):
-            raise InvalidInputError("attack budget must be in [0, 1]")
+        if not (0.0 < self.eps <= 1.0):
+            raise InvalidInputError(f"attack budget must be in (0, 1], got {self.eps!r}")
         object.__setattr__(self, "ids", ids)
 
     @property
@@ -133,8 +132,6 @@ def select_greedy(value_model, states0, mu0, k: int, eps: float = 1.0) -> Attack
     states0 = np.asarray(states0, dtype=int)
     n = states0.size
     _check_k(n, k)
-    if k and eps == 0:
-        warnings.warn("degenerate selection step: budgets unchanged", stacklevel=2)
     ids = np.argsort(-value_model.damp[states0], kind="stable")[:k]
     nested = np.zeros((k + 1, n))
     nested[:, ids] = np.where(np.tri(k + 1, k, -1, dtype=bool), eps, 0.0)

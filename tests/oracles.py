@@ -560,8 +560,6 @@ def train_adversary_serial(env, victim_policy, budgets, cfg, seed, step=None):
 
     attacked = budgets.eps > 0
     model = QModel(env.n_states, env.n_actions, env.gamma)
-    if not attacked.any():
-        return model, np.empty(0)
     episode_seeds = np.random.SeedSequence((seed, 0xad)).spawn(cfg.episodes)
     act_rng = seed_rng(seed, salt="adversary-actions")
     curve = np.empty(cfg.episodes)

@@ -10,7 +10,6 @@ is oracle-based and fast.
 import os
 import tempfile
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +67,8 @@ def attack_set_returns(env, victim, attacks, adv_cfg, eps, seed):
     """Victim returns under each attack set, each over adv_cfg.eval_episodes
     episodes; the adversaries train in one batch."""
     budgets = [BudgetVector.from_set(env.n_agents, list(attack.ids), eps) for attack in attacks]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return attacked_returns(env, victim, budgets, adv_cfg, [seed] * len(budgets),
-                                [(seed, 3)] * len(budgets))
+    return attacked_returns(env, victim, budgets, adv_cfg, [seed] * len(budgets),
+                            [(seed, 3)] * len(budgets))
 
 
 # -- criterion 1: contraction -----------------------------------------------------
@@ -248,10 +245,8 @@ def test_criterion_6_prediction_correlation(env_name):
     env, victim, vmodel, states0, mu0 = trained_setup(env_name, 0)
     cfg = experiment(env_name)
     subsets = sample_attack_subsets(env.n_agents, 20, seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        r, rows = correlate_prediction_vs_attack(vmodel, env, victim, subsets, cfg.adversary,
-                                                 seed=0)
+    r, rows = correlate_prediction_vs_attack(vmodel, env, victim, subsets, cfg.adversary,
+                                             seed=0)
     elapsed = time.time() - start
     assert abs(r) >= 0.8, f"{env_name}: |r|={abs(r):.3f} < 0.8"
     assert elapsed < 1800.0

@@ -1,8 +1,8 @@
 """Adversarial training and attack evaluation against exact chain oracles.
 
 An attack is scored by ``qlearn.evaluate_policy`` given the adversary and the
-budgets; its guards (frozen victim, budget length, no active corruption) are
-tested here."""
+budgets; its guards (frozen victim, budget length, an attack that corrupts no
+agent) are tested here."""
 
 import tracemalloc
 
@@ -88,30 +88,29 @@ def test_budget_length_mismatch_is_rejected():
 # -- degenerate attacks ----------------------------------------------------------
 
 
-def test_empty_attack_set_warns_and_returns_untrained_model():
+def test_an_attack_set_corrupting_no_agent_is_refused_before_training(monkeypatch):
+    """An all-zero budget vector once trained nothing and returned an untrained
+    adversary with a warning; it is refused before any learner trains."""
     env, victim, _ = cycle_env()
-    zeros = BudgetVector(np.zeros(4))
-    with pytest.warns(UserWarning, match="empty attack set"):
-        [(model, policy, curve)] = train_adversaries(env, victim, [zeros],
-                                                     AdversaryConfig(episodes=5), [0])
-    assert curve.size == 0
-    assert np.all(model.table == 0.0)
-    rows = policy.action_dists(env.reset(seed=0))
-    assert np.allclose(rows, 0.5)
+    monkeypatch.setattr("mfvuln.attack._lockstep", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(InvalidInputError, match="corrupts no agent"):
+        train_adversaries(env, victim, [BudgetVector(np.zeros(4))],
+                          AdversaryConfig(episodes=5), [0])
 
 
-def test_no_op_evaluation_warns_and_repeats_baseline():
+def test_an_evaluation_with_half_an_attack_or_no_corruption_is_refused(monkeypatch):
+    """Zero budgets, or budgets or an adversary alone, once warned and returned the
+    clean baseline; each is refused before any episode is played."""
     env, victim, _ = cycle_env()
-    baseline = evaluate_policy(env, victim, 3, seed=1)
-    zeros = BudgetVector(np.zeros(4))
-    with pytest.warns(UserWarning, match="no active corruption"):
-        returns = evaluate_policy(env, victim, 3, seed=1, adversary_policy=UniformPolicy(2),
-                                  budgets=zeros)
-    assert np.array_equal(returns, baseline)
+    monkeypatch.setattr("mfvuln.qlearn._play", lambda *a, **k: pytest.fail("played"))
     active = BudgetVector.from_set(4, [2], 1.0)
-    with pytest.warns(UserWarning, match="no active corruption"):
-        returns = evaluate_policy(env, victim, 3, seed=1, budgets=active)  # no adversary
-    assert np.array_equal(returns, baseline)
+    for attack, message in [
+            (dict(adversary_policy=UniformPolicy(2), budgets=BudgetVector(np.zeros(4))),
+             "corrupts no agent"),
+            (dict(budgets=active), "needs both"),
+            (dict(adversary_policy=UniformPolicy(2)), "needs both")]:
+        with pytest.raises(InvalidInputError, match=message):
+            evaluate_policy(env, victim, 3, seed=1, **attack)
 
 
 @pytest.mark.parametrize("name", sorted(ENVS))

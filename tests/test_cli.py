@@ -4,7 +4,6 @@ import csv
 import os
 import re
 import shutil
-import warnings
 from functools import partial
 from pathlib import Path
 
@@ -473,9 +472,7 @@ def test_each_command_prints_its_line_and_rewrites_nothing_on_a_finished_run(
         tmp_path, capsys, command):
     out, _ = finished_copy(tmp_path)
     inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 0
+    assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 0
     assert capsys.readouterr().out == TOY_LINES[command].format(out=out) + "\n"
     assert_matches_fixture(out)
     # write_atomic's os.replace gives a file a new inode, even with the same bytes
@@ -548,8 +545,10 @@ def _cut_value_model(text):
      lambda text: text.replace("n_states 15", "n_states 3").replace("n_actions 2", "n_actions 10"),
      "correlation_s0.csv", "correlate"),
     ("value_s0.robust", _cut_value_model, "heatmap_per-agent-eps_s0.csv", "heatmap"),
+    ("value_s0.robust", lambda text: text.replace("n_actions 2", "n_actions 7"),
+     "heatmap_per-agent-eps_s0.csv", "heatmap"),
     ("attack_dc_s0.txt", lambda text: text.replace("ids 0 1", "ids 0 9"), None, "attack"),
-], ids=["q-table-shape", "value-model-states", "attack-set-ids"])
+], ids=["q-table-shape", "value-model-states", "value-model-actions", "attack-set-ids"])
 def test_a_stage_file_that_does_not_fit_the_env_exits_with_error_naming_it(
         tmp_path, capsys, name, edit, stale, command):
     """A well-formed file sized for another env once ended in an IndexError traceback.
@@ -563,6 +562,40 @@ def test_a_stage_file_that_does_not_fit_the_env_exits_with_error_naming_it(
     assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{out / name} does not fit the env" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, old, new, command, named", [
+    ("toy.yaml", "\n  k: 2\n", "\n  k: 0\n", "pipeline", "k must be >= 1"),
+    ("toy.yaml", "\n  k: 2\n", "\n  k: 2\n  k: 2\n", "pipeline", "found duplicate key 'k'"),
+    ("toy.yaml", "[greedy, random, dc, brute]", "[greedy, greedy]", "pipeline",
+     "selection method greedy is listed twice"),
+    ("victim_s0.policy", "\nn_states 15\n", "\nn_states -1\n", "attack", "victim_s0.policy"),
+    ("value_s0.robust", "\nn_states 15\n", "\nn_states -1\n", "heatmap", "value_s0.robust"),
+], ids=["k-0", "repeated-key", "repeated-method", "policy-states", "value-states"])
+def test_an_empty_attack_a_repeated_setting_or_an_unread_dimension_exits_with_error(
+        tmp_path, capsys, name, old, new, command, named):
+    """Each once exited 0: ``k: 0`` trained all-zero adversaries, a repeated key was read
+    as its last value, a repeated method trained twice into one file, and a reshape
+    inferred a record's dimension of -1.  A refused config makes no out dir, and a
+    refused record leaves its out dir as it was."""
+    if name == "toy.yaml":
+        config, out, text = tmp_path / name, tmp_path / "refused", CONFIG.read_text()
+        edited = config
+    else:
+        (out, _), config = finished_copy(tmp_path), CONFIG
+        edited, text = out / name, (out / name).read_text()
+        (out / "heatmap_per-agent-eps_s0.csv").unlink()   # so heatmap loads the value model
+    assert text.count(old) == 1
+    edited.write_text(text.replace(old, new))
+    before = out.exists() and {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    if name == "toy.yaml":
+        assert not out.exists()
+    else:
+        assert f"malformed artifact {edited}" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("old, new", [("ids 1 3", "ids 1"), ("eps 1.0", "eps 0.5"),

@@ -9,7 +9,6 @@ import os
 import shutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -25,10 +24,8 @@ COMMANDS = ("pipeline", "correlate", "heatmap")
 
 
 def run_toy(out, commands=COMMANDS):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for command in commands:
-            assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 0
+    for command in commands:
+        assert main([command, "--config", str(CONFIG), "--out", str(out)]) == 0
 
 
 def correlate_rows(out):
@@ -217,11 +214,10 @@ def test_a_toy_run_never_imports_numpy_ma(tmp_path):
     numpy versions load numpy.ma at ``import numpy``, and then there is nothing to check.
     """
     script = f"""
-import sys, warnings
+import sys
 import numpy
 preloaded = "numpy.ma" in sys.modules
 from mfvuln.cli import main
-warnings.simplefilter("ignore")
 for command in {list(COMMANDS)!r}:
     assert main([command, "--config", {str(CONFIG)!r}, "--out", {str(tmp_path / "toy")!r}]) == 0
 print("preloaded" if preloaded else "loaded" if "numpy.ma" in sys.modules else "absent")

@@ -34,6 +34,7 @@ from mfvuln.pipeline import (ARTIFACTS, CorrelationStageConfig, ResultsLedger, R
 from mfvuln.qlearn import BoltzmannPolicy, QModel, TablePolicy, TrainConfig, evaluate_policy
 from mfvuln.robust import RobustValueModel
 from oracles import exact_value_model, greedy_matrix, optimal_q
+from test_golden_toy import ROOT
 
 
 def base_raw(**overrides):
@@ -114,6 +115,33 @@ def test_section_validation_is_applied():
     with pytest.raises(InvalidConfigError, match="unknown selection method"):
         parse_experiment_config(
             base_raw(selection={"methods": ["gredy"], "k": 1}))
+    # at k: 0 every adversary trained on a budget vector that corrupts no agent
+    for k in (0, -1):
+        with pytest.raises(InvalidConfigError, match="k must be >= 1"):
+            parse_experiment_config(base_raw(selection={"methods": ["greedy"], "k": k}))
+
+
+def test_a_selection_method_listed_twice_is_refused():
+    """[greedy, greedy] once trained the greedy adversary twice and saved both to one file."""
+    raw = base_raw(selection={"methods": ["greedy", "random", "greedy"], "k": 2})
+    with pytest.raises(InvalidConfigError, match="selection method greedy is listed twice"):
+        parse_experiment_config(raw)
+
+
+@pytest.mark.parametrize("after, repeat", [
+    ("seeds: [0, 1, 2]\n", "seeds: [0]\n"), ("  k: 4\n", "  k: 2\n"),
+    ("  n_agents: 16\n", "  n_agents: 8\n")], ids=["top-level", "section", "env"])
+def test_a_key_written_twice_is_refused_naming_the_key_and_its_line(tmp_path, after, repeat):
+    """PyYAML keeps a repeated key's last value: a second ``k: 2`` once loaded as k = 2."""
+    text = (ROOT / "configs" / "taxi.yaml").read_text()
+    assert text.count(after) == 1
+    path = tmp_path / "taxi.yaml"
+    path.write_text(text.replace(after, after + repeat))
+    line = text[:text.index(after)].count("\n") + 2
+    with pytest.raises(ConfigParseError) as err:
+        pipeline.load_experiment_config(path)
+    key = repeat.split(":")[0].strip()
+    assert f"found duplicate key '{key}'\n  in \"{path}\", line {line}," in str(err.value)
 
 
 def test_string_for_int_field_is_named():

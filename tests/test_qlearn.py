@@ -388,6 +388,21 @@ LOADERS = {"victim.policy": BoltzmannPolicy.load, "value.robust": RobustValueMod
            "attack.txt": load_attack_set}
 
 
+@pytest.mark.parametrize("name, old, new", [
+    ("victim.policy", "n_states 2", "n_states -1"), ("victim.policy", "n_actions 3", "n_actions -1"),
+    ("value.robust", "n_states 3", "n_states -1"), ("value.robust", "n_actions 2", "n_actions 0")],
+    ids=["policy-states", "policy-actions", "value-states", "value-actions"])
+def test_a_checkpoint_dimension_below_one_is_refused_naming_the_file(tmp_path, name, old, new):
+    """A reshape once inferred a dimension of -1 from the value count, and a value
+    model once kept 0 actions: each such checkpoint loaded."""
+    assert ARTIFACTS[name].count(f"\n{old}\n") == 1
+    path = tmp_path / name
+    path.write_text(ARTIFACTS[name].replace(f"\n{old}\n", f"\n{new}\n"))
+    with pytest.raises(InvalidInputError, match="must be positive") as err:
+        LOADERS[name](str(path))
+    assert str(path) in str(err.value)
+
+
 def _write_artifacts(directory, texts):
     for name, text in texts.items():
         Path(directory, name).write_text(text, encoding="utf-8")

@@ -1,7 +1,6 @@
 """The README's library example runs as written."""
 
 import re
-import warnings
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -11,7 +10,5 @@ def test_library_entry_points_example_runs(capsys):
     text = README.read_text()
     section = text[text.index("## Library entry points"):]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        exec(compile(code, "README.md", "exec"), {})
+    exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 3  # the attack set and two returns

@@ -1,7 +1,6 @@
 """Attack-set selection against crafted value models and exhaustive search."""
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -187,17 +186,13 @@ def test_greedy_ids_are_the_stable_ranking_by_damp(model, data):
     assert list(attack.ids) == list(ranking[:k])
 
 
-def test_greedy_at_zero_budget_warns_once_with_zero_pick_rewards():
+def test_greedy_at_zero_budget_is_refused():
+    """At eps 0 greedy once warned and returned k picks of reward 0: an attack set
+    that corrupts no one.  An attack set refuses that budget, whatever its size."""
     model = value_model([1.0, 2.0, 0.5])
-    states0 = np.arange(3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert select_greedy(model, states0, None, 0, 0.0).k == 0
-    with pytest.warns(UserWarning, match="budgets unchanged") as record:
-        attack = select_greedy(model, states0, None, 3, 0.0)
-    assert len(record) == 1
-    assert list(attack.ids) == [1, 0, 2]
-    assert attack.pick_rewards.tolist() == [0.0, 0.0, 0.0] and attack.predicted_drop == 0.0
+    for k in (0, 3):
+        with pytest.raises(InvalidInputError, match=r"must be in \(0, 1\], got 0.0"):
+            select_greedy(model, np.arange(3), None, k, 0.0)
 
 
 def test_greedy_separates_a_damp_gap_at_tiny_budgets():
