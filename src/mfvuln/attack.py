@@ -57,10 +57,14 @@ def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) 
     own SeedSequence, so the batch holds O(B) seeds, not O(B * episodes).  A
     curve is the adversary's objective (negated shared reward, discounted),
     so it should rise.  InvalidInputError for a budget vector sized for another
-    population or corrupting no agent: a learner with no attacked agent learns nothing.
+    population or corrupting no agent, or an episode shorter than two steps: a learner
+    with no attacked agent, or no next action to bootstrap on, learns nothing.
     """
     if len(budgets) != len(seeds):
         raise InvalidInputError(f"{len(budgets)} budget vectors for {len(seeds)} seeds")
+    if env.horizon < 2:
+        raise InvalidInputError(f"horizon {env.horizon} is below 2: SARSA updates on the "
+                                "next step's action")
     cfg.validate()
     for b in budgets:
         check_attack(env, b)
@@ -79,7 +83,11 @@ def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) 
 def attacked_returns(env, victim_policy, budgets, cfg: AdversaryConfig, seeds,
                      eval_seeds) -> np.ndarray:
     """Victim returns under each budget vector's own adversary, a (B, cfg.eval_episodes)
-    array: one ``train_adversaries`` batch, then ``evaluate_policy`` per learner."""
+    array: one ``train_adversaries`` batch, then ``evaluate_policy`` per learner.
+    InvalidInputError, before any learner trains, unless each has an evaluation seed."""
+    if len(eval_seeds) != len(budgets):
+        raise InvalidInputError(
+            f"{len(eval_seeds)} evaluation seeds for {len(budgets)} budget vectors")
     trained = train_adversaries(env, victim_policy, budgets, cfg, seeds)
     return np.array([evaluate_policy(env, victim_policy, cfg.eval_episodes, s, adv, b)
-                     for b, s, (_, adv, _) in zip(budgets, eval_seeds, trained, strict=True)])
+                     for b, s, (_, adv, _) in zip(budgets, eval_seeds, trained)])

@@ -172,6 +172,9 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(raw=raw, name=raw.get("name", "experiment"), env=dict(env_raw),
                            seeds=seeds, out_dir=raw.get("out_dir", "runs"), **sections)
     env = make_env(cfg.env)   # validates the env section before any compute
+    if env.horizon < 2:
+        raise InvalidConfigError(f"env horizon={env.horizon} is below 2: the adversary's "
+                                 "SARSA and the value corpus need two steps")
     if cfg.selection.k > env.n_agents:
         raise InvalidConfigError(
             f"selection k={cfg.selection.k} exceeds population size {env.n_agents}")

@@ -14,8 +14,9 @@ victim runs expected-SARSA updates toward its own Boltzmann policy, on
 every agent at once; ``train_victims`` trains one per seed.  An adversary
 (``attack.train_adversaries``) differs only in its target (SARSA on the
 negated reward, for the attacked agents) and in mixing its policy with the
-frozen victim's.  ``evaluate_policy`` is the one evaluator of clean and
-attacked policies alike; it refuses to return if the victim moved.
+frozen victim's.  ``rollouts`` plays every fixed policy's episodes, clean
+or attacked, and refuses to return if the victim moved; ``evaluate_policy``
+scores them.
 """
 
 from __future__ import annotations
@@ -262,51 +263,46 @@ def discounted_return(rewards, gamma: float) -> float:
     return float(sum(r * gamma ** t for t, r in enumerate(rewards)))
 
 
-def _play(env, victim_policy, seeds, adversary_policy, budgets):
-    """One episode per seed, stepped together as a batch of B = len(seeds).
+def rollouts(env, victim_policy, seeds, adversary_policy=None,
+             budgets: Optional[BudgetVector] = None) -> list:
+    """One episode per seed under the victim policy, optionally corrupted,
+    stepped together as a batch of B = len(seeds): B trajectories, views of
+    one (B, T, N) block allocated once (see Trajectory for its dtype).
 
-    Returns (B, T, N) states and actions (see Trajectory for their dtype),
-    (B, T) rewards and (B, N) final states, written into arrays allocated
-    once.  Each episode's environment noise and action sampling are seeded
-    from its own seed, separately, so an episode replays bit-identically
-    whatever batch it runs in; its (T, N) action uniforms come from one call,
-    the numbers T calls of N would give.
+    With an adversary and budgets, each agent's action distribution is the
+    per-decision mixture eps_i * adversary + (1 - eps_i) * victim.  Each
+    episode's environment noise and action sampling are seeded separately
+    from its own seed, so an episode replays bit-identically alone or in any
+    batch; its (T, N) action uniforms come from one call, the numbers T calls
+    of N would give.  InvalidInputError before any step for an adversary
+    without budgets, budgets without one, or budgets that ``check_attack``
+    refuses; RuntimeError if the victim's checksum moved during play.
     """
+    if (adversary_policy is None) != (budgets is None):
+        raise InvalidInputError("an attack needs both an adversary policy and budgets")
+    if budgets is not None:
+        check_attack(env, budgets)
+        e = mixing_weights(budgets.eps, (len(seeds), env.n_agents, env.n_actions))
+        keep = 1.0 - e
+    before = policy_checksum(victim_policy)
     batch = stack_snapshots([env.reset(seed=s) for s in seeds])
     shape = (len(seeds), env.horizon, env.n_agents)
     u = np.array([seed_rng(s, salt="rollout-actions").random(shape[1:]) for s in seeds])
-    attacked = budgets is not None and adversary_policy is not None \
-        and bool(np.any(budgets.eps > 0))
-    if attacked:
-        e = mixing_weights(budgets.eps, (len(seeds), env.n_agents, env.n_actions))
-        keep = 1.0 - e
     states = np.empty(shape, np.min_scalar_type(env.n_states - 1))
     actions = np.empty(shape, np.min_scalar_type(env.n_actions - 1))
     rewards = np.empty(shape[:2])
     for t in range(env.horizon):
         dists = victim_policy.action_dists(batch)
-        if attacked:
+        if budgets is not None:
             dists = e * adversary_policy.action_dists(batch) + keep * dists
         picks = pick_categorical(dists, u[:, t])
         res = env.step_batch(batch, picks)
         states[:, t], actions[:, t], rewards[:, t] = batch.states, picks, res.reward
         batch = res.snapshot
-    return states, actions, rewards, batch.states.astype(states.dtype)
-
-
-def rollouts(env, victim_policy, seeds, adversary_policy=None,
-             budgets: Optional[BudgetVector] = None) -> list:
-    """One episode per seed under the victim policy, optionally corrupted,
-    stepped as one batch: B trajectories, views of one (B, T, N) block.
-
-    When budgets are given, each agent's action distribution is the
-    per-decision mixture eps_i * adversary + (1 - eps_i) * victim.  Each
-    episode's environment noise stream and action sampling stream are seeded
-    separately from its own seed, so it replays bit-identically alone or in
-    any batch.
-    """
-    block = _play(env, victim_policy, seeds, adversary_policy, budgets)
-    return [Trajectory(*(field[b] for field in block)) for b in range(len(seeds))]
+    if policy_checksum(victim_policy) != before:
+        raise RuntimeError("victim policy changed during play")
+    final = batch.states.astype(states.dtype)
+    return [Trajectory(states[b], actions[b], rewards[b], final[b]) for b in range(len(seeds))]
 
 
 def rollout(env, victim_policy, seed, adversary_policy=None,
@@ -325,25 +321,16 @@ def check_attack(env, budgets: BudgetVector):
 
 def evaluate_policy(env, policy, episodes: int, seed, adversary_policy=None,
                     budgets: Optional[BudgetVector] = None) -> np.ndarray:
-    """Discounted returns over independent episodes (one seed per episode),
-    stepped as one batch; each equals its own rollout's return.  With an
-    adversary and budgets the episodes are attacked, on the clean call's
-    draws, so that call gives the matching baseline.  RuntimeError if the
-    policy's checksum moved; InvalidInputError for fewer than one episode, an
-    adversary without budgets or budgets without one, or budgets that
-    ``check_attack`` refuses."""
+    """Discounted returns of one ``rollouts`` batch of independent episodes (one
+    seed per episode), each its own rollout's return.  With an adversary and
+    budgets the episodes are attacked, on the clean call's draws, so that call
+    gives the matching baseline.  InvalidInputError for fewer than one episode;
+    ``rollouts`` refuses a malformed attack and a victim that moved."""
     if episodes < 1:
         raise InvalidInputError(f"episodes must be >= 1, got {episodes}")
-    if (adversary_policy is None) != (budgets is None):
-        raise InvalidInputError("an attack needs both an adversary policy and budgets")
-    if budgets is not None:
-        check_attack(env, budgets)
-    before = policy_checksum(policy)
-    rewards = _play(env, policy, np.random.SeedSequence(seed).spawn(episodes),
-                    adversary_policy, budgets)[2]
-    if policy_checksum(policy) != before:
-        raise RuntimeError("victim policy changed during evaluation")
-    return np.array([discounted_return(row, env.gamma) for row in rewards.tolist()])
+    trajs = rollouts(env, policy, np.random.SeedSequence(seed).spawn(episodes),
+                     adversary_policy, budgets)
+    return np.array([discounted_return(traj.rewards.tolist(), env.gamma) for traj in trajs])
 
 
 # -- victim training -----------------------------------------------------------

@@ -1,20 +1,21 @@
 """Adversarial training and attack evaluation against exact chain oracles.
 
-An attack is scored by ``qlearn.evaluate_policy`` given the adversary and the
-budgets; its guards (frozen victim, budget length, an attack that corrupts no
-agent) are tested here."""
+An attack is played by ``qlearn.rollouts`` and scored by ``qlearn.evaluate_policy``
+given the adversary and the budgets; their guards (frozen victim, budget length,
+an attack that corrupts no agent) are tested here."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mfvuln.attack import AdversaryConfig, train_adversaries
+from mfvuln.attack import AdversaryConfig, attacked_returns, train_adversaries
 from mfvuln.core import BudgetVector
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, UniformPolicy,
-                           discounted_return, evaluate_policy, policy_checksum, rollout)
+                           discounted_return, evaluate_policy, policy_checksum, rollout,
+                           rollouts)
 from oracles import exact_attack_return, exact_policy_value, pooled_std
 from test_batch import ENVS, same, victim_of
 
@@ -100,17 +101,45 @@ def test_an_attack_set_corrupting_no_agent_is_refused_before_training(monkeypatc
 
 def test_an_evaluation_with_half_an_attack_or_no_corruption_is_refused(monkeypatch):
     """Zero budgets, or budgets or an adversary alone, once warned and returned the
-    clean baseline; each is refused before any episode is played."""
+    clean baseline, and ``rollout`` and ``rollouts`` played them clean; every entry
+    point refuses each before any episode starts."""
     env, victim, _ = cycle_env()
-    monkeypatch.setattr("mfvuln.qlearn._play", lambda *a, **k: pytest.fail("played"))
+    for name in ("reset", "step_batch"):
+        monkeypatch.setattr(env, name, lambda *a, **k: pytest.fail("played"))
     active = BudgetVector.from_set(4, [2], 1.0)
-    for attack, message in [
-            (dict(adversary_policy=UniformPolicy(2), budgets=BudgetVector(np.zeros(4))),
-             "corrupts no agent"),
-            (dict(budgets=active), "needs both"),
-            (dict(adversary_policy=UniformPolicy(2)), "needs both")]:
-        with pytest.raises(InvalidInputError, match=message):
-            evaluate_policy(env, victim, 3, seed=1, **attack)
+    plays = [lambda **attack: evaluate_policy(env, victim, 3, seed=1, **attack),
+             lambda **attack: rollout(env, victim, 1, **attack),
+             lambda **attack: rollouts(env, victim, [1, 2], **attack)]
+    for play in plays:
+        for attack, message in [
+                (dict(adversary_policy=UniformPolicy(2), budgets=BudgetVector(np.zeros(4))),
+                 "corrupts no agent"),
+                (dict(adversary_policy=UniformPolicy(2), budgets=BudgetVector(np.zeros(6))),
+                 "does not match the population"),
+                (dict(budgets=active), "needs both"),
+                (dict(adversary_policy=UniformPolicy(2)), "needs both")]:
+            with pytest.raises(InvalidInputError, match=message):
+                play(**attack)
+
+
+def test_a_one_step_episode_is_refused_before_training(monkeypatch):
+    """SARSA updates on the next step's action: at horizon 1 the adversary once
+    returned an all-zero Q table with no visits, without a word."""
+    env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=1, seed=1))
+    monkeypatch.setattr("mfvuln.attack._lockstep", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(InvalidInputError, match="horizon 1 is below 2"):
+        train_adversaries(env, UniformPolicy(env.n_actions), [BudgetVector.from_set(3, [0], 1.0)],
+                          AdversaryConfig(episodes=50), [0])
+
+
+def test_attacked_returns_refuses_mismatched_evaluation_seeds_before_training(monkeypatch):
+    """Two budget vectors with one evaluation seed once trained the whole batch, then
+    raised a bare ValueError from the evaluation's zip."""
+    env, victim, _ = cycle_env()
+    monkeypatch.setattr("mfvuln.attack._lockstep", lambda *a, **k: pytest.fail("trained"))
+    budgets = [BudgetVector.from_set(4, [j], 1.0) for j in (0, 1)]
+    with pytest.raises(InvalidInputError, match="1 evaluation seeds for 2 budget vectors"):
+        attacked_returns(env, victim, budgets, AdversaryConfig(episodes=5), [0, 1], [7])
 
 
 @pytest.mark.parametrize("name", sorted(ENVS))
@@ -209,6 +238,8 @@ def test_victim_mutation_is_detected():
                             adversary_policy=UniformPolicy(2), budgets=budgets)
         with pytest.raises(RuntimeError, match="victim policy changed"):
             evaluate_policy(env, drifting(pi.copy()), 2, seed=0)
+        with pytest.raises(RuntimeError, match="victim policy changed"):
+            rollouts(env, drifting(pi.copy()), [0, 1])
 
 
 # -- argument checks and pooled spread ---------------------------------------------

@@ -121,6 +121,14 @@ def test_section_validation_is_applied():
             parse_experiment_config(base_raw(selection={"methods": ["greedy"], "k": k}))
 
 
+def test_a_one_step_horizon_is_refused_naming_horizon():
+    """At horizon 1 a run either failed the victim's margin or left its first two
+    stages' files behind, then exited at the value stage's two-step corpus."""
+    env = dict(base_raw()["env"], horizon=1)
+    with pytest.raises(InvalidConfigError, match="horizon=1 is below 2"):
+        parse_experiment_config(base_raw(env=env))
+
+
 def test_a_selection_method_listed_twice_is_refused():
     """[greedy, greedy] once trained the greedy adversary twice and saved both to one file."""
     raw = base_raw(selection={"methods": ["greedy", "random", "greedy"], "k": 2})

@@ -242,16 +242,6 @@ def test_rollout_full_takeover_uses_adversary():
     assert np.all(acts[:, 1] == 0)   # the other one never deviates
 
 
-def test_rollout_zero_budgets_ignore_adversary():
-    env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=10, seed=1))
-    pol = UniformPolicy(env.n_actions)
-    adv = TablePolicy(np.eye(env.n_actions)[np.zeros(env.n_states, dtype=int)])
-    plain = rollout(env, pol, seed=5)
-    mixed = rollout(env, pol, seed=5, adversary_policy=adv,
-                    budgets=BudgetVector.zeros(3))
-    assert np.array_equal(plain.rewards, mixed.rewards)
-
-
 @pytest.mark.parametrize("n_states, n_actions, dtypes", [
     (256, 2, (np.uint8, np.uint8)), (257, 2, (np.uint16, np.uint8)),
     (2, 256, (np.uint8, np.uint8)), (2, 257, (np.uint8, np.uint16))],
