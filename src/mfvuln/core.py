@@ -82,19 +82,6 @@ def empirical_mean_field_state(states, n_states: int) -> MeanFieldState:
     return MeanFieldState(counts / states.size, states.size)
 
 
-def mixing_weights(eps_vec, shape) -> np.ndarray:
-    """Per-agent budgets as mixing weights for (..., N, A) policy matrices of
-    the given shape: checked, as floats, with a trailing unit axis.  The budgets
-    are one (N,) vector for every batch entry or one row per entry.  A loop with
-    fixed budgets checks them once here and mixes e * alpha + (1 - e) * beta itself."""
-    eps_vec = np.asarray(eps_vec, dtype=float)
-    if eps_vec.ndim == 0 or eps_vec.shape != tuple(shape[-1 - eps_vec.ndim:-1]):
-        raise InvalidInputError("budget vector length mismatch")
-    if np.any(eps_vec < 0) or np.any(eps_vec > 1):
-        raise InvalidInputError("mixing weights must be in [0, 1]")
-    return eps_vec[..., None]
-
-
 @dataclass(frozen=True)
 class BudgetVector:
     """Per-agent corruption budgets eps_i in [0, 1].

@@ -234,12 +234,15 @@ def _type_name(annotation) -> str:
 
 
 def _check_field_types(cls, raw: dict, error, where: str):
-    """Raise `error` naming the first value that does not fit its annotation."""
+    """Raise `error` naming the first value that does not fit its annotation, or an
+    integer other than a seed (numpy seeds from any size) that does not fit in 64 bits."""
     hints = typing.get_type_hints(cls)
     for name, value in raw.items():
         if name in hints and not _type_matches(value, hints[name]):
             raise error(f"key '{name}' in {where} must be {_type_name(hints[name])}, "
                         f"got {value!r}")
+        if isinstance(value, int) and not -2 ** 63 <= value < 2 ** 63 and name != "seed":
+            raise error(f"key '{name}' in {where} must fit in 64 bits, got {value!r}")
 
 
 def require_finite(cfg, *names):
@@ -276,8 +279,9 @@ class EnvConfig:
 
 def build_config(cls, raw, error=InvalidConfigError, where=None):
     """A validated ``cls`` from a config mapping, strictly: a value that is not a
-    mapping, an unknown key or a mistyped value raises ``error`` naming it and
-    ``where`` (default: the class name).  None, an empty yaml section, is {}."""
+    mapping, an unknown key, a mistyped value or an integer beyond 64 bits (a seed
+    excepted) raises ``error`` naming it and ``where`` (default: the class name).
+    None, an empty yaml section, is {}."""
     where = where or cls.__name__
     raw = {} if raw is None else raw
     if not isinstance(raw, dict):

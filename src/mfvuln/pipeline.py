@@ -47,8 +47,8 @@ from .qlearn import (BoltzmannPolicy, TrainConfig, UniformPolicy,
                      evaluate_policy, rollouts, train_victims, write_atomic)
 from .robust import (FitConfig, RobustValueModel, fit_cooperative_q,
                      fit_robust_value)
-from .selection import (AttackSet, check_brute_force, load_attack_set, predicted_drop,
-                        save_attack_set, select_bruteforce,
+from .selection import (AttackSet, check_brute_force, check_k, load_attack_set,
+                        predicted_drop, save_attack_set, select_bruteforce,
                         select_degree_centrality, select_greedy, select_random)
 
 FLOAT_FMT = "%.9g"
@@ -103,8 +103,6 @@ class SelectionStageConfig:
         repeated = [m for i, m in enumerate(self.methods) if m in self.methods[:i]]
         if repeated:
             raise InvalidConfigError(f"selection method {repeated[0]} is listed twice")
-        if self.k < 1:
-            raise InvalidConfigError("k must be >= 1")
         if not (0.0 < self.eps <= 1.0):
             raise InvalidConfigError("eps must be in (0, 1]")
 
@@ -175,9 +173,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if env.horizon < 2:
         raise InvalidConfigError(f"env horizon={env.horizon} is below 2: the adversary's "
                                  "SARSA and the value corpus need two steps")
-    if cfg.selection.k > env.n_agents:
-        raise InvalidConfigError(
-            f"selection k={cfg.selection.k} exceeds population size {env.n_agents}")
+    check_k(env.n_agents, cfg.selection.k)
     if "brute" in cfg.selection.methods:
         check_brute_force(env.n_agents, cfg.selection.k)
     corr = cfg.correlation

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BudgetVector, mixing_weights, pick_categorical, seed_rng
+from .core import BudgetVector, pick_categorical, seed_rng
 from .envs.base import require_finite, stack_snapshots
 from .errors import InvalidConfigError, InvalidInputError, TrainingFailureError
 
@@ -282,7 +282,7 @@ def rollouts(env, victim_policy, seeds, adversary_policy=None,
         raise InvalidInputError("an attack needs both an adversary policy and budgets")
     if budgets is not None:
         check_attack(env, budgets)
-        e = mixing_weights(budgets.eps, (len(seeds), env.n_agents, env.n_actions))
+        e = budgets.eps[:, None]
         keep = 1.0 - e
     before = policy_checksum(victim_policy)
     batch = stack_snapshots([env.reset(seed=s) for s in seeds])
@@ -431,9 +431,9 @@ def _lockstep(env, cfg: LearnerConfig, models, parents, act_rngs,
 
     With ``adversary`` None the learners are victims: expected SARSA toward
     their own Boltzmann policy, on every agent at once.  With ``adversary``
-    = (victim policy, (B, N) budgets) each agent executes
-    eps_i * own + (1 - eps_i) * victim, and SARSA on the negated reward
-    updates the attacked agents one step late, on the action executed next.
+    = (victim policy, (B, N) budgets whose rows ``check_attack`` passed) each
+    agent executes eps_i * own + (1 - eps_i) * victim, and SARSA on the negated
+    reward updates the attacked agents one step late, on the action executed next.
     """
     n_learners, n_states, n_actions = len(models), env.n_states, env.n_actions
     stacked = QModel(n_learners * n_states, n_actions, env.gamma)
@@ -444,7 +444,7 @@ def _lockstep(env, cfg: LearnerConfig, models, parents, act_rngs,
     if adversary is not None:
         victim, eps = adversary
         attacked = eps > 0
-        e = mixing_weights(eps, (n_learners, env.n_agents, n_actions))
+        e = eps[..., None]
         keep = 1.0 - e
     curves = np.empty((n_learners, cfg.episodes))
 

@@ -112,11 +112,6 @@ def predicted_drop(value_model, states0, budgets: BudgetVector) -> float:
     return float((v0 - v1).mean())
 
 
-def _check_k(n_agents: int, k: int):
-    if not (0 <= k <= n_agents):
-        raise InvalidConfigError(f"k must be in [0, {n_agents}], got {k}")
-
-
 def select_greedy(value_model, states0, mu0, k: int, eps: float = 1.0) -> AttackSet:
     """The k greedy picks: the stable ranking by -damp(s0), ties to the lowest id.
 
@@ -131,7 +126,7 @@ def select_greedy(value_model, states0, mu0, k: int, eps: float = 1.0) -> Attack
     """
     states0 = np.asarray(states0, dtype=int)
     n = states0.size
-    _check_k(n, k)
+    check_k(n, k)
     ids = np.argsort(-value_model.damp[states0], kind="stable")[:k]
     nested = np.zeros((k + 1, n))
     nested[:, ids] = np.where(np.tri(k + 1, k, -1, dtype=bool), eps, 0.0)
@@ -142,7 +137,7 @@ def select_greedy(value_model, states0, mu0, k: int, eps: float = 1.0) -> Attack
 
 
 def select_random(n_agents: int, k: int, seed, eps: float = 1.0) -> AttackSet:
-    _check_k(n_agents, k)
+    check_k(n_agents, k)
     rng = seed_rng(seed, salt="random-selection")
     ids = rng.choice(n_agents, size=k, replace=False)
     return AttackSet(ids, eps, "random")
@@ -150,10 +145,19 @@ def select_random(n_agents: int, k: int, seed, eps: float = 1.0) -> AttackSet:
 
 def select_degree_centrality(env, snapshot, k: int, eps: float = 1.0) -> AttackSet:
     """Top-k agents by observation-graph degree; ties go to the lowest id."""
-    _check_k(env.n_agents, k)
+    check_k(env.n_agents, k)
     degrees = env.observation_graph(snapshot).sum(axis=1)
     order = np.lexsort((np.arange(degrees.size), -degrees))
     return AttackSet(order[:k], eps, "dc")
+
+
+def check_k(n_agents: int, k: int):
+    """InvalidConfigError unless an attack of k agents corrupts someone and fits the
+    population: 1 <= k <= n_agents.  The config parser and every selector call it."""
+    if k < 1:
+        raise InvalidConfigError("k must be >= 1")
+    if k > n_agents:
+        raise InvalidConfigError(f"selection k={k} exceeds population size {n_agents}")
 
 
 def check_brute_force(n_agents: int, k: int):
@@ -174,7 +178,7 @@ def select_bruteforce(evaluator: Callable, n_agents: int, k: int, eps: float = 1
     Refuses when C(N, K) exceeds BRUTE_FORCE_CAP, which thus also bounds the
     evaluator's batch; this is the reference selector, not a practical one.
     """
-    _check_k(n_agents, k)
+    check_k(n_agents, k)
     check_brute_force(n_agents, k)
     subsets = list(itertools.combinations(range(n_agents), k))
     table = [(subset, float(ret)) for subset, ret in zip(subsets, evaluator(subsets),

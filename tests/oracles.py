@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mfvuln.core import BudgetVector, dual_order, mixing_weights, pick_categorical
+from mfvuln.core import BudgetVector, dual_order, pick_categorical
 from mfvuln.errors import InvalidInputError
 
 W_MAX = 3.0  # sup of eps + xi + eps*xi over the unit budget square
@@ -146,7 +146,12 @@ def mix_policy_matrix(alpha_mat, beta_mat, eps_vec) -> np.ndarray:
     beta_mat = np.asarray(beta_mat, dtype=float)
     if alpha_mat.shape != beta_mat.shape:
         raise InvalidInputError("policy matrices differ in shape")
-    e = mixing_weights(eps_vec, alpha_mat.shape)
+    eps_vec = np.asarray(eps_vec, dtype=float)
+    if eps_vec.ndim == 0 or eps_vec.shape != alpha_mat.shape[-1 - eps_vec.ndim:-1]:
+        raise InvalidInputError("budget vector length mismatch")
+    if np.any(eps_vec < 0) or np.any(eps_vec > 1):
+        raise InvalidInputError("mixing weights must be in [0, 1]")
+    e = eps_vec[..., None]
     return e * alpha_mat + (1.0 - e) * beta_mat
 
 

@@ -8,16 +8,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfvuln.attack import AdversaryConfig, attacked_returns, train_adversaries
-from mfvuln.core import BudgetVector
+from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
 from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, UniformPolicy,
                            discounted_return, evaluate_policy, policy_checksum, rollout,
                            rollouts)
-from oracles import exact_attack_return, exact_policy_value, pooled_std
-from test_batch import ENVS, same, victim_of
+from oracles import (exact_attack_return, exact_policy_value, mix_policy_matrix,
+                     pooled_std, sample_actions)
+from test_batch import ENVS, same, serial_step, victim_of
 
 GAMMA = 0.85
 
@@ -153,6 +156,38 @@ def test_attacked_evaluation_equals_its_rollouts(name):
     want = [discounted_return(rollout(env, victim, s, **attack).rewards, env.gamma)
             for s in seeds]
     assert same(got, np.array(want))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(ENVS)), st.data())
+def test_an_attacked_batch_is_the_per_episode_mixture_loop(name, data):
+    """Every agent plays eps_i * adversary + (1 - eps_i) * victim at fractional budgets:
+    one rollouts batch gives the bytes of a loop over its episodes that mixes each
+    step's distributions with the oracle and samples and steps them serially."""
+    env = ENVS[name]()
+    victim = victim_of(env)
+    adv_model = QModel(env.n_states, env.n_actions, env.gamma)
+    adv_model.table = seed_rng(1, salt="batch-adversary").normal(size=adv_model.table.shape)
+    adversary = BoltzmannPolicy(adv_model, 0.5)
+    eps = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                             min_size=env.n_agents, max_size=env.n_agents), label="eps")
+    budgets = BudgetVector(np.array(eps))
+    seeds = np.random.SeedSequence(data.draw(st.integers(0, 2 ** 16), label="seed")).spawn(
+        data.draw(st.integers(1, 3), label="episodes"))
+    step = serial_step(env)
+    for traj, seed in zip(rollouts(env, victim, seeds, adversary, budgets), seeds):
+        snap, noise = env.reset(seed=seed), seed_rng(seed)
+        act_rng = seed_rng(seed, salt="rollout-actions")
+        rewards = []
+        for t in range(env.horizon):
+            mixed = mix_policy_matrix(adversary.action_dists(snap), victim.action_dists(snap),
+                                      budgets.eps)
+            actions = sample_actions(mixed, act_rng)
+            assert same(traj.actions[t], actions.astype(traj.actions.dtype))
+            res = step(snap, actions, noise)
+            rewards.append(res.reward)
+            snap = res.snapshot
+        assert same(traj.rewards, np.array(rewards))
 
 
 # -- exact worst-case agreement ---------------------------------------------------

@@ -598,6 +598,27 @@ def test_an_empty_attack_a_repeated_setting_or_an_unread_dimension_exits_with_er
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("victim", "episodes", 10 ** 20), ("value", "rollouts", 10 ** 20),
+    ("victim", "eval_episodes", 10 ** 20), ("env", "seed", 99999999999999999999999)],
+    ids=["episodes", "rollouts", "eval_episodes", "seed"])
+def test_an_integer_setting_beyond_64_bits_exits_with_error_naming_it(tmp_path, capsys,
+                                                                      section, key, value):
+    """Each once crashed in numpy with a traceback (an array or a seed spawn of 10**20).
+    A seed is exempt: numpy seeds from an integer of any size, so the run completes."""
+    cfg_path, raw = write_config(tmp_path)
+    raw[section][key] = value
+    cfg_path.write_text(yaml.safe_dump(raw))
+    status = main(["pipeline", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if key == "seed":
+        assert status == 0 and os.path.exists(artifact_path(raw["out_dir"], "victim_policy", 0))
+    else:
+        assert status == 2 and not os.path.exists(raw["out_dir"])
+        assert f"key '{key}' in config section '{section}' must fit in 64 bits" in err
+
+
 @pytest.mark.parametrize("old, new", [("ids 1 3", "ids 1"), ("eps 1.0", "eps 0.5"),
                                       ("method greedy", "method random")],
                          ids=["size", "eps", "method"])

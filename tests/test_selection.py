@@ -120,7 +120,7 @@ def test_greedy_pick_rewards_telescope_on_random_value_models(model, data):
     n = data.draw(st.integers(1, 20), label="n_agents")
     states0 = np.array(data.draw(st.lists(st.integers(0, model.n_states - 1),
                                           min_size=n, max_size=n)))
-    k = data.draw(st.integers(0, n), label="k")
+    k = data.draw(st.integers(1, n), label="k")
     eps = data.draw(st.floats(0.01, 1.0), label="eps")
     attack = select_greedy(model, states0, None, k, eps)
     final = drop_of(model, states0, attack.ids, eps)
@@ -153,7 +153,7 @@ def test_batched_greedy_matches_the_per_candidate_loop(model, data):
     n = data.draw(st.integers(1, 40), label="n_agents")
     states0 = np.array(data.draw(st.lists(st.integers(0, model.n_states - 1),
                                           min_size=n, max_size=n)))
-    k = data.draw(st.integers(0, n), label="k")
+    k = data.draw(st.integers(1, n), label="k")
     eps = data.draw(st.floats(1e-3, 1.0), label="eps")
     got = select_greedy(model, states0, None, k, eps)
     want = oracles.select_greedy(model, states0, k, eps)
@@ -179,7 +179,7 @@ def test_greedy_ids_are_the_stable_ranking_by_damp(model, data):
     n = data.draw(st.integers(1, 20), label="n_agents")
     states0 = np.array(data.draw(st.lists(st.integers(0, model.n_states - 1),
                                           min_size=n, max_size=n)))
-    k = data.draw(st.integers(0, n), label="k")
+    k = data.draw(st.integers(1, n), label="k")
     eps = data.draw(st.floats(0.0, 1.0, exclude_min=True), label="eps")
     attack = select_greedy(model, states0, None, k, eps)
     ranking = np.argsort(-model.damp[states0], kind="stable")
@@ -190,7 +190,7 @@ def test_greedy_at_zero_budget_is_refused():
     """At eps 0 greedy once warned and returned k picks of reward 0: an attack set
     that corrupts no one.  An attack set refuses that budget, whatever its size."""
     model = value_model([1.0, 2.0, 0.5])
-    for k in (0, 3):
+    for k in (1, 3):
         with pytest.raises(InvalidInputError, match=r"must be in \(0, 1\], got 0.0"):
             select_greedy(model, np.arange(3), None, k, 0.0)
 
@@ -208,7 +208,7 @@ def test_greedy_drop_is_the_best_of_every_subset(model, data):
     n = data.draw(st.integers(1, 8), label="n_agents")
     states0 = np.array(data.draw(st.lists(st.integers(0, model.n_states - 1),
                                           min_size=n, max_size=n)))
-    k = data.draw(st.integers(0, n), label="k")
+    k = data.draw(st.integers(1, n), label="k")
     eps = data.draw(st.floats(0.0, 1.0, exclude_min=True), label="eps")
     attack = select_greedy(model, states0, None, k, eps)
     extremes = [model.values(states0, np.full(n, e), e) for e in (0.0, 1.0)]
@@ -231,8 +231,8 @@ def test_greedy_is_equivariant_under_agent_relabelling():
 
 def test_greedy_handles_the_degenerate_sizes():
     model = value_model([1.0, 2.0])
-    empty = select_greedy(model, np.arange(2), np.array([0.5, 0.5]), 0)
-    assert empty.k == 0 and empty.predicted_drop == 0.0
+    with pytest.raises(InvalidConfigError, match="k must be >= 1"):
+        select_greedy(model, np.arange(2), np.array([0.5, 0.5]), 0)
     both = select_greedy(model, np.arange(2), np.array([0.5, 0.5]), 2)
     assert sorted(both.ids) == [0, 1]
     with pytest.raises(InvalidConfigError):
@@ -282,6 +282,20 @@ def test_degree_centrality_prefers_the_graph_middle():
     assert list(select_degree_centrality(env, snap, 1).ids) == [1]
     # remaining agents tie at degree 1; the lower id wins
     assert list(select_degree_centrality(env, snap, 2).ids) == [1, 0]
+
+
+def test_every_baseline_refuses_the_attack_sizes_the_config_refuses():
+    """The baselines share the config's k check: no empty attack, none beyond N."""
+    env = VicsekEnv(VicsekConfig(n_agents=3, seed=0))
+    selectors = {"random": lambda k: select_random(3, k, seed=0),
+                 "dc": lambda k: select_degree_centrality(env, env.reset(), k),
+                 "brute": lambda k: select_bruteforce(lambda subsets: [0.0] * len(subsets),
+                                                      3, k)}
+    for name, select in selectors.items():
+        with pytest.raises(InvalidConfigError, match="k must be >= 1"):
+            select(0)
+        with pytest.raises(InvalidConfigError, match="selection k=4 exceeds population size 3"):
+            select(4)
 
 
 def test_bruteforce_refuses_oversized_enumerations():
