@@ -26,10 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import seed_rng
 from .errors import InvalidInputError
-from .qlearn import (BoltzmannPolicy, LearnerConfig, QModel, _lockstep, check_attack,
-                     evaluate_policy, policy_checksum)
+from .qlearn import LearnerConfig, _lockstep, check_attack, evaluate_policy
 
 
 @dataclass
@@ -50,14 +48,11 @@ class AdversaryConfig(LearnerConfig):
 def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) -> list:
     """Fit B adversaries against one victim in lockstep, one per (budgets, seed).
 
-    Returns B (model, policy, episode returns) triples, each byte for byte
-    what a batch of that learner alone returns: learners share the schedule
-    ``cfg`` but keep their own episode seeds, action stream and Q table.
-    A learner spawns its episode seeds as it goes, one per episode from its
-    own SeedSequence, so the batch holds O(B) seeds, not O(B * episodes).  A
-    curve is the adversary's objective (negated shared reward, discounted),
-    so it should rise.  InvalidInputError for a budget vector sized for another
-    population or corrupting no agent, or an episode shorter than two steps: a learner
+    Returns ``qlearn._lockstep``'s B (model, policy, episode returns) triples,
+    each byte for byte what a batch of that learner alone returns.  A curve is
+    the adversary's objective (negated shared reward, discounted), so it should
+    rise.  InvalidInputError for a budget vector sized for another population
+    or corrupting no agent, or an episode shorter than two steps: a learner
     with no attacked agent, or no next action to bootstrap on, learns nothing.
     """
     if len(budgets) != len(seeds):
@@ -68,16 +63,7 @@ def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) 
     cfg.validate()
     for b in budgets:
         check_attack(env, b)
-    models = [QModel(env.n_states, env.n_actions, env.gamma) for _ in budgets]
-    frozen = policy_checksum(victim_policy)
-    curves = [] if not budgets else _lockstep(
-        env, cfg, models, [np.random.SeedSequence((s, 0xad)) for s in seeds],
-        [seed_rng(s, salt="adversary-actions") for s in seeds],
-        adversary=(victim_policy, np.stack([b.eps for b in budgets])))
-    if policy_checksum(victim_policy) != frozen:
-        raise RuntimeError("victim policy changed during adversarial training")
-    return [(model, BoltzmannPolicy(model, cfg.temperature), curve)
-            for model, curve in zip(models, curves)]
+    return _lockstep(env, cfg, seeds, adversary=(victim_policy, budgets))
 
 
 def attacked_returns(env, victim_policy, budgets, cfg: AdversaryConfig, seeds,

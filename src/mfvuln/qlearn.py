@@ -7,16 +7,16 @@ reward and the dynamics, not as an input.  Policies are Boltzmann in Q
 cooperative policy stochastic and black-box queryable as an action
 distribution.
 
-One lockstep kernel trains every tabular learner: B learners step together
-through ``env.step_batch`` on one stacked Q table, each with its own episode
-seeds and action stream, under one eps-greedy exploration schedule.  A
-victim runs expected-SARSA updates toward its own Boltzmann policy, on
-every agent at once; ``train_victims`` trains one per seed.  An adversary
-(``attack.train_adversaries``) differs only in its target (SARSA on the
-negated reward, for the attacked agents) and in mixing its policy with the
-frozen victim's.  ``rollouts`` plays every fixed policy's episodes, clean
-or attacked, and refuses to return if the victim moved; ``evaluate_policy``
-scores them.
+One lockstep kernel, ``_lockstep``, trains every tabular learner: B learners
+step together through ``env.step_batch`` on one stacked Q table, each made
+from a seed that fixes its episode and action streams, under one eps-greedy
+schedule.  A victim runs expected-SARSA updates toward its own Boltzmann
+policy, on every agent at once; ``train_victims`` trains one per seed.  An
+adversary (``attack.train_adversaries``) differs only in its target (SARSA
+on the negated reward, for the attacked agents) and in mixing its policy
+with the frozen victim's.  The kernel, and ``rollouts``, which plays every
+fixed policy's episodes, clean or attacked, refuse to return if the victim
+moved; ``evaluate_policy`` scores those episodes.
 """
 
 from __future__ import annotations
@@ -384,24 +384,17 @@ def exploration_eps(cfg, episode: int) -> float:
 
 
 def train_victims(env, cfg: TrainConfig, seeds) -> list:
-    """Fit one cooperative Q model per seed, all in lockstep; returns one
-    (model, policy, episode returns) triple per seed, byte for byte what
-    that seed trained alone gives.
+    """Fit one cooperative Q model per seed, all in one ``_lockstep`` batch;
+    returns its (model, policy, episode returns) triples, byte for byte
+    what each seed trained alone gives.
 
-    A seed drives its learner's episode starts, action stream and margin
-    check; the learner spawns each episode's seed from its seed's
-    SeedSequence as the episode starts, so no schedule of seeds is held.
-    The checks run in seed order: the first policy short of the
-    configured margin over a uniform-random baseline raises
-    TrainingFailureError naming its seed.
+    A seed also draws its learner's margin check.  The checks run in seed
+    order: the first policy short of the configured margin over a
+    uniform-random baseline raises TrainingFailureError naming its seed.
     """
     cfg.validate()
-    models = [QModel(env.n_states, env.n_actions, env.gamma) for _ in seeds]
-    curves = _lockstep(env, cfg, models, [np.random.SeedSequence(seed) for seed in seeds],
-                       [seed_rng(seed, salt="train-actions") for seed in seeds]) if seeds else []
-    trained = []
-    for seed, model, curve in zip(seeds, models, curves):
-        policy = BoltzmannPolicy(model, cfg.temperature)
+    trained = _lockstep(env, cfg, seeds)
+    for seed, (_, policy, _) in zip(seeds, trained):
         if cfg.min_margin is not None:
             mine = float(np.mean(evaluate_policy(env, policy, cfg.eval_episodes, (seed, 1))))
             baseline = float(np.mean(evaluate_policy(env, UniformPolicy(env.n_actions),
@@ -411,42 +404,59 @@ def train_victims(env, cfg: TrainConfig, seeds) -> list:
                 raise TrainingFailureError(
                     f"victim of seed {seed} underperforms: trained {mine:.6f}, "
                     f"uniform {baseline:.6f}", trained_return=mine, baseline_return=baseline)
-        trained.append((model, policy, curve))
     return trained
 
 
-def _lockstep(env, cfg: LearnerConfig, models, parents, act_rngs,
-              adversary=None) -> np.ndarray:
-    """Train B tabular learners in lockstep under one schedule; returns their
-    (B, episodes) curves of discounted learner reward.
+def _lockstep(env, cfg: LearnerConfig, seeds, adversary=None) -> list:
+    """Train one tabular learner per seed in lockstep under one schedule: a
+    (model, Boltzmann policy, curve of discounted learner reward per episode)
+    triple per seed, [] for none.
 
-    One (B * S, A) table holds learner b's Q(s, a) in row b * S + s, and
-    models[b] gets its block as a view, so one ``td_update`` serves the
-    batch: learners never share a cell, and within a learner the increments
-    keep their order.  Learner b starts episode e from parents[b].spawn(1)[0],
-    spawned as the episode starts: on a fresh SeedSequence that is
-    parents[b].spawn(episodes)[e], and memory stays O(B), not O(B * episodes).
-    It samples from act_rngs[b] and explores eps-greedily around the
-    Boltzmann policy of its own Q.
+    One (B * S, A) table holds learner b's Q(s, a) in row b * S + s, and its
+    model gets that block as a view, so one ``td_update`` serves the batch:
+    learners never share a cell, and within a learner the increments keep
+    their order.  A seed fixes its learner's streams.  Episode e starts from
+    the e-th child of ``SeedSequence(seed)`` (victim) or ``SeedSequence((seed,
+    0xad))`` (adversary), spawned as the episode starts, so memory stays O(B),
+    not O(B * episodes); actions come from ``seed_rng(seed)`` salted
+    "train-actions" or "adversary-actions", eps-greedy around the Boltzmann
+    policy of the learner's own Q.  InvalidConfigError, before any episode,
+    if the (B, episodes) curves cannot be allocated.
 
     With ``adversary`` None the learners are victims: expected SARSA toward
     their own Boltzmann policy, on every agent at once.  With ``adversary``
-    = (victim policy, (B, N) budgets whose rows ``check_attack`` passed) each
+    = (victim policy, B budget vectors that ``check_attack`` passed) each
     agent executes eps_i * own + (1 - eps_i) * victim, and SARSA on the negated
-    reward updates the attacked agents one step late, on the action executed next.
+    reward updates the attacked agents one step late, on the action executed
+    next; RuntimeError if the victim's checksum moved during training.
     """
-    n_learners, n_states, n_actions = len(models), env.n_states, env.n_actions
+    if not seeds:
+        return []
+    n_learners, n_states, n_actions = len(seeds), env.n_states, env.n_actions
+    try:
+        curves = np.empty((n_learners, cfg.episodes))
+    except (MemoryError, ValueError):
+        raise InvalidConfigError(f"{'victim' if adversary is None else 'adversary'} episodes "
+                                 f"{cfg.episodes} is too large: the ({n_learners}, episodes) "
+                                 "learning curves cannot be allocated") from None
     stacked = QModel(n_learners * n_states, n_actions, env.gamma)
+    models = [QModel(n_states, n_actions, env.gamma) for _ in seeds]
     for b, model in enumerate(models):
         model.table = stacked.table[b * n_states:(b + 1) * n_states]
         model.visits = stacked.visits[b * n_states:(b + 1) * n_states]
     offset = n_states * np.arange(n_learners)[:, None]
-    if adversary is not None:
-        victim, eps = adversary
+    if adversary is None:
+        parents = [np.random.SeedSequence(s) for s in seeds]
+        act_rngs = [seed_rng(s, salt="train-actions") for s in seeds]
+    else:
+        victim, budgets = adversary
+        parents = [np.random.SeedSequence((s, 0xad)) for s in seeds]
+        act_rngs = [seed_rng(s, salt="adversary-actions") for s in seeds]
+        eps = np.stack([b.eps for b in budgets])
         attacked = eps > 0
         e = eps[..., None]
         keep = 1.0 - e
-    curves = np.empty((n_learners, cfg.episodes))
+        frozen = policy_checksum(victim)
 
     for ep in range(cfg.episodes):
         batch = stack_snapshots([env.reset(seed=parent.spawn(1)[0]) for parent in parents])
@@ -479,4 +489,7 @@ def _lockstep(env, cfg: LearnerConfig, models, parents, act_rngs,
             disc *= env.gamma
             rows = nxt
         curves[:, ep] = ret
-    return curves
+    if adversary is not None and policy_checksum(victim) != frozen:
+        raise RuntimeError("victim policy changed during adversarial training")
+    return [(model, BoltzmannPolicy(model, cfg.temperature), curve)
+            for model, curve in zip(models, curves)]

@@ -504,5 +504,6 @@ def test_batch_guards():
     with pytest.raises(InvalidConfigError):
         train_adversaries(env, victim, [one], AdversaryConfig(episodes=0), [0])
     assert train_adversaries(env, victim, [], cfg, []) == []
+    assert train_victims(env, TrainConfig(episodes=1), []) == []
     trained = train_adversaries(env, victim, [one, one], cfg, [0, 9])
     assert len(trained) == 2

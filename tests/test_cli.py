@@ -619,6 +619,19 @@ def test_an_integer_setting_beyond_64_bits_exits_with_error_naming_it(tmp_path, 
         assert f"key '{key}' in config section '{section}' must fit in 64 bits" in err
 
 
+@pytest.mark.parametrize("section", ["victim", "adversary"])
+def test_an_episode_count_too_large_to_allocate_exits_with_error(tmp_path, capsys, section):
+    """10**18 episodes fits in 64 bits, but not the learning curves sized by it: numpy's
+    MemoryError or ValueError once escaped there with a traceback.  The stage that
+    trains refuses it."""
+    cfg_path, raw = write_config(tmp_path)
+    raw[section]["episodes"] = 10 ** 18
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "episodes" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("old, new", [("ids 1 3", "ids 1"), ("eps 1.0", "eps 0.5"),
                                       ("method greedy", "method random")],
                          ids=["size", "eps", "method"])
