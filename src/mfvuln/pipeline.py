@@ -41,7 +41,7 @@ from .attack import AdversaryConfig, attacked_returns, train_adversaries
 from .core import BudgetVector, seed_rng
 from .envs import make_env
 from .envs.base import agent_layout, build_config
-from .errors import (ConfigParseError, InvalidConfigError, InvalidInputError,
+from .errors import (ConfigParseError, InvalidConfigError, InvalidInputError, MfvulnError,
                      StageDependencyError, UndefinedCorrelationError)
 from .qlearn import (BoltzmannPolicy, TrainConfig, UniformPolicy,
                      evaluate_policy, rollouts, train_victims, write_atomic)
@@ -169,7 +169,15 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
                 for name, cls in _SECTIONS.items()}
     cfg = ExperimentConfig(raw=raw, name=raw.get("name", "experiment"), env=dict(env_raw),
                            seeds=seeds, out_dir=raw.get("out_dir", "runs"), **sections)
-    env = make_env(cfg.env)   # validates the env section before any compute
+    try:
+        env = make_env(cfg.env)   # validates the env section before any compute
+        # one episode fits: its start, and its (horizon, n_agents) per-step action uniforms
+        env.reset()
+        np.empty((env.horizon, env.n_agents))
+    except MfvulnError:
+        raise
+    except (MemoryError, ValueError) as exc:   # numpy refuses a size with a ValueError
+        raise InvalidConfigError(f"config section 'env' is too large to run: {exc}") from None
     if env.horizon < 2:
         raise InvalidConfigError(f"env horizon={env.horizon} is below 2: the adversary's "
                                  "SARSA and the value corpus need two steps")

@@ -3,17 +3,17 @@
 Stage one fits the cooperative action-value Q(s, a) on logged trajectories
 by minimizing the squared TD residual with the logged next action (policy
 evaluation of the data-collecting policy).  Both stages are solved, not
-iterated.  One pass over the trajectories, a block of whole ones at a time,
-gathers the sufficient statistics: per-cell visit counts and reward sums,
-and the count of each distinct (cell, next cell) pair.  One dense linear
-solve over the visited cells then gives each of them the exact corpus fixed
-point of the mean of its target.  The solve is Gaussian elimination in
-numpy ufuncs, with no LAPACK or BLAS call.  The system is strictly
-diagonally dominant with off-diagonal entries <= 0, so it needs no pivot
-and no step can turn a nonnegative solution negative; n visited cells cost
-n^3 / 3 flops over n numpy steps, a few milliseconds at a few hundred.  The
-per-transition corpus is never built, so memory is one block, the distinct
-pairs and the visited-cell matrix, not O(transitions).
+iterated.  One pass over the trajectories, one at a time, gathers the
+sufficient statistics: per-cell visit counts and reward sums, and the count
+of each distinct (cell, next cell) pair.  One dense linear solve over the
+visited cells then gives each of them the exact corpus fixed point of the
+mean of its target.  The solve is Gaussian elimination in numpy ufuncs,
+with no LAPACK or BLAS call.  The system is strictly diagonally dominant
+with off-diagonal entries <= 0, so it needs no pivot and no step can turn a
+nonnegative solution negative; n visited cells cost n^3 / 3 flops over n
+numpy steps, a few milliseconds at a few hundred.  The per-transition corpus
+is never built, so memory is one trajectory's intp cells, the distinct pairs
+and the visited-cell matrix, not O(transitions).
 
 Stage two folds corruption budgets in without any adversarial rollouts:
 for a per-agent budget eps and population budget xi, the backup gets the
@@ -58,69 +58,38 @@ class FitConfig:
 
 # -- sufficient statistics -------------------------------------------------------
 
-# Transitions binned per numpy call: about one N = 320 vicsek trajectory
-# (320 agents x 49 transitions), so memory stays one block of intp indices.
-BLOCK_TRANSITIONS = 1 << 14
-
-
-def _blocks(trajectories):
-    """Consecutive trajectories with a transition, gathered while their
-    transitions fit BLOCK_TRANSITIONS; a longer one is a block alone."""
-    block, size = [], 0
-    for traj in trajectories:
-        n = traj.states[1:].size
-        if block and size + n > BLOCK_TRANSITIONS:
-            yield block
-            block, size = [], 0
-        if n > 0:
-            block.append(traj)
-            size += n
-    if block:
-        yield block
-
-
 def _stream_stats(trajectories, shape: tuple, penalty=None):
-    """One pass over the trajectories, a block of whole ones at a time: per-cell
-    visit counts, the (1, n_cells) per-cell reward sums (2 rows with
-    ``penalty``, whose second row sums penalty[cell]), and the distinct
-    (cell, next cell) pairs, keyed cell * n_cells + next cell, with their
-    counts.
+    """One pass over the trajectories, one at a time: per-cell visit counts,
+    the (1, n_cells) per-cell reward sums (2 rows with ``penalty``, whose
+    second row sums penalty[cell]), and the distinct (cell, next cell) pairs,
+    keyed cell * n_cells + next cell, with their counts.
 
     A cell is a state, or a (state, action) for ``shape`` (n_states, n_actions),
-    widened to intp as a block is gathered, before any index arithmetic.  Sums
-    are added in corpus order (trajectory, step, agent), as ``np.bincount``
-    adds them over the concatenated corpus, so they are the same bits.
-    Memory is one block, the distinct pairs and O(n_cells).
+    widened to intp before any index arithmetic.  Sums are added in corpus
+    order (trajectory, step, agent), as ``np.bincount`` adds them over the
+    concatenated corpus, so they are the same bits.  Each trajectory's pairs
+    merge into the running ones before the next is read, so memory is one
+    trajectory's cells, the distinct pairs and O(n_cells).
     """
     n_cells = int(np.prod(shape))
-
-    def cells_of(block, rows):
-        return np.ravel_multi_index(tuple(
-            np.concatenate([getattr(traj, field)[rows] for traj in block], axis=None,
-                           dtype=np.intp)
-            for field in ("states", "actions")[:len(shape)]), shape)
-
     count = np.zeros(n_cells, dtype=np.int64)
     sums = np.zeros((1 if penalty is None else 2, n_cells))
     pairs = np.empty(0, dtype=np.int64)
     mult = np.empty(0, dtype=np.int64)
-    for block in _blocks(trajectories):
-        cell = cells_of(block, slice(None, -1))
+    for traj in trajectories:
+        cells = np.ravel_multi_index(tuple(getattr(traj, field).astype(np.intp)
+                                           for field in ("states", "actions")[:len(shape)]),
+                                     shape)
+        cell = cells[:-1].ravel()
         count += np.bincount(cell, minlength=n_cells)
-        np.add.at(sums[0], cell, np.concatenate(
-            [np.repeat(traj.rewards[:-1], traj.states.shape[1]) for traj in block]))
+        np.add.at(sums[0], cell, np.repeat(traj.rewards[:-1], cells.shape[1]))
         if penalty is not None:
             np.add.at(sums[1], cell, penalty[cell])
         # return_counts=True takes numpy's sort path, which never imports numpy.ma
-        new, new_mult = np.unique(cell * n_cells + cells_of(block, slice(1, None)),
-                                  return_counts=True)
-        # two sorted runs: a stable sort merges them in linear time
-        keys = np.concatenate([pairs, new])
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        heads = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        pairs = keys[heads]
-        mult = np.add.reduceat(np.concatenate([mult, new_mult])[order], heads)
+        new, new_mult = np.unique(cell * n_cells + cells[1:].ravel(), return_counts=True)
+        pairs, inverse, _ = np.unique(np.concatenate([pairs, new]), return_inverse=True,
+                                      return_counts=True)
+        mult = np.bincount(inverse, np.concatenate([mult, new_mult]))
     if not count.any():
         raise InvalidInputError("corpus needs trajectories with at least 2 steps")
     return count, sums, pairs, mult

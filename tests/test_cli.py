@@ -4,6 +4,8 @@ import csv
 import os
 import re
 import shutil
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -630,6 +632,55 @@ def test_an_episode_count_too_large_to_allocate_exits_with_error(tmp_path, capsy
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "episodes" in err and "Traceback" not in err
+
+
+def env_sized_config(tmp_path, name, key, value):
+    """configs/<name>.yaml with env.<key> set to ``value`` and its out_dir in tmp_path;
+    vicsek's cluster_sizes go, since they must sum to n_agents."""
+    raw = yaml.safe_load((CONFIG.parent / f"{name}.yaml").read_text())
+    raw["env"][key] = value
+    if key == "n_agents":
+        raw["env"].pop("cluster_sizes", None)
+    raw["out_dir"] = str(tmp_path / "runs")
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path, raw
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("toy", "horizon", 10 ** 18), ("taxi", "horizon", 10 ** 18), ("vicsek", "horizon", 10 ** 18),
+    ("toy", "n_agents", 2 ** 61), ("vicsek", "n_agents", 2 ** 61)])
+def test_an_env_too_large_to_allocate_exits_with_error_before_any_file(tmp_path, capsys,
+                                                                        name, key, value):
+    """An episode's arrays, or the env's own tables, would need more than 2**63 bytes:
+    numpy's size ValueError once escaped with a traceback, at the first episode (after
+    the ledger was written) or while the env was built."""
+    cfg_path, raw = env_sized_config(tmp_path, name, key, value)
+    assert main(["pipeline", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config section 'env' is too large to run" in err and "Traceback" not in err
+    assert not os.path.exists(raw["out_dir"])
+
+
+def test_an_env_beyond_the_address_space_limit_exits_with_error_before_any_file(tmp_path):
+    """A toy episode of 10**12 steps needs 40 TB: a MemoryError under RLIMIT_AS, which a
+    fresh process sets to 1 GiB above what it has mapped once mfvuln is imported."""
+    cfg_path, raw = env_sized_config(tmp_path, "toy", "horizon", 10 ** 12)
+    script = f"""
+import resource, sys
+from mfvuln.cli import main
+with open("/proc/self/status") as fh:
+    mapped = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (mapped + 2 ** 30, mapped + 2 ** 30))
+sys.exit(main(["pipeline", "--config", {str(cfg_path)!r}]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(CONFIG.parent.parent / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 2, done.stderr
+    assert "config section 'env' is too large to run: Unable to allocate" in done.stderr
+    assert "Traceback" not in done.stderr and not os.path.exists(raw["out_dir"])
 
 
 @pytest.mark.parametrize("old, new", [("ids 1 3", "ids 1"), ("eps 1.0", "eps 0.5"),

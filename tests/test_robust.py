@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mfvuln import robust
 from mfvuln.core import dual_order, seed_rng
 from mfvuln.envs import make_env
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
@@ -457,30 +456,23 @@ def uint8_trajectories(seed, shapes):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cap=st.integers(1, 40), p=st.sampled_from([1.0, 2.0, np.inf]),
-       seed=st.integers(0, 10_000),
+@given(p=st.sampled_from([1.0, 2.0, np.inf]), seed=st.integers(0, 10_000),
        shapes=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 5)), min_size=1, max_size=8))
-def test_block_binned_fits_equal_the_corpus_solve_across_block_edges(cap, p, seed, shapes):
-    """Block caps from one transition up move every block edge; 0- and 1-step
-    trajectories add nothing, and one longer than the cap is a block alone."""
+def test_streamed_fits_equal_the_corpus_solve_on_uint8_trajectories(p, seed, shapes):
+    """0- and 1-step trajectories add nothing, wherever they fall in the corpus."""
     shapes.append((2, 1))   # at least one transition
     trajs = uint8_trajectories(seed, shapes)
-    with mock.patch.object(robust, "BLOCK_TRANSITIONS", cap):
-        assert_fits_equal_the_corpus_solve(WIDE_CELLS, trajs, FitConfig(p=p))
-
-
-CAP = robust.BLOCK_TRANSITIONS
+    assert_fits_equal_the_corpus_solve(WIDE_CELLS, trajs, FitConfig(p=p))
 
 
 @settings(max_examples=20, deadline=None)
 @given(p=st.sampled_from([1.0, 2.0, np.inf]), seed=st.integers(0, 10_000),
        shapes=st.lists(st.tuples(st.integers(0, 3),
-                                 st.sampled_from([1, 2, CAP // 2, CAP - 1, CAP, CAP + 1])),
+                                 st.sampled_from([1, 2, 8192, 16383, 16384, 16385])),
                        min_size=1, max_size=6))
-def test_block_binned_fits_equal_the_corpus_solve_at_the_block_cap(p, seed, shapes):
-    """Trajectories of one or two transitions per agent, with agent counts
-    that fill the cap to one short of it, exactly, or one past it."""
-    shapes.append((2, CAP - 1))
+def test_streamed_fits_equal_the_corpus_solve_on_wide_uint8_trajectories(p, seed, shapes):
+    """Trajectories of one or two transitions per agent, up to 16,385 agents wide."""
+    shapes.append((2, 16383))
     trajs = uint8_trajectories(seed, shapes)
     assert_fits_equal_the_corpus_solve(WIDE_CELLS, trajs, FitConfig(p=p))
 
@@ -511,7 +503,7 @@ def traced_fit_peak(trajs) -> int:
 
 def test_fit_memory_does_not_grow_with_the_corpus():
     """Four times the N = 320 trajectories (160,000 -> 640,000 transitions)
-    raise the fits' peak by less than 1 MB: they hold one block at a time."""
+    raise the fits' peak by less than 1 MB: they read one trajectory at a time."""
     small = traced_fit_peak(synthetic_trajectories(10))
     large = traced_fit_peak(synthetic_trajectories(40))
     assert large - small < 1_000_000, (small, large)
