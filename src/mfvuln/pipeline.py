@@ -37,14 +37,14 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
-from .attack import AdversaryConfig, attacked_returns, train_adversaries
 from .core import BudgetVector, seed_rng
 from .envs import make_env
 from .envs.base import agent_layout, build_config
 from .errors import (ConfigParseError, InvalidConfigError, InvalidInputError, MfvulnError,
                      StageDependencyError, UndefinedCorrelationError)
-from .qlearn import (BoltzmannPolicy, TrainConfig, UniformPolicy,
-                     evaluate_policy, rollouts, train_victims, write_atomic)
+from .qlearn import (AdversaryConfig, BoltzmannPolicy, TrainConfig, UniformPolicy,
+                     attacked_returns, evaluate_policy, rollouts, train_adversaries,
+                     train_victims, write_atomic)
 from .robust import (FitConfig, RobustValueModel, fit_cooperative_q,
                      fit_robust_value)
 from .selection import (AttackSet, check_brute_force, check_k, load_attack_set,
@@ -169,15 +169,22 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
                 for name, cls in _SECTIONS.items()}
     cfg = ExperimentConfig(raw=raw, name=raw.get("name", "experiment"), env=dict(env_raw),
                            seeds=seeds, out_dir=raw.get("out_dir", "runs"), **sections)
+    what = "config section 'env' is too large to run"
     try:
         env = make_env(cfg.env)   # validates the env section before any compute
         # one episode fits: its start, and its (horizon, n_agents) per-step action uniforms
         env.reset()
         np.empty((env.horizon, env.n_agents))
+        # and so does each batch ``rollouts`` plays: its (n, horizon, n_agents) uniforms
+        for section, key in (("value", "rollouts"), ("victim", "eval_episodes"),
+                             ("adversary", "eval_episodes")):
+            n = getattr(getattr(cfg, section), key)
+            what = f"key '{key}' in config section '{section}' is too large to run, got {n}"
+            np.empty((n, env.horizon, env.n_agents))
     except MfvulnError:
         raise
     except (MemoryError, ValueError) as exc:   # numpy refuses a size with a ValueError
-        raise InvalidConfigError(f"config section 'env' is too large to run: {exc}") from None
+        raise InvalidConfigError(f"{what}: {exc}") from None
     if env.horizon < 2:
         raise InvalidConfigError(f"env horizon={env.horizon} is below 2: the adversary's "
                                  "SARSA and the value corpus need two steps")

@@ -1,4 +1,4 @@
-"""Cooperative victim training with shared tabular Q-learning.
+"""Tabular Q-learning of the cooperative victim and of the adversaries against it.
 
 A single Q model is shared by the whole population.  It scores Q(s, a):
 own state, own action.  The population enters only through the shared
@@ -12,11 +12,16 @@ step together through ``env.step_batch`` on one stacked Q table, each made
 from a seed that fixes its episode and action streams, under one eps-greedy
 schedule.  A victim runs expected-SARSA updates toward its own Boltzmann
 policy, on every agent at once; ``train_victims`` trains one per seed.  An
-adversary (``attack.train_adversaries``) differs only in its target (SARSA
-on the negated reward, for the attacked agents) and in mixing its policy
-with the frozen victim's.  The kernel, and ``rollouts``, which plays every
-fixed policy's episodes, clean or attacked, refuse to return if the victim
-moved; ``evaluate_policy`` scores those episodes.
+adversary (``train_adversaries``, one per (budgets, seed) pair) differs only
+in its target and in mixing its policy with the frozen victim's.  It is
+black-box: SARSA on the negated reward, for the attacked agents only, one
+step late, bootstrapping on the action executed next, so the victim enters
+its training only through the environment's realized behaviour.  The victim
+is never written: the kernel checksums it around training, and
+``rollouts``, which plays every fixed policy's episodes, clean or attacked,
+checksums it around play; both refuse to return if it moved.
+``evaluate_policy`` scores those episodes, and ``attacked_returns`` trains
+and scores a list of attack sets as one array.
 """
 
 from __future__ import annotations
@@ -405,6 +410,58 @@ def train_victims(env, cfg: TrainConfig, seeds) -> list:
                     f"victim of seed {seed} underperforms: trained {mine:.6f}, "
                     f"uniform {baseline:.6f}", trained_return=mine, baseline_return=baseline)
     return trained
+
+
+# -- adversary training ----------------------------------------------------------
+
+
+@dataclass
+class AdversaryConfig(LearnerConfig):
+    """SARSA schedule of the adversary.
+
+    The default step ``lr`` is small because the learner sees only the
+    shared reward of the whole population, whose per-episode noise is far
+    larger than the gaps between the attack's actions.  A constant step of
+    0.2 lets that noise, and so the adversary's seed, decide which attack is
+    learned for a subset; at 0.05 retraining with another seed gives nearly
+    the same realized damage.
+    """
+
+    lr: float = 0.05
+
+
+def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) -> list:
+    """Fit B adversaries against one victim in lockstep, one per (budgets, seed).
+
+    Returns ``qlearn._lockstep``'s B (model, policy, episode returns) triples,
+    each byte for byte what a batch of that learner alone returns.  A curve is
+    the adversary's objective (negated shared reward, discounted), so it should
+    rise.  InvalidInputError for a budget vector sized for another population
+    or corrupting no agent, or an episode shorter than two steps: a learner
+    with no attacked agent, or no next action to bootstrap on, learns nothing.
+    """
+    if len(budgets) != len(seeds):
+        raise InvalidInputError(f"{len(budgets)} budget vectors for {len(seeds)} seeds")
+    if env.horizon < 2:
+        raise InvalidInputError(f"horizon {env.horizon} is below 2: SARSA updates on the "
+                                "next step's action")
+    cfg.validate()
+    for b in budgets:
+        check_attack(env, b)
+    return _lockstep(env, cfg, seeds, adversary=(victim_policy, budgets))
+
+
+def attacked_returns(env, victim_policy, budgets, cfg: AdversaryConfig, seeds,
+                     eval_seeds) -> np.ndarray:
+    """Victim returns under each budget vector's own adversary, a (B, cfg.eval_episodes)
+    array: one ``train_adversaries`` batch, then ``evaluate_policy`` per learner.
+    InvalidInputError, before any learner trains, unless each has an evaluation seed."""
+    if len(eval_seeds) != len(budgets):
+        raise InvalidInputError(
+            f"{len(eval_seeds)} evaluation seeds for {len(budgets)} budget vectors")
+    trained = train_adversaries(env, victim_policy, budgets, cfg, seeds)
+    return np.array([evaluate_policy(env, victim_policy, cfg.eval_episodes, s, adv, b)
+                     for b, s, (_, adv, _) in zip(budgets, eval_seeds, trained)])
 
 
 def _lockstep(env, cfg: LearnerConfig, seeds, adversary=None) -> list:

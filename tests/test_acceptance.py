@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 import yaml
 
-from mfvuln.attack import attacked_returns
 from mfvuln.core import BudgetVector, empirical_mean_field_state, seed_rng
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
-from mfvuln.qlearn import QModel, TablePolicy, evaluate_policy, rollout
+from mfvuln.qlearn import QModel, TablePolicy, attacked_returns, evaluate_policy, rollout
 from mfvuln.robust import FitConfig, RobustValueModel, fit_cooperative_q, fit_robust_value
 from mfvuln.selection import predicted_drop, select_bruteforce, select_greedy, select_random
 from mfvuln.pipeline import (Run, correlate_prediction_vs_attack, load_experiment_config,

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfvuln.attack import AdversaryConfig, attacked_returns, train_adversaries
 from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import InvalidConfigError, InvalidInputError
-from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, UniformPolicy,
-                           discounted_return, evaluate_policy, policy_checksum, rollout,
-                           rollouts)
+from mfvuln.qlearn import (AdversaryConfig, BoltzmannPolicy, QModel, TablePolicy,
+                           UniformPolicy, attacked_returns, discounted_return,
+                           evaluate_policy, policy_checksum, rollout, rollouts,
+                           train_adversaries)
 from oracles import (exact_attack_return, exact_policy_value, mix_policy_matrix,
                      pooled_std, sample_actions)
 from test_batch import ENVS, same, serial_step, victim_of
@@ -96,7 +96,7 @@ def test_an_attack_set_corrupting_no_agent_is_refused_before_training(monkeypatc
     """An all-zero budget vector once trained nothing and returned an untrained
     adversary with a warning; it is refused before any learner trains."""
     env, victim, _ = cycle_env()
-    monkeypatch.setattr("mfvuln.attack._lockstep", lambda *a, **k: pytest.fail("trained"))
+    monkeypatch.setattr("mfvuln.qlearn._lockstep", lambda *a, **k: pytest.fail("trained"))
     with pytest.raises(InvalidInputError, match="corrupts no agent"):
         train_adversaries(env, victim, [BudgetVector(np.zeros(4))],
                           AdversaryConfig(episodes=5), [0])
@@ -129,7 +129,7 @@ def test_a_one_step_episode_is_refused_before_training(monkeypatch):
     """SARSA updates on the next step's action: at horizon 1 the adversary once
     returned an all-zero Q table with no visits, without a word."""
     env = ToyMeanFieldEnv(ToyConfig(n_agents=3, horizon=1, seed=1))
-    monkeypatch.setattr("mfvuln.attack._lockstep", lambda *a, **k: pytest.fail("trained"))
+    monkeypatch.setattr("mfvuln.qlearn._lockstep", lambda *a, **k: pytest.fail("trained"))
     with pytest.raises(InvalidInputError, match="horizon 1 is below 2"):
         train_adversaries(env, UniformPolicy(env.n_actions), [BudgetVector.from_set(3, [0], 1.0)],
                           AdversaryConfig(episodes=50), [0])
@@ -139,7 +139,7 @@ def test_attacked_returns_refuses_mismatched_evaluation_seeds_before_training(mo
     """Two budget vectors with one evaluation seed once trained the whole batch, then
     raised a bare ValueError from the evaluation's zip."""
     env, victim, _ = cycle_env()
-    monkeypatch.setattr("mfvuln.attack._lockstep", lambda *a, **k: pytest.fail("trained"))
+    monkeypatch.setattr("mfvuln.qlearn._lockstep", lambda *a, **k: pytest.fail("trained"))
     budgets = [BudgetVector.from_set(4, [j], 1.0) for j in (0, 1)]
     with pytest.raises(InvalidInputError, match="1 evaluation seeds for 2 budget vectors"):
         attacked_returns(env, victim, budgets, AdversaryConfig(episodes=5), [0, 1], [7])

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfvuln.attack import AdversaryConfig, train_adversaries
 from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs import TaxiGridEnv, ToyMeanFieldEnv, VicsekEnv
 from mfvuln.envs.base import MeanFieldEnv, stack_snapshots
@@ -16,9 +15,9 @@ from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig
 from mfvuln.envs.vicsek import VicsekConfig
 from mfvuln.errors import InvalidConfigError, InvalidInputError, TrainingFailureError
-from mfvuln.qlearn import (BoltzmannPolicy, QModel, TrainConfig, UniformPolicy,
-                           discounted_return, evaluate_policy, rollout, rollouts,
-                           train_victims)
+from mfvuln.qlearn import (AdversaryConfig, BoltzmannPolicy, QModel, TrainConfig,
+                           UniformPolicy, discounted_return, evaluate_policy, rollout,
+                           rollouts, train_adversaries, train_victims)
 
 import oracles
 
@@ -470,7 +469,7 @@ def test_a_batch_holding_an_empty_learner_is_refused_and_trains_nothing(name, mo
     budgets = [BudgetVector.from_set(env.n_agents, [1, 2], 1.0),
                BudgetVector.zeros(env.n_agents),
                BudgetVector.from_set(env.n_agents, [0], 0.5)]
-    monkeypatch.setattr("mfvuln.attack._lockstep", lambda *a, **k: pytest.fail("trained"))
+    monkeypatch.setattr("mfvuln.qlearn._lockstep", lambda *a, **k: pytest.fail("trained"))
     with pytest.raises(InvalidInputError, match="corrupts no agent"):
         train_adversaries(env, victim, budgets, AdversaryConfig(episodes=5), [1, 2, 3])
 

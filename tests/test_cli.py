@@ -634,11 +634,11 @@ def test_an_episode_count_too_large_to_allocate_exits_with_error(tmp_path, capsy
     assert "episodes" in err and "Traceback" not in err
 
 
-def env_sized_config(tmp_path, name, key, value):
-    """configs/<name>.yaml with env.<key> set to ``value`` and its out_dir in tmp_path;
-    vicsek's cluster_sizes go, since they must sum to n_agents."""
+def sized_config(tmp_path, name, key, value, section="env"):
+    """configs/<name>.yaml with <section>.<key> set to ``value`` and its out_dir in
+    tmp_path; vicsek's cluster_sizes go, since they must sum to n_agents."""
     raw = yaml.safe_load((CONFIG.parent / f"{name}.yaml").read_text())
-    raw["env"][key] = value
+    raw[section][key] = value
     if key == "n_agents":
         raw["env"].pop("cluster_sizes", None)
     raw["out_dir"] = str(tmp_path / "runs")
@@ -655,17 +655,16 @@ def test_an_env_too_large_to_allocate_exits_with_error_before_any_file(tmp_path,
     """An episode's arrays, or the env's own tables, would need more than 2**63 bytes:
     numpy's size ValueError once escaped with a traceback, at the first episode (after
     the ledger was written) or while the env was built."""
-    cfg_path, raw = env_sized_config(tmp_path, name, key, value)
+    cfg_path, raw = sized_config(tmp_path, name, key, value)
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "config section 'env' is too large to run" in err and "Traceback" not in err
     assert not os.path.exists(raw["out_dir"])
 
 
-def test_an_env_beyond_the_address_space_limit_exits_with_error_before_any_file(tmp_path):
-    """A toy episode of 10**12 steps needs 40 TB: a MemoryError under RLIMIT_AS, which a
-    fresh process sets to 1 GiB above what it has mapped once mfvuln is imported."""
-    cfg_path, raw = env_sized_config(tmp_path, "toy", "horizon", 10 ** 12)
+def pipeline_under_address_space_limit(cfg_path):
+    """``mfvuln pipeline`` on cfg_path in a fresh process whose RLIMIT_AS is 1 GiB above
+    what it has mapped once mfvuln is imported; a run that outlasts 60 s fails the test."""
     script = f"""
 import resource, sys
 from mfvuln.cli import main
@@ -676,10 +675,29 @@ sys.exit(main(["pipeline", "--config", {str(cfg_path)!r}]))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(CONFIG.parent.parent / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_an_env_beyond_the_address_space_limit_exits_with_error_before_any_file(tmp_path):
+    """A toy episode of 10**12 steps needs 40 TB: a MemoryError under RLIMIT_AS."""
+    cfg_path, raw = sized_config(tmp_path, "toy", "horizon", 10 ** 12)
+    done = pipeline_under_address_space_limit(cfg_path)
     assert done.returncode == 2, done.stderr
     assert "config section 'env' is too large to run: Unable to allocate" in done.stderr
+    assert "Traceback" not in done.stderr and not os.path.exists(raw["out_dir"])
+
+
+@pytest.mark.parametrize("section, key", [("value", "rollouts"), ("victim", "eval_episodes"),
+                                          ("adversary", "eval_episodes")])
+def test_a_batch_count_too_large_to_allocate_exits_with_error_before_any_file(
+        tmp_path, section, key):
+    """10**15 toy episodes of one batch need 355 PiB of action uniforms.  Each count once
+    ran on past the ledger, spawning one seed per episode, until memory or time ran out."""
+    cfg_path, raw = sized_config(tmp_path, "toy", key, 10 ** 15, section)
+    done = pipeline_under_address_space_limit(cfg_path)
+    assert done.returncode == 2, done.stderr
+    assert f"key '{key}' in config section '{section}' is too large to run" in done.stderr
     assert "Traceback" not in done.stderr and not os.path.exists(raw["out_dir"])
 
 

@@ -17,7 +17,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mfvuln import pipeline
-from mfvuln.attack import AdversaryConfig
 from mfvuln.envs.base import agent_layout
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
@@ -31,7 +30,8 @@ from mfvuln.pipeline import (ARTIFACTS, CorrelationStageConfig, ResultsLedger, R
                              run_pipeline, sample_attack_subsets, stage_attack,
                              stage_files, stage_fit_value, stage_select, stage_train_victim,
                              subset_sizes)
-from mfvuln.qlearn import BoltzmannPolicy, QModel, TablePolicy, TrainConfig, evaluate_policy
+from mfvuln.qlearn import (AdversaryConfig, BoltzmannPolicy, QModel, TablePolicy, TrainConfig,
+                           evaluate_policy)
 from mfvuln.robust import RobustValueModel
 from oracles import exact_value_model, greedy_matrix, optimal_q
 from test_golden_toy import ROOT

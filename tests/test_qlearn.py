@@ -11,14 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfvuln import qlearn
-from mfvuln.attack import AdversaryConfig
 from mfvuln.core import BudgetVector, seed_rng
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.errors import (InvalidConfigError, InvalidInputError,
                            TrainingFailureError)
 from mfvuln.envs.base import Snapshot
-from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, TrainConfig,
-                           UniformPolicy, discounted_return, evaluate_policy,
+from mfvuln.qlearn import (AdversaryConfig, BoltzmannPolicy, QModel, TablePolicy,
+                           TrainConfig, UniformPolicy, discounted_return, evaluate_policy,
                            exploration_eps, rollout, softmax_rows, train_victims)
 from mfvuln.robust import RobustValueModel
 from mfvuln.selection import AttackSet, load_attack_set, save_attack_set
