@@ -221,7 +221,7 @@ def _type_matches(value, annotation) -> bool:
         return value is None
     accepted = _ACCEPTS.get(annotation)
     if accepted is None:
-        return True         # left to the dataclass's own validate()
+        return True         # left to the dataclass's own __post_init__()
     if isinstance(value, bool) and annotation is not bool:
         return False
     return isinstance(value, accepted)
@@ -253,7 +253,7 @@ def require_finite(cfg, *names):
             raise InvalidConfigError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvConfig:
     """The settings every environment has, checked here once.  A subclass
     declares ``env_name`` with its own name as the default, then its own
@@ -264,7 +264,7 @@ class EnvConfig:
     gamma: float = 0.95
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.env_name != type(self).env_name:
             raise InvalidConfigError(f"env_name mismatch: {self.env_name}")
         if self.n_agents < 1:
@@ -290,6 +290,4 @@ def build_config(cls, raw, error=InvalidConfigError, where=None):
     if unknown:
         raise error(f"unknown key '{unknown[0]}' in {where}")
     _check_field_types(cls, raw, error, where)
-    cfg = cls(**raw)
-    cfg.validate()
-    return cfg
+    return cls(**raw)

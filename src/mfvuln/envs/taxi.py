@@ -36,7 +36,7 @@ MOVES = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
 POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaxiConfig(EnvConfig):
     env_name: str = "taxi"
     horizon: int = 24
@@ -46,8 +46,8 @@ class TaxiConfig(EnvConfig):
     demand_rate: float = 1.0
     demand_concentration: float = 0.15
 
-    def validate(self):
-        super().validate()
+    def __post_init__(self):
+        super().__post_init__()
         if self.grid_width < 2 or self.grid_height < 2:
             raise InvalidConfigError("grid must be at least 2x2")
         if self.grid_width % 2 or self.grid_height % 2:
@@ -67,7 +67,6 @@ class TaxiGridEnv(MeanFieldEnv):
     n_actions = len(MOVES)
 
     def __init__(self, config: TaxiConfig):
-        config.validate()
         self.config = config
         self.n_zones = (config.grid_width // 2) * (config.grid_height // 2)
         self.demand_rates = self._demand_rates()

@@ -20,7 +20,7 @@ from ..errors import InvalidConfigError
 from .base import EnvConfig, MeanFieldEnv, Snapshot, StepResult, require_finite
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToyConfig(EnvConfig):
     env_name: str = "toy"
     n_agents: int = 4
@@ -33,8 +33,8 @@ class ToyConfig(EnvConfig):
     null_action: bool = True    # last action pays zero reward everywhere
     scale_ratio: float = 1.6    # geometric ladder of per-block reward scales
 
-    def validate(self):
-        super().validate()
+    def __post_init__(self):
+        super().__post_init__()
         if self.block_states < 1 or self.n_actions < 1:
             raise InvalidConfigError("counts must be >= 1")
         if self.null_action and self.n_actions < 2:
@@ -46,7 +46,6 @@ class ToyConfig(EnvConfig):
 
 class ToyMeanFieldEnv(MeanFieldEnv):
     def __init__(self, config: ToyConfig):
-        config.validate()
         self.config = config
         self._build_tables()
 

@@ -42,7 +42,7 @@ TILE = 1 << 15
 ROW_ALIGN = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class VicsekConfig(EnvConfig):
     env_name: str = "vicsek"
     world_size: float = 16.0
@@ -57,8 +57,8 @@ class VicsekConfig(EnvConfig):
     cluster_spread: float = 1.0
     heading_spread: float = 0.25
 
-    def validate(self):
-        super().validate()
+    def __post_init__(self):
+        super().__post_init__()
         require_finite(self, "world_size", "comm_radius", "turn_delta", "speed", "cluster_spread",
                        "heading_spread")
         if self.world_size <= 0 or self.comm_radius < 0:
@@ -75,7 +75,7 @@ class VicsekConfig(EnvConfig):
             if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
                        for s in self.cluster_sizes):
                 raise InvalidConfigError("cluster_sizes entries must be integers")
-            self.cluster_sizes = tuple(int(s) for s in self.cluster_sizes)
+            object.__setattr__(self, "cluster_sizes", tuple(int(s) for s in self.cluster_sizes))
             if any(s < 1 for s in self.cluster_sizes):
                 raise InvalidConfigError("cluster_sizes entries must be >= 1")
             if sum(self.cluster_sizes) != self.n_agents:
@@ -142,7 +142,6 @@ def _tiles(n_episodes: int, n: int):
 
 class VicsekEnv(MeanFieldEnv):
     def __init__(self, config: VicsekConfig):
-        config.validate()
         self.config = config
         self.turns = (np.arange(config.n_actions) - (config.n_actions - 1) / 2.0) * config.turn_delta
         # the one work buffer of every neighbour pass, four tiles of (rows + 1) * N

@@ -67,19 +67,19 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValueStageConfig(FitConfig):
     # yaml spells the norm order as .inf / 1 / 2; strings also accepted
     p: Union[float, str] = np.inf
     rollouts: int = 80
 
-    def validate(self):
+    def __post_init__(self):
         if isinstance(self.p, str):
             try:
-                self.p = np.inf if self.p in ("inf", ".inf") else float(self.p)
+                object.__setattr__(self, "p", np.inf if self.p in ("inf", ".inf") else float(self.p))
             except ValueError:
                 raise InvalidConfigError(f"bad norm order: {self.p!r}") from None
-        super().validate()
+        super().__post_init__()
         if self.rollouts < 1:
             raise InvalidConfigError("rollouts must be >= 1")
 
@@ -88,13 +88,13 @@ class ValueStageConfig(FitConfig):
         return FitConfig(p=self.p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionStageConfig:
     methods: list = field(default_factory=lambda: ["greedy", "random", "dc"])
     k: int = 2
     eps: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         unknown = [m for m in self.methods if m not in SELECTION_METHODS]
         if unknown:
             raise InvalidConfigError(f"unknown selection method: {unknown[0]}")
@@ -107,20 +107,20 @@ class SelectionStageConfig:
             raise InvalidConfigError("eps must be in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelationStageConfig:
     n_subsets: int = 20
     k_min: int = 1
     k_max: int = 0          # 0 means N // 2
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_subsets < 10:
             raise InvalidConfigError("correlation needs at least 10 subsets")
         if self.k_min < 1 or (self.k_max and self.k_max < self.k_min):
             raise InvalidConfigError("bad subset size range")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
     name: str
@@ -175,6 +175,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         # one episode fits: its start, and its (horizon, n_agents) per-step action uniforms
         env.reset()
         np.empty((env.horizon, env.n_agents))
+        np.empty((env.n_states, env.n_actions))   # and one learner's Q table
         # and so does each batch ``rollouts`` plays: its (n, horizon, n_agents) uniforms
         for section, key in (("value", "rollouts"), ("victim", "eval_episodes"),
                              ("adversary", "eval_episodes")):
@@ -344,19 +345,17 @@ def sample_attack_subsets(n_agents: int, n_subsets: int, seed, eps: float = 1.0,
     """Distinct random subsets with sizes cycling over [k_min, k_max].
 
     Cycling sizes guarantees the predicted drops span a real range instead
-    of clustering at one subset size.
+    of clustering at one subset size.  Each draw repeats until its subset is
+    unseen: ``subset_sizes`` has counted that enough distinct ones exist.
     """
     rng = seed_rng(seed, salt="attack-subsets")
     subsets, seen = [], set()
     for k in subset_sizes(n_agents, n_subsets, k_min, k_max):
-        for _ in range(1000):
+        ids = None
+        while ids is None or ids in seen:
             ids = tuple(sorted(rng.choice(n_agents, size=k, replace=False).tolist()))
-            if ids not in seen:
-                seen.add(ids)
-                subsets.append(AttackSet(np.array(ids, dtype=int), eps, "random"))
-                break
-        else:
-            raise InvalidInputError("could not sample enough distinct subsets")
+        seen.add(ids)
+        subsets.append(AttackSet(np.array(ids, dtype=int), eps, "random"))
     return subsets
 
 

@@ -341,7 +341,7 @@ def evaluate_policy(env, policy, episodes: int, seed, adversary_policy=None,
 # -- victim training -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnerConfig:
     """Schedule of a tabular Q-learner (the victim or an adversary)."""
 
@@ -354,7 +354,7 @@ class LearnerConfig:
     eps_fraction: float = 0.5     # share of episodes over which exploration decays
     eval_episodes: int = 20       # episodes of each evaluation of the learned policy
 
-    def validate(self):
+    def __post_init__(self):
         if self.episodes < 1:
             raise InvalidConfigError("episodes must be >= 1")
         if self.eval_episodes < 1:
@@ -370,12 +370,12 @@ class LearnerConfig:
             raise InvalidConfigError("eps_fraction must be in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig(LearnerConfig):
     min_margin: Optional[float] = 0.2   # relative improvement over uniform; None skips
 
-    def validate(self):
-        super().validate()
+    def __post_init__(self):
+        super().__post_init__()
         if self.min_margin is not None:
             require_finite(self, "min_margin")
 
@@ -397,7 +397,6 @@ def train_victims(env, cfg: TrainConfig, seeds) -> list:
     order: the first policy short of the configured margin over a
     uniform-random baseline raises TrainingFailureError naming its seed.
     """
-    cfg.validate()
     trained = _lockstep(env, cfg, seeds)
     for seed, (_, policy, _) in zip(seeds, trained):
         if cfg.min_margin is not None:
@@ -415,7 +414,7 @@ def train_victims(env, cfg: TrainConfig, seeds) -> list:
 # -- adversary training ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdversaryConfig(LearnerConfig):
     """SARSA schedule of the adversary.
 
@@ -445,7 +444,6 @@ def train_adversaries(env, victim_policy, budgets, cfg: AdversaryConfig, seeds) 
     if env.horizon < 2:
         raise InvalidInputError(f"horizon {env.horizon} is below 2: SARSA updates on the "
                                 "next step's action")
-    cfg.validate()
     for b in budgets:
         check_attack(env, b)
     return _lockstep(env, cfg, seeds, adversary=(victim_policy, budgets))

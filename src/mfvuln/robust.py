@@ -47,11 +47,11 @@ from .qlearn import (CHECKPOINT_MAGIC, QModel, malformed_artifact, read_record, 
                      write_record)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
     p: float = np.inf          # deviation norm order; regularizer uses its dual
 
-    def validate(self):
+    def __post_init__(self):
         if not self.p >= 1:  # also refuses NaN
             raise InvalidConfigError("norm order must be in [1, inf]")
 
@@ -223,7 +223,6 @@ def fit_robust_value(q_model: QModel, trajectories, cfg: FitConfig) -> RobustVal
     point but carries slope-scale noise into the intercept on small cells;
     the decoupled solution is that estimator's zero-variance limit.
     """
-    cfg.validate()
     model = RobustValueModel(q_model.n_states, q_model.n_actions, q_model.gamma, p=cfg.p)
     count, sums, pairs, mult = _stream_stats(
         trajectories, (q_model.n_states,), penalty=_q_norms(q_model, dual_order(cfg.p)))

@@ -37,7 +37,7 @@ from .qlearn import malformed_artifact, read_record, write_record
 BRUTE_FORCE_CAP = 3000
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackSet:
     """A chosen set of agents to corrupt at a common per-agent budget.
 

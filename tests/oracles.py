@@ -607,7 +607,6 @@ def train_victim_serial(env, cfg, seed, fixed_policy_table=None, step=None):
     from mfvuln.qlearn import (BoltzmannPolicy, QModel, TablePolicy, UniformPolicy,
                                evaluate_policy, exploration_eps, softmax_rows)
 
-    cfg.validate()
     model = QModel(env.n_states, env.n_actions, env.gamma)
     fixed = None if fixed_policy_table is None else np.asarray(fixed_policy_table, dtype=float)
     episode_seeds = np.random.SeedSequence(seed).spawn(cfg.episodes)

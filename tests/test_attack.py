@@ -77,7 +77,7 @@ def test_adversary_config_rejects_bad_fields():
     for kwargs in [dict(episodes=0), dict(lr=0.0), dict(temperature=-0.1),
                    dict(eps_start=0.3, eps_final=0.8), dict(eps_fraction=0.0)]:
         with pytest.raises(InvalidConfigError):
-            AdversaryConfig(**kwargs).validate()
+            AdversaryConfig(**kwargs)
 
 
 def test_budget_length_mismatch_is_rejected():

@@ -649,7 +649,8 @@ def sized_config(tmp_path, name, key, value, section="env"):
 
 @pytest.mark.parametrize("name, key, value", [
     ("toy", "horizon", 10 ** 18), ("taxi", "horizon", 10 ** 18), ("vicsek", "horizon", 10 ** 18),
-    ("toy", "n_agents", 2 ** 61), ("vicsek", "n_agents", 2 ** 61)])
+    ("toy", "n_agents", 2 ** 61), ("vicsek", "n_agents", 2 ** 61),
+    ("vicsek", "heading_bins", 2 ** 62)])
 def test_an_env_too_large_to_allocate_exits_with_error_before_any_file(tmp_path, capsys,
                                                                         name, key, value):
     """An episode's arrays, or the env's own tables, would need more than 2**63 bytes:

@@ -61,7 +61,7 @@ def test_unknown_config_key_is_named():
 
 def test_taxi_capacity_check():
     with pytest.raises(InvalidConfigError):
-        TaxiConfig(n_agents=65).validate()
+        TaxiConfig(n_agents=65)
 
 
 @pytest.mark.parametrize("config_cls", [VicsekConfig, TaxiConfig, ToyConfig])
@@ -80,13 +80,13 @@ def test_every_env_config_checks_the_shared_settings(config_cls):
 
 def test_config_bounds():
     with pytest.raises(InvalidConfigError):
-        VicsekConfig(n_actions=4).validate()  # even turn sets have no "stay"
+        VicsekConfig(n_actions=4)  # even turn sets have no "stay"
     with pytest.raises(InvalidConfigError):
-        VicsekConfig(gamma=1.0).validate()
+        VicsekConfig(gamma=1.0)
     with pytest.raises(InvalidConfigError):
-        TaxiConfig(grid_width=7).validate()
+        TaxiConfig(grid_width=7)
     with pytest.raises(InvalidConfigError):
-        ToyConfig(n_actions=1).validate()  # null action needs a second one
+        ToyConfig(n_actions=1)  # null action needs a second one
 
 
 # -- determinism --------------------------------------------------------------------

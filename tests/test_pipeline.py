@@ -9,6 +9,7 @@ import warnings
 from functools import partial
 from types import SimpleNamespace
 
+from dataclasses import FrozenInstanceError, dataclass, replace
 from dataclasses import fields as dc_fields
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mfvuln import pipeline
-from mfvuln.envs.base import agent_layout
+from mfvuln.envs.base import EnvConfig, agent_layout
 from mfvuln.envs.taxi import TaxiConfig
 from mfvuln.envs.toy import ToyConfig, ToyMeanFieldEnv
 from mfvuln.envs.vicsek import VicsekConfig
@@ -30,9 +31,9 @@ from mfvuln.pipeline import (ARTIFACTS, CorrelationStageConfig, ResultsLedger, R
                              run_pipeline, sample_attack_subsets, stage_attack,
                              stage_files, stage_fit_value, stage_select, stage_train_victim,
                              subset_sizes)
-from mfvuln.qlearn import (AdversaryConfig, BoltzmannPolicy, QModel, TablePolicy, TrainConfig,
-                           evaluate_policy)
-from mfvuln.robust import RobustValueModel
+from mfvuln.qlearn import (AdversaryConfig, BoltzmannPolicy, LearnerConfig, QModel,
+                           TablePolicy, TrainConfig, evaluate_policy)
+from mfvuln.robust import FitConfig, RobustValueModel
 from oracles import exact_value_model, greedy_matrix, optimal_q
 from test_golden_toy import ROOT
 
@@ -249,12 +250,41 @@ def test_any_config_mapping_parses_or_raises_a_config_error(raw):
 
 def test_norm_order_accepts_yaml_spellings():
     cfg = ValueStageConfig(p="inf")
-    cfg.validate()
     assert np.isinf(cfg.p)
     cfg = ValueStageConfig(p="2")
-    cfg.validate()
     assert cfg.p == 2.0
     assert np.isinf(parse_experiment_config(base_raw(value={"p": "inf"})).value.p)
+
+
+@dataclass(frozen=True)
+class NamedEnvConfig(EnvConfig):
+    """EnvConfig's own rules: the base declares no env_name, each env's config does."""
+    env_name: str = "named"
+
+
+@pytest.mark.parametrize("cls, key, bad", [
+    pytest.param(NamedEnvConfig, "n_agents", 0, id="EnvConfig"),
+    pytest.param(TaxiConfig, "grid_width", 7, id="TaxiConfig"),
+    pytest.param(ToyConfig, "n_actions", 1, id="ToyConfig"),
+    pytest.param(VicsekConfig, "n_actions", 4, id="VicsekConfig"),
+    pytest.param(FitConfig, "p", 0.5, id="FitConfig"),
+    pytest.param(LearnerConfig, "episodes", 0, id="LearnerConfig"),
+    pytest.param(TrainConfig, "min_margin", np.nan, id="TrainConfig"),
+    pytest.param(AdversaryConfig, "lr", 0.0, id="AdversaryConfig"),
+    pytest.param(ValueStageConfig, "rollouts", 0, id="ValueStageConfig"),
+    pytest.param(SelectionStageConfig, "eps", 0.0, id="SelectionStageConfig"),
+    pytest.param(CorrelationStageConfig, "n_subsets", 9, id="CorrelationStageConfig")])
+def test_a_config_is_checked_when_made_and_cannot_change(cls, key, bad):
+    """A config object is checked once, when it is made, so no later stage re-checks
+    it: a bad value is refused at construction, a field cannot be set afterwards,
+    and ``replace`` makes a new config, checked again."""
+    with pytest.raises(InvalidConfigError):
+        cls(**{key: bad})
+    cfg = cls()
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, key, bad)
+    with pytest.raises(InvalidConfigError):
+        replace(cfg, **{key: bad})
 
 
 def test_experiment_id_is_stable_and_config_sensitive():
@@ -398,6 +428,13 @@ def test_subset_sampling_limits():
     # only three distinct singletons exist
     with pytest.raises(InvalidInputError, match="distinct"):
         sample_attack_subsets(3, 4, seed=0, k_min=1, k_max=1)
+
+
+def test_a_subset_range_the_parser_accepts_is_drawn_in_full():
+    """Every 6-subset of 12 agents, C(12, 6) = 924: a cap of 1,000 draws per subset
+    once refused this range at correlate, after training, for most seeds."""
+    subsets = sample_attack_subsets(12, 924, seed=0, k_min=6, k_max=6)
+    assert len({tuple(sorted(s.ids)) for s in subsets}) == 924
 
 
 def _cycled_subset_sizes(n_agents, n_subsets, k_min, k_max):

@@ -201,7 +201,7 @@ def test_train_config_validation():
     for bad in (dict(episodes=0), dict(lr=0.0), dict(temperature=-1),
                 dict(eps_final=0.8, eps_start=0.5), dict(eps_fraction=0.0)):
         with pytest.raises(InvalidConfigError):
-            TrainConfig(**bad).validate()
+            TrainConfig(**bad)
 
 
 def test_exploration_schedule():

@@ -659,7 +659,7 @@ def test_sup_norm_diff_scans_the_budget_extremes():
 def test_fit_config_validation():
     for bad in [0.5, np.nan, -np.inf]:
         with pytest.raises(InvalidConfigError):
-            FitConfig(p=bad).validate()
+            FitConfig(p=bad)
 
 
 def test_norm_penalty_uses_the_dual_order():

@@ -1,6 +1,7 @@
 """Attack-set selection against crafted value models and exhaustive search."""
 
 import itertools
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -329,6 +330,8 @@ def test_attack_set_validation():
     assert budgets.eps[3] == 0.5 and budgets.eps[0] == 0.0
     with pytest.raises(InvalidInputError):
         attack.budgets(3)
+    with pytest.raises(FrozenInstanceError):
+        attack.eps = 2.0   # frozen: its check ran once, when it was made
 
 
 def test_attack_set_roundtrip(tmp_path):
